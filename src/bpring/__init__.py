@@ -16,7 +16,6 @@ from .bimodules import (
     catalogue,
     catalogue_entry,
     label_parse,
-    label_print,
     validate,
 )
 from .cyclotomic import CyclotomicScalar, Rational, phase_exponent, root_of_unity
@@ -32,14 +31,20 @@ from .groups import (
     CocycleClass,
     PairElt,
     Subgroup,
-    ZpElt,
     cocycle_phase,
     cosets,
     enumerate_subgroups,
     subgroup_from_generators,
 )
 from .karoubi import KarEnvelope, KarObject, KarSimple, primitive_idempotents, simples
-from .ladders import CompositionError, EndAlgebra, LadderCategory, LadderMorphism, LadderObject
+from .ladders import (
+    CompositionError,
+    EndAlgebra,
+    EngineError,
+    LadderCategory,
+    LadderMorphism,
+    LadderObject,
+)
 from .ring import (
     AxiomReport,
     RingTable,

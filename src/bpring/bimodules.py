@@ -89,16 +89,19 @@ def label_parse(text: str) -> BimoduleLabel:
     return BimoduleLabel(kind, int(idx))
 
 
-def label_print(label: BimoduleLabel) -> str:
-    return str(label)
-
-
 def all_labels(p: int) -> list[BimoduleLabel]:
     require_prime(p)
     out = [BimoduleLabel("T"), BimoduleLabel("L"), BimoduleLabel("R"), BimoduleLabel("F", 0)]
     out.extend(BimoduleLabel("X", k) for k in range(1, p))
     out.extend(BimoduleLabel("F", q) for q in range(1, p))
     return out
+
+
+def format_simple(m) -> str:
+    """A simple object as text: a coset pair (a, b) prints as a,b."""
+    if isinstance(m, tuple):
+        return ",".join(str(x) for x in m)
+    return str(m)
 
 
 @dataclass(frozen=True)

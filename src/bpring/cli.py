@@ -1,8 +1,8 @@
 """Command-line interface: catalog, fuse, table, verify.
 
 Exit codes: 0 success, 1 verification failure or unwritable output,
-2 invalid input.  All output is deterministic; BPRING_THREADS caps the worker
-count for table construction.
+2 invalid input, 3 internal engine fault.  All output is deterministic;
+BPRING_THREADS caps the worker count for table construction.
 """
 
 from __future__ import annotations
@@ -11,17 +11,16 @@ import argparse
 import json
 import sys
 
-from .bimodules import LabelParseError, catalogue, catalogue_entry, label_parse
+from .bimodules import catalogue, catalogue_entry, format_simple, label_parse
 from .cyclotomic import is_prime
 from .fusion import RelativeTensorProduct
+from .ladders import EngineError
 from .ring import build_table, check_axioms, closed_form_table, diff_tables, serialize
 from .walls import oracle_table
 
 
 def _fmt_simple(m) -> str:
-    if isinstance(m, tuple):
-        return "(" + ",".join(str(x) for x in m) + ")"
-    return str(m)
+    return f"({format_simple(m)})" if isinstance(m, tuple) else format_simple(m)
 
 
 def _entry_payload(entry) -> dict:
@@ -216,9 +215,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (LabelParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

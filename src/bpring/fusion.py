@@ -28,10 +28,10 @@ from .bimodules import BimoduleData, BimoduleLabel, Decomposition
 from .cyclotomic import phase_exponent
 from .groups import Subgroup, subgroup_from_elements
 from .karoubi import KarEnvelope, KarObject, KarSimple, proportionality
-from .ladders import LadderCategory, LadderMorphism, LadderObject
+from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 
 
-class ClassificationError(RuntimeError):
+class ClassificationError(EngineError):
     pass
 
 
@@ -196,7 +196,7 @@ class RelativeTensorProduct:
         ]
         return subgroup_from_elements(p, elts)
 
-    def _classify(self, stab: Subgroup, rep: KarSimple, exponent: int) -> BimoduleLabel:
+    def _classify(self, stab: Subgroup, exponent: int) -> BimoduleLabel:
         p = self.p
         if stab.kind == "trivial":
             return BimoduleLabel("T")
@@ -226,7 +226,7 @@ class RelativeTensorProduct:
             if len(orbit) * stab.order != self.p * self.p:
                 raise ClassificationError("orbit size times stabilizer order is not p^2")
             exponent = self.mixed_associator(1, 1, rep)
-            infos.append(OrbitInfo(rep, len(orbit), stab, exponent, self._classify(stab, rep, exponent)))
+            infos.append(OrbitInfo(rep, len(orbit), stab, exponent, self._classify(stab, exponent)))
         decomposition = Decomposition.from_pairs((info.label, 1) for info in infos)
         total = decomposition.total_simples(self.p)
         if total != len(self.simples):

@@ -14,25 +14,6 @@ from .cyclotomic import CyclotomicScalar, require_prime, root_of_unity
 
 
 @dataclass(frozen=True, order=True)
-class ZpElt:
-    p: int
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other: "ZpElt") -> "ZpElt":
-        assert self.p == other.p
-        return ZpElt(self.p, self.value + other.value)
-
-    def __neg__(self) -> "ZpElt":
-        return ZpElt(self.p, -self.value)
-
-    def __sub__(self, other: "ZpElt") -> "ZpElt":
-        return self + (-other)
-
-
-@dataclass(frozen=True, order=True)
 class PairElt:
     p: int
     left: int

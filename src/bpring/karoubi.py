@@ -7,10 +7,14 @@ idempotents are the character projectors
 
     I_k = (1/|S|) sum_g zeta^(k g) . (rung g),   k indexing characters of S.
 
-Two primitives (A, e), (A', e') are isomorphic iff nonzero absorbed morphisms
-u: (A,e) -> (A',e') and v back exist with v after u equal to e; the envelope
-stores one canonical representative per class (least base object, least
-character index) together with connecting isomorphisms used downstream.
+The simples follow from the orbits of the rung action on objects, with no
+search.  Since p is prime, an orbit is either one fixed object, End = C[Z_p],
+whose p character projectors are p pairwise non-isomorphic simples, or a free
+orbit of p objects with End = C, which is one simple: the basic rung-b ladder
+from the base to its rung-b image is invertible, its inverse being the rung -b
+ladder up to the scalar of the bubble.  The envelope stores one canonical
+representative per class (least object of the orbit, least character index)
+together with the connecting isomorphisms used downstream.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicScalar, root_of_unity
-from .ladders import LadderCategory, LadderMorphism, LadderObject, object_sort_key
+from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 
 
-class UnsupportedEndAlgebra(ValueError):
+class UnsupportedEndAlgebra(EngineError):
     pass
 
 
@@ -78,24 +82,6 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
     return ratio
 
 
-def reduce_to_basis(morphisms) -> list[LadderMorphism]:
-    """Row-reduce a list of parallel morphisms to a linearly independent basis."""
-    pivots: dict[int, LadderMorphism] = {}
-    basis = []
-    for f in morphisms:
-        g = f
-        for b in sorted(pivots):
-            if b in g.coeffs:
-                g = g + pivots[b].scale(-g.coeffs[b])
-        if g.is_zero():
-            continue
-        lead = min(g.coeffs)
-        g = g.scale(g.coeffs[lead].inv())
-        pivots[lead] = g
-        basis.append(g)
-    return basis
-
-
 class KarEnvelope:
     """Simples of Kar(Lad(M, N)) plus the connecting-isomorphism bookkeeping."""
 
@@ -113,83 +99,40 @@ class KarEnvelope:
 
     # -- class construction -------------------------------------------------
 
-    def _components(self) -> list[list[LadderObject]]:
-        seen: set[LadderObject] = set()
-        comps = []
-        for obj in self.objects:
-            if obj in seen:
-                continue
-            comp = {obj}
-            frontier = [obj]
-            while frontier:
-                x = frontier.pop()
-                for b in range(self.lad.p):
-                    y = self.lad.rung_target(x, b)
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            comp = sorted(comp, key=object_sort_key)
-            comps.append(comp)
-            seen.update(comp)
-        return comps
-
     def _build_classes(self):
-        for comp in self._components():
-            base = comp[0]
-            base_prims = self.prims[base]
-            first_class = len(self.simples)
-            for k, e in enumerate(base_prims):
-                self.simples.append(KarSimple(first_class + k, KarObject(base, e), k))
-            for obj in comp:
-                nprims = self.prims[obj]
-                if obj == base:
-                    for k, e in enumerate(nprims):
-                        key = (obj, k)
-                        self._class_of[key] = first_class + k
-                        self._to_rep[key] = e
-                        self._from_rep[key] = e
-                    continue
-                if len(nprims) != len(base_prims):
-                    raise UnsupportedEndAlgebra(
-                        f"objects {obj} and {base} in one component have different End dimensions"
-                    )
-                for k, e in enumerate(nprims):
-                    matches = []
-                    for j, e0 in enumerate(base_prims):
-                        pair = self._try_connect(obj, e, base, e0)
-                        if pair is not None:
-                            matches.append((j, pair))
-                    if len(matches) != 1:
-                        raise UnsupportedEndAlgebra(
-                            f"primitive {k} on {obj} matched {len(matches)} base classes"
-                        )
-                    j, (u, v) = matches[0]
-                    key = (obj, k)
-                    self._class_of[key] = first_class + j
-                    self._to_rep[key] = u
-                    self._from_rep[key] = v
+        """One class per character of a fixed object, one per free orbit.
 
-    def _try_connect(self, obj, e, base, e0):
-        """Absorbed isomorphisms u: (obj,e) -> (base,e0) and v back, or None."""
+        Objects are walked in canonical order, so the first member met of each
+        rung orbit is its least one and becomes the base.  A later member
+        obj = rung_target(base, b) connects by the basic ladders u: obj -> base
+        of rung -b and v: base -> obj of rung b, the latter divided by the
+        scalar of u followed by v so that this composite is exactly the
+        identity of obj.
+        """
         lad = self.lad
-        u = None
-        for r in lad.hom_rungs(obj, base):
-            cand = lad.compose(lad.compose(e, lad.basic(obj, r)), e0)
-            if not cand.is_zero():
-                u = cand
-                break
-        if u is None:
-            return None
-        for r in lad.hom_rungs(base, obj):
-            v = lad.compose(lad.compose(e0, lad.basic(base, r)), e)
-            if v.is_zero():
+        p = lad.p
+        one = CyclotomicScalar.one(p)
+        orbit_of: dict[LadderObject, tuple[int, int]] = {}  # member -> (class, rung from base)
+        for obj in self.objects:
+            if obj not in orbit_of:
+                first = len(self.simples)
+                for k, e in enumerate(self.prims[obj]):
+                    self.simples.append(KarSimple(first + k, KarObject(obj, e), k))
+                    key = (obj, k)
+                    self._class_of[key] = first + k
+                    self._to_rep[key] = e
+                    self._from_rep[key] = e
+                for b in range(1, p):
+                    orbit_of[lad.rung_target(obj, b)] = (first, b)
                 continue
-            lam = proportionality(lad.compose(u, v), e)
-            if lam is None or lam.is_zero():
-                continue
-            v = v.scale(lam.inv())
-            return u, v
-        return None
+            cls, b = orbit_of[obj]
+            base = self.simples[cls].representative.obj
+            u = LadderMorphism(obj, base, {p - b: one})
+            v = LadderMorphism(base, obj, {b: one})
+            key = (obj, 0)
+            self._class_of[key] = cls
+            self._to_rep[key] = u
+            self._from_rep[key] = v.scale(lad.compose(u, v).coeffs[0].inv())
 
     # -- queries --------------------------------------------------------------
 
@@ -211,23 +154,6 @@ class KarEnvelope:
     def connectors(self, obj: LadderObject, char_index: int):
         key = (obj, char_index)
         return self._to_rep[key], self._from_rep[key]
-
-    def kar_hom_basis(self, a: KarObject, b: KarObject) -> list[LadderMorphism]:
-        lad = self.lad
-        images = [
-            lad.compose(lad.compose(a.idem, f), b.idem)
-            for f in lad.hom_basis(a.obj, b.obj)
-        ]
-        return reduce_to_basis(images)
-
-    def is_isomorphic(self, a: KarObject, b: KarObject) -> bool:
-        lad = self.lad
-        for u in self.kar_hom_basis(a, b):
-            for v in self.kar_hom_basis(b, a):
-                lam = proportionality(lad.compose(u, v), a.idem)
-                if lam is not None and not lam.is_zero():
-                    return True
-        return False
 
 
 def simples(left, right) -> list[KarSimple]:

@@ -21,11 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bimodules import BimoduleData
+from .bimodules import BimoduleData, format_simple
 from .cyclotomic import CyclotomicScalar
 
 
-class CompositionError(ValueError):
+class EngineError(Exception):
+    """An internal fault of the engine: one of its own invariants failed.
+
+    Bad input raises ValueError instead; the CLI reports the two differently.
+    """
+
+
+class CompositionError(EngineError):
     pass
 
 
@@ -35,13 +42,7 @@ class LadderObject:
     n: object
 
     def __str__(self):
-        return f"({_fmt(self.m)})({_fmt(self.n)})"
-
-
-def _fmt(label) -> str:
-    if isinstance(label, tuple):
-        return ",".join(str(x) for x in label)
-    return str(label)
+        return f"({format_simple(self.m)})({format_simple(self.n)})"
 
 
 def object_sort_key(obj: LadderObject):
@@ -142,10 +143,6 @@ class LadderCategory:
 
     def hom_rungs(self, src: LadderObject, tgt: LadderObject) -> list[int]:
         return [b for b in range(self.p) if self.rung_target(src, b) == tgt]
-
-    def hom_basis(self, src: LadderObject, tgt: LadderObject) -> list[LadderMorphism]:
-        one = CyclotomicScalar.one(self.p)
-        return [LadderMorphism(src, tgt, {b: one}) for b in self.hom_rungs(src, tgt)]
 
     def basic(self, src: LadderObject, b: int) -> LadderMorphism:
         return LadderMorphism(src, self.rung_target(src, b), {b: CyclotomicScalar.one(self.p)})

@@ -125,3 +125,38 @@ def test_cli_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "2*T"
+
+
+def test_exit_codes(capsys, monkeypatch):
+    from bpring import cli
+    from bpring.bimodules import Decomposition, label_parse
+    from bpring.fusion import ClassificationError, RelativeTensorProduct
+    from bpring.ring import closed_form_table
+
+    code, _, err = run_cli(capsys, "fuse", "--p", "2", "--left", "T", "--right", "L")
+    assert code == 0 and err == ""
+
+    def wrong_closed_form(p):
+        table = closed_form_table(p)
+        t = label_parse("T")
+        table.set_product(t, t, Decomposition.single(t))
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "closed_form_table", wrong_closed_form)
+        code, out, _ = run_cli(capsys, "verify", "--p", "2")
+    assert code == 1
+    assert "closed-form table: FAIL" in out
+
+    code, _, err = run_cli(capsys, "fuse", "--p", "2", "--left", "Q", "--right", "T")
+    assert code == 2
+    assert err.startswith("error: ")
+
+    def fault(self):
+        raise ClassificationError("orbit size times stabilizer order is not p^2")
+
+    monkeypatch.setattr(RelativeTensorProduct, "analyze", fault)
+    code, out, err = run_cli(capsys, "fuse", "--p", "2", "--left", "T", "--right", "T")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: orbit size times stabilizer order is not p^2\n"

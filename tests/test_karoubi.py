@@ -3,15 +3,9 @@ from fractions import Fraction
 
 from bpring.bimodules import label_parse, catalogue_entry
 from bpring.cyclotomic import CyclotomicScalar, root_of_unity
-from bpring.karoubi import (
-    KarEnvelope,
-    KarObject,
-    primitive_idempotents,
-    proportionality,
-    reduce_to_basis,
-    simples,
-)
+from bpring.karoubi import KarEnvelope, KarObject, primitive_idempotents, proportionality, simples
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
+from kar_oracle import is_isomorphic, kar_hom_basis, reduce_to_basis
 
 
 def make_lad(p, left, right):
@@ -109,7 +103,7 @@ def test_xx_representatives_normalise_right_leg():
 def test_kar_hom_basis_simple_self():
     env = KarEnvelope(make_lad(3, "R", "F0"))
     for s in env.simples:
-        basis = env.kar_hom_basis(s.representative, s.representative)
+        basis = kar_hom_basis(env.lad, s.representative, s.representative)
         assert len(basis) == 1
         lam = proportionality(basis[0], s.representative.idem)
         assert lam is not None and not lam.is_zero()
@@ -124,7 +118,7 @@ def test_every_simple_has_one_dimensional_end():
         for M, N in it.product(catalogue(p), repeat=2):
             env = KarEnvelope(LadderCategory(M, N))
             for s in env.simples:
-                assert len(env.kar_hom_basis(s.representative, s.representative)) == 1
+                assert len(kar_hom_basis(env.lad, s.representative, s.representative)) == 1
 
 
 def test_kar_hom_vanishes_between_characters():
@@ -134,7 +128,7 @@ def test_kar_hom_vanishes_between_characters():
     idems = env.prims[obj]
     for j in range(3):
         for k in range(3):
-            basis = env.kar_hom_basis(KarObject(obj, idems[j]), KarObject(obj, idems[k]))
+            basis = kar_hom_basis(env.lad, KarObject(obj, idems[j]), KarObject(obj, idems[k]))
             assert len(basis) == (1 if j == k else 0)
 
 
@@ -145,9 +139,7 @@ def test_tt_one_dimensional_kar_hom_along_rung():
     src = LadderObject((1, 2), (0, 1))
     g = 1
     tgt = LadderObject((1, (2 - g) % p), ((0 + g) % p, 1))
-    basis = env.kar_hom_basis(
-        KarObject(src, lad.identity(src)), KarObject(tgt, lad.identity(tgt))
-    )
+    basis = kar_hom_basis(lad, KarObject(src, lad.identity(src)), KarObject(tgt, lad.identity(tgt)))
     assert len(basis) == 1
 
 
@@ -156,7 +148,7 @@ def test_isomorphism_is_equivalence_relation_p2():
         env = KarEnvelope(make_lad(2, left, right))
         kobjs = [KarObject(obj, e) for obj in env.objects for e in env.prims[obj]]
         iso = {
-            (i, j): env.is_isomorphic(a, b)
+            (i, j): is_isomorphic(env.lad, a, b)
             for (i, a), (j, b) in itertools.product(enumerate(kobjs), repeat=2)
         }
         n = len(kobjs)
@@ -192,6 +184,36 @@ def test_connectors_invert_exactly():
                 rep = env.simples[env.class_of(obj, k)].representative
                 assert lad.compose(u, v) == e
                 assert lad.compose(v, u) == rep.idem
+
+
+def test_orbit_classes_match_isomorphism_search():
+    # The orbit construction must give the classes the isomorphism search
+    # finds, and connectors that invert exactly, for every ordered pair.
+    from bpring.bimodules import catalogue
+
+    for p in (2, 3):
+        for M, N in itertools.product(catalogue(p), repeat=2):
+            env = KarEnvelope(LadderCategory(M, N))
+            lad = env.lad
+            blocks: list[list[KarObject]] = []  # isomorphism classes, by search
+            by_class: dict[int, list[KarObject]] = {}  # classes, by class_of
+            for obj in env.objects:
+                for k, e in enumerate(env.prims[obj]):
+                    kobj = KarObject(obj, e)
+                    hits = [block for block in blocks if is_isomorphic(lad, block[0], kobj)]
+                    assert len(hits) <= 1, (M.label, N.label, obj, k)
+                    if hits:
+                        hits[0].append(kobj)
+                    else:
+                        blocks.append([kobj])
+                    cls = env.class_of(obj, k)
+                    by_class.setdefault(cls, []).append(kobj)
+                    u, v = env.connectors(obj, k)
+                    assert lad.compose(u, v) == e
+                    assert lad.compose(v, u) == env.simples[cls].representative.idem
+            partition = {frozenset(block) for block in blocks}
+            assert partition == {frozenset(c) for c in by_class.values()}, (M.label, N.label)
+            assert len(blocks) == len(env.simples)
 
 
 def test_reduce_to_basis_drops_dependent_vectors():

@@ -117,6 +117,14 @@ def test_json_round_trip_is_byte_identical():
     assert text == again
 
 
+def test_process_pool_matches_serial(monkeypatch):
+    serial = build_table(3, workers=1)
+    monkeypatch.setenv("BPRING_THREADS", "2")
+    pooled = build_table(3)
+    for fmt in ("json", "md", "csv"):
+        assert serialize(pooled, fmt) == serialize(serial, fmt)
+
+
 def test_markdown_row_count():
     for p in (2, 3):
         text = serialize(table(p), "md")
