@@ -1,8 +1,9 @@
 """Command-line interface: catalog, fuse, table, verify.
 
 Exit codes: 0 success, 1 verification failure or unwritable output,
-2 invalid input, 3 internal engine fault.  All output is deterministic;
-BPRING_THREADS caps the worker count for table construction.
+2 invalid input, 3 internal fault of the engine or the wall oracle.  All
+output is deterministic; BPRING_THREADS caps the worker count for table
+construction.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .cyclotomic import is_prime
 from .fusion import RelativeTensorProduct
 from .ladders import EngineError
 from .ring import build_table, check_axioms, closed_form_table, diff_tables, serialize
-from .walls import oracle_table
+from .walls import OracleError, oracle_table
 
 
 def _fmt_simple(m) -> str:
@@ -218,7 +219,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:
+    except (EngineError, OracleError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,14 +1,23 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_p), p prime.
 
-Elements are stored on the power basis 1, zeta, ..., zeta^(p-1) with the
-canonical normalisation coeffs[p-1] == 0, obtained by subtracting the top
-coefficient from every entry (legal because 1 + zeta + ... + zeta^(p-1) = 0).
-Equality of canonical forms is plain componentwise comparison.
+Elements are stored on the power basis 1, zeta, ..., zeta^(p-1) as a tuple of
+integer numerators over one shared positive integer denominator.  The form is
+canonical: the top numerator is 0, obtained by subtracting it from every entry
+(legal because 1 + zeta + ... + zeta^(p-1) = 0), and the numerators and the
+denominator have no common factor.  Equality and hashing are therefore plain
+tuple comparisons, and all arithmetic runs on Python ints.
+
+Inverses: a monomial c*zeta^k has one of two canonical shapes, a single
+nonzero numerator at index k < p-1, or p-1 equal numerators (c*zeta^(p-1) =
+-c*(1 + zeta + ... + zeta^(p-2))).  Both are inverted in closed form as
+c^-1 * zeta^-k.  Every other value goes through the norm: the product of its
+nontrivial Galois conjugates divided by the rational norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # Exact rational scalar used throughout the engine.
 Rational = Fraction
@@ -36,40 +45,69 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-def _canonical(p: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    top = raw[p - 1]
-    if top == 0:
-        return tuple(raw)
-    return tuple(c - top for c in raw)
+def _make(p: int, num: list[int], den: int) -> "CyclotomicScalar":
+    """The canonical scalar sum(num[i] * zeta^i) / den, for p prime and den > 0."""
+    top = num[-1]
+    if top:
+        num = [a - top for a in num]
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    x = object.__new__(CyclotomicScalar)
+    x.p = p
+    x._num = tuple(num)
+    x._den = den
+    return x
+
+
+def _monomial(p: int, k: int, num: int, den: int) -> "CyclotomicScalar":
+    """(num / den) * zeta^k, for den != 0."""
+    raw = [0] * p
+    if den < 0:
+        num, den = -num, -den
+    raw[k % p] = num
+    return _make(p, raw, den)
 
 
 class CyclotomicScalar:
     """An element of Q(zeta_p) with exact rational coefficients."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "_num", "_den")
 
     def __init__(self, p: int, coeffs):
         require_prime(p)
         raw = [Fraction(c) for c in coeffs]
         if len(raw) != p:
             raise ValueError(f"need {p} coefficients, got {len(raw)}")
-        self.p = p
-        self.coeffs = _canonical(p, raw)
+        den = lcm(*(c.denominator for c in raw))
+        x = _make(p, [c.numerator * (den // c.denominator) for c in raw], den)
+        self.p, self._num, self._den = p, x._num, x._den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Canonical power-basis coefficients; the last one is always 0."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "CyclotomicScalar":
-        return cls(p, [0] * p)
+        require_prime(p)
+        return _make(p, [0] * p, 1)
 
     @classmethod
     def one(cls, p: int) -> "CyclotomicScalar":
-        return cls.from_rational(p, 1)
+        require_prime(p)
+        return _monomial(p, 0, 1, 1)
 
     @classmethod
     def from_rational(cls, p: int, value) -> "CyclotomicScalar":
-        coeffs = [Fraction(value)] + [Fraction(0)] * (p - 1)
-        return cls(p, coeffs)
+        require_prime(p)
+        value = Fraction(value)
+        return _monomial(p, 0, value.numerator, value.denominator)
 
     # -- ring structure ----------------------------------------------------
 
@@ -81,29 +119,41 @@ class CyclotomicScalar:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return CyclotomicScalar(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self._den, other._den
+        if da == db:
+            return _make(self.p, [a + b for a, b in zip(self._num, other._num)], da)
+        return _make(self.p, [a * db + b * da for a, b in zip(self._num, other._num)], da * db)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return CyclotomicScalar(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return CyclotomicScalar(self.p, [-a for a in self.coeffs])
+        return _make(self.p, [-a for a in self._num], self._den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_compatible(other)
+        if type(other) is not CyclotomicScalar or other.p != self.p:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            self._check_compatible(other)
         p = self.p
-        raw = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                raw[(i + j) % p] += a * b
-        return CyclotomicScalar(p, raw)
+        terms = [(j, b) for j, b in enumerate(other._num) if b]
+        if len(terms) == 1:
+            # times (b / den) zeta^j: scale and rotate
+            j, b = terms[0]
+            if b == 1 and j == 0 and other._den == 1:
+                return self
+            raw = [a * b for a in self._num]
+            return _make(p, raw[p - j:] + raw[:p - j], self._den * other._den)
+        raw = [0] * p
+        for i, a in enumerate(self._num):
+            if a:
+                for j, b in terms:
+                    k = i + j
+                    if k >= p:
+                        k -= p
+                    raw[k] += a * b
+        return _make(p, raw, self._den * other._den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -111,8 +161,12 @@ class CyclotomicScalar:
         return NotImplemented
 
     def scale(self, factor) -> "CyclotomicScalar":
-        f = Fraction(factor)
-        return CyclotomicScalar(self.p, [a * f for a in self.coeffs])
+        if type(factor) is int:
+            num, den = factor, 1
+        else:
+            f = Fraction(factor)
+            num, den = f.numerator, f.denominator
+        return _make(self.p, [a * num for a in self._num], self._den * den)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -131,23 +185,31 @@ class CyclotomicScalar:
     def galois(self, k: int) -> "CyclotomicScalar":
         """Apply the automorphism zeta -> zeta^k, gcd(k, p) = 1."""
         p = self.p
-        raw = [Fraction(0)] * p
-        for i, a in enumerate(self.coeffs):
+        raw = [0] * p
+        for i, a in enumerate(self._num):
             raw[(i * k) % p] += a
-        return CyclotomicScalar(p, raw)
+        return _make(p, raw, self._den)
 
     def inv(self) -> "CyclotomicScalar":
-        p = self.p
-        if self.is_zero():
+        p, num, den = self.p, self._num, self._den
+        support = [i for i, a in enumerate(num) if a]
+        if not support:
             raise ZeroDivisionError("inverse of zero in Q(zeta_p)")
+        # (a/d) zeta^i -> (d/a) zeta^-i
+        if len(support) == 1:
+            i = support[0]
+            return _monomial(p, -i, den, num[i])
+        # (a/d)(1 + zeta + ... + zeta^(p-2)) = (-a/d) zeta^(p-1) -> (-d/a) zeta
+        if len(support) == p - 1 and num.count(num[0]) == p - 1:
+            return _monomial(p, 1, -den, num[0])
         # x^-1 = (prod of nontrivial conjugates) / norm; the norm is rational.
         cofactor = CyclotomicScalar.one(p)
         for k in range(2, p):
             cofactor = cofactor * self.galois(k)
         norm = self * cofactor
-        if any(c != 0 for c in norm.coeffs[1:]):
+        if not norm.is_rational():
             raise ArithmeticError("norm computation produced a non-rational value")
-        return cofactor.scale(Fraction(1, 1) / norm.coeffs[0])
+        return cofactor.scale(Fraction(norm._den, norm._num[0]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -158,21 +220,21 @@ class CyclotomicScalar:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclotomicScalar):
             return NotImplemented
-        return self.p == other.p and self.coeffs == other.coeffs
+        return self.p == other.p and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.p, self.coeffs))
+        return hash((self.p, self._num, self._den))
 
     def __repr__(self):
         terms = []
@@ -192,14 +254,19 @@ class CyclotomicScalar:
 def root_of_unity(p: int, k: int) -> CyclotomicScalar:
     """zeta_p^k in canonical form."""
     require_prime(p)
-    coeffs = [Fraction(0)] * p
-    coeffs[k % p] = Fraction(1)
-    return CyclotomicScalar(p, coeffs)
+    return _monomial(p, k, 1, 1)
 
 
 def phase_exponent(x: CyclotomicScalar) -> int | None:
     """Return k with x == zeta^k exactly, or None if x is not a root of unity."""
-    for k in range(x.p):
-        if x == root_of_unity(x.p, k):
-            return k
+    if x._den != 1:
+        return None
+    num = x._num
+    support = [i for i, a in enumerate(num) if a]
+    # zeta^k for k < p-1 is a single numerator 1 at index k
+    if len(support) == 1 and num[support[0]] == 1:
+        return support[0]
+    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    if len(support) == x.p - 1 and num.count(-1) == x.p - 1:
+        return x.p - 1
     return None

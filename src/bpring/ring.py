@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bimodules import (
+    BimoduleData,
     BimoduleLabel,
     Decomposition,
     all_labels,
@@ -57,14 +58,26 @@ class RingTable:
         return cls(p, basis, [[[0] * n for _ in range(n)] for _ in range(n)])
 
 
-def _pair_product(p: int, a_text: str, b_text: str) -> tuple[str, str, list[tuple[str, int]]]:
-    # top-level so ProcessPoolExecutor can pickle the call
-    from .bimodules import catalogue_entry
-    from .fusion import decompose
+def _catalogue_by_label(p: int) -> dict[BimoduleLabel, BimoduleData]:
+    return {entry.label: entry for entry in catalogue(p)}
 
-    a, b = label_parse(a_text), label_parse(b_text)
-    dec = decompose(catalogue_entry(p, a), catalogue_entry(p, b))
-    return a_text, b_text, [(str(label), mult) for label, mult in dec.summands]
+
+def _pair_product(entries: dict, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
+    """One structure-constant row, a x b, from the fusion engine."""
+    return RelativeTensorProduct(entries[a], entries[b]).decompose()
+
+
+# A pool worker's catalogue, built once per process by _init_worker.
+_worker_entries: dict[BimoduleLabel, BimoduleData] = {}
+
+
+def _init_worker(p: int) -> None:
+    _worker_entries.update(_catalogue_by_label(p))
+
+
+def _worker_pair_product(a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
+    # top-level so ProcessPoolExecutor can pickle the call
+    return _pair_product(_worker_entries, a, b)
 
 
 def build_table(p: int, workers: int | None = None) -> RingTable:
@@ -75,18 +88,13 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
         workers = int(os.environ.get("BPRING_THREADS", "1") or "1")
     pairs = [(a, b) for a in table.basis for b in table.basis]
     if workers > 1:
-        jobs = [(p, str(a), str(b)) for a, b in pairs]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for a_text, b_text, summands in pool.map(_pair_product, *zip(*jobs)):
-                dec = Decomposition.from_pairs(
-                    (label_parse(t), mult) for t, mult in summands
-                )
-                table.set_product(label_parse(a_text), label_parse(b_text), dec)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
+            for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs))):
+                table.set_product(a, b, dec)
     else:
-        entries = {b.label: b for b in catalogue(p)}
+        entries = _catalogue_by_label(p)
         for a, b in pairs:
-            dec = RelativeTensorProduct(entries[a], entries[b]).decompose()
-            table.set_product(a, b, dec)
+            table.set_product(a, b, _pair_product(entries, a, b))
     for a in table.basis:
         for b in table.basis:
             for mult in table.constants[table.index(a)][table.index(b)]:

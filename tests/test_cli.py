@@ -160,3 +160,20 @@ def test_exit_codes(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: orbit size times stabilizer order is not p^2\n"
+
+
+def test_oracle_fault_exit_code(capsys, monkeypatch):
+    from bpring import walls
+
+    def sheared_wall_of(p, label):
+        if label.kind == "X":
+            return walls.InvertibleWall(p, ((1, 1), (0, 1)))
+        return real_wall_of(p, label)
+
+    real_wall_of = walls.wall_of
+    monkeypatch.setattr(walls, "wall_of", sheared_wall_of)
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--oracle")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: wall map ((1, 1), (0, 1)) ")
+    assert err.count("\n") == 1

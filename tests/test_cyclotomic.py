@@ -5,6 +5,13 @@ import pytest
 from bpring.cyclotomic import CyclotomicScalar, Rational, is_prime, phase_exponent, root_of_unity
 
 PRIMES = [2, 3, 5, 7]
+PROPERTY_PRIMES = [2, 3, 5, 7, 11]
+
+
+def canonical_oracle(p, raw):
+    """Eliminate zeta^(p-1) using 1 + zeta + ... + zeta^(p-1) = 0."""
+    top = Rational(raw[p - 1])
+    return tuple(Rational(c) - top for c in raw)
 
 
 def poly_mod_oracle(p, coeffs_a, coeffs_b):
@@ -14,8 +21,26 @@ def poly_mod_oracle(p, coeffs_a, coeffs_b):
     for i, a in enumerate(coeffs_a):
         for j, b in enumerate(coeffs_b):
             raw[(i + j) % p] += Rational(a) * Rational(b)
-    top = raw[p - 1]
-    return tuple(c - top for c in raw)
+    return canonical_oracle(p, raw)
+
+
+def galois_oracle(p, coeffs, k):
+    raw = [Rational(0)] * p
+    for i, a in enumerate(coeffs):
+        raw[(i * k) % p] += Rational(a)
+    return canonical_oracle(p, raw)
+
+
+def random_raw(rng, p):
+    """Coefficients as ints or Fractions, mixed signs, a nonzero top entry
+    most of the time, and numerators and denominators with shared factors."""
+    raw = []
+    for _ in range(p):
+        m = rng.choice([1, 2, 3, p])
+        den = rng.choice([1, 2, 3, 4, 6, p, p * p]) * m
+        num = rng.randint(-9, 9) * m
+        raw.append(num // den if num % den == 0 and rng.random() < 0.5 else Rational(num, den))
+    return raw
 
 
 def random_scalar(rng, p):
@@ -111,3 +136,94 @@ def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     assert not is_prime(49)
+
+
+def test_arithmetic_matches_fraction_oracle():
+    rng = random.Random(31337)
+    for p in PROPERTY_PRIMES:
+        for _ in range(30):
+            a, b = random_raw(rng, p), random_raw(rng, p)
+            x, y = CyclotomicScalar(p, a), CyclotomicScalar(p, b)
+            assert x.coeffs == canonical_oracle(p, a)
+            assert (x * y).coeffs == poly_mod_oracle(p, a, b)
+            assert (x + y).coeffs == canonical_oracle(p, [Rational(u) + Rational(v) for u, v in zip(a, b)])
+            assert (x - y).coeffs == canonical_oracle(p, [Rational(u) - Rational(v) for u, v in zip(a, b)])
+            assert (-x).coeffs == canonical_oracle(p, [-Rational(u) for u in a])
+            for k in range(1, p):
+                assert x.galois(k).coeffs == galois_oracle(p, a, k)
+            f = Rational(rng.randint(-12, 12), rng.choice([1, 2, 4, p, 3 * p]))
+            assert x.scale(f).coeffs == canonical_oracle(p, [Rational(u) * f for u in a])
+            assert (x * f) == x.scale(f) == (f * x)
+            n = rng.randint(-5, 5)
+            assert x.scale(n).coeffs == canonical_oracle(p, [Rational(u) * n for u in a])
+
+
+def test_monomial_inverse_closed_form():
+    for p in PROPERTY_PRIMES:
+        for c in (Rational(1), Rational(-1), Rational(3), Rational(-2, 7), Rational(p, 4), Rational(1, p * p)):
+            for k in range(p):
+                x = root_of_unity(p, k).scale(c)
+                expected = root_of_unity(p, -k).scale(1 / c)
+                assert x.inv() == expected
+                assert (x * x.inv()).is_one()
+    # p = 2: zeta = -1, the rational -1
+    assert root_of_unity(2, 1).inv() == CyclotomicScalar.from_rational(2, -1)
+
+
+def test_non_monomial_inverse():
+    rng = random.Random(4242)
+    for p in PROPERTY_PRIMES[1:]:
+        for _ in range(8):
+            # two distinct nonzero numerators below the top index: never c*zeta^k
+            coeffs = [Rational(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(p)]
+            coeffs[0], coeffs[p - 1] = Rational(rng.randint(1, 4)), Rational(0)
+            coeffs[1] = coeffs[0] + Rational(1, rng.randint(1, 3))
+            x = CyclotomicScalar(p, coeffs)
+            assert (x * x.inv()).is_one()
+            assert (x.inv() * x).is_one()
+            assert x.inv().inv() == x
+
+
+def test_equal_values_built_differently():
+    half = Rational(1, 2)
+    for p in PROPERTY_PRIMES:
+        top_root = [
+            root_of_unity(p, p - 1),
+            root_of_unity(p, -1),
+            CyclotomicScalar(p, [0] * (p - 1) + [1]),
+            CyclotomicScalar(p, [-1] * (p - 1) + [0]),
+            CyclotomicScalar(p, [Rational(-3, 3)] * (p - 1) + [Rational(0, 5)]),
+            root_of_unity(p, 1) ** (p - 1),
+            root_of_unity(p, 1).inv(),
+        ]
+        halves = [
+            CyclotomicScalar.from_rational(p, half),
+            CyclotomicScalar(p, [Rational(3, 6)] + [0] * (p - 1)),
+            CyclotomicScalar(p, [Rational(3, 2)] + [1] * (p - 1)),
+            CyclotomicScalar.one(p).scale(Rational(2, 4)),
+            CyclotomicScalar.from_rational(p, 2).inv(),
+            CyclotomicScalar.from_rational(p, Rational(7, 2)) - CyclotomicScalar.from_rational(p, 3),
+        ]
+        zeros = [CyclotomicScalar.zero(p), CyclotomicScalar(p, [Rational(4, 6)] * p),
+                 root_of_unity(p, 2) - root_of_unity(p, p + 2)]
+        for group in (top_root, halves, zeros):
+            for x in group:
+                assert x == group[0]
+                assert hash(x) == hash(group[0])
+                assert type(x.coeffs) is tuple and len(x.coeffs) == p
+                assert all(type(c) is Rational for c in x.coeffs)
+                assert x.coeffs[p - 1] == 0
+        assert len({*top_root, *halves, *zeros}) == 3
+
+
+def test_phase_exponent_rejects_non_roots():
+    # at p = 2 the roots of unity are +1 and -1, so negation stays a root
+    for p in PROPERTY_PRIMES[1:]:
+        z_top = root_of_unity(p, p - 1)
+        assert phase_exponent(z_top) == p - 1
+        for x in (-z_top, z_top.scale(2), z_top.scale(Rational(1, 2)), z_top + CyclotomicScalar.one(p)):
+            assert phase_exponent(x) is None
+        for k in range(p):
+            assert phase_exponent(-root_of_unity(p, k)) is None
+    assert phase_exponent(CyclotomicScalar.from_rational(2, -1)) == 1
+    assert phase_exponent(CyclotomicScalar.from_rational(2, -2)) is None
