@@ -276,21 +276,31 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
 
     associativity_ok = True
     if check_associativity:
+        # Each product has one or two summands, so work on the nonzero
+        # (index, mult) pairs of every row and compare whole result vectors.
         n = len(table.basis)
-        N = table.constants
+        nz = [[[(e, m) for e, m in enumerate(row) if m] for row in rows] for rows in table.constants]
         for i in range(n):
+            nz_i = nz[i]
             for j in range(n):
-                ij = N[i][j]
+                ij, nz_j = nz_i[j], nz[j]
                 for k in range(n):
-                    jk = N[j][k]
+                    lhs = [0] * n
+                    for e, m in ij:
+                        for q, c in nz[e][k]:
+                            lhs[q] += m * c
+                    rhs = [0] * n
+                    for f, m in nz_j[k]:
+                        for q, c in nz_i[f]:
+                            rhs[q] += m * c
+                    if lhs == rhs:
+                        continue
+                    associativity_ok = False
                     for q in range(n):
-                        lhs = sum(ij[e] * N[e][k][q] for e in range(n) if ij[e])
-                        rhs = sum(jk[f] * N[i][f][q] for f in range(n) if jk[f])
-                        if lhs != rhs:
-                            associativity_ok = False
+                        if lhs[q] != rhs[q]:
                             violations.append(
                                 f"associativity fails at ({table.basis[i]}, {table.basis[j]}, "
-                                f"{table.basis[k]}) -> {table.basis[q]}: {lhs} != {rhs}"
+                                f"{table.basis[k]}) -> {table.basis[q]}: {lhs[q]} != {rhs[q]}"
                             )
     return AxiomReport(unit_ok, associativity_ok, violations)
 

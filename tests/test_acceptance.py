@@ -99,13 +99,12 @@ def test_criterion_3_worked_example_replay():
 
 def test_criterion_4_ring_axioms(engine_tables):
     for p in PRIMES:
-        report_p = check_axioms(engine_tables[p], check_associativity=p in (2, 3))
+        report_p = check_axioms(engine_tables[p], check_associativity=True)
         assert report_p.unit_ok, f"p={p}"
-        if p in (2, 3):
-            assert report_p.associativity_ok, f"p={p}"
+        assert report_p.associativity_ok, f"p={p}"
     for p in (5, 7):
         assert cli_main(["verify", "--p", str(p), "--triples"]) == 0
-    report(4, "unit checks for all p; exhaustive associativity at p in (2,3) and via verify --triples at p in (5,7)")
+    report(4, f"unit and exhaustive associativity for p in {PRIMES}, and via verify --triples at p in (5, 7)")
 
 
 def test_criterion_5_units_group(engine_tables):

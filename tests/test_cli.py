@@ -162,6 +162,25 @@ def test_exit_codes(capsys, monkeypatch):
     assert err == "internal error: orbit size times stabilizer order is not p^2\n"
 
 
+def test_verify_lists_only_unit_violations_under_unit(capsys, monkeypatch):
+    from bpring import cli
+    from bpring.bimodules import Decomposition, label_parse
+    from bpring.ring import closed_form_table
+
+    def broken_unit_table(p):
+        table = closed_form_table(p)
+        table.set_product(label_parse("X1"), label_parse("T"), Decomposition.single(label_parse("L")))
+        return table
+
+    monkeypatch.setattr(cli, "build_table", broken_unit_table)
+    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--triples")
+    assert code == 1
+    assert "unit: FAIL" in out and "associativity: FAIL" in out
+    unit_lines = [line for line in out.splitlines() if line.startswith("  unit: ")]
+    assert unit_lines == ["  unit: X1 x T != T"]
+    assert any(line.startswith("  associativity: associativity fails at ") for line in out.splitlines())
+
+
 def test_oracle_fault_exit_code(capsys, monkeypatch):
     from bpring import walls
 

@@ -1,4 +1,5 @@
 import copy
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from bpring.ring import (
     serialize,
     units_group,
 )
+from ring_oracle import dense_check_axioms
 
 
 def lab(text):
@@ -77,9 +79,51 @@ def test_axiom_check_detects_perturbation():
     broken.constants[i][i][broken.index(lab("L"))] += 1
     report = check_axioms(broken)
     assert not report.ok()
-    assert any("T" in v for v in report.violations)
+    assert report.unit_ok and not report.associativity_ok
+    # (T x T) x T = 2(2T + L) + 2L but T x (T x T) = 2(2T + L) + T
+    assert report.violations[0] == "associativity fails at (T, T, T) -> T: 4 != 5"
     located = diff_tables(t, broken)
     assert len(located) == 1 and located[0].startswith("T x T:")
+
+
+def _perturbed(p, seed):
+    """closed_form_table(p) with a few seeded bumps, zeroed rows and second summands."""
+    rng = random.Random(seed)
+    t = closed_form_table(p)
+    n = len(t.basis)
+    for _ in range(rng.randint(1, 3)):
+        row = t.constants[rng.randrange(n)][rng.randrange(n)]
+        kind = rng.choice(("bump", "zero", "second"))
+        if kind == "bump":
+            row[rng.randrange(n)] += rng.randint(1, p)
+        elif kind == "zero":
+            row[:] = [0] * n
+        else:
+            row[rng.choice([q for q in range(n) if not row[q]])] = rng.randint(1, p)
+    return t
+
+
+def _summary(report):
+    return report.unit_ok, report.associativity_ok, report.violations
+
+
+def test_sparse_axioms_match_dense_oracle():
+    clean = [closed_form_table(p) for p in (2, 3, 5, 7, 11)]
+    for t in clean:
+        assert _summary(check_axioms(t)) == _summary(dense_check_axioms(t)) == (True, True, [])
+    broken_assoc = broken_unit = 0
+    for p in (2, 3, 5, 7):
+        for seed in range(20):
+            t = _perturbed(p, 100 * p + seed)
+            got = _summary(check_axioms(t))
+            assert got == _summary(dense_check_axioms(t)), f"p={p} seed={seed}"
+            assert _summary(check_axioms(t, check_associativity=False)) == _summary(
+                dense_check_axioms(t, check_associativity=False)
+            )
+            broken_assoc += not got[1]
+            broken_unit += not got[0]
+    # the perturbations really exercise both halves of the check
+    assert broken_assoc >= 40 and broken_unit >= 5
 
 
 def test_units_group_shapes():
