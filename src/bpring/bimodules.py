@@ -1,14 +1,16 @@
 """Vec(Z_p)-Vec(Z_p) bimodule data and the catalogue of all 2p+2 indecomposables.
 
 A bimodule is recorded by its simple objects, the left/right Z_p action
-tables, and three scalar associator phases:
+tables, and one scalar associator phase:
 
-    left_assoc(g, h, m)   relating g > (h > m)  and  (g+h) > m
     mixed_assoc(g, m, h)  relating g > (m < h)  and  (g > m) < h
-    right_assoc(m, g, h)  relating (m < g) < h  and  m < (g+h)
 
-Every catalogue entry has trivial left/right associators; the mixed associator
-is zeta^(q g h) on the one-object entries F_q and trivial elsewhere.
+Every indecomposable Vec(Z_p) bimodule can be gauge-fixed so that its pure
+associators, relating g > (h > m) to (g+h) > m and (m < g) < h to m < (g+h),
+are trivial and its cocycle sits in the mixed associator
+(Etingof-Nikshych-Ostrik, arXiv:0909.3140).  BimoduleData works in that gauge
+and has no field for the pure ones.  The mixed associator is zeta^(q g h) on
+the one-object entries F_q and trivial elsewhere.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ PhaseFn = Callable[..., CyclotomicScalar]
 
 @dataclass
 class BimoduleData:
-    """One bimodule: simples, action tables, associator phases."""
+    """One bimodule: simples, action tables, mixed associator phase."""
 
     p: int
     subgroup: Subgroup
@@ -149,9 +151,7 @@ class BimoduleData:
     simples: tuple
     left_act: dict
     right_act: dict
-    left_assoc: PhaseFn
     mixed_assoc: PhaseFn
-    right_assoc: PhaseFn
     label: BimoduleLabel | None = None
 
     def left(self, g: int, m):
@@ -186,9 +186,7 @@ def _build(p, label, subgroup, q, simples, left, right, mixed=None) -> BimoduleD
         simples=tuple(simples),
         left_act=left_table,
         right_act=right_table,
-        left_assoc=_trivial_phase3(p),
         mixed_assoc=mixed if mixed is not None else _trivial_phase3(p),
-        right_assoc=_trivial_phase3(p),
         label=label,
     )
 
@@ -286,20 +284,6 @@ def validate(b: BimoduleData) -> list[str]:
         # associator and stabilizer checks assume honest group actions
         return out
 
-    # module pentagon for the pure associators: 2-cocycle condition per object
-    for g in range(p):
-        for h in range(p):
-            for k in range(p):
-                for m in b.simples:
-                    lhs = b.left_assoc(g, h, b.left(k, m)) * b.left_assoc((g + h) % p, k, m)
-                    rhs = b.left_assoc(h, k, m) * b.left_assoc(g, (h + k) % p, m)
-                    if lhs != rhs:
-                        out.append(f"left associator cocycle fails at (g={g}, h={h}, k={k}, m={m})")
-                    lhs = b.right_assoc(m, g, h) * b.right_assoc(m, (g + h) % p, k)
-                    rhs = b.right_assoc(b.right(m, g), h, k) * b.right_assoc(m, g, (h + k) % p)
-                    if lhs != rhs:
-                        out.append(f"right associator cocycle fails at (m={m}, g={g}, h={h}, k={k})")
-
     # mixed associator compatibility; with trivial pure associators this is
     # additivity in each group argument
     for g1 in range(p):
@@ -316,13 +300,10 @@ def validate(b: BimoduleData) -> list[str]:
                         out.append(f"mixed associator not additive in h at (g={g1}, m={m}, h1={g2}, h2={h})")
 
     if b.label is not None:
-        one = CyclotomicScalar.one(p)
         q = b.cocycle.q
         for g in range(p):
             for h in range(p):
                 for m in b.simples:
-                    if b.left_assoc(g, h, m) != one or b.right_assoc(m, g, h) != one:
-                        out.append(f"catalogue entry {b.label} must have trivial pure associators")
                     if b.mixed_assoc(g, m, h) != root_of_unity(p, q * g * h):
                         out.append(f"catalogue entry {b.label} has wrong mixed associator at (g={g}, m={m}, h={h})")
         for m in b.simples:

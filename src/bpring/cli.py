@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure or unwritable output,
 2 invalid input, 3 internal fault of the engine or the wall oracle.  All
-output is deterministic; BPRING_THREADS caps the worker count for table
-construction.
+output is deterministic.  BPRING_THREADS, a positive integer (unset or empty
+means 1), sets how many worker processes build a table, capped at the CPU
+count; any other value is invalid input.
 """
 
 from __future__ import annotations

@@ -13,7 +13,12 @@ morphisms in the same one-dimensional absorbed Hom space.  On an orbit fixed
 by both actions the connector gauges cancel in this ratio, so the extracted
 exponent is canonical; the calibration is fixed so that the product of the
 one-object bimodule with cocycle q and the invertible X_l comes out with
-exponent q*l at (g, h) = (1, 1).
+exponent q*l at (g, h) = (1, 1).  Only these exponents, on orbits with full
+stabilizer (label F_q), are invariants of the product.  On an orbit with a
+trivial or line stabilizer the exponent depends on the gauge of the inputs:
+twisting a factor's mixed associator by a coboundary can change it, e.g. the
+T orbit of T x X1 at p=2 goes from 0 to 1.  It is reported as computed and
+never used to classify such an orbit.
 
 Classification of an orbit: stabilizer H = {(g,h) : g acts then h acts fixes
 the simple}; trivial H -> T, H = <(1,0)> -> L, H = <(0,1)> -> R, other lines
@@ -216,7 +221,7 @@ class RelativeTensorProduct:
     def analyze(self) -> ProductAnalysis:
         end_dims: dict[int, int] = {}
         for obj in self.env.objects:
-            d = len(self.lad.end_rungs(obj))
+            d = len(self.env.prims[obj])  # one primitive per character of the rung stabilizer
             end_dims[d] = end_dims.get(d, 0) + 1
         infos = []
         for orbit in self.orbits():

@@ -1,9 +1,11 @@
 """Idempotent completion of a ladder category.
 
 Kar objects are pairs (A, e) with e an idempotent endo-ladder of A; simples of
-the completion are primitive such pairs up to isomorphism.  End algebras here
-are group algebras C[S] of the rung stabilizer S <= Z_p, so the primitive
-idempotents are the character projectors
+the completion are primitive such pairs up to isomorphism.  Bimodules are
+kept in the gauge with trivial pure associators (see bpring.bimodules), so
+stacking rungs g and h gives rung g+h with coefficient 1.  End algebras are
+therefore the group algebras C[S] of the rung stabilizer S <= Z_p, which are
+commutative, and the primitive idempotents are the character projectors
 
     I_k = (1/|S|) sum_g zeta^(k g) . (rung g),   k indexing characters of S.
 
@@ -12,9 +14,9 @@ search.  Since p is prime, an orbit is either one fixed object, End = C[Z_p],
 whose p character projectors are p pairwise non-isomorphic simples, or a free
 orbit of p objects with End = C, which is one simple: the basic rung-b ladder
 from the base to its rung-b image is invertible, its inverse being the rung -b
-ladder up to the scalar of the bubble.  The envelope stores one canonical
-representative per class (least object of the orbit, least character index)
-together with the connecting isomorphisms used downstream.
+ladder.  The envelope stores one canonical representative per class (least
+object of the orbit, least character index) together with the connecting
+isomorphisms used downstream.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[Ladder
         return [lad.identity(obj)]
     if len(rungs) != p:
         raise UnsupportedEndAlgebra(f"rung stabilizer of size {len(rungs)} at p={p}")
-    if not lad.end_algebra(obj).is_commutative():
-        raise UnsupportedEndAlgebra(f"non-commutative End algebra at {obj}")
     inv_p = Fraction(1, p)
     out = []
     for k in range(p):
@@ -105,9 +105,8 @@ class KarEnvelope:
         Objects are walked in canonical order, so the first member met of each
         rung orbit is its least one and becomes the base.  A later member
         obj = rung_target(base, b) connects by the basic ladders u: obj -> base
-        of rung -b and v: base -> obj of rung b, the latter divided by the
-        scalar of u followed by v so that this composite is exactly the
-        identity of obj.
+        of rung -b and v: base -> obj of rung b; u followed by v is rung 0,
+        the identity of obj, and v followed by u the identity of base.
         """
         lad = self.lad
         p = lad.p
@@ -127,12 +126,10 @@ class KarEnvelope:
                 continue
             cls, b = orbit_of[obj]
             base = self.simples[cls].representative.obj
-            u = LadderMorphism(obj, base, {p - b: one})
-            v = LadderMorphism(base, obj, {b: one})
             key = (obj, 0)
             self._class_of[key] = cls
-            self._to_rep[key] = u
-            self._from_rep[key] = v.scale(lad.compose(u, v).coeffs[0].inv())
+            self._to_rep[key] = LadderMorphism(obj, base, {p - b: one})
+            self._from_rep[key] = LadderMorphism(base, obj, {b: one})
 
     # -- queries --------------------------------------------------------------
 

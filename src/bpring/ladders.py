@@ -9,12 +9,11 @@ has one basis element per admissible rung b in Z_p, where admissibility means
 so each object has exactly p outgoing basic ladders, one per rung, and the
 rung-b target map  (m, n) -> (m < -b, b > n)  is a Z_p action on objects.
 
-Stacking the rung-b1 ladder under the rung-b2 ladder fuses to the rung b1+b2
-with the bubble-popping coefficient
-
-    right_assoc_M(top.m, b2, b1) * left_assoc_N(b2, b1, bottom.n),
-
-which is 1 for every catalogue bimodule (their pure associators are trivial).
+Stacking the rung-b1 ladder under the rung-b2 ladder fuses to the rung b1+b2.
+In general the two rungs enclose a bubble whose coefficient comes from the
+pure module associators of M and N; bimodules are kept in the gauge where
+those are trivial (see bpring.bimodules), so the coefficient is 1 and the
+rung-b1+b2 coefficient of the stack is just the product of the two.
 """
 
 from __future__ import annotations
@@ -162,7 +161,7 @@ class LadderCategory:
         for b1, c1 in f.coeffs.items():
             for b2, c2 in g.coeffs.items():
                 b = (b1 + b2) % p
-                c = c1 * c2 * self.M.right_assoc(g.target.m, b2, b1) * self.N.left_assoc(b2, b1, f.source.n)
+                c = c1 * c2
                 coeffs[b] = coeffs[b] + c if b in coeffs else c
         return LadderMorphism(f.source, g.target, coeffs)
 

@@ -80,12 +80,25 @@ def _worker_pair_product(a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
     return _pair_product(_worker_entries, a, b)
 
 
+def _env_workers() -> int:
+    """Worker count from BPRING_THREADS; unset or empty means 1."""
+    text = os.environ.get("BPRING_THREADS") or "1"
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"BPRING_THREADS must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_table(p: int, workers: int | None = None) -> RingTable:
-    """Structure constants from the fusion engine over all ordered label pairs."""
+    """Structure constants from the fusion engine over all ordered label pairs.
+
+    workers (default: BPRING_THREADS) is capped at os.cpu_count().
+    """
     require_prime(p)
     table = RingTable.empty(p)
     if workers is None:
-        workers = int(os.environ.get("BPRING_THREADS", "1") or "1")
+        workers = _env_workers()
+    # a fork-started pool launches all its workers at once
+    workers = min(workers, os.cpu_count() or 1)
     pairs = [(a, b) for a in table.basis for b in table.basis]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:

@@ -162,6 +162,15 @@ def test_exit_codes(capsys, monkeypatch):
     assert err == "internal error: orbit size times stabilizer order is not p^2\n"
 
 
+@pytest.mark.parametrize("value", ["abc", "-4", "0", "2.5", " "])
+def test_bad_threads_value_is_invalid_input(capsys, monkeypatch, value):
+    monkeypatch.setenv("BPRING_THREADS", value)
+    code, out, err = run_cli(capsys, "table", "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: BPRING_THREADS must be a positive integer, got {value!r}\n"
+
+
 def test_verify_lists_only_unit_violations_under_unit(capsys, monkeypatch):
     from bpring import cli
     from bpring.bimodules import Decomposition, label_parse

@@ -1,8 +1,12 @@
+import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse
+from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse, validate
+from bpring.cyclotomic import root_of_unity
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, decompose
 from bpring.ladders import LadderObject
 
@@ -207,3 +211,73 @@ def test_outer_action_rejects_bad_side():
     product = rtp(2, "T", "T")
     with pytest.raises(ValueError):
         product.outer_action(1, "middle", product.simples[0])
+
+
+def gauge_twist(entry, c, side):
+    """entry with its mixed associator twisted by the coboundary of c: simples -> Z_p.
+
+    The result is an equivalent bimodule, so every invariant of a product
+    with it must stay the same.  label=None makes validate apply only the
+    generic coherence conditions.
+    """
+    p, mixed = entry.p, entry.mixed_assoc
+    if side == "right":
+        d = lambda m, h: c[entry.right(m, h)] - c[m]
+        shift = lambda g, m, h: d(m, h) - d(entry.left(g, m), h)
+    else:
+        e = lambda g, m: c[entry.left(g, m)] - c[m]
+        shift = lambda g, m, h: e(g, entry.right(m, h)) - e(g, m)
+
+    table = {
+        (g, m, h): mixed(g, m, h) * root_of_unity(p, shift(g, m, h))
+        for g in range(p) for m in entry.simples for h in range(p)
+    }
+    twisted = lambda g, m, h: table[(g % p, m, h % p)]
+    return dataclasses.replace(entry, mixed_assoc=twisted, label=None)
+
+
+def gauge_invariants(a):
+    """What analyze must report the same way in every gauge of the inputs.
+
+    The associator exponent is canonical only on orbits with full stabilizer,
+    where the label F_q carries it; elsewhere it depends on the gauge and is
+    left out.
+    """
+    orbits = Counter((o.size, str(o.stabilizer), str(o.label)) for o in a.orbits)
+    return a.decomposition, a.object_count, a.end_dimensions, a.simple_count, orbits
+
+
+def test_gauge_twist_preserves_product_invariants():
+    rng = random.Random(20181)
+    cases, twists = [], {}
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        pairs = list(itertools.product(cat, repeat=2))
+        cases += pairs if p < 5 else rng.sample(pairs, 12)
+        for entry, side, _ in itertools.product(cat, ("left", "right"), range(2)):
+            c = {m: rng.randrange(p) for m in entry.simples}
+            twisted = gauge_twist(entry, c, side)
+            assert validate(twisted) == []
+            twists.setdefault((p, str(entry.label), side), []).append(twisted)
+    for M, N in cases:
+        expected = gauge_invariants(analyze(M, N))
+        for side in ("left", "right"):
+            tM = rng.choice(twists[(M.p, str(M.label), side)])
+            tN = rng.choice(twists[(N.p, str(N.label), side)])
+            for left, right in ((tM, N), (M, tN), (tM, tN)):
+                got = gauge_invariants(analyze(left, right))
+                assert got == expected, (M.p, str(M.label), str(N.label), side)
+
+
+def test_gauge_twist_moves_exponent_off_full_orbits():
+    # the T orbit of T x X1 at p=2 has exponent 0, and 1 after a twist of T
+    p = 2
+    T, X1 = catalogue_entry(p, label_parse("T")), catalogue_entry(p, label_parse("X1"))
+    assert [o.assoc_exponent for o in analyze(T, X1).orbits] == [0]
+    exponents = set()
+    for values in itertools.product(range(p), repeat=len(T.simples)):
+        twisted = gauge_twist(T, dict(zip(T.simples, values)), "right")
+        (orbit,) = analyze(twisted, X1).orbits
+        assert str(orbit.label) == "T"
+        exponents.add(orbit.assoc_exponent)
+    assert exponents == {0, 1}

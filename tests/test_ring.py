@@ -1,8 +1,10 @@
 import copy
+import os
 import random
 
 import pytest
 
+from bpring import ring
 from bpring.bimodules import BimoduleLabel, Decomposition, label_parse
 from bpring.ring import (
     RingTable,
@@ -163,10 +165,54 @@ def test_json_round_trip_is_byte_identical():
 
 def test_process_pool_matches_serial(monkeypatch):
     serial = build_table(3, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # keep two workers on a one-core box
     monkeypatch.setenv("BPRING_THREADS", "2")
     pooled = build_table(3)
     for fmt in ("json", "md", "csv"):
         assert serialize(pooled, fmt) == serialize(serial, fmt)
+
+
+def test_pool_size_capped_at_cpu_count(monkeypatch):
+    class SerialPool:
+        """Records the pool size it is given and runs every call in-process."""
+
+        sizes = []
+
+        def __init__(self, max_workers, initializer, initargs):
+            self.sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(ring, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(ring, "_worker_entries", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("BPRING_THREADS", "100000")
+    capped = build_table(2)
+    assert SerialPool.sizes == [3]
+    assert serialize(capped, "json") == serialize(build_table(2, workers=1), "json")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    build_table(2)
+    assert SerialPool.sizes == [3]  # a single core runs serially, without a pool
+
+
+def test_threads_unset_or_empty_means_serial(monkeypatch):
+    def no_pool(**kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(ring, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("BPRING_THREADS", raising=False)
+    build_table(2)
+    monkeypatch.setenv("BPRING_THREADS", "")
+    build_table(2)
 
 
 def test_markdown_row_count():
