@@ -5,7 +5,18 @@ the left shifts the M leg of every object and multiplies the rung-b slot of a
 morphism by mixed_assoc_M(g, target.m, b); acting by h on the right shifts the
 N leg and multiplies by mixed_assoc_N(b, source.n, h).  Applying a functor to
 a Kar simple and re-anchoring to the canonical class representative yields the
-action on simples together with an absorbing witness morphism.
+action on simples together with an absorbing witness morphism (outer_action).
+
+The orbits only need where each simple goes under the generators, and that
+is read once per representative object and side, without a witness.  Acting
+by 1 multiplies the rung-b slot of End(obj) by zeta^e(b), with e read from the
+mixed associator.  It sends the character projector I_k of obj to the stored
+projector I_(k+e(1)) of the shifted object exactly when e(b) = b e(1) for
+every rung b of End(obj) and the shifted object has the same End dimension.
+Both are checked, and a failure is a ClassificationError; simple (obj, k)
+then steps to the class of (shift(obj), k + e(1)).  This is the condition
+under which re-anchoring the acted projector succeeds, so the step tables
+verify no less than the witness route.
 
 The mixed associator of the product at (g, h) is the scalar ratio of the two
 witness paths (left-g then right-h) / (right-h then left-g), both of which are
@@ -83,9 +94,8 @@ class RelativeTensorProduct:
         self.p = self.lad.p
         self.env = KarEnvelope(self.lad)
         self.simples = self.env.simples
-        self._index = {s.representative: i for i, s in enumerate(self.simples)}
-        self._left_step: list[int] | None = None
-        self._right_step: list[int] | None = None
+        self._steps: tuple[list[int], list[int]] | None = None
+        self._tables: tuple[list[list[int]], list[list[int]]] | None = None
 
     # -- the outer-action endofunctors --------------------------------------
 
@@ -118,28 +128,61 @@ class RelativeTensorProduct:
         target, u = self.env.anchor(shifted)
         return ActionMorphism(g, side, simple, target, _normalize(u))
 
+    def _character_shift(self, side: str, obj: LadderObject, dim: int) -> tuple[LadderObject, int]:
+        """The object that acting by 1 on side moves obj to, and e(1).
+
+        Checks that e(b) = b e(1) on End(obj) and that the End dimension is
+        kept (see the module docstring).
+        """
+        if side == "left":
+            target = self.shift_left(1, obj)
+            phases = [self.M.mixed_assoc(1, obj.m, b) for b in range(dim)]
+        else:
+            target = self.shift_right(1, obj)
+            phases = [self.N.mixed_assoc(b, obj.n, 1) for b in range(dim)]
+        exps = [phase_exponent(x) for x in phases]
+        e1 = exps[1] if dim > 1 else 0
+        if None in exps or any(e != b * e1 % self.p for b, e in enumerate(exps)):
+            raise ClassificationError(
+                f"the {side} mixed associator on {obj} is not a character of its rung stabilizer"
+            )
+        if self.env.end_dimension(target) != dim:
+            raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
+        return target, e1
+
     def _step_tables(self) -> tuple[list[int], list[int]]:
-        if self._left_step is None:
-            self._left_step = [
-                self._index[self.outer_action(1, "left", s).target.representative]
-                for s in self.simples
-            ]
-            self._right_step = [
-                self._index[self.outer_action(1, "right", s).target.representative]
-                for s in self.simples
-            ]
-        return self._left_step, self._right_step
+        """Each simple's index after acting by 1 on the left, and on the right.
+
+        One character shift per representative object and side: simple
+        (obj, k) goes to the class of (shift(obj), k + e(1)).
+        """
+        if self._steps is None:
+            env, p = self.env, self.p
+            steps = ([0] * len(self.simples), [0] * len(self.simples))
+            for s in self.simples:
+                if s.char_index:
+                    continue
+                obj = s.representative.obj
+                dim = env.end_dimension(obj)
+                for side, table in zip(("left", "right"), steps):
+                    target, e1 = self._character_shift(side, obj, dim)
+                    for k in range(dim):
+                        table[s.class_index + k] = env.class_of(target, (k + e1) % p)
+            self._steps = steps
+        return self._steps
 
     def action_tables(self) -> tuple[list[list[int]], list[list[int]]]:
         """left[g][i] and right[h][i] as permutations of simple indices."""
-        lstep, rstep = self._step_tables()
-        n = len(self.simples)
-        left = [list(range(n))]
-        right = [list(range(n))]
-        for _ in range(1, self.p):
-            left.append([lstep[i] for i in left[-1]])
-            right.append([rstep[i] for i in right[-1]])
-        return left, right
+        if self._tables is None:
+            lstep, rstep = self._step_tables()
+            n = len(self.simples)
+            left = [list(range(n))]
+            right = [list(range(n))]
+            for _ in range(1, self.p):
+                left.append([lstep[i] for i in left[-1]])
+                right.append([rstep[i] for i in right[-1]])
+            self._tables = left, right
+        return self._tables
 
     # -- mixed associator -----------------------------------------------------
 
@@ -219,10 +262,6 @@ class RelativeTensorProduct:
         return BimoduleLabel("X", k)
 
     def analyze(self) -> ProductAnalysis:
-        end_dims: dict[int, int] = {}
-        for obj in self.env.objects:
-            d = len(self.env.prims[obj])  # one primitive per character of the rung stabilizer
-            end_dims[d] = end_dims.get(d, 0) + 1
         infos = []
         for orbit in self.orbits():
             rep_index = orbit[0]
@@ -241,7 +280,7 @@ class RelativeTensorProduct:
         return ProductAnalysis(
             p=self.p,
             object_count=len(self.env.objects),
-            end_dimensions=end_dims,
+            end_dimensions=self.env.end_dimensions(),
             simple_count=len(self.simples),
             orbits=tuple(infos),
             decomposition=decomposition,

@@ -14,17 +14,27 @@ search.  Since p is prime, an orbit is either one fixed object, End = C[Z_p],
 whose p character projectors are p pairwise non-isomorphic simples, or a free
 orbit of p objects with End = C, which is one simple: the basic rung-b ladder
 from the base to its rung-b image is invertible, its inverse being the rung -b
-ladder.  The envelope stores one canonical representative per class (least
-object of the orbit, least character index) together with the connecting
-isomorphisms used downstream.
+ladder.
+
+The envelope makes one walk over the objects in canonical order, on the index
+arrays of LadderCategory.  The first object met of each orbit is its base; its
+p-1 rung images decide the orbit: all equal to the base (fixed) or p-1 new
+objects (free).  Anything else means the rung action is not a Z_p action, and
+UnsupportedEndAlgebra is raised.  The walk records, per object, the class of
+its simple and its rung from the base.  The connectors to the canonical
+representative (least object of the orbit, least character index) are the
+basic rung ladders, built when asked for, as are the primitive idempotents
+of an object that is not a base.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclotomic import CyclotomicScalar, root_of_unity
+from .cyclotomic import CyclotomicScalar, phase_exponent, root_of_unity
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 
 
@@ -48,20 +58,26 @@ class KarSimple:
         return f"{self.representative.obj}#{self.char_index}"
 
 
-def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[LadderMorphism]:
-    """Complete orthogonal set of primitive idempotents of End(obj)."""
-    rungs = lad.end_rungs(obj)
-    p = lad.p
-    if len(rungs) == 1:
-        return [lad.identity(obj)]
-    if len(rungs) != p:
-        raise UnsupportedEndAlgebra(f"rung stabilizer of size {len(rungs)} at p={p}")
+@lru_cache(maxsize=None)
+def _projector_coeffs(p: int) -> tuple[dict, ...]:
+    """Rung coefficients of the p character projectors I_k of C[Z_p]."""
     inv_p = Fraction(1, p)
-    out = []
-    for k in range(p):
-        coeffs = {g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)}
-        out.append(LadderMorphism(obj, obj, coeffs))
-    return out
+    return tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
+
+
+def _primitives(lad: LadderCategory, obj: LadderObject, fixed: bool) -> list[LadderMorphism]:
+    if not fixed:
+        return [lad.identity(obj)]
+    return [LadderMorphism(obj, obj, coeffs) for coeffs in _projector_coeffs(lad.p)]
+
+
+def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[LadderMorphism]:
+    """Complete orthogonal set of primitive idempotents of End(obj).
+
+    The rung stabilizer of obj is trivial or all of Z_p (KarEnvelope checks
+    that the rung action is a Z_p action), so rung 1 decides which.
+    """
+    return _primitives(lad, obj, lad.rung_target(obj, 1) == obj)
 
 
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
@@ -82,24 +98,48 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
     return ratio
 
 
+_FIXED = -1  # the rung from the base recorded for a fixed object
+
+
+class _Primitives(Mapping):
+    """obj -> primitive idempotents of End(obj), built when first asked for."""
+
+    def __init__(self, env: "KarEnvelope"):
+        self._env = env
+        self._built: dict[LadderObject, list[LadderMorphism]] = {}
+
+    def __getitem__(self, obj: LadderObject) -> list[LadderMorphism]:
+        prims = self._built.get(obj)
+        if prims is None:
+            env = self._env
+            prims = _primitives(env.lad, obj, env.end_dimension(obj) > 1)
+            self._built[obj] = prims
+        return prims
+
+    def __iter__(self):
+        return iter(self._env.objects)
+
+    def __len__(self) -> int:
+        return len(self._env.objects)
+
+
 class KarEnvelope:
     """Simples of Kar(Lad(M, N)) plus the connecting-isomorphism bookkeeping."""
 
     def __init__(self, lad: LadderCategory):
         self.lad = lad
         self.objects = lad.objects()
-        self.prims: dict[LadderObject, list[LadderMorphism]] = {
-            obj: primitive_idempotents(lad, obj) for obj in self.objects
-        }
+        self.prims = _Primitives(self)
         self.simples: list[KarSimple] = []
-        self._class_of: dict[tuple[LadderObject, int], int] = {}
-        self._to_rep: dict[tuple[LadderObject, int], LadderMorphism] = {}
-        self._from_rep: dict[tuple[LadderObject, int], LadderMorphism] = {}
-        self._build_classes()
+        self._one = CyclotomicScalar.one(lad.p)
+        # per object index: the class of its first simple, and its rung from the base
+        self._class = [-1] * len(self.objects)
+        self._rung = [0] * len(self.objects)
+        self._walk()
 
     # -- class construction -------------------------------------------------
 
-    def _build_classes(self):
+    def _walk(self):
         """One class per character of a fixed object, one per free orbit.
 
         Objects are walked in canonical order, so the first member met of each
@@ -108,49 +148,78 @@ class KarEnvelope:
         of rung -b and v: base -> obj of rung b; u followed by v is rung 0,
         the identity of obj, and v followed by u the identity of base.
         """
-        lad = self.lad
-        p = lad.p
-        one = CyclotomicScalar.one(p)
-        orbit_of: dict[LadderObject, tuple[int, int]] = {}  # member -> (class, rung from base)
-        for obj in self.objects:
-            if obj not in orbit_of:
-                first = len(self.simples)
-                for k, e in enumerate(self.prims[obj]):
-                    self.simples.append(KarSimple(first + k, KarObject(obj, e), k))
-                    key = (obj, k)
-                    self._class_of[key] = first + k
-                    self._to_rep[key] = e
-                    self._from_rep[key] = e
-                for b in range(1, p):
-                    orbit_of[lad.rung_target(obj, b)] = (first, b)
+        lad, p = self.lad, self.lad.p
+        rung_m, rung_n = lad.rung_m, lad.rung_n
+        width = len(lad.m_simples)
+        cls_of, rung_of, simples = self._class, self._rung, self.simples
+        for i, obj in enumerate(self.objects):
+            if cls_of[i] >= 0:
                 continue
-            cls, b = orbit_of[obj]
-            base = self.simples[cls].representative.obj
-            key = (obj, 0)
-            self._class_of[key] = cls
-            self._to_rep[key] = LadderMorphism(obj, base, {p - b: one})
-            self._from_rep[key] = LadderMorphism(base, obj, {b: one})
+            first = len(simples)
+            cls_of[i] = first
+            n, m = divmod(i, width)
+            images = [rung_n[b][n] * width + rung_m[b][m] for b in range(1, p)]
+            if images[0] == i:
+                if images.count(i) != p - 1:
+                    raise UnsupportedEndAlgebra(f"rung 1 fixes {obj} but not every rung does, at p={p}")
+                rung_of[i] = _FIXED
+                for k, e in enumerate(self.prims[obj]):
+                    simples.append(KarSimple(first + k, KarObject(obj, e), k))
+                continue
+            simples.append(KarSimple(first, KarObject(obj, lad.identity(obj)), 0))
+            for b, t in enumerate(images, 1):
+                if cls_of[t] >= 0:
+                    raise UnsupportedEndAlgebra(f"the rung orbit of {obj} is not a Z_p orbit at p={p}")
+                cls_of[t] = first
+                rung_of[t] = b
 
     # -- queries --------------------------------------------------------------
 
+    def end_dimension(self, obj: LadderObject) -> int:
+        """Dimension of End(obj): p on a fixed object, else 1."""
+        return self.lad.p if self._rung[self.lad.object_index(obj)] == _FIXED else 1
+
+    def end_dimensions(self) -> dict[int, int]:
+        """End dimension -> number of objects with it."""
+        fixed = self._rung.count(_FIXED)
+        counts = {self.lad.p: fixed, 1: len(self._rung) - fixed}
+        return {d: c for d, c in counts.items() if c}
+
     def primitive_index(self, obj: LadderObject, idem: LadderMorphism) -> int:
-        for k, e in enumerate(self.prims[obj]):
-            if e == idem:
-                return k
-        raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
+        """Character index k of idem among the primitives of obj.
+
+        On a fixed object, I_k has rung-1 over rung-0 coefficient zeta^k;
+        idem must then equal the stored I_k.
+        """
+        k = 0
+        if self.end_dimension(obj) > 1:
+            c0, c1 = idem.coeffs.get(0), idem.coeffs.get(1)
+            k = None if c0 is None or c1 is None else phase_exponent(c1 * c0.inv())
+        if k is None or self.prims[obj][k] != idem:
+            raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
+        return k
 
     def anchor(self, kobj: KarObject) -> tuple[KarSimple, LadderMorphism]:
         """Canonical simple isomorphic to kobj and the connecting map to it."""
         k = self.primitive_index(kobj.obj, kobj.idem)
-        key = (kobj.obj, k)
-        return self.simples[self._class_of[key]], self._to_rep[key]
+        to_rep, _ = self.connectors(kobj.obj, k)
+        return self.simples[self.class_of(kobj.obj, k)], to_rep
 
     def class_of(self, obj: LadderObject, char_index: int) -> int:
-        return self._class_of[(obj, char_index)]
+        if not 0 <= char_index < self.end_dimension(obj):
+            raise KeyError((obj, char_index))
+        return self._class[self.lad.object_index(obj)] + char_index
 
     def connectors(self, obj: LadderObject, char_index: int):
-        key = (obj, char_index)
-        return self._to_rep[key], self._from_rep[key]
+        """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
+        cls = self.class_of(obj, char_index)
+        b = self._rung[self.lad.object_index(obj)]
+        rep = self.simples[cls].representative
+        if b in (0, _FIXED):
+            return rep.idem, rep.idem
+        p = self.lad.p
+        return (LadderMorphism(obj, rep.obj, {p - b: self._one}),
+                LadderMorphism(rep.obj, obj, {b: self._one}))
 
 
 def simples(left, right) -> list[KarSimple]:

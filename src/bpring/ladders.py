@@ -8,6 +8,9 @@ has one basis element per admissible rung b in Z_p, where admissibility means
 
 so each object has exactly p outgoing basic ladders, one per rung, and the
 rung-b target map  (m, n) -> (m < -b, b > n)  is a Z_p action on objects.
+The category numbers its objects n_index * |M| + m_index, in canonical order,
+and reads the rung action once into one index array per leg (rung_m, rung_n),
+which the Karoubi envelope walks instead of building objects.
 
 Stacking the rung-b1 ladder under the rung-b2 ladder fuses to the rung b1+b2.
 In general the two rungs enclose a bubble whose coefficient comes from the
@@ -19,6 +22,7 @@ rung-b1+b2 coefficient of the stack is just the product of the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bimodules import BimoduleData, format_simple
 from .cyclotomic import CyclotomicScalar
@@ -35,22 +39,12 @@ class CompositionError(EngineError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class LadderObject:
+class LadderObject(NamedTuple):
     m: object
     n: object
 
     def __str__(self):
         return f"({format_simple(self.m)})({format_simple(self.n)})"
-
-
-def object_sort_key(obj: LadderObject):
-    """Canonical object order: right leg first, then left leg.
-
-    This makes the least member of each isomorphism class the one whose right
-    leg is normalised, e.g. (a,b)(0,c) in Lad(T,T) and (a)(0) in Lad(X,X).
-    """
-    return (_label_key(obj.n), _label_key(obj.m))
 
 
 def _label_key(label):
@@ -129,11 +123,27 @@ class LadderCategory:
         self.M = left
         self.N = right
         self.p = left.p
+        self.m_simples = sorted(left.simples, key=_label_key)
+        self.n_simples = sorted(right.simples, key=_label_key)
+        self._m_index = {m: i for i, m in enumerate(self.m_simples)}
+        self._n_index = {n: j for j, n in enumerate(self.n_simples)}
+        # The rung action on leg indices, read once: rung b sends (m, n) to
+        # (m < -b, b > n), i.e. index i to rung_m[b][i] and j to rung_n[b][j].
+        self.rung_m = [[self._m_index[left.right(m, -b)] for m in self.m_simples] for b in range(self.p)]
+        self.rung_n = [[self._n_index[right.left(b, n)] for n in self.n_simples] for b in range(self.p)]
 
     def objects(self) -> list[LadderObject]:
-        objs = [LadderObject(m, n) for m in self.M.simples for n in self.N.simples]
-        objs.sort(key=object_sort_key)
-        return objs
+        """Every object in canonical order: right leg first, then left leg.
+
+        This makes the least member of each isomorphism class the one whose
+        right leg is normalised, e.g. (a,b)(0,c) in Lad(T,T) and (a)(0) in
+        Lad(X,X).  The position of an object is its object_index.
+        """
+        return [LadderObject(m, n) for n in self.n_simples for m in self.m_simples]
+
+    def object_index(self, obj: LadderObject) -> int:
+        """Position of obj in objects(): n_index * |M| + m_index."""
+        return self._n_index[obj.n] * len(self.m_simples) + self._m_index[obj.m]
 
     def rung_target(self, obj: LadderObject, b: int) -> LadderObject:
         """Target of the basic rung-b ladder out of obj."""

@@ -5,7 +5,15 @@ from collections import Counter
 
 import pytest
 
-from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse, validate
+from bpring.bimodules import (
+    BimoduleLabel,
+    Decomposition,
+    all_labels,
+    catalogue,
+    catalogue_entry,
+    label_parse,
+    validate,
+)
 from bpring.cyclotomic import root_of_unity
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, decompose
 from bpring.ladders import LadderObject
@@ -82,8 +90,20 @@ def test_witnesses_absorb_idempotents():
 
 
 def test_action_is_power_of_generator():
-    # acting by g agrees with acting g times by 1
-    for p, left, right in [(3, "T", "X2"), (3, "F2", "F1"), (5, "X2", "X3")]:
+    # Acting by g through the witness route agrees with acting g times by 1
+    # through the step tables: every ordered pair at p in {2, 3}, and a seeded
+    # sample at p=5 that includes the all-fixed R x L, the all-free T x T and
+    # an F_q x F_r.
+    rng = random.Random(7)
+    cases = [(3, "T", "X2"), (3, "F2", "F1"), (5, "X2", "X3")]
+    for p in (2, 3):
+        labels = [str(label) for label in all_labels(p)]
+        cases += [(p, a, b) for a in labels for b in labels]
+    labels = [str(label) for label in all_labels(5)]
+    q, r = rng.randrange(1, 5), rng.randrange(5)
+    cases += [(5, "R", "L"), (5, "T", "T"), (5, f"F{q}", f"F{r}")]
+    cases += [(5, rng.choice(labels), rng.choice(labels)) for _ in range(6)]
+    for p, left, right in cases:
         product = rtp(p, left, right)
         lefts, rights = product.action_tables()
         index = {s.representative: i for i, s in enumerate(product.simples)}
@@ -281,3 +301,38 @@ def test_gauge_twist_moves_exponent_off_full_orbits():
         assert str(orbit.label) == "T"
         exponents.add(orbit.assoc_exponent)
     assert exponents == {0, 1}
+
+
+def test_mixed_associator_off_the_rung_characters_is_a_classification_error():
+    # Hand-built data that fails validate.  On the fixed object of
+    # Lad(M, F0), acting by 1 on the left multiplies rung b by
+    # mixed_assoc_M(1, *, b) = zeta^(b^2), which is not a character of Z_5;
+    # mirrored, the right action multiplies it by zeta^(b^2) as well.
+    p = 5
+    F0 = catalogue_entry(p, label_parse("F0"))
+    squares_in_h = dataclasses.replace(F0, mixed_assoc=lambda g, m, h: root_of_unity(p, g * h * h), label=None)
+    squares_in_g = dataclasses.replace(F0, mixed_assoc=lambda g, m, h: root_of_unity(p, g * g * h), label=None)
+    for M, N, side in ((squares_in_h, F0, "left"), (F0, squares_in_g, "right")):
+        assert validate(M) != [] or validate(N) != []
+        with pytest.raises(ClassificationError, match=side):
+            analyze(M, N)
+
+
+def test_action_that_changes_end_dimension_is_a_classification_error():
+    # Hand-built data that fails validate: at p=2 the simple 0 of M is fixed
+    # by the right action and 1, 2 are swapped, but acting by 1 on the left
+    # swaps 0 and 1.  The fixed object (0)(*) of Lad(M, F0) goes to the free
+    # object (1)(*).
+    p = 2
+    F0 = catalogue_entry(p, label_parse("F0"))
+    swap = {0: 1, 1: 0, 2: 2}
+    M = dataclasses.replace(
+        F0,
+        simples=(0, 1, 2),
+        left_act={(g, m): swap[m] if g else m for g in range(p) for m in range(3)},
+        right_act={(m, h): m if h == 0 or m == 0 else 3 - m for m in range(3) for h in range(p)},
+        label=None,
+    )
+    assert validate(M) != []
+    with pytest.raises(ClassificationError, match="End dimension"):
+        analyze(M, F0)

@@ -1,9 +1,19 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
-from bpring.bimodules import label_parse, catalogue_entry
+import pytest
+
+from bpring.bimodules import label_parse, catalogue_entry, validate
 from bpring.cyclotomic import CyclotomicScalar, root_of_unity
-from bpring.karoubi import KarEnvelope, KarObject, primitive_idempotents, proportionality, simples
+from bpring.karoubi import (
+    KarEnvelope,
+    KarObject,
+    UnsupportedEndAlgebra,
+    primitive_idempotents,
+    proportionality,
+    simples,
+)
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from kar_oracle import is_isomorphic, kar_hom_basis, reduce_to_basis
 
@@ -223,3 +233,40 @@ def test_reduce_to_basis_drops_dependent_vectors():
     g = lad.basic(obj, 1)
     basis = reduce_to_basis([f, g, f + g, f.scale(2)])
     assert len(basis) == 2
+
+
+def test_rung_action_not_a_zp_action_is_unsupported():
+    # Hand-built data that fails validate: at p=5 the left action of N fixes
+    # its simple 0 for g in {0, s} only, so the object (*, 0) of Lad(F0, N)
+    # has a rung stabilizer of size 2.  With s=1 rung 1 fixes the object,
+    # with s=2 it moves it.
+    p = 5
+    F0 = catalogue_entry(p, label_parse("F0"))
+    for s in (1, 2):
+        N = dataclasses.replace(
+            F0,
+            simples=(0, 1),
+            left_act={(g, n): n if g in (0, s) else 1 - n for g in range(p) for n in (0, 1)},
+            right_act={(n, h): n for n in (0, 1) for h in range(p)},
+            label=None,
+        )
+        assert validate(N) != []
+        lad = LadderCategory(F0, N)
+        assert lad.hom_rungs(LadderObject("*", 0), LadderObject("*", 0)) == [0, s]
+        with pytest.raises(UnsupportedEndAlgebra):
+            KarEnvelope(lad)
+
+
+def test_anchor_rejects_an_idempotent_that_is_not_a_stored_primitive():
+    env = KarEnvelope(make_lad(5, "R", "F0"))
+    obj = LadderObject(1, "*")
+    i0, i1 = env.prims[obj][:2]
+    both = i0 + i1
+    assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
+    with pytest.raises(UnsupportedEndAlgebra):
+        env.anchor(KarObject(obj, both))
+    # on a free object the only primitive is the identity
+    env = KarEnvelope(make_lad(3, "T", "T"))
+    obj = env.objects[0]
+    with pytest.raises(UnsupportedEndAlgebra):
+        env.anchor(KarObject(obj, env.lad.identity(obj).scale(2)))
