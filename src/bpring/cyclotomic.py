@@ -12,6 +12,12 @@ nonzero numerator at index k < p-1, or p-1 equal numerators (c*zeta^(p-1) =
 -c*(1 + zeta + ... + zeta^(p-2))).  Both are inverted in closed form as
 c^-1 * zeta^-k.  Every other value goes through the norm: the product of its
 nontrivial Galois conjugates divided by the rational norm.
+
+Ladder composition is a product in the group algebra Q(zeta_p)[Z_p], whose
+elements are maps rung -> scalar (group_algebra_product).  It runs on the
+numerators alone: every coefficient is brought to one denominator per
+factor, each output rung accumulates its numerators as Python ints, and each
+rung is put in canonical form once, instead of once per rung pair.
 """
 
 from __future__ import annotations
@@ -270,3 +276,57 @@ def phase_exponent(x: CyclotomicScalar) -> int | None:
     if len(support) == x.p - 1 and num.count(-1) == x.p - 1:
         return x.p - 1
     return None
+
+
+def _rung_terms(p: int, xs: dict) -> tuple[int, list]:
+    """(den, [(rung, [(i, numerator), ...]), ...]): xs over one denominator.
+
+    Only nonzero numerators are kept, and the p-1 equal numerators of
+    c*zeta^(p-1) become the single term (p-1, c); sum(zeta^i) = 0 makes the
+    two forms equal.
+    """
+    den = lcm(*(x._den for x in xs.values()))
+    out = []
+    for b, x in xs.items():
+        if x.p != p:
+            raise ValueError(f"mismatched primes {x.p} and {p}")
+        s = den // x._den
+        num = x._num
+        terms = [(i, a * s) for i, a in enumerate(num) if a]
+        if p > 2 and len(terms) == p - 1 and num.count(num[0]) == p - 1:
+            terms = [(p - 1, -num[0] * s)]
+        if terms:
+            out.append((b, terms))
+    return den, out
+
+
+def group_algebra_product(p: int, f: dict, g: dict) -> dict:
+    """f * g in Q(zeta_p)[Z_p], for maps rung -> CyclotomicScalar over one p.
+
+    Rung b1 of f times rung b2 of g lands on rung b1 + b2 mod p.  Rungs whose
+    sum is zero are left out of the result.
+    """
+    fden, fterms = _rung_terms(p, f)
+    gden, gterms = _rung_terms(p, g)
+    acc: dict[int, list[int]] = {}
+    for b1, t1 in fterms:
+        for b2, t2 in gterms:
+            b = b1 + b2
+            if b >= p:
+                b -= p
+            raw = acc.get(b)
+            if raw is None:
+                raw = acc[b] = [0] * p
+            for i, a in t1:
+                for j, c in t2:
+                    k = i + j
+                    if k >= p:
+                        k -= p
+                    raw[k] += a * c
+    den = fden * gden
+    out = {}
+    for b, raw in acc.items():
+        x = _make(p, raw, den)
+        if any(x._num):
+            out[b] = x
+    return out

@@ -8,15 +8,18 @@ a Kar simple and re-anchoring to the canonical class representative yields the
 action on simples together with an absorbing witness morphism (outer_action).
 
 The orbits only need where each simple goes under the generators, and that
-is read once per representative object and side, without a witness.  Acting
-by 1 multiplies the rung-b slot of End(obj) by zeta^e(b), with e read from the
-mixed associator.  It sends the character projector I_k of obj to the stored
-projector I_(k+e(1)) of the shifted object exactly when e(b) = b e(1) for
-every rung b of End(obj) and the shifted object has the same End dimension.
-Both are checked, and a failure is a ClassificationError; simple (obj, k)
-then steps to the class of (shift(obj), k + e(1)).  This is the condition
-under which re-anchoring the acted projector succeeds, so the step tables
-verify no less than the witness route.
+is read without a witness.  Acting by 1 multiplies the rung-b slot of
+End(obj) by zeta^e(b), with e read from the mixed associator.  It sends the
+character projector I_k of obj to the stored projector I_(k+e(1)) of the
+shifted object exactly when e(b) = b e(1) for every rung b of End(obj) and
+the shifted object has the same End dimension.  Both are checked, and a
+failure is a ClassificationError; simple (obj, k) then steps to the class of
+(shift(obj), k + e(1)).  This is the condition under which re-anchoring the
+acted projector succeeds, so the step tables verify no less than the witness
+route.  The shifts are two index arrays per product, one per leg (the left
+action on the M leg, the right action on the N leg), like the rung arrays of
+LadderCategory; e depends only on the leg simple on that side and the End
+dimension, so it is read and checked once per such pair.
 
 The mixed associator of the product at (g, h) is the scalar ratio of the two
 witness paths (left-g then right-h) / (right-h then left-g), both of which are
@@ -128,17 +131,15 @@ class RelativeTensorProduct:
         target, u = self.env.anchor(shifted)
         return ActionMorphism(g, side, simple, target, _normalize(u))
 
-    def _character_shift(self, side: str, obj: LadderObject, dim: int) -> tuple[LadderObject, int]:
-        """The object that acting by 1 on side moves obj to, and e(1).
+    def _exponent(self, side: str, obj: LadderObject, dim: int) -> int:
+        """e(1) for acting by 1 on side, on an object whose End has dimension dim.
 
-        Checks that e(b) = b e(1) on End(obj) and that the End dimension is
-        kept (see the module docstring).
+        Checks that e(b) = b e(1) for every rung b of End(obj) (see the module
+        docstring).  The phases depend only on the leg on that side and dim.
         """
         if side == "left":
-            target = self.shift_left(1, obj)
             phases = [self.M.mixed_assoc(1, obj.m, b) for b in range(dim)]
         else:
-            target = self.shift_right(1, obj)
             phases = [self.N.mixed_assoc(b, obj.n, 1) for b in range(dim)]
         exps = [phase_exponent(x) for x in phases]
         e1 = exps[1] if dim > 1 else 0
@@ -146,28 +147,45 @@ class RelativeTensorProduct:
             raise ClassificationError(
                 f"the {side} mixed associator on {obj} is not a character of its rung stabilizer"
             )
-        if self.env.end_dimension(target) != dim:
-            raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
-        return target, e1
+        return e1
 
     def _step_tables(self) -> tuple[list[int], list[int]]:
         """Each simple's index after acting by 1 on the left, and on the right.
 
-        One character shift per representative object and side: simple
-        (obj, k) goes to the class of (shift(obj), k + e(1)).
+        Acting by 1 on the left moves the M leg of the object with index
+        n*|M| + m to shift_m[m]; acting on the right moves its N leg to
+        shift_n[n].  Both index arrays are read once per product, and e(1)
+        once per leg simple, side and End dimension.  Per representative
+        object, simple (obj, k) goes to the class of (shift(obj), k + e(1)),
+        after checking that the shift keeps the End dimension.
         """
         if self._steps is None:
-            env, p = self.env, self.p
+            lad, env, p = self.lad, self.env, self.p
+            width = len(lad.m_simples)
+            shift_m = [lad.m_index[self.M.left(1, m)] for m in lad.m_simples]
+            shift_n = [lad.n_index[self.N.right(n, 1)] for n in lad.n_simples]
+            exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
             steps = ([0] * len(self.simples), [0] * len(self.simples))
             for s in self.simples:
                 if s.char_index:
                     continue
                 obj = s.representative.obj
-                dim = env.end_dimension(obj)
-                for side, table in zip(("left", "right"), steps):
-                    target, e1 = self._character_shift(side, obj, dim)
+                i = lad.object_index(obj)
+                n, m = divmod(i, width)
+                dim = env.dimension_at(i)
+                for side, table, leg, target in (
+                    ("left", steps[0], m, n * width + shift_m[m]),
+                    ("right", steps[1], n, shift_n[n] * width + m),
+                ):
+                    key = (side, leg, dim)
+                    e1 = exponents.get(key)
+                    if e1 is None:
+                        e1 = exponents[key] = self._exponent(side, obj, dim)
+                    if env.dimension_at(target) != dim:
+                        raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
+                    first = env.class_at(target)
                     for k in range(dim):
-                        table[s.class_index + k] = env.class_of(target, (k + e1) % p)
+                        table[s.class_index + k] = first + (k + e1) % p
             self._steps = steps
         return self._steps
 
@@ -279,7 +297,7 @@ class RelativeTensorProduct:
             )
         return ProductAnalysis(
             p=self.p,
-            object_count=len(self.env.objects),
+            object_count=self.lad.object_count,
             end_dimensions=self.env.end_dimensions(),
             simple_count=len(self.simples),
             orbits=tuple(infos),

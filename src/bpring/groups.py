@@ -50,6 +50,14 @@ def _as_pair(p: int, x) -> PairElt:
     return PairElt(p, l, r)
 
 
+def _reduced(p: int, x) -> tuple[int, int]:
+    """A PairElt or an int pair as a (left, right) tuple reduced mod p."""
+    if isinstance(x, PairElt):
+        return x.left, x.right
+    l, r = x
+    return l % p, r % p
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup of Z_p x Z_p: trivial, a line through a generator, or full."""
@@ -85,14 +93,14 @@ class Subgroup:
         return [PairElt(p, a, b) for a in range(p) for b in range(p)]
 
     def contains(self, x) -> bool:
-        x = _as_pair(self.p, x)
+        l, r = _reduced(self.p, x)
         if self.kind == "trivial":
-            return x.is_zero()
+            return l == 0 and r == 0
         if self.kind == "full":
             return True
         gl, gr = self.generator
         # x on the line <(gl, gr)> iff the 2x2 determinant vanishes
-        return (x.left * gr - x.right * gl) % self.p == 0
+        return (l * gr - r * gl) % self.p == 0
 
     def __str__(self):
         if self.kind == "trivial":
@@ -113,26 +121,31 @@ def _canonical_generator(p: int, gen: tuple[int, int]) -> tuple[int, int]:
     return (0, 1)
 
 
+def _generated(p: int, pairs) -> Subgroup:
+    """Smallest subgroup containing pairs, reduced (left, right) tuples."""
+    nonzero = [g for g in pairs if g != (0, 0)]
+    if not nonzero:
+        return Subgroup(p, "trivial")
+    fl, fr = nonzero[0]
+    for gl, gr in nonzero[1:]:
+        if (fl * gr - fr * gl) % p != 0:
+            return Subgroup(p, "full")
+    return Subgroup(p, "line", (fl, fr))
+
+
 def subgroup_from_generators(p: int, gens) -> Subgroup:
     """Smallest subgroup of Z_p x Z_p containing gens, in canonical form."""
     require_prime(p)
-    pairs = [_as_pair(p, g) for g in gens]
-    pairs = [g for g in pairs if not g.is_zero()]
-    if not pairs:
-        return Subgroup(p, "trivial")
-    first = pairs[0]
-    for g in pairs[1:]:
-        if (first.left * g.right - first.right * g.left) % p != 0:
-            return Subgroup(p, "full")
-    return Subgroup(p, "line", first.as_tuple())
+    return _generated(p, [_reduced(p, g) for g in gens])
 
 
 def subgroup_from_elements(p: int, elements) -> Subgroup:
     """Classify a set already known to be closed; brute-checks closure."""
-    elts = {_as_pair(p, e).as_tuple() for e in elements}
+    require_prime(p)
+    elts = {_reduced(p, e) for e in elements}
     if (0, 0) not in elts:
         raise ValueError("subgroup must contain the identity")
-    sub = subgroup_from_generators(p, list(elts))
+    sub = _generated(p, elts)
     if len(elts) != sub.order or not all(sub.contains(e) for e in elts):
         raise ValueError(f"element set of size {len(elts)} is not a subgroup")
     return sub
@@ -199,15 +212,14 @@ def cosets(sub: Subgroup) -> list[PairElt]:
     p = sub.p
     seen: set[tuple[int, int]] = set()
     reps = []
-    members = sub.elements()
+    members = [h.as_tuple() for h in sub.elements()]
     for a in range(p):
         for b in range(p):
-            x = PairElt(p, a, b)
-            if x.as_tuple() in seen:
+            if (a, b) in seen:
                 continue
-            reps.append(x)
-            for h in members:
-                seen.add((x + h).as_tuple())
+            reps.append(PairElt(p, a, b))
+            for hl, hr in members:
+                seen.add(((a + hl) % p, (b + hr) % p))
     return reps
 
 

@@ -16,15 +16,17 @@ orbit of p objects with End = C, which is one simple: the basic rung-b ladder
 from the base to its rung-b image is invertible, its inverse being the rung -b
 ladder.
 
-The envelope makes one walk over the objects in canonical order, on the index
-arrays of LadderCategory.  The first object met of each orbit is its base; its
-p-1 rung images decide the orbit: all equal to the base (fixed) or p-1 new
-objects (free).  Anything else means the rung action is not a Z_p action, and
-UnsupportedEndAlgebra is raised.  The walk records, per object, the class of
-its simple and its rung from the base.  The connectors to the canonical
-representative (least object of the orbit, least character index) are the
-basic rung ladders, built when asked for, as are the primitive idempotents
-of an object that is not a base.
+The envelope makes one walk over the object indices in canonical order, on
+the index arrays of LadderCategory.  The first object met of each orbit is its
+base; its p-1 rung images decide the orbit: all equal to the base (fixed) or
+p-1 new objects (free).  Anything else means the rung action is not a Z_p
+action, and UnsupportedEndAlgebra is raised.  The walk records, per object
+index, the class of its simple and its rung from the base, and builds a
+LadderObject only for each base; the identity of a free base shares the
+envelope's one scalar.  The list of all objects is built when first asked
+for.  The connectors to the canonical representative (least object of the
+orbit, least character index) are the basic rung ladders, built when asked
+for, as are the primitive idempotents of an object that is not a base.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cyclotomic import CyclotomicScalar, phase_exponent, root_of_unity
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
@@ -102,25 +104,29 @@ _FIXED = -1  # the rung from the base recorded for a fixed object
 
 
 class _Primitives(Mapping):
-    """obj -> primitive idempotents of End(obj), built when first asked for."""
+    """obj -> primitive idempotents of End(obj), built when first asked for.
 
-    def __init__(self, env: "KarEnvelope"):
-        self._env = env
+    It holds the envelope's rung list, not the envelope, so that an envelope
+    is freed by reference counting as soon as its product is dropped.
+    """
+
+    def __init__(self, lad: LadderCategory, rung: list[int]):
+        self._lad = lad
+        self._rung = rung
         self._built: dict[LadderObject, list[LadderMorphism]] = {}
 
     def __getitem__(self, obj: LadderObject) -> list[LadderMorphism]:
         prims = self._built.get(obj)
         if prims is None:
-            env = self._env
-            prims = _primitives(env.lad, obj, env.end_dimension(obj) > 1)
-            self._built[obj] = prims
+            fixed = self._rung[self._lad.object_index(obj)] == _FIXED
+            prims = self._built[obj] = _primitives(self._lad, obj, fixed)
         return prims
 
     def __iter__(self):
-        return iter(self._env.objects)
+        return iter(self._lad.objects())
 
     def __len__(self) -> int:
-        return len(self._env.objects)
+        return self._lad.object_count
 
 
 class KarEnvelope:
@@ -128,14 +134,18 @@ class KarEnvelope:
 
     def __init__(self, lad: LadderCategory):
         self.lad = lad
-        self.objects = lad.objects()
-        self.prims = _Primitives(self)
         self.simples: list[KarSimple] = []
         self._one = CyclotomicScalar.one(lad.p)
         # per object index: the class of its first simple, and its rung from the base
-        self._class = [-1] * len(self.objects)
-        self._rung = [0] * len(self.objects)
+        self._class = [-1] * lad.object_count
+        self._rung = [0] * lad.object_count
+        self.prims = _Primitives(lad, self._rung)
         self._walk()
+
+    @cached_property
+    def objects(self) -> list[LadderObject]:
+        """Every ladder object in canonical order, built when first asked for."""
+        return self.lad.objects()
 
     # -- class construction -------------------------------------------------
 
@@ -150,14 +160,16 @@ class KarEnvelope:
         """
         lad, p = self.lad, self.lad.p
         rung_m, rung_n = lad.rung_m, lad.rung_n
-        width = len(lad.m_simples)
+        m_simples, n_simples = lad.m_simples, lad.n_simples
+        width = len(m_simples)
         cls_of, rung_of, simples = self._class, self._rung, self.simples
-        for i, obj in enumerate(self.objects):
+        for i in range(lad.object_count):
             if cls_of[i] >= 0:
                 continue
             first = len(simples)
             cls_of[i] = first
             n, m = divmod(i, width)
+            obj = LadderObject(m_simples[m], n_simples[n])
             images = [rung_n[b][n] * width + rung_m[b][m] for b in range(1, p)]
             if images[0] == i:
                 if images.count(i) != p - 1:
@@ -166,7 +178,7 @@ class KarEnvelope:
                 for k, e in enumerate(self.prims[obj]):
                     simples.append(KarSimple(first + k, KarObject(obj, e), k))
                 continue
-            simples.append(KarSimple(first, KarObject(obj, lad.identity(obj)), 0))
+            simples.append(KarSimple(first, KarObject(obj, LadderMorphism(obj, obj, {0: self._one})), 0))
             for b, t in enumerate(images, 1):
                 if cls_of[t] >= 0:
                     raise UnsupportedEndAlgebra(f"the rung orbit of {obj} is not a Z_p orbit at p={p}")
@@ -177,7 +189,15 @@ class KarEnvelope:
 
     def end_dimension(self, obj: LadderObject) -> int:
         """Dimension of End(obj): p on a fixed object, else 1."""
-        return self.lad.p if self._rung[self.lad.object_index(obj)] == _FIXED else 1
+        return self.dimension_at(self.lad.object_index(obj))
+
+    def dimension_at(self, i: int) -> int:
+        """End dimension of the object with object_index i."""
+        return self.lad.p if self._rung[i] == _FIXED else 1
+
+    def class_at(self, i: int) -> int:
+        """Class of the first simple of the object with object_index i."""
+        return self._class[i]
 
     def end_dimensions(self) -> dict[int, int]:
         """End dimension -> number of objects with it."""
@@ -206,9 +226,10 @@ class KarEnvelope:
         return self.simples[self.class_of(kobj.obj, k)], to_rep
 
     def class_of(self, obj: LadderObject, char_index: int) -> int:
-        if not 0 <= char_index < self.end_dimension(obj):
+        i = self.lad.object_index(obj)
+        if not 0 <= char_index < self.dimension_at(i):
             raise KeyError((obj, char_index))
-        return self._class[self.lad.object_index(obj)] + char_index
+        return self._class[i] + char_index
 
     def connectors(self, obj: LadderObject, char_index: int):
         """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""

@@ -16,7 +16,10 @@ Stacking the rung-b1 ladder under the rung-b2 ladder fuses to the rung b1+b2.
 In general the two rungs enclose a bubble whose coefficient comes from the
 pure module associators of M and N; bimodules are kept in the gauge where
 those are trivial (see bpring.bimodules), so the coefficient is 1 and the
-rung-b1+b2 coefficient of the stack is just the product of the two.
+rung-b1+b2 coefficient of the stack is just the product of the two.  A
+morphism is then an element of the group algebra Q(zeta_p)[Z_p], a map
+rung -> scalar, and compose is its product, computed on integer numerators
+by cyclotomic.group_algebra_product.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bimodules import BimoduleData, format_simple
-from .cyclotomic import CyclotomicScalar
+from .cyclotomic import CyclotomicScalar, group_algebra_product
 
 
 class EngineError(Exception):
@@ -125,12 +128,13 @@ class LadderCategory:
         self.p = left.p
         self.m_simples = sorted(left.simples, key=_label_key)
         self.n_simples = sorted(right.simples, key=_label_key)
-        self._m_index = {m: i for i, m in enumerate(self.m_simples)}
-        self._n_index = {n: j for j, n in enumerate(self.n_simples)}
+        self.m_index = {m: i for i, m in enumerate(self.m_simples)}
+        self.n_index = {n: j for j, n in enumerate(self.n_simples)}
+        self.object_count = len(self.m_simples) * len(self.n_simples)
         # The rung action on leg indices, read once: rung b sends (m, n) to
         # (m < -b, b > n), i.e. index i to rung_m[b][i] and j to rung_n[b][j].
-        self.rung_m = [[self._m_index[left.right(m, -b)] for m in self.m_simples] for b in range(self.p)]
-        self.rung_n = [[self._n_index[right.left(b, n)] for n in self.n_simples] for b in range(self.p)]
+        self.rung_m = [[self.m_index[left.right(m, -b)] for m in self.m_simples] for b in range(self.p)]
+        self.rung_n = [[self.n_index[right.left(b, n)] for n in self.n_simples] for b in range(self.p)]
 
     def objects(self) -> list[LadderObject]:
         """Every object in canonical order: right leg first, then left leg.
@@ -143,7 +147,7 @@ class LadderCategory:
 
     def object_index(self, obj: LadderObject) -> int:
         """Position of obj in objects(): n_index * |M| + m_index."""
-        return self._n_index[obj.n] * len(self.m_simples) + self._m_index[obj.m]
+        return self.n_index[obj.n] * len(self.m_simples) + self.m_index[obj.m]
 
     def rung_target(self, obj: LadderObject, b: int) -> LadderObject:
         """Target of the basic rung-b ladder out of obj."""
@@ -166,14 +170,7 @@ class LadderCategory:
         """f followed by g (f is stacked under g)."""
         if f.target != g.source:
             raise CompositionError(f"cannot stack {g.source} on top of {f.target}")
-        p = self.p
-        coeffs: dict[int, CyclotomicScalar] = {}
-        for b1, c1 in f.coeffs.items():
-            for b2, c2 in g.coeffs.items():
-                b = (b1 + b2) % p
-                c = c1 * c2
-                coeffs[b] = coeffs[b] + c if b in coeffs else c
-        return LadderMorphism(f.source, g.target, coeffs)
+        return LadderMorphism(f.source, g.target, group_algebra_product(self.p, f.coeffs, g.coeffs))
 
     def end_rungs(self, obj: LadderObject) -> tuple[int, ...]:
         """Rung stabilizer of obj; a subgroup of Z_p, so size 1 or p."""

@@ -91,9 +91,9 @@ def test_witnesses_absorb_idempotents():
 
 def test_action_is_power_of_generator():
     # Acting by g through the witness route agrees with acting g times by 1
-    # through the step tables: every ordered pair at p in {2, 3}, and a seeded
+    # through the step tables: every ordered pair at p in {2, 3}, a seeded
     # sample at p=5 that includes the all-fixed R x L, the all-free T x T and
-    # an F_q x F_r.
+    # an F_q x F_r, and products of R and L with leg-dependent associators.
     rng = random.Random(7)
     cases = [(3, "T", "X2"), (3, "F2", "F1"), (5, "X2", "X3")]
     for p in (2, 3):
@@ -103,8 +103,23 @@ def test_action_is_power_of_generator():
     q, r = rng.randrange(1, 5), rng.randrange(5)
     cases += [(5, "R", "L"), (5, "T", "T"), (5, f"F{q}", f"F{r}")]
     cases += [(5, rng.choice(labels), rng.choice(labels)) for _ in range(6)]
-    for p, left, right in cases:
-        product = rtp(p, left, right)
+    products = [rtp(p, left, right) for p, left, right in cases]
+    # R and L with their module structure changed by a character: the mixed
+    # associators zeta^((c[g+m] - c[m]) h) and zeta^(g (c[m+h] - c[m])) keep
+    # the pure associators trivial, and e(1) depends on the leg simple
+    for p in (3, 5):
+        R, L = catalogue_entry(p, label_parse("R")), catalogue_entry(p, label_parse("L"))
+        c = [rng.randrange(p) for _ in range(p)]
+        R2 = dataclasses.replace(
+            R, mixed_assoc=lambda g, m, h, p=p, c=c: root_of_unity(p, (c[(g + m) % p] - c[m]) * h), label=None
+        )
+        L2 = dataclasses.replace(
+            L, mixed_assoc=lambda g, m, h, p=p, c=c: root_of_unity(p, g * (c[(m + h) % p] - c[m])), label=None
+        )
+        assert validate(R2) == [] and validate(L2) == []
+        products += [RelativeTensorProduct(R2, L), RelativeTensorProduct(R, L2), RelativeTensorProduct(R2, L2)]
+    for product in products:
+        p = product.p
         lefts, rights = product.action_tables()
         index = {s.representative: i for i, s in enumerate(product.simples)}
         for i, s in enumerate(product.simples):
@@ -165,6 +180,21 @@ def test_associator_bilinear_all_products_small():
                 for g in range(p):
                     for h in range(p):
                         assert product.mixed_associator(g, h, s) == (base * g * h) % p
+    # a seeded sample at p in {5, 7}: a few (g, h) on every orbit
+    rng = random.Random(6)
+    for p in (5, 7):
+        q, r = rng.randrange(p), rng.randrange(p)
+        labels = all_labels(p)
+        pairs = [("R", "L"), ("R", "F0"), ("T", "T"), (f"F{q}", f"F{r}")]
+        pairs += [(str(rng.choice(labels)), str(rng.choice(labels))) for _ in range(2)]
+        for left, right in pairs:
+            product = rtp(p, left, right)
+            for orbit in product.orbits():
+                s = product.simples[orbit[0]]
+                base = product.mixed_associator(1, 1, s)
+                for _ in range(3):
+                    g, h = rng.randrange(p), rng.randrange(p)
+                    assert product.mixed_associator(g, h, s) == (base * g * h) % p, (left, right, g, h)
 
 
 def test_stabilizer_independent_of_orbit_member():

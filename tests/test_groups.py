@@ -74,6 +74,23 @@ def test_subgroup_from_elements_rejects_non_subgroups():
         subgroup_from_elements(3, [(0, 0), (1, 0)])
     with pytest.raises(ValueError):
         subgroup_from_elements(3, [(1, 1)])
+    # every subset of Z_3 x Z_3 that contains (0, 0), as int pairs and as PairElts
+    p = 3
+    others = [(a, b) for a in range(p) for b in range(p) if (a, b) != (0, 0)]
+    accepted = 0
+    for mask in range(1 << len(others)):
+        subset = [(0, 0)] + [x for i, x in enumerate(others) if mask >> i & 1]
+        as_pairs = [PairElt(p, a, b) for a, b in subset]
+        if is_closed_subset(p, subset):
+            accepted += 1
+            sub = subgroup_from_elements(p, subset)
+            assert {x.as_tuple() for x in sub.elements()} == set(subset)
+            assert subgroup_from_elements(p, as_pairs) == sub
+        else:
+            for elts in (subset, as_pairs):
+                with pytest.raises(ValueError):
+                    subgroup_from_elements(p, elts)
+    assert accepted == len(enumerate_subgroups(p))
 
 
 def test_cocycle_trivial_class():

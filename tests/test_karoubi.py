@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -270,3 +272,18 @@ def test_anchor_rejects_an_idempotent_that_is_not_a_stored_primitive():
     obj = env.objects[0]
     with pytest.raises(UnsupportedEndAlgebra):
         env.anchor(KarObject(obj, env.lad.identity(obj).scale(2)))
+
+
+def test_envelope_is_freed_without_the_cycle_collector():
+    """An envelope holds no reference cycle, so dropping it frees it at once."""
+    for left, right in [("R", "L"), ("T", "T")]:
+        env = KarEnvelope(make_lad(5, left, right))
+        assert len(env.prims[env.objects[0]]) in (1, 5)
+        assert dict(env.prims).keys() == set(env.objects)
+        ref = weakref.ref(env)
+        gc.disable()
+        try:
+            del env
+            assert ref() is None, (left, right)
+        finally:
+            gc.enable()

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
-from bpring.cyclotomic import CyclotomicScalar
+from bpring.cyclotomic import CyclotomicScalar, Rational, group_algebra_product, root_of_unity
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
+from compose_oracle import scalar_product
 
 
 def entry(p, text):
@@ -197,3 +199,47 @@ def test_morphism_addition_and_pruning():
     o = tt.objects()[0]
     with pytest.raises(CompositionError):
         tt.basic(o, 0) + tt.basic(o, 1)  # different targets
+
+
+def _random_scalar(rng, p, shape):
+    """A scalar of the given shape, with its own denominator."""
+    den = rng.choice([1, 2, 3, 4, 6, p, 2 * p, p * p])
+    if shape == "dense":
+        return CyclotomicScalar(p, [Rational(rng.randint(-9, 9), den) for _ in range(p)])
+    if shape == "sparse":
+        raw = [0] * p
+        for i in rng.sample(range(p), rng.randint(1, min(2, p))):
+            raw[i] = Rational(rng.choice([-5, -2, -1, 1, 3, 7]), den)
+        return CyclotomicScalar(p, raw)
+    # c * zeta^(p-1): p-1 equal numerators in canonical form
+    return root_of_unity(p, p - 1).scale(Rational(rng.choice([-3, -1, 1, 2, 5]), den))
+
+
+def _random_coeffs(rng, p):
+    rungs = rng.sample(range(p), rng.randint(1, p))
+    return {b: _random_scalar(rng, p, rng.choice(["dense", "sparse", "top"])) for b in rungs}
+
+
+def test_compose_matches_scalar_oracle():
+    """The integer kernel equals the scalar-by-scalar loop, zero rungs dropped."""
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7, 11):
+        lad = LadderCategory(entry(p, "R"), entry(p, "F0"))
+        obj = LadderObject(0, "*")  # End(obj) = Q(zeta_p)[Z_p]
+        cases = [(_random_coeffs(rng, p), _random_coeffs(rng, p)) for _ in range(40)]
+        # a rung sum that cancels: x*c at rung 0 from (0, 0) and -x*c from (1, p-1)
+        for _ in range(5):
+            x = _random_scalar(rng, p, "dense")
+            c = _random_scalar(rng, p, rng.choice(["sparse", "top"]))
+            cases.append(({0: x, 1: x}, {0: c, p - 1: -c}))
+        dropped = 0
+        for f, g in cases:
+            want = scalar_product(p, f, g)
+            got = group_algebra_product(p, f, g)
+            assert got == want, (p, f, g)
+            dropped += len({(b1 + b2) % p for b1 in f for b2 in g}) - len(want)
+            composite = lad.compose(LadderMorphism(obj, obj, f), LadderMorphism(obj, obj, g))
+            assert composite == LadderMorphism(obj, obj, want)
+        assert dropped >= 5
+    with pytest.raises(ValueError):
+        group_algebra_product(3, {0: CyclotomicScalar.one(3)}, {0: CyclotomicScalar.one(5)})
