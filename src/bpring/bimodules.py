@@ -124,7 +124,9 @@ class Decomposition:
 
     @classmethod
     def single(cls, label: BimoduleLabel, mult: int = 1) -> "Decomposition":
-        return cls.from_pairs([(label, mult)])
+        if mult <= 0:
+            raise ValueError("multiplicities must be positive")
+        return cls(((label, mult),))
 
     def total_simples(self, p: int) -> int:
         return sum(mult * label.simple_count(p) for label, mult in self.summands)

@@ -12,6 +12,8 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 
 from .bimodules import (
     BimoduleData,
@@ -27,7 +29,11 @@ from .fusion import ClassificationError, RelativeTensorProduct
 
 @dataclass
 class RingTable:
-    """Dense structure constants N[i][j][k] over the canonical label basis."""
+    """Dense structure constants N[i][j][k] over the canonical label basis.
+
+    `constants` is the only store: every reader works on its rows when
+    called, so an in-place edit of a row is seen by the next read.
+    """
 
     p: int
     basis: tuple[BimoduleLabel, ...]
@@ -40,10 +46,12 @@ class RingTable:
         self._index = {label: i for i, label in enumerate(self.basis)}
 
     def product(self, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
-        row = self.constants[self.index(a)][self.index(b)]
-        return Decomposition.from_pairs(
-            (self.basis[k], mult) for k, mult in enumerate(row) if mult
-        )
+        row = self.constants[self._index[a]][self._index[b]]
+        mults = tuple(compress(row, row))
+        if min(mults, default=0) < 0:
+            raise ValueError("multiplicities must be positive")
+        # the basis is in canonical order, so the nonzero entries already are
+        return Decomposition(tuple(zip(compress(self.basis, row), mults)))
 
     def set_product(self, a: BimoduleLabel, b: BimoduleLabel, dec: Decomposition) -> None:
         row = [0] * len(self.basis)
@@ -254,11 +262,12 @@ def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
     if t1.p != t2.p or t1.basis != t2.basis:
         return [f"incomparable tables (p={t1.p} vs p={t2.p})"]
     out = []
-    for a in t1.basis:
-        for b in t1.basis:
-            d1, d2 = t1.product(a, b), t2.product(a, b)
-            if d1 != d2:
-                out.append(f"{a} x {b}: {d1} != {d2}")
+    for a, rows1, rows2 in zip(t1.basis, t1.constants, t2.constants):
+        if rows1 == rows2:
+            continue
+        for b, row1, row2 in zip(t1.basis, rows1, rows2):
+            if row1 != row2:
+                out.append(f"{a} x {b}: {t1.product(a, b)} != {t2.product(a, b)}")
     return out
 
 
@@ -289,33 +298,66 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
 
     associativity_ok = True
     if check_associativity:
-        # Each product has one or two summands, so work on the nonzero
-        # (index, mult) pairs of every row and compare whole result vectors.
-        n = len(table.basis)
-        nz = [[[(e, m) for e, m in enumerate(row) if m] for row in rows] for rows in table.constants]
-        for i in range(n):
+        # Each cell is its nonzero (index, mult) pairs, interned so that equal
+        # cells are one object.  For each (i, j), (a.b).c and a.(b.c) are
+        # built as whole rows over k and compared in one step; k and q are
+        # walked only when the rows differ.
+        cols = range(len(table.basis))
+        interned: dict = {}
+        nz = [
+            tuple(
+                interned.setdefault(cell, cell)
+                for cell in (tuple(zip(compress(cols, row), compress(row, row))) for row in rows)
+            )
+            for rows in table.constants
+        ]
+        # a row j of single labels with multiplicity 1 sends a.(b.c) to a
+        # permutation of row i
+        permuted = [
+            itemgetter(*(cell[0][0] for cell in nz_j))
+            if all(len(cell) == 1 and cell[0][1] == 1 for cell in nz_j)
+            else None
+            for nz_j in nz
+        ]
+        for i in cols:
             nz_i = nz[i]
-            for j in range(n):
+            for j in cols:
                 ij, nz_j = nz_i[j], nz[j]
-                for k in range(n):
-                    lhs = [0] * n
-                    for e, m in ij:
-                        for q, c in nz[e][k]:
-                            lhs[q] += m * c
-                    rhs = [0] * n
-                    for f, m in nz_j[k]:
-                        for q, c in nz_i[f]:
-                            rhs[q] += m * c
-                    if lhs == rhs:
+                if len(ij) == 1 and ij[0][1] == 1:
+                    lhs = nz[ij[0][0]]
+                else:
+                    lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
+                if permuted[j] is not None:
+                    rhs = permuted[j](nz_i)
+                else:
+                    rhs = tuple(_sparse_sum([(m, nz_i[f]) for f, m in nz_j[k]]) for k in cols)
+                if lhs == rhs:
+                    continue
+                associativity_ok = False
+                for k in cols:
+                    if lhs[k] == rhs[k]:
                         continue
-                    associativity_ok = False
-                    for q in range(n):
-                        if lhs[q] != rhs[q]:
+                    left, right = dict(lhs[k]), dict(rhs[k])
+                    for q in cols:
+                        l, r = left.get(q, 0), right.get(q, 0)
+                        if l != r:
                             violations.append(
                                 f"associativity fails at ({table.basis[i]}, {table.basis[j]}, "
-                                f"{table.basis[k]}) -> {table.basis[q]}: {lhs[q]} != {rhs[q]}"
+                                f"{table.basis[k]}) -> {table.basis[q]}: {l} != {r}"
                             )
     return AxiomReport(unit_ok, associativity_ok, violations)
+
+
+def _sparse_sum(terms: list) -> tuple:
+    """sum(m * cell) over (m, cell) terms, as sorted nonzero (index, mult) pairs."""
+    if len(terms) == 1:
+        m, cell = terms[0]
+        return cell if m == 1 else tuple((q, m * c) for q, c in cell)
+    acc: dict = {}
+    for m, cell in terms:
+        for q, c in cell:
+            acc[q] = acc.get(q, 0) + m * c
+    return tuple(sorted((q, c) for q, c in acc.items() if c))
 
 
 # -- units ----------------------------------------------------------------------
@@ -337,22 +379,22 @@ def units_group(table: RingTable) -> UnitsGroup:
     """Invertible labels with their product table and the dihedral relations."""
     p = table.p
     unit = BimoduleLabel("X", 1)
-    units = []
-    for a in table.basis:
-        for b in table.basis:
-            if (
-                table.product(a, b) == Decomposition.single(unit)
-                and table.product(b, a) == Decomposition.single(unit)
-            ):
-                units.append(a)
-                break
+    N = table.constants
+    cols = range(len(table.basis))
+    one = [0] * len(table.basis)  # the cell X1
+    one[table.index(unit)] = 1
+    units = [
+        a for i, a in enumerate(table.basis)
+        if any(N[i][j] == one and N[j][i] == one for j in cols)
+    ]
     mul = {}
     for a in units:
+        rows = N[table.index(a)]
         for b in units:
-            dec = table.product(a, b)
-            if len(dec.summands) != 1 or dec.summands[0][1] != 1:
+            row = rows[table.index(b)]
+            if row.count(0) != len(row) - 1 or 1 not in row:
                 raise ClassificationError(f"unit product {a} x {b} is not a single label")
-            mul[(a, b)] = dec.summands[0][0]
+            mul[(a, b)] = table.basis[row.index(1)]
 
     xs = [u for u in units if u.kind == "X"]
     cyclic_ok = len(xs) == p - 1 and all(

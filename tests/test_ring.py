@@ -1,11 +1,13 @@
 import copy
 import os
 import random
+from pathlib import Path
 
 import pytest
 
 from bpring import ring
 from bpring.bimodules import BimoduleLabel, Decomposition, label_parse
+from bpring.fusion import ClassificationError
 from bpring.ring import (
     RingTable,
     build_table,
@@ -17,7 +19,7 @@ from bpring.ring import (
     serialize,
     units_group,
 )
-from ring_oracle import dense_check_axioms
+from ring_oracle import dense_check_axioms, product_diff_tables, scan_units_group
 
 
 def lab(text):
@@ -128,6 +130,99 @@ def test_sparse_axioms_match_dense_oracle():
     assert broken_assoc >= 40 and broken_unit >= 5
 
 
+def _unit_breaks(p):
+    """closed_form_table(p) with one cell of a unit broken, once per way.
+
+    The cells are a x a^-1 and a^-1 x a (the X1 cells the unit scan reads)
+    and a x a (a product the unit table reads)."""
+    base = closed_form_table(p)
+    n = len(base.basis)
+    one = base.constants[base.index(lab("X1"))][base.index(lab("X1"))]
+    for a in base.basis:
+        if not a.is_invertible():
+            continue
+        i = base.index(a)
+        j = next(j for j in range(n) if base.constants[i][j] == one)
+        for cell in ((i, j), (j, i), (i, i)):
+            for kind in ("zero", "bump", "second", "move"):
+                t = closed_form_table(p)
+                row = t.constants[cell[0]][cell[1]]
+                q = row.index(1)
+                if kind == "zero":
+                    row[q] = 0
+                elif kind == "bump":
+                    row[q] += 1
+                elif kind == "second":
+                    row[(q + 1) % n] = 1
+                else:
+                    row[q], row[(q + 1) % n] = 0, 1
+                yield t
+
+
+def _units_outcome(fn, t):
+    try:
+        return vars(fn(t))
+    except (ClassificationError, KeyError) as exc:
+        return type(exc), exc.args
+
+
+def test_row_readers_match_product_oracles():
+    tables = [closed_form_table(p) for p in (2, 3, 5, 7, 11)]
+    tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7) for seed in range(20)]
+    tables += [t for p in (2, 3, 5) for t in _unit_breaks(p)]
+    raised = fewer_units = 0
+    for t in tables:
+        got = _units_outcome(units_group, t)
+        assert got == _units_outcome(scan_units_group, t)
+        raised += isinstance(got, tuple)
+        fewer_units += isinstance(got, dict) and got["order"] < 2 * (t.p - 1)
+        clean = closed_form_table(t.p)
+        assert diff_tables(clean, t) == product_diff_tables(clean, t)
+        assert diff_tables(t, clean) == product_diff_tables(t, clean)
+        for a, rows in zip(t.basis, t.constants):
+            for b, row in zip(t.basis, rows):
+                want = Decomposition.from_pairs((t.basis[k], m) for k, m in enumerate(row) if m)
+                assert t.product(a, b).summands == want.summands
+    # the perturbations reach both the unit scan and the unit table
+    assert raised >= 20 and fewer_units >= 20
+    two, three = closed_form_table(2), closed_form_table(3)
+    assert diff_tables(two, three) == product_diff_tables(two, three) != []
+
+
+def test_negative_multiplicities():
+    t = closed_form_table(3)
+    row = t.constants[t.index(lab("T"))][t.index(lab("L"))]
+    # T x L = X1 - X2, so (T x L) x T = T - T sums to zero
+    row[:] = [0] * len(row)
+    row[t.index(lab("X1"))], row[t.index(lab("X2"))] = 1, -1
+    with pytest.raises(ValueError):
+        t.product(lab("T"), lab("L"))
+    for mult in (0, -1):
+        with pytest.raises(ValueError):
+            single("T", mult)
+    got = _summary(check_axioms(t))
+    assert got == _summary(dense_check_axioms(t)) and not got[1]
+    # Z[Z_6] on the p=2 basis: X1 = 1, T = g + g^2, L, R, F0, F1 = g^2, g^3,
+    # g^4, g^5.  Then g = T - L, so some constants are negative and some
+    # sums cancel, yet the ring is associative with unit X1.
+    t = RingTable.empty(2)
+    powers = [(1, 2), (2,), (3,), (4,), (0,), (5,)]
+    where = {e[0]: i for i, e in enumerate(powers) if len(e) == 1}
+    for i, xs in enumerate(powers):
+        for j, ys in enumerate(powers):
+            cell = t.constants[i][j]
+            for x in xs:
+                for y in ys:
+                    e = (x + y) % 6
+                    if e == 1:
+                        cell[0] += 1
+                        cell[where[2]] -= 1
+                    else:
+                        cell[where[e]] += 1
+    assert any(m < 0 for rows in t.constants for row in rows for m in row)
+    assert _summary(check_axioms(t)) == _summary(dense_check_axioms(t)) == (True, True, [])
+
+
 def test_units_group_shapes():
     u2 = units_group(table(2))
     assert u2.order == 2
@@ -161,6 +256,18 @@ def test_json_round_trip_is_byte_identical():
     text = serialize(t, "json")
     again = serialize(parse_json(text), "json")
     assert text == again
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_serialize_matches_golden_files():
+    for p in (2, 3, 5):
+        for fmt in ("json", "md", "csv"):
+            want = (GOLDEN / f"closed_form_p{p}.{fmt}").read_bytes()
+            assert serialize(closed_form_table(p), fmt).encode() == want, (p, fmt)
+            if p in (2, 3):  # the engine's table equals the closed form's
+                assert serialize(table(p), fmt).encode() == want, (p, fmt)
 
 
 def test_process_pool_matches_serial(monkeypatch):
