@@ -18,6 +18,7 @@ from .bimodules import (
     label_parse,
     validate,
 )
+from .closed_form import closed_form_product, closed_form_table
 from .cyclotomic import CyclotomicScalar, Rational, phase_exponent, root_of_unity
 from .fusion import (
     ActionMorphism,
@@ -25,6 +26,7 @@ from .fusion import (
     ProductAnalysis,
     RelativeTensorProduct,
     analyze,
+    build_table,
     decompose,
 )
 from .groups import (
@@ -36,10 +38,9 @@ from .groups import (
     enumerate_subgroups,
     subgroup_from_generators,
 )
-from .karoubi import KarEnvelope, KarObject, KarSimple, primitive_idempotents, simples
+from .karoubi import KarEnvelope, KarObject, KarSimple
 from .ladders import (
     CompositionError,
-    EndAlgebra,
     EngineError,
     LadderCategory,
     LadderMorphism,
@@ -48,11 +49,9 @@ from .ladders import (
 from .ring import (
     AxiomReport,
     RingTable,
+    TableError,
     UnitsGroup,
-    build_table,
     check_axioms,
-    closed_form_product,
-    closed_form_table,
     diff_tables,
     parse_json,
     serialize,

@@ -1,10 +1,10 @@
 """Command-line interface: catalog, fuse, table, verify.
 
 Exit codes: 0 success, 1 verification failure or unwritable output,
-2 invalid input, 3 internal fault of the engine or the wall oracle.  All
-output is deterministic.  BPRING_THREADS, a positive integer (unset or empty
-means 1), sets how many worker processes build a table, capped at the CPU
-count; any other value is invalid input.
+2 invalid input, 3 internal fault of the engine, the wall oracle or a table
+reader.  All output is deterministic.  BPRING_THREADS, a positive integer
+(unset or empty means 1), sets how many worker processes build a table,
+capped at the CPU count; any other value is invalid input.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ import json
 import sys
 
 from .bimodules import catalogue, catalogue_entry, format_simple, label_parse
+from .closed_form import closed_form_table
 from .cyclotomic import is_prime
-from .fusion import RelativeTensorProduct
+from .fusion import RelativeTensorProduct, build_table
 from .ladders import EngineError
-from .ring import build_table, check_axioms, closed_form_table, diff_tables, serialize
+from .ring import TableError, check_axioms, diff_tables, serialize
 from .walls import OracleError, oracle_table
 
 
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EngineError, OracleError) as exc:
+    except (EngineError, OracleError, TableError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

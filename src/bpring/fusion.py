@@ -37,17 +37,26 @@ never used to classify such an orbit.
 Classification of an orbit: stabilizer H = {(g,h) : g acts then h acts fixes
 the simple}; trivial H -> T, H = <(1,0)> -> L, H = <(0,1)> -> R, other lines
 -> X_k with <(-k,1)> = H, full H -> F_q with q the associator exponent.
+
+build_table assembles the engine's RingTable from one product per ordered
+pair of labels, serially or in a pool of worker processes.  The engine
+reaches only the shared modules (the label, group, scalar and table types),
+never the closed form or the wall oracle; tests/test_import_graph.py checks
+this.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .bimodules import BimoduleData, BimoduleLabel, Decomposition
-from .cyclotomic import phase_exponent
+from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue
+from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, subgroup_from_elements
 from .karoubi import KarEnvelope, KarObject, KarSimple, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
+from .ring import RingTable
 
 
 class ClassificationError(EngineError):
@@ -315,3 +324,69 @@ def decompose(M: BimoduleData, N: BimoduleData) -> Decomposition:
 
 def analyze(M: BimoduleData, N: BimoduleData) -> ProductAnalysis:
     return RelativeTensorProduct(M, N).analyze()
+
+
+# -- the engine's table -------------------------------------------------------
+
+def _catalogue_by_label(p: int) -> dict[BimoduleLabel, BimoduleData]:
+    return {entry.label: entry for entry in catalogue(p)}
+
+
+def _pair_product(entries: dict, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
+    """One structure-constant row, a x b, from the fusion engine."""
+    return RelativeTensorProduct(entries[a], entries[b]).decompose()
+
+
+# A pool worker's catalogue, built once per process by _init_worker.
+_worker_entries: dict[BimoduleLabel, BimoduleData] = {}
+
+
+def _init_worker(p: int) -> None:
+    _worker_entries.update(_catalogue_by_label(p))
+
+
+def _worker_pair_product(a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
+    # top-level so ProcessPoolExecutor can pickle the call
+    return _pair_product(_worker_entries, a, b)
+
+
+def _worker_count(workers: int | None) -> int:
+    """workers, or BPRING_THREADS when it is None (unset or empty means 1).
+
+    Either must be a positive integer; anything else is invalid input.
+    """
+    name, given = "workers", workers
+    if workers is None:
+        name, given = "BPRING_THREADS", os.environ.get("BPRING_THREADS") or "1"
+        workers = int(given) if given.isdecimal() else None
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"{name} must be a positive integer, got {given!r}")
+    return workers
+
+
+def build_table(p: int, workers: int | None = None) -> RingTable:
+    """Structure constants from the fusion engine over all ordered label pairs.
+
+    workers (default: BPRING_THREADS) is capped at os.cpu_count().
+    """
+    require_prime(p)
+    table = RingTable.empty(p)
+    # a fork-started pool launches all its workers at once
+    workers = min(_worker_count(workers), os.cpu_count() or 1)
+    pairs = [(a, b) for a in table.basis for b in table.basis]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
+            for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs))):
+                table.set_product(a, b, dec)
+    else:
+        entries = _catalogue_by_label(p)
+        for a, b in pairs:
+            table.set_product(a, b, _pair_product(entries, a, b))
+    for a in table.basis:
+        for b in table.basis:
+            for mult in table.constants[table.index(a)][table.index(b)]:
+                if mult not in (0, 1, p):
+                    raise ClassificationError(
+                        f"product {a} x {b} produced multiplicity {mult}, expected 0, 1 or {p}"
+                    )
+    return table

@@ -7,7 +7,6 @@ canonical generator whose first nonzero coordinate is 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicScalar, require_prime, root_of_unity
@@ -151,20 +150,6 @@ def subgroup_from_elements(p: int, elements) -> Subgroup:
     return sub
 
 
-def is_closed_subset(p: int, elements) -> bool:
-    elts = {_as_pair(p, e).as_tuple() for e in elements}
-    if (0, 0) not in elts:
-        return False
-    for a in elts:
-        ea = PairElt(p, *a)
-        if (-ea).as_tuple() not in elts:
-            return False
-        for b in elts:
-            if (ea + PairElt(p, *b)).as_tuple() not in elts:
-                return False
-    return True
-
-
 def enumerate_subgroups(p: int) -> list[Subgroup]:
     """All p+3 subgroups: trivial, the p+1 lines, full.  Deterministic order."""
     require_prime(p)
@@ -172,39 +157,6 @@ def enumerate_subgroups(p: int) -> list[Subgroup]:
     out.extend(Subgroup(p, "line", (1, t)) for t in range(p))
     out.append(Subgroup(p, "full"))
     return out
-
-
-def brute_force_subgroups(p: int) -> list[Subgroup]:
-    """Independent oracle for enumerate_subgroups.
-
-    At p <= 3 every subset of Z_p x Z_p is tested for closure; beyond that the
-    closures of all generator sets of size <= 2 are collected (two generators
-    always suffice for Z_p x Z_p).
-    """
-    require_prime(p)
-    all_elts = [(a, b) for a in range(p) for b in range(p)]
-    found = set()
-    if p <= 3:
-        for r in range(len(all_elts) + 1):
-            for subset in itertools.combinations(all_elts, r):
-                if is_closed_subset(p, subset):
-                    found.add(frozenset(subset))
-    else:
-        for gens in itertools.chain(
-            [()], itertools.combinations(all_elts, 1), itertools.combinations(all_elts, 2)
-        ):
-            closure = {(0, 0)}
-            frontier = list(gens)
-            while frontier:
-                x = frontier.pop()
-                for e in list(closure):
-                    y = (PairElt(p, *x) + PairElt(p, *e)).as_tuple()
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
-            found.add(frozenset(closure))
-    subs = [subgroup_from_elements(p, elts) for elts in found]
-    return sorted(subs, key=lambda s: (s.order, s.generator or (-1, -1)))
 
 
 def cosets(sub: Subgroup) -> list[PairElt]:

@@ -73,15 +73,6 @@ def _primitives(lad: LadderCategory, obj: LadderObject, fixed: bool) -> list[Lad
     return [LadderMorphism(obj, obj, coeffs) for coeffs in _projector_coeffs(lad.p)]
 
 
-def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[LadderMorphism]:
-    """Complete orthogonal set of primitive idempotents of End(obj).
-
-    The rung stabilizer of obj is trivial or all of Z_p (KarEnvelope checks
-    that the rung action is a Z_p action), so rung 1 decides which.
-    """
-    return _primitives(lad, obj, lad.rung_target(obj, 1) == obj)
-
-
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
     """The scalar c with f == c*g, if one exists (g nonzero)."""
     if g.is_zero():
@@ -154,9 +145,10 @@ class KarEnvelope:
 
         Objects are walked in canonical order, so the first member met of each
         rung orbit is its least one and becomes the base.  A later member
-        obj = rung_target(base, b) connects by the basic ladders u: obj -> base
-        of rung -b and v: base -> obj of rung b; u followed by v is rung 0,
-        the identity of obj, and v followed by u the identity of base.
+        obj, the rung-b image of the base, connects by the basic ladders
+        u: obj -> base of rung -b and v: base -> obj of rung b; u followed by
+        v is rung 0, the identity of obj, and v followed by u the identity of
+        base.
         """
         lad, p = self.lad, self.lad.p
         rung_m, rung_n = lad.rung_m, lad.rung_n
@@ -241,8 +233,3 @@ class KarEnvelope:
         p = self.lad.p
         return (LadderMorphism(obj, rep.obj, {p - b: self._one}),
                 LadderMorphism(rep.obj, obj, {b: self._one}))
-
-
-def simples(left, right) -> list[KarSimple]:
-    """Simple objects of Kar(Lad(left, right)), one canonical rep per class."""
-    return KarEnvelope(LadderCategory(left, right)).simples

@@ -24,7 +24,6 @@ by cyclotomic.group_algebra_product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bimodules import BimoduleData, format_simple
@@ -102,21 +101,6 @@ class LadderMorphism:
         return f"Ladder({self.source} -> {self.target}: {terms})"
 
 
-@dataclass
-class EndAlgebra:
-    """Structure constants of End(obj) on the admissible-rung basis."""
-
-    rungs: tuple[int, ...]
-    table: dict  # (b1, b2) -> LadderMorphism
-
-    @property
-    def dimension(self) -> int:
-        return len(self.rungs)
-
-    def is_commutative(self) -> bool:
-        return all(self.table[(a, b)] == self.table[(b, a)] for a in self.rungs for b in self.rungs)
-
-
 class LadderCategory:
     """Lad(M, N) for bimodules M, N over the same prime p."""
 
@@ -149,40 +133,11 @@ class LadderCategory:
         """Position of obj in objects(): n_index * |M| + m_index."""
         return self.n_index[obj.n] * len(self.m_simples) + self.m_index[obj.m]
 
-    def rung_target(self, obj: LadderObject, b: int) -> LadderObject:
-        """Target of the basic rung-b ladder out of obj."""
-        p = self.p
-        return LadderObject(self.M.right(obj.m, (-b) % p), self.N.left(b, obj.n))
-
-    def hom_rungs(self, src: LadderObject, tgt: LadderObject) -> list[int]:
-        return [b for b in range(self.p) if self.rung_target(src, b) == tgt]
-
-    def basic(self, src: LadderObject, b: int) -> LadderMorphism:
-        return LadderMorphism(src, self.rung_target(src, b), {b: CyclotomicScalar.one(self.p)})
-
     def identity(self, obj: LadderObject) -> LadderMorphism:
         return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(self.p)})
-
-    def zero(self, src: LadderObject, tgt: LadderObject) -> LadderMorphism:
-        return LadderMorphism(src, tgt, {})
 
     def compose(self, f: LadderMorphism, g: LadderMorphism) -> LadderMorphism:
         """f followed by g (f is stacked under g)."""
         if f.target != g.source:
             raise CompositionError(f"cannot stack {g.source} on top of {f.target}")
         return LadderMorphism(f.source, g.target, group_algebra_product(self.p, f.coeffs, g.coeffs))
-
-    def end_rungs(self, obj: LadderObject) -> tuple[int, ...]:
-        """Rung stabilizer of obj; a subgroup of Z_p, so size 1 or p."""
-        return tuple(b for b in range(self.p) if self.rung_target(obj, b) == obj)
-
-    def end_algebra(self, obj: LadderObject) -> EndAlgebra:
-        rungs = self.end_rungs(obj)
-        one = CyclotomicScalar.one(self.p)
-        table = {}
-        for b1 in rungs:
-            fb1 = LadderMorphism(obj, obj, {b1: one})
-            for b2 in rungs:
-                fb2 = LadderMorphism(obj, obj, {b2: one})
-                table[(b1, b2)] = self.compose(fb1, fb2)
-        return EndAlgebra(rungs, table)

@@ -1,30 +1,27 @@
-"""The Brauer-Picard ring of Vec(Z_p) on the 2p+2 indecomposable labels.
+"""The Brauer-Picard ring table of Vec(Z_p), shared by the three routes.
 
-build_table computes every structure constant with the ladder/Karoubi engine;
-closed_form_product is the independently written multiplication law used as
-the golden reference, and units_group extracts the dihedral group of
-invertible labels.
+RingTable holds the structure constants over the 2p+2 indecomposable labels.
+Each route fills one: bpring.fusion.build_table from the ladder/Karoubi
+engine, bpring.closed_form.closed_form_table from the hand-written law, and
+bpring.walls.oracle_table from wall stacking.  This module holds only what
+reads a table: diff_tables, check_axioms, units_group (the dihedral group of
+invertible labels), serialize and parse_json.  It imports no route, so the
+routes can share it and stay independent; tests/test_import_graph.py checks
+this.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
 
-from .bimodules import (
-    BimoduleData,
-    BimoduleLabel,
-    Decomposition,
-    all_labels,
-    catalogue,
-    label_parse,
-)
-from .cyclotomic import require_prime
-from .fusion import ClassificationError, RelativeTensorProduct
+from .bimodules import BimoduleLabel, Decomposition, all_labels
+
+
+class TableError(RuntimeError):
+    """A table breaks an invariant that one of its readers relies on."""
 
 
 @dataclass
@@ -64,197 +61,6 @@ class RingTable:
         basis = tuple(all_labels(p))
         n = len(basis)
         return cls(p, basis, [[[0] * n for _ in range(n)] for _ in range(n)])
-
-
-def _catalogue_by_label(p: int) -> dict[BimoduleLabel, BimoduleData]:
-    return {entry.label: entry for entry in catalogue(p)}
-
-
-def _pair_product(entries: dict, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
-    """One structure-constant row, a x b, from the fusion engine."""
-    return RelativeTensorProduct(entries[a], entries[b]).decompose()
-
-
-# A pool worker's catalogue, built once per process by _init_worker.
-_worker_entries: dict[BimoduleLabel, BimoduleData] = {}
-
-
-def _init_worker(p: int) -> None:
-    _worker_entries.update(_catalogue_by_label(p))
-
-
-def _worker_pair_product(a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
-    # top-level so ProcessPoolExecutor can pickle the call
-    return _pair_product(_worker_entries, a, b)
-
-
-def _env_workers() -> int:
-    """Worker count from BPRING_THREADS; unset or empty means 1."""
-    text = os.environ.get("BPRING_THREADS") or "1"
-    if not text.isdecimal() or int(text) < 1:
-        raise ValueError(f"BPRING_THREADS must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def build_table(p: int, workers: int | None = None) -> RingTable:
-    """Structure constants from the fusion engine over all ordered label pairs.
-
-    workers (default: BPRING_THREADS) is capped at os.cpu_count().
-    """
-    require_prime(p)
-    table = RingTable.empty(p)
-    if workers is None:
-        workers = _env_workers()
-    # a fork-started pool launches all its workers at once
-    workers = min(workers, os.cpu_count() or 1)
-    pairs = [(a, b) for a in table.basis for b in table.basis]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
-            for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs))):
-                table.set_product(a, b, dec)
-    else:
-        entries = _catalogue_by_label(p)
-        for a, b in pairs:
-            table.set_product(a, b, _pair_product(entries, a, b))
-    for a in table.basis:
-        for b in table.basis:
-            for mult in table.constants[table.index(a)][table.index(b)]:
-                if mult not in (0, 1, p):
-                    raise ClassificationError(
-                        f"product {a} x {b} produced multiplicity {mult}, expected 0, 1 or {p}"
-                    )
-    return table
-
-
-# -- golden closed form -------------------------------------------------------
-
-def closed_form_product(p: int, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
-    """The multiplication law written out by hand, independent of the engine.
-
-    Index arithmetic is mod p with multiplicative inverses mod p.
-    """
-    require_prime(p)
-    inv = lambda x: pow(x, p - 2, p)
-    T, L, R, F0 = BimoduleLabel("T"), BimoduleLabel("L"), BimoduleLabel("R"), BimoduleLabel("F", 0)
-
-    def F(q):
-        q = q % p
-        return BimoduleLabel("F", q)
-
-    def X(k):
-        k = k % p
-        if k == 0:
-            raise ValueError("X index must be nonzero")
-        return BimoduleLabel("X", k)
-
-    one = Decomposition.single
-    ka, kb = a.kind, b.kind
-    if ka == "T":
-        return _row_T(p, b)
-    if ka == "L":
-        return _row_L(p, b)
-    if ka == "R":
-        return _row_R(p, b)
-    if ka == "F" and a.index == 0:
-        return _row_F0(p, b)
-    if ka == "X":
-        k = a.index
-        if kb == "T":
-            return one(T)
-        if kb == "L":
-            return one(L)
-        if kb == "R":
-            return one(R)
-        if kb == "F" and b.index == 0:
-            return one(F0)
-        if kb == "X":
-            return one(X(k * b.index))
-        return one(F(inv(k) * b.index))
-    # a = F_q with q != 0
-    q = a.index
-    if kb == "T":
-        return one(L)
-    if kb == "L":
-        return one(T)
-    if kb == "R":
-        return one(F0)
-    if kb == "F" and b.index == 0:
-        return one(R)
-    if kb == "X":
-        return one(F(q * b.index))
-    return one(X(inv(q) * b.index))
-
-
-def _row_T(p, b):
-    T, R = BimoduleLabel("T"), BimoduleLabel("R")
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(T, p)
-    if b.kind == "L":
-        return one(T)
-    if b.kind == "R":
-        return one(R, p)
-    if b.kind == "F" and b.index == 0:
-        return one(R)
-    if b.kind == "X":
-        return one(T)
-    return one(R)
-
-
-def _row_L(p, b):
-    L, F0 = BimoduleLabel("L"), BimoduleLabel("F", 0)
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(L, p)
-    if b.kind == "L":
-        return one(L)
-    if b.kind == "R":
-        return one(F0, p)
-    if b.kind == "F" and b.index == 0:
-        return one(F0)
-    if b.kind == "X":
-        return one(L)
-    return one(F0)
-
-
-def _row_R(p, b):
-    T, R = BimoduleLabel("T"), BimoduleLabel("R")
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(T)
-    if b.kind == "L":
-        return one(T, p)
-    if b.kind == "R":
-        return one(R)
-    if b.kind == "F" and b.index == 0:
-        return one(R, p)
-    if b.kind == "X":
-        return one(R)
-    return one(T)
-
-
-def _row_F0(p, b):
-    L, F0 = BimoduleLabel("L"), BimoduleLabel("F", 0)
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(L)
-    if b.kind == "L":
-        return one(L, p)
-    if b.kind == "R":
-        return one(F0)
-    if b.kind == "F" and b.index == 0:
-        return one(F0, p)
-    if b.kind == "X":
-        return one(F0)
-    return one(L)
-
-
-def closed_form_table(p: int) -> RingTable:
-    table = RingTable.empty(p)
-    for a in table.basis:
-        for b in table.basis:
-            table.set_product(a, b, closed_form_product(p, a, b))
-    return table
 
 
 def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
@@ -393,7 +199,7 @@ def units_group(table: RingTable) -> UnitsGroup:
         for b in units:
             row = rows[table.index(b)]
             if row.count(0) != len(row) - 1 or 1 not in row:
-                raise ClassificationError(f"unit product {a} x {b} is not a single label")
+                raise TableError(f"unit product {a} x {b} is not a single label")
             mul[(a, b)] = table.basis[row.index(1)]
 
     xs = [u for u in units if u.kind == "X"]
@@ -461,15 +267,32 @@ def serialize(table: RingTable, format: str = "json") -> str:
 
 
 def parse_json(text: str) -> RingTable:
+    """The table that serialize(table, "json") wrote.
+
+    A missing cell, a cell outside the basis, a summand label outside it or a
+    multiplicity below 1 raises ValueError naming it.
+    """
     payload = json.loads(text)
-    p = payload["p"]
-    table = RingTable.empty(p)
-    if [str(b) for b in table.basis] != payload["basis"]:
+    table = RingTable.empty(payload["p"])
+    names = [str(b) for b in table.basis]
+    if names != payload["basis"]:
         raise ValueError("basis in JSON does not match the canonical basis order")
-    for key, summands in payload["products"].items():
-        a_text, b_text = key.split(",")
-        dec = Decomposition.from_pairs(
-            (label_parse(s["label"]), s["mult"]) for s in summands
-        )
-        table.set_product(label_parse(a_text), label_parse(b_text), dec)
+    position = {name: i for i, name in enumerate(names)}
+    products = payload["products"]
+    for a, rows in zip(names, table.constants):
+        for b, row in zip(names, rows):
+            key = f"{a},{b}"
+            summands = products.get(key)
+            if summands is None:
+                raise ValueError(f"products has no cell {key!r}")
+            for s in summands:
+                i = position.get(s["label"])
+                if i is None:
+                    raise ValueError(f"products cell {key!r} names {s['label']!r}, which is not in the basis")
+                if s["mult"] < 1:
+                    raise ValueError(f"products cell {key!r} has multiplicity {s['mult']!r}, below 1")
+                row[i] += s["mult"]
+    if len(products) != len(names) ** 2:
+        extra = sorted(set(products) - {f"{a},{b}" for a in names for b in names})
+        raise ValueError(f"products has cells outside the basis: {', '.join(map(repr, extra))}")
     return table

@@ -12,8 +12,9 @@ X_k: e^a m^b -> e^(ka) m^(b/k), F1: e^a m^b -> e^b m^a, with F_q the e<->m
 swap followed by X_q.  The composition order for F_q and for stacking was
 calibrated once against the multiplication table at p=5 and then frozen.
 
-This module never touches the categorical engine; it shares only the label
-and decomposition plumbing.
+This module never touches the categorical engine or the closed form; it
+shares only the labels, scalars and table type of the shared modules, and
+tests/test_import_graph.py checks that it reaches nothing else.
 """
 
 from __future__ import annotations

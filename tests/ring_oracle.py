@@ -12,8 +12,7 @@ functions here are the plain loops, and must give the same results:
 """
 
 from bpring.bimodules import BimoduleLabel, Decomposition
-from bpring.fusion import ClassificationError
-from bpring.ring import AxiomReport, RingTable, UnitsGroup
+from bpring.ring import AxiomReport, RingTable, TableError, UnitsGroup
 
 
 def dense_check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomReport:
@@ -66,7 +65,7 @@ def scan_units_group(table: RingTable) -> UnitsGroup:
         for b in units:
             dec = table.product(a, b)
             if len(dec.summands) != 1 or dec.summands[0][1] != 1:
-                raise ClassificationError(f"unit product {a} x {b} is not a single label")
+                raise TableError(f"unit product {a} x {b} is not a single label")
             mul[(a, b)] = dec.summands[0][0]
 
     xs = [u for u in units if u.kind == "X"]

@@ -13,10 +13,13 @@ from bpring.cli import main as cli_main
 from bpring.cyclotomic import CyclotomicScalar, Rational, phase_exponent, root_of_unity
 from bpring.fusion import RelativeTensorProduct, analyze
 from bpring.groups import CocycleClass, PairElt, cocycle_phase, subgroup_from_generators
-from bpring.karoubi import KarEnvelope, primitive_idempotents
+from bpring.closed_form import closed_form_table
+from bpring.fusion import build_table
+from bpring.karoubi import KarEnvelope
 from bpring.ladders import LadderCategory
-from bpring.ring import build_table, check_axioms, closed_form_table, diff_tables, units_group
+from bpring.ring import check_axioms, diff_tables, units_group
 from bpring.walls import oracle_table, preserves_braiding, wall_of
+from kar_oracle import basic, end_algebra, end_rungs, primitive_idempotents, zero
 
 PRIMES = (2, 3, 5, 7)
 
@@ -61,19 +64,19 @@ def test_criterion_3_worked_example_replay():
 
     # product of the free bimodule with itself: already idempotent complete
     tt = RelativeTensorProduct(entry("T"), entry("T"))
-    assert all(len(tt.lad.end_rungs(obj)) == 1 for obj in tt.env.objects)
+    assert all(len(end_rungs(tt.lad, obj)) == 1 for obj in tt.env.objects)
     assert len(tt.simples) == p**3
     assert str(tt.decompose()) == "3*T"
 
     # one-sided boundary pair against the all-condensing entry: C[Z_p] Ends
     rf = RelativeTensorProduct(entry("R"), entry("F0"))
     for obj in rf.env.objects:
-        alg = rf.lad.end_algebra(obj)
+        alg = end_algebra(rf.lad, obj)
         assert alg.dimension == p and alg.is_commutative()
         idems = primitive_idempotents(rf.lad, obj)
         for j, ej in enumerate(idems):
             for k, ek in enumerate(idems):
-                expected = ek if j == k else rf.lad.zero(obj, obj)
+                expected = ek if j == k else zero(rf.lad, obj, obj)
                 assert rf.lad.compose(ej, ek) == expected
         total = idems[0]
         for e in idems[1:]:
@@ -164,9 +167,9 @@ def test_criterion_7_property_suites():
         lad = LadderCategory(M, N)
         for obj in lad.objects():
             for b1, b2, b3 in itertools.product(range(p), repeat=3):
-                f = lad.basic(obj, b1)
-                g = lad.basic(f.target, b2)
-                h = lad.basic(g.target, b3)
+                f = basic(lad, obj, b1)
+                g = basic(lad, f.target, b2)
+                h = basic(lad, g.target, b3)
                 assert lad.compose(lad.compose(f, g), h) == lad.compose(f, lad.compose(g, h))
 
     # stabilizer base-point independence and the counting identity

@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bpring.bimodules import all_labels
 from bpring.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +119,20 @@ def test_verify_p3(capsys):
     assert "unit: ok" in out
 
 
+def test_fuse_detail_matches_golden_files(capsys):
+    for p in (2, 3):
+        for fmt in ("json", "md"):
+            out = []
+            for a in all_labels(p):
+                for b in all_labels(p):
+                    argv = ["fuse", "--p", str(p), "--left", str(a), "--right", str(b), "--detail"]
+                    code, text, err = run_cli(capsys, *argv, "--format", fmt)
+                    assert code == 0 and err == ""
+                    out.append(text)
+            want = (GOLDEN / f"fuse_detail_p{p}_{fmt}.txt").read_bytes()
+            assert "".join(out).encode() == want, (p, fmt)
+
+
 def test_cli_entry_point_subprocess():
     env = dict(os.environ)
     result = subprocess.run(
@@ -131,7 +149,7 @@ def test_exit_codes(capsys, monkeypatch):
     from bpring import cli
     from bpring.bimodules import Decomposition, label_parse
     from bpring.fusion import ClassificationError, RelativeTensorProduct
-    from bpring.ring import closed_form_table
+    from bpring.closed_form import closed_form_table
 
     code, _, err = run_cli(capsys, "fuse", "--p", "2", "--left", "T", "--right", "L")
     assert code == 0 and err == ""
@@ -174,7 +192,7 @@ def test_bad_threads_value_is_invalid_input(capsys, monkeypatch, value):
 def test_verify_lists_only_unit_violations_under_unit(capsys, monkeypatch):
     from bpring import cli
     from bpring.bimodules import Decomposition, label_parse
-    from bpring.ring import closed_form_table
+    from bpring.closed_form import closed_form_table
 
     def broken_unit_table(p):
         table = closed_form_table(p)
@@ -205,3 +223,21 @@ def test_oracle_fault_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: wall map ((1, 1), (0, 1)) ")
     assert err.count("\n") == 1
+
+
+def test_table_reader_fault_exit_code(capsys, monkeypatch):
+    from bpring import cli
+    from bpring.bimodules import Decomposition, label_parse
+    from bpring.closed_form import closed_form_table
+
+    def two_label_unit_product(p):
+        table = closed_form_table(p)
+        x1, f1, t = label_parse("X1"), label_parse("F1"), label_parse("T")
+        table.set_product(x1, f1, Decomposition.from_pairs([(t, 1), (f1, 1)]))
+        return table
+
+    monkeypatch.setattr(cli, "build_table", two_label_unit_product)
+    code, out, err = run_cli(capsys, "table", "--p", "2", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: unit product X1 x F1 is not a single label\n"

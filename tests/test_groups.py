@@ -1,20 +1,70 @@
+import itertools
 import random
 
 import pytest
 
-from bpring.cyclotomic import root_of_unity
+from bpring.cyclotomic import require_prime, root_of_unity
 from bpring.groups import (
     CocycleClass,
     PairElt,
     Subgroup,
-    brute_force_subgroups,
+    _as_pair,
     cocycle_phase,
     cosets,
     enumerate_subgroups,
-    is_closed_subset,
     subgroup_from_elements,
     subgroup_from_generators,
 )
+
+
+# Closure by brute force: oracles for enumerate_subgroups and
+# subgroup_from_elements, which the library does not need.
+
+def is_closed_subset(p: int, elements) -> bool:
+    elts = {_as_pair(p, e).as_tuple() for e in elements}
+    if (0, 0) not in elts:
+        return False
+    for a in elts:
+        ea = PairElt(p, *a)
+        if (-ea).as_tuple() not in elts:
+            return False
+        for b in elts:
+            if (ea + PairElt(p, *b)).as_tuple() not in elts:
+                return False
+    return True
+
+
+def brute_force_subgroups(p: int) -> list[Subgroup]:
+    """Independent oracle for enumerate_subgroups.
+
+    At p <= 3 every subset of Z_p x Z_p is tested for closure; beyond that the
+    closures of all generator sets of size <= 2 are collected (two generators
+    always suffice for Z_p x Z_p).
+    """
+    require_prime(p)
+    all_elts = [(a, b) for a in range(p) for b in range(p)]
+    found = set()
+    if p <= 3:
+        for r in range(len(all_elts) + 1):
+            for subset in itertools.combinations(all_elts, r):
+                if is_closed_subset(p, subset):
+                    found.add(frozenset(subset))
+    else:
+        for gens in itertools.chain(
+            [()], itertools.combinations(all_elts, 1), itertools.combinations(all_elts, 2)
+        ):
+            closure = {(0, 0)}
+            frontier = list(gens)
+            while frontier:
+                x = frontier.pop()
+                for e in list(closure):
+                    y = (PairElt(p, *x) + PairElt(p, *e)).as_tuple()
+                    if y not in closure:
+                        closure.add(y)
+                        frontier.append(y)
+            found.add(frozenset(closure))
+    subs = [subgroup_from_elements(p, elts) for elts in found]
+    return sorted(subs, key=lambda s: (s.order, s.generator or (-1, -1)))
 
 
 def test_subgroup_from_generators():

@@ -7,6 +7,7 @@ from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
 from bpring.cyclotomic import CyclotomicScalar, Rational, group_algebra_product, root_of_unity
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
 from compose_oracle import scalar_product
+from kar_oracle import basic, end_algebra, end_rungs, hom_rungs, rung_target
 
 
 def entry(p, text):
@@ -31,12 +32,26 @@ def test_tt_hom_spaces():
     a, b, c, d, g = 1, 2, 0, 1, 2
     src = LadderObject((a, b), (c, d))
     tgt = LadderObject((a, (b - g) % p), ((c + g) % p, d))
-    assert lad.hom_rungs(src, tgt) == [g]
-    assert lad.hom_rungs(src, LadderObject((1, 0), (0, 0))) == []
+    assert hom_rungs(lad, src, tgt) == [g]
+    assert hom_rungs(lad, src, LadderObject((1, 0), (0, 0))) == []
     none_src = LadderObject((0, 0), (0, 0))
     none_tgt = LadderObject((1, 0), (0, 0))
     assert brute_force_rungs(lad, none_src, none_tgt) == []
-    assert lad.hom_rungs(none_src, none_tgt) == []
+    assert hom_rungs(lad, none_src, none_tgt) == []
+
+
+def test_rung_arrays_match_rung_targets():
+    """The index arrays the envelope walks agree with the rung action on objects."""
+    for p in (2, 3):
+        for M, N in itertools.product(catalogue(p), repeat=2):
+            lad = LadderCategory(M, N)
+            objs = lad.objects()
+            width = len(lad.m_simples)
+            for i, obj in enumerate(objs):
+                assert lad.object_index(obj) == i
+                n, m = divmod(i, width)
+                for b in range(p):
+                    assert objs[lad.rung_n[b][n] * width + lad.rung_m[b][m]] == rung_target(lad, obj, b)
 
 
 def test_hom_rungs_match_brute_force():
@@ -47,15 +62,15 @@ def test_hom_rungs_match_brute_force():
         objs = lad.objects()
         for src in objs[:6]:
             for tgt in objs[:6]:
-                assert lad.hom_rungs(src, tgt) == brute_force_rungs(lad, src, tgt)
+                assert hom_rungs(lad, src, tgt) == brute_force_rungs(lad, src, tgt)
 
 
 def test_rf0_end_algebra_is_group_algebra():
     p = 5
     lad = LadderCategory(entry(p, "R"), entry(p, "F0"))
     obj = LadderObject(2, "*")
-    assert lad.end_rungs(obj) == tuple(range(p))
-    alg = lad.end_algebra(obj)
+    assert end_rungs(lad, obj) == tuple(range(p))
+    alg = end_algebra(lad, obj)
     assert alg.dimension == p
     assert alg.is_commutative()
     one = CyclotomicScalar.one(p)
@@ -68,14 +83,14 @@ def test_rf0_end_algebra_is_group_algebra():
 def test_tt_end_algebra_is_trivial():
     lad = LadderCategory(entry(3, "T"), entry(3, "T"))
     for obj in lad.objects():
-        assert lad.end_rungs(obj) == (0,)
+        assert end_rungs(lad, obj) == (0,)
 
 
 def test_ff_end_algebra_dimension():
     p = 3
     lad = LadderCategory(entry(p, "F1"), entry(p, "F2"))
     obj = LadderObject("*", "*")
-    assert lad.end_algebra(obj).dimension == p
+    assert end_algebra(lad, obj).dimension == p
 
 
 def test_identity_is_two_sided_unit():
@@ -84,7 +99,7 @@ def test_identity_is_two_sided_unit():
         objs = lad.objects()
         for obj in objs:
             for b in range(p):
-                f = lad.basic(obj, b)
+                f = basic(lad, obj, b)
                 assert lad.compose(lad.identity(obj), f) == f
                 assert lad.compose(f, lad.identity(f.target)) == f
 
@@ -114,9 +129,9 @@ def test_composition_coefficients_are_unit_for_catalogue():
         lad = LadderCategory(M, N)
         for obj in lad.objects():
             for b1 in range(p):
-                f = lad.basic(obj, b1)
+                f = basic(lad, obj, b1)
                 for b2 in range(p):
-                    g = lad.basic(f.target, b2)
+                    g = basic(lad, f.target, b2)
                     comp = lad.compose(f, g)
                     assert comp.support() == [(b1 + b2) % p]
                     assert comp.coeffs[(b1 + b2) % p].is_one()
@@ -128,11 +143,11 @@ def test_composition_associative_exhaustive_p2():
         lad = LadderCategory(M, N)
         for obj in lad.objects():
             for b1 in range(p):
-                f = lad.basic(obj, b1)
+                f = basic(lad, obj, b1)
                 for b2 in range(p):
-                    g = lad.basic(f.target, b2)
+                    g = basic(lad, f.target, b2)
                     for b3 in range(p):
-                        h = lad.basic(g.target, b3)
+                        h = basic(lad, g.target, b3)
                         assert lad.compose(lad.compose(f, g), h) == lad.compose(f, lad.compose(g, h))
 
 
@@ -143,9 +158,9 @@ def test_composition_associative_sampled_p3():
         lad = LadderCategory(entry(p, a), entry(p, b))
         for obj in lad.objects():
             for b1, b2, b3 in itertools.product(range(p), repeat=3):
-                f = lad.basic(obj, b1)
-                g = lad.basic(f.target, b2)
-                h = lad.basic(g.target, b3)
+                f = basic(lad, obj, b1)
+                g = basic(lad, f.target, b2)
+                h = basic(lad, g.target, b3)
                 assert lad.compose(lad.compose(f, g), h) == lad.compose(f, lad.compose(g, h))
 
 
@@ -154,11 +169,11 @@ def test_composition_preserves_admissibility():
     lad = LadderCategory(entry(p, "X2"), entry(p, "T"))
     for obj in lad.objects():
         for b1 in range(p):
-            f = lad.basic(obj, b1)
+            f = basic(lad, obj, b1)
             for b2 in range(p):
-                g = lad.basic(f.target, b2)
+                g = basic(lad, f.target, b2)
                 comp = lad.compose(f, g)
-                admissible = lad.hom_rungs(comp.source, comp.target)
+                admissible = hom_rungs(lad, comp.source, comp.target)
                 assert all(b in admissible for b in comp.support())
 
 
@@ -168,11 +183,11 @@ def test_hom_dimensions_symmetric_and_quantized():
         lad = LadderCategory(M, N)
         objs = lad.objects()
         for src in objs:
-            stab = len(lad.end_rungs(src))
+            stab = len(end_rungs(lad, src))
             for tgt in objs:
-                d = len(lad.hom_rungs(src, tgt))
+                d = len(hom_rungs(lad, src, tgt))
                 assert d in (0, stab)
-                assert d == len(lad.hom_rungs(tgt, src))
+                assert d == len(hom_rungs(lad, tgt, src))
 
 
 def test_compose_rejects_mismatched_objects():
@@ -192,13 +207,13 @@ def test_mismatched_primes_rejected():
 def test_morphism_addition_and_pruning():
     lad = LadderCategory(entry(3, "R"), entry(3, "F0"))
     obj = LadderObject(0, "*")
-    f = lad.basic(obj, 1)
+    f = basic(lad, obj, 1)
     g = f.scale(-1)
     assert (f + g).is_zero()
     tt = LadderCategory(entry(3, "T"), entry(3, "T"))
     o = tt.objects()[0]
     with pytest.raises(CompositionError):
-        tt.basic(o, 0) + tt.basic(o, 1)  # different targets
+        basic(tt, o, 0) + basic(tt, o, 1)  # different targets
 
 
 def _random_scalar(rng, p, shape):

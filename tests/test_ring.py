@@ -1,19 +1,20 @@
 import copy
+import json
 import os
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from bpring import ring
+from bpring import fusion
 from bpring.bimodules import BimoduleLabel, Decomposition, label_parse
-from bpring.fusion import ClassificationError
+from bpring.closed_form import closed_form_product, closed_form_table
+from bpring.fusion import build_table
 from bpring.ring import (
     RingTable,
-    build_table,
+    TableError,
     check_axioms,
-    closed_form_product,
-    closed_form_table,
     diff_tables,
     parse_json,
     serialize,
@@ -162,7 +163,7 @@ def _unit_breaks(p):
 def _units_outcome(fn, t):
     try:
         return vars(fn(t))
-    except (ClassificationError, KeyError) as exc:
+    except (TableError, KeyError) as exc:
         return type(exc), exc.args
 
 
@@ -258,6 +259,25 @@ def test_json_round_trip_is_byte_identical():
     assert text == again
 
 
+def test_parse_json_rejects_labels_outside_the_basis():
+    payload = json.loads(serialize(closed_form_table(3), "json"))
+    named = copy.deepcopy(payload)
+    named["products"]["T,L"][0]["label"] = "F9"
+    with pytest.raises(ValueError, match="'T,L' names 'F9'"):
+        parse_json(json.dumps(named))
+    keyed = copy.deepcopy(payload)
+    keyed["products"]["F9,T"] = [{"label": "T", "mult": 1}]
+    with pytest.raises(ValueError, match="outside the basis: 'F9,T'"):
+        parse_json(json.dumps(keyed))
+
+
+def test_parse_json_rejects_a_missing_cell():
+    payload = json.loads(serialize(closed_form_table(3), "json"))
+    del payload["products"]["T,L"]
+    with pytest.raises(ValueError, match="no cell 'T,L'"):
+        parse_json(json.dumps(payload))
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -298,8 +318,8 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(ring, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(ring, "_worker_entries", {})
+    monkeypatch.setattr(fusion, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(fusion, "_worker_entries", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("BPRING_THREADS", "100000")
     capped = build_table(2)
@@ -314,7 +334,7 @@ def test_threads_unset_or_empty_means_serial(monkeypatch):
     def no_pool(**kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(ring, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(fusion, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("BPRING_THREADS", raising=False)
     build_table(2)
@@ -351,3 +371,9 @@ def test_serialize_rejects_unknown_format():
 def test_build_table_rejects_composite_p():
     with pytest.raises(ValueError):
         build_table(4)
+
+
+@pytest.mark.parametrize("workers", [0, -1, 2.5])
+def test_build_table_rejects_a_worker_count_that_is_not_a_positive_integer(workers):
+    with pytest.raises(ValueError, match=re.escape(f"workers must be a positive integer, got {workers!r}")):
+        build_table(2, workers=workers)

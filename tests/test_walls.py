@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from bpring.bimodules import BimoduleLabel, Decomposition, all_labels, label_parse
-from bpring.ring import closed_form_table, diff_tables
+from bpring.closed_form import closed_form_table
+from bpring.ring import diff_tables
 from bpring.walls import (
     BoundaryPair,
     BoundaryType,
