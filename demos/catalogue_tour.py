@@ -25,8 +25,8 @@ for entry in entries:
     print(f"{entry.label}: subgroup {entry.subgroup}, {len(entry.simples)} objects, {invertible}")
     print(f"  simples: {list(entry.simples)}")
     # the left/right action of the generator 1, as object permutations
-    left = {m: entry.left(1, m) for m in entry.simples}
-    right = {m: entry.right(m, 1) for m in entry.simples}
+    left = {m: entry.simples[i] for m, i in zip(entry.simples, entry.left[1])}
+    right = {m: entry.simples[i] for m, i in zip(entry.simples, entry.right[1])}
     print(f"  left 1:  {left}")
     print(f"  right 1: {right}")
     print(f"  mixed associator exponent: {entry.cocycle.q}")
@@ -37,6 +37,6 @@ for entry in entries:
 # every entry's stabilizer subgroup {(g,h) : g > m < h = m} recovers the
 # subgroup column, independent of the chosen simple m
 for entry in entries:
-    stabs = {entry.stabilizer_of(m) for m in entry.simples}
+    stabs = {entry.stabilizer_of(i) for i in range(len(entry.simples))}
     assert stabs == {entry.subgroup}
 print("stabilizer of every simple matches the stored subgroup: ok")

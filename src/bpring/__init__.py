@@ -31,9 +31,7 @@ from .fusion import (
 )
 from .groups import (
     CocycleClass,
-    PairElt,
     Subgroup,
-    cocycle_phase,
     cosets,
     enumerate_subgroups,
     subgroup_from_generators,

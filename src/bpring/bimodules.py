@@ -1,26 +1,36 @@
 """Vec(Z_p)-Vec(Z_p) bimodule data and the catalogue of all 2p+2 indecomposables.
 
-A bimodule is recorded by its simple objects, the left/right Z_p action
-tables, and one scalar associator phase:
+A bimodule is recorded by its simple objects in a fixed order, where the
+position of a simple is its index, and three integer tables:
 
-    mixed_assoc(g, m, h)  relating g > (m < h)  and  (g > m) < h
+    left[g][i]      index of g > m_i
+    right[h][i]     index of m_i < h
+    mixed[g][i][h]  exponent e in Z_p: the mixed associator relating
+                    g > (m_i < h) and (g > m_i) < h is zeta^e
 
 Every indecomposable Vec(Z_p) bimodule can be gauge-fixed so that its pure
 associators, relating g > (h > m) to (g+h) > m and (m < g) < h to m < (g+h),
 are trivial and its cocycle sits in the mixed associator
-(Etingof-Nikshych-Ostrik, arXiv:0909.3140).  BimoduleData works in that gauge
-and has no field for the pure ones.  The mixed associator is zeta^(q g h) on
-the one-object entries F_q and trivial elsewhere.
+(Etingof-Nikshych-Ostrik, arXiv:0909.3140).  In that gauge the mixed
+associator is a p-th root of unity, so its exponent mod p carries it exactly.
+BimoduleData works in that gauge and has no field for the pure ones.  The
+exponent is q g h on the one-object entries F_q and 0 elsewhere.
+
+The order of the simples is the engine's order: the ladder category numbers
+its objects from these indices and reads its rung rows straight from the
+action tables.  The catalogue lists coset labels in lexicographic order:
+(a, b) for T, at index a p + b; an int in 0..p-1 for L, R and X_k, at its
+own index; and STAR for F_q.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
-from .cyclotomic import CyclotomicScalar, require_prime, root_of_unity
-from .groups import CocycleClass, Subgroup, cosets, subgroup_from_elements, subgroup_from_generators
+from .cyclotomic import require_prime
+from .groups import CocycleClass, Subgroup, subgroup_from_elements, subgroup_from_generators
 
 STAR = "*"
 
@@ -140,110 +150,77 @@ class Decomposition:
         return " + ".join(parts)
 
 
-PhaseFn = Callable[..., CyclotomicScalar]
-
-
 @dataclass
 class BimoduleData:
-    """One bimodule: simples, action tables, mixed associator phase."""
+    """One bimodule: simples in engine order and its integer tables.
+
+    left[g][i] and right[h][i] are simple indices and mixed[g][i][h] an
+    exponent mod p (see the module docstring).  The tables may share rows;
+    the catalogue's zero exponent table is one row repeated.  index is read
+    once, so build a new instance (dataclasses.replace) to change simples.
+    """
 
     p: int
     subgroup: Subgroup
     cocycle: CocycleClass
     simples: tuple
-    left_act: dict
-    right_act: dict
-    mixed_assoc: PhaseFn
+    left: tuple
+    right: tuple
+    mixed: tuple
     label: BimoduleLabel | None = None
 
-    def left(self, g: int, m):
-        return self.left_act[(g % self.p, m)]
+    @cached_property
+    def index(self) -> dict:
+        """Simple -> its position in simples."""
+        return {m: i for i, m in enumerate(self.simples)}
 
-    def right(self, m, h: int):
-        return self.right_act[(m, h % self.p)]
-
-    def stabilizer_of(self, m) -> Subgroup:
-        """Subgroup {(g,h) : (g > m) < h == m}."""
+    def stabilizer_of(self, i: int) -> Subgroup:
+        """Subgroup {(g,h) : (g > m_i) < h == m_i}."""
         p = self.p
-        elts = [(g, h) for g in range(p) for h in range(p) if self.right(self.left(g, m), h) == m]
+        elts = [(g, h) for g in range(p) for h in range(p) if self.right[h][self.left[g][i]] == i]
         return subgroup_from_elements(p, elts)
 
 
-def _trivial_phase3(p: int) -> PhaseFn:
-    one = CyclotomicScalar.one(p)
-    return lambda a, b, c: one
-
-
-def _bilinear_mixed(p: int, q: int) -> PhaseFn:
-    return lambda g, m, h: root_of_unity(p, q * g * h)
-
-
-def _build(p, label, subgroup, q, simples, left, right, mixed=None) -> BimoduleData:
-    left_table = {(g, m): left(g, m) for g in range(p) for m in simples}
-    right_table = {(m, h): right(m, h) for h in range(p) for m in simples}
-    return BimoduleData(
-        p=p,
-        subgroup=subgroup,
-        cocycle=CocycleClass(p, q),
-        simples=tuple(simples),
-        left_act=left_table,
-        right_act=right_table,
-        mixed_assoc=mixed if mixed is not None else _trivial_phase3(p),
-        label=label,
-    )
+def _cyclic(p: int, step: int) -> tuple:
+    """g sends simple i of 0..p-1 to i + step*g."""
+    return tuple(tuple((i + step * g) % p for i in range(p)) for g in range(p))
 
 
 def catalogue_entry(p: int, label: BimoduleLabel) -> BimoduleData:
-    """The catalogue row for one label; object labels follow the coset maps."""
+    """The catalogue row for one label, its tables built straight from the coset labels."""
     require_prime(p)
     kind, idx = label.kind, label.index
+    q, n = 0, p
     if kind == "T":
         sub = Subgroup(p, "trivial")
-        simples = [c.as_tuple() for c in cosets(sub)]
-        return _build(
-            p, label, sub, 0, simples,
-            left=lambda g, m: ((m[0] + g) % p, m[1]),
-            right=lambda m, h: (m[0], (m[1] + h) % p),
-        )
-    if kind == "L":
+        n = p * p
+        simples = tuple((a, b) for a in range(p) for b in range(p))
+        left = tuple(tuple((i + g * p) % n for i in range(n)) for g in range(p))
+        right = tuple(tuple(i - i % p + (i + h) % p for i in range(n)) for h in range(p))
+    elif kind == "L":
         sub = subgroup_from_generators(p, [(1, 0)])
-        simples = sorted(c.right for c in cosets(sub))
-        return _build(
-            p, label, sub, 0, simples,
-            left=lambda g, m: m,
-            right=lambda m, h: (m + h) % p,
-        )
-    if kind == "R":
+        simples, left, right = tuple(range(p)), _cyclic(p, 0), _cyclic(p, 1)
+    elif kind == "R":
         sub = subgroup_from_generators(p, [(0, 1)])
-        simples = sorted(c.left for c in cosets(sub))
-        return _build(
-            p, label, sub, 0, simples,
-            left=lambda g, m: (g + m) % p,
-            right=lambda m, h: m,
-        )
-    if kind == "F":
+        simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, 0)
+    elif kind == "F":
         if not 0 <= idx < p:
             raise ValueError(f"F index {idx} out of range for p={p}")
-        sub = Subgroup(p, "full")
-        return _build(
-            p, label, sub, idx, [STAR],
-            left=lambda g, m: m,
-            right=lambda m, h: m,
-            mixed=_bilinear_mixed(p, idx),
-        )
-    if kind == "X":
+        sub, q, n = Subgroup(p, "full"), idx, 1
+        simples, left, right = (STAR,), ((0,),) * p, ((0,),) * p
+    elif kind == "X":
         if not 1 <= idx < p:
             raise ValueError(f"X index {idx} out of range for p={p}")
-        k = idx
-        sub = subgroup_from_generators(p, [(-k, 1)])
         # coset {n(-k,1) + (h,0)} carries label h = left + k*right
-        simples = sorted((c.left + k * c.right) % p for c in cosets(sub))
-        return _build(
-            p, label, sub, 0, simples,
-            left=lambda g, m: (m + g) % p,
-            right=lambda m, h: (m + k * h) % p,
-        )
-    raise ValueError(f"unknown label {label}")
+        sub = subgroup_from_generators(p, [(-idx, 1)])
+        simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, idx)
+    else:
+        raise ValueError(f"unknown label {label}")
+    if q:
+        mixed = tuple((tuple(q * g * h % p for h in range(p)),) for g in range(p))
+    else:
+        mixed = (((0,) * p,) * n,) * p
+    return BimoduleData(p, sub, CocycleClass(p, q), simples, left, right, mixed, label)
 
 
 def catalogue(p: int) -> list[BimoduleData]:
@@ -251,67 +228,80 @@ def catalogue(p: int) -> list[BimoduleData]:
     return [catalogue_entry(p, label) for label in all_labels(p)]
 
 
+def _malformed(name: str, table, shape: tuple, bound: int) -> str | None:
+    """Why table is not nested sequences of the given shape holding ints in range(bound)."""
+    if not shape:
+        if type(table) is int and 0 <= table < bound:
+            return None
+        return f"{name} holds {table!r}, outside range({bound})"
+    if not isinstance(table, (tuple, list)) or len(table) != shape[0]:
+        return f"{name} is not a sequence of length {shape[0]}"
+    for k, row in enumerate(table):
+        why = _malformed(f"{name}[{k}]", row, shape[1:], bound)
+        if why:
+            return why
+    return None
+
+
 def validate(b: BimoduleData) -> list[str]:
-    """Exhaustive coherence check; returns human-readable violations."""
+    """Exhaustive coherence check; returns human-readable violations, never raises."""
+    p, simples = b.p, b.simples
+    n = len(simples)
+    for name, table, shape, bound in (
+        ("left", b.left, (p, n), n),
+        ("right", b.right, (p, n), n),
+        ("mixed", b.mixed, (p, n, p), p),
+    ):
+        why = _malformed(name, table, shape, bound)
+        if why:
+            return [why]
     out: list[str] = []
-    p = b.p
-    simples = set(b.simples)
-    if len(simples) != len(b.simples):
+    if len(set(simples)) != n:
         out.append("duplicate simple object labels")
 
-    for g in range(p):
-        for m in b.simples:
-            if (g, m) not in b.left_act or b.left_act[(g, m)] not in simples:
-                out.append(f"left action leaves the object set at (g={g}, m={m})")
-                return out
-            if (m, g) not in b.right_act or b.right_act[(m, g)] not in simples:
-                out.append(f"right action leaves the object set at (m={m}, h={g})")
-                return out
-
-    for m in b.simples:
-        if b.left(0, m) != m:
+    left, right, mixed = b.left, b.right, b.mixed
+    for i, m in enumerate(simples):
+        if left[0][i] != i:
             out.append(f"left action of 0 moves {m}")
-        if b.right(m, 0) != m:
+        if right[0][i] != i:
             out.append(f"right action of 0 moves {m}")
     for g in range(p):
         for h in range(p):
-            for m in b.simples:
-                if b.left(g, b.left(h, m)) != b.left((g + h) % p, m):
+            gh = (g + h) % p
+            for i, m in enumerate(simples):
+                if left[g][left[h][i]] != left[gh][i]:
                     out.append(f"left action not additive at (g={g}, h={h}, m={m})")
-                if b.right(b.right(m, g), h) != b.right(m, (g + h) % p):
+                if right[h][right[g][i]] != right[gh][i]:
                     out.append(f"right action not additive at (m={m}, g={g}, h={h})")
-                if b.left(g, b.right(m, h)) != b.right(b.left(g, m), h):
+                if left[g][right[h][i]] != right[h][left[g][i]]:
                     out.append(f"left and right actions do not commute at (g={g}, m={m}, h={h})")
     if out:
         # associator and stabilizer checks assume honest group actions
         return out
 
     # mixed associator compatibility; with trivial pure associators this is
-    # additivity in each group argument
+    # additivity of the exponent in each group argument
     for g1 in range(p):
         for g2 in range(p):
+            g12 = (g1 + g2) % p
             for h in range(p):
-                for m in b.simples:
-                    lhs = b.mixed_assoc((g1 + g2) % p, m, h)
-                    rhs = b.mixed_assoc(g1, b.left(g2, m), h) * b.mixed_assoc(g2, m, h)
-                    if lhs != rhs:
+                for i, m in enumerate(simples):
+                    if mixed[g12][i][h] != (mixed[g1][left[g2][i]][h] + mixed[g2][i][h]) % p:
                         out.append(f"mixed associator not additive in g at (g1={g1}, g2={g2}, m={m}, h={h})")
-                    lhs = b.mixed_assoc(g1, m, (g2 + h) % p)
-                    rhs = b.mixed_assoc(g1, m, g2) * b.mixed_assoc(g1, b.right(m, g2), h)
-                    if lhs != rhs:
+                    if mixed[g1][i][(g2 + h) % p] != (mixed[g1][i][g2] + mixed[g1][right[g2][i]][h]) % p:
                         out.append(f"mixed associator not additive in h at (g={g1}, m={m}, h1={g2}, h2={h})")
 
     if b.label is not None:
         q = b.cocycle.q
         for g in range(p):
             for h in range(p):
-                for m in b.simples:
-                    if b.mixed_assoc(g, m, h) != root_of_unity(p, q * g * h):
+                for i, m in enumerate(simples):
+                    if mixed[g][i][h] != q * g * h % p:
                         out.append(f"catalogue entry {b.label} has wrong mixed associator at (g={g}, m={m}, h={h})")
-        for m in b.simples:
-            if b.stabilizer_of(m) != b.subgroup:
+        for i, m in enumerate(simples):
+            if b.stabilizer_of(i) != b.subgroup:
                 out.append(f"stabilizer of {m} differs from the stored subgroup")
-        if len(b.simples) * b.subgroup.order != p * p:
+        if n * b.subgroup.order != p * p:
             out.append("object count does not match the subgroup index")
 
     return out

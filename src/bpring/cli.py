@@ -26,23 +26,23 @@ def _fmt_simple(m) -> str:
     return f"({format_simple(m)})" if isinstance(m, tuple) else format_simple(m)
 
 
+def _moves(entry, table) -> list[list[tuple[str, str]]]:
+    """Each row of an action table as (simple, image) pairs of printed labels."""
+    names = [_fmt_simple(m) for m in entry.simples]
+    return [[(names[i], names[t]) for i, t in enumerate(row)] for row in table]
+
+
 def _entry_payload(entry) -> dict:
-    p = entry.p
-    return {
+    payload = {
         "label": str(entry.label),
         "subgroup": str(entry.subgroup),
         "object_count": len(entry.simples),
         "objects": [_fmt_simple(m) for m in entry.simples],
-        "left_action": {
-            str(g): {_fmt_simple(m): _fmt_simple(entry.left(g, m)) for m in entry.simples}
-            for g in range(p)
-        },
-        "right_action": {
-            str(h): {_fmt_simple(m): _fmt_simple(entry.right(m, h)) for m in entry.simples}
-            for h in range(p)
-        },
-        "associator_exponent": entry.cocycle.q,
     }
+    for side, table in (("left", entry.left), ("right", entry.right)):
+        payload[f"{side}_action"] = {str(g): dict(row) for g, row in enumerate(_moves(entry, table))}
+    payload["associator_exponent"] = entry.cocycle.q
+    return payload
 
 
 def _entry_markdown(entry) -> list[str]:
@@ -50,12 +50,9 @@ def _entry_markdown(entry) -> list[str]:
     lines.append(f"- subgroup: {entry.subgroup}")
     lines.append(f"- objects ({len(entry.simples)}): " + ", ".join(_fmt_simple(m) for m in entry.simples))
     lines.append(f"- associator exponent: {entry.cocycle.q}")
-    for g in range(entry.p):
-        moves = ", ".join(f"{_fmt_simple(m)}->{_fmt_simple(entry.left(g, m))}" for m in entry.simples)
-        lines.append(f"- left {g}: {moves}")
-    for h in range(entry.p):
-        moves = ", ".join(f"{_fmt_simple(m)}->{_fmt_simple(entry.right(m, h))}" for m in entry.simples)
-        lines.append(f"- right {h}: {moves}")
+    for side, table in (("left", entry.left), ("right", entry.right)):
+        for g, row in enumerate(_moves(entry, table)):
+            lines.append(f"- {side} {g}: " + ", ".join(f"{m}->{t}" for m, t in row))
     lines.append("")
     return lines
 

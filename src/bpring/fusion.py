@@ -1,25 +1,27 @@
 """Relative tensor product of two bimodules, computed through Kar(Lad(M, N)).
 
 The outer Z_p actions are endofunctors of the ladder category: acting by g on
-the left shifts the M leg of every object and multiplies the rung-b slot of a
-morphism by mixed_assoc_M(g, target.m, b); acting by h on the right shifts the
-N leg and multiplies by mixed_assoc_N(b, source.n, h).  Applying a functor to
-a Kar simple and re-anchoring to the canonical class representative yields the
-action on simples together with an absorbing witness morphism (outer_action).
+the left shifts the M leg of every object by M.left[g] and multiplies the
+rung-b slot of a morphism by zeta^M.mixed[g][i][b], i the index of its
+target's M leg; acting by h on the right shifts the N leg by N.right[h] and
+multiplies by zeta^N.mixed[b][j][h], j the index of its source's N leg.
+Applying a functor to a Kar simple and re-anchoring to the canonical class
+representative yields the action on simples together with an absorbing
+witness morphism (outer_action).
 
 The orbits only need where each simple goes under the generators, and that
 is read without a witness.  Acting by 1 multiplies the rung-b slot of
-End(obj) by zeta^e(b), with e read from the mixed associator.  It sends the
+End(obj) by zeta^e(b), with e(b) read from the exponent table.  It sends the
 character projector I_k of obj to the stored projector I_(k+e(1)) of the
 shifted object exactly when e(b) = b e(1) for every rung b of End(obj) and
 the shifted object has the same End dimension.  Both are checked, and a
 failure is a ClassificationError; simple (obj, k) then steps to the class of
 (shift(obj), k + e(1)).  This is the condition under which re-anchoring the
 acted projector succeeds, so the step tables verify no less than the witness
-route.  The shifts are two index arrays per product, one per leg (the left
-action on the M leg, the right action on the N leg), like the rung arrays of
-LadderCategory; e depends only on the leg simple on that side and the End
-dimension, so it is read and checked once per such pair.
+route.  The shifts are two rows of the entries' action tables, shift_m =
+M.left[1] on the M leg and shift_n = N.right[1] on the N leg, like the rung
+rows of LadderCategory; e depends only on the leg simple on that side and the
+End dimension, so it is read and checked once per such pair.
 
 The mixed associator of the product at (g, h) is the scalar ratio of the two
 witness paths (left-g then right-h) / (right-h then left-g), both of which are
@@ -50,9 +52,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue
-from .cyclotomic import phase_exponent, require_prime
+from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue, format_simple
+from .cyclotomic import CyclotomicScalar, phase_exponent, require_prime, root_of_unity
 from .groups import Subgroup, subgroup_from_elements
 from .karoubi import KarEnvelope, KarObject, KarSimple, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
@@ -91,6 +94,12 @@ class ProductAnalysis:
     decomposition: Decomposition
 
 
+@lru_cache(maxsize=None)
+def _roots(p: int) -> tuple[CyclotomicScalar, ...]:
+    """zeta^e for every exponent e in 0..p-1."""
+    return tuple(root_of_unity(p, e) for e in range(p))
+
+
 def _normalize(w: LadderMorphism) -> LadderMorphism:
     lead = min(w.coeffs)
     return w.scale(w.coeffs[lead].inv())
@@ -112,17 +121,23 @@ class RelativeTensorProduct:
     # -- the outer-action endofunctors --------------------------------------
 
     def shift_left(self, g: int, obj: LadderObject) -> LadderObject:
-        return LadderObject(self.M.left(g, obj.m), obj.n)
+        M = self.M
+        return LadderObject(M.simples[M.left[g % self.p][M.index[obj.m]]], obj.n)
 
     def shift_right(self, h: int, obj: LadderObject) -> LadderObject:
-        return LadderObject(obj.m, self.N.right(obj.n, h))
+        N = self.N
+        return LadderObject(obj.m, N.simples[N.right[h % self.p][N.index[obj.n]]])
 
     def act_left(self, g: int, f: LadderMorphism) -> LadderMorphism:
-        coeffs = {b: c * self.M.mixed_assoc(g, f.target.m, b) for b, c in f.coeffs.items()}
+        p, M = self.p, self.M
+        row, roots = M.mixed[g % p][M.index[f.target.m]], _roots(p)
+        coeffs = {b: c * roots[row[b]] for b, c in f.coeffs.items()}
         return LadderMorphism(self.shift_left(g, f.source), self.shift_left(g, f.target), coeffs)
 
     def act_right(self, h: int, f: LadderMorphism) -> LadderMorphism:
-        coeffs = {b: c * self.N.mixed_assoc(b, f.source.n, h) for b, c in f.coeffs.items()}
+        p, N = self.p, self.N
+        j, h, roots = N.index[f.source.n], h % p, _roots(p)
+        coeffs = {b: c * roots[N.mixed[b][j][h]] for b, c in f.coeffs.items()}
         return LadderMorphism(self.shift_right(h, f.source), self.shift_right(h, f.target), coeffs)
 
     def _apply(self, side: str, g: int, kobj: KarObject) -> KarObject:
@@ -140,21 +155,23 @@ class RelativeTensorProduct:
         target, u = self.env.anchor(shifted)
         return ActionMorphism(g, side, simple, target, _normalize(u))
 
-    def _exponent(self, side: str, obj: LadderObject, dim: int) -> int:
+    def _exponent(self, side: str, leg: int, dim: int) -> int:
         """e(1) for acting by 1 on side, on an object whose End has dimension dim.
 
-        Checks that e(b) = b e(1) for every rung b of End(obj) (see the module
-        docstring).  The phases depend only on the leg on that side and dim.
+        leg is the index of the object's simple on that side.  Checks that
+        e(b) = b e(1) for every rung b of End(obj) (see the module docstring).
         """
         if side == "left":
-            phases = [self.M.mixed_assoc(1, obj.m, b) for b in range(dim)]
+            exps = self.M.mixed[1][leg][:dim]
+            simple = self.M.simples[leg]
         else:
-            phases = [self.N.mixed_assoc(b, obj.n, 1) for b in range(dim)]
-        exps = [phase_exponent(x) for x in phases]
+            exps = [self.N.mixed[b][leg][1] for b in range(dim)]
+            simple = self.N.simples[leg]
         e1 = exps[1] if dim > 1 else 0
-        if None in exps or any(e != b * e1 % self.p for b, e in enumerate(exps)):
+        if any(e != b * e1 % self.p for b, e in enumerate(exps)):
             raise ClassificationError(
-                f"the {side} mixed associator on {obj} is not a character of its rung stabilizer"
+                f"the {side} mixed associator on {format_simple(simple)} "
+                "is not a character of its rung stabilizer"
             )
         return e1
 
@@ -162,17 +179,16 @@ class RelativeTensorProduct:
         """Each simple's index after acting by 1 on the left, and on the right.
 
         Acting by 1 on the left moves the M leg of the object with index
-        n*|M| + m to shift_m[m]; acting on the right moves its N leg to
-        shift_n[n].  Both index arrays are read once per product, and e(1)
-        once per leg simple, side and End dimension.  Per representative
+        n*|M| + m to shift_m[m] = M.left[1][m]; acting on the right moves its
+        N leg to shift_n[n] = N.right[1][n].  e(1) is read once per leg
+        simple, side and End dimension.  Per representative
         object, simple (obj, k) goes to the class of (shift(obj), k + e(1)),
         after checking that the shift keeps the End dimension.
         """
         if self._steps is None:
             lad, env, p = self.lad, self.env, self.p
-            width = len(lad.m_simples)
-            shift_m = [lad.m_index[self.M.left(1, m)] for m in lad.m_simples]
-            shift_n = [lad.n_index[self.N.right(n, 1)] for n in lad.n_simples]
+            width = len(self.M.simples)
+            shift_m, shift_n = self.M.left[1], self.N.right[1]
             exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
             steps = ([0] * len(self.simples), [0] * len(self.simples))
             for s in self.simples:
@@ -189,7 +205,7 @@ class RelativeTensorProduct:
                     key = (side, leg, dim)
                     e1 = exponents.get(key)
                     if e1 is None:
-                        e1 = exponents[key] = self._exponent(side, obj, dim)
+                        e1 = exponents[key] = self._exponent(side, leg, dim)
                     if env.dimension_at(target) != dim:
                         raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
                     first = env.class_at(target)

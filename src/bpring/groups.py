@@ -9,50 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicScalar, require_prime, root_of_unity
-
-
-@dataclass(frozen=True, order=True)
-class PairElt:
-    p: int
-    left: int
-    right: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", self.left % self.p)
-        object.__setattr__(self, "right", self.right % self.p)
-
-    def __add__(self, other: "PairElt") -> "PairElt":
-        assert self.p == other.p
-        return PairElt(self.p, self.left + other.left, self.right + other.right)
-
-    def __neg__(self) -> "PairElt":
-        return PairElt(self.p, -self.left, -self.right)
-
-    def __sub__(self, other: "PairElt") -> "PairElt":
-        return self + (-other)
-
-    def scaled(self, n: int) -> "PairElt":
-        return PairElt(self.p, n * self.left, n * self.right)
-
-    def is_zero(self) -> bool:
-        return self.left == 0 and self.right == 0
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.left, self.right)
-
-
-def _as_pair(p: int, x) -> PairElt:
-    if isinstance(x, PairElt):
-        return x
-    l, r = x
-    return PairElt(p, l, r)
+from .cyclotomic import require_prime
 
 
 def _reduced(p: int, x) -> tuple[int, int]:
-    """A PairElt or an int pair as a (left, right) tuple reduced mod p."""
-    if isinstance(x, PairElt):
-        return x.left, x.right
+    """An int pair as a (left, right) tuple reduced mod p."""
     l, r = x
     return l % p, r % p
 
@@ -82,14 +43,14 @@ class Subgroup:
             return self.p
         return self.p * self.p
 
-    def elements(self) -> list[PairElt]:
+    def elements(self) -> list[tuple[int, int]]:
         p = self.p
         if self.kind == "trivial":
-            return [PairElt(p, 0, 0)]
+            return [(0, 0)]
         if self.kind == "line":
-            g = PairElt(p, *self.generator)
-            return [g.scaled(n) for n in range(p)]
-        return [PairElt(p, a, b) for a in range(p) for b in range(p)]
+            gl, gr = self.generator
+            return [(n * gl % p, n * gr % p) for n in range(p)]
+        return [(a, b) for a in range(p) for b in range(p)]
 
     def contains(self, x) -> bool:
         l, r = _reduced(self.p, x)
@@ -159,17 +120,17 @@ def enumerate_subgroups(p: int) -> list[Subgroup]:
     return out
 
 
-def cosets(sub: Subgroup) -> list[PairElt]:
+def cosets(sub: Subgroup) -> list[tuple[int, int]]:
     """Lexicographically least representative of each coset of sub."""
     p = sub.p
     seen: set[tuple[int, int]] = set()
     reps = []
-    members = [h.as_tuple() for h in sub.elements()]
+    members = sub.elements()
     for a in range(p):
         for b in range(p):
             if (a, b) in seen:
                 continue
-            reps.append(PairElt(p, a, b))
+            reps.append((a, b))
             for hl, hr in members:
                 seen.add(((a + hl) % p, (b + hr) % p))
     return reps
@@ -186,8 +147,3 @@ class CocycleClass:
         require_prime(self.p)
         object.__setattr__(self, "q", self.q % self.p)
 
-
-def cocycle_phase(c: CocycleClass, x, y) -> CyclotomicScalar:
-    x = _as_pair(c.p, x)
-    y = _as_pair(c.p, y)
-    return root_of_unity(c.p, c.q * x.right * y.left)

@@ -152,7 +152,7 @@ class KarEnvelope:
         """
         lad, p = self.lad, self.lad.p
         rung_m, rung_n = lad.rung_m, lad.rung_n
-        m_simples, n_simples = lad.m_simples, lad.n_simples
+        m_simples, n_simples = lad.M.simples, lad.N.simples
         width = len(m_simples)
         cls_of, rung_of, simples = self._class, self._rung, self.simples
         for i in range(lad.object_count):

@@ -8,9 +8,13 @@ has one basis element per admissible rung b in Z_p, where admissibility means
 
 so each object has exactly p outgoing basic ladders, one per rung, and the
 rung-b target map  (m, n) -> (m < -b, b > n)  is a Z_p action on objects.
-The category numbers its objects n_index * |M| + m_index, in canonical order,
-and reads the rung action once into one index array per leg (rung_m, rung_n),
-which the Karoubi envelope walks instead of building objects.
+The category numbers its objects j * |M| + i, for m the simple of index i of
+M and n that of index j of N, in the order of the bimodules' own simples.  It
+takes the rung action straight from the bimodules' tables, one row per rung
+and leg: rung b sends i to rung_m[b][i] = M.right[-b][i] and j to
+rung_n[b][j] = N.left[b][j].  These are rows of the catalogue entries, read
+once per entry, not once per pair; the Karoubi envelope walks them instead of
+building objects.
 
 Stacking the rung-b1 ladder under the rung-b2 ladder fuses to the rung b1+b2.
 In general the two rungs enclose a bubble whose coefficient comes from the
@@ -49,14 +53,6 @@ class LadderObject(NamedTuple):
         return f"({format_simple(self.m)})({format_simple(self.n)})"
 
 
-def _label_key(label):
-    if isinstance(label, tuple):
-        return label
-    if isinstance(label, int):
-        return (label,)
-    return ()
-
-
 class LadderMorphism:
     """A linear combination of basic ladders between two fixed objects."""
 
@@ -75,14 +71,6 @@ class LadderMorphism:
 
     def scale(self, factor) -> "LadderMorphism":
         return LadderMorphism(self.source, self.target, {b: c * factor for b, c in self.coeffs.items()})
-
-    def __add__(self, other: "LadderMorphism") -> "LadderMorphism":
-        if self.source != other.source or self.target != other.target:
-            raise CompositionError("cannot add morphisms between different objects")
-        coeffs = dict(self.coeffs)
-        for b, c in other.coeffs.items():
-            coeffs[b] = coeffs[b] + c if b in coeffs else c
-        return LadderMorphism(self.source, self.target, coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LadderMorphism):
@@ -109,16 +97,11 @@ class LadderCategory:
             raise ValueError(f"mismatched primes {left.p} and {right.p}")
         self.M = left
         self.N = right
-        self.p = left.p
-        self.m_simples = sorted(left.simples, key=_label_key)
-        self.n_simples = sorted(right.simples, key=_label_key)
-        self.m_index = {m: i for i, m in enumerate(self.m_simples)}
-        self.n_index = {n: j for j, n in enumerate(self.n_simples)}
-        self.object_count = len(self.m_simples) * len(self.n_simples)
-        # The rung action on leg indices, read once: rung b sends (m, n) to
-        # (m < -b, b > n), i.e. index i to rung_m[b][i] and j to rung_n[b][j].
-        self.rung_m = [[self.m_index[left.right(m, -b)] for m in self.m_simples] for b in range(self.p)]
-        self.rung_n = [[self.n_index[right.left(b, n)] for n in self.n_simples] for b in range(self.p)]
+        self.p = p = left.p
+        self.object_count = len(left.simples) * len(right.simples)
+        # rung b sends (m, n) to (m < -b, b > n): rows of the entries' tables
+        self.rung_m = [left.right[-b % p] for b in range(p)]
+        self.rung_n = right.left
 
     def objects(self) -> list[LadderObject]:
         """Every object in canonical order: right leg first, then left leg.
@@ -127,11 +110,11 @@ class LadderCategory:
         right leg is normalised, e.g. (a,b)(0,c) in Lad(T,T) and (a)(0) in
         Lad(X,X).  The position of an object is its object_index.
         """
-        return [LadderObject(m, n) for n in self.n_simples for m in self.m_simples]
+        return [LadderObject(m, n) for n in self.N.simples for m in self.M.simples]
 
     def object_index(self, obj: LadderObject) -> int:
-        """Position of obj in objects(): n_index * |M| + m_index."""
-        return self.n_index[obj.n] * len(self.m_simples) + self.m_index[obj.m]
+        """Position of obj in objects(): N.index[n] * |M| + M.index[m]."""
+        return self.N.index[obj.n] * len(self.M.simples) + self.M.index[obj.m]
 
     def identity(self, obj: LadderObject) -> LadderMorphism:
         return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(self.p)})

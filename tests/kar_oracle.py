@@ -4,7 +4,8 @@ The ladder category reads its rung action once into index arrays, and the
 envelope builds its classes and primitive idempotents from rung orbits without
 searching.  The helpers here work on objects, from the bimodule actions:
 
-- rung targets, Hom rungs, basic and zero ladders, and End algebras;
+- rung targets, Hom rungs, basic and zero ladders, sums of parallel ladders,
+  and End algebras;
 - primitive_idempotents, which decides whether an object is fixed from its
   rung-1 target instead of from the envelope's orbit walk;
 - isomorphism decided the slow, general way: two primitives (A, e) and
@@ -16,13 +17,14 @@ from dataclasses import dataclass
 
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, KarObject, KarSimple, _primitives, proportionality
-from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
+from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
 
 
 def rung_target(lad: LadderCategory, obj: LadderObject, b: int) -> LadderObject:
     """Target of the basic rung-b ladder out of obj."""
-    p = lad.p
-    return LadderObject(lad.M.right(obj.m, (-b) % p), lad.N.left(b, obj.n))
+    M, N = lad.M, lad.N
+    m = M.simples[M.right[-b % lad.p][M.index[obj.m]]]
+    return LadderObject(m, N.simples[N.left[b % lad.p][N.index[obj.n]]])
 
 
 def hom_rungs(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list[int]:
@@ -35,6 +37,17 @@ def basic(lad: LadderCategory, src: LadderObject, b: int) -> LadderMorphism:
 
 def zero(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> LadderMorphism:
     return LadderMorphism(src, tgt, {})
+
+
+def ladder_sum(first: LadderMorphism, *rest: LadderMorphism) -> LadderMorphism:
+    """The sum of parallel morphisms; CompositionError if they are not parallel."""
+    coeffs = dict(first.coeffs)
+    for f in rest:
+        if f.source != first.source or f.target != first.target:
+            raise CompositionError("cannot add morphisms between different objects")
+        for b, c in f.coeffs.items():
+            coeffs[b] = coeffs[b] + c if b in coeffs else c
+    return LadderMorphism(first.source, first.target, coeffs)
 
 
 def end_rungs(lad: LadderCategory, obj: LadderObject) -> tuple[int, ...]:
@@ -97,7 +110,7 @@ def reduce_to_basis(morphisms) -> list[LadderMorphism]:
         g = f
         for b in sorted(pivots):
             if b in g.coeffs:
-                g = g + pivots[b].scale(-g.coeffs[b])
+                g = ladder_sum(g, pivots[b].scale(-g.coeffs[b]))
         if g.is_zero():
             continue
         lead = min(g.coeffs)

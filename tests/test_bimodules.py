@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bpring.bimodules import (
@@ -11,7 +13,6 @@ from bpring.bimodules import (
     label_parse,
     validate,
 )
-from bpring.cyclotomic import root_of_unity
 from bpring.groups import subgroup_from_generators
 
 
@@ -55,20 +56,25 @@ def test_catalogue_subgroups():
             assert sub.contains((-k % p, 1))
 
 
+def act(entry, row, m):
+    """The simple that one row of an action table sends the simple m to."""
+    return entry.simples[row[entry.index[m]]]
+
+
 def test_catalogue_action_tables():
     p = 5
     by_label = {str(b.label): b for b in catalogue(p)}
     T = by_label["T"]
-    assert T.left(2, (1, 3)) == (3, 3)
-    assert T.right((1, 3), 4) == (1, 2)
+    assert act(T, T.left[2], (1, 3)) == (3, 3)
+    assert act(T, T.right[4], (1, 3)) == (1, 2)
     L = by_label["L"]
-    assert L.left(2, 1) == 1 and L.right(1, 2) == 3
+    assert act(L, L.left[2], 1) == 1 and act(L, L.right[2], 1) == 3
     R = by_label["R"]
-    assert R.left(2, 1) == 3 and R.right(1, 2) == 1
+    assert act(R, R.left[2], 1) == 3 and act(R, R.right[2], 1) == 1
     X3 = by_label["X3"]
-    assert X3.left(2, 1) == 3 and X3.right(1, 2) == (1 + 3 * 2) % p
+    assert act(X3, X3.left[2], 1) == 3 and act(X3, X3.right[2], 1) == (1 + 3 * 2) % p
     F2 = by_label["F2"]
-    assert F2.left(2, STAR) == STAR and F2.right(STAR, 2) == STAR
+    assert act(F2, F2.left[2], STAR) == STAR and act(F2, F2.right[2], STAR) == STAR
 
 
 def test_mixed_associator_phase():
@@ -77,7 +83,7 @@ def test_mixed_associator_phase():
             entry = catalogue_entry(p, BimoduleLabel("F", q))
             for g in range(p):
                 for h in range(p):
-                    assert entry.mixed_assoc(g, STAR, h) == root_of_unity(p, q * g * h)
+                    assert entry.mixed[g][entry.index[STAR]][h] == q * g * h % p
 
 
 def test_validate_accepts_catalogue():
@@ -94,15 +100,16 @@ def test_validate_is_repeatable():
 
 def test_validate_detects_broken_action():
     entry = catalogue_entry(3, BimoduleLabel("T"))
-    bad = dict(entry.right_act)
-    bad[((0, 0), 1)] = (0, 0)  # no longer free, breaks additivity/commutation
-    entry.right_act = bad
+    bad = [list(row) for row in entry.right]
+    zero = entry.index[(0, 0)]
+    bad[1][zero] = zero  # no longer free, breaks additivity/commutation
+    entry.right = bad
     assert validate(entry) != []
 
 
 def test_validate_detects_nonbilinear_mixed_associator():
     entry = catalogue_entry(3, BimoduleLabel("F", 1))
-    entry.mixed_assoc = lambda g, m, h: root_of_unity(3, g + h)
+    entry.mixed = [[[(g + h) % 3 for h in range(3)]] for g in range(3)]
     violations = validate(entry)
     assert any("mixed associator" in v for v in violations)
 
@@ -110,8 +117,43 @@ def test_validate_detects_nonbilinear_mixed_associator():
 def test_stabilizers_match_stored_subgroup():
     for p in (2, 3, 5):
         for entry in catalogue(p):
-            for m in entry.simples:
-                assert entry.stabilizer_of(m) == entry.subgroup
+            for i in range(len(entry.simples)):
+                assert entry.stabilizer_of(i) == entry.subgroup
+
+
+def _lists(table):
+    return [_lists(row) for row in table] if isinstance(table, tuple) else table
+
+
+def _set(table, at, value):
+    table = _lists(table)
+    row = table
+    for k in at[:-1]:
+        row = row[k]
+    row[at[-1]] = value
+    return table
+
+
+# Hand-built tables that break one shape rule each, on the T entry at p=3
+# (9 simples): each must come back as exactly one violation, never raise.
+MALFORMED = {
+    "left has p-1 rows": lambda e: {"left": _lists(e.left)[:-1]},
+    "a right row is one too long": lambda e: {"right": _set(e.right, (1,), e.right[1] + (0,))},
+    "mixed lacks a simple": lambda e: {"mixed": _set(e.mixed, (2,), list(e.mixed[2][:-1]))},
+    "left sends a simple past the last index": lambda e: {"left": _set(e.left, (1, 4), 9)},
+    "right sends a simple to index -1": lambda e: {"right": _set(e.right, (2, 0), -1)},
+    "an exponent equals p": lambda e: {"mixed": _set(e.mixed, (1, 3, 2), 3)},
+    "an exponent is negative": lambda e: {"mixed": _set(e.mixed, (2, 8, 1), -1)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_reports_malformed_tables(case):
+    entry = catalogue_entry(3, BimoduleLabel("T"))
+    for label in (entry.label, None):
+        bad = dataclasses.replace(entry, label=label, **MALFORMED[case](entry))
+        violations = validate(bad)
+        assert len(violations) == 1 and isinstance(violations[0], str), violations
 
 
 def test_label_grammar_round_trip():

@@ -133,6 +133,14 @@ def test_fuse_detail_matches_golden_files(capsys):
             assert "".join(out).encode() == want, (p, fmt)
 
 
+def test_catalog_matches_golden_files(capsys):
+    for p in (2, 3):
+        for fmt in ("json", "md"):
+            code, text, err = run_cli(capsys, "catalog", "--p", str(p), "--format", fmt)
+            assert code == 0 and err == ""
+            assert text.encode() == (GOLDEN / f"catalog_p{p}.{fmt}").read_bytes(), (p, fmt)
+
+
 def test_cli_entry_point_subprocess():
     env = dict(os.environ)
     result = subprocess.run(

@@ -14,7 +14,6 @@ from bpring.bimodules import (
     label_parse,
     validate,
 )
-from bpring.cyclotomic import root_of_unity
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, decompose
 from bpring.ladders import LadderObject
 
@@ -27,6 +26,11 @@ def rtp(p, left, right):
 
 def dec(text, *pairs):
     return Decomposition.from_pairs([(label_parse(l), m) for l, m in pairs])
+
+
+def exponent_table(p, n, f):
+    """mixed[g][i][h] = f(g, i, h) mod p for n simples."""
+    return [[[f(g, i, h) % p for h in range(p)] for i in range(n)] for g in range(p)]
 
 
 def test_tt_left_action_shifts_first_leg():
@@ -105,16 +109,16 @@ def test_action_is_power_of_generator():
     cases += [(5, rng.choice(labels), rng.choice(labels)) for _ in range(6)]
     products = [rtp(p, left, right) for p, left, right in cases]
     # R and L with their module structure changed by a character: the mixed
-    # associators zeta^((c[g+m] - c[m]) h) and zeta^(g (c[m+h] - c[m])) keep
-    # the pure associators trivial, and e(1) depends on the leg simple
+    # associator exponents (c[g+m] - c[m]) h and g (c[m+h] - c[m]) keep the
+    # pure associators trivial, and e(1) depends on the leg simple
     for p in (3, 5):
         R, L = catalogue_entry(p, label_parse("R")), catalogue_entry(p, label_parse("L"))
         c = [rng.randrange(p) for _ in range(p)]
         R2 = dataclasses.replace(
-            R, mixed_assoc=lambda g, m, h, p=p, c=c: root_of_unity(p, (c[(g + m) % p] - c[m]) * h), label=None
+            R, mixed=exponent_table(p, p, lambda g, m, h: (c[(g + m) % p] - c[m]) * h), label=None
         )
         L2 = dataclasses.replace(
-            L, mixed_assoc=lambda g, m, h, p=p, c=c: root_of_unity(p, g * (c[(m + h) % p] - c[m])), label=None
+            L, mixed=exponent_table(p, p, lambda g, m, h: g * (c[(m + h) % p] - c[m])), label=None
         )
         assert validate(R2) == [] and validate(L2) == []
         products += [RelativeTensorProduct(R2, L), RelativeTensorProduct(R, L2), RelativeTensorProduct(R2, L2)]
@@ -195,6 +199,19 @@ def test_associator_bilinear_all_products_small():
                 for _ in range(3):
                     g, h = rng.randrange(p), rng.randrange(p)
                     assert product.mixed_associator(g, h, s) == (base * g * h) % p, (left, right, g, h)
+    # every (g, h) on one F orbit of every ordered product at p=5 that has one
+    p, with_f = 5, 0
+    for M, N in itertools.product(catalogue(p), repeat=2):
+        product = RelativeTensorProduct(M, N)
+        full = [o for o in product.analyze().orbits if o.stabilizer.kind == "full"]
+        if not full:
+            continue
+        with_f += 1
+        s, base = full[0].representative, full[0].assoc_exponent
+        for g in range(p):
+            for h in range(p):
+                assert product.mixed_associator(g, h, s) == (base * g * h) % p, (str(M.label), str(N.label), g, h)
+    assert with_f == 52  # the ordered pairs whose closed-form product has an F summand
 
 
 def test_stabilizer_independent_of_orbit_member():
@@ -270,20 +287,16 @@ def gauge_twist(entry, c, side):
     with it must stay the same.  label=None makes validate apply only the
     generic coherence conditions.
     """
-    p, mixed = entry.p, entry.mixed_assoc
+    p, left, right, mixed = entry.p, entry.left, entry.right, entry.mixed
+    c = [c[m] for m in entry.simples]
     if side == "right":
-        d = lambda m, h: c[entry.right(m, h)] - c[m]
-        shift = lambda g, m, h: d(m, h) - d(entry.left(g, m), h)
+        d = lambda i, h: c[right[h][i]] - c[i]
+        shift = lambda g, i, h: d(i, h) - d(left[g][i], h)
     else:
-        e = lambda g, m: c[entry.left(g, m)] - c[m]
-        shift = lambda g, m, h: e(g, entry.right(m, h)) - e(g, m)
-
-    table = {
-        (g, m, h): mixed(g, m, h) * root_of_unity(p, shift(g, m, h))
-        for g in range(p) for m in entry.simples for h in range(p)
-    }
-    twisted = lambda g, m, h: table[(g % p, m, h % p)]
-    return dataclasses.replace(entry, mixed_assoc=twisted, label=None)
+        e = lambda g, i: c[left[g][i]] - c[i]
+        shift = lambda g, i, h: e(g, right[h][i]) - e(g, i)
+    twisted = exponent_table(p, len(c), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
+    return dataclasses.replace(entry, mixed=twisted, label=None)
 
 
 def gauge_invariants(a):
@@ -319,6 +332,51 @@ def test_gauge_twist_preserves_product_invariants():
                 assert got == expected, (M.p, str(M.label), str(N.label), side)
 
 
+def relabel(entry, rng):
+    """entry with its simples renamed by a seeded bijection and listed in a shuffled order.
+
+    The simple at new position k is the old simple order[k] under a new
+    string name; the action tables and the exponent table are carried along,
+    so the result is the same bimodule and keeps its label.
+    """
+    n, p = len(entry.simples), entry.p
+    order = rng.sample(range(n), n)
+    new_index = {old: k for k, old in enumerate(order)}
+    names = [f"s{r}" for r in rng.sample(range(10 * n), n)]
+    move = lambda table: [[new_index[row[old]] for old in order] for row in table]
+    return dataclasses.replace(
+        entry,
+        simples=tuple(names[old] for old in order),
+        left=move(entry.left),
+        right=move(entry.right),
+        mixed=[[entry.mixed[g][old] for old in order] for g in range(p)],
+    )
+
+
+def test_relabelled_simples_preserve_product_invariants():
+    # every ordered pair at p in {2, 3} and a seeded sample at p=5, both
+    # factors relabelled; the canonical object order changes, the invariants
+    # must not
+    rng = random.Random(61)
+    cases = []
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        pairs = list(itertools.product(cat, repeat=2))
+        cases += pairs if p < 5 else rng.sample(pairs, 10)
+    relabelled = {}
+    for M, N in cases:
+        for entry in (M, N):
+            key = (entry.p, str(entry.label))
+            if key not in relabelled:
+                relabelled[key] = relabel(entry, rng)
+                assert validate(relabelled[key]) == []
+                assert relabelled[key].simples != entry.simples
+        rM, rN = relabelled[(M.p, str(M.label))], relabelled[(N.p, str(N.label))]
+        assert gauge_invariants(analyze(rM, rN)) == gauge_invariants(analyze(M, N)), (
+            M.p, str(M.label), str(N.label)
+        )
+
+
 def test_gauge_twist_moves_exponent_off_full_orbits():
     # the T orbit of T x X1 at p=2 has exponent 0, and 1 after a twist of T
     p = 2
@@ -335,13 +393,13 @@ def test_gauge_twist_moves_exponent_off_full_orbits():
 
 def test_mixed_associator_off_the_rung_characters_is_a_classification_error():
     # Hand-built data that fails validate.  On the fixed object of
-    # Lad(M, F0), acting by 1 on the left multiplies rung b by
-    # mixed_assoc_M(1, *, b) = zeta^(b^2), which is not a character of Z_5;
-    # mirrored, the right action multiplies it by zeta^(b^2) as well.
+    # Lad(M, F0), acting by 1 on the left multiplies rung b by zeta^e with
+    # e = M.mixed[1][*][b] = b^2, which is not a character of Z_5; mirrored,
+    # the right action multiplies it by zeta^(b^2) as well.
     p = 5
     F0 = catalogue_entry(p, label_parse("F0"))
-    squares_in_h = dataclasses.replace(F0, mixed_assoc=lambda g, m, h: root_of_unity(p, g * h * h), label=None)
-    squares_in_g = dataclasses.replace(F0, mixed_assoc=lambda g, m, h: root_of_unity(p, g * g * h), label=None)
+    squares_in_h = dataclasses.replace(F0, mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
+    squares_in_g = dataclasses.replace(F0, mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
     for M, N, side in ((squares_in_h, F0, "left"), (F0, squares_in_g, "right")):
         assert validate(M) != [] or validate(N) != []
         with pytest.raises(ClassificationError, match=side):
@@ -359,8 +417,9 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
     M = dataclasses.replace(
         F0,
         simples=(0, 1, 2),
-        left_act={(g, m): swap[m] if g else m for g in range(p) for m in range(3)},
-        right_act={(m, h): m if h == 0 or m == 0 else 3 - m for m in range(3) for h in range(p)},
+        left=[[swap[m] if g else m for m in range(3)] for g in range(p)],
+        right=[[m if h == 0 or m == 0 else 3 - m for m in range(3)] for h in range(p)],
+        mixed=exponent_table(p, 3, lambda g, m, h: 0),
         label=None,
     )
     assert validate(M) != []

@@ -15,6 +15,7 @@ from kar_oracle import (
     hom_rungs,
     is_isomorphic,
     kar_hom_basis,
+    ladder_sum,
     primitive_idempotents,
     reduce_to_basis,
     simples,
@@ -48,7 +49,7 @@ def test_idempotents_orthogonal_complete():
                 for k, ek in enumerate(idems):
                     prod = lad.compose(ej, ek)
                     assert prod == (ek if j == k else zero(lad, obj, obj))
-                total = ej if total is None else total + ej
+                total = ej if total is None else ladder_sum(total, ej)
             assert total == lad.identity(obj)
 
 
@@ -63,7 +64,7 @@ def test_ff_idempotent_products_p3():
     obj = LadderObject("*", "*")
     i0, i1, i2 = primitive_idempotents(lad, obj)
     assert lad.compose(i0, i1).is_zero()
-    assert i0 + i1 + i2 == lad.identity(obj)
+    assert ladder_sum(i0, i1, i2) == lad.identity(obj)
 
 
 def test_idempotent_solver_oracle_p2():
@@ -235,7 +236,7 @@ def test_reduce_to_basis_drops_dependent_vectors():
     obj = LadderObject(0, "*")
     f = basic(lad, obj, 0)
     g = basic(lad, obj, 1)
-    basis = reduce_to_basis([f, g, f + g, f.scale(2)])
+    basis = reduce_to_basis([f, g, ladder_sum(f, g), f.scale(2)])
     assert len(basis) == 2
 
 
@@ -250,8 +251,9 @@ def test_rung_action_not_a_zp_action_is_unsupported():
         N = dataclasses.replace(
             F0,
             simples=(0, 1),
-            left_act={(g, n): n if g in (0, s) else 1 - n for g in range(p) for n in (0, 1)},
-            right_act={(n, h): n for n in (0, 1) for h in range(p)},
+            left=[[n if g in (0, s) else 1 - n for n in (0, 1)] for g in range(p)],
+            right=[[0, 1]] * p,
+            mixed=[[[0] * p] * 2] * p,
             label=None,
         )
         assert validate(N) != []
@@ -265,7 +267,7 @@ def test_anchor_rejects_an_idempotent_that_is_not_a_stored_primitive():
     env = KarEnvelope(make_lad(5, "R", "F0"))
     obj = LadderObject(1, "*")
     i0, i1 = env.prims[obj][:2]
-    both = i0 + i1
+    both = ladder_sum(i0, i1)
     assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
     with pytest.raises(UnsupportedEndAlgebra):
         env.anchor(KarObject(obj, both))

@@ -7,7 +7,7 @@ from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
 from bpring.cyclotomic import CyclotomicScalar, Rational, group_algebra_product, root_of_unity
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
 from compose_oracle import scalar_product
-from kar_oracle import basic, end_algebra, end_rungs, hom_rungs, rung_target
+from kar_oracle import basic, end_algebra, end_rungs, hom_rungs, ladder_sum, rung_target
 
 
 def entry(p, text):
@@ -19,9 +19,10 @@ def entry(p, text):
 def brute_force_rungs(lad, src, tgt):
     """Independent admissibility scan: rung b needs src.m == tgt.m < b and
     tgt.n == b > src.n."""
+    M, N = lad.M, lad.N
     out = []
     for b in range(lad.p):
-        if lad.M.right(tgt.m, b) == src.m and lad.N.left(b, src.n) == tgt.n:
+        if M.right[b][M.index[tgt.m]] == M.index[src.m] and N.left[b][N.index[src.n]] == N.index[tgt.n]:
             out.append(b)
     return out
 
@@ -46,7 +47,7 @@ def test_rung_arrays_match_rung_targets():
         for M, N in itertools.product(catalogue(p), repeat=2):
             lad = LadderCategory(M, N)
             objs = lad.objects()
-            width = len(lad.m_simples)
+            width = len(M.simples)
             for i, obj in enumerate(objs):
                 assert lad.object_index(obj) == i
                 n, m = divmod(i, width)
@@ -209,11 +210,11 @@ def test_morphism_addition_and_pruning():
     obj = LadderObject(0, "*")
     f = basic(lad, obj, 1)
     g = f.scale(-1)
-    assert (f + g).is_zero()
+    assert ladder_sum(f, g).is_zero()
     tt = LadderCategory(entry(3, "T"), entry(3, "T"))
     o = tt.objects()[0]
     with pytest.raises(CompositionError):
-        basic(tt, o, 0) + basic(tt, o, 1)  # different targets
+        ladder_sum(basic(tt, o, 0), basic(tt, o, 1))  # different targets
 
 
 def _random_scalar(rng, p, shape):
