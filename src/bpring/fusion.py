@@ -23,6 +23,16 @@ M.left[1] on the M leg and shift_n = N.right[1] on the N leg, like the rung
 rows of LadderCategory; e depends only on the leg simple on that side and the
 End dimension, so it is read and checked once per such pair.
 
+The two step permutations must commute on every simple; this is checked
+once per product, before the orbits are read, and a failure is a
+ClassificationError.  Each step is the action of the generator 1 of Z_p,
+so commuting steps are an action of Z_p x Z_p: an orbit has size 1, p or
+p^2 and its stabilizer has order p^2 / size:
+size p^2 gives the trivial subgroup, size 1 the full group, and size p a
+line, found among the p+1 canonical generators by walking the steps, O(p)
+per orbit.  Any other size, or a size-p orbit whose representative is fixed
+by no line or by more than one, is a ClassificationError.
+
 The mixed associator of the product at (g, h) is the scalar ratio of the two
 witness paths (left-g then right-h) / (right-h then left-g), both of which are
 morphisms in the same one-dimensional absorbed Hom space.  On an orbit fixed
@@ -33,8 +43,15 @@ exponent q*l at (g, h) = (1, 1).  Only these exponents, on orbits with full
 stabilizer (label F_q), are invariants of the product.  On an orbit with a
 trivial or line stabilizer the exponent depends on the gauge of the inputs:
 twisting a factor's mixed associator by a coboundary can change it, e.g. the
-T orbit of T x X1 at p=2 goes from 0 to 1.  It is reported as computed and
-never used to classify such an orbit.
+T orbit of T x X1 at p=2 goes from 0 to 1.  So decompose, and with it
+build_table, runs the witness paths on full-stabilizer orbits only.  analyze,
+which fuse --detail prints, runs them on every orbit and reports each
+exponent as computed, never using it to classify a non-full orbit; both share
+one orbit loop and one stabilizer reading.  On a non-full orbit, what the
+witness paths checked beyond the exponent was that both paths land on one
+simple, i.e. that the actions commute there: the commutation check above
+covers that on every simple, and the step tables already check the
+re-anchoring the paths rely on.
 
 Classification of an orbit: stabilizer H = {(g,h) : g acts then h acts fixes
 the simple}; trivial H -> T, H = <(1,0)> -> L, H = <(0,1)> -> R, other lines
@@ -50,13 +67,12 @@ this.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue, format_simple
 from .cyclotomic import CyclotomicScalar, phase_exponent, require_prime, root_of_unity
-from .groups import Subgroup, subgroup_from_elements
+from .groups import Subgroup, enumerate_subgroups
 from .karoubi import KarEnvelope, KarObject, KarSimple, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from .ring import RingTable
@@ -100,6 +116,12 @@ def _roots(p: int) -> tuple[CyclotomicScalar, ...]:
     return tuple(root_of_unity(p, e) for e in range(p))
 
 
+@lru_cache(maxsize=None)
+def _subgroups(p: int) -> tuple[Subgroup, ...]:
+    """The p+3 subgroups in enumerate_subgroups order."""
+    return tuple(enumerate_subgroups(p))
+
+
 def _normalize(w: LadderMorphism) -> LadderMorphism:
     lead = min(w.coeffs)
     return w.scale(w.coeffs[lead].inv())
@@ -116,7 +138,6 @@ class RelativeTensorProduct:
         self.env = KarEnvelope(self.lad)
         self.simples = self.env.simples
         self._steps: tuple[list[int], list[int]] | None = None
-        self._tables: tuple[list[list[int]], list[list[int]]] | None = None
 
     # -- the outer-action endofunctors --------------------------------------
 
@@ -214,19 +235,6 @@ class RelativeTensorProduct:
             self._steps = steps
         return self._steps
 
-    def action_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """left[g][i] and right[h][i] as permutations of simple indices."""
-        if self._tables is None:
-            lstep, rstep = self._step_tables()
-            n = len(self.simples)
-            left = [list(range(n))]
-            right = [list(range(n))]
-            for _ in range(1, self.p):
-                left.append([lstep[i] for i in left[-1]])
-                right.append([rstep[i] for i in right[-1]])
-            self._tables = left, right
-        return self._tables
-
     # -- mixed associator -----------------------------------------------------
 
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
@@ -258,7 +266,11 @@ class RelativeTensorProduct:
     # -- orbits and classification ---------------------------------------------
 
     def orbits(self) -> list[list[int]]:
+        """Orbits of the two step permutations, after checking that they commute."""
         lstep, rstep = self._step_tables()
+        bad = next((i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]]), None)
+        if bad is not None:
+            raise ClassificationError(f"the left and right actions do not commute on {self.simples[bad]}")
         seen: set[int] = set()
         out = []
         for i in range(len(self.simples)):
@@ -276,18 +288,35 @@ class RelativeTensorProduct:
             seen.update(orbit)
         return out
 
-    def orbit_stabilizer(self, rep_index: int) -> Subgroup:
-        left, right = self.action_tables()
-        p = self.p
-        elts = [
-            (g, h)
-            for g in range(p)
-            for h in range(p)
-            if right[h][left[g][rep_index]] == rep_index
-        ]
-        return subgroup_from_elements(p, elts)
+    def _stabilizer(self, i: int, size: int) -> Subgroup:
+        """Stabilizer of simple i, whose orbit has the given size.
 
-    def _classify(self, stab: Subgroup, exponent: int) -> BimoduleLabel:
+        Size p^2 means the trivial subgroup and size 1 the full group.  Size p
+        means a line: <(0,1)> fixes i when rstep[i] == i, and <(1,t)> when t
+        right steps bring lstep[i] back to i.  Exactly one line must fix i.
+        """
+        p = self.p
+        subgroups = _subgroups(p)  # trivial, <(0,1)>, <(1,0)>, ..., <(1,p-1)>, full
+        if size == p * p:
+            return subgroups[0]
+        if size == 1:
+            return subgroups[-1]
+        if size != p:
+            raise ClassificationError(f"an orbit of size {size} is not of size 1, p or p^2")
+        lstep, rstep = self._step_tables()
+        fixing = [1] if rstep[i] == i else []
+        j = lstep[i]
+        for t in range(p):
+            if j == i:
+                fixing.append(2 + t)
+            j = rstep[j]
+        if len(fixing) != 1:
+            raise ClassificationError(
+                f"{len(fixing)} lines fix {self.simples[i]}, whose orbit has size p"
+            )
+        return subgroups[fixing[0]]
+
+    def _classify(self, stab: Subgroup, exponent: int | None) -> BimoduleLabel:
         p = self.p
         if stab.kind == "trivial":
             return BimoduleLabel("T")
@@ -304,33 +333,49 @@ class RelativeTensorProduct:
             raise ClassificationError(f"stabilizer {stab} does not match any label")
         return BimoduleLabel("X", k)
 
-    def analyze(self) -> ProductAnalysis:
-        infos = []
+    def _classified_orbits(self, every_exponent: bool) -> list[tuple]:
+        """(orbit, stabilizer, exponent, label) for every orbit.
+
+        The witness associator runs on every orbit if every_exponent, else
+        only on full-stabilizer orbits, the one place where it classifies;
+        the exponent is None elsewhere.
+        """
+        out = []
         for orbit in self.orbits():
-            rep_index = orbit[0]
-            rep = self.simples[rep_index]
-            stab = self.orbit_stabilizer(rep_index)
-            if len(orbit) * stab.order != self.p * self.p:
-                raise ClassificationError("orbit size times stabilizer order is not p^2")
-            exponent = self.mixed_associator(1, 1, rep)
-            infos.append(OrbitInfo(rep, len(orbit), stab, exponent, self._classify(stab, exponent)))
-        decomposition = Decomposition.from_pairs((info.label, 1) for info in infos)
+            stab = self._stabilizer(orbit[0], len(orbit))
+            exponent = None
+            if every_exponent or stab.kind == "full":
+                exponent = self.mixed_associator(1, 1, self.simples[orbit[0]])
+            out.append((orbit, stab, exponent, self._classify(stab, exponent)))
+        return out
+
+    def _decomposition(self, labels) -> Decomposition:
+        decomposition = Decomposition.from_pairs((label, 1) for label in labels)
         total = decomposition.total_simples(self.p)
         if total != len(self.simples):
             raise ClassificationError(
                 f"decomposition covers {total} simples but the envelope has {len(self.simples)}"
             )
+        return decomposition
+
+    def analyze(self) -> ProductAnalysis:
+        """Every orbit with its associator exponent, invariant or not, and the decomposition."""
+        infos = tuple(
+            OrbitInfo(self.simples[orbit[0]], len(orbit), stab, exponent, label)
+            for orbit, stab, exponent, label in self._classified_orbits(every_exponent=True)
+        )
         return ProductAnalysis(
             p=self.p,
             object_count=self.lad.object_count,
             end_dimensions=self.env.end_dimensions(),
             simple_count=len(self.simples),
-            orbits=tuple(infos),
-            decomposition=decomposition,
+            orbits=infos,
+            decomposition=self._decomposition(info.label for info in infos),
         )
 
     def decompose(self) -> Decomposition:
-        return self.analyze().decomposition
+        """The decomposition, computing only the exponents that classify."""
+        return self._decomposition(label for *_, label in self._classified_orbits(every_exponent=False))
 
 
 def decompose(M: BimoduleData, N: BimoduleData) -> Decomposition:
@@ -391,6 +436,9 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
     workers = min(_worker_count(workers), os.cpu_count() or 1)
     pairs = [(a, b) for a in table.basis for b in table.basis]
     if workers > 1:
+        # imported here so that serial users never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
             for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs))):
                 table.set_product(a, b, dec)

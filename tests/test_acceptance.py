@@ -19,6 +19,7 @@ from bpring.karoubi import KarEnvelope
 from bpring.ladders import LadderCategory
 from bpring.ring import check_axioms, diff_tables, units_group
 from bpring.walls import oracle_table, preserves_braiding, wall_of
+from action_oracle import orbit_stabilizer
 from group_oracle import cocycle_phase, pair_add
 from kar_oracle import basic, end_algebra, end_rungs, ladder_sum, primitive_idempotents, zero
 
@@ -177,7 +178,7 @@ def test_criterion_7_property_suites():
             a = product.analyze()
             assert a.decomposition.total_simples(p) == a.simple_count
             for orbit in product.orbits():
-                stabs = {product.orbit_stabilizer(i) for i in orbit}
+                stabs = {orbit_stabilizer(product, i) for i in orbit}
                 assert len(stabs) == 1
     report(7, "field axioms, cocycle identities, composition associativity, and orbit invariants hold")
 

@@ -249,3 +249,29 @@ def test_table_reader_fault_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: unit product X1 x F1 is not a single label\n"
+
+
+def test_corrupted_step_table_exit_code():
+    # two swapped left steps make the actions on simples not commute
+    code = """
+import sys
+from bpring.cli import main
+from bpring.fusion import RelativeTensorProduct
+
+inner = RelativeTensorProduct._step_tables
+
+def swapped(self):
+    lstep, rstep = inner(self)
+    lstep = list(lstep)
+    lstep[0], lstep[1] = lstep[1], lstep[0]
+    return lstep, rstep
+
+RelativeTensorProduct._step_tables = swapped
+sys.exit(main(["fuse", "--p", "3", "--left", "T", "--right", "T"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("internal error: the left and right actions do not commute on ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr

@@ -16,6 +16,7 @@ from bpring.bimodules import (
 )
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, decompose
 from bpring.ladders import LadderObject
+from action_oracle import action_tables, orbit_stabilizer
 
 
 def rtp(p, left, right):
@@ -124,7 +125,7 @@ def test_action_is_power_of_generator():
         products += [RelativeTensorProduct(R2, L), RelativeTensorProduct(R, L2), RelativeTensorProduct(R2, L2)]
     for product in products:
         p = product.p
-        lefts, rights = product.action_tables()
+        lefts, rights = action_tables(product)
         index = {s.representative: i for i, s in enumerate(product.simples)}
         for i, s in enumerate(product.simples):
             for g in range(p):
@@ -137,7 +138,7 @@ def test_action_is_power_of_generator():
 def test_left_and_right_actions_commute():
     for p, left, right in [(2, "T", "T"), (3, "R", "L"), (3, "F1", "X2")]:
         product = rtp(p, left, right)
-        lefts, rights = product.action_tables()
+        lefts, rights = action_tables(product)
         n = len(product.simples)
         for g in range(p):
             for h in range(p):
@@ -219,8 +220,76 @@ def test_stabilizer_independent_of_orbit_member():
         for left, right in [("T", "T"), ("R", "F0"), ("F1", "F2" if p == 3 else "F1"), ("L", "T")]:
             product = rtp(p, left, right)
             for orbit in product.orbits():
-                stabs = {product.orbit_stabilizer(i) for i in orbit}
+                stabs = {orbit_stabilizer(product, i) for i in orbit}
                 assert len(stabs) == 1
+
+
+def test_decompose_matches_analyze_and_the_stabilizer_scan():
+    # every ordered pair at p in {2, 3, 5}; the stabilizer of every simple,
+    # read from its orbit's size, against the p^2 scan
+    for p in (2, 3, 5):
+        for M, N in itertools.product(catalogue(p), repeat=2):
+            product = RelativeTensorProduct(M, N)
+            analysis = product.analyze()
+            assert product.decompose() == analysis.decomposition
+            orbits = product.orbits()
+            assert [o.stabilizer for o in analysis.orbits] == [orbit_stabilizer(product, o[0]) for o in orbits]
+            for orbit in orbits:
+                for i in orbit:
+                    assert product._stabilizer(i, len(orbit)) == orbit_stabilizer(product, i)
+    # every ordered pair at p=7: analyze and decompose agree
+    for M, N in itertools.product(catalogue(7), repeat=2):
+        product = RelativeTensorProduct(M, N)
+        assert product.decompose() == product.analyze().decomposition, (str(M.label), str(N.label))
+
+
+def test_decompose_runs_the_witness_associator_once_per_full_orbit(monkeypatch):
+    p, calls, total = 3, [], 0
+    inner = RelativeTensorProduct.mixed_associator
+
+    def counted(self, g, h, simple):
+        calls.append((g, h, simple))
+        return inner(self, g, h, simple)
+
+    for M, N in itertools.product(catalogue(p), repeat=2):
+        product = RelativeTensorProduct(M, N)
+        full = [o.representative for o in product.analyze().orbits if o.stabilizer.kind == "full"]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(RelativeTensorProduct, "mixed_associator", counted)
+            product.decompose()
+        assert calls == [(1, 1, s) for s in full], (str(M.label), str(N.label))
+        total += len(full)
+    assert total > 0
+
+
+def test_corrupted_step_tables_are_classification_errors():
+    p = 3
+    product = rtp(p, "T", "T")
+    lstep, rstep = product._step_tables()
+    identity = list(range(len(lstep)))
+    swapped = list(lstep)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    # steps that do not commute
+    product._steps = swapped, rstep
+    with pytest.raises(ClassificationError, match="do not commute"):
+        product.decompose()
+    with pytest.raises(ClassificationError, match="do not commute"):
+        product.analyze()
+    # commuting steps with an orbit {0, 1} of size 2, which is not 1, p or p^2
+    transposition = identity[:]
+    transposition[0], transposition[1] = 1, 0
+    product._steps = transposition, identity
+    with pytest.raises(ClassificationError, match="orbit of size 2 "):
+        product.decompose()
+    # an orbit of size p must be fixed by exactly one line: a simple fixed by
+    # the whole group is fixed by all p+1, one with a trivial stabilizer by none
+    product._steps = lstep, rstep
+    full = rtp(p, "X1", "F1")
+    with pytest.raises(ClassificationError, match="4 lines fix"):
+        full._stabilizer(0, p)
+    with pytest.raises(ClassificationError, match="0 lines fix"):
+        product._stabilizer(0, p)
 
 
 def test_decompose_worked_products():

@@ -1,8 +1,11 @@
+import concurrent.futures
 import copy
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,7 +321,7 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(fusion, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(fusion, "_worker_entries", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setenv("BPRING_THREADS", "100000")
@@ -334,12 +337,19 @@ def test_threads_unset_or_empty_means_serial(monkeypatch):
     def no_pool(**kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(fusion, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.delenv("BPRING_THREADS", raising=False)
     build_table(2)
     monkeypatch.setenv("BPRING_THREADS", "")
     build_table(2)
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the pool is imported only when a table is built with more than one worker
+    code = "import sys, bpring; sys.exit('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_markdown_row_count():
