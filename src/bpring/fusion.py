@@ -10,18 +10,23 @@ representative yields the action on simples together with an absorbing
 witness morphism (outer_action).
 
 The orbits only need where each simple goes under the generators, and that
-is read without a witness.  Acting by 1 multiplies the rung-b slot of
-End(obj) by zeta^e(b), with e(b) read from the exponent table.  It sends the
-character projector I_k of obj to the stored projector I_(k+e(1)) of the
-shifted object exactly when e(b) = b e(1) for every rung b of End(obj) and
-the shifted object has the same End dimension.  Both are checked, and a
-failure is a ClassificationError; simple (obj, k) then steps to the class of
-(shift(obj), k + e(1)).  This is the condition under which re-anchoring the
-acted projector succeeds, so the step tables verify no less than the witness
-route.  The shifts are two rows of the entries' action tables, shift_m =
-M.left[1] on the M leg and shift_n = N.right[1] on the N leg, like the rung
-rows of LadderCategory; e depends only on the leg simple on that side and the
-End dimension, so it is read and checked once per such pair.
+is read on class indices, with no witness and no simple built.  Acting by 1
+multiplies the rung-b slot of End(obj) by zeta^e(b), with e(b) read from the
+exponent table.  It sends the character projector I_k of obj to the stored
+projector I_(k+e(1)) of the shifted object exactly when e(b) = b e(1) for
+every rung b of End(obj) and the shifted object has the same End dimension.
+Both are checked, and a failure is a ClassificationError; class (obj, k) then
+steps to the class of (shift(obj), k + e(1)).  This is the condition under
+which re-anchoring the acted projector succeeds, so the step tables verify no
+less than the witness route.  The step tables walk the envelope's classes by
+base object index (KarEnvelope.base_at), dim classes per base, and read the
+target's class and End dimension from the envelope's integer lists.  The
+shifts are two rows of the entries' action tables, shift_m = M.left[1] on the
+M leg and shift_n = N.right[1] on the N leg, like the rung rows of
+LadderCategory; e depends only on the leg simple on that side and the End
+dimension, so it is read and checked once per such pair.  A simple is built
+only where a witness needs one: for mixed_associator, and for the orbit
+representatives that analyze reports.
 
 The two step permutations must commute on every simple; this is checked
 once per product, before the orbits are read, and a failure is a
@@ -136,8 +141,12 @@ class RelativeTensorProduct:
         self.lad = LadderCategory(M, N)
         self.p = self.lad.p
         self.env = KarEnvelope(self.lad)
-        self.simples = self.env.simples
         self._steps: tuple[list[int], list[int]] | None = None
+
+    @property
+    def simples(self) -> list[KarSimple]:
+        """Every simple of the envelope, built when first asked for."""
+        return self.env.simples
 
     # -- the outer-action endofunctors --------------------------------------
 
@@ -202,21 +211,22 @@ class RelativeTensorProduct:
         Acting by 1 on the left moves the M leg of the object with index
         n*|M| + m to shift_m[m] = M.left[1][m]; acting on the right moves its
         N leg to shift_n[n] = N.right[1][n].  e(1) is read once per leg
-        simple, side and End dimension.  Per representative
-        object, simple (obj, k) goes to the class of (shift(obj), k + e(1)),
-        after checking that the shift keeps the End dimension.
+        simple, side and End dimension.  The loop runs over the classes by
+        their base index, taking dim classes at a time for a base whose End
+        has dimension dim: class c + k, the character k of the base, goes to
+        class_at(shift(base)) + (k + e(1)) mod p, after checking that the
+        shift keeps the End dimension.  No simple is built.
         """
         if self._steps is None:
-            lad, env, p = self.lad, self.env, self.p
+            env, p = self.env, self.p
             width = len(self.M.simples)
             shift_m, shift_n = self.M.left[1], self.N.right[1]
             exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
-            steps = ([0] * len(self.simples), [0] * len(self.simples))
-            for s in self.simples:
-                if s.char_index:
-                    continue
-                obj = s.representative.obj
-                i = lad.object_index(obj)
+            count = env.simple_count
+            steps = ([0] * count, [0] * count)
+            c = 0
+            while c < count:
+                i = env.base_at(c)
                 n, m = divmod(i, width)
                 dim = env.dimension_at(i)
                 for side, table, leg, target in (
@@ -228,10 +238,13 @@ class RelativeTensorProduct:
                     if e1 is None:
                         e1 = exponents[key] = self._exponent(side, leg, dim)
                     if env.dimension_at(target) != dim:
-                        raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
+                        raise ClassificationError(
+                            f"acting on the {side} changes the End dimension of {self.lad.object_at(i)}"
+                        )
                     first = env.class_at(target)
                     for k in range(dim):
-                        table[s.class_index + k] = first + (k + e1) % p
+                        table[c + k] = first + (k + e1) % p
+                c += dim
             self._steps = steps
         return self._steps
 
@@ -270,10 +283,10 @@ class RelativeTensorProduct:
         lstep, rstep = self._step_tables()
         bad = next((i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]]), None)
         if bad is not None:
-            raise ClassificationError(f"the left and right actions do not commute on {self.simples[bad]}")
+            raise ClassificationError(f"the left and right actions do not commute on {self.env.simple(bad)}")
         seen: set[int] = set()
         out = []
-        for i in range(len(self.simples)):
+        for i in range(self.env.simple_count):
             if i in seen:
                 continue
             orbit = {i}
@@ -312,7 +325,7 @@ class RelativeTensorProduct:
             j = rstep[j]
         if len(fixing) != 1:
             raise ClassificationError(
-                f"{len(fixing)} lines fix {self.simples[i]}, whose orbit has size p"
+                f"{len(fixing)} lines fix {self.env.simple(i)}, whose orbit has size p"
             )
         return subgroups[fixing[0]]
 
@@ -345,30 +358,28 @@ class RelativeTensorProduct:
             stab = self._stabilizer(orbit[0], len(orbit))
             exponent = None
             if every_exponent or stab.kind == "full":
-                exponent = self.mixed_associator(1, 1, self.simples[orbit[0]])
+                exponent = self.mixed_associator(1, 1, self.env.simple(orbit[0]))
             out.append((orbit, stab, exponent, self._classify(stab, exponent)))
         return out
 
     def _decomposition(self, labels) -> Decomposition:
         decomposition = Decomposition.from_pairs((label, 1) for label in labels)
-        total = decomposition.total_simples(self.p)
-        if total != len(self.simples):
-            raise ClassificationError(
-                f"decomposition covers {total} simples but the envelope has {len(self.simples)}"
-            )
+        total, count = decomposition.total_simples(self.p), self.env.simple_count
+        if total != count:
+            raise ClassificationError(f"decomposition covers {total} simples but the envelope has {count}")
         return decomposition
 
     def analyze(self) -> ProductAnalysis:
         """Every orbit with its associator exponent, invariant or not, and the decomposition."""
         infos = tuple(
-            OrbitInfo(self.simples[orbit[0]], len(orbit), stab, exponent, label)
+            OrbitInfo(self.env.simple(orbit[0]), len(orbit), stab, exponent, label)
             for orbit, stab, exponent, label in self._classified_orbits(every_exponent=True)
         )
         return ProductAnalysis(
             p=self.p,
             object_count=self.lad.object_count,
             end_dimensions=self.env.end_dimensions(),
-            simple_count=len(self.simples),
+            simple_count=self.env.simple_count,
             orbits=infos,
             decomposition=self._decomposition(info.label for info in infos),
         )
@@ -428,7 +439,8 @@ def _worker_count(workers: int | None) -> int:
 def build_table(p: int, workers: int | None = None) -> RingTable:
     """Structure constants from the fusion engine over all ordered label pairs.
 
-    workers (default: BPRING_THREADS) is capped at os.cpu_count().
+    workers (default: BPRING_THREADS) is capped at os.cpu_count().  A pool
+    gets the pairs in about four chunks per worker.
     """
     require_prime(p)
     table = RingTable.empty(p)
@@ -439,8 +451,10 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
         # imported here so that serial users never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # a few chunks per worker: one pair is too little work to pay for its own round trip
+        chunksize = -(-len(pairs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
-            for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs))):
+            for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=chunksize)):
                 table.set_product(a, b, dec)
     else:
         entries = _catalogue_by_label(p)

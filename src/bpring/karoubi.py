@@ -20,13 +20,20 @@ The envelope makes one walk over the object indices in canonical order, on
 the index arrays of LadderCategory.  The first object met of each orbit is its
 base; its p-1 rung images decide the orbit: all equal to the base (fixed) or
 p-1 new objects (free).  Anything else means the rung action is not a Z_p
-action, and UnsupportedEndAlgebra is raised.  The walk records, per object
-index, the class of its simple and its rung from the base, and builds a
-LadderObject only for each base; the identity of a free base shares the
-envelope's one scalar.  The list of all objects is built when first asked
-for.  The connectors to the canonical representative (least object of the
-orbit, least character index) are the basic rung ladders, built when asked
-for, as are the primitive idempotents of an object that is not a base.
+action, and UnsupportedEndAlgebra is raised.  The walk records classes only,
+as three integer lists: per object index, the class of its first simple and
+its rung from the base; per class, the object index of its base.  A fixed
+base owns p consecutive classes, and class c of base i has character index
+c - class_at(i).  The walk builds no LadderObject, morphism or simple; the
+object is built only for an error message.
+
+Everything else is built when asked for: simple(c), the canonical
+representative of class c (its base, with the stored character projector on
+a fixed base or the identity on a free one, sharing the envelope's one
+scalar); the list simples of all of them; the primitive idempotents of an
+object; and the connectors to the representative, which are the basic rung
+ladders.  The table path reads only the integer lists, and builds a simple
+only for the witness associator.
 """
 
 from __future__ import annotations
@@ -125,11 +132,11 @@ class KarEnvelope:
 
     def __init__(self, lad: LadderCategory):
         self.lad = lad
-        self.simples: list[KarSimple] = []
         self._one = CyclotomicScalar.one(lad.p)
         # per object index: the class of its first simple, and its rung from the base
         self._class = [-1] * lad.object_count
         self._rung = [0] * lad.object_count
+        self._bases: list[int] = []  # per class: the object index of its base
         self.prims = _Primitives(lad, self._rung)
         self._walk()
 
@@ -137,6 +144,11 @@ class KarEnvelope:
     def objects(self) -> list[LadderObject]:
         """Every ladder object in canonical order, built when first asked for."""
         return self.lad.objects()
+
+    @cached_property
+    def simples(self) -> list[KarSimple]:
+        """simple(c) for every class c, built when first asked for."""
+        return [self.simple(c) for c in range(self.simple_count)]
 
     # -- class construction -------------------------------------------------
 
@@ -152,30 +164,59 @@ class KarEnvelope:
         """
         lad, p = self.lad, self.lad.p
         rung_m, rung_n = lad.rung_m, lad.rung_n
-        m_simples, n_simples = lad.M.simples, lad.N.simples
-        width = len(m_simples)
-        cls_of, rung_of, simples = self._class, self._rung, self.simples
+        width = len(lad.M.simples)
+        cls_of, rung_of, bases = self._class, self._rung, self._bases
         for i in range(lad.object_count):
             if cls_of[i] >= 0:
                 continue
-            first = len(simples)
-            cls_of[i] = first
+            first = cls_of[i] = len(bases)
             n, m = divmod(i, width)
-            obj = LadderObject(m_simples[m], n_simples[n])
             images = [rung_n[b][n] * width + rung_m[b][m] for b in range(1, p)]
             if images[0] == i:
                 if images.count(i) != p - 1:
-                    raise UnsupportedEndAlgebra(f"rung 1 fixes {obj} but not every rung does, at p={p}")
+                    raise UnsupportedEndAlgebra(
+                        f"rung 1 fixes {lad.object_at(i)} but not every rung does, at p={p}"
+                    )
                 rung_of[i] = _FIXED
-                for k, e in enumerate(self.prims[obj]):
-                    simples.append(KarSimple(first + k, KarObject(obj, e), k))
+                bases.extend([i] * p)
                 continue
-            simples.append(KarSimple(first, KarObject(obj, LadderMorphism(obj, obj, {0: self._one})), 0))
             for b, t in enumerate(images, 1):
                 if cls_of[t] >= 0:
-                    raise UnsupportedEndAlgebra(f"the rung orbit of {obj} is not a Z_p orbit at p={p}")
+                    raise UnsupportedEndAlgebra(
+                        f"the rung orbit of {lad.object_at(i)} is not a Z_p orbit at p={p}"
+                    )
                 cls_of[t] = first
                 rung_of[t] = b
+            bases.append(i)
+
+    # -- classes --------------------------------------------------------------
+
+    @property
+    def simple_count(self) -> int:
+        """Number of classes of simples."""
+        return len(self._bases)
+
+    def base_at(self, c: int) -> int:
+        """Object index of the base of class c."""
+        return self._bases[c]
+
+    def simple(self, c: int) -> KarSimple:
+        """The canonical representative of class c, built on each call."""
+        if not 0 <= c < len(self._bases):
+            raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
+        i = self._bases[c]
+        obj = self.lad.object_at(i)
+        k = c - self._class[i]
+        return KarSimple(c, KarObject(obj, self._base_idempotent(obj, i, k)), k)
+
+    def _base_idempotent(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
+        """The idempotent of character k on a base obj with object_index i.
+
+        The stored projector I_k on a fixed base, the identity on a free one.
+        """
+        if self._rung[i] == _FIXED:
+            return self.prims[obj][k]
+        return LadderMorphism(obj, obj, {0: self._one})
 
     # -- queries --------------------------------------------------------------
 
@@ -215,7 +256,7 @@ class KarEnvelope:
         """Canonical simple isomorphic to kobj and the connecting map to it."""
         k = self.primitive_index(kobj.obj, kobj.idem)
         to_rep, _ = self.connectors(kobj.obj, k)
-        return self.simples[self.class_of(kobj.obj, k)], to_rep
+        return self.simple(self.class_of(kobj.obj, k)), to_rep
 
     def class_of(self, obj: LadderObject, char_index: int) -> int:
         i = self.lad.object_index(obj)
@@ -226,10 +267,11 @@ class KarEnvelope:
     def connectors(self, obj: LadderObject, char_index: int):
         """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
         cls = self.class_of(obj, char_index)
-        b = self._rung[self.lad.object_index(obj)]
-        rep = self.simples[cls].representative
+        i = self.lad.object_index(obj)
+        b = self._rung[i]
         if b in (0, _FIXED):
-            return rep.idem, rep.idem
-        p = self.lad.p
-        return (LadderMorphism(obj, rep.obj, {p - b: self._one}),
-                LadderMorphism(rep.obj, obj, {b: self._one}))
+            idem = self._base_idempotent(obj, i, char_index)
+            return idem, idem
+        p, rep = self.lad.p, self.lad.object_at(self._bases[cls])
+        return (LadderMorphism(obj, rep, {p - b: self._one}),
+                LadderMorphism(rep, obj, {b: self._one}))

@@ -116,6 +116,11 @@ class LadderCategory:
         """Position of obj in objects(): N.index[n] * |M| + M.index[m]."""
         return self.N.index[obj.n] * len(self.M.simples) + self.M.index[obj.m]
 
+    def object_at(self, i: int) -> LadderObject:
+        """The object with object_index i: the inverse of object_index."""
+        n, m = divmod(i, len(self.M.simples))
+        return LadderObject(self.M.simples[m], self.N.simples[n])
+
     def identity(self, obj: LadderObject) -> LadderMorphism:
         return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(self.p)})
 

@@ -10,7 +10,8 @@ searching.  The helpers here work on objects, from the bimodule actions:
   rung-1 target instead of from the envelope's orbit walk;
 - isomorphism decided the slow, general way: two primitives (A, e) and
   (A', e') are isomorphic iff absorbed morphisms u: (A,e) -> (A',e') and v
-  back exist with u followed by v a nonzero multiple of e.
+  back exist with u followed by v a nonzero multiple of e;
+- the isomorphism classes of all primitives, found by that search.
 """
 
 from dataclasses import dataclass
@@ -133,3 +134,24 @@ def is_isomorphic(lad: LadderCategory, a: KarObject, b: KarObject) -> bool:
             if lam is not None and not lam.is_zero():
                 return True
     return False
+
+
+def isomorphism_classes(lad: LadderCategory) -> list[list[tuple[int, KarObject]]]:
+    """The isomorphism classes of all primitive Kar objects, found by search.
+
+    Objects are walked in canonical order and the primitives of each by
+    character index, so the classes come in order of first appearance and
+    the first member of each, (character index, Kar object), is its least one.
+    """
+    classes: list[list[tuple[int, KarObject]]] = []
+    for obj in lad.objects():
+        for k, e in enumerate(primitive_idempotents(lad, obj)):
+            kobj = KarObject(obj, e)
+            hits = [members for members in classes if is_isomorphic(lad, members[0][1], kobj)]
+            if len(hits) > 1:
+                raise AssertionError(f"{obj}#{k} is isomorphic to {len(hits)} classes")
+            if hits:
+                hits[0].append((k, kobj))
+            else:
+                classes.append([(k, kobj)])
+    return classes

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from bpring.bimodules import (
     validate,
 )
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, decompose
+from bpring.karoubi import KarEnvelope
 from bpring.ladders import LadderObject
 from action_oracle import action_tables, orbit_stabilizer
 
@@ -263,6 +265,45 @@ def test_decompose_runs_the_witness_associator_once_per_full_orbit(monkeypatch):
     assert total > 0
 
 
+def test_decompose_leaves_the_simples_unbuilt():
+    for M, N in itertools.product(catalogue(3), repeat=2):
+        product = RelativeTensorProduct(M, N)
+        product.decompose()
+        assert "simples" not in vars(product.env), (str(M.label), str(N.label))
+
+
+def test_decompose_builds_simples_only_for_the_witness_associator(monkeypatch):
+    # Each full-stabilizer orbit is one simple, fixed by both actions: decompose
+    # builds it once to hand to mixed_associator, which re-anchors onto it.
+    # No other simple is built.
+    p, calls, depth, total = 3, [], [0], 0
+    simple, mixed = KarEnvelope.simple, RelativeTensorProduct.mixed_associator
+
+    def counted_simple(env, c):
+        calls.append((c, depth[0] > 0))
+        return simple(env, c)
+
+    def counted_mixed(self, g, h, s):
+        depth[0] += 1
+        try:
+            return mixed(self, g, h, s)
+        finally:
+            depth[0] -= 1
+
+    for M, N in itertools.product(catalogue(p), repeat=2):
+        product = RelativeTensorProduct(M, N)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(KarEnvelope, "simple", counted_simple)
+            m.setattr(RelativeTensorProduct, "mixed_associator", counted_mixed)
+            product.decompose()
+        full = [orbit[0] for orbit in product.orbits() if len(orbit) == 1]
+        assert [c for c, inside in calls if not inside] == full, (str(M.label), str(N.label))
+        assert {c for c, _ in calls} <= set(full)
+        total += len(full)
+    assert total > 0
+
+
 def test_corrupted_step_tables_are_classification_errors():
     p = 3
     product = rtp(p, "T", "T")
@@ -492,5 +533,6 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
         label=None,
     )
     assert validate(M) != []
-    with pytest.raises(ClassificationError, match="End dimension"):
+    message = "acting on the left changes the End dimension of (0)(*)"
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         analyze(M, F0)

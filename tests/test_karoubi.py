@@ -1,12 +1,13 @@
 import dataclasses
 import gc
 import itertools
+import re
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from bpring.bimodules import label_parse, catalogue_entry, validate
+from bpring.bimodules import catalogue, catalogue_entry, label_parse, validate
 from bpring.cyclotomic import CyclotomicScalar, root_of_unity
 from bpring.karoubi import KarEnvelope, KarObject, UnsupportedEndAlgebra, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
@@ -14,6 +15,7 @@ from kar_oracle import (
     basic,
     hom_rungs,
     is_isomorphic,
+    isomorphism_classes,
     kar_hom_basis,
     ladder_sum,
     primitive_idempotents,
@@ -240,6 +242,29 @@ def test_reduce_to_basis_drops_dependent_vectors():
     assert len(basis) == 2
 
 
+def test_simples_built_on_demand_match_isomorphism_search():
+    # simple(c) builds class c from the walk's integer lists; its class, its
+    # character index and its representative must be those of the c-th class
+    # that the isomorphism search finds, and simples must list the same.
+    cases = [pair for p in (2, 3) for pair in itertools.product(catalogue(p), repeat=2)]
+    cases += [(catalogue_entry(5, label_parse(a)), catalogue_entry(5, label_parse(b)))
+              for a, b in [("R", "L"), ("T", "T"), ("F2", "F3")]]
+    for M, N in cases:
+        env = KarEnvelope(LadderCategory(M, N))
+        built = [env.simple(c) for c in range(env.simple_count)]
+        assert built == env.simples
+        classes = isomorphism_classes(env.lad)
+        assert len(classes) == env.simple_count, (M.label, N.label)
+        for c, (s, members) in enumerate(zip(built, classes)):
+            k, rep = members[0]
+            assert (s.class_index, s.char_index, s.representative) == (c, k, rep), (M.label, N.label, c)
+            assert env.base_at(c) == env.lad.object_index(rep.obj)
+        with pytest.raises(IndexError):
+            env.simple(env.simple_count)
+        with pytest.raises(IndexError):
+            env.simple(-1)
+
+
 def test_rung_action_not_a_zp_action_is_unsupported():
     # Hand-built data that fails validate: at p=5 the left action of N fixes
     # its simple 0 for g in {0, s} only, so the object (*, 0) of Lad(F0, N)
@@ -247,6 +272,10 @@ def test_rung_action_not_a_zp_action_is_unsupported():
     # with s=2 it moves it.
     p = 5
     F0 = catalogue_entry(p, label_parse("F0"))
+    messages = {
+        1: "rung 1 fixes (*)(0) but not every rung does, at p=5",
+        2: "the rung orbit of (*)(0) is not a Z_p orbit at p=5",
+    }
     for s in (1, 2):
         N = dataclasses.replace(
             F0,
@@ -259,7 +288,7 @@ def test_rung_action_not_a_zp_action_is_unsupported():
         assert validate(N) != []
         lad = LadderCategory(F0, N)
         assert hom_rungs(lad, LadderObject("*", 0), LadderObject("*", 0)) == [0, s]
-        with pytest.raises(UnsupportedEndAlgebra):
+        with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(messages[s])}$"):
             KarEnvelope(lad)
 
 

@@ -55,6 +55,13 @@ def test_rung_arrays_match_rung_targets():
                     assert objs[lad.rung_n[b][n] * width + lad.rung_m[b][m]] == rung_target(lad, obj, b)
 
 
+def test_object_at_inverts_object_index():
+    for p in (2, 3):
+        for M, N in itertools.product(catalogue(p), repeat=2):
+            lad = LadderCategory(M, N)
+            assert [lad.object_at(i) for i in range(lad.object_count)] == lad.objects()
+
+
 def test_hom_rungs_match_brute_force():
     p = 3
     cat = catalogue(p)
