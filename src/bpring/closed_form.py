@@ -13,6 +13,8 @@ from .bimodules import BimoduleLabel, Decomposition
 from .cyclotomic import require_prime
 from .ring import RingTable
 
+T, L, R, F0 = BimoduleLabel("T"), BimoduleLabel("L"), BimoduleLabel("R"), BimoduleLabel("F", 0)
+
 
 def closed_form_product(p: int, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
     """The multiplication law written out by hand, independent of the engine.
@@ -21,7 +23,6 @@ def closed_form_product(p: int, a: BimoduleLabel, b: BimoduleLabel) -> Decomposi
     """
     require_prime(p)
     inv = lambda x: pow(x, p - 2, p)
-    T, L, R, F0 = BimoduleLabel("T"), BimoduleLabel("L"), BimoduleLabel("R"), BimoduleLabel("F", 0)
 
     def F(q):
         q = q % p
@@ -72,7 +73,6 @@ def closed_form_product(p: int, a: BimoduleLabel, b: BimoduleLabel) -> Decomposi
 
 
 def _row_T(p, b):
-    T, R = BimoduleLabel("T"), BimoduleLabel("R")
     one = Decomposition.single
     if b.kind == "T":
         return one(T, p)
@@ -88,7 +88,6 @@ def _row_T(p, b):
 
 
 def _row_L(p, b):
-    L, F0 = BimoduleLabel("L"), BimoduleLabel("F", 0)
     one = Decomposition.single
     if b.kind == "T":
         return one(L, p)
@@ -104,7 +103,6 @@ def _row_L(p, b):
 
 
 def _row_R(p, b):
-    T, R = BimoduleLabel("T"), BimoduleLabel("R")
     one = Decomposition.single
     if b.kind == "T":
         return one(T)
@@ -120,7 +118,6 @@ def _row_R(p, b):
 
 
 def _row_F0(p, b):
-    L, F0 = BimoduleLabel("L"), BimoduleLabel("F", 0)
     one = Decomposition.single
     if b.kind == "T":
         return one(L)

@@ -8,13 +8,19 @@ reads a table: diff_tables, check_axioms, units_group (the dihedral group of
 invertible labels), serialize and parse_json.  It imports no route, so the
 routes can share it and stay independent; tests/test_import_graph.py checks
 this.
+
+The readers work on cell indices, and in one call each distinct cell (a row
+of constants) is worked on once: check_axioms builds (a.b).c once per
+distinct cell a.b, and serialize(table, "json") writes the JSON text of each
+distinct cell once.  These per-call tables are dropped when the call returns,
+so an in-place edit of constants is seen by the next call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import itemgetter
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels
@@ -51,10 +57,11 @@ class RingTable:
         return Decomposition(tuple(zip(compress(self.basis, row), mults)))
 
     def set_product(self, a: BimoduleLabel, b: BimoduleLabel, dec: Decomposition) -> None:
+        index = self._index
         row = [0] * len(self.basis)
         for label, mult in dec.summands:
-            row[self.index(label)] = mult
-        self.constants[self.index(a)][self.index(b)] = row
+            row[index[label]] = mult
+        self.constants[index[a]][index[b]] = row
 
     @classmethod
     def empty(cls, p: int) -> "RingTable":
@@ -104,39 +111,42 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
 
     associativity_ok = True
     if check_associativity:
-        # Each cell is its nonzero (index, mult) pairs, interned so that equal
-        # cells are one object.  For each (i, j), (a.b).c and a.(b.c) are
-        # built as whole rows over k and compared in one step; k and q are
-        # walked only when the rows differ.
+        # Each cell is its nonzero (index, mult) pairs, one object per distinct
+        # row.  For each (i, j), (a.b).c and a.(b.c) are built as whole rows
+        # over k and compared in one step; k and q are walked only when the
+        # rows differ.  (a.b).c is built once per distinct cell a.b.
         cols = range(len(table.basis))
-        interned: dict = {}
-        nz = [
-            tuple(
-                interned.setdefault(cell, cell)
-                for cell in (tuple(zip(compress(cols, row), compress(row, row))) for row in rows)
-            )
-            for rows in table.constants
-        ]
-        # a row j of single labels with multiplicity 1 sends a.(b.c) to a
-        # permutation of row i
-        permuted = [
-            itemgetter(*(cell[0][0] for cell in nz_j))
-            if all(len(cell) == 1 and cell[0][1] == 1 for cell in nz_j)
-            else None
-            for nz_j in nz
-        ]
+        keys = [list(map(tuple, rows)) for rows in table.constants]
+        cell_of = {
+            key: tuple(zip(compress(cols, key), compress(key, key)))
+            for key in set(chain.from_iterable(keys))
+        }
+        nz = [tuple(map(cell_of.__getitem__, row_keys)) for row_keys in keys]
+        # a.(b.c) reads each single cell f of row j with multiplicity 1 as
+        # cell f of row i, and sums the other cells of row j
+        gather, rest = [], []
+        for nz_j in nz:
+            single = [cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else None for cell in nz_j]
+            gather.append(itemgetter(*(0 if f is None else f for f in single)))
+            rest.append([(k, cell) for k, (f, cell) in enumerate(zip(single, nz_j)) if f is None])
+        lhs_of: dict = {}
         for i in cols:
             nz_i = nz[i]
             for j in cols:
-                ij, nz_j = nz_i[j], nz[j]
-                if len(ij) == 1 and ij[0][1] == 1:
-                    lhs = nz[ij[0][0]]
-                else:
-                    lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
-                if permuted[j] is not None:
-                    rhs = permuted[j](nz_i)
-                else:
-                    rhs = tuple(_sparse_sum([(m, nz_i[f]) for f, m in nz_j[k]]) for k in cols)
+                ij = nz_i[j]
+                lhs = lhs_of.get(ij)
+                if lhs is None:
+                    if len(ij) == 1 and ij[0][1] == 1:
+                        lhs = nz[ij[0][0]]
+                    else:
+                        lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
+                    lhs_of[ij] = lhs
+                rhs = gather[j](nz_i)
+                if rest[j]:
+                    rhs = list(rhs)
+                    for k, jk in rest[j]:
+                        rhs[k] = _sparse_sum([(m, nz_i[f]) for f, m in jk])
+                    rhs = tuple(rhs)
                 if lhs == rhs:
                     continue
                 associativity_ok = False
@@ -184,37 +194,40 @@ class UnitsGroup:
 def units_group(table: RingTable) -> UnitsGroup:
     """Invertible labels with their product table and the dihedral relations."""
     p = table.p
-    unit = BimoduleLabel("X", 1)
-    N = table.constants
-    cols = range(len(table.basis))
-    one = [0] * len(table.basis)  # the cell X1
-    one[table.index(unit)] = 1
-    units = [
-        a for i, a in enumerate(table.basis)
-        if any(N[i][j] == one and N[j][i] == one for j in cols)
-    ]
-    mul = {}
-    for a in units:
-        rows = N[table.index(a)]
-        for b in units:
-            row = rows[table.index(b)]
+    basis, N = table.basis, table.constants
+    cols = range(len(basis))
+    e = table.index(BimoduleLabel("X", 1))
+    one = [0] * len(basis)  # the cell X1
+    one[e] = 1
+    units = [i for i in cols if any(N[i][j] == one and N[j][i] == one for j in cols)]
+    mul = {}  # (i, j) -> the index of the unit a_i x a_j
+    for i in units:
+        rows = N[i]
+        for j in units:
+            row = rows[j]
             if row.count(0) != len(row) - 1 or 1 not in row:
-                raise TableError(f"unit product {a} x {b} is not a single label")
-            mul[(a, b)] = table.basis[row.index(1)]
+                raise TableError(f"unit product {basis[i]} x {basis[j]} is not a single label")
+            mul[(i, j)] = row.index(1)
 
-    xs = [u for u in units if u.kind == "X"]
-    cyclic_ok = len(xs) == p - 1 and all(
-        mul[(BimoduleLabel("X", k), BimoduleLabel("X", l))] == BimoduleLabel("X", (k * l) % p)
-        for k in range(1, p)
-        for l in range(1, p)
+    x = {basis[i].index: i for i in units if basis[i].kind == "X"}  # k -> the unit X_k
+    cyclic_ok = len(x) == p - 1 and all(
+        mul[(x[k], x[l])] == x[k * l % p] for k in range(1, p) for l in range(1, p)
     )
-    f1 = BimoduleLabel("F", 1)
-    involution_ok = f1 in units and mul[(f1, f1)] == unit
+    f1 = table._index.get(BimoduleLabel("F", 1))
+    involution_ok = f1 in units and mul[(f1, f1)] == e
+
+    def conjugate(i):  # F1 x a_i x F1
+        u = mul[(f1, i)]
+        if (u, f1) not in mul:  # F1 x a_i is no unit: the label table has no cell for it
+            raise KeyError((basis[u], basis[f1]))
+        return mul[(u, f1)]
+
     conjugation_ok = f1 in units and all(
-        mul[(mul[(f1, x)], f1)] == BimoduleLabel("X", pow(x.index, p - 2, p))
-        for x in xs
+        conjugate(i) == x.get(pow(k, p - 2, p)) for k, i in x.items()
     )
-    return UnitsGroup(tuple(units), len(units), mul, cyclic_ok, involution_ok, conjugation_ok)
+    labels = tuple(basis[i] for i in units)
+    by_label = {(basis[i], basis[j]): basis[k] for (i, j), k in mul.items()}
+    return UnitsGroup(labels, len(labels), by_label, cyclic_ok, involution_ok, conjugation_ok)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -228,24 +241,43 @@ def _units_json(table: RingTable) -> dict:
     }
 
 
+def _products_json(table: RingTable) -> str:
+    """The "products" value of serialize(table, "json"), as json.dumps(indent=2) lays it out.
+
+    Each distinct row gets its JSON text once per call; the cells that hold
+    an equal row reuse it.
+    """
+    names = [str(b) for b in table.basis]
+    texts: dict = {}
+    lines = []
+    for a, rows in zip(names, table.constants):
+        for b, row in zip(names, rows):
+            key = tuple(row)
+            text = texts.get(key)
+            if text is None:
+                mults = tuple(compress(row, row))
+                if min(mults, default=0) < 0:
+                    raise ValueError("multiplicities must be positive")
+                cell = [{"label": name, "mult": mult} for name, mult in zip(compress(names, row), mults)]
+                # a cell sits two levels deep in the payload
+                text = texts[key] = json.dumps(cell, indent=2).replace("\n", "\n    ")
+            lines.append(f'    "{a},{b}": {text}')
+    return "{\n" + ",\n".join(lines) + "\n  }"
+
+
 def serialize(table: RingTable, format: str = "json") -> str:
     if format == "json":
         report = check_axioms(table)
+        products = _products_json(table)
         payload = {
             "p": table.p,
             "basis": [str(b) for b in table.basis],
-            "products": {
-                f"{a},{b}": [
-                    {"label": str(label), "mult": mult}
-                    for label, mult in table.product(a, b).summands
-                ]
-                for a in table.basis
-                for b in table.basis
-            },
+            "products": None,
             "units": _units_json(table),
             "checks": {"unit": report.unit_ok, "associativity": report.associativity_ok},
         }
-        return json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2).replace('"products": null', '"products": ' + products, 1)
+        return text + "\n"
     if format == "markdown" or format == "md":
         names = [str(b) for b in table.basis]
         width = max(4, max(len(str(table.product(a, b))) for a in table.basis for b in table.basis))
@@ -269,29 +301,50 @@ def serialize(table: RingTable, format: str = "json") -> str:
 def parse_json(text: str) -> RingTable:
     """The table that serialize(table, "json") wrote.
 
-    A missing cell, a cell outside the basis, a summand label outside it or a
-    multiplicity below 1 raises ValueError naming it.
+    A missing key or cell, a cell outside the basis, a summand label outside
+    it, a p or multiplicity that is not an integer, or a multiplicity below 1
+    raises ValueError naming it.
     """
     payload = json.loads(text)
-    table = RingTable.empty(payload["p"])
+    if not isinstance(payload, dict):
+        raise ValueError("the JSON text is not an object")
+    for key in ("p", "basis", "products"):
+        if key not in payload:
+            raise ValueError(f"the JSON object has no key {key!r}")
+    p = payload["p"]
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
+    table = RingTable.empty(p)
     names = [str(b) for b in table.basis]
     if names != payload["basis"]:
         raise ValueError("basis in JSON does not match the canonical basis order")
     position = {name: i for i, name in enumerate(names)}
     products = payload["products"]
+    if not isinstance(products, dict):
+        raise ValueError("products is not an object")
     for a, rows in zip(names, table.constants):
         for b, row in zip(names, rows):
             key = f"{a},{b}"
             summands = products.get(key)
             if summands is None:
                 raise ValueError(f"products has no cell {key!r}")
+            if not isinstance(summands, list):
+                raise ValueError(f"products cell {key!r} is not a list")
             for s in summands:
-                i = position.get(s["label"])
+                try:
+                    label, mult = s["label"], s["mult"]
+                except (KeyError, TypeError):
+                    raise ValueError(
+                        f"products cell {key!r} has a summand {s!r} without a 'label' and a 'mult'"
+                    ) from None
+                i = position.get(label) if isinstance(label, str) else None
                 if i is None:
-                    raise ValueError(f"products cell {key!r} names {s['label']!r}, which is not in the basis")
-                if s["mult"] < 1:
-                    raise ValueError(f"products cell {key!r} has multiplicity {s['mult']!r}, below 1")
-                row[i] += s["mult"]
+                    raise ValueError(f"products cell {key!r} names {label!r}, which is not in the basis")
+                if type(mult) is not int:
+                    raise ValueError(f"products cell {key!r} has multiplicity {mult!r}, which is not an integer")
+                if mult < 1:
+                    raise ValueError(f"products cell {key!r} has multiplicity {mult!r}, below 1")
+                row[i] += mult
     if len(products) != len(names) ** 2:
         extra = sorted(set(products) - {f"{a},{b}" for a in names for b in names})
         raise ValueError(f"products has cells outside the basis: {', '.join(map(repr, extra))}")

@@ -9,10 +9,15 @@ functions here are the plain loops, and must give the same results:
 - `scan_units_group` finds the units by scanning all n^2 pairs for a and b
   with a x b = b x a = X1, two `product` calls each.
 - `product_diff_tables` compares the two tables' `product` on every cell.
+- `plain_serialize_json` builds the whole payload, one `product` per cell,
+  and hands it to `json.dumps(indent=2)`.  `serialize(table, "json")` must
+  give the same bytes, and raise the same way where this does.
 """
 
+import json
+
 from bpring.bimodules import BimoduleLabel, Decomposition
-from bpring.ring import AxiomReport, RingTable, TableError, UnitsGroup
+from bpring.ring import AxiomReport, RingTable, TableError, UnitsGroup, check_axioms
 
 
 def dense_check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomReport:
@@ -93,3 +98,29 @@ def product_diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
             if d1 != d2:
                 out.append(f"{a} x {b}: {d1} != {d2}")
     return out
+
+
+def plain_serialize_json(table: RingTable) -> str:
+    # check_axioms rather than dense_check_axioms, which is O(n^5) at n = 36
+    # for p=17; the tests check the two against each other
+    report = check_axioms(table)
+    products = {
+        f"{a},{b}": [
+            {"label": str(label), "mult": mult} for label, mult in table.product(a, b).summands
+        ]
+        for a in table.basis
+        for b in table.basis
+    }
+    units = scan_units_group(table)
+    payload = {
+        "p": table.p,
+        "basis": [str(b) for b in table.basis],
+        "products": products,
+        "units": {
+            "order": units.order,
+            "labels": [str(u) for u in units.labels],
+            "dihedral": units.is_dihedral(),
+        },
+        "checks": {"unit": report.unit_ok, "associativity": report.associativity_ok},
+    }
+    return json.dumps(payload, indent=2) + "\n"

@@ -23,7 +23,12 @@ from bpring.ring import (
     serialize,
     units_group,
 )
-from ring_oracle import dense_check_axioms, product_diff_tables, scan_units_group
+from ring_oracle import (
+    dense_check_axioms,
+    plain_serialize_json,
+    product_diff_tables,
+    scan_units_group,
+)
 
 
 def lab(text):
@@ -272,6 +277,27 @@ def test_parse_json_rejects_labels_outside_the_basis():
     keyed["products"]["F9,T"] = [{"label": "T", "mult": 1}]
     with pytest.raises(ValueError, match="outside the basis: 'F9,T'"):
         parse_json(json.dumps(keyed))
+    # values of the wrong type or shape: each raises ValueError naming its cell or key
+    for edit, message in [
+        (lambda d: d["products"]["T,T"][0].update(mult=2.5), "'T,T' has multiplicity 2.5, which is not an integer"),
+        (lambda d: d["products"]["T,T"][0].update(mult=True), "'T,T' has multiplicity True, which is not an integer"),
+        (lambda d: d["products"]["T,T"][0].update(mult="3"), "'T,T' has multiplicity '3', which is not an integer"),
+        (lambda d: d.update(p="p"), "p must be an integer, got 'p'"),
+        (lambda d: d.update(p=3.0), "p must be an integer, got 3.0"),
+        (lambda d: d["products"]["T,R"][0].pop("label"), "'T,R' has a summand {'mult': 3} without a 'label' and a 'mult'"),
+        (lambda d: d["products"]["T,R"][0].pop("mult"), "'T,R' has a summand {'label': 'R'} without a 'label' and a 'mult'"),
+        (lambda d: d["products"]["T,R"].append("R"), "'T,R' has a summand 'R' without a 'label' and a 'mult'"),
+        (lambda d: d["products"]["T,R"][0].update(label=["R"]), "'T,R' names ['R'], which is not in the basis"),
+        (lambda d: d["products"].update({"L,L": {"label": "L", "mult": 1}}), "cell 'L,L' is not a list"),
+        (lambda d: d.pop("products"), "no key 'products'"),
+        (lambda d: d.update(products=[]), "products is not an object"),
+    ]:
+        bad = copy.deepcopy(payload)
+        edit(bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_json(json.dumps(bad))
+    with pytest.raises(ValueError, match="not an object"):
+        parse_json("[]")
 
 
 def test_parse_json_rejects_a_missing_cell():
@@ -279,6 +305,44 @@ def test_parse_json_rejects_a_missing_cell():
     del payload["products"]["T,L"]
     with pytest.raises(ValueError, match="no cell 'T,L'"):
         parse_json(json.dumps(payload))
+
+
+def _json_outcome(fn, t):
+    try:
+        return fn(t)
+    except (TableError, KeyError, ValueError) as exc:
+        return type(exc), exc.args
+
+
+def test_serialize_json_matches_plain_encoder():
+    tables = [closed_form_table(p) for p in (7, 11, 13, 17)] + [table(7)]
+    tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7) for seed in range(20)]
+    tables += [t for p in (2, 3, 5) for t in _unit_breaks(p)]
+    raised = 0
+    for t in tables:
+        got = _json_outcome(lambda t: serialize(t, "json"), t)
+        assert got == _json_outcome(plain_serialize_json, t), t.p
+        raised += isinstance(got, tuple)
+    # the unit breaks reach the raising path too
+    assert raised >= 20
+
+
+def test_readers_see_in_place_edits():
+    t = closed_form_table(5)
+    x1, x2, x4 = t.index(lab("X1")), t.index(lab("X2")), t.index(lab("X4"))
+    row = t.constants[x2][x2]  # X2 x X2 = X4
+    assert check_axioms(t).ok() and units_group(t).is_dihedral()
+    text = serialize(t, "json")
+    row[x4], row[x1] = 0, 1  # X2 x X2 = X1 now, in the same row object
+    assert not check_axioms(t).associativity_ok
+    units = units_group(t)
+    assert units.table[(lab("X2"), lab("X2"))] == lab("X1") and not units.is_dihedral()
+    edited = serialize(t, "json")
+    assert edited != text and edited == plain_serialize_json(t)
+    assert '"dihedral": false' in edited and '"associativity": false' in edited
+    row[x4], row[x1] = 1, 0
+    assert check_axioms(t).ok() and units_group(t).is_dihedral()
+    assert serialize(t, "json") == text
 
 
 GOLDEN = Path(__file__).parent / "golden"
