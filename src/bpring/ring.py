@@ -10,10 +10,10 @@ routes can share it and stay independent; tests/test_import_graph.py checks
 this.
 
 The readers work on cell indices, and in one call each distinct cell (a row
-of constants) is worked on once: check_axioms builds (a.b).c once per
-distinct cell a.b, and serialize(table, "json") writes the JSON text of each
-distinct cell once.  These per-call tables are dropped when the call returns,
-so an in-place edit of constants is seen by the next call.
+of constants) is worked on once: check_axioms turns it into its sparse
+(index, mult) pairs once, and serialize(table, "json") writes its JSON text
+once.  These per-call tables are dropped when the call returns, so an
+in-place edit of constants is seen by the next call.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
         # Each cell is its nonzero (index, mult) pairs, one object per distinct
         # row.  For each (i, j), (a.b).c and a.(b.c) are built as whole rows
         # over k and compared in one step; k and q are walked only when the
-        # rows differ.  (a.b).c is built once per distinct cell a.b.
+        # rows differ.
         cols = range(len(table.basis))
         keys = [list(map(tuple, rows)) for rows in table.constants]
         cell_of = {
@@ -129,18 +129,14 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
             single = [cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else None for cell in nz_j]
             gather.append(itemgetter(*(0 if f is None else f for f in single)))
             rest.append([(k, cell) for k, (f, cell) in enumerate(zip(single, nz_j)) if f is None])
-        lhs_of: dict = {}
         for i in cols:
             nz_i = nz[i]
             for j in cols:
                 ij = nz_i[j]
-                lhs = lhs_of.get(ij)
-                if lhs is None:
-                    if len(ij) == 1 and ij[0][1] == 1:
-                        lhs = nz[ij[0][0]]
-                    else:
-                        lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
-                    lhs_of[ij] = lhs
+                if len(ij) == 1 and ij[0][1] == 1:
+                    lhs = nz[ij[0][0]]
+                else:
+                    lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
                 rhs = gather[j](nz_i)
                 if rest[j]:
                     rhs = list(rhs)
@@ -223,7 +219,7 @@ def units_group(table: RingTable) -> UnitsGroup:
         return mul[(u, f1)]
 
     conjugation_ok = f1 in units and all(
-        conjugate(i) == x.get(pow(k, p - 2, p)) for k, i in x.items()
+        conjugate(i) == table.index(BimoduleLabel("X", pow(k, p - 2, p))) for k, i in x.items()
     )
     labels = tuple(basis[i] for i in units)
     by_label = {(basis[i], basis[j]): basis[k] for (i, j), k in mul.items()}
@@ -314,17 +310,28 @@ def parse_json(text: str) -> RingTable:
     p = payload["p"]
     if type(p) is not int:
         raise ValueError(f"p must be an integer, got {p!r}")
-    table = RingTable.empty(p)
-    names = [str(b) for b in table.basis]
-    if names != payload["basis"]:
+    # the basis is checked against the text before any table is built, and
+    # the rows are built as their cells are read, so a short text with a
+    # large p fails without building (2p+2)^3 entries
+    given = payload["basis"]
+    if not isinstance(given, list) or len(given) != 2 * p + 2:
+        raise ValueError("basis in JSON does not match the canonical basis order")
+    basis = tuple(all_labels(p))
+    names = [str(b) for b in basis]
+    if names != given:
         raise ValueError("basis in JSON does not match the canonical basis order")
     position = {name: i for i, name in enumerate(names)}
     products = payload["products"]
     if not isinstance(products, dict):
         raise ValueError("products is not an object")
-    for a, rows in zip(names, table.constants):
-        for b, row in zip(names, rows):
+    constants = []
+    for a in names:
+        rows = []
+        constants.append(rows)
+        for b in names:
             key = f"{a},{b}"
+            row = [0] * len(names)
+            rows.append(row)
             summands = products.get(key)
             if summands is None:
                 raise ValueError(f"products has no cell {key!r}")
@@ -348,4 +355,4 @@ def parse_json(text: str) -> RingTable:
     if len(products) != len(names) ** 2:
         extra = sorted(set(products) - {f"{a},{b}" for a in names for b in names})
         raise ValueError(f"products has cells outside the basis: {', '.join(map(repr, extra))}")
-    return table
+    return RingTable(p, basis, constants)

@@ -168,6 +168,21 @@ def _unit_breaks(p):
                 yield t
 
 
+def _inverse_not_a_unit():
+    """closed_form_table(5) where X2 x X2 = X1 and X3 x X2 = X2 x X3 = X3.
+
+    X2 stays a unit with itself as inverse, X3 is no unit, and F1 x X2 x F1
+    is still X3 = X_{2^-1}: the conjugation relation holds for X2 although
+    the label it gives is no unit."""
+    t = closed_form_table(5)
+    x1, x2, x3 = (t.index(lab(s)) for s in ("X1", "X2", "X3"))
+    n = len(t.basis)
+    t.constants[x2][x2] = [int(q == x1) for q in range(n)]
+    t.constants[x2][x3] = [int(q == x3) for q in range(n)]
+    t.constants[x3][x2] = [int(q == x3) for q in range(n)]
+    return t
+
+
 def _units_outcome(fn, t):
     try:
         return vars(fn(t))
@@ -179,6 +194,7 @@ def test_row_readers_match_product_oracles():
     tables = [closed_form_table(p) for p in (2, 3, 5, 7, 11)]
     tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7) for seed in range(20)]
     tables += [t for p in (2, 3, 5) for t in _unit_breaks(p)]
+    tables.append(_inverse_not_a_unit())
     raised = fewer_units = 0
     for t in tables:
         got = _units_outcome(units_group, t)
@@ -194,6 +210,8 @@ def test_row_readers_match_product_oracles():
                 assert t.product(a, b).summands == want.summands
     # the perturbations reach both the unit scan and the unit table
     assert raised >= 20 and fewer_units >= 20
+    odd = units_group(_inverse_not_a_unit())
+    assert lab("X3") not in odd.labels and odd.conjugation_ok and not odd.cyclic_part_ok
     two, three = closed_form_table(2), closed_form_table(3)
     assert diff_tables(two, three) == product_diff_tables(two, three) != []
 
@@ -298,6 +316,13 @@ def test_parse_json_rejects_labels_outside_the_basis():
             parse_json(json.dumps(bad))
     with pytest.raises(ValueError, match="not an object"):
         parse_json("[]")
+    # a large p is refused from the text alone, before a (2p+2)^3 table is built
+    with pytest.raises(ValueError, match="basis in JSON does not match"):
+        parse_json(json.dumps({"p": 101, "basis": [], "products": {}}))
+    big_basis = [str(b) for b in RingTable.empty(2).basis[:4]] + [f"X{k}" for k in range(1, 101)]
+    big_basis += [f"F{k}" for k in range(1, 101)]
+    with pytest.raises(ValueError, match="no cell 'T,L'"):
+        parse_json(json.dumps({"p": 101, "basis": big_basis, "products": {"T,T": []}}))
 
 
 def test_parse_json_rejects_a_missing_cell():
