@@ -13,6 +13,11 @@ nonzero numerator at index k < p-1, or p-1 equal numerators (c*zeta^(p-1) =
 c^-1 * zeta^-k.  Every other value goes through the norm: the product of its
 nontrivial Galois conjugates divided by the rational norm.
 
+Multiplying by a root of unity zeta^k is a rotation (rotate): the numerators
+shift cyclically by k and one subtraction makes them canonical again, with
+no product and no gcd.  The outer actions of the fusion engine multiply
+every rung coefficient this way.
+
 Ladder composition is a product in the group algebra Q(zeta_p)[Z_p], whose
 elements are maps rung -> scalar (group_algebra_product).  It runs on the
 numerators alone: every coefficient is brought to one denominator per
@@ -160,6 +165,31 @@ class CyclotomicScalar:
                         k -= p
                     raw[k] += a * b
         return _make(p, raw, self._den * other._den)
+
+    def rotate(self, k: int) -> "CyclotomicScalar":
+        """self * zeta^k, by a cyclic shift of the numerators.
+
+        Multiplying by zeta^k moves the numerator at index i to i + k mod p;
+        the shifted tuple is then made canonical by subtracting its new top
+        numerator t from every entry.  The denominator stays, and so do the
+        lowest terms: the old top numerator 0 becomes the entry -t, so a
+        common factor of the denominator and the new numerators divides t and
+        hence every old numerator, which share none with the denominator.
+        No multiplication and no gcd is needed.
+        """
+        p = self.p
+        k %= p
+        if not k:
+            return self
+        num = self._num[p - k:] + self._num[:p - k]
+        top = num[-1]
+        if top:
+            num = tuple(a - top for a in num)
+        x = object.__new__(CyclotomicScalar)
+        x.p = p
+        x._num = num
+        x._den = self._den
+        return x
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

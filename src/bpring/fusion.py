@@ -5,9 +5,11 @@ the left shifts the M leg of every object by M.left[g] and multiplies the
 rung-b slot of a morphism by zeta^M.mixed[g][i][b], i the index of its
 target's M leg; acting by h on the right shifts the N leg by N.right[h] and
 multiplies by zeta^N.mixed[b][j][h], j the index of its source's N leg.
-Applying a functor to a Kar simple and re-anchoring to the canonical class
-representative yields the action on simples together with an absorbing
-witness morphism (outer_action).
+Each such multiplication is a rotation of the scalar's numerators
+(CyclotomicScalar.rotate), with no product.  Applying a functor to a Kar
+simple and re-anchoring to the canonical class representative yields the
+action on simples together with an absorbing witness morphism
+(outer_action).
 
 The orbits only need where each simple goes under the generators, and that
 is read on class indices, with no witness and no simple built.  Acting by 1
@@ -25,14 +27,16 @@ shifts are two rows of the entries' action tables, shift_m = M.left[1] on the
 M leg and shift_n = N.right[1] on the N leg, like the rung rows of
 LadderCategory; e depends only on the leg simple on that side and the End
 dimension, so it is read and checked once per such pair.  A simple is built
-only where a witness needs one: for mixed_associator, and for the orbit
-representatives that analyze reports.
+only where a witness needs one: the orbit representative handed to
+mixed_associator, and those that analyze reports.
 
 The two step permutations must commute on every simple; this is checked
 once per product, before the orbits are read, and a failure is a
-ClassificationError.  Each step is the action of the generator 1 of Z_p,
-so commuting steps are an action of Z_p x Z_p: an orbit has size 1, p or
-p^2 and its stabilizer has order p^2 / size:
+ClassificationError.  The orbit of a simple is then the union of the rstep
+cycles through the points of its lstep cycle, walked over one bytearray.
+Each step is the action of the generator 1 of Z_p, so commuting steps are
+an action of Z_p x Z_p: an orbit has size 1, p or p^2 and its stabilizer
+has order p^2 / size:
 size p^2 gives the trivial subgroup, size 1 the full group, and size p a
 line, found among the p+1 canonical generators by walking the steps, O(p)
 per orbit.  Any other size, or a size-p orbit whose representative is fixed
@@ -40,7 +44,12 @@ by no line or by more than one, is a ClassificationError.
 
 The mixed associator of the product at (g, h) is the scalar ratio of the two
 witness paths (left-g then right-h) / (right-h then left-g), both of which are
-morphisms in the same one-dimensional absorbed Hom space.  On an orbit fixed
+morphisms in the same one-dimensional absorbed Hom space.  Each path acts,
+re-anchors through a connector (KarEnvelope.locate, which returns the
+landing class as an index), acts on that class's representative, re-anchors
+again, and is composed with one lad.compose; the two landing classes are
+compared as integers, and the ratio is read by proportionality and
+phase_exponent.  No simple is built on the way.  On an orbit fixed
 by both actions the connector gauges cancel in this ratio, so the extracted
 exponent is canonical; the calibration is fixed so that the product of the
 one-object bimodule with cocycle q and the invertible X_l comes out with
@@ -76,7 +85,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue, format_simple
-from .cyclotomic import CyclotomicScalar, phase_exponent, require_prime, root_of_unity
+from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
 from .karoubi import KarEnvelope, KarObject, KarSimple, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
@@ -113,12 +122,6 @@ class ProductAnalysis:
     simple_count: int
     orbits: tuple[OrbitInfo, ...]
     decomposition: Decomposition
-
-
-@lru_cache(maxsize=None)
-def _roots(p: int) -> tuple[CyclotomicScalar, ...]:
-    """zeta^e for every exponent e in 0..p-1."""
-    return tuple(root_of_unity(p, e) for e in range(p))
 
 
 @lru_cache(maxsize=None)
@@ -160,14 +163,14 @@ class RelativeTensorProduct:
 
     def act_left(self, g: int, f: LadderMorphism) -> LadderMorphism:
         p, M = self.p, self.M
-        row, roots = M.mixed[g % p][M.index[f.target.m]], _roots(p)
-        coeffs = {b: c * roots[row[b]] for b, c in f.coeffs.items()}
+        row = M.mixed[g % p][M.index[f.target.m]]
+        coeffs = {b: c.rotate(row[b]) for b, c in f.coeffs.items()}
         return LadderMorphism(self.shift_left(g, f.source), self.shift_left(g, f.target), coeffs)
 
     def act_right(self, h: int, f: LadderMorphism) -> LadderMorphism:
         p, N = self.p, self.N
-        j, h, roots = N.index[f.source.n], h % p, _roots(p)
-        coeffs = {b: c * roots[N.mixed[b][j][h]] for b, c in f.coeffs.items()}
+        j, h = N.index[f.source.n], h % p
+        coeffs = {b: c.rotate(N.mixed[b][j][h]) for b, c in f.coeffs.items()}
         return LadderMorphism(self.shift_right(h, f.source), self.shift_right(h, f.target), coeffs)
 
     def _apply(self, side: str, g: int, kobj: KarObject) -> KarObject:
@@ -253,20 +256,16 @@ class RelativeTensorProduct:
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
         """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g)."""
         g, h = g % self.p, h % self.p
-        rep = simple.representative
+        env, rep = self.env, simple.representative
         # right h first, then left g
-        k1 = self._apply("right", h, rep)
-        s1, u1 = self.env.anchor(k1)
-        k2 = self._apply("left", g, s1.representative)
-        s2, u2 = self.env.anchor(k2)
+        c1, u1 = env.locate(self._apply("right", h, rep))
+        c2, u2 = env.locate(self._apply("left", g, env.representative(c1)))
         path_rl = self.lad.compose(self.act_left(g, u1), u2)
         # left g first, then right h
-        k1b = self._apply("left", g, rep)
-        s1b, u1b = self.env.anchor(k1b)
-        k2b = self._apply("right", h, s1b.representative)
-        s2b, u2b = self.env.anchor(k2b)
+        c1b, u1b = env.locate(self._apply("left", g, rep))
+        c2b, u2b = env.locate(self._apply("right", h, env.representative(c1b)))
         path_lr = self.lad.compose(self.act_right(h, u1b), u2b)
-        if s2.class_index != s2b.class_index or path_lr.source != path_rl.source:
+        if c2 != c2b or path_lr.source != path_rl.source:
             raise ClassificationError("the two witness paths do not land in one Hom space")
         ratio = proportionality(path_lr, path_rl)
         if ratio is None or ratio.is_zero():
@@ -284,21 +283,24 @@ class RelativeTensorProduct:
         bad = next((i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]]), None)
         if bad is not None:
             raise ClassificationError(f"the left and right actions do not commute on {self.env.simple(bad)}")
-        seen: set[int] = set()
+        # Commuting steps: the orbit of i is the union of the rstep cycles
+        # through the points of its lstep cycle.
+        seen = bytearray(len(lstep))
         out = []
-        for i in range(self.env.simple_count):
-            if i in seen:
+        for i in range(len(lstep)):
+            if seen[i]:
                 continue
-            orbit = {i}
-            frontier = [i]
-            while frontier:
-                x = frontier.pop()
-                for y in (lstep[x], rstep[x]):
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            out.append(sorted(orbit))
-            seen.update(orbit)
+            orbit = []
+            j = i
+            while not seen[j]:
+                k = j
+                while not seen[k]:
+                    seen[k] = 1
+                    orbit.append(k)
+                    k = rstep[k]
+                j = lstep[j]
+            orbit.sort()
+            out.append(orbit)
         return out
 
     def _stabilizer(self, i: int, size: int) -> Subgroup:
@@ -460,11 +462,12 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
         entries = _catalogue_by_label(p)
         for a, b in pairs:
             table.set_product(a, b, _pair_product(entries, a, b))
-    for a in table.basis:
-        for b in table.basis:
-            for mult in table.constants[table.index(a)][table.index(b)]:
+    basis = table.basis
+    for i, rows in enumerate(table.constants):
+        for j, row in enumerate(rows):
+            for mult in row:
                 if mult not in (0, 1, p):
                     raise ClassificationError(
-                        f"product {a} x {b} produced multiplicity {mult}, expected 0, 1 or {p}"
+                        f"product {basis[i]} x {basis[j]} produced multiplicity {mult}, expected 0, 1 or {p}"
                     )
     return table

@@ -27,13 +27,21 @@ base owns p consecutive classes, and class c of base i has character index
 c - class_at(i).  The walk builds no LadderObject, morphism or simple; the
 object is built only for an error message.
 
-Everything else is built when asked for: simple(c), the canonical
-representative of class c (its base, with the stored character projector on
-a fixed base or the identity on a free one, sharing the envelope's one
-scalar); the list simples of all of them; the primitive idempotents of an
-object; and the connectors to the representative, which are the basic rung
-ladders.  The table path reads only the integer lists, and builds a simple
-only for the witness associator.
+Everything else is built when asked for: representative(c), the base of
+class c with its idempotent (the stored character projector on a fixed base,
+the identity on a free one, sharing the envelope's one scalar); simple(c),
+which adds the class and character index; the list simples of all of them;
+the primitive idempotents of an object; and the connectors to the
+representative, which are the basic rung ladders.  The p character
+projectors of every fixed object share the coefficient dicts cached per
+prime, not copies of them: nothing mutates a morphism's coefficients.
+
+locate(kobj) checks that the idempotent of kobj is a stored primitive and
+returns its class index and the connector to the class representative; it
+reads the object index once and builds no simple.  anchor is locate followed
+by simple(c), for callers that want the simple itself.  The table path reads
+only the integer lists, and builds a simple only to hand a full-stabilizer
+orbit to the witness associator, which works on class indices.
 """
 
 from __future__ import annotations
@@ -74,27 +82,40 @@ def _projector_coeffs(p: int) -> tuple[dict, ...]:
     return tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
 
 
+def _endomorphism(obj: LadderObject, coeffs: dict) -> LadderMorphism:
+    """The endomorphism of obj with coeffs itself as its coefficient dict.
+
+    The constructor copies and filters; the projector dicts have no zero
+    coefficient, and nothing mutates a morphism's coeffs, so every fixed
+    object can share them.
+    """
+    f = object.__new__(LadderMorphism)
+    f.source = f.target = obj
+    f.coeffs = coeffs
+    return f
+
+
 def _primitives(lad: LadderCategory, obj: LadderObject, fixed: bool) -> list[LadderMorphism]:
     if not fixed:
         return [lad.identity(obj)]
-    return [LadderMorphism(obj, obj, coeffs) for coeffs in _projector_coeffs(lad.p)]
+    return [_endomorphism(obj, coeffs) for coeffs in _projector_coeffs(lad.p)]
 
 
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
-    """The scalar c with f == c*g, if one exists (g nonzero)."""
+    """The scalar c with f == c*g, if one exists (g nonzero).
+
+    c is read off one rung, with one inversion, and then checked on every rung.
+    """
     if g.is_zero():
         return None
     if f.is_zero():
         return CyclotomicScalar.zero(next(iter(g.coeffs.values())).p)
-    if set(f.coeffs) != set(g.coeffs):
+    if f.coeffs.keys() != g.coeffs.keys():
         return None
-    ratio = None
-    for b, gc in g.coeffs.items():
-        r = f.coeffs[b] * gc.inv()
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
+    b, gc = next(iter(g.coeffs.items()))
+    ratio = f.coeffs[b] * gc.inv()
+    if any(f.coeffs[b] != gc * ratio for b, gc in g.coeffs.items()):
+        return None
     return ratio
 
 
@@ -201,13 +222,17 @@ class KarEnvelope:
         return self._bases[c]
 
     def simple(self, c: int) -> KarSimple:
-        """The canonical representative of class c, built on each call."""
+        """The canonical simple of class c, built on each call."""
+        rep = self.representative(c)
+        return KarSimple(c, rep, c - self._class[self._bases[c]])
+
+    def representative(self, c: int) -> KarObject:
+        """The representative of class c: its base with the class's idempotent."""
         if not 0 <= c < len(self._bases):
             raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
         i = self._bases[c]
         obj = self.lad.object_at(i)
-        k = c - self._class[i]
-        return KarSimple(c, KarObject(obj, self._base_idempotent(obj, i, k)), k)
+        return KarObject(obj, self._base_idempotent(obj, i, c - self._class[i]))
 
     def _base_idempotent(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
         """The idempotent of character k on a base obj with object_index i.
@@ -238,25 +263,34 @@ class KarEnvelope:
         counts = {self.lad.p: fixed, 1: len(self._rung) - fixed}
         return {d: c for d, c in counts.items() if c}
 
-    def primitive_index(self, obj: LadderObject, idem: LadderMorphism) -> int:
-        """Character index k of idem among the primitives of obj.
+    def _primitive_index(self, obj: LadderObject, i: int, idem: LadderMorphism) -> int:
+        """Character index k of idem among the primitives of obj, whose object_index is i.
 
         On a fixed object, I_k has rung-1 over rung-0 coefficient zeta^k;
         idem must then equal the stored I_k.
         """
         k = 0
-        if self.end_dimension(obj) > 1:
+        if self._rung[i] == _FIXED:
             c0, c1 = idem.coeffs.get(0), idem.coeffs.get(1)
             k = None if c0 is None or c1 is None else phase_exponent(c1 * c0.inv())
         if k is None or self.prims[obj][k] != idem:
             raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
         return k
 
+    def locate(self, kobj: KarObject) -> tuple[int, LadderMorphism]:
+        """The class of kobj and the connecting map to its representative.
+
+        Reads the object index once and builds no simple.
+        """
+        obj = kobj.obj
+        i = self.lad.object_index(obj)
+        k = self._primitive_index(obj, i, kobj.idem)
+        return self._class[i] + k, self._connectors(obj, i, k)[0]
+
     def anchor(self, kobj: KarObject) -> tuple[KarSimple, LadderMorphism]:
         """Canonical simple isomorphic to kobj and the connecting map to it."""
-        k = self.primitive_index(kobj.obj, kobj.idem)
-        to_rep, _ = self.connectors(kobj.obj, k)
-        return self.simple(self.class_of(kobj.obj, k)), to_rep
+        c, to_rep = self.locate(kobj)
+        return self.simple(c), to_rep
 
     def class_of(self, obj: LadderObject, char_index: int) -> int:
         i = self.lad.object_index(obj)
@@ -266,12 +300,15 @@ class KarEnvelope:
 
     def connectors(self, obj: LadderObject, char_index: int):
         """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
-        cls = self.class_of(obj, char_index)
-        i = self.lad.object_index(obj)
+        self.class_of(obj, char_index)  # checks char_index
+        return self._connectors(obj, self.lad.object_index(obj), char_index)
+
+    def _connectors(self, obj: LadderObject, i: int, k: int):
+        """connectors for obj with object_index i and a valid character index k."""
         b = self._rung[i]
         if b in (0, _FIXED):
-            idem = self._base_idempotent(obj, i, char_index)
+            idem = self._base_idempotent(obj, i, k)
             return idem, idem
-        p, rep = self.lad.p, self.lad.object_at(self._bases[cls])
+        p, rep = self.lad.p, self.lad.object_at(self._bases[self._class[i]])
         return (LadderMorphism(obj, rep, {p - b: self._one}),
                 LadderMorphism(rep, obj, {b: self._one}))

@@ -1,7 +1,8 @@
-"""The outer actions on simples as full tables, and the p^2 stabilizer scan.
+"""The outer actions on simples as full tables, the orbit search and the p^2 stabilizer scan.
 
-The library reads each orbit's stabilizer from the orbit's size and the two
-step permutations; these are the brute-force oracles it is tested against.
+The library walks the orbits as cycles of the two commuting step
+permutations and reads each orbit's stabilizer from the orbit's size; these
+are the brute-force oracles it is tested against.
 """
 
 from bpring.groups import Subgroup, subgroup_from_elements
@@ -25,3 +26,24 @@ def orbit_stabilizer(product, i: int) -> Subgroup:
     p = product.p
     elts = [(g, h) for g in range(p) for h in range(p) if right[h][left[g][i]] == i]
     return subgroup_from_elements(p, elts)
+
+
+def search_orbits(product) -> list[list[int]]:
+    """Orbits of the two step permutations, each grown by a search over a set."""
+    lstep, rstep = product._step_tables()
+    seen: set[int] = set()
+    out = []
+    for i in range(len(lstep)):
+        if i in seen:
+            continue
+        orbit = {i}
+        frontier = [i]
+        while frontier:
+            x = frontier.pop()
+            for y in (lstep[x], rstep[x]):
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        out.append(sorted(orbit))
+        seen.update(orbit)
+    return out

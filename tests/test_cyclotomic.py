@@ -158,6 +158,21 @@ def test_arithmetic_matches_fraction_oracle():
             assert x.scale(n).coeffs == canonical_oracle(p, [Rational(u) * n for u in a])
 
 
+def test_rotate_matches_multiplying_by_a_root_of_unity():
+    # rotate shifts the numerators instead of multiplying; the result must be
+    # the same canonical scalar, lowest terms included, for every k
+    rng = random.Random(4711)
+    for p in PROPERTY_PRIMES:
+        for _ in range(20):
+            raw = random_raw(rng, p)
+            x = CyclotomicScalar(p, raw)
+            for k in (-2 * p - 1, -1, 0, 1, p - 1, p, p + 2, 3 * p + 1):
+                y = x.rotate(k)
+                assert y == x * root_of_unity(p, k), (p, raw, k)
+                assert y.coeffs == canonical_oracle(p, [raw[(i - k) % p] for i in range(p)])
+        assert CyclotomicScalar.zero(p).rotate(3).is_zero()
+
+
 def test_monomial_inverse_closed_form():
     for p in PROPERTY_PRIMES:
         for c in (Rational(1), Rational(-1), Rational(3), Rational(-2, 7), Rational(p, 4), Rational(1, p * p)):

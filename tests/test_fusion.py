@@ -15,10 +15,11 @@ from bpring.bimodules import (
     label_parse,
     validate,
 )
-from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, decompose
-from bpring.karoubi import KarEnvelope
+from bpring import fusion
+from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, build_table, decompose
+from bpring.karoubi import KarEnvelope, _projector_coeffs
 from bpring.ladders import LadderObject
-from action_oracle import action_tables, orbit_stabilizer
+from action_oracle import action_tables, orbit_stabilizer, search_orbits
 
 
 def rtp(p, left, right):
@@ -217,6 +218,15 @@ def test_associator_bilinear_all_products_small():
     assert with_f == 52  # the ordered pairs whose closed-form product has an F summand
 
 
+def test_orbits_match_the_set_search():
+    # the cycle walk against the search over a set: same sorted orbits, same order
+    cases = [pair for p in (3, 5) for pair in itertools.product(catalogue(p), repeat=2)]
+    cases.append((catalogue_entry(7, label_parse("T")), catalogue_entry(7, label_parse("T"))))
+    for M, N in cases:
+        product = RelativeTensorProduct(M, N)
+        assert product.orbits() == search_orbits(product), (M.p, str(M.label), str(N.label))
+
+
 def test_stabilizer_independent_of_orbit_member():
     for p in (2, 3):
         for left, right in [("T", "T"), ("R", "F0"), ("F1", "F2" if p == 3 else "F1"), ("L", "T")]:
@@ -274,8 +284,9 @@ def test_decompose_leaves_the_simples_unbuilt():
 
 def test_decompose_builds_simples_only_for_the_witness_associator(monkeypatch):
     # Each full-stabilizer orbit is one simple, fixed by both actions: decompose
-    # builds it once to hand to mixed_associator, which re-anchors onto it.
-    # No other simple is built.
+    # builds it once to hand to mixed_associator, which locates the acted
+    # idempotents by class index and builds no simple itself.  No other simple
+    # is built.
     p, calls, depth, total = 3, [], [0], 0
     simple, mixed = KarEnvelope.simple, RelativeTensorProduct.mixed_associator
 
@@ -299,9 +310,28 @@ def test_decompose_builds_simples_only_for_the_witness_associator(monkeypatch):
             product.decompose()
         full = [orbit[0] for orbit in product.orbits() if len(orbit) == 1]
         assert [c for c, inside in calls if not inside] == full, (str(M.label), str(N.label))
-        assert {c for c, _ in calls} <= set(full)
+        assert not any(inside for _, inside in calls), (str(M.label), str(N.label))
         total += len(full)
     assert total > 0
+
+
+def test_witness_route_shares_the_stored_projectors_unchanged():
+    # every fixed object's character projectors share the cached coefficient
+    # dicts, so analyze, which runs the witness route on every orbit, must
+    # leave them as they were; on F1 x F2 and F3 x L the actions multiply
+    # them by nontrivial roots of unity
+    p = 5
+    stored = _projector_coeffs(p)
+    before = [dict(coeffs) for coeffs in stored]
+    for left, right in [("R", "L"), ("R", "F0"), ("F1", "F2"), ("F3", "L")]:
+        product = rtp(p, left, right)
+        product.analyze()
+        env = product.env
+        fixed = [obj for obj in env.objects if env.end_dimension(obj) == p]
+        assert fixed, (left, right)
+        for obj in fixed:
+            assert all(e.coeffs is coeffs for e, coeffs in zip(env.prims[obj], stored))
+    assert [dict(coeffs) for coeffs in stored] == before
 
 
 def test_corrupted_step_tables_are_classification_errors():
@@ -331,6 +361,23 @@ def test_corrupted_step_tables_are_classification_errors():
         full._stabilizer(0, p)
     with pytest.raises(ClassificationError, match="0 lines fix"):
         product._stabilizer(0, p)
+
+
+def test_build_table_rejects_a_multiplicity_other_than_0_1_or_p(monkeypatch):
+    p = 3
+    pair_product = fusion._pair_product
+    F1, X2 = label_parse("F1"), label_parse("X2")
+
+    def doubled(entries, a, b):
+        dec = pair_product(entries, a, b)
+        if (a, b) == (F1, X2):
+            dec = Decomposition.from_pairs([(label, 2 * mult) for label, mult in dec.summands])
+        return dec
+
+    monkeypatch.setattr(fusion, "_pair_product", doubled)
+    message = "product F1 x X2 produced multiplicity 2, expected 0, 1 or 3"
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        build_table(p, workers=1)
 
 
 def test_decompose_worked_products():

@@ -198,9 +198,12 @@ def test_connectors_invert_exactly():
         for obj in env.objects:
             for k, e in enumerate(env.prims[obj]):
                 u, v = env.connectors(obj, k)
-                rep = env.simples[env.class_of(obj, k)].representative
+                c = env.class_of(obj, k)
+                rep = env.simples[c].representative
                 assert lad.compose(u, v) == e
                 assert lad.compose(v, u) == rep.idem
+                assert env.locate(KarObject(obj, e)) == (c, u)
+                assert env.representative(c) == rep
 
 
 def test_orbit_classes_match_isomorphism_search():
@@ -231,6 +234,22 @@ def test_orbit_classes_match_isomorphism_search():
             partition = {frozenset(block) for block in blocks}
             assert partition == {frozenset(c) for c in by_class.values()}, (M.label, N.label)
             assert len(blocks) == len(env.simples)
+
+
+def test_proportionality_checks_every_rung():
+    # the ratio is read off one rung; a rung off that ratio, with the same
+    # support, means the morphisms are not proportional
+    p = 5
+    obj = LadderObject(1, "*")
+    z = [root_of_unity(p, k) for k in range(p)]
+    g = LadderMorphism(obj, obj, {0: z[0], 1: z[1], 2: z[3]})
+    assert proportionality(g.scale(z[2]), g) == z[2]
+    assert proportionality(g.scale(Fraction(-3, 2)), g) == CyclotomicScalar.from_rational(p, Fraction(-3, 2))
+    for off in ({0: z[2], 1: z[3], 2: z[1]}, {0: z[2], 1: z[4], 2: z[0]}):
+        assert proportionality(LadderMorphism(obj, obj, off), g) is None
+    assert proportionality(LadderMorphism(obj, obj, {0: z[2], 1: z[3]}), g) is None
+    assert proportionality(LadderMorphism(obj, obj, {}), g).is_zero()
+    assert proportionality(g, LadderMorphism(obj, obj, {})) is None
 
 
 def test_reduce_to_basis_drops_dependent_vectors():
@@ -300,11 +319,17 @@ def test_anchor_rejects_an_idempotent_that_is_not_a_stored_primitive():
     assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
     with pytest.raises(UnsupportedEndAlgebra):
         env.anchor(KarObject(obj, both))
+    with pytest.raises(UnsupportedEndAlgebra):
+        env.locate(KarObject(obj, both))
     # on a free object the only primitive is the identity
     env = KarEnvelope(make_lad(3, "T", "T"))
     obj = env.objects[0]
     with pytest.raises(UnsupportedEndAlgebra):
         env.anchor(KarObject(obj, env.lad.identity(obj).scale(2)))
+    with pytest.raises(UnsupportedEndAlgebra):
+        env.locate(KarObject(obj, env.lad.identity(obj).scale(2)))
+    with pytest.raises(IndexError):
+        env.representative(env.simple_count)
 
 
 def test_envelope_is_freed_without_the_cycle_collector():
