@@ -44,8 +44,9 @@ tt = narrate("T", "T")
 # 2. R (x) F0: every End algebra is the full group algebra C[Z_p]; its
 #    character idempotents split each object into p simples.
 rf = narrate("R", "F0")
-obj = rf.env.objects[0]
-idems = rf.env.prims[obj]
+env = rf.env
+obj = env.lad.object_at(0)
+idems = [env.representative(env.class_at(0) + k).idem for k in range(env.dimension_at(0))]
 print(f"character idempotents on {obj}:")
 for k, e in enumerate(idems):
     print(f"  I_{k} = {e!r}")

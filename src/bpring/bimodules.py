@@ -41,7 +41,7 @@ class LabelParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BimoduleLabel:
     kind: str  # "T" | "L" | "R" | "F" | "X"
     index: int | None = None

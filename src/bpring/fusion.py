@@ -185,8 +185,8 @@ class RelativeTensorProduct:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         g = g % self.p
         shifted = self._apply(side, g, simple.representative)
-        target, u = self.env.anchor(shifted)
-        return ActionMorphism(g, side, simple, target, _normalize(u))
+        c, u = self.env.locate(shifted)
+        return ActionMorphism(g, side, simple, self.env.simple(c), _normalize(u))
 
     def _exponent(self, side: str, leg: int, dim: int) -> int:
         """e(1) for acting by 1 on side, on an object whose End has dimension dim.

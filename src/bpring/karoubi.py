@@ -27,26 +27,25 @@ base owns p consecutive classes, and class c of base i has character index
 c - class_at(i).  The walk builds no LadderObject, morphism or simple; the
 object is built only for an error message.
 
-Everything else is built when asked for: representative(c), the base of
-class c with its idempotent (the stored character projector on a fixed base,
-the identity on a free one, sharing the envelope's one scalar); simple(c),
-which adds the class and character index; the list simples of all of them;
-the primitive idempotents of an object; and the connectors to the
-representative, which are the basic rung ladders.  The p character
-projectors of every fixed object share the coefficient dicts cached per
-prime, not copies of them: nothing mutates a morphism's coefficients.
+Everything else is built when asked for, on class and object indices:
+representative(c), the base of class c with its idempotent (the stored
+character projector on a fixed base, the identity on a free one, sharing the
+envelope's one scalar); simple(c), which adds the class and character index;
+the list simples of all of them; and the connectors to the representative,
+which are the basic rung ladders.  The p character projectors of every fixed
+object share the coefficient dicts cached per prime, not copies of them:
+nothing mutates a morphism's coefficients.
 
 locate(kobj) checks that the idempotent of kobj is a stored primitive and
 returns its class index and the connector to the class representative; it
-reads the object index once and builds no simple.  anchor is locate followed
-by simple(c), for callers that want the simple itself.  The table path reads
-only the integer lists, and builds a simple only to hand a full-stabilizer
-orbit to the witness associator, which works on class indices.
+reads the object index once and builds no simple.  Callers that want the
+simple itself call simple(c) on that class.  The table path reads only the
+integer lists, and builds a simple only to hand a full-stabilizer orbit to
+the witness associator, which works on class indices.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -95,12 +94,6 @@ def _endomorphism(obj: LadderObject, coeffs: dict) -> LadderMorphism:
     return f
 
 
-def _primitives(lad: LadderCategory, obj: LadderObject, fixed: bool) -> list[LadderMorphism]:
-    if not fixed:
-        return [lad.identity(obj)]
-    return [_endomorphism(obj, coeffs) for coeffs in _projector_coeffs(lad.p)]
-
-
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
     """The scalar c with f == c*g, if one exists (g nonzero).
 
@@ -122,32 +115,6 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
 _FIXED = -1  # the rung from the base recorded for a fixed object
 
 
-class _Primitives(Mapping):
-    """obj -> primitive idempotents of End(obj), built when first asked for.
-
-    It holds the envelope's rung list, not the envelope, so that an envelope
-    is freed by reference counting as soon as its product is dropped.
-    """
-
-    def __init__(self, lad: LadderCategory, rung: list[int]):
-        self._lad = lad
-        self._rung = rung
-        self._built: dict[LadderObject, list[LadderMorphism]] = {}
-
-    def __getitem__(self, obj: LadderObject) -> list[LadderMorphism]:
-        prims = self._built.get(obj)
-        if prims is None:
-            fixed = self._rung[self._lad.object_index(obj)] == _FIXED
-            prims = self._built[obj] = _primitives(self._lad, obj, fixed)
-        return prims
-
-    def __iter__(self):
-        return iter(self._lad.objects())
-
-    def __len__(self) -> int:
-        return self._lad.object_count
-
-
 class KarEnvelope:
     """Simples of Kar(Lad(M, N)) plus the connecting-isomorphism bookkeeping."""
 
@@ -158,13 +125,7 @@ class KarEnvelope:
         self._class = [-1] * lad.object_count
         self._rung = [0] * lad.object_count
         self._bases: list[int] = []  # per class: the object index of its base
-        self.prims = _Primitives(lad, self._rung)
         self._walk()
-
-    @cached_property
-    def objects(self) -> list[LadderObject]:
-        """Every ladder object in canonical order, built when first asked for."""
-        return self.lad.objects()
 
     @cached_property
     def simples(self) -> list[KarSimple]:
@@ -235,19 +196,15 @@ class KarEnvelope:
         return KarObject(obj, self._base_idempotent(obj, i, c - self._class[i]))
 
     def _base_idempotent(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
-        """The idempotent of character k on a base obj with object_index i.
+        """The primitive idempotent of character k on obj, whose object_index is i.
 
-        The stored projector I_k on a fixed base, the identity on a free one.
+        The stored projector I_k on a fixed object, the identity on a free one.
         """
         if self._rung[i] == _FIXED:
-            return self.prims[obj][k]
+            return _endomorphism(obj, _projector_coeffs(self.lad.p)[k])
         return LadderMorphism(obj, obj, {0: self._one})
 
     # -- queries --------------------------------------------------------------
-
-    def end_dimension(self, obj: LadderObject) -> int:
-        """Dimension of End(obj): p on a fixed object, else 1."""
-        return self.dimension_at(self.lad.object_index(obj))
 
     def dimension_at(self, i: int) -> int:
         """End dimension of the object with object_index i."""
@@ -273,7 +230,7 @@ class KarEnvelope:
         if self._rung[i] == _FIXED:
             c0, c1 = idem.coeffs.get(0), idem.coeffs.get(1)
             k = None if c0 is None or c1 is None else phase_exponent(c1 * c0.inv())
-        if k is None or self.prims[obj][k] != idem:
+        if k is None or self._base_idempotent(obj, i, k) != idem:
             raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
         return k
 
@@ -287,21 +244,12 @@ class KarEnvelope:
         k = self._primitive_index(obj, i, kobj.idem)
         return self._class[i] + k, self._connectors(obj, i, k)[0]
 
-    def anchor(self, kobj: KarObject) -> tuple[KarSimple, LadderMorphism]:
-        """Canonical simple isomorphic to kobj and the connecting map to it."""
-        c, to_rep = self.locate(kobj)
-        return self.simple(c), to_rep
-
-    def class_of(self, obj: LadderObject, char_index: int) -> int:
+    def connectors(self, obj: LadderObject, char_index: int):
+        """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
         i = self.lad.object_index(obj)
         if not 0 <= char_index < self.dimension_at(i):
             raise KeyError((obj, char_index))
-        return self._class[i] + char_index
-
-    def connectors(self, obj: LadderObject, char_index: int):
-        """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
-        self.class_of(obj, char_index)  # checks char_index
-        return self._connectors(obj, self.lad.object_index(obj), char_index)
+        return self._connectors(obj, i, char_index)
 
     def _connectors(self, obj: LadderObject, i: int, k: int):
         """connectors for obj with object_index i and a valid character index k."""

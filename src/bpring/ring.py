@@ -215,7 +215,7 @@ def units_group(table: RingTable) -> UnitsGroup:
     def conjugate(i):  # F1 x a_i x F1
         u = mul[(f1, i)]
         if (u, f1) not in mul:  # F1 x a_i is no unit: the label table has no cell for it
-            raise KeyError((basis[u], basis[f1]))
+            raise TableError(f"unit product {basis[f1]} x {basis[i]} is {basis[u]}, not a unit")
         return mul[(u, f1)]
 
     conjugation_ok = f1 in units and all(

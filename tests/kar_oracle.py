@@ -7,7 +7,8 @@ searching.  The helpers here work on objects, from the bimodule actions:
 - rung targets, Hom rungs, basic and zero ladders, sums of parallel ladders,
   and End algebras;
 - primitive_idempotents, which decides whether an object is fixed from its
-  rung-1 target instead of from the envelope's orbit walk;
+  rung-1 target instead of from the envelope's orbit walk, and builds the
+  character projectors itself instead of reading the envelope's stored ones;
 - isomorphism decided the slow, general way: two primitives (A, e) and
   (A', e') are isomorphic iff absorbed morphisms u: (A,e) -> (A',e') and v
   back exist with u followed by v a nonzero multiple of e;
@@ -15,9 +16,10 @@ searching.  The helpers here work on objects, from the bimodule actions:
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, KarObject, KarSimple, _primitives, proportionality
+from bpring.cyclotomic import CyclotomicScalar, root_of_unity
+from bpring.karoubi import KarEnvelope, KarObject, KarSimple, proportionality
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
 
 
@@ -87,9 +89,15 @@ def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[Ladder
     """Complete orthogonal set of primitive idempotents of End(obj).
 
     The rung stabilizer of obj is trivial or all of Z_p (KarEnvelope checks
-    that the rung action is a Z_p action), so rung 1 decides which.
+    that the rung action is a Z_p action), so rung 1 decides which: the
+    identity on a free object, the p character projectors I_k on a fixed one.
     """
-    return _primitives(lad, obj, rung_target(lad, obj, 1) == obj)
+    p = lad.p
+    if rung_target(lad, obj, 1) != obj:
+        return [lad.identity(obj)]
+    inv_p = Fraction(1, p)
+    return [LadderMorphism(obj, obj, {g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)})
+            for k in range(p)]
 
 
 def simples(left, right) -> list[KarSimple]:

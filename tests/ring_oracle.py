@@ -81,9 +81,15 @@ def scan_units_group(table: RingTable) -> UnitsGroup:
     )
     f1 = BimoduleLabel("F", 1)
     involution_ok = f1 in units and mul[(f1, f1)] == unit
+
+    def conjugate(x):  # F1 x x x F1
+        u = mul[(f1, x)]
+        if u not in units:
+            raise TableError(f"unit product {f1} x {x} is {u}, not a unit")
+        return mul[(u, f1)]
+
     conjugation_ok = f1 in units and all(
-        mul[(mul[(f1, x)], f1)] == BimoduleLabel("X", pow(x.index, p - 2, p))
-        for x in xs
+        conjugate(x) == BimoduleLabel("X", pow(x.index, p - 2, p)) for x in xs
     )
     return UnitsGroup(tuple(units), len(units), mul, cyclic_ok, involution_ok, conjugation_ok)
 

@@ -66,13 +66,13 @@ def test_criterion_3_worked_example_replay():
 
     # product of the free bimodule with itself: already idempotent complete
     tt = RelativeTensorProduct(entry("T"), entry("T"))
-    assert all(len(end_rungs(tt.lad, obj)) == 1 for obj in tt.env.objects)
+    assert all(len(end_rungs(tt.lad, obj)) == 1 for obj in tt.lad.objects())
     assert len(tt.simples) == p**3
     assert str(tt.decompose()) == "3*T"
 
     # one-sided boundary pair against the all-condensing entry: C[Z_p] Ends
     rf = RelativeTensorProduct(entry("R"), entry("F0"))
-    for obj in rf.env.objects:
+    for obj in rf.lad.objects():
         alg = end_algebra(rf.lad, obj)
         assert alg.dimension == p and alg.is_commutative()
         idems = primitive_idempotents(rf.lad, obj)

@@ -251,6 +251,26 @@ def test_table_reader_fault_exit_code(capsys, monkeypatch):
     assert err == "internal error: unit product X1 x F1 is not a single label\n"
 
 
+def test_non_unit_conjugate_exit_code(capsys, monkeypatch):
+    # F1 and X2 stay units, but F1 x X2 = T leaves the units, so F1 x X2 x F1
+    # has no cell in the unit table
+    from bpring import fusion
+    from bpring.bimodules import Decomposition, label_parse
+
+    pair_product = fusion._pair_product
+    F1, X2, T = label_parse("F1"), label_parse("X2"), label_parse("T")
+
+    def off_unit(entries, a, b):
+        return Decomposition.single(T) if (a, b) == (F1, X2) else pair_product(entries, a, b)
+
+    monkeypatch.delenv("BPRING_THREADS", raising=False)
+    monkeypatch.setattr(fusion, "_pair_product", off_unit)
+    code, out, err = run_cli(capsys, "table", "--p", "3", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: unit product F1 x X2 is T, not a unit\n"
+
+
 def test_corrupted_step_table_exit_code():
     # two swapped left steps make the actions on simples not commute
     code = """

@@ -327,10 +327,11 @@ def test_witness_route_shares_the_stored_projectors_unchanged():
         product = rtp(p, left, right)
         product.analyze()
         env = product.env
-        fixed = [obj for obj in env.objects if env.end_dimension(obj) == p]
+        fixed = [i for i in range(env.lad.object_count) if env.dimension_at(i) == p]
         assert fixed, (left, right)
-        for obj in fixed:
-            assert all(e.coeffs is coeffs for e, coeffs in zip(env.prims[obj], stored))
+        for i in fixed:
+            c = env.class_at(i)
+            assert all(env.representative(c + k).idem.coeffs is coeffs for k, coeffs in enumerate(stored))
     assert [dict(coeffs) for coeffs in stored] == before
 
 

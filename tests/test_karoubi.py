@@ -142,7 +142,8 @@ def test_kar_hom_vanishes_between_characters():
     env = KarEnvelope(make_lad(3, "R", "F0"))
     lad = env.lad
     obj = LadderObject(1, "*")
-    idems = env.prims[obj]
+    c = env.class_at(lad.object_index(obj))
+    idems = [env.representative(c + k).idem for k in range(3)]
     for j in range(3):
         for k in range(3):
             basis = kar_hom_basis(env.lad, KarObject(obj, idems[j]), KarObject(obj, idems[k]))
@@ -163,7 +164,7 @@ def test_tt_one_dimensional_kar_hom_along_rung():
 def test_isomorphism_is_equivalence_relation_p2():
     for left, right in [("T", "T"), ("R", "F0"), ("F1", "F1"), ("X1", "L")]:
         env = KarEnvelope(make_lad(2, left, right))
-        kobjs = [KarObject(obj, e) for obj in env.objects for e in env.prims[obj]]
+        kobjs = [KarObject(obj, e) for obj in env.lad.objects() for e in primitive_idempotents(env.lad, obj)]
         iso = {
             (i, j): is_isomorphic(env.lad, a, b)
             for (i, a), (j, b) in itertools.product(enumerate(kobjs), repeat=2)
@@ -181,11 +182,12 @@ def test_isomorphism_is_equivalence_relation_p2():
 def test_classes_partition_all_primitives():
     for p, left, right in [(2, "T", "T"), (3, "R", "L"), (3, "F1", "X2"), (5, "R", "F0")]:
         env = KarEnvelope(make_lad(p, left, right))
-        total_prims = sum(len(env.prims[obj]) for obj in env.objects)
+        objs = env.lad.objects()
+        total_prims = sum(len(primitive_idempotents(env.lad, obj)) for obj in objs)
         assigned = 0
-        for obj in env.objects:
-            for k in range(len(env.prims[obj])):
-                cls = env.class_of(obj, k)
+        for obj in objs:
+            for e in primitive_idempotents(env.lad, obj):
+                cls = env.locate(KarObject(obj, e))[0]
                 assert 0 <= cls < len(env.simples)
                 assigned += 1
         assert assigned == total_prims
@@ -195,10 +197,10 @@ def test_connectors_invert_exactly():
     for p, left, right in [(3, "T", "T"), (3, "R", "F0"), (3, "F1", "X2"), (2, "R", "L")]:
         env = KarEnvelope(make_lad(p, left, right))
         lad = env.lad
-        for obj in env.objects:
-            for k, e in enumerate(env.prims[obj]):
+        for obj in lad.objects():
+            for k, e in enumerate(primitive_idempotents(lad, obj)):
                 u, v = env.connectors(obj, k)
-                c = env.class_of(obj, k)
+                c = env.class_at(lad.object_index(obj)) + k
                 rep = env.simples[c].representative
                 assert lad.compose(u, v) == e
                 assert lad.compose(v, u) == rep.idem
@@ -216,9 +218,9 @@ def test_orbit_classes_match_isomorphism_search():
             env = KarEnvelope(LadderCategory(M, N))
             lad = env.lad
             blocks: list[list[KarObject]] = []  # isomorphism classes, by search
-            by_class: dict[int, list[KarObject]] = {}  # classes, by class_of
-            for obj in env.objects:
-                for k, e in enumerate(env.prims[obj]):
+            by_class: dict[int, list[KarObject]] = {}  # classes, by locate
+            for obj in lad.objects():
+                for k, e in enumerate(primitive_idempotents(lad, obj)):
                     kobj = KarObject(obj, e)
                     hits = [block for block in blocks if is_isomorphic(lad, block[0], kobj)]
                     assert len(hits) <= 1, (M.label, N.label, obj, k)
@@ -226,7 +228,7 @@ def test_orbit_classes_match_isomorphism_search():
                         hits[0].append(kobj)
                     else:
                         blocks.append([kobj])
-                    cls = env.class_of(obj, k)
+                    cls = env.locate(kobj)[0]
                     by_class.setdefault(cls, []).append(kobj)
                     u, v = env.connectors(obj, k)
                     assert lad.compose(u, v) == e
@@ -311,33 +313,51 @@ def test_rung_action_not_a_zp_action_is_unsupported():
             KarEnvelope(lad)
 
 
-def test_anchor_rejects_an_idempotent_that_is_not_a_stored_primitive():
+def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
     env = KarEnvelope(make_lad(5, "R", "F0"))
     obj = LadderObject(1, "*")
-    i0, i1 = env.prims[obj][:2]
+    i0, i1 = primitive_idempotents(env.lad, obj)[:2]
     both = ladder_sum(i0, i1)
     assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
     with pytest.raises(UnsupportedEndAlgebra):
-        env.anchor(KarObject(obj, both))
-    with pytest.raises(UnsupportedEndAlgebra):
         env.locate(KarObject(obj, both))
+    # rung 1 over rung 0 reads zeta, yet this is not the stored I_1
+    with pytest.raises(UnsupportedEndAlgebra):
+        env.locate(KarObject(obj, i1.scale(2)))
     # on a free object the only primitive is the identity
     env = KarEnvelope(make_lad(3, "T", "T"))
-    obj = env.objects[0]
-    with pytest.raises(UnsupportedEndAlgebra):
-        env.anchor(KarObject(obj, env.lad.identity(obj).scale(2)))
+    obj = env.lad.object_at(0)
     with pytest.raises(UnsupportedEndAlgebra):
         env.locate(KarObject(obj, env.lad.identity(obj).scale(2)))
     with pytest.raises(IndexError):
         env.representative(env.simple_count)
 
 
+def test_connectors_reject_a_character_index_outside_the_end_algebra():
+    # End(obj) has dimension p on a fixed object and 1 on a free one
+    p = 5
+    env = KarEnvelope(make_lad(p, "R", "F0"))
+    obj = LadderObject(1, "*")
+    assert env.dimension_at(env.lad.object_index(obj)) == p
+    env.connectors(obj, p - 1)
+    for k in (p, -1):
+        with pytest.raises(KeyError) as err:
+            env.connectors(obj, k)
+        assert err.value.args == ((obj, k),)
+    env = KarEnvelope(make_lad(p, "T", "T"))
+    obj = env.lad.object_at(1)
+    assert env.dimension_at(1) == 1
+    env.connectors(obj, 0)
+    with pytest.raises(KeyError) as err:
+        env.connectors(obj, 1)
+    assert err.value.args == ((obj, 1),)
+
+
 def test_envelope_is_freed_without_the_cycle_collector():
     """An envelope holds no reference cycle, so dropping it frees it at once."""
     for left, right in [("R", "L"), ("T", "T")]:
         env = KarEnvelope(make_lad(5, left, right))
-        assert len(env.prims[env.objects[0]]) in (1, 5)
-        assert dict(env.prims).keys() == set(env.objects)
+        assert env.dimension_at(0) in (1, 5) and len(env.simples) == env.simple_count
         ref = weakref.ref(env)
         gc.disable()
         try:
