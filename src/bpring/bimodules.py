@@ -109,6 +109,25 @@ def all_labels(p: int) -> list[BimoduleLabel]:
     return out
 
 
+def basis_index(p: int, label: BimoduleLabel) -> int:
+    """The position of label in all_labels(p): T, L, R, F0, X1..X_{p-1}, F1..F_{p-1}.
+
+    A label outside that basis, X_k or F_q with index p or more, is bad input
+    at p and raises ValueError naming the index; every route checks its
+    labels here.
+    """
+    kind, idx = label.kind, label.index
+    if kind == "X":
+        if not 1 <= idx < p:
+            raise ValueError(f"X index {idx} out of range for p={p}")
+        return 3 + idx
+    if kind == "F":
+        if not 0 <= idx < p:
+            raise ValueError(f"F index {idx} out of range for p={p}")
+        return p + 2 + idx if idx else 3
+    return ("T", "L", "R").index(kind)
+
+
 def format_simple(m) -> str:
     """A simple object as text: a coset pair (a, b) prints as a,b."""
     if isinstance(m, tuple):
@@ -189,6 +208,7 @@ def _cyclic(p: int, step: int) -> tuple:
 def catalogue_entry(p: int, label: BimoduleLabel) -> BimoduleData:
     """The catalogue row for one label, its tables built straight from the coset labels."""
     require_prime(p)
+    basis_index(p, label)
     kind, idx = label.kind, label.index
     q, n = 0, p
     if kind == "T":
@@ -204,13 +224,9 @@ def catalogue_entry(p: int, label: BimoduleLabel) -> BimoduleData:
         sub = subgroup_from_generators(p, [(0, 1)])
         simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, 0)
     elif kind == "F":
-        if not 0 <= idx < p:
-            raise ValueError(f"F index {idx} out of range for p={p}")
         sub, q, n = Subgroup(p, "full"), idx, 1
         simples, left, right = (STAR,), ((0,),) * p, ((0,),) * p
     elif kind == "X":
-        if not 1 <= idx < p:
-            raise ValueError(f"X index {idx} out of range for p={p}")
         # coset {n(-k,1) + (h,0)} carries label h = left + k*right
         sub = subgroup_from_generators(p, [(-idx, 1)])
         simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, idx)

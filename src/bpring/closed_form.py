@@ -1,140 +1,72 @@
 """The hand-written multiplication law of the Brauer-Picard ring of Vec(Z_p).
 
-closed_form_product writes each structure constant out by kind of label, with
-index arithmetic mod p; closed_form_table fills a RingTable with it.  It is
-the golden reference for the engine's table (bpring.fusion.build_table) and
-the wall oracle (bpring.walls.oracle_table), and it imports neither:
+The law is written once, by kind of label, on basis indices: the basis is
+all_labels(p), T, L, R, F0, X1..X_{p-1}, F1..F_{p-1}, so X_k sits at index
+3 + k and F_q (q != 0) at p + 2 + q.  _row(p, i) gives a_i x a_j for every
+column j as one (basis index, multiplicity), with index arithmetic mod p and
+inverses mod p.  closed_form_table fills RingTable.constants a row at a time
+from it, with no label in the loop and one prime check per call;
+closed_form_product is a label wrapper over the same rows.  It is the golden
+reference for the engine's table (bpring.fusion.build_table) and the wall
+oracle (bpring.walls.oracle_table), and it imports neither:
 tests/test_import_graph.py checks that it reaches only the shared modules.
 """
 
 from __future__ import annotations
 
-from .bimodules import BimoduleLabel, Decomposition
+from .bimodules import BimoduleLabel, Decomposition, all_labels, basis_index
 from .cyclotomic import require_prime
 from .ring import RingTable
 
-T, L, R, F0 = BimoduleLabel("T"), BimoduleLabel("L"), BimoduleLabel("R"), BimoduleLabel("F", 0)
+T, L, R, F0 = range(4)  # basis indices of the boundary labels
+
+
+def _boundary_rows(p: int) -> tuple:
+    """The rows of T, L, R and F0 by kind of the right factor."""
+    return (
+        # b = T     L        R        F0       X_k      F_q, q != 0
+        ((T, p),  (T, 1),  (R, p),  (R, 1),  (T, 1),  (R, 1)),  # a = T
+        ((L, p),  (L, 1),  (F0, p), (F0, 1), (L, 1),  (F0, 1)),  # a = L
+        ((T, 1),  (T, p),  (R, 1),  (R, p),  (R, 1),  (T, 1)),  # a = R
+        ((L, 1),  (L, p),  (F0, 1), (F0, p), (F0, 1), (L, 1)),  # a = F0
+    )
+
+
+def _row(p: int, i: int) -> list[tuple[int, int]]:
+    """a_i x a_j for every basis index j, as (basis index, multiplicity)."""
+    ks = range(1, p)
+    if i < 4:
+        on_t, on_l, on_r, on_f0, on_x, on_f = _boundary_rows(p)[i]
+        return [on_t, on_l, on_r, on_f0] + [on_x] * (p - 1) + [on_f] * (p - 1)
+    if i < p + 3:
+        # X_u fixes the boundary labels; X_u X_k = X_(uk), X_u F_q = F_(q/u)
+        u = i - 3
+        w = pow(u, p - 2, p)
+        return (
+            [(T, 1), (L, 1), (R, 1), (F0, 1)]
+            + [(3 + u * k % p, 1) for k in ks]
+            + [(p + 2 + w * q % p, 1) for q in ks]
+        )
+    # F_u swaps T <-> L and R <-> F0; F_u X_k = F_(uk), F_u F_q = X_(q/u)
+    u = i - p - 2
+    w = pow(u, p - 2, p)
+    return (
+        [(L, 1), (T, 1), (F0, 1), (R, 1)]
+        + [(p + 2 + u * k % p, 1) for k in ks]
+        + [(3 + w * q % p, 1) for q in ks]
+    )
 
 
 def closed_form_product(p: int, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
     """The multiplication law written out by hand, independent of the engine.
 
-    Index arithmetic is mod p with multiplicative inverses mod p.
+    A label outside the basis at p raises ValueError.
     """
     require_prime(p)
-    inv = lambda x: pow(x, p - 2, p)
-
-    def F(q):
-        q = q % p
-        return BimoduleLabel("F", q)
-
-    def X(k):
-        k = k % p
-        if k == 0:
-            raise ValueError("X index must be nonzero")
-        return BimoduleLabel("X", k)
-
-    one = Decomposition.single
-    ka, kb = a.kind, b.kind
-    if ka == "T":
-        return _row_T(p, b)
-    if ka == "L":
-        return _row_L(p, b)
-    if ka == "R":
-        return _row_R(p, b)
-    if ka == "F" and a.index == 0:
-        return _row_F0(p, b)
-    if ka == "X":
-        k = a.index
-        if kb == "T":
-            return one(T)
-        if kb == "L":
-            return one(L)
-        if kb == "R":
-            return one(R)
-        if kb == "F" and b.index == 0:
-            return one(F0)
-        if kb == "X":
-            return one(X(k * b.index))
-        return one(F(inv(k) * b.index))
-    # a = F_q with q != 0
-    q = a.index
-    if kb == "T":
-        return one(L)
-    if kb == "L":
-        return one(T)
-    if kb == "R":
-        return one(F0)
-    if kb == "F" and b.index == 0:
-        return one(R)
-    if kb == "X":
-        return one(F(q * b.index))
-    return one(X(inv(q) * b.index))
-
-
-def _row_T(p, b):
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(T, p)
-    if b.kind == "L":
-        return one(T)
-    if b.kind == "R":
-        return one(R, p)
-    if b.kind == "F" and b.index == 0:
-        return one(R)
-    if b.kind == "X":
-        return one(T)
-    return one(R)
-
-
-def _row_L(p, b):
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(L, p)
-    if b.kind == "L":
-        return one(L)
-    if b.kind == "R":
-        return one(F0, p)
-    if b.kind == "F" and b.index == 0:
-        return one(F0)
-    if b.kind == "X":
-        return one(L)
-    return one(F0)
-
-
-def _row_R(p, b):
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(T)
-    if b.kind == "L":
-        return one(T, p)
-    if b.kind == "R":
-        return one(R)
-    if b.kind == "F" and b.index == 0:
-        return one(R, p)
-    if b.kind == "X":
-        return one(R)
-    return one(T)
-
-
-def _row_F0(p, b):
-    one = Decomposition.single
-    if b.kind == "T":
-        return one(L)
-    if b.kind == "L":
-        return one(L, p)
-    if b.kind == "R":
-        return one(F0)
-    if b.kind == "F" and b.index == 0:
-        return one(F0, p)
-    if b.kind == "X":
-        return one(F0)
-    return one(L)
+    k, mult = _row(p, basis_index(p, a))[basis_index(p, b)]
+    return Decomposition.single(all_labels(p)[k], mult)
 
 
 def closed_form_table(p: int) -> RingTable:
-    table = RingTable.empty(p)
-    for a in table.basis:
-        for b in table.basis:
-            table.set_product(a, b, closed_form_product(p, a, b))
-    return table
+    require_prime(p)
+    return RingTable.from_cells(p, [_row(p, i) for i in range(2 * p + 2)])

@@ -64,6 +64,24 @@ class RingTable:
         self.constants[index[a]][index[b]] = row
 
     @classmethod
+    def from_cells(cls, p: int, rows) -> "RingTable":
+        """The table whose cell (i, j) is one label: rows[i][j] = (basis index, multiplicity).
+
+        Each cell gets its own row list, so an edit of one cell moves no other.
+        """
+        basis = tuple(all_labels(p))
+        n = len(basis)
+        constants = []
+        for row in rows:
+            cells = []
+            for k, mult in row:
+                cell = [0] * n
+                cell[k] = mult
+                cells.append(cell)
+            constants.append(cells)
+        return cls(p, basis, constants)
+
+    @classmethod
     def empty(cls, p: int) -> "RingTable":
         basis = tuple(all_labels(p))
         n = len(basis)

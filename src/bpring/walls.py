@@ -12,6 +12,13 @@ X_k: e^a m^b -> e^(ka) m^(b/k), F1: e^a m^b -> e^b m^a, with F_q the e<->m
 swap followed by X_q.  The composition order for F_q and for stacking was
 calibrated once against the multiplication table at p=5 and then frozen.
 
+Stacking is one label-free step, _stack, which returns the resulting wall and
+its multiplicity; fuse_walls names that wall with label_of_wall.
+oracle_table fills the table by basis index, a row at a time: one wall_of
+per basis label, the stacking step per cell, the sector check once per
+invertible wall, and label_of_wall once per distinct resulting wall, kept in
+a memo that lives for the one call.
+
 This module never touches the categorical engine or the closed form; it
 shares only the labels, scalars and table type of the shared modules, and
 tests/test_import_graph.py checks that it reaches nothing else.
@@ -21,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .bimodules import BimoduleLabel, Decomposition, all_labels
+from .bimodules import BimoduleLabel, Decomposition, all_labels, basis_index
 from .cyclotomic import CyclotomicScalar, require_prime, root_of_unity
 from .ring import RingTable
 
@@ -58,6 +66,11 @@ class InvertibleWall:
         return ((u * a + v * b) % self.p, (w * a + x * b) % self.p)
 
     def swaps_sectors(self) -> bool:
+        return self._swaps
+
+    @cached_property
+    def _swaps(self) -> bool:
+        """swaps_sectors, worked out once per wall; a failed check is not kept and raises again."""
         e_image = self.apply((1, 0))
         m_image = self.apply((0, 1))
         if e_image[1] == 0 and m_image[0] == 0:
@@ -74,7 +87,9 @@ _M = BoundaryType.M_CONDENSING
 
 
 def wall_of(p: int, label: BimoduleLabel) -> WallModel:
+    """The wall of a basis label; a label outside the basis at p raises ValueError."""
     require_prime(p)
+    basis_index(p, label)
     kind, idx = label.kind, label.index
     if kind == "T":
         return BoundaryPair(_E, _E)
@@ -85,13 +100,9 @@ def wall_of(p: int, label: BimoduleLabel) -> WallModel:
     if kind == "F" and idx == 0:
         return BoundaryPair(_M, _M)
     if kind == "X":
-        k = idx % p
-        return InvertibleWall(p, ((k, 0), (0, pow(k, p - 2, p))))
+        return InvertibleWall(p, ((idx, 0), (0, pow(idx, p - 2, p))))
     # F_q, q != 0: e<->m swap composed with X_q
-    q = idx % p
-    if q == 0:
-        raise OracleError("F0 is a boundary pair, not an invertible wall")
-    return InvertibleWall(p, ((0, q), (pow(q, p - 2, p), 0)))
+    return InvertibleWall(p, ((0, idx), (pow(idx, p - 2, p), 0)))
 
 
 def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
@@ -118,34 +129,49 @@ def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
     raise OracleError(f"wall map {wall.matrix} is not in the image of the catalogue")
 
 
+def _stack(w1: WallModel, w2: WallModel, p: int) -> tuple[WallModel, int]:
+    """Stack w1 (left) against w2 (right): the resulting wall and its multiplicity."""
+    if isinstance(w1, BoundaryPair):
+        if isinstance(w2, BoundaryPair):
+            return BoundaryPair(w1.left, w2.right), (p if w1.right == w2.left else 1)
+        face = w1.right.flipped() if w2.swaps_sectors() else w1.right
+        return BoundaryPair(w1.left, face), 1
+    if isinstance(w2, BoundaryPair):
+        face = w2.left.flipped() if w1.swaps_sectors() else w2.left
+        return BoundaryPair(face, w2.right), 1
+    # a particle crosses w1 and then w2: the composite map(w2) o map(w1)
+    (a, b), (c, d) = w2.matrix
+    (e, f), (g, h) = w1.matrix
+    composite = (((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p))
+    return InvertibleWall(p, composite), 1
+
+
 def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
     """Stack w1 (left) against w2 (right) and decompose into labels."""
     require_prime(p)
-    if isinstance(w1, BoundaryPair) and isinstance(w2, BoundaryPair):
-        mult = p if w1.right == w2.left else 1
-        return Decomposition.single(label_of_wall(p, BoundaryPair(w1.left, w2.right)), mult)
-    if isinstance(w1, InvertibleWall) and isinstance(w2, InvertibleWall):
-        m1, m2 = w1.matrix, w2.matrix
-        composite = tuple(
-            tuple(sum(m2[i][k] * m1[k][j] for k in range(2)) % p for j in range(2))
-            for i in range(2)
-        )
-        return Decomposition.single(label_of_wall(p, InvertibleWall(p, composite)))
-    if isinstance(w1, InvertibleWall):
-        face = w2.left.flipped() if w1.swaps_sectors() else w2.left
-        return Decomposition.single(label_of_wall(p, BoundaryPair(face, w2.right)))
-    face = w1.right.flipped() if w2.swaps_sectors() else w1.right
-    return Decomposition.single(label_of_wall(p, BoundaryPair(w1.left, face)))
+    wall, mult = _stack(w1, w2, p)
+    return Decomposition.single(label_of_wall(p, wall), mult)
 
 
 def oracle_table(p: int) -> RingTable:
-    """The full multiplication table computed purely by wall stacking."""
-    table = RingTable.empty(p)
-    walls = {label: wall_of(p, label) for label in all_labels(p)}
-    for a in table.basis:
-        for b in table.basis:
-            table.set_product(a, b, fuse_walls(walls[a], walls[b], p))
-    return table
+    """The full multiplication table computed purely by wall stacking.
+
+    Each cell is stacked as fuse_walls stacks it, and each distinct resulting
+    wall is named by label_of_wall once, at its first cell in row order.
+    """
+    walls = [wall_of(p, label) for label in all_labels(p)]
+    index_of = {}  # stacked wall -> its basis index, for this call only
+    rows = []
+    for w1 in walls:
+        row = []
+        for w2 in walls:
+            wall, mult = _stack(w1, w2, p)
+            k = index_of.get(wall)
+            if k is None:
+                k = index_of[wall] = basis_index(p, label_of_wall(p, wall))
+            row.append((k, mult))
+        rows.append(row)
+    return RingTable.from_cells(p, rows)
 
 
 # -- braiding diagnostics --------------------------------------------------------

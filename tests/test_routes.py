@@ -1,0 +1,62 @@
+"""The closed form and the wall oracle: label wrappers, tables and bad labels.
+
+closed_form_product and closed_form_table read one law, and fuse_walls and
+oracle_table one stacking rule; these tests pin that the label-level calls
+and the tables agree cell by cell, that the two tables agree with each other,
+and that every route refuses a label outside the basis at p as bad input.
+"""
+
+import pytest
+
+from bpring.bimodules import BimoduleLabel, catalogue_entry
+from bpring.closed_form import closed_form_product, closed_form_table
+from bpring.walls import fuse_walls, oracle_table, wall_of
+
+PAIR_PRIMES = (2, 3, 5, 7)
+
+
+def test_oracle_table_equals_closed_form_table():
+    for p in (2, 3, 5, 7, 11, 13):
+        assert oracle_table(p).constants == closed_form_table(p).constants, p
+
+
+def test_closed_form_product_reads_the_table_law():
+    for p in PAIR_PRIMES:
+        table = closed_form_table(p)
+        for a in table.basis:
+            for b in table.basis:
+                assert closed_form_product(p, a, b) == table.product(a, b), (p, a, b)
+
+
+def test_fuse_walls_reads_the_oracle_stacking():
+    for p in PAIR_PRIMES:
+        table = oracle_table(p)
+        for a in table.basis:
+            for b in table.basis:
+                assert fuse_walls(wall_of(p, a), wall_of(p, b), p) == table.product(a, b), (p, a, b)
+
+
+def test_each_call_builds_its_own_cells():
+    for build in (closed_form_table, oracle_table):
+        t = build(3)
+        t.constants[0][0][0] = 99
+        assert build(3).constants[0][0][0] == 3
+        assert [t.constants[i][j][0] for i in range(8) for j in range(8)].count(99) == 1
+
+
+@pytest.mark.parametrize("p", PAIR_PRIMES)
+def test_labels_outside_the_basis_are_bad_input_on_every_route(p):
+    x1 = BimoduleLabel("X", 1)
+    for label, message in (
+        (BimoduleLabel("X", p), f"X index {p} out of range for p={p}"),
+        (BimoduleLabel("X", p + 2), f"X index {p + 2} out of range for p={p}"),
+        (BimoduleLabel("F", p + 4), f"F index {p + 4} out of range for p={p}"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            catalogue_entry(p, label)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            closed_form_product(p, label, x1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            closed_form_product(p, x1, label)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            wall_of(p, label)

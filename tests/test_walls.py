@@ -58,6 +58,14 @@ def test_sector_behavior():
             assert wall_of(p, lab(f"F{k}")).swaps_sectors()
 
 
+def test_sector_check_raises_on_every_call():
+    # the sector behaviour is worked out once per wall, but a failed check is not kept
+    shear = InvertibleWall(5, ((1, 1), (0, 1)))
+    for _ in range(2):
+        with pytest.raises(OracleError, match=r"^wall map \(\(1, 1\), \(0, 1\)\) does not preserve"):
+            shear.swaps_sectors()
+
+
 def test_strip_rule():
     p = 3
     t, l, r = wall_of(p, lab("T")), wall_of(p, lab("L")), wall_of(p, lab("R"))
