@@ -20,9 +20,14 @@ every rung coefficient this way.
 
 Ladder composition is a product in the group algebra Q(zeta_p)[Z_p], whose
 elements are maps rung -> scalar (group_algebra_product).  It runs on the
-numerators alone: every coefficient is brought to one denominator per
-factor, each output rung accumulates its numerators as Python ints, and each
-rung is put in canonical form once, instead of once per rung pair.
+numerators alone.  Each factor is read once into flat (rung, power,
+numerator) terms over one denominator; a coefficient already over that
+denominator is not rescaled, and the two monomial shapes above are read with
+count and index, each as one term.  One double loop over the terms of the
+two factors accumulates every output rung's numerators as Python ints, and
+each output rung is put in canonical form once, instead of once per rung
+pair.  Rungs that sum to zero are left out, so the result has no zero
+coefficient.
 """
 
 from __future__ import annotations
@@ -308,55 +313,63 @@ def phase_exponent(x: CyclotomicScalar) -> int | None:
     return None
 
 
-def _rung_terms(p: int, xs: dict) -> tuple[int, list]:
-    """(den, [(rung, [(i, numerator), ...]), ...]): xs over one denominator.
+def _flat_terms(p: int, xs: dict) -> tuple[int, list]:
+    """(den, [(rung, power, numerator), ...]): xs over one denominator, as flat terms.
 
-    Only nonzero numerators are kept, and the p-1 equal numerators of
-    c*zeta^(p-1) become the single term (p-1, c); sum(zeta^i) = 0 makes the
-    two forms equal.
+    Only nonzero numerators are kept.  The two canonical monomial shapes are
+    read with count and index: one nonzero numerator, or the p-1 equal
+    numerators of c*zeta^(p-1), which become the single term (p-1, c);
+    sum(zeta^i) = 0 makes the two forms equal.  When every coefficient
+    already has the common denominator, nothing is rescaled.
     """
-    den = lcm(*(x._den for x in xs.values()))
+    den = lcm(*{x._den for x in xs.values()})
+    top = p - 1
     out = []
     for b, x in xs.items():
         if x.p != p:
             raise ValueError(f"mismatched primes {x.p} and {p}")
-        s = den // x._den
         num = x._num
-        terms = [(i, a * s) for i, a in enumerate(num) if a]
-        if p > 2 and len(terms) == p - 1 and num.count(num[0]) == p - 1:
-            terms = [(p - 1, -num[0] * s)]
-        if terms:
-            out.append((b, terms))
+        zeros = num.count(0)
+        if zeros == top:
+            a = sum(num)
+            terms = [(b, num.index(a), a)]
+        elif zeros == 1 and num.count(num[0]) == top:
+            terms = [(b, top, -num[0])]
+        else:
+            terms = [(b, i, a) for i, a in enumerate(num) if a]
+        if x._den != den:
+            s = den // x._den
+            terms = [(b, i, a * s) for b, i, a in terms]
+        out += terms
     return den, out
 
 
 def group_algebra_product(p: int, f: dict, g: dict) -> dict:
     """f * g in Q(zeta_p)[Z_p], for maps rung -> CyclotomicScalar over one p.
 
-    Rung b1 of f times rung b2 of g lands on rung b1 + b2 mod p.  Rungs whose
-    sum is zero are left out of the result.
+    Rung b1 of f times rung b2 of g lands on rung b1 + b2 mod p.  Each factor
+    is read once into flat terms, and one double loop over the terms sums
+    the integer numerators of every output rung; each output rung is then
+    put in canonical form once.  Rungs whose sum is zero are left out of the
+    result, and the rungs keep the order in which a rung pair first meets
+    them.
     """
-    fden, fterms = _rung_terms(p, f)
-    gden, gterms = _rung_terms(p, g)
-    acc: dict[int, list[int]] = {}
-    for b1, t1 in fterms:
-        for b2, t2 in gterms:
-            b = b1 + b2
-            if b >= p:
-                b -= p
-            raw = acc.get(b)
+    fden, fterms = _flat_terms(p, f)
+    gden, gterms = _flat_terms(p, g)
+    acc: list[list[int] | None] = [None] * p
+    order = []
+    for b1, i, a in fterms:
+        for b2, j, c in gterms:
+            b = (b1 + b2) % p
+            raw = acc[b]
             if raw is None:
                 raw = acc[b] = [0] * p
-            for i, a in t1:
-                for j, c in t2:
-                    k = i + j
-                    if k >= p:
-                        k -= p
-                    raw[k] += a * c
+                order.append(b)
+            raw[(i + j) % p] += a * c
     den = fden * gden
     out = {}
-    for b, raw in acc.items():
-        x = _make(p, raw, den)
+    for b in order:
+        x = _make(p, acc[b], den)
         if any(x._num):
             out[b] = x
     return out

@@ -6,10 +6,13 @@ rung-b slot of a morphism by zeta^M.mixed[g][i][b], i the index of its
 target's M leg; acting by h on the right shifts the N leg by N.right[h] and
 multiplies by zeta^N.mixed[b][j][h], j the index of its source's N leg.
 Each such multiplication is a rotation of the scalar's numerators
-(CyclotomicScalar.rotate), with no product.  Applying a functor to a Kar
-simple and re-anchoring to the canonical class representative yields the
-action on simples together with an absorbing witness morphism
-(outer_action).
+(CyclotomicScalar.rotate), with no product, and a rotation keeps a nonzero
+scalar nonzero, so act_left and act_right build the result without the
+constructor's zero filter (LadderMorphism._nonzero).  Acting on a Kar object
+shifts its object once and uses it as the source and target of the acted
+idempotent.  Applying a functor to a Kar simple and re-anchoring to the
+canonical class representative yields the action on simples together with
+an absorbing witness morphism (outer_action).
 
 The orbits only need where each simple goes under the generators, and that
 is read on class indices, with no witness and no simple built.  Acting by 1
@@ -162,21 +165,30 @@ class RelativeTensorProduct:
         return LadderObject(obj.m, N.simples[N.right[h % self.p][N.index[obj.n]]])
 
     def act_left(self, g: int, f: LadderMorphism) -> LadderMorphism:
-        p, M = self.p, self.M
-        row = M.mixed[g % p][M.index[f.target.m]]
-        coeffs = {b: c.rotate(row[b]) for b, c in f.coeffs.items()}
-        return LadderMorphism(self.shift_left(g, f.source), self.shift_left(g, f.target), coeffs)
+        return self._act_left(g, f, self.shift_left(g, f.source), self.shift_left(g, f.target))
 
     def act_right(self, h: int, f: LadderMorphism) -> LadderMorphism:
+        return self._act_right(h, f, self.shift_right(h, f.source), self.shift_right(h, f.target))
+
+    def _act_left(self, g: int, f: LadderMorphism, source: LadderObject, target: LadderObject) -> LadderMorphism:
+        """act_left(g, f), given the shifted source and target."""
+        p, M = self.p, self.M
+        row = M.mixed[g % p][M.index[f.target.m]]
+        return LadderMorphism._nonzero(source, target, {b: c.rotate(row[b]) for b, c in f.coeffs.items()})
+
+    def _act_right(self, h: int, f: LadderMorphism, source: LadderObject, target: LadderObject) -> LadderMorphism:
+        """act_right(h, f), given the shifted source and target."""
         p, N = self.p, self.N
         j, h = N.index[f.source.n], h % p
-        coeffs = {b: c.rotate(N.mixed[b][j][h]) for b, c in f.coeffs.items()}
-        return LadderMorphism(self.shift_right(h, f.source), self.shift_right(h, f.target), coeffs)
+        return LadderMorphism._nonzero(source, target, {b: c.rotate(N.mixed[b][j][h]) for b, c in f.coeffs.items()})
 
     def _apply(self, side: str, g: int, kobj: KarObject) -> KarObject:
+        """kobj acted on by g on side; its object is shifted once, for the idempotent too."""
         if side == "left":
-            return KarObject(self.shift_left(g, kobj.obj), self.act_left(g, kobj.idem))
-        return KarObject(self.shift_right(g, kobj.obj), self.act_right(g, kobj.idem))
+            obj = self.shift_left(g, kobj.obj)
+            return KarObject(obj, self._act_left(g, kobj.idem, obj, obj))
+        obj = self.shift_right(g, kobj.obj)
+        return KarObject(obj, self._act_right(g, kobj.idem, obj, obj))
 
     # -- actions on simples ---------------------------------------------------
 

@@ -34,14 +34,18 @@ envelope's one scalar); simple(c), which adds the class and character index;
 the list simples of all of them; and the connectors to the representative,
 which are the basic rung ladders.  The p character projectors of every fixed
 object share the coefficient dicts cached per prime, not copies of them:
-nothing mutates a morphism's coefficients.
+nothing mutates a morphism's coefficients.  None of these morphisms can have
+a zero coefficient, so they are built by LadderMorphism._nonzero, without
+the constructor's copy and zero filter.
 
 locate(kobj) checks that the idempotent of kobj is a stored primitive and
 returns its class index and the connector to the class representative; it
-reads the object index once and builds no simple.  Callers that want the
-simple itself call simple(c) on that class.  The table path reads only the
-integer lists, and builds a simple only to hand a full-stabilizer orbit to
-the witness associator, which works on class indices.
+reads the object index once, builds no simple, and builds only that one
+connector.  connectors(obj, k) builds the pair, the from-representative
+ladder too.  Callers that want the simple itself call simple(c) on that
+class.  The table path reads only the integer lists, and builds a simple
+only to hand a full-stabilizer orbit to the witness associator, which works
+on class indices.
 """
 
 from __future__ import annotations
@@ -79,19 +83,6 @@ def _projector_coeffs(p: int) -> tuple[dict, ...]:
     """Rung coefficients of the p character projectors I_k of C[Z_p]."""
     inv_p = Fraction(1, p)
     return tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
-
-
-def _endomorphism(obj: LadderObject, coeffs: dict) -> LadderMorphism:
-    """The endomorphism of obj with coeffs itself as its coefficient dict.
-
-    The constructor copies and filters; the projector dicts have no zero
-    coefficient, and nothing mutates a morphism's coeffs, so every fixed
-    object can share them.
-    """
-    f = object.__new__(LadderMorphism)
-    f.source = f.target = obj
-    f.coeffs = coeffs
-    return f
 
 
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
@@ -201,8 +192,8 @@ class KarEnvelope:
         The stored projector I_k on a fixed object, the identity on a free one.
         """
         if self._rung[i] == _FIXED:
-            return _endomorphism(obj, _projector_coeffs(self.lad.p)[k])
-        return LadderMorphism(obj, obj, {0: self._one})
+            return LadderMorphism._nonzero(obj, obj, _projector_coeffs(self.lad.p)[k])
+        return LadderMorphism._nonzero(obj, obj, {0: self._one})
 
     # -- queries --------------------------------------------------------------
 
@@ -237,26 +228,33 @@ class KarEnvelope:
     def locate(self, kobj: KarObject) -> tuple[int, LadderMorphism]:
         """The class of kobj and the connecting map to its representative.
 
-        Reads the object index once and builds no simple.
+        Reads the object index once, builds no simple and only the
+        to-representative connector.
         """
         obj = kobj.obj
         i = self.lad.object_index(obj)
         k = self._primitive_index(obj, i, kobj.idem)
-        return self._class[i] + k, self._connectors(obj, i, k)[0]
+        return self._class[i] + k, self._to_rep(obj, i, k)
 
     def connectors(self, obj: LadderObject, char_index: int):
         """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
         i = self.lad.object_index(obj)
         if not 0 <= char_index < self.dimension_at(i):
             raise KeyError((obj, char_index))
-        return self._connectors(obj, i, char_index)
-
-    def _connectors(self, obj: LadderObject, i: int, k: int):
-        """connectors for obj with object_index i and a valid character index k."""
+        to_rep = self._to_rep(obj, i, char_index)
         b = self._rung[i]
         if b in (0, _FIXED):
-            idem = self._base_idempotent(obj, i, k)
-            return idem, idem
-        p, rep = self.lad.p, self.lad.object_at(self._bases[self._class[i]])
-        return (LadderMorphism(obj, rep, {p - b: self._one}),
-                LadderMorphism(rep, obj, {b: self._one}))
+            return to_rep, to_rep
+        return to_rep, LadderMorphism._nonzero(to_rep.target, obj, {b: self._one})
+
+    def _to_rep(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
+        """The connector from (obj, I_k), obj of object_index i and k valid, to its representative.
+
+        On a base it is the idempotent itself; on the rung-b image of a base it
+        is the basic rung -b ladder back to the base.
+        """
+        b = self._rung[i]
+        if b in (0, _FIXED):
+            return self._base_idempotent(obj, i, k)
+        rep = self.lad.object_at(self._bases[self._class[i]])
+        return LadderMorphism._nonzero(obj, rep, {self.lad.p - b: self._one})

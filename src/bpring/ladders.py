@@ -23,7 +23,10 @@ those are trivial (see bpring.bimodules), so the coefficient is 1 and the
 rung-b1+b2 coefficient of the stack is just the product of the two.  A
 morphism is then an element of the group algebra Q(zeta_p)[Z_p], a map
 rung -> scalar, and compose is its product, computed on integer numerators
-by cyclotomic.group_algebra_product.
+by cyclotomic.group_algebra_product.  That kernel already leaves out the
+rungs that sum to zero, so compose takes its dict as the coefficients of
+the result (LadderMorphism._nonzero) instead of copying and filtering it
+through the constructor.  The public constructor keeps its zero filter.
 """
 
 from __future__ import annotations
@@ -62,6 +65,22 @@ class LadderMorphism:
         self.source = source
         self.target = target
         self.coeffs = {b: c for b, c in coeffs.items() if not c.is_zero()}
+
+    @classmethod
+    def _nonzero(cls, source: LadderObject, target: LadderObject, coeffs: dict) -> "LadderMorphism":
+        """The morphism with coeffs itself as its coefficient dict, for coeffs with no zero value.
+
+        The constructor copies coeffs and drops zero coefficients.  The engine
+        skips that where no coefficient can be zero: a rotation keeps a nonzero
+        scalar nonzero, group_algebra_product already drops zero rungs, and
+        identities, connectors and stored projectors have no zero coefficient.
+        Nothing mutates a morphism's coeffs, so the dict may be shared.
+        """
+        f = object.__new__(cls)
+        f.source = source
+        f.target = target
+        f.coeffs = coeffs
+        return f
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -125,7 +144,10 @@ class LadderCategory:
         return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(self.p)})
 
     def compose(self, f: LadderMorphism, g: LadderMorphism) -> LadderMorphism:
-        """f followed by g (f is stacked under g)."""
+        """f followed by g (f is stacked under g).
+
+        The product's dict has no zero coefficient, so it is taken as is.
+        """
         if f.target != g.source:
             raise CompositionError(f"cannot stack {g.source} on top of {f.target}")
-        return LadderMorphism(f.source, g.target, group_algebra_product(self.p, f.coeffs, g.coeffs))
+        return LadderMorphism._nonzero(f.source, g.target, group_algebra_product(self.p, f.coeffs, g.coeffs))

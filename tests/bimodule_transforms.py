@@ -1,0 +1,55 @@
+"""Transformations of catalogue entries that give equivalent or hand-built bimodules, for the tests.
+
+- exponent_table builds a mixed-associator table from a function;
+- gauge_twist twists an entry's mixed associator by a coboundary, which
+  gives an equivalent bimodule whose exponents depend on the simple;
+- relabel renames and reorders an entry's simples, which gives the same
+  bimodule in another canonical object order.
+"""
+
+import dataclasses
+
+
+def exponent_table(p, n, f):
+    """mixed[g][i][h] = f(g, i, h) mod p for n simples."""
+    return [[[f(g, i, h) % p for h in range(p)] for i in range(n)] for g in range(p)]
+
+
+def gauge_twist(entry, c, side):
+    """entry with its mixed associator twisted by the coboundary of c: simples -> Z_p.
+
+    The result is an equivalent bimodule, so every invariant of a product
+    with it must stay the same.  label=None makes validate apply only the
+    generic coherence conditions.
+    """
+    p, left, right, mixed = entry.p, entry.left, entry.right, entry.mixed
+    c = [c[m] for m in entry.simples]
+    if side == "right":
+        d = lambda i, h: c[right[h][i]] - c[i]
+        shift = lambda g, i, h: d(i, h) - d(left[g][i], h)
+    else:
+        e = lambda g, i: c[left[g][i]] - c[i]
+        shift = lambda g, i, h: e(g, right[h][i]) - e(g, i)
+    twisted = exponent_table(p, len(c), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
+    return dataclasses.replace(entry, mixed=twisted, label=None)
+
+
+def relabel(entry, rng):
+    """entry with its simples renamed by a seeded bijection and listed in a shuffled order.
+
+    The simple at new position k is the old simple order[k] under a new
+    string name; the action tables and the exponent table are carried along,
+    so the result is the same bimodule and keeps its label.
+    """
+    n, p = len(entry.simples), entry.p
+    order = rng.sample(range(n), n)
+    new_index = {old: k for k, old in enumerate(order)}
+    names = [f"s{r}" for r in rng.sample(range(10 * n), n)]
+    move = lambda table: [[new_index[row[old]] for old in order] for row in table]
+    return dataclasses.replace(
+        entry,
+        simples=tuple(names[old] for old in order),
+        left=move(entry.left),
+        right=move(entry.right),
+        mixed=[[entry.mixed[g][old] for old in order] for g in range(p)],
+    )

@@ -17,9 +17,10 @@ from bpring.bimodules import (
 )
 from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, build_table, decompose
-from bpring.karoubi import KarEnvelope, _projector_coeffs
-from bpring.ladders import LadderObject
+from bpring.karoubi import KarEnvelope, KarObject, _projector_coeffs
+from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from action_oracle import action_tables, orbit_stabilizer, search_orbits
+from bimodule_transforms import exponent_table, gauge_twist, relabel
 
 
 def rtp(p, left, right):
@@ -30,11 +31,6 @@ def rtp(p, left, right):
 
 def dec(text, *pairs):
     return Decomposition.from_pairs([(label_parse(l), m) for l, m in pairs])
-
-
-def exponent_table(p, n, f):
-    """mixed[g][i][h] = f(g, i, h) mod p for n simples."""
-    return [[[f(g, i, h) % p for h in range(p)] for i in range(n)] for g in range(p)]
 
 
 def test_tt_left_action_shifts_first_leg():
@@ -335,6 +331,57 @@ def test_witness_route_shares_the_stored_projectors_unchanged():
     assert [dict(coeffs) for coeffs in stored] == before
 
 
+def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
+    # act_left, act_right, compose, locate and connectors build their
+    # morphisms without the constructor's zero filter; each must equal the
+    # morphism the filtering constructor builds from its coefficients, so no
+    # zero coefficient is ever kept.  Every ordered pair at p in {2, 3, 5}:
+    # the witness route of analyze, every simple acted on by every g on both
+    # sides, every connector, and on one fixed object every product of two
+    # character projectors, which cancels every rung unless they are equal.
+    made = []
+
+    def recording(method, pick=lambda out: [out]):
+        def wrapper(*args):
+            out = method(*args)
+            made.extend(pick(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(RelativeTensorProduct, "act_left", recording(RelativeTensorProduct.act_left))
+    monkeypatch.setattr(RelativeTensorProduct, "act_right", recording(RelativeTensorProduct.act_right))
+    monkeypatch.setattr(LadderCategory, "compose", recording(LadderCategory.compose))
+    monkeypatch.setattr(KarEnvelope, "locate", recording(KarEnvelope.locate, lambda out: out[1:]))
+    monkeypatch.setattr(KarEnvelope, "connectors", recording(KarEnvelope.connectors, list))
+    kinds = Counter()
+    for p in (2, 3, 5):
+        for M, N in itertools.product(catalogue(p), repeat=2):
+            product = RelativeTensorProduct(M, N)
+            env, lad = product.env, product.lad
+            product.analyze()
+            for c in range(env.simple_count):
+                idem = env.representative(c).idem
+                for g in range(p):
+                    for act in (product.act_left, product.act_right):
+                        acted = act(g, idem)
+                        env.locate(KarObject(acted.source, acted))
+            for i in range(lad.object_count):
+                obj = lad.object_at(i)
+                for k in range(env.dimension_at(i)):
+                    u, v = env.connectors(obj, k)
+                    lad.compose(u, v)
+            fixed = next((c for c in range(env.simple_count) if env.dimension_at(env.base_at(c)) == p), None)
+            if fixed is not None:
+                projectors = [env.representative(fixed + k).idem for k in range(p)]
+                for e, f in itertools.product(projectors, repeat=2):
+                    kinds["cancelled" if lad.compose(e, f).is_zero() else "kept"] += 1
+            for f in made:
+                assert f == LadderMorphism(f.source, f.target, f.coeffs), (str(M.label), str(N.label), f)
+            kinds["checked"] += len(made)
+            made.clear()
+    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["checked"] > 10000, kinds
+
+
 def test_corrupted_step_tables_are_classification_errors():
     p = 3
     product = rtp(p, "T", "T")
@@ -438,25 +485,6 @@ def test_outer_action_rejects_bad_side():
         product.outer_action(1, "middle", product.simples[0])
 
 
-def gauge_twist(entry, c, side):
-    """entry with its mixed associator twisted by the coboundary of c: simples -> Z_p.
-
-    The result is an equivalent bimodule, so every invariant of a product
-    with it must stay the same.  label=None makes validate apply only the
-    generic coherence conditions.
-    """
-    p, left, right, mixed = entry.p, entry.left, entry.right, entry.mixed
-    c = [c[m] for m in entry.simples]
-    if side == "right":
-        d = lambda i, h: c[right[h][i]] - c[i]
-        shift = lambda g, i, h: d(i, h) - d(left[g][i], h)
-    else:
-        e = lambda g, i: c[left[g][i]] - c[i]
-        shift = lambda g, i, h: e(g, right[h][i]) - e(g, i)
-    twisted = exponent_table(p, len(c), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
-    return dataclasses.replace(entry, mixed=twisted, label=None)
-
-
 def gauge_invariants(a):
     """What analyze must report the same way in every gauge of the inputs.
 
@@ -488,27 +516,6 @@ def test_gauge_twist_preserves_product_invariants():
             for left, right in ((tM, N), (M, tN), (tM, tN)):
                 got = gauge_invariants(analyze(left, right))
                 assert got == expected, (M.p, str(M.label), str(N.label), side)
-
-
-def relabel(entry, rng):
-    """entry with its simples renamed by a seeded bijection and listed in a shuffled order.
-
-    The simple at new position k is the old simple order[k] under a new
-    string name; the action tables and the exponent table are carried along,
-    so the result is the same bimodule and keeps its label.
-    """
-    n, p = len(entry.simples), entry.p
-    order = rng.sample(range(n), n)
-    new_index = {old: k for k, old in enumerate(order)}
-    names = [f"s{r}" for r in rng.sample(range(10 * n), n)]
-    move = lambda table: [[new_index[row[old]] for old in order] for row in table]
-    return dataclasses.replace(
-        entry,
-        simples=tuple(names[old] for old in order),
-        left=move(entry.left),
-        right=move(entry.right),
-        mixed=[[entry.mixed[g][old] for old in order] for g in range(p)],
-    )
 
 
 def test_relabelled_simples_preserve_product_invariants():

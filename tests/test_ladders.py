@@ -266,3 +266,40 @@ def test_compose_matches_scalar_oracle():
         assert dropped >= 5
     with pytest.raises(ValueError):
         group_algebra_product(3, {0: CyclotomicScalar.one(3)}, {0: CyclotomicScalar.one(5)})
+
+
+def test_kernel_matches_scalar_oracle_on_every_term_shape():
+    """Each shape the kernel reads on a fast path, against the scalar loop.
+
+    The same dict and the same key order: one nonzero numerator at every
+    power, the p-1 equal numerators of c*zeta^(p-1), multi-term scalars,
+    coefficients over one denominator and over several, one-rung and empty
+    maps, at p=2 too.
+    """
+    rng = random.Random(18)
+    for p in (2, 3, 5, 7, 11):
+        c = [Rational(n, d) for n, d in ((1, 1), (-3, 1), (2, p), (-5, 6))]
+        single = [root_of_unity(p, i).scale(rng.choice(c)) for i in range(p - 1)]
+        top = [root_of_unity(p, p - 1).scale(x) for x in c]
+        assert all(x.coeffs.count(0) == p - 1 for x in single)
+        assert all(x.coeffs.count(x.coeffs[0]) == p - 1 for x in top)
+        dense = [_random_scalar(rng, p, "dense") for _ in range(4)]
+        shapes = single + top + dense
+        maps = [{}]
+        maps += [{b: x} for b, x in zip(rng.choices(range(p), k=len(shapes)), shapes)]
+        for _ in range(6):
+            # one denominator, then a mix of several
+            maps.append({b: root_of_unity(p, rng.randrange(p)).scale(Rational(rng.randint(-4, 4) or 1, p))
+                         for b in rng.sample(range(p), rng.randint(1, p))})
+            maps.append({b: rng.choice(shapes) for b in rng.sample(range(p), rng.randint(1, p))})
+        for f in maps:
+            for g in rng.sample(maps, 12) + [{}, maps[-1]]:
+                want = scalar_product(p, f, g)
+                got = group_algebra_product(p, f, g)
+                assert got == want and list(got) == list(want), (p, f, g)
+        # a mismatched prime on either factor, also next to a matching one
+        other = CyclotomicScalar.one(3 if p != 3 else 5)
+        one = CyclotomicScalar.one(p)
+        for f, g in (({0: other}, {0: one}), ({0: one}, {0: other}), ({0: one}, {0: one, 1: other})):
+            with pytest.raises(ValueError, match="mismatched primes"):
+                group_algebra_product(p, f, g)
