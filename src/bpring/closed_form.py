@@ -4,12 +4,13 @@ The law is written once, by kind of label, on basis indices: the basis is
 all_labels(p), T, L, R, F0, X1..X_{p-1}, F1..F_{p-1}, so X_k sits at index
 3 + k and F_q (q != 0) at p + 2 + q.  _row(p, i) gives a_i x a_j for every
 column j as one (basis index, multiplicity), with index arithmetic mod p and
-inverses mod p.  closed_form_table fills RingTable.constants a row at a time
-from it, with no label in the loop and one prime check per call;
-closed_form_product is a label wrapper over the same rows.  It is the golden
-reference for the engine's table (bpring.fusion.build_table) and the wall
-oracle (bpring.walls.oracle_table), and it imports neither:
-tests/test_import_graph.py checks that it reaches only the shared modules.
+inverses mod p.  closed_form_table hands these rows to RingTable.from_cells,
+which stores each pair as a one-pair sparse cell, with no label in the loop
+and one prime check per call; closed_form_product is a label wrapper over
+the same rows.  It is the golden reference for the engine's table
+(bpring.fusion.build_table) and the wall oracle (bpring.walls.oracle_table),
+and it imports neither: tests/test_import_graph.py checks that it reaches
+only the shared modules.
 """
 
 from __future__ import annotations

@@ -476,9 +476,9 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
             table.set_product(a, b, _pair_product(entries, a, b))
     basis = table.basis
     for i, rows in enumerate(table.constants):
-        for j, row in enumerate(rows):
-            for mult in row:
-                if mult not in (0, 1, p):
+        for j, cell in enumerate(rows):
+            for _, mult in cell:
+                if mult not in (1, p):
                     raise ClassificationError(
                         f"product {basis[i]} x {basis[j]} produced multiplicity {mult}, expected 0, 1 or {p}"
                     )

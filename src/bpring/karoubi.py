@@ -187,13 +187,17 @@ class KarEnvelope:
         return KarObject(obj, self._base_idempotent(obj, i, c - self._class[i]))
 
     def _base_idempotent(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
-        """The primitive idempotent of character k on obj, whose object_index is i.
+        """The primitive idempotent of character k on obj, whose object_index is i."""
+        return LadderMorphism._nonzero(obj, obj, self._base_coeffs(i, k))
+
+    def _base_coeffs(self, i: int, k: int) -> dict:
+        """Rung coefficients of the primitive idempotent of character k on object index i.
 
         The stored projector I_k on a fixed object, the identity on a free one.
         """
         if self._rung[i] == _FIXED:
-            return LadderMorphism._nonzero(obj, obj, _projector_coeffs(self.lad.p)[k])
-        return LadderMorphism._nonzero(obj, obj, {0: self._one})
+            return _projector_coeffs(self.lad.p)[k]
+        return {0: self._one}
 
     # -- queries --------------------------------------------------------------
 
@@ -215,13 +219,14 @@ class KarEnvelope:
         """Character index k of idem among the primitives of obj, whose object_index is i.
 
         On a fixed object, I_k has rung-1 over rung-0 coefficient zeta^k;
-        idem must then equal the stored I_k.
+        idem must then equal the stored I_k, compared on its coefficients, so
+        that no morphism is built for the check.
         """
         k = 0
         if self._rung[i] == _FIXED:
             c0, c1 = idem.coeffs.get(0), idem.coeffs.get(1)
             k = None if c0 is None or c1 is None else phase_exponent(c1 * c0.inv())
-        if k is None or self._base_idempotent(obj, i, k) != idem:
+        if k is None or not idem.source == idem.target == obj or idem.coeffs != self._base_coeffs(i, k):
             raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
         return k
 

@@ -9,18 +9,19 @@ invertible labels), serialize and parse_json.  It imports no route, so the
 routes can share it and stay independent; tests/test_import_graph.py checks
 this.
 
-The readers work on cell indices, and in one call each distinct cell (a row
-of constants) is worked on once: check_axioms turns it into its sparse
-(index, mult) pairs once, and serialize(table, "json") writes its JSON text
-once.  These per-call tables are dropped when the call returns, so an
-in-place edit of constants is seen by the next call.
+A table's cell (i, j) is the product a_i x a_j as a sparse cell: a tuple of
+(basis index, multiplicity) pairs in increasing index, with no zero entry,
+and () for an empty product.  Every route writes cells in this form and every
+reader reads them as they are.  Cells are immutable, so equal cells may share
+one tuple; an edit replaces a cell.  A reader keeps nothing on the table
+between calls (serialize(table, "json") writes each distinct cell's JSON text
+once per call), so a replaced cell is seen by the next call.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, compress
 from operator import itemgetter
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels
@@ -32,15 +33,17 @@ class TableError(RuntimeError):
 
 @dataclass
 class RingTable:
-    """Dense structure constants N[i][j][k] over the canonical label basis.
+    """Structure constants over the canonical label basis, one sparse cell per pair.
 
-    `constants` is the only store: every reader works on its rows when
-    called, so an in-place edit of a row is seen by the next read.
+    constants[i][j] is the cell of a_i x a_j: ((k, N_ij^k), ...) over the
+    nonzero N_ij^k in increasing k.  `constants` is the only store: every
+    reader works on its cells when called, so a replaced cell is seen by the
+    next read.
     """
 
     p: int
     basis: tuple[BimoduleLabel, ...]
-    constants: list  # (2p+2)^3 nested lists of nonnegative ints
+    constants: list  # (2p+2) lists of (2p+2) cells
 
     def index(self, label: BimoduleLabel) -> int:
         return self._index[label]
@@ -49,43 +52,33 @@ class RingTable:
         self._index = {label: i for i, label in enumerate(self.basis)}
 
     def product(self, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
-        row = self.constants[self._index[a]][self._index[b]]
-        mults = tuple(compress(row, row))
-        if min(mults, default=0) < 0:
+        cell = self.constants[self._index[a]][self._index[b]]
+        if any(mult < 0 for _, mult in cell):
             raise ValueError("multiplicities must be positive")
-        # the basis is in canonical order, so the nonzero entries already are
-        return Decomposition(tuple(zip(compress(self.basis, row), mults)))
+        # the basis is in canonical order, so the cell's labels already are
+        basis = self.basis
+        return Decomposition(tuple((basis[k], mult) for k, mult in cell))
 
     def set_product(self, a: BimoduleLabel, b: BimoduleLabel, dec: Decomposition) -> None:
         index = self._index
-        row = [0] * len(self.basis)
-        for label, mult in dec.summands:
-            row[index[label]] = mult
-        self.constants[index[a]][index[b]] = row
+        self.constants[index[a]][index[b]] = tuple(sorted((index[label], mult) for label, mult in dec.summands))
 
     @classmethod
     def from_cells(cls, p: int, rows) -> "RingTable":
         """The table whose cell (i, j) is one label: rows[i][j] = (basis index, multiplicity).
 
-        Each cell gets its own row list, so an edit of one cell moves no other.
+        Equal cells share one tuple, and each row is a list of its own, so
+        replacing one cell moves no other.
         """
-        basis = tuple(all_labels(p))
-        n = len(basis)
-        constants = []
-        for row in rows:
-            cells = []
-            for k, mult in row:
-                cell = [0] * n
-                cell[k] = mult
-                cells.append(cell)
-            constants.append(cells)
-        return cls(p, basis, constants)
+        interned: dict = {}
+        constants = [[interned.setdefault(pair, (pair,)) for pair in row] for row in rows]
+        return cls(p, tuple(all_labels(p)), constants)
 
     @classmethod
     def empty(cls, p: int) -> "RingTable":
         basis = tuple(all_labels(p))
         n = len(basis)
-        return cls(p, basis, [[[0] * n for _ in range(n)] for _ in range(n)])
+        return cls(p, basis, [[()] * n for _ in range(n)])
 
 
 def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
@@ -129,17 +122,11 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
 
     associativity_ok = True
     if check_associativity:
-        # Each cell is its nonzero (index, mult) pairs, one object per distinct
-        # row.  For each (i, j), (a.b).c and a.(b.c) are built as whole rows
-        # over k and compared in one step; k and q are walked only when the
-        # rows differ.
+        # For each (i, j), (a.b).c and a.(b.c) are built as whole rows of
+        # cells over k and compared in one step; k and q are walked only when
+        # the rows differ.
         cols = range(len(table.basis))
-        keys = [list(map(tuple, rows)) for rows in table.constants]
-        cell_of = {
-            key: tuple(zip(compress(cols, key), compress(key, key)))
-            for key in set(chain.from_iterable(keys))
-        }
-        nz = [tuple(map(cell_of.__getitem__, row_keys)) for row_keys in keys]
+        nz = [tuple(rows) for rows in table.constants]
         # a.(b.c) reads each single cell f of row j with multiplicity 1 as
         # cell f of row i, and sums the other cells of row j
         gather, rest = [], []
@@ -211,17 +198,16 @@ def units_group(table: RingTable) -> UnitsGroup:
     basis, N = table.basis, table.constants
     cols = range(len(basis))
     e = table.index(BimoduleLabel("X", 1))
-    one = [0] * len(basis)  # the cell X1
-    one[e] = 1
+    one = ((e, 1),)  # the cell X1
     units = [i for i in cols if any(N[i][j] == one and N[j][i] == one for j in cols)]
     mul = {}  # (i, j) -> the index of the unit a_i x a_j
     for i in units:
         rows = N[i]
         for j in units:
-            row = rows[j]
-            if row.count(0) != len(row) - 1 or 1 not in row:
+            cell = rows[j]
+            if len(cell) != 1 or cell[0][1] != 1:
                 raise TableError(f"unit product {basis[i]} x {basis[j]} is not a single label")
-            mul[(i, j)] = row.index(1)
+            mul[(i, j)] = cell[0][0]
 
     x = {basis[i].index: i for i in units if basis[i].kind == "X"}  # k -> the unit X_k
     cyclic_ok = len(x) == p - 1 and all(
@@ -258,23 +244,20 @@ def _units_json(table: RingTable) -> dict:
 def _products_json(table: RingTable) -> str:
     """The "products" value of serialize(table, "json"), as json.dumps(indent=2) lays it out.
 
-    Each distinct row gets its JSON text once per call; the cells that hold
-    an equal row reuse it.
+    Each distinct cell gets its JSON text once per call; equal cells reuse it.
     """
     names = [str(b) for b in table.basis]
     texts: dict = {}
     lines = []
     for a, rows in zip(names, table.constants):
-        for b, row in zip(names, rows):
-            key = tuple(row)
-            text = texts.get(key)
+        for b, cell in zip(names, rows):
+            text = texts.get(cell)
             if text is None:
-                mults = tuple(compress(row, row))
-                if min(mults, default=0) < 0:
+                if any(mult < 0 for _, mult in cell):
                     raise ValueError("multiplicities must be positive")
-                cell = [{"label": name, "mult": mult} for name, mult in zip(compress(names, row), mults)]
+                summands = [{"label": names[k], "mult": mult} for k, mult in cell]
                 # a cell sits two levels deep in the payload
-                text = texts[key] = json.dumps(cell, indent=2).replace("\n", "\n    ")
+                text = texts[cell] = json.dumps(summands, indent=2).replace("\n", "\n    ")
             lines.append(f'    "{a},{b}": {text}')
     return "{\n" + ",\n".join(lines) + "\n  }"
 
@@ -330,7 +313,7 @@ def parse_json(text: str) -> RingTable:
         raise ValueError(f"p must be an integer, got {p!r}")
     # the basis is checked against the text before any table is built, and
     # the rows are built as their cells are read, so a short text with a
-    # large p fails without building (2p+2)^3 entries
+    # large p fails without building (2p+2)^2 cells
     given = payload["basis"]
     if not isinstance(given, list) or len(given) != 2 * p + 2:
         raise ValueError("basis in JSON does not match the canonical basis order")
@@ -348,13 +331,12 @@ def parse_json(text: str) -> RingTable:
         constants.append(rows)
         for b in names:
             key = f"{a},{b}"
-            row = [0] * len(names)
-            rows.append(row)
             summands = products.get(key)
             if summands is None:
                 raise ValueError(f"products has no cell {key!r}")
             if not isinstance(summands, list):
                 raise ValueError(f"products cell {key!r} is not a list")
+            cell = []
             for s in summands:
                 try:
                     label, mult = s["label"], s["mult"]
@@ -369,7 +351,14 @@ def parse_json(text: str) -> RingTable:
                     raise ValueError(f"products cell {key!r} has multiplicity {mult!r}, which is not an integer")
                 if mult < 1:
                     raise ValueError(f"products cell {key!r} has multiplicity {mult!r}, below 1")
-                row[i] += mult
+                cell.append((i, mult))
+            if len(cell) > 1:
+                # in index order, with the multiplicities of a repeated label added
+                merged: dict = {}
+                for i, mult in cell:
+                    merged[i] = merged.get(i, 0) + mult
+                cell = sorted(merged.items())
+            rows.append(tuple(cell))
     if len(products) != len(names) ** 2:
         extra = sorted(set(products) - {f"{a},{b}" for a in names for b in names})
         raise ValueError(f"products has cells outside the basis: {', '.join(map(repr, extra))}")

@@ -17,7 +17,9 @@ its multiplicity; fuse_walls names that wall with label_of_wall.
 oracle_table fills the table by basis index, a row at a time: one wall_of
 per basis label, the stacking step per cell, the sector check once per
 invertible wall, and label_of_wall once per distinct resulting wall, kept in
-a memo that lives for the one call.
+a memo that lives for the one call.  Each row is a list of (basis index,
+multiplicity) pairs, which RingTable.from_cells stores as one-pair sparse
+cells.
 
 This module never touches the categorical engine or the closed form; it
 shares only the labels, scalars and table type of the shared modules, and
@@ -122,10 +124,7 @@ def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
     if u == 0 and x == 0 and v != 0:
         if (v * w) % p != 1:
             raise OracleError(f"antidiagonal wall map {wall.matrix} is not in the catalogue")
-        q = pow(w, p - 2, p)
-        if q == 0:
-            raise OracleError("antidiagonal wall with vanishing index")
-        return BimoduleLabel("F", q)
+        return BimoduleLabel("F", pow(w, p - 2, p))
     raise OracleError(f"wall map {wall.matrix} is not in the image of the catalogue")
 
 

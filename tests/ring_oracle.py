@@ -1,23 +1,51 @@
 """Plain reference versions of the ring-table readers, kept as oracles for the tests.
 
-`bpring.ring` reads the rows of `RingTable.constants` with shortcuts.  The
-functions here are the plain loops, and must give the same results:
+`bpring.ring` reads the sparse cells of `RingTable.constants` with
+shortcuts.  The functions here are the plain loops, and must give the same
+results:
 
-- `dense_check_axioms` is the plain loop over every (i, j, k, q): two full
-  sums of length n per step, O(n^5) in all.  It must give the same report,
-  violations and their order included.
+- `dense_check_axioms` is the plain loop over every (i, j, k, q) of a
+  densified copy of the table: two full sums of length n per step, O(n^5) in
+  all.  It must give the same report, violations and their order included.
 - `scan_units_group` finds the units by scanning all n^2 pairs for a and b
   with a x b = b x a = X1, two `product` calls each.
 - `product_diff_tables` compares the two tables' `product` on every cell.
 - `plain_serialize_json` builds the whole payload, one `product` per cell,
   and hands it to `json.dumps(indent=2)`.  `serialize(table, "json")` must
   give the same bytes, and raise the same way where this does.
+
+The tests edit a table through `dense_cell`, which hands out a cell as a
+dense row of n multiplicities and writes the edited row back as a cell, so
+a perturbed table is given by the same row edits as on a dense store.
 """
 
 import json
+from contextlib import contextmanager
 
 from bpring.bimodules import BimoduleLabel, Decomposition
 from bpring.ring import AxiomReport, RingTable, TableError, UnitsGroup, check_axioms
+
+
+def dense_row(table: RingTable, i: int, j: int) -> list[int]:
+    """Cell (i, j) as a dense row: the multiplicity of every basis index."""
+    row = [0] * len(table.basis)
+    for k, mult in table.constants[i][j]:
+        row[k] = mult
+    return row
+
+
+@contextmanager
+def dense_cell(table: RingTable, i: int, j: int):
+    """Yield cell (i, j) as a dense row to edit, then store the row's nonzero entries as the cell."""
+    row = dense_row(table, i, j)
+    yield row
+    table.constants[i][j] = tuple((k, mult) for k, mult in enumerate(row) if mult)
+
+
+def densified(table: RingTable) -> list:
+    """The (2p+2)^3 dense constants N[i][j][k] of a table."""
+    n = range(len(table.basis))
+    return [[dense_row(table, i, j) for j in n] for i in n]
 
 
 def dense_check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomReport:
@@ -35,7 +63,7 @@ def dense_check_axioms(table: RingTable, check_associativity: bool = True) -> Ax
     associativity_ok = True
     if check_associativity:
         n = len(table.basis)
-        N = table.constants
+        N = densified(table)
         for i in range(n):
             for j in range(n):
                 ij = N[i][j]

@@ -14,6 +14,7 @@ from bpring import fusion
 from bpring.bimodules import BimoduleLabel, Decomposition, label_parse
 from bpring.closed_form import closed_form_product, closed_form_table
 from bpring.fusion import build_table
+from bpring.walls import oracle_table
 from bpring.ring import (
     RingTable,
     TableError,
@@ -24,7 +25,10 @@ from bpring.ring import (
     units_group,
 )
 from ring_oracle import (
+    dense_cell,
     dense_check_axioms,
+    dense_row,
+    densified,
     plain_serialize_json,
     product_diff_tables,
     scan_units_group,
@@ -74,7 +78,7 @@ def test_multiplicities_are_one_or_p():
         t = table(p)
         for a in t.basis:
             for b in t.basis:
-                for mult in t.constants[t.index(a)][t.index(b)]:
+                for mult in dense_row(t, t.index(a), t.index(b)):
                     assert mult in (0, 1, p)
 
 
@@ -89,7 +93,8 @@ def test_axiom_check_detects_perturbation():
     t = table(2)
     broken = RingTable(t.p, t.basis, copy.deepcopy(t.constants))
     i = broken.index(lab("T"))
-    broken.constants[i][i][broken.index(lab("L"))] += 1
+    with dense_cell(broken, i, i) as row:
+        row[broken.index(lab("L"))] += 1
     report = check_axioms(broken)
     assert not report.ok()
     assert report.unit_ok and not report.associativity_ok
@@ -105,14 +110,14 @@ def _perturbed(p, seed):
     t = closed_form_table(p)
     n = len(t.basis)
     for _ in range(rng.randint(1, 3)):
-        row = t.constants[rng.randrange(n)][rng.randrange(n)]
-        kind = rng.choice(("bump", "zero", "second"))
-        if kind == "bump":
-            row[rng.randrange(n)] += rng.randint(1, p)
-        elif kind == "zero":
-            row[:] = [0] * n
-        else:
-            row[rng.choice([q for q in range(n) if not row[q]])] = rng.randint(1, p)
+        with dense_cell(t, rng.randrange(n), rng.randrange(n)) as row:
+            kind = rng.choice(("bump", "zero", "second"))
+            if kind == "bump":
+                row[rng.randrange(n)] += rng.randint(1, p)
+            elif kind == "zero":
+                row[:] = [0] * n
+            else:
+                row[rng.choice([q for q in range(n) if not row[q]])] = rng.randint(1, p)
     return t
 
 
@@ -155,16 +160,16 @@ def _unit_breaks(p):
         for cell in ((i, j), (j, i), (i, i)):
             for kind in ("zero", "bump", "second", "move"):
                 t = closed_form_table(p)
-                row = t.constants[cell[0]][cell[1]]
-                q = row.index(1)
-                if kind == "zero":
-                    row[q] = 0
-                elif kind == "bump":
-                    row[q] += 1
-                elif kind == "second":
-                    row[(q + 1) % n] = 1
-                else:
-                    row[q], row[(q + 1) % n] = 0, 1
+                with dense_cell(t, *cell) as row:
+                    q = row.index(1)
+                    if kind == "zero":
+                        row[q] = 0
+                    elif kind == "bump":
+                        row[q] += 1
+                    elif kind == "second":
+                        row[(q + 1) % n] = 1
+                    else:
+                        row[q], row[(q + 1) % n] = 0, 1
                 yield t
 
 
@@ -177,9 +182,9 @@ def _inverse_not_a_unit():
     t = closed_form_table(5)
     x1, x2, x3 = (t.index(lab(s)) for s in ("X1", "X2", "X3"))
     n = len(t.basis)
-    t.constants[x2][x2] = [int(q == x1) for q in range(n)]
-    t.constants[x2][x3] = [int(q == x3) for q in range(n)]
-    t.constants[x3][x2] = [int(q == x3) for q in range(n)]
+    for (i, j), k in (((x2, x2), x1), ((x2, x3), x3), ((x3, x2), x3)):
+        with dense_cell(t, i, j) as row:
+            row[:] = [int(q == k) for q in range(n)]
     return t
 
 
@@ -204,8 +209,9 @@ def test_row_readers_match_product_oracles():
         clean = closed_form_table(t.p)
         assert diff_tables(clean, t) == product_diff_tables(clean, t)
         assert diff_tables(t, clean) == product_diff_tables(t, clean)
-        for a, rows in zip(t.basis, t.constants):
-            for b, row in zip(t.basis, rows):
+        for i, a in enumerate(t.basis):
+            for j, b in enumerate(t.basis):
+                row = dense_row(t, i, j)
                 want = Decomposition.from_pairs((t.basis[k], m) for k, m in enumerate(row) if m)
                 assert t.product(a, b).summands == want.summands
     # the perturbations reach both the unit scan and the unit table
@@ -218,10 +224,10 @@ def test_row_readers_match_product_oracles():
 
 def test_negative_multiplicities():
     t = closed_form_table(3)
-    row = t.constants[t.index(lab("T"))][t.index(lab("L"))]
-    # T x L = X1 - X2, so (T x L) x T = T - T sums to zero
-    row[:] = [0] * len(row)
-    row[t.index(lab("X1"))], row[t.index(lab("X2"))] = 1, -1
+    with dense_cell(t, t.index(lab("T")), t.index(lab("L"))) as row:
+        # T x L = X1 - X2, so (T x L) x T = T - T sums to zero
+        row[:] = [0] * len(row)
+        row[t.index(lab("X1"))], row[t.index(lab("X2"))] = 1, -1
     with pytest.raises(ValueError):
         t.product(lab("T"), lab("L"))
     for mult in (0, -1):
@@ -237,16 +243,16 @@ def test_negative_multiplicities():
     where = {e[0]: i for i, e in enumerate(powers) if len(e) == 1}
     for i, xs in enumerate(powers):
         for j, ys in enumerate(powers):
-            cell = t.constants[i][j]
-            for x in xs:
-                for y in ys:
-                    e = (x + y) % 6
-                    if e == 1:
-                        cell[0] += 1
-                        cell[where[2]] -= 1
-                    else:
-                        cell[where[e]] += 1
-    assert any(m < 0 for rows in t.constants for row in rows for m in row)
+            with dense_cell(t, i, j) as cell:
+                for x in xs:
+                    for y in ys:
+                        e = (x + y) % 6
+                        if e == 1:
+                            cell[0] += 1
+                            cell[where[2]] -= 1
+                        else:
+                            cell[where[e]] += 1
+    assert any(m < 0 for rows in densified(t) for row in rows for m in row)
     assert _summary(check_axioms(t)) == _summary(dense_check_axioms(t)) == (True, True, [])
 
 
@@ -285,6 +291,45 @@ def test_json_round_trip_is_byte_identical():
     assert text == again
 
 
+def _assert_sparse_cells(t):
+    """Every cell is (basis index, multiplicity) pairs in strictly increasing index, none zero."""
+    n = len(t.basis)
+    assert len(t.constants) == n
+    for i, rows in enumerate(t.constants):
+        assert len(rows) == n
+        for j, cell in enumerate(rows):
+            assert type(cell) is tuple, (t.p, i, j, cell)
+            ks = [k for k, _ in cell]
+            assert ks == sorted(set(ks)) and all(0 <= k < n for k in ks), (t.p, i, j, cell)
+            assert all(type(m) is int and m != 0 for _, m in cell), (t.p, i, j, cell)
+
+
+def test_every_route_writes_sparse_cells():
+    for p in (2, 3, 5):
+        filled = RingTable.empty(p)
+        for a in filled.basis:
+            for b in filled.basis:
+                filled.set_product(a, b, closed_form_product(p, a, b))
+        # a two-summand product, listed against the basis order
+        f1 = filled.index(lab("F1"))
+        filled.set_product(lab("T"), lab("F1"), Decomposition(((lab("F1"), 1), (lab("T"), p))))
+        assert filled.constants[0][f1] == ((0, p), (f1, 1))
+        engine = build_table(p, workers=1)
+        for t in (closed_form_table(p), oracle_table(p), engine, filled):
+            _assert_sparse_cells(t)
+            _assert_sparse_cells(parse_json(serialize(t, "json")))
+
+
+def test_parse_json_merges_a_label_listed_twice():
+    payload = json.loads(serialize(closed_form_table(3), "json"))
+    payload["products"]["T,T"] = [{"label": "T", "mult": 1}, {"label": "T", "mult": 2}]
+    payload["products"]["T,L"] = [{"label": "L", "mult": 1}, {"label": "T", "mult": 2}, {"label": "L", "mult": 1}]
+    t = parse_json(json.dumps(payload))
+    assert t.constants[0][0] == ((0, 3),)
+    assert t.constants[0][1] == ((0, 2), (1, 2))
+    _assert_sparse_cells(t)
+
+
 def test_parse_json_rejects_labels_outside_the_basis():
     payload = json.loads(serialize(closed_form_table(3), "json"))
     named = copy.deepcopy(payload)
@@ -316,7 +361,7 @@ def test_parse_json_rejects_labels_outside_the_basis():
             parse_json(json.dumps(bad))
     with pytest.raises(ValueError, match="not an object"):
         parse_json("[]")
-    # a large p is refused from the text alone, before a (2p+2)^3 table is built
+    # a large p is refused from the text alone, before a table of (2p+2)^2 cells is built
     with pytest.raises(ValueError, match="basis in JSON does not match"):
         parse_json(json.dumps({"p": 101, "basis": [], "products": {}}))
     big_basis = [str(b) for b in RingTable.empty(2).basis[:4]] + [f"X{k}" for k in range(1, 101)]
@@ -355,17 +400,18 @@ def test_serialize_json_matches_plain_encoder():
 def test_readers_see_in_place_edits():
     t = closed_form_table(5)
     x1, x2, x4 = t.index(lab("X1")), t.index(lab("X2")), t.index(lab("X4"))
-    row = t.constants[x2][x2]  # X2 x X2 = X4
     assert check_axioms(t).ok() and units_group(t).is_dihedral()
     text = serialize(t, "json")
-    row[x4], row[x1] = 0, 1  # X2 x X2 = X1 now, in the same row object
+    with dense_cell(t, x2, x2) as row:  # X2 x X2 = X4
+        row[x4], row[x1] = 0, 1  # X2 x X2 = X1 now, a replaced cell
     assert not check_axioms(t).associativity_ok
     units = units_group(t)
     assert units.table[(lab("X2"), lab("X2"))] == lab("X1") and not units.is_dihedral()
     edited = serialize(t, "json")
     assert edited != text and edited == plain_serialize_json(t)
     assert '"dihedral": false' in edited and '"associativity": false' in edited
-    row[x4], row[x1] = 1, 0
+    with dense_cell(t, x2, x2) as row:
+        row[x4], row[x1] = 1, 0
     assert check_axioms(t).ok() and units_group(t).is_dihedral()
     assert serialize(t, "json") == text
 

@@ -11,6 +11,7 @@ import pytest
 from bpring.bimodules import BimoduleLabel, catalogue_entry
 from bpring.closed_form import closed_form_product, closed_form_table
 from bpring.walls import fuse_walls, oracle_table, wall_of
+from ring_oracle import dense_cell, dense_row
 
 PAIR_PRIMES = (2, 3, 5, 7)
 
@@ -39,9 +40,10 @@ def test_fuse_walls_reads_the_oracle_stacking():
 def test_each_call_builds_its_own_cells():
     for build in (closed_form_table, oracle_table):
         t = build(3)
-        t.constants[0][0][0] = 99
-        assert build(3).constants[0][0][0] == 3
-        assert [t.constants[i][j][0] for i in range(8) for j in range(8)].count(99) == 1
+        with dense_cell(t, 0, 0) as row:
+            row[0] = 99
+        assert dense_row(build(3), 0, 0)[0] == 3
+        assert [dense_row(t, i, j)[0] for i in range(8) for j in range(8)].count(99) == 1
 
 
 @pytest.mark.parametrize("p", PAIR_PRIMES)
