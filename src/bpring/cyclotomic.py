@@ -152,15 +152,23 @@ class CyclotomicScalar:
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             self._check_compatible(other)
-        p = self.p
-        terms = [(j, b) for j, b in enumerate(other._num) if b]
-        if len(terms) == 1:
-            # times (b / den) zeta^j: scale and rotate
-            j, b = terms[0]
-            if b == 1 and j == 0 and other._den == 1:
-                return self
+        p, num = self.p, other._num
+        # a monomial (b / den) zeta^j has one of the two canonical shapes that
+        # _flat_terms reads with count and index
+        zeros = num.count(0)
+        if zeros == p - 1:
+            b = sum(num)
+            j = num.index(b)
+        elif zeros == 1 and num.count(num[0]) == p - 1:
+            b, j = -num[0], p - 1
+        else:
+            b = None
+        if b is not None:
+            if b == 1 and other._den == 1:
+                return self.rotate(j)
             raw = [a * b for a in self._num]
             return _make(p, raw[p - j:] + raw[:p - j], self._den * other._den)
+        terms = [(j, b) for j, b in enumerate(num) if b]
         raw = [0] * p
         for i, a in enumerate(self._num):
             if a:

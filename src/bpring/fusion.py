@@ -23,15 +23,18 @@ every rung b of End(obj) and the shifted object has the same End dimension.
 Both are checked, and a failure is a ClassificationError; class (obj, k) then
 steps to the class of (shift(obj), k + e(1)).  This is the condition under
 which re-anchoring the acted projector succeeds, so the step tables verify no
-less than the witness route.  The step tables walk the envelope's classes by
-base object index (KarEnvelope.base_at), dim classes per base, and read the
-target's class and End dimension from the envelope's integer lists.  The
-shifts are two rows of the entries' action tables, shift_m = M.left[1] on the
-M leg and shift_n = N.right[1] on the N leg, like the rung rows of
-LadderCategory; e depends only on the leg simple on that side and the End
-dimension, so it is read and checked once per such pair.  A simple is built
-only where a witness needs one: the orbit representative handed to
-mixed_associator, and those that analyze reports.
+less than the witness route.  The step tables are built a row at a time,
+like the envelope's classes (see bpring.karoubi): each row that makes
+classes gives one block of each table, gathered in C from a row of the
+envelope's class list.  The shifts are two rows of the entries' action
+tables, shift_m = M.left[1] on the M leg and shift_n = N.right[1] on the N
+leg, like the rung rows of LadderCategory, so the left step keeps an object
+in its row and the right step moves it to row shift_n[n].  A leg is fixed or
+free on every rung, so the End-dimension check compares the legs' orbit
+kinds; e depends only on the leg simple on that side and the End dimension,
+so it is read and checked once per such pair.  A simple is built only where
+a witness needs one: the orbit representative handed to mixed_associator,
+and those that analyze reports.
 
 The two step permutations must commute on every simple; this is checked
 once per product, before the orbits are read, and a failure is a
@@ -86,11 +89,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue, format_simple
 from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
-from .karoubi import KarEnvelope, KarObject, KarSimple, proportionality
+from .karoubi import FIXED, KarEnvelope, KarObject, KarSimple, gatherer, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from .ring import RingTable
 
@@ -133,6 +137,18 @@ def _subgroups(p: int) -> tuple[Subgroup, ...]:
     return tuple(enumerate_subgroups(p))
 
 
+@lru_cache(maxsize=None)
+def _character(p: int, e1: int) -> tuple[int, ...]:
+    """(b e1 mod p for every rung b): the exponents of the character of Z_p with e(1) = e1."""
+    return tuple(b * e1 % p for b in range(p))
+
+
+@lru_cache(maxsize=None)
+def _rotation(p: int, e1: int) -> tuple[int, ...]:
+    """((k + e1) mod p for every character k): where acting with e(1) = e1 moves the characters."""
+    return tuple((k + e1) % p for k in range(p))
+
+
 def _normalize(w: LadderMorphism) -> LadderMorphism:
     lead = min(w.coeffs)
     return w.scale(w.coeffs[lead].inv())
@@ -148,6 +164,7 @@ class RelativeTensorProduct:
         self.p = self.lad.p
         self.env = KarEnvelope(self.lad)
         self._steps: tuple[list[int], list[int]] | None = None
+        self._exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
 
     @property
     def simples(self) -> list[KarSimple]:
@@ -204,64 +221,130 @@ class RelativeTensorProduct:
         """e(1) for acting by 1 on side, on an object whose End has dimension dim.
 
         leg is the index of the object's simple on that side.  Checks that
-        e(b) = b e(1) for every rung b of End(obj) (see the module docstring).
+        e(b) = b e(1) for every rung b of End(obj) (see the module
+        docstring), once per product for each (side, leg, dim).
         """
+        key = (side, leg, dim)
+        e1 = self._exponents.get(key)
+        if e1 is not None:
+            return e1
         if side == "left":
-            exps = self.M.mixed[1][leg][:dim]
+            exps = tuple(self.M.mixed[1][leg][:dim])
             simple = self.M.simples[leg]
         else:
-            exps = [self.N.mixed[b][leg][1] for b in range(dim)]
+            exps = tuple([self.N.mixed[b][leg][1] for b in range(dim)])
             simple = self.N.simples[leg]
         e1 = exps[1] if dim > 1 else 0
-        if any(e != b * e1 % self.p for b, e in enumerate(exps)):
+        if exps != _character(self.p, e1)[:dim]:
             raise ClassificationError(
                 f"the {side} mixed associator on {format_simple(simple)} "
                 "is not a character of its rung stabilizer"
             )
+        self._exponents[key] = e1
         return e1
 
     def _step_tables(self) -> tuple[list[int], list[int]]:
         """Each simple's index after acting by 1 on the left, and on the right.
 
         Acting by 1 on the left moves the M leg of the object with index
-        n*|M| + m to shift_m[m] = M.left[1][m]; acting on the right moves its
-        N leg to shift_n[n] = N.right[1][n].  e(1) is read once per leg
-        simple, side and End dimension.  The loop runs over the classes by
-        their base index, taking dim classes at a time for a base whose End
-        has dimension dim: class c + k, the character k of the base, goes to
-        class_at(shift(base)) + (k + e(1)) mod p, after checking that the
-        shift keeps the End dimension.  No simple is built.
+        n*|M| + m to shift_m[m] = M.left[1][m], within its row n; acting on
+        the right moves its N leg to shift_n[n] = N.right[1][n], into row
+        shift_n[n].  Class c + k, the character k of a base whose End has
+        dimension dim, goes to class_at(shift(base)) + (k + e(1)) mod p,
+        after checking that the shift keeps the End dimension.  The tables
+        are built a row at a time over the rows that make classes (see
+        bpring.karoubi), the left block of a row before its right block,
+        each gathered in C from a row of class_at:
+
+        - the base row of a free N orbit steps on the left by shift_m, and
+          on the right to its target row as it stands;
+        - an N-fixed row follows M's leg pattern, one block of p classes per
+          fixed M simple and one class per free M orbit: its left block
+          gathers the row at shift_m of each class's base and adds
+          (k + e(1)) mod p on a fixed block, which is the same for every
+          N-fixed row; its right block gathers the target row at each base
+          and adds (k + e(1)) mod p with e(1) of the row's N leg.
+
+        A leg is fixed or free on every rung, so the End dimension of an
+        object is read from its two legs.  No simple is built.
         """
         if self._steps is None:
-            env, p = self.env, self.p
-            width = len(self.M.simples)
-            shift_m, shift_n = self.M.left[1], self.N.right[1]
-            exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
-            count = env.simple_count
-            steps = ([0] * count, [0] * count)
-            c = 0
-            while c < count:
-                i = env.base_at(c)
-                n, m = divmod(i, width)
-                dim = env.dimension_at(i)
-                for side, table, leg, target in (
-                    ("left", steps[0], m, n * width + shift_m[m]),
-                    ("right", steps[1], n, shift_n[n] * width + m),
-                ):
-                    key = (side, leg, dim)
-                    e1 = exponents.get(key)
-                    if e1 is None:
-                        e1 = exponents[key] = self._exponent(side, leg, dim)
-                    if env.dimension_at(target) != dim:
-                        raise ClassificationError(
-                            f"acting on the {side} changes the End dimension of {self.lad.object_at(i)}"
-                        )
-                    first = env.class_at(target)
-                    for k in range(dim):
-                        table[c + k] = first + (k + e1) % p
-                c += dim
-            self._steps = steps
+            self._steps = self._row_steps()
         return self._steps
+
+    def _row_steps(self) -> tuple[list[int], list[int]]:
+        """The tables of _step_tables, kept apart so that the cache check stays cheap."""
+        env, p = self.env, self.p
+        width = len(self.M.simples)
+        shift_m, shift_n = self.M.left[1], self.N.right[1]
+        m_rung, n_rung = env.leg_m.rung, env.leg_n.rung
+        fixed_row = free_left = None  # the left-step data of an N-fixed row, of a free N orbit's base row
+        right_chars: dict[int, list[int]] = {}  # e(1) -> the characters an N-fixed row's right block adds
+        lstep, rstep = [], []
+        for n, r in enumerate(n_rung):
+            if r > 0:
+                continue  # a row of a free N orbit other than its base makes no class
+            here, row, target = n * width, env.class_row(n), env.class_row(shift_n[n])
+            into_fixed = n_rung[shift_n[n]] == FIXED
+            if r == FIXED:
+                if fixed_row is None:
+                    fixed_row = self._fixed_row_left(here)
+                pick_left, left_chars, dims, first_fixed = fixed_row
+                lstep += map(add, pick_left(row), left_chars)
+                e1 = 0
+                for d in dims:
+                    e = self._exponent("right", n, d)
+                    if d == p:
+                        e1 = e
+                if first_fixed is not None and not into_fixed:
+                    self._dimension_fault("right", here + first_fixed)
+                chars = right_chars.get(e1)
+                if chars is None:  # (k + e(1)) mod p on a fixed class, 0 on a free one
+                    rotated = _rotation(p, e1)
+                    chars = right_chars[e1] = [
+                        k for x in env.pattern_bases for k in (rotated if m_rung[x] == FIXED else (0,))
+                    ]
+                rstep += map(add, env.pattern_get(target), chars)
+            else:
+                if free_left is None:
+                    for m in range(width):
+                        self._exponent("left", m, 1)
+                    free_left = gatherer(shift_m)
+                lstep += free_left(row)
+                self._exponent("right", n, 1)
+                if into_fixed and FIXED in m_rung:
+                    self._dimension_fault("right", here + m_rung.index(FIXED))
+                rstep += target
+        return lstep, rstep
+
+    def _fixed_row_left(self, here: int) -> tuple:
+        """The left-step data of every N-fixed row, checked on the first, whose first object index is here.
+
+        Per M orbit, in the order of M's leg pattern: its base x, with e(1)
+        on the left and the check that shift_m keeps x fixed or free.
+        Returns the gatherer of the row at shift_m of each class's base, the
+        characters (k + e(1)) mod p to add (0 on a free class), the End
+        dimensions in the order the row meets them, and the first fixed M
+        simple, or None.
+        """
+        p, shift_m = self.p, self.M.left[1]
+        m_rung = self.env.leg_m.rung
+        chars, dims = [], []
+        for x in self.env.pattern_bases:
+            fixed = m_rung[x] == FIXED
+            d = p if fixed else 1
+            e1 = self._exponent("left", x, d)
+            if (m_rung[shift_m[x]] == FIXED) != fixed:
+                self._dimension_fault("left", here + x)
+            if d not in dims:
+                dims.append(d)
+            chars += _rotation(p, e1) if fixed else (0,)
+        first_fixed = m_rung.index(FIXED) if FIXED in m_rung else None
+        return gatherer([shift_m[x] for x in self.env.pattern]), chars, dims, first_fixed
+
+    def _dimension_fault(self, side: str, i: int):
+        """Raise the End-dimension fault of acting on side on the object of index i."""
+        raise ClassificationError(f"acting on the {side} changes the End dimension of {self.lad.object_at(i)}")
 
     # -- mixed associator -----------------------------------------------------
 

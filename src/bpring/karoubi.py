@@ -16,16 +16,42 @@ orbit of p objects with End = C, which is one simple: the basic rung-b ladder
 from the base to its rung-b image is invertible, its inverse being the rung -b
 ladder.
 
-The envelope makes one walk over the object indices in canonical order, on
-the index arrays of LadderCategory.  The first object met of each orbit is its
-base; its p-1 rung images decide the orbit: all equal to the base (fixed) or
-p-1 new objects (free).  Anything else means the rung action is not a Z_p
-action, and UnsupportedEndAlgebra is raised.  The walk records classes only,
-as three integer lists: per object index, the class of its first simple and
-its rung from the base; per class, the object index of its base.  A fixed
-base owns p consecutive classes, and class c of base i has character index
-c - class_at(i).  The walk builds no LadderObject, morphism or simple; the
-object is built only for an error message.
+Rung b acts on the object (m, n) as (rung_m[b][m], rung_n[b][n]), one Z_p
+action per leg, so the envelope starts from the rung orbits of each leg
+(leg_m and leg_n, computed once per envelope).  Each leg's simples are walked
+in order; the first simple met of each orbit is its base, and its p-1 rung
+images decide the orbit: all equal to the base (fixed) or p-1 new simples
+(free).  Anything else means the leg's rung rows are not a Z_p action, and
+UnsupportedEndAlgebra is raised, naming the object made of the defective
+simple and the other leg's first simple.  A leg whose rows 1 to p-1 are all
+the identity is fixed without the walk.
+
+An object is fixed exactly when both legs are, and otherwise its orbit is
+free.  The classes are then built a row at a time, walking the rows n of
+object indices n*|M| + m in order, with the numbering that a walk over every
+object in canonical order gives.  There are three kinds of row:
+
+- an N-fixed row repeats M's leg pattern: p classes on each fixed m, and one
+  class on each free M orbit at its base, with the rungs of M's leg;
+- the base row of a free N orbit makes |M| new classes of dimension 1, one
+  per object, each its own base;
+- the row n = rung_n[b][n0] of that orbit makes none: the object (m, n) is
+  the rung-b image of (rung_m[p-b][m], n0), and takes its class, with rung b.
+
+When M has one simple, which is then fixed, the row n is the one object n
+and the classes repeat N's leg pattern.  The last rule reads every entry of
+M's rung rows, where the leg walk reads those of the bases only, so before
+it is first used M's rows are checked to compose as a Z_p action; a failure
+is reported as a rung orbit that is not a Z_p orbit.  Each row's lists are
+gathered in C by an operator.itemgetter (gatherer), the classes of the third
+kind from those of the base row.  The walk records classes only, as
+three integer lists: per object index, the class of its first simple and its
+rung from the base; per class, the object index of its base.  A fixed base
+owns p consecutive classes, and class c of base i has character index
+c - class_at(i).  The walk builds no LadderObject, morphism or simple; an
+object is built only for an error message.  The step tables of bpring.fusion
+read the same rows, through the leg orbits and M's leg pattern (pattern,
+pattern_bases and pattern_get).
 
 Everything else is built when asked for, on class and object indices:
 representative(c), the base of class c with its idempotent (the stored
@@ -53,6 +79,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, phase_exponent, root_of_unity
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
@@ -103,7 +131,77 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
     return ratio
 
 
-_FIXED = -1  # the rung from the base recorded for a fixed object
+FIXED = -1  # the rung from the base recorded for a fixed object or leg simple
+
+
+class LegOrbits(NamedTuple):
+    """The rung orbits of one leg: per simple, its orbit's base and its rung from it."""
+
+    base: tuple[int, ...]
+    rung: tuple[int, ...]  # FIXED on a fixed simple
+
+
+def gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function seq -> (seq[i] for i in indices), as a tuple, gathered in C.
+
+    operator.itemgetter with one index returns the item itself, so that case
+    is wrapped.  Gathering from a list of existing ints is much faster than
+    from a range, which makes each int anew.
+    """
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
+def _leg_orbits(rows: Sequence[Sequence[int]], p: int, name: Callable[[int], LadderObject]) -> LegOrbits:
+    """The rung orbits of the leg whose rung-b row is rows[b].
+
+    Simples are walked in order, so the first one met of each orbit is its
+    least one and becomes the base; its p-1 rung images decide the orbit:
+    all equal to the base (fixed) or p-1 new simples (free).  A leg whose
+    rows 1 to p-1 are all the identity tuple is fixed without the walk.
+    name(x) is the object an error message names for the simple x.
+    """
+    count, later = len(rows[0]), rows[1:]
+    simples = tuple(range(count))
+    if later.count(simples) == p - 1:
+        return LegOrbits(simples, (FIXED,) * count)
+    base, rung = [-1] * count, [0] * count
+    for x in simples:
+        if base[x] >= 0:
+            continue
+        base[x] = x
+        images = [row[x] for row in later]
+        if images[0] == x:
+            if images.count(x) != p - 1:
+                raise UnsupportedEndAlgebra(f"rung 1 fixes {name(x)} but not every rung does, at p={p}")
+            rung[x] = FIXED
+            continue
+        for b, t in enumerate(images, 1):
+            if base[t] >= 0:
+                raise UnsupportedEndAlgebra(f"the rung orbit of {name(x)} is not a Z_p orbit at p={p}")
+            base[t] = x
+            rung[t] = b
+    return LegOrbits(tuple(base), tuple(rung))
+
+
+def _leg_pattern(leg: LegOrbits, p: int) -> tuple[list[int], list[int], list[int]]:
+    """(pattern_first, pattern, bases): the classes of a row along this leg where the other leg is fixed.
+
+    Per simple, its first class counted from the row's first; per class, the
+    simple of its base, p classes on a fixed simple and one on a free orbit
+    at its base; and the orbit bases in order.
+    """
+    first, pattern, bases = [], [], []
+    for x, r in enumerate(leg.rung):
+        if r > 0:
+            first.append(first[leg.base[x]])
+            continue
+        first.append(len(pattern))
+        bases.append(x)
+        pattern += [x] * (p if r == FIXED else 1)
+    return first, pattern, bases
 
 
 class KarEnvelope:
@@ -112,11 +210,16 @@ class KarEnvelope:
     def __init__(self, lad: LadderCategory):
         self.lad = lad
         self._one = CyclotomicScalar.one(lad.p)
-        # per object index: the class of its first simple, and its rung from the base
-        self._class = [-1] * lad.object_count
-        self._rung = [0] * lad.object_count
-        self._bases: list[int] = []  # per class: the object index of its base
-        self._walk()
+        M, N = lad.M.simples, lad.N.simples
+        self.leg_m = _leg_orbits(lad.rung_m, lad.p, lambda m: LadderObject(M[m], N[0]))
+        self.leg_n = _leg_orbits(lad.rung_n, lad.p, lambda n: LadderObject(M[0], N[n]))
+        # M's leg pattern, the classes of an N-fixed row (see _leg_pattern),
+        # and the gatherer of a row of objects or classes at each class's base
+        first, self.pattern, self.pattern_bases = _leg_pattern(self.leg_m, lad.p)
+        self.pattern_get = gatherer(self.pattern)
+        # per object index: the class of its first simple, and its rung from
+        # the base; per class: the object index of its base
+        self._class, self._rung, self._bases = self._walk_rows(first)
 
     @cached_property
     def simples(self) -> list[KarSimple]:
@@ -125,42 +228,76 @@ class KarEnvelope:
 
     # -- class construction -------------------------------------------------
 
-    def _walk(self):
-        """One class per character of a fixed object, one per free orbit.
+    def _walk_rows(self, first: list[int]) -> tuple[list[int], list[int], list[int]]:
+        """One class per character of a fixed object, one per free orbit, a row at a time.
 
-        Objects are walked in canonical order, so the first member met of each
-        rung orbit is its least one and becomes the base.  A later member
-        obj, the rung-b image of the base, connects by the basic ladders
-        u: obj -> base of rung -b and v: base -> obj of rung b; u followed by
-        v is rung 0, the identity of obj, and v followed by u the identity of
-        base.
+        A later member obj of an orbit, the rung-b image of its base,
+        connects by the basic ladders u: obj -> base of rung -b and v: base ->
+        obj of rung b; u followed by v is rung 0, the identity of obj, and v
+        followed by u the identity of base.  first is M's pattern_first (see
+        _leg_pattern).  Each row's lists are gathered in C (gatherer): the
+        classes of a row of a free N orbit from those of its base row.
+        """
+        p, width = self.lad.p, len(self.lad.M.simples)
+        m_rung, n_rung = self.leg_m.rung, self.leg_n.rung
+        if width == 1:
+            # M's one simple is fixed, since a free orbit has p simples: the
+            # row n is the object n, and the classes repeat N's leg pattern
+            first_n, pattern_n, _ = _leg_pattern(self.leg_n, p)
+            return first_n, list(n_rung), pattern_n
+        size = len(self.pattern)
+        fixed_classes, fixed_bases = gatherer(first), self.pattern_get
+        # on a fixed M leg every rung row is the identity; otherwise back[b]
+        # gathers a row at rung_m[p-b], made at the first free N orbit
+        m_fixed = size == p * width
+        back = None
+        # the per-object lists are allocated once at their full lengths; the
+        # rows of a free N orbit are filled from its base row n0, whose rung-b
+        # image is the row rung_n[b][n0]
+        rung_n = self.lad.rung_n
+        count = len(n_rung) * width
+        cls, rung, bases = [0] * count, [0] * count, []
+        for n, r in enumerate(n_rung):
+            if r > 0:
+                continue  # filled from its base row
+            start, offset, end = len(bases), n * width, (n + 1) * width
+            if r == FIXED:
+                cls[offset:end] = fixed_classes(list(range(start, start + size)))
+                rung[offset:end] = m_rung
+                bases += fixed_bases(list(range(offset, end)))
+                continue
+            row = list(range(start, start + width))
+            cls[offset:end] = row
+            bases += range(offset, end)
+            if back is None and not m_fixed:
+                back = self._back_rows()
+            for b in range(1, p):
+                image = rung_n[b][n] * width
+                cls[image:image + width] = row if m_fixed else back[b](row)
+                rung[image:image + width] = [b] * width
+        return cls, rung, bases
+
+    def _back_rows(self) -> list:
+        """Per rung b > 0, the gatherer of rung_m[p-b], after checking that M's rung rows are a Z_p action.
+
+        The row n = rung_n[b][n0] reads the class of (m, n) at (rung_m[p-b][m],
+        n0), the object whose rung-b image is (m, n) when rung p-b inverts
+        rung b.  That reads every entry of M's rows, which the leg walk does
+        not, so they are checked in full: rung 1 followed by rung b is rung
+        b+1 for b < p-1, and the identity for b = p-1.
         """
         lad, p = self.lad, self.lad.p
-        rung_m, rung_n = lad.rung_m, lad.rung_n
-        width = len(lad.M.simples)
-        cls_of, rung_of, bases = self._class, self._rung, self._bases
-        for i in range(lad.object_count):
-            if cls_of[i] >= 0:
-                continue
-            first = cls_of[i] = len(bases)
-            n, m = divmod(i, width)
-            images = [rung_n[b][n] * width + rung_m[b][m] for b in range(1, p)]
-            if images[0] == i:
-                if images.count(i) != p - 1:
-                    raise UnsupportedEndAlgebra(
-                        f"rung 1 fixes {lad.object_at(i)} but not every rung does, at p={p}"
-                    )
-                rung_of[i] = _FIXED
-                bases.extend([i] * p)
-                continue
-            for b, t in enumerate(images, 1):
-                if cls_of[t] >= 0:
-                    raise UnsupportedEndAlgebra(
-                        f"the rung orbit of {lad.object_at(i)} is not a Z_p orbit at p={p}"
-                    )
-                cls_of[t] = first
-                rung_of[t] = b
-            bases.append(i)
+        rows = lad.rung_m
+        back = [None] + [gatherer(rows[p - b]) for b in range(1, p)]
+        simples = tuple(range(len(rows[0])))
+        for b in range(1, p):
+            then_b = back[p - 1](rows[b])  # rung 1 followed by rung b
+            want = tuple(rows[b + 1]) if b + 1 < p else simples
+            if then_b != want:
+                m = next(m for m in simples if then_b[m] != want[m])
+                obj = LadderObject(lad.M.simples[m], lad.N.simples[0])
+                raise UnsupportedEndAlgebra(f"the rung orbit of {obj} is not a Z_p orbit at p={p}")
+        return back
 
     # -- classes --------------------------------------------------------------
 
@@ -195,7 +332,7 @@ class KarEnvelope:
 
         The stored projector I_k on a fixed object, the identity on a free one.
         """
-        if self._rung[i] == _FIXED:
+        if self._rung[i] == FIXED:
             return _projector_coeffs(self.lad.p)[k]
         return {0: self._one}
 
@@ -203,15 +340,20 @@ class KarEnvelope:
 
     def dimension_at(self, i: int) -> int:
         """End dimension of the object with object_index i."""
-        return self.lad.p if self._rung[i] == _FIXED else 1
+        return self.lad.p if self._rung[i] == FIXED else 1
 
     def class_at(self, i: int) -> int:
         """Class of the first simple of the object with object_index i."""
         return self._class[i]
 
+    def class_row(self, n: int) -> list[int]:
+        """class_at of the row n: the objects with object_index n*|M| + m, for every m."""
+        width = len(self.lad.M.simples)
+        return self._class[n * width:(n + 1) * width]
+
     def end_dimensions(self) -> dict[int, int]:
         """End dimension -> number of objects with it."""
-        fixed = self._rung.count(_FIXED)
+        fixed = self._rung.count(FIXED)
         counts = {self.lad.p: fixed, 1: len(self._rung) - fixed}
         return {d: c for d, c in counts.items() if c}
 
@@ -223,7 +365,7 @@ class KarEnvelope:
         that no morphism is built for the check.
         """
         k = 0
-        if self._rung[i] == _FIXED:
+        if self._rung[i] == FIXED:
             c0, c1 = idem.coeffs.get(0), idem.coeffs.get(1)
             k = None if c0 is None or c1 is None else phase_exponent(c1 * c0.inv())
         if k is None or not idem.source == idem.target == obj or idem.coeffs != self._base_coeffs(i, k):
@@ -248,7 +390,7 @@ class KarEnvelope:
             raise KeyError((obj, char_index))
         to_rep = self._to_rep(obj, i, char_index)
         b = self._rung[i]
-        if b in (0, _FIXED):
+        if b in (0, FIXED):
             return to_rep, to_rep
         return to_rep, LadderMorphism._nonzero(to_rep.target, obj, {b: self._one})
 
@@ -259,7 +401,7 @@ class KarEnvelope:
         is the basic rung -b ladder back to the base.
         """
         b = self._rung[i]
-        if b in (0, _FIXED):
+        if b in (0, FIXED):
             return self._base_idempotent(obj, i, k)
         rep = self.lad.object_at(self._bases[self._class[i]])
         return LadderMorphism._nonzero(obj, rep, {self.lad.p - b: self._one})

@@ -277,13 +277,14 @@ def serialize(table: RingTable, format: str = "json") -> str:
         return text + "\n"
     if format == "markdown" or format == "md":
         names = [str(b) for b in table.basis]
-        width = max(4, max(len(str(table.product(a, b))) for a in table.basis for b in table.basis))
+        # each cell's text is built once: the widest sets the column width
+        texts = [[str(table.product(a, b)) for b in table.basis] for a in table.basis]
+        width = max(4, max(len(text) for row in texts for text in row))
         head = "| x | " + " | ".join(names) + " |"
         sep = "|---" * (len(names) + 1) + "|"
         rows = [head, sep]
-        for a in table.basis:
-            cells = [str(table.product(a, b)).ljust(width) for b in table.basis]
-            rows.append(f"| {a} | " + " | ".join(cells) + " |")
+        for a, row in zip(table.basis, texts):
+            rows.append(f"| {a} | " + " | ".join(text.ljust(width) for text in row) + " |")
         return "\n".join(rows) + "\n"
     if format == "csv":
         names = [str(b) for b in table.basis]

@@ -12,14 +12,20 @@ searching.  The helpers here work on objects, from the bimodule actions:
 - isomorphism decided the slow, general way: two primitives (A, e) and
   (A', e') are isomorphic iff absorbed morphisms u: (A,e) -> (A',e') and v
   back exist with u followed by v a nonzero multiple of e;
-- the isomorphism classes of all primitives, found by that search.
+- the isomorphism classes of all primitives, found by that search;
+- walk_objects, the envelope's classes from one walk over every object, and
+  step_tables, the step permutations from one loop over every class: the
+  envelope and bpring.fusion compute both a row at a time from the leg
+  orbits instead.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from bpring.bimodules import BimoduleData
 from bpring.cyclotomic import CyclotomicScalar, root_of_unity
-from bpring.karoubi import KarEnvelope, KarObject, KarSimple, proportionality
+from bpring.fusion import ClassificationError
+from bpring.karoubi import KarEnvelope, KarObject, KarSimple, UnsupportedEndAlgebra, proportionality
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
 
 
@@ -163,3 +169,73 @@ def isomorphism_classes(lad: LadderCategory) -> list[list[tuple[int, KarObject]]
             else:
                 classes.append([(k, kobj)])
     return classes
+
+
+FIXED = -1  # the rung from the base that walk_objects records for a fixed object
+
+
+def walk_objects(lad: LadderCategory) -> tuple[list[int], list[int], list[int]]:
+    """(class, rung, bases): the envelope's classes from one walk over every object.
+
+    Objects are walked in canonical order, so the first member met of each
+    rung orbit is its least one and becomes the base; its p-1 rung images
+    are all equal to it (a fixed object, p classes) or p-1 new objects (a
+    free orbit, one class).  Per object index: the class of its first simple
+    and its rung from the base (FIXED on a fixed object); per class: the
+    object index of its base.
+    """
+    p, width = lad.p, len(lad.M.simples)
+    rung_m, rung_n = lad.rung_m, lad.rung_n
+    cls_of, rung_of, bases = [-1] * lad.object_count, [0] * lad.object_count, []
+    for i in range(lad.object_count):
+        if cls_of[i] >= 0:
+            continue
+        first = cls_of[i] = len(bases)
+        n, m = divmod(i, width)
+        images = [rung_n[b][n] * width + rung_m[b][m] for b in range(1, p)]
+        if images[0] == i:
+            if images.count(i) != p - 1:
+                raise UnsupportedEndAlgebra(f"rung 1 fixes {lad.object_at(i)} but not every rung does, at p={p}")
+            rung_of[i] = FIXED
+            bases.extend([i] * p)
+            continue
+        for b, t in enumerate(images, 1):
+            if cls_of[t] >= 0:
+                raise UnsupportedEndAlgebra(f"the rung orbit of {lad.object_at(i)} is not a Z_p orbit at p={p}")
+            cls_of[t] = first
+            rung_of[t] = b
+        bases.append(i)
+    return cls_of, rung_of, bases
+
+
+def step_tables(M: BimoduleData, N: BimoduleData, walk) -> tuple[list[int], list[int]]:
+    """Each class's index after acting by 1 on the left, and on the right, one class at a time.
+
+    walk is walk_objects of Lad(M, N).  Class c + k, the character k of a
+    base whose End has dimension dim, goes to the first class of the shifted
+    base plus (k + e(1)) mod p, after checking that e(b) = b e(1) on every
+    rung of the End and that the shift keeps the End dimension.
+    """
+    p, width = M.p, len(M.simples)
+    cls_of, rung_of, bases = walk
+    dim = lambda i: p if rung_of[i] == FIXED else 1
+    shift_m, shift_n = M.left[1], N.right[1]
+    steps = ([0] * len(bases), [0] * len(bases))
+    c = 0
+    while c < len(bases):
+        i = bases[c]
+        n, m = divmod(i, width)
+        d = dim(i)
+        for side, table, exps, target in (
+            ("left", steps[0], M.mixed[1][m][:d], n * width + shift_m[m]),
+            ("right", steps[1], [N.mixed[b][n][1] for b in range(d)], shift_n[n] * width + m),
+        ):
+            e1 = exps[1] if d > 1 else 0
+            if any(e != b * e1 % p for b, e in enumerate(exps)):
+                raise ClassificationError(f"the {side} mixed associator is not a character of its rung stabilizer")
+            if dim(target) != d:
+                raise ClassificationError(f"acting on the {side} changes the End dimension of object {i}")
+            for k in range(d):
+                table[c + k] = cls_of[target] + (k + e1) % p
+        c += d
+    return steps

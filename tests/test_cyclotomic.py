@@ -158,17 +158,39 @@ def test_arithmetic_matches_fraction_oracle():
             assert x.scale(n).coeffs == canonical_oracle(p, [Rational(u) * n for u in a])
 
 
+def test_products_with_a_monomial_factor_match_fraction_oracle():
+    # __mul__ reads a monomial right factor c zeta^j from either canonical
+    # shape, and a root of unity (c = 1) becomes a rotation; the product must
+    # be the canonical scalar the Fraction oracle gives, lowest terms included
+    rng = random.Random(2718)
+    for p in PROPERTY_PRIMES:
+        for _ in range(4):
+            a = random_raw(rng, p)
+            x = CyclotomicScalar(p, a)
+            for j in range(p):
+                for c in (1, -1, 2, Rational(3, p), Rational(-5, 6)):
+                    b = [0] * p
+                    b[j] = c
+                    y = CyclotomicScalar(p, b)
+                    assert (x * y).coeffs == poly_mod_oracle(p, a, b), (p, a, j, c)
+                    assert x * y == y * x
+        assert (CyclotomicScalar.zero(p) * root_of_unity(p, 1)).is_zero()
+
+
 def test_rotate_matches_multiplying_by_a_root_of_unity():
     # rotate shifts the numerators instead of multiplying; the result must be
-    # the same canonical scalar, lowest terms included, for every k
+    # the same canonical scalar, lowest terms included, for every k.  __mul__
+    # itself rotates by a root of unity, so the product compared with is by
+    # zeta^k + 1, which takes the general path
     rng = random.Random(4711)
     for p in PROPERTY_PRIMES:
+        one = CyclotomicScalar.one(p)
         for _ in range(20):
             raw = random_raw(rng, p)
             x = CyclotomicScalar(p, raw)
             for k in (-2 * p - 1, -1, 0, 1, p - 1, p, p + 2, 3 * p + 1):
                 y = x.rotate(k)
-                assert y == x * root_of_unity(p, k), (p, raw, k)
+                assert y == x * (root_of_unity(p, k) + one) - x, (p, raw, k)
                 assert y.coeffs == canonical_oracle(p, [raw[(i - k) % p] for i in range(p)])
         assert CyclotomicScalar.zero(p).rotate(3).is_zero()
 

@@ -21,6 +21,7 @@ from bpring.karoubi import KarEnvelope, KarObject, _projector_coeffs
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from action_oracle import action_tables, orbit_stabilizer, search_orbits
 from bimodule_transforms import exponent_table, gauge_twist, relabel
+from kar_oracle import FIXED, step_tables, walk_objects
 
 
 def rtp(p, left, right):
@@ -380,6 +381,30 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
             kinds["checked"] += len(made)
             made.clear()
     assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["checked"] > 10000, kinds
+
+
+def test_row_walk_and_step_tables_match_the_per_object_oracle():
+    # Every ordered pair at p in {2, 3, 5, 7, 11}: of the catalogue, of
+    # gauge-twisted entries, whose exponents depend on the simple, and of
+    # relabelled ones, whose leg simples are out of the catalogue's order.
+    rng = random.Random(1806)
+    for p in (2, 3, 5, 7, 11):
+        cat = catalogue(p)
+        twisted = [gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
+                   for e in cat]
+        for entries in (cat, twisted, [relabel(e, rng) for e in cat]):
+            for M, N in itertools.product(entries, repeat=2):
+                product = RelativeTensorProduct(M, N)
+                env, where = product.env, (p, str(M.label), str(N.label))
+                walk = walk_objects(env.lad)
+                cls_of, rung_of, bases = walk
+                assert env.simple_count == len(bases), where
+                assert list(map(env.base_at, range(len(bases)))) == bases, where
+                objects = range(env.lad.object_count)
+                assert list(map(env.class_at, objects)) == cls_of, where
+                assert list(map(env.dimension_at, objects)) == [p if r == FIXED else 1 for r in rung_of], where
+                assert env._rung == rung_of, where
+                assert product._step_tables() == step_tables(M, N, walk), where
 
 
 def test_corrupted_step_tables_are_classification_errors():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpring.bimodules import catalogue, catalogue_entry, label_parse, validate
+from bpring.bimodules import catalogue, catalogue_entry, format_simple, label_parse, validate
 from bpring.cyclotomic import CyclotomicScalar, root_of_unity
 from bpring.karoubi import KarEnvelope, KarObject, UnsupportedEndAlgebra, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
@@ -21,6 +21,7 @@ from kar_oracle import (
     primitive_idempotents,
     reduce_to_basis,
     simples,
+    walk_objects,
     zero,
 )
 
@@ -311,6 +312,68 @@ def test_rung_action_not_a_zp_action_is_unsupported():
         assert hom_rungs(lad, LadderObject("*", 0), LadderObject("*", 0)) == [0, s]
         with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(messages[s])}$"):
             KarEnvelope(lad)
+
+
+def _two_simples(p, s):
+    """Hand-built data that fails validate: simples 0 and 1, the right action fixing both for h in {0, s} only."""
+    F0 = catalogue_entry(p, label_parse("F0"))
+    return dataclasses.replace(
+        F0,
+        simples=(0, 1),
+        left=[[0, 1]] * p,
+        right=[[n if h in (0, s) else 1 - n for n in (0, 1)] for h in range(p)],
+        mixed=[[[0] * p] * 2] * p,
+        label=None,
+    )
+
+
+def test_rung_action_on_the_m_leg_not_a_zp_action_is_unsupported():
+    # Rung b acts on the M leg by M.right[-b], so with s=p-1 rung 1 fixes
+    # the simple 0 and rung 2 does not, and with s=1 rung 1 moves it.  The
+    # message names (0) with the first simple of N.  Paired with X1, whose
+    # left action is free, every object has a free orbit and the per-object
+    # walk found 2 classes with no error; the leg walk raises all the same.
+    p = 5
+    for right in ("F0", "X1"):
+        N = catalogue_entry(p, label_parse(right))
+        n0 = format_simple(N.simples[0])
+        messages = {
+            p - 1: f"rung 1 fixes (0)({n0}) but not every rung does, at p=5",
+            1: f"the rung orbit of (0)({n0}) is not a Z_p orbit at p=5",
+        }
+        for s, message in messages.items():
+            M = _two_simples(p, s)
+            assert validate(M) != []
+            lad = LadderCategory(M, N)
+            if right == "F0":
+                assert hom_rungs(lad, LadderObject(0, "*"), LadderObject(0, "*")) == [0, p - s]
+            else:
+                assert len(walk_objects(lad)[2]) == 2
+            with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+                KarEnvelope(lad)
+
+
+def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
+    # At p=3 rung 1 permutes the M leg as (0 1 2)(3 4 5) at the bases 0 and
+    # 3 but sends 1 to 5 and 4 to 2, so rung 1 twice is not rung 2.  The leg
+    # walk reads the bases only and passes, and so did the per-object walk;
+    # the row rule reads all of M's rows, which are checked first.
+    p = 3
+    X1 = catalogue_entry(p, label_parse("X1"))
+    one, two = [1, 5, 0, 4, 2, 3], [2, 0, 1, 5, 3, 4]
+    M = dataclasses.replace(
+        catalogue_entry(p, label_parse("F0")),
+        simples=tuple(range(6)),
+        left=[list(range(6))] * p,
+        right=[list(range(6)), two, one],  # rung b acts by M.right[-b]
+        mixed=[[[0] * p] * 6] * p,
+        label=None,
+    )
+    lad = LadderCategory(M, X1)
+    assert len(walk_objects(lad)[2]) == 6
+    message = "the rung orbit of (0)(0) is not a Z_p orbit at p=3"
+    with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+        KarEnvelope(lad)
 
 
 def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
