@@ -26,8 +26,10 @@ denominator is not rescaled, and the two monomial shapes above are read with
 count and index, each as one term.  One double loop over the terms of the
 two factors accumulates every output rung's numerators as Python ints, and
 each output rung is put in canonical form once, instead of once per rung
-pair.  Rungs that sum to zero are left out, so the result has no zero
-coefficient.
+pair.  An output rung with one nonzero numerator a below the top power, as
+in a product of character projectors, already has top numerator 0, so one
+gcd(den, a) makes it canonical; other rungs go through _make.  Rungs that
+sum to zero are left out, so the result has no zero coefficient.
 """
 
 from __future__ import annotations
@@ -358,9 +360,10 @@ def group_algebra_product(p: int, f: dict, g: dict) -> dict:
     Rung b1 of f times rung b2 of g lands on rung b1 + b2 mod p.  Each factor
     is read once into flat terms, and one double loop over the terms sums
     the integer numerators of every output rung; each output rung is then
-    put in canonical form once.  Rungs whose sum is zero are left out of the
-    result, and the rungs keep the order in which a rung pair first meets
-    them.
+    put in canonical form once.  A rung with one nonzero numerator a below
+    the top power needs only gcd(den, a) for that; every other rung goes
+    through _make.  Rungs whose sum is zero are left out of the result, and
+    the rungs keep the order in which a rung pair first meets them.
     """
     fden, fterms = _flat_terms(p, f)
     gden, gterms = _flat_terms(p, g)
@@ -375,9 +378,25 @@ def group_algebra_product(p: int, f: dict, g: dict) -> dict:
                 order.append(b)
             raw[(i + j) % p] += a * c
     den = fden * gden
+    top = p - 1
     out = {}
     for b in order:
-        x = _make(p, acc[b], den)
-        if any(x._num):
+        raw = acc[b]
+        zeros = raw.count(0)
+        if zeros == top and not raw[top]:
+            # one nonzero numerator a below the top power: already canonical
+            # but for the common factor gcd(den, a)
+            a = sum(raw)
+            g = gcd(den, a)
+            if g != 1:
+                raw[raw.index(a)] = a // g
+            x = object.__new__(CyclotomicScalar)
+            x.p = p
+            x._num = tuple(raw)
+            x._den = den // g
             out[b] = x
+        elif zeros != p:
+            x = _make(p, raw, den)
+            if any(x._num):
+                out[b] = x
     return out

@@ -37,12 +37,13 @@ a witness needs one: the orbit representative handed to mixed_associator,
 and those that analyze reports.
 
 The two step permutations must commute on every simple; this is checked
-once per product, before the orbits are read, and a failure is a
-ClassificationError.  The orbit of a simple is then the union of the rstep
-cycles through the points of its lstep cycle, walked over one bytearray.
-Each step is the action of the generator 1 of Z_p, so commuting steps are
-an action of Z_p x Z_p: an orbit has size 1, p or p^2 and its stabilizer
-has order p^2 / size:
+once per product, before the orbits are read, by comparing lstep after
+rstep with rstep after lstep, each composite gathered in C; a failure is a
+ClassificationError naming the first simple where they differ.  The orbit
+of a simple is then the union of the rstep cycles through the points of
+its lstep cycle, walked over one bytearray.  Each step is the action of
+the generator 1 of Z_p, so commuting steps are an action of Z_p x Z_p: an
+orbit has size 1, p or p^2 and its stabilizer has order p^2 / size:
 size p^2 gives the trivial subgroup, size 1 the full group, and size p a
 line, found among the p+1 canonical generators by walking the steps, O(p)
 per orbit.  Any other size, or a size-p orbit whose representative is fixed
@@ -55,23 +56,25 @@ re-anchors through a connector (KarEnvelope.locate, which returns the
 landing class as an index), acts on that class's representative, re-anchors
 again, and is composed with one lad.compose; the two landing classes are
 compared as integers, and the ratio is read by proportionality and
-phase_exponent.  No simple is built on the way.  On an orbit fixed
-by both actions the connector gauges cancel in this ratio, so the extracted
-exponent is canonical; the calibration is fixed so that the product of the
-one-object bimodule with cocycle q and the invertible X_l comes out with
-exponent q*l at (g, h) = (1, 1).  Only these exponents, on orbits with full
-stabilizer (label F_q), are invariants of the product.  On an orbit with a
-trivial or line stabilizer the exponent depends on the gauge of the inputs:
-twisting a factor's mixed associator by a coboundary can change it, e.g. the
-T orbit of T x X1 at p=2 goes from 0 to 1.  So decompose, and with it
-build_table, runs the witness paths on full-stabilizer orbits only.  analyze,
-which fuse --detail prints, runs them on every orbit and reports each
-exponent as computed, never using it to classify a non-full orbit; both share
-one orbit loop and one stabilizer reading.  On a non-full orbit, what the
-witness paths checked beyond the exponent was that both paths land on one
-simple, i.e. that the actions commute there: the commutation check above
-covers that on every simple, and the step tables already check the
-re-anchoring the paths rely on.
+phase_exponent.  When the first connector lands on a base, it is that base's
+idempotent, sharing the representative's coefficient dict and endpoints, so
+its action is the acted idempotent that the path has just built, and that one
+is reused.  No simple is built on the way.  On an orbit fixed by both actions
+the connector gauges cancel in this ratio, so the extracted exponent is
+canonical; the calibration is fixed so that the product of the one-object
+bimodule with cocycle q and the invertible X_l comes out with exponent q*l at
+(g, h) = (1, 1).  Only these exponents, on orbits with full stabilizer (label
+F_q), are invariants of the product.  On an orbit with a trivial or line
+stabilizer the exponent depends on the gauge of the inputs: twisting a
+factor's mixed associator by a coboundary can change it, e.g. the T orbit of
+T x X1 at p=2 goes from 0 to 1.  So decompose, and with it build_table, runs
+the witness paths on full-stabilizer orbits only.  analyze, which fuse --detail
+prints, runs them on every orbit and reports each exponent as computed, never
+using it to classify a non-full orbit; both share one orbit loop and one
+stabilizer reading.  On a non-full orbit, what the witness paths checked
+beyond the exponent was that both paths land on one simple, i.e. that the
+actions commute there: the commutation check above covers that on every
+simple, and the step tables already check the re-anchoring the paths rely on.
 
 Classification of an orbit: stabilizer H = {(g,h) : g acts then h acts fixes
 the simple}; trivial H -> T, H = <(1,0)> -> L, H = <(0,1)> -> R, other lines
@@ -351,15 +354,9 @@ class RelativeTensorProduct:
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
         """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g)."""
         g, h = g % self.p, h % self.p
-        env, rep = self.env, simple.representative
-        # right h first, then left g
-        c1, u1 = env.locate(self._apply("right", h, rep))
-        c2, u2 = env.locate(self._apply("left", g, env.representative(c1)))
-        path_rl = self.lad.compose(self.act_left(g, u1), u2)
-        # left g first, then right h
-        c1b, u1b = env.locate(self._apply("left", g, rep))
-        c2b, u2b = env.locate(self._apply("right", h, env.representative(c1b)))
-        path_lr = self.lad.compose(self.act_right(h, u1b), u2b)
+        rep = simple.representative
+        c2, path_rl = self._witness_path("right", h, "left", g, rep)
+        c2b, path_lr = self._witness_path("left", g, "right", h, rep)
         if c2 != c2b or path_lr.source != path_rl.source:
             raise ClassificationError("the two witness paths do not land in one Hom space")
         ratio = proportionality(path_lr, path_rl)
@@ -370,13 +367,37 @@ class RelativeTensorProduct:
             raise ClassificationError(f"associator ratio {ratio!r} is not a root of unity")
         return k
 
+    def _witness_path(self, first: str, a: int, second: str, b: int, rep: KarObject) -> tuple[int, LadderMorphism]:
+        """(landing class, path) of acting by a on side first, then by b on side second, from rep.
+
+        The path acts, re-anchors through a connector u, acts on the landing
+        class's representative, re-anchors again through u2, and is the
+        acted u followed by u2.  When u is the representative's own
+        idempotent, sharing its coefficient dict and with its endpoints, the
+        acted u is the acted idempotent already built, and is reused.
+        """
+        env = self.env
+        c1, u = env.locate(self._apply(first, a, rep))
+        rep1 = env.representative(c1)
+        acted = self._apply(second, b, rep1)
+        c2, u2 = env.locate(acted)
+        if u.coeffs is rep1.idem.coeffs and u.source == u.target == rep1.obj:
+            w = acted.idem
+        elif second == "left":
+            w = self.act_left(b, u)
+        else:
+            w = self.act_right(b, u)
+        return c2, self.lad.compose(w, u2)
+
     # -- orbits and classification ---------------------------------------------
 
     def orbits(self) -> list[list[int]]:
         """Orbits of the two step permutations, after checking that they commute."""
         lstep, rstep = self._step_tables()
-        bad = next((i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]]), None)
-        if bad is not None:
+        # lstep after rstep against rstep after lstep, each gathered in C;
+        # the walk runs only to name the first simple where they differ
+        if gatherer(rstep)(lstep) != gatherer(lstep)(rstep):
+            bad = next(i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]])
             raise ClassificationError(f"the left and right actions do not commute on {self.env.simple(bad)}")
         # Commuting steps: the orbit of i is the union of the rstep cycles
         # through the points of its lstep cycle.

@@ -67,11 +67,16 @@ the constructor's copy and zero filter.
 locate(kobj) checks that the idempotent of kobj is a stored primitive and
 returns its class index and the connector to the class representative; it
 reads the object index once, builds no simple, and builds only that one
-connector.  connectors(obj, k) builds the pair, the from-representative
-ladder too.  Callers that want the simple itself call simple(c) on that
-class.  The table path reads only the integer lists, and builds a simple
-only to hand a full-stabilizer orbit to the witness associator, which works
-on class indices.
+connector.  On a fixed object the character index is looked up from the
+idempotent's rung-0 and rung-1 coefficients in a per-prime table kept beside
+the stored projectors, with no scalar product or inverse, and the idempotent
+is then compared with that stored I_k on every rung.  proportionality reads
+the scalar c with f == c*g off one rung and checks it on every rung, by a
+rotation when c is a root of unity.  connectors(obj, k) builds the pair,
+the from-representative ladder too.  Callers that want the simple itself
+call simple(c) on that class.  The table path reads only the integer
+lists, and builds a simple only to hand a full-stabilizer orbit to the
+witness associator, which works on class indices.
 """
 
 from __future__ import annotations
@@ -113,10 +118,19 @@ def _projector_coeffs(p: int) -> tuple[dict, ...]:
     return tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
 
 
+@lru_cache(maxsize=None)
+def _projector_index(p: int) -> dict:
+    """(I_k[0], I_k[1]) -> k for the stored projectors of _projector_coeffs(p)."""
+    return {(coeffs[0], coeffs[1]): k for k, coeffs in enumerate(_projector_coeffs(p))}
+
+
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
     """The scalar c with f == c*g, if one exists (g nonzero).
 
-    c is read off one rung, with one inversion, and then checked on every rung.
+    c is read off one rung, with one inversion, and then checked on every
+    rung.  When c is a root of unity zeta^k, as for two witness paths, each
+    rung of g is multiplied by a rotation (CyclotomicScalar.rotate) instead
+    of a product.
     """
     if g.is_zero():
         return None
@@ -126,7 +140,11 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
         return None
     b, gc = next(iter(g.coeffs.items()))
     ratio = f.coeffs[b] * gc.inv()
-    if any(f.coeffs[b] != gc * ratio for b, gc in g.coeffs.items()):
+    k = phase_exponent(ratio)
+    if k is None:
+        if any(f.coeffs[b] != gc * ratio for b, gc in g.coeffs.items()):
+            return None
+    elif any(f.coeffs[b] != gc.rotate(k) for b, gc in g.coeffs.items()):
         return None
     return ratio
 
@@ -360,14 +378,15 @@ class KarEnvelope:
     def _primitive_index(self, obj: LadderObject, i: int, idem: LadderMorphism) -> int:
         """Character index k of idem among the primitives of obj, whose object_index is i.
 
-        On a fixed object, I_k has rung-1 over rung-0 coefficient zeta^k;
-        idem must then equal the stored I_k, compared on its coefficients, so
-        that no morphism is built for the check.
+        On a fixed object, k is looked up from the rung-0 and rung-1
+        coefficients of idem in the table of the stored projectors
+        (_projector_index); idem must then equal the stored I_k, compared
+        on all its coefficients, so that no morphism is built for the check.
         """
         k = 0
         if self._rung[i] == FIXED:
-            c0, c1 = idem.coeffs.get(0), idem.coeffs.get(1)
-            k = None if c0 is None or c1 is None else phase_exponent(c1 * c0.inv())
+            coeffs = idem.coeffs
+            k = _projector_index(self.lad.p).get((coeffs.get(0), coeffs.get(1)))
         if k is None or not idem.source == idem.target == obj or idem.coeffs != self._base_coeffs(i, k):
             raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
         return k
@@ -376,7 +395,11 @@ class KarEnvelope:
         """The class of kobj and the connecting map to its representative.
 
         Reads the object index once, builds no simple and only the
-        to-representative connector.
+        to-representative connector.  Raises UnsupportedEndAlgebra unless the
+        idempotent of kobj equals a stored primitive of its object on every
+        rung; on a fixed object its character index is looked up from rungs 0
+        and 1 (see _primitive_index).  On a base the connector is the base's
+        idempotent, sharing the stored coefficient dict on a fixed one.
         """
         obj = kobj.obj
         i = self.lad.object_index(obj)

@@ -1,11 +1,16 @@
-"""The outer actions on simples as full tables, the orbit search and the p^2 stabilizer scan.
+"""Outer actions as full tables, the orbit search, the p^2 stabilizer scan and the plain witness route.
 
 The library walks the orbits as cycles of the two commuting step
 permutations and reads each orbit's stabilizer from the orbit's size; these
-are the brute-force oracles it is tested against.
+are the brute-force oracles it is tested against.  acted_witness_exponent
+is the witness associator with every connector acted on, never reusing an
+acted idempotent, and its ratio read with full scalar products.
 """
 
+from bpring.cyclotomic import phase_exponent
+from bpring.fusion import ClassificationError
 from bpring.groups import Subgroup, subgroup_from_elements
+from bpring.karoubi import KarObject
 
 
 def action_tables(product) -> tuple[list[list[int]], list[list[int]]]:
@@ -47,3 +52,26 @@ def search_orbits(product) -> list[list[int]]:
         out.append(sorted(orbit))
         seen.update(orbit)
     return out
+
+
+def acted_witness_exponent(product, g: int, h: int, simple) -> int:
+    """k with (left-g then right-h) = zeta^k (right-h then left-g), every connector acted on."""
+    env, act = product.env, {"left": product.act_left, "right": product.act_right}
+    paths = []
+    for first, a, second, b in (("right", h, "left", g), ("left", g, "right", h)):
+        shifted = act[first](a, simple.representative.idem)
+        c1, u1 = env.locate(KarObject(shifted.source, shifted))
+        acted = act[second](b, env.representative(c1).idem)
+        c2, u2 = env.locate(KarObject(acted.source, acted))
+        paths.append((c2, product.lad.compose(act[second](b, u1), u2)))
+    (c_rl, path_rl), (c_lr, path_lr) = paths
+    if c_rl != c_lr or path_rl.source != path_lr.source or path_rl.coeffs.keys() != path_lr.coeffs.keys():
+        raise ClassificationError("the two witness paths do not land in one Hom space")
+    b, c = next(iter(path_rl.coeffs.items()))
+    ratio = path_lr.coeffs[b] / c
+    if path_lr != path_rl.scale(ratio):
+        raise ClassificationError("witness paths are not proportional")
+    k = phase_exponent(ratio)
+    if k is None:
+        raise ClassificationError(f"associator ratio {ratio!r} is not a root of unity")
+    return k

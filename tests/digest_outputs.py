@@ -66,6 +66,11 @@ def outputs():
                     raise AssertionError(f"bpring fuse --p 7 --left {a} --right {b} exited {code}")
                 texts.append(text)
         yield f"fuse --p 7 --detail --format {fmt}, every ordered pair", "".join(texts), None
+    # exponents on non-full orbits at p=11, which no table reads
+    for a, b in (("R", "L"), ("R", "F0"), ("F10", "F2"), ("X3", "T")):
+        for fmt in ("json", "md"):
+            argv = ("fuse", "--p", "11", "--left", a, "--right", b, "--detail", "--format", fmt)
+            yield (" ".join(argv), *_cli(parser, *argv))
     yield ("verify --p 17 --oracle --triples", *_cli(parser, "verify", "--p", "17", "--oracle", "--triples"))
     for p in (7, 11, 13, 17):
         yield f'serialize(closed_form_table({p}), "json")', serialize(closed_form_table(p), "json"), None

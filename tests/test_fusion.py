@@ -19,7 +19,7 @@ from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, build_table, decompose
 from bpring.karoubi import KarEnvelope, KarObject, _projector_coeffs
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
-from action_oracle import action_tables, orbit_stabilizer, search_orbits
+from action_oracle import acted_witness_exponent, action_tables, orbit_stabilizer, search_orbits
 from bimodule_transforms import exponent_table, gauge_twist, relabel
 from kar_oracle import FIXED, step_tables, walk_objects
 
@@ -414,11 +414,15 @@ def test_corrupted_step_tables_are_classification_errors():
     identity = list(range(len(lstep)))
     swapped = list(lstep)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    # steps that do not commute
+    # steps that do not commute; the message names the first simple where
+    # they differ, of several
     product._steps = swapped, rstep
-    with pytest.raises(ClassificationError, match="do not commute"):
+    bad = [i for i in identity if swapped[rstep[i]] != rstep[swapped[i]]]
+    assert len({str(product.env.simple(i)) for i in bad}) > 1
+    message = f"the left and right actions do not commute on {product.env.simple(bad[0])}"
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         product.decompose()
-    with pytest.raises(ClassificationError, match="do not commute"):
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         product.analyze()
     # commuting steps with an orbit {0, 1} of size 2, which is not 1, p or p^2
     transposition = identity[:]
@@ -616,3 +620,29 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
     message = "acting on the left changes the End dimension of (0)(*)"
     with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         analyze(M, F0)
+
+
+def test_witness_associator_matches_the_route_that_acts_every_connector():
+    # mixed_associator reuses the acted representative idempotent when the
+    # first connector is that idempotent; on every orbit of every ordered
+    # pair at p in {2, 3, 5}, plain and gauge-twisted on both factors, it must
+    # give the exponent of the route that acts every connector, which reads
+    # its ratio with full scalar products.  Both kinds of landing occur: on a
+    # fixed object (the reused idempotent) and on a free one.
+    rng = random.Random(521)
+    dims = Counter()
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        twisted = [gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
+                   for e in cat]
+        exponents_at = [(1, 1), (rng.randrange(p), rng.randrange(p))]
+        for entries in (cat, twisted):
+            for M, N in itertools.product(entries, repeat=2):
+                product = RelativeTensorProduct(M, N)
+                for orbit in product.orbits():
+                    s = product.env.simple(orbit[0])
+                    dims[product.env.dimension_at(product.env.base_at(orbit[0]))] += 1
+                    for g, h in exponents_at:
+                        want = acted_witness_exponent(product, g, h, s)
+                        assert product.mixed_associator(g, h, s) == want, (p, str(M.label), str(N.label), g, h)
+    assert dims[1] > 100 and sum(n for d, n in dims.items() if d > 1) > 100, dims

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -255,6 +256,32 @@ def test_proportionality_checks_every_rung():
     assert proportionality(g, LadderMorphism(obj, obj, {})) is None
 
 
+
+def test_proportionality_under_a_root_of_unity_checks_every_rung():
+    # a root-of-unity ratio zeta^k is checked on each rung by a rotation; one
+    # later rung off that ratio, by another root of unity, by a rational
+    # factor or by an added term, means the morphisms are not proportional
+    rng = random.Random(1123)
+    for p in (3, 5, 7, 11):
+        obj = LadderObject(1, "*")
+        for _ in range(6):
+            coeffs = {}
+            for b in rng.sample(range(p), rng.randint(2, p)):
+                while b not in coeffs or coeffs[b].is_zero():
+                    raw = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, p))) for _ in range(p)]
+                    coeffs[b] = CyclotomicScalar(p, raw)
+            g = LadderMorphism(obj, obj, coeffs)
+            for k in range(p):
+                z = root_of_unity(p, k)
+                f = {b: c * z for b, c in coeffs.items()}
+                assert proportionality(LadderMorphism(obj, obj, f), g) == z, (p, k)
+                later = rng.choice(list(coeffs)[1:])
+                for off in (f[later].rotate(rng.randrange(1, p)), f[later].scale(2),
+                            f[later] + CyclotomicScalar.one(p).scale(Fraction(1, p))):
+                    off_f = LadderMorphism(obj, obj, f | {later: off})
+                    assert proportionality(off_f, g) is None, (p, k, later)
+
+
 def test_reduce_to_basis_drops_dependent_vectors():
     lad = make_lad(3, "R", "F0")
     obj = LadderObject(0, "*")
@@ -387,6 +414,17 @@ def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
     # rung 1 over rung 0 reads zeta, yet this is not the stored I_1
     with pytest.raises(UnsupportedEndAlgebra):
         env.locate(KarObject(obj, i1.scale(2)))
+    # rungs 0 and 1 are those of a stored I_k, which names k, but a later rung
+    # is not: every rung is still compared
+    first = env.class_at(env.lad.object_index(obj))
+    stored = [env.representative(first + k).idem.coeffs for k in range(5)]
+    for k, b in itertools.product(range(5), range(2, 5)):
+        for other in (stored[(k + 1) % 5][b], stored[k][b].scale(2)):
+            idem = LadderMorphism(obj, obj, stored[k] | {b: other})
+            message = f"idempotent on {obj} is not a stored primitive"
+            with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+                env.locate(KarObject(obj, idem))
+        assert env.locate(KarObject(obj, LadderMorphism(obj, obj, stored[k])))[0] == first + k
     # on a free object the only primitive is the identity
     env = KarEnvelope(make_lad(3, "T", "T"))
     obj = env.lad.object_at(0)

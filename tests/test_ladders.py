@@ -303,3 +303,38 @@ def test_kernel_matches_scalar_oracle_on_every_term_shape():
         for f, g in (({0: other}, {0: one}), ({0: one}, {0: other}), ({0: one}, {0: one, 1: other})):
             with pytest.raises(ValueError, match="mismatched primes"):
                 group_algebra_product(p, f, g)
+
+
+def test_kernel_matches_scalar_oracle_on_monomial_rung_outputs():
+    """Output rungs with one nonzero numerator, canonical by one gcd, against the scalar loop.
+
+    Products of scaled character projectors and of one-rung monomials:
+    every output power including p-1 (which has p-1 equal numerators in
+    canonical form), denominators that reduce, and rungs that cancel.
+    """
+    rng = random.Random(2111)
+    seen = {"below top": 0, "top": 0, "reduced": 0, "cancelled": 0}
+    for p in (2, 3, 5, 7, 11):
+        z = [root_of_unity(p, k) for k in range(p)]
+        scales = [Rational(n, d) for n, d in ((1, p), (p, 1), (-2, 3), (3, 4), (p, 6), (-1, p * p))]
+        projectors = [{b: z[k * b % p].scale(Rational(1, p)) for b in range(p)} for k in range(p)]
+        cases = [(e, f) for e in projectors for f in projectors]
+        cases += [({b: c.scale(s) for b, c in e.items()}, {b: c.scale(t) for b, c in f.items()})
+                  for e, f in rng.sample(cases, min(len(cases), 12)) for s, t in [rng.sample(scales, 2)]]
+        for i, j in itertools.product(range(p), repeat=2):
+            s, t = rng.choice(scales), rng.choice(scales)
+            cases.append(({rng.randrange(p): z[i].scale(s)}, {rng.randrange(p): z[j].scale(t)}))
+        for f, g in cases:
+            want = scalar_product(p, f, g)
+            got = group_algebra_product(p, f, g)
+            assert got == want and list(got) == list(want), (p, f, g)
+            den = next(iter(f.values()))._den * next(iter(g.values()))._den
+            for x in got.values():
+                num = x._num
+                if num.count(0) == p - 1:
+                    seen["below top"] += 1
+                    seen["reduced"] += x._den != den
+                elif p > 2:
+                    seen["top"] += 1
+            seen["cancelled"] += len({(b1 + b2) % p for b1 in f for b2 in g}) - len(got)
+    assert all(count >= 20 for count in seen.values()), seen
