@@ -465,19 +465,21 @@ class RelativeTensorProduct:
         return BimoduleLabel("X", k)
 
     def _classified_orbits(self, every_exponent: bool) -> list[tuple]:
-        """(orbit, stabilizer, exponent, label) for every orbit.
+        """(orbit, simple, stabilizer, exponent, label) for every orbit.
 
-        The witness associator runs on every orbit if every_exponent, else
-        only on full-stabilizer orbits, the one place where it classifies;
-        the exponent is None elsewhere.
+        The witness associator runs on the simple of the orbit's first class
+        on every orbit if every_exponent, else only on full-stabilizer
+        orbits, the one place where it classifies; the simple and the
+        exponent are None elsewhere.
         """
         out = []
         for orbit in self.orbits():
             stab = self._stabilizer(orbit[0], len(orbit))
-            exponent = None
+            simple = exponent = None
             if every_exponent or stab.kind == "full":
-                exponent = self.mixed_associator(1, 1, self.env.simple(orbit[0]))
-            out.append((orbit, stab, exponent, self._classify(stab, exponent)))
+                simple = self.env.simple(orbit[0])
+                exponent = self.mixed_associator(1, 1, simple)
+            out.append((orbit, simple, stab, exponent, self._classify(stab, exponent)))
         return out
 
     def _decomposition(self, labels) -> Decomposition:
@@ -490,8 +492,8 @@ class RelativeTensorProduct:
     def analyze(self) -> ProductAnalysis:
         """Every orbit with its associator exponent, invariant or not, and the decomposition."""
         infos = tuple(
-            OrbitInfo(self.env.simple(orbit[0]), len(orbit), stab, exponent, label)
-            for orbit, stab, exponent, label in self._classified_orbits(every_exponent=True)
+            OrbitInfo(simple, len(orbit), stab, exponent, label)
+            for orbit, simple, stab, exponent, label in self._classified_orbits(every_exponent=True)
         )
         return ProductAnalysis(
             p=self.p,

@@ -228,6 +228,7 @@ class KarEnvelope:
     def __init__(self, lad: LadderCategory):
         self.lad = lad
         self._one = CyclotomicScalar.one(lad.p)
+        self._identity = {0: self._one}  # every free base's idempotent shares it
         M, N = lad.M.simples, lad.N.simples
         self.leg_m = _leg_orbits(lad.rung_m, lad.p, lambda m: LadderObject(M[m], N[0]))
         self.leg_n = _leg_orbits(lad.rung_n, lad.p, lambda n: LadderObject(M[0], N[n]))
@@ -348,11 +349,12 @@ class KarEnvelope:
     def _base_coeffs(self, i: int, k: int) -> dict:
         """Rung coefficients of the primitive idempotent of character k on object index i.
 
-        The stored projector I_k on a fixed object, the identity on a free one.
+        The stored projector I_k on a fixed object, the envelope's one
+        identity dict on a free one; neither is edited in place.
         """
         if self._rung[i] == FIXED:
             return _projector_coeffs(self.lad.p)[k]
-        return {0: self._one}
+        return self._identity
 
     # -- queries --------------------------------------------------------------
 

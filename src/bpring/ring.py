@@ -7,7 +7,9 @@ bpring.walls.oracle_table from wall stacking.  This module holds only what
 reads a table: diff_tables, check_axioms, units_group (the dihedral group of
 invertible labels), serialize and parse_json.  It imports no route, so the
 routes can share it and stay independent; tests/test_import_graph.py checks
-this.
+this.  check_axioms decides associativity exactly by the middle nucleus: it
+compares only the middles that products of already proven ones do not reach
+(7 of 36 on the closed form at p=17).
 
 A table's cell (i, j) is the product a_i x a_j as a sparse cell: a tuple of
 (basis index, multiplicity) pairs in increasing index, with no zero entry,
@@ -15,13 +17,16 @@ and () for an empty product.  Every route writes cells in this form and every
 reader reads them as they are.  Cells are immutable, so equal cells may share
 one tuple; an edit replaces a cell.  A reader keeps nothing on the table
 between calls (serialize(table, "json") writes each distinct cell's JSON text
-once per call), so a replaced cell is seen by the next call.
+once per call, and units_group's label table is built from that call's
+indices when first read), so a replaced cell is seen by the next call.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels
@@ -108,61 +113,105 @@ class AxiomReport:
 
 
 def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomReport:
-    """Verify that X_1 is a two-sided unit and that the ring is associative."""
+    """Verify that X_1 is a two-sided unit and that the ring is associative.
+
+    Associativity is exact and complete by the middle nucleus
+    N = {z : (x.z).y = x.(z.y) for all x, y} (Light's test): the table is
+    associative when every label is in N.  N is a Z-submodule, and s.t is in
+    N for s, t in N: (x(st))y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y),
+    each step using only that s or t is in N.  The module is free, so
+    torsion-free: a cell s.t = m.a_q with m != 0 (p or negative too) puts
+    a_q in N.  So the middles j are walked in basis order, and only one not
+    yet proven is compared over every (i, k) (_middle_violations).  One that
+    passes joins the members, and a single-label cell s.t or t.s of two
+    members proves its label.  One that fails never joins, and no closure
+    can prove it, so every violation is found; they are reported in
+    (i, j, k, q) order.
+    """
     violations = []
+    basis, constants = table.basis, table.constants
     unit = BimoduleLabel("X", 1)
+    e = table.index(unit)
     unit_ok = True
-    for a in table.basis:
-        if table.product(unit, a) != Decomposition.single(a):
+    for i, a in enumerate(basis):
+        # only a cell other than a_i alone builds its product, which raises
+        # ValueError on a negative multiplicity
+        if constants[e][i] != ((i, 1),) and table.product(unit, a) != Decomposition.single(a):
             violations.append(f"X1 x {a} != {a}")
             unit_ok = False
-        if table.product(a, unit) != Decomposition.single(a):
+        if constants[i][e] != ((i, 1),) and table.product(a, unit) != Decomposition.single(a):
             violations.append(f"{a} x X1 != {a}")
             unit_ok = False
 
     associativity_ok = True
     if check_associativity:
-        # For each (i, j), (a.b).c and a.(b.c) are built as whole rows of
-        # cells over k and compared in one step; k and q are walked only when
-        # the rows differ.
-        cols = range(len(table.basis))
-        nz = [tuple(rows) for rows in table.constants]
-        # a.(b.c) reads each single cell f of row j with multiplicity 1 as
-        # cell f of row i, and sums the other cells of row j
-        gather, rest = [], []
-        for nz_j in nz:
-            single = [cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else None for cell in nz_j]
-            gather.append(itemgetter(*(0 if f is None else f for f in single)))
-            rest.append([(k, cell) for k, (f, cell) in enumerate(zip(single, nz_j)) if f is None])
-        for i in cols:
-            nz_i = nz[i]
-            for j in cols:
-                ij = nz_i[j]
-                if len(ij) == 1 and ij[0][1] == 1:
-                    lhs = nz[ij[0][0]]
-                else:
-                    lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
-                rhs = gather[j](nz_i)
-                if rest[j]:
-                    rhs = list(rhs)
-                    for k, jk in rest[j]:
-                        rhs[k] = _sparse_sum([(m, nz_i[f]) for f, m in jk])
-                    rhs = tuple(rhs)
-                if lhs == rhs:
-                    continue
-                associativity_ok = False
-                for k in cols:
-                    if lhs[k] == rhs[k]:
-                        continue
-                    left, right = dict(lhs[k]), dict(rhs[k])
-                    for q in cols:
-                        l, r = left.get(q, 0), right.get(q, 0)
-                        if l != r:
-                            violations.append(
-                                f"associativity fails at ({table.basis[i]}, {table.basis[j]}, "
-                                f"{table.basis[k]}) -> {table.basis[q]}: {l} != {r}"
-                            )
+        n = len(basis)
+        nz = [tuple(rows) for rows in constants]
+        proven, unproven, members, failed = bytearray(n), n, [], {}
+        for j in range(n):
+            if proven[j]:
+                continue
+            found = _middle_violations(table, nz, j)
+            if found:
+                failed.update(found)
+                continue
+            proven[j], unproven, queue = 1, unproven - 1, [j]
+            while queue and unproven:
+                s = queue.pop()
+                members.append(s)
+                for t in members:
+                    for cell in (nz[s][t], nz[t][s]):
+                        if len(cell) == 1 and cell[0][1] and not proven[cell[0][0]]:
+                            proven[cell[0][0]] = 1
+                            unproven -= 1
+                            queue.append(cell[0][0])
+        associativity_ok = not failed
+        for key in sorted(failed):
+            violations += failed[key]
     return AxiomReport(unit_ok, associativity_ok, violations)
+
+
+def _middle_violations(table: RingTable, nz: list, j: int) -> dict:
+    """{(i, j): violation strings} for every a_i with (a_i.a_j).a_k != a_i.(a_j.a_k) at some k.
+
+    For each i, both sides are built as whole rows of cells over k and
+    compared in one step; k and q are walked only when the rows differ.
+    """
+    cols = range(len(nz))
+    # a_i.(a_j.c) reads each single cell f of row j with multiplicity 1 as
+    # cell f of row i, and sums the other cells of row j
+    single = [cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else None for cell in nz[j]]
+    gather = itemgetter(*(0 if f is None else f for f in single))
+    rest = [(k, cell) for k, (f, cell) in enumerate(zip(single, nz[j])) if f is None]
+    basis, found = table.basis, {}
+    for i in cols:
+        nz_i = nz[i]
+        ij = nz_i[j]
+        if len(ij) == 1 and ij[0][1] == 1:
+            lhs = nz[ij[0][0]]
+        else:
+            lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
+        rhs = gather(nz_i)
+        if rest:
+            rhs = list(rhs)
+            for k, jk in rest:
+                rhs[k] = _sparse_sum([(m, nz_i[f]) for f, m in jk])
+            rhs = tuple(rhs)
+        if lhs == rhs:
+            continue
+        out = found[(i, j)] = []
+        for k in cols:
+            if lhs[k] == rhs[k]:
+                continue
+            left, right = dict(lhs[k]), dict(rhs[k])
+            for q in cols:
+                l, r = left.get(q, 0), right.get(q, 0)
+                if l != r:
+                    out.append(
+                        f"associativity fails at ({basis[i]}, {basis[j]}, "
+                        f"{basis[k]}) -> {basis[q]}: {l} != {r}"
+                    )
+    return found
 
 
 def _sparse_sum(terms: list) -> tuple:
@@ -183,7 +232,7 @@ def _sparse_sum(terms: list) -> tuple:
 class UnitsGroup:
     labels: tuple[BimoduleLabel, ...]
     order: int
-    table: dict  # (label, label) -> label
+    table: Mapping  # (label, label) -> label, built when first read
     cyclic_part_ok: bool
     involution_ok: bool
     conjugation_ok: bool
@@ -199,7 +248,7 @@ def units_group(table: RingTable) -> UnitsGroup:
     cols = range(len(basis))
     e = table.index(BimoduleLabel("X", 1))
     one = ((e, 1),)  # the cell X1
-    units = [i for i in cols if any(N[i][j] == one and N[j][i] == one for j in cols)]
+    units = [i for i in cols if _is_unit(N, i, one)]
     mul = {}  # (i, j) -> the index of the unit a_i x a_j
     for i in units:
         rows = N[i]
@@ -226,8 +275,43 @@ def units_group(table: RingTable) -> UnitsGroup:
         conjugate(i) == table.index(BimoduleLabel("X", pow(k, p - 2, p))) for k, i in x.items()
     )
     labels = tuple(basis[i] for i in units)
-    by_label = {(basis[i], basis[j]): basis[k] for (i, j), k in mul.items()}
-    return UnitsGroup(labels, len(labels), by_label, cyclic_ok, involution_ok, conjugation_ok)
+    return UnitsGroup(labels, len(labels), _UnitTable(basis, mul), cyclic_ok, involution_ok, conjugation_ok)
+
+
+def _is_unit(N: list, i: int, one: tuple) -> bool:
+    """Whether a_i x a_j = a_j x a_i = X1 for some j; row i is searched in C."""
+    row, j = N[i], -1
+    try:
+        while True:
+            j = row.index(one, j + 1)
+            if N[j][i] == one:
+                return True
+    except ValueError:
+        return False
+
+
+class _UnitTable(Mapping):
+    """UnitsGroup.table, (label, label) -> label, built from (i, j) -> k when first read."""
+
+    def __init__(self, basis: tuple, mul: dict):
+        self._basis, self._mul = basis, mul
+
+    @cached_property
+    def _by_label(self) -> dict:
+        basis = self._basis
+        return {(basis[i], basis[j]): basis[k] for (i, j), k in self._mul.items()}
+
+    def __getitem__(self, key):
+        return self._by_label[key]
+
+    def __iter__(self):
+        return iter(self._by_label)
+
+    def __len__(self):
+        return len(self._mul)
+
+    def __repr__(self):
+        return repr(self._by_label)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -17,6 +17,7 @@ from bpring.bimodules import (
 )
 from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, build_table, decompose
+from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, KarObject, _projector_coeffs
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from action_oracle import acted_witness_exponent, action_tables, orbit_stabilizer, search_orbits
@@ -330,6 +331,39 @@ def test_witness_route_shares_the_stored_projectors_unchanged():
             c = env.class_at(i)
             assert all(env.representative(c + k).idem.coeffs is coeffs for k, coeffs in enumerate(stored))
     assert [dict(coeffs) for coeffs in stored] == before
+
+
+def test_free_bases_share_one_identity_unchanged():
+    # every free base's idempotent is the envelope's one identity dict, so
+    # the witness route reuses the acted idempotent when a path's first
+    # connector is that identity; analyze must leave the dict as it was
+    p, free_classes = 5, 0
+    for M, N in itertools.product(catalogue(p), repeat=2):
+        product = RelativeTensorProduct(M, N)
+        env = product.env
+        identity = env._identity
+        product.analyze()
+        assert identity == {0: CyclotomicScalar.one(p)}, (str(M.label), str(N.label))
+        free = [c for c in range(env.simple_count) if env.dimension_at(env._bases[c]) == 1]
+        assert all(env.representative(c).idem.coeffs is identity for c in free)
+        free_classes += len(free)
+    assert free_classes > 0
+
+
+def test_analyze_builds_each_orbit_simple_once(monkeypatch):
+    p, calls = 11, []
+    simple = KarEnvelope.simple
+
+    def counted_simple(env, c):
+        calls.append(c)
+        return simple(env, c)
+
+    monkeypatch.setattr(KarEnvelope, "simple", counted_simple)
+    for left, right in [("R", "L"), ("R", "F0"), ("X3", "T")]:
+        product = rtp(p, left, right)
+        calls.clear()
+        infos = product.analyze().orbits
+        assert calls == [info.representative.class_index for info in infos] == [orbit[0] for orbit in product.orbits()]
 
 
 def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bpring import fusion
+from bpring import fusion, ring
 from bpring.bimodules import BimoduleLabel, Decomposition, label_parse
 from bpring.closed_form import closed_form_product, closed_form_table
 from bpring.fusion import build_table
@@ -254,6 +254,134 @@ def test_negative_multiplicities():
                             cell[where[e]] += 1
     assert any(m < 0 for rows in densified(t) for row in rows for m in row)
     assert _summary(check_axioms(t)) == _summary(dense_check_axioms(t)) == (True, True, [])
+
+
+def _with_cell(t, a, b, summands):
+    """t with its cell (a, b) replaced by summands, {label: multiplicity}."""
+    t.constants[t.index(lab(a))][t.index(lab(b))] = tuple(sorted((t.index(lab(c)), m) for c, m in summands.items()))
+    return t
+
+
+def _table_of(p, products):
+    """The table at p whose cell (a, b) is products[(a, b)], and empty elsewhere."""
+    t = RingTable.empty(p)
+    for (a, b), summands in products.items():
+        _with_cell(t, a, b, summands)
+    return t
+
+
+def _cyclic_table(p, vectors, monomials):
+    """Z[Z_n], n = len(monomials), on the basis vectors[name] = {e: c}, the sum of c g^e.
+
+    monomials[e] is g^e in that basis, as {name: c}.
+    """
+    n, products = len(monomials), {}
+    for a, xs in vectors.items():
+        for b, ys in vectors.items():
+            cell = {}
+            for x, c in xs.items():
+                for y, d in ys.items():
+                    for name, m in monomials[(x + y) % n].items():
+                        cell[name] = cell.get(name, 0) + c * d * m
+            products[(a, b)] = {name: m for name, m in cell.items() if m}
+    return _table_of(p, products)
+
+
+def _group_table(p, names):
+    """Z_n with names[e] = g^e, and every other product 0."""
+    return _cyclic_table(p, {name: {e: 1} for e, name in enumerate(names)}, [{name: 1} for name in names])
+
+
+def _checked_middles(monkeypatch):
+    """A list that gets the label of each middle check_axioms compares directly."""
+    checked, compare = [], ring._middle_violations
+
+    def recording(table, nz, j):
+        checked.append(str(table.basis[j]))
+        return compare(table, nz, j)
+
+    monkeypatch.setattr(ring, "_middle_violations", recording)
+    return checked
+
+
+def _failing_middles(report):
+    return {v.split(", ")[1] for v in report.violations if v.startswith("associativity")}
+
+
+def _signed_z6():
+    """Z[Z_6] on the p=2 basis with R = -g^3: L x R = -F1 is one label with multiplicity -1."""
+    vectors = {"T": {1: 1, 2: 1}, "L": {2: 1}, "R": {3: -1}, "F0": {4: 1}, "X1": {0: 1}, "F1": {5: 1}}
+    monomials = [{"X1": 1}, {"T": 1, "L": -1}, {"L": 1}, {"R": -1}, {"F0": 1}, {"F1": 1}]
+    return _cyclic_table(2, vectors, monomials)
+
+
+def _nucleus_pair():
+    """p=2: T and L in the middle nucleus, T x L = R + F0, and R, F0 not in it.
+
+    X1 is the unit; the other products are R x R = F0 x F0 = R x F1 = F1,
+    R x F0 = F0 x R = F0 x F1 = -F1, and 0.
+    """
+    products = {(a, b): {} for a in ("T", "L", "R", "F0", "F1") for b in ("T", "L", "R", "F0", "F1")}
+    products.update({(x, "X1"): {x: 1} for x in ("T", "L", "R", "F0", "X1", "F1")})
+    products.update({("X1", x): {x: 1} for x in ("T", "L", "R", "F0", "X1", "F1")})
+    products[("T", "L")] = {"R": 1, "F0": 1}
+    for a, b, m in (("R", "R", 1), ("F0", "F0", 1), ("R", "F1", 1), ("R", "F0", -1), ("F0", "R", -1), ("F0", "F1", -1)):
+        products[(a, b)] = {"F1": m}
+    return _table_of(2, products)
+
+
+def test_nucleus_closure_matches_dense_oracle(monkeypatch):
+    checked = _checked_middles(monkeypatch)
+
+    def report(t):
+        checked.clear()
+        got = _summary(check_axioms(t))
+        assert got == _summary(dense_check_axioms(t))
+        return got
+
+    # p=5: the first ten labels are Z_10 with T = g^0 and L = g, so T and L
+    # prove the other eight by closure; F4 x F3 = F3 is the only other
+    # product, and F4 is the one middle that fails
+    names = [str(b) for b in RingTable.empty(5).basis]
+    block = _group_table(5, names[:10])
+    _with_cell(block, "F4", "F3", {"F3": 1})
+    unit_ok, assoc_ok, violations = report(block)
+    assert checked == ["T", "L", "F3", "F4"] and not assoc_ok and not unit_ok
+    assert _failing_middles(check_axioms(block)) == {"F4"}
+    # the same with X1 x X1 = 0: the unit fails a second way
+    unit_ok, assoc_ok, more = report(_with_cell(block, "X1", "X1", {}))
+    assert not unit_ok and not assoc_ok and len(more) > len(violations)
+    # one-label cells with a negative multiplicity prove their label
+    assert report(_signed_z6()) == (True, True, [])
+    assert checked == ["T", "L", "R"]
+    # and with multiplicity p: L x R = p F0 on the closed form
+    for p in (2, 3, 5, 7):
+        t = closed_form_table(p)
+        assert report(t) == (True, True, [])
+        assert t.constants[t.index(lab("L"))][t.index(lab("R"))] == ((t.index(lab("F0")), p),)
+        assert "F0" not in checked and "T" in checked
+    # T x L = R + F0 with T and L members proves neither R nor F0
+    unit_ok, assoc_ok, _ = report(_nucleus_pair())
+    assert unit_ok and not assoc_ok and {"R", "F0"} <= set(checked)
+    assert _failing_middles(check_axioms(_nucleus_pair())) == {"R", "F0"}
+    unit_ok, assoc_ok, _ = report(_with_cell(_nucleus_pair(), "X1", "F1", {}))
+    assert not unit_ok and not assoc_ok
+    # a failing middle whose products with members are single labels that fail too
+    for p in (5, 7):
+        unit_ok, assoc_ok, _ = report(_with_cell(closed_form_table(p), "X2", "X2", {"X1": 1}))
+        assert unit_ok and not assoc_ok and "F0" not in checked
+    unit_ok, assoc_ok, _ = report(_with_cell(closed_form_table(5), "X1", "X2", {"X3": 1}))
+    assert not unit_ok and not assoc_ok
+    # associative with another unit: Z_6 with F1 = g^0 and X1 = g^5
+    unit_ok, assoc_ok, violations = report(_group_table(2, ["F1", "T", "L", "R", "F0", "X1"]))
+    assert not unit_ok and assoc_ok and violations
+
+
+@pytest.mark.parametrize("p", [17, 29, 31, 37, 41])
+def test_closed_form_compares_at_most_seven_middles(monkeypatch, p):
+    checked = _checked_middles(monkeypatch)
+    assert check_axioms(closed_form_table(p)).ok()
+    assert 0 < len(checked) <= 7, checked
 
 
 def test_units_group_shapes():
