@@ -59,7 +59,14 @@ compared as integers, and the ratio is read by proportionality and
 phase_exponent.  When the first connector lands on a base, it is that base's
 idempotent, sharing the representative's coefficient dict and endpoints, so
 its action is the acted idempotent that the path has just built, and that one
-is reused.  No simple is built on the way.  On an orbit fixed by both actions
+is reused.  If the second connector then lands on a base too, it is that
+base's stored idempotent e, which locate has just compared with the acted
+idempotent on every rung; the path is e followed by e, which is e, so the
+connector is the path and lad.compose is not called.  The idempotent law
+e e = e is not assumed: each stored projector is composed with itself once
+per prime, where the projectors are built (bpring.karoubi), and the free
+bases' identity is the unit of the group algebra.  The paths that carry
+the phase, an acted connector followed by u2, are all composed.  No simple is built on the way.  On an orbit fixed by both actions
 the connector gauges cancel in this ratio, so the extracted exponent is
 canonical; the calibration is fixed so that the product of the one-object
 bimodule with cocycle q and the invertible X_l comes out with exponent q*l at
@@ -374,7 +381,13 @@ class RelativeTensorProduct:
         class's representative, re-anchors again through u2, and is the
         acted u followed by u2.  When u is the representative's own
         idempotent, sharing its coefficient dict and with its endpoints, the
-        acted u is the acted idempotent already built, and is reused.
+        acted u is the acted idempotent already built, and is reused.  If
+        u2 then lands on a base, it is an endomorphism of the acted object:
+        the base's stored idempotent e, which locate has just compared with
+        the acted idempotent on every rung.  The path is e followed by e,
+        which is e by the idempotent law, checked once per prime where the
+        projectors are stored (see bpring.karoubi), so u2 is the path and
+        nothing is composed.
         """
         env = self.env
         c1, u = env.locate(self._apply(first, a, rep))
@@ -382,6 +395,8 @@ class RelativeTensorProduct:
         acted = self._apply(second, b, rep1)
         c2, u2 = env.locate(acted)
         if u.coeffs is rep1.idem.coeffs and u.source == u.target == rep1.obj:
+            if u2.source == u2.target:
+                return c2, u2  # a base: w and u2 are its idempotent e, and e followed by e is e
             w = acted.idem
         elif second == "left":
             w = self.act_left(b, u)

@@ -60,7 +60,11 @@ envelope's one scalar); simple(c), which adds the class and character index;
 the list simples of all of them; and the connectors to the representative,
 which are the basic rung ladders.  The p character projectors of every fixed
 object share the coefficient dicts cached per prime, not copies of them:
-nothing mutates a morphism's coefficients.  None of these morphisms can have
+nothing mutates a morphism's coefficients.  When they are built, once per
+prime, each I_k is composed with itself by group_algebra_product and must
+come back as I_k, else EngineError names k; the witness route of
+bpring.fusion reads a path that lands on a base as that base's idempotent
+by this law, without composing it.  None of these morphisms can have
 a zero coefficient, so they are built by LadderMorphism._nonzero, without
 the constructor's copy and zero filter.
 
@@ -87,7 +91,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .cyclotomic import CyclotomicScalar, phase_exponent, root_of_unity
+from .cyclotomic import CyclotomicScalar, group_algebra_product, phase_exponent, root_of_unity
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 
 
@@ -113,9 +117,23 @@ class KarSimple:
 
 @lru_cache(maxsize=None)
 def _projector_coeffs(p: int) -> tuple[dict, ...]:
-    """Rung coefficients of the p character projectors I_k of C[Z_p]."""
+    """Rung coefficients of the p character projectors I_k of C[Z_p], each checked idempotent."""
     inv_p = Fraction(1, p)
-    return tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
+    return _checked_idempotent(
+        p, tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
+    )
+
+
+def _checked_idempotent(p: int, projectors: tuple[dict, ...]) -> tuple[dict, ...]:
+    """projectors, after checking that I_k I_k = I_k for every k by one group algebra product each.
+
+    The witness route relies on it: a path that lands on a base is the
+    base's idempotent e, not a composition of e with itself.
+    """
+    for k, coeffs in enumerate(projectors):
+        if group_algebra_product(p, coeffs, coeffs) != coeffs:
+            raise EngineError(f"the character projector I_{k} of C[Z_{p}] is not idempotent")
+    return projectors
 
 
 @lru_cache(maxsize=None)

@@ -242,40 +242,66 @@ class UnitsGroup:
 
 
 def units_group(table: RingTable) -> UnitsGroup:
-    """Invertible labels with their product table and the dihedral relations."""
+    """Invertible labels with their product table and the dihedral relations.
+
+    The unit products are read a row at a time: each unit's row is gathered
+    at the units and its cells mapped to labels in C, a cell that is not a
+    single label with multiplicity 1 mapping to None.  The cyclic, involution
+    and conjugation relations are read from these rows, and the (label,
+    label) -> label table is built only when UnitsGroup.table is read.
+    """
     p = table.p
     basis, N = table.basis, table.constants
     cols = range(len(basis))
     e = table.index(BimoduleLabel("X", 1))
     one = ((e, 1),)  # the cell X1
     units = [i for i in cols if _is_unit(N, i, one)]
-    mul = {}  # (i, j) -> the index of the unit a_i x a_j
+    at = {j: n for n, j in enumerate(units)}  # the position of each unit among the units
+    label_of = {((k, 1),): k for k in cols}  # a single-label cell -> its label's index
+    at_units = _gatherer(units)
+    rows = {}  # unit i -> [the index of the unit a_i x a_j, for the units j in order]
     for i in units:
-        rows = N[i]
-        for j in units:
-            cell = rows[j]
-            if len(cell) != 1 or cell[0][1] != 1:
-                raise TableError(f"unit product {basis[i]} x {basis[j]} is not a single label")
-            mul[(i, j)] = cell[0][0]
+        row = list(map(label_of.get, at_units(N[i])))
+        if None in row:
+            j = units[row.index(None)]
+            raise TableError(f"unit product {basis[i]} x {basis[j]} is not a single label")
+        rows[i] = row
 
     x = {basis[i].index: i for i in units if basis[i].kind == "X"}  # k -> the unit X_k
-    cyclic_ok = len(x) == p - 1 and all(
-        mul[(x[k], x[l])] == x[k * l % p] for k in range(1, p) for l in range(1, p)
-    )
+    cyclic_ok = len(x) == p - 1 and _cyclic(rows, at, x, p)
     f1 = table._index.get(BimoduleLabel("F", 1))
-    involution_ok = f1 in units and mul[(f1, f1)] == e
+    involution_ok = f1 in at and rows[f1][at[f1]] == e
 
     def conjugate(i):  # F1 x a_i x F1
-        u = mul[(f1, i)]
-        if (u, f1) not in mul:  # F1 x a_i is no unit: the label table has no cell for it
+        u = rows[f1][at[i]]
+        if u not in at:  # F1 x a_i is no unit: it has no row
             raise TableError(f"unit product {basis[f1]} x {basis[i]} is {basis[u]}, not a unit")
-        return mul[(u, f1)]
+        return rows[u][at[f1]]
 
-    conjugation_ok = f1 in units and all(
+    conjugation_ok = f1 in at and all(
         conjugate(i) == table.index(BimoduleLabel("X", pow(k, p - 2, p))) for k, i in x.items()
     )
     labels = tuple(basis[i] for i in units)
-    return UnitsGroup(labels, len(labels), _UnitTable(basis, mul), cyclic_ok, involution_ok, conjugation_ok)
+    return UnitsGroup(labels, len(labels), _UnitTable(basis, units, rows), cyclic_ok, involution_ok, conjugation_ok)
+
+
+def _gatherer(indices: list):
+    """The function seq -> (seq[i] for i in indices), as a tuple, gathered in C where it can be."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+def _cyclic(rows: dict, at: dict, x: dict, p: int) -> bool:
+    """Whether X_k x X_l = X_(kl mod p) for all k, l, with x[k] the unit X_k for every k in 1..p-1.
+
+    Row X_k gathered at X_1..X_(p-1) must be X_k, X_2k, ..., X_(p-1)k,
+    which is the slice [k : kp : k] of the X units repeated p times.
+    """
+    xs = [None] + [x[k] for k in range(1, p)]
+    repeated = xs * p  # repeated[m] is X_(m mod p)
+    at_xs = _gatherer([at[i] for i in xs[1:]])
+    return all(at_xs(rows[x[k]]) == tuple(repeated[k:k * p:k]) for k in range(1, p))
 
 
 def _is_unit(N: list, i: int, one: tuple) -> bool:
@@ -291,15 +317,15 @@ def _is_unit(N: list, i: int, one: tuple) -> bool:
 
 
 class _UnitTable(Mapping):
-    """UnitsGroup.table, (label, label) -> label, built from (i, j) -> k when first read."""
+    """UnitsGroup.table, (label, label) -> label, built from the unit rows when first read."""
 
-    def __init__(self, basis: tuple, mul: dict):
-        self._basis, self._mul = basis, mul
+    def __init__(self, basis: tuple, units: list, rows: dict):
+        self._basis, self._units, self._rows = basis, units, rows
 
     @cached_property
     def _by_label(self) -> dict:
-        basis = self._basis
-        return {(basis[i], basis[j]): basis[k] for (i, j), k in self._mul.items()}
+        basis, units = self._basis, self._units
+        return {(basis[i], basis[j]): basis[k] for i in units for j, k in zip(units, self._rows[i])}
 
     def __getitem__(self, key):
         return self._by_label[key]
@@ -308,7 +334,7 @@ class _UnitTable(Mapping):
         return iter(self._by_label)
 
     def __len__(self):
-        return len(self._mul)
+        return len(self._units) ** 2
 
     def __repr__(self):
         return repr(self._by_label)

@@ -4,10 +4,13 @@
 - gauge_twist twists an entry's mixed associator by a coboundary, which
   gives an equivalent bimodule whose exponents depend on the simple;
 - relabel renames and reorders an entry's simples, which gives the same
-  bimodule in another canonical object order.
+  bimodule in another canonical object order;
+- op swaps the two sides, which gives the opposite bimodule.
 """
 
 import dataclasses
+
+from bpring.groups import CocycleClass, subgroup_from_elements
 
 
 def exponent_table(p, n, f):
@@ -52,4 +55,24 @@ def relabel(entry, rng):
         left=move(entry.left),
         right=move(entry.right),
         mixed=[[entry.mixed[g][old] for old in order] for g in range(p)],
+    )
+
+
+def op(entry):
+    """The opposite bimodule: g acts on the left as it acted on the right, and h on the right as on the left.
+
+    mixed'[g][i][h] = -mixed[h][i][g]: the op's mixed associator at (g, m, h)
+    is the inverse of the entry's at (h, m, g).  The stabilizer is swapped
+    and the cocycle negated; label=None, since op of a catalogue entry is a
+    presentation the catalogue never makes.
+    """
+    p, mixed = entry.p, entry.mixed
+    return dataclasses.replace(
+        entry,
+        subgroup=subgroup_from_elements(p, [(h, g) for g, h in entry.subgroup.elements()]),
+        cocycle=CocycleClass(p, -entry.cocycle.q % p),
+        left=entry.right,
+        right=entry.left,
+        mixed=exponent_table(p, len(entry.simples), lambda g, i, h: -mixed[h][i][g]),
+        label=None,
     )

@@ -18,8 +18,8 @@ from bpring.bimodules import (
 from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, build_table, decompose
 from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, KarObject, _projector_coeffs
-from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
+from bpring.karoubi import KarEnvelope, KarObject, _checked_idempotent, _projector_coeffs
+from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from action_oracle import acted_witness_exponent, action_tables, orbit_stabilizer, search_orbits
 from bimodule_transforms import exponent_table, gauge_twist, relabel
 from kar_oracle import FIXED, step_tables, walk_objects
@@ -680,3 +680,82 @@ def test_witness_associator_matches_the_route_that_acts_every_connector():
                         want = acted_witness_exponent(product, g, h, s)
                         assert product.mixed_associator(g, h, s) == want, (p, str(M.label), str(N.label), g, h)
     assert dims[1] > 100 and sum(n for d, n in dims.items() if d > 1) > 100, dims
+
+
+def test_witness_paths_match_the_plain_route_at_p7_and_p11():
+    # The base landings are read as the landing base's idempotent, not
+    # composed; on every orbit of R x L, L x R, R x F0, F_q x F_r, F_q x X_l
+    # and T x X_l at p in {7, 11}, plain and gauge-twisted on both factors,
+    # at (1, 1) and one seeded (g, h), the exponent must be the one of the
+    # route that composes every path.
+    rng = random.Random(2311)
+    checked = 0
+    for p in (7, 11):
+        q, r, l = (rng.randrange(1, p) for _ in range(3))
+        names = [("R", "L"), ("L", "R"), ("R", "F0"), (f"F{q}", f"F{r}"), (f"F{q}", f"X{l}"), ("T", f"X{l}")]
+        at = [(1, 1), (rng.randrange(p), rng.randrange(p))]
+        twist = lambda e: gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
+        for a, b in names:
+            M, N = catalogue_entry(p, label_parse(a)), catalogue_entry(p, label_parse(b))
+            for left, right in ((M, N), (twist(M), twist(N))):
+                product = RelativeTensorProduct(left, right)
+                for orbit in product.orbits():
+                    s = product.env.simple(orbit[0])
+                    for g, h in at:
+                        want = acted_witness_exponent(product, g, h, s)
+                        assert product.mixed_associator(g, h, s) == want, (p, a, b, g, h)
+                        checked += 1
+    assert checked > 200, checked
+
+
+def _products_p11(seed):
+    """The five products of the products-p11 benchmark workload for a seed."""
+    p, rng = 11, random.Random(seed)
+    k, q, r, a, b = (rng.randrange(1, p) for _ in range(5))
+    pairs = [("R", "L"), (f"X{k}", "T"), ("R", "F0"), (f"F{q}", f"F{r}"), (f"X{a}", f"X{b}")]
+    return [rtp(p, left, right) for left, right in pairs]
+
+
+def test_witness_paths_that_land_on_a_base_are_its_idempotent(monkeypatch):
+    # A path whose connectors are both a base's idempotent is that
+    # idempotent, with no lad.compose; every other path is composed.  All
+    # three kinds occur on the five products-p11 products of seed 1, which
+    # make exactly 2 compositions over 50 paths.
+    composed = []
+    compose, witness_path = LadderCategory.compose, RelativeTensorProduct._witness_path
+
+    def counted(lad, f, g):
+        composed.append((f, g))
+        return compose(lad, f, g)
+
+    kinds = Counter()
+
+    def classified(product, *args):
+        before = len(composed)
+        c2, path = witness_path(product, *args)
+        env = product.env
+        if len(composed) > before:
+            kinds["composed"] += 1
+        else:
+            assert path.source == path.target and path.coeffs is env.representative(c2).idem.coeffs
+            kinds["fixed base" if env.dimension_at(env.base_at(c2)) == product.p else "free base"] += 1
+        return c2, path
+
+    monkeypatch.setattr(LadderCategory, "compose", counted)
+    monkeypatch.setattr(RelativeTensorProduct, "_witness_path", classified)
+    for product in _products_p11(1):
+        product.analyze()
+    assert len(composed) == kinds["composed"] == 2
+    assert sum(kinds.values()) == 50 and kinds["fixed base"] > 0 and kinds["free base"] > 0, kinds
+
+
+def test_projectors_are_checked_idempotent():
+    # The stored projectors pass; a table whose I_1 is scaled by 2 is
+    # not idempotent, and the check names it.
+    p = 5
+    stored = _projector_coeffs(p)
+    assert _checked_idempotent(p, stored) is stored
+    doubled = list(stored)
+    doubled[1] = {b: c.scale(2) for b, c in stored[1].items()}
+    with pytest.raises(EngineError, match=f"^{re.escape('the character projector I_1 of C[Z_5] is not idempotent')}$"):
+        _checked_idempotent(p, tuple(doubled))

@@ -402,6 +402,19 @@ def test_units_group_shapes():
             assert conj == BimoduleLabel("X", pow(k, p - 2, p))
 
 
+
+def test_units_group_builds_its_label_table_when_read():
+    # the relations are read from the unit rows; the (label, label) -> label
+    # table is built only when UnitsGroup.table is read, and then equals the
+    # scan oracle's
+    for p in (5, 7):
+        t = closed_form_table(p)
+        units = units_group(t)
+        assert units.is_dihedral() and len(units.table) == units.order ** 2
+        assert "_by_label" not in vars(units.table)
+        assert units.table == scan_units_group(t).table
+        assert "_by_label" in vars(units.table)
+
 def test_closed_form_row_samples():
     p = 7
     assert closed_form_product(p, lab("T"), lab("T")) == single("T", 7)
