@@ -15,6 +15,7 @@ from .bimodules import (
     all_labels,
     catalogue,
     catalogue_entry,
+    label_invariants,
     label_parse,
     validate,
 )
@@ -29,13 +30,7 @@ from .fusion import (
     build_table,
     decompose,
 )
-from .groups import (
-    CocycleClass,
-    Subgroup,
-    cosets,
-    enumerate_subgroups,
-    subgroup_from_generators,
-)
+from .groups import Subgroup, enumerate_subgroups, subgroup_from_generators
 from .karoubi import KarEnvelope, KarObject, KarSimple
 from .ladders import (
     CompositionError,

@@ -21,6 +21,13 @@ its objects from these indices and reads its rung rows straight from the
 action tables.  The catalogue lists coset labels in lexicographic order:
 (a, b) for T, at index a p + b; an int in 0..p-1 for L, R and X_k, at its
 own index; and STAR for F_q.
+
+A bimodule is its tables: a relative tensor product, a gauge twist or a
+relabelling is one too, with no classifying data to invent.  Only a
+catalogue label carries the Etingof-Nikshych-Ostrik pair (H, q), the
+stabilizer of every simple and the cocycle index, and label_invariants is
+the one map from a label to it; validate checks that map against the
+tables of every bimodule that carries a label.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cyclotomic import require_prime
-from .groups import CocycleClass, Subgroup, subgroup_from_elements, subgroup_from_generators
+from .groups import Subgroup, subgroup_from_elements, subgroup_from_generators
 
 STAR = "*"
 
@@ -177,11 +184,11 @@ class BimoduleData:
     exponent mod p (see the module docstring).  The tables may share rows;
     the catalogue's zero exponent table is one row repeated.  index is read
     once, so build a new instance (dataclasses.replace) to change simples.
+    label names the catalogue entry the tables present, or is None; its
+    subgroup and cocycle index come from label_invariants.
     """
 
     p: int
-    subgroup: Subgroup
-    cocycle: CocycleClass
     simples: tuple
     left: tuple
     right: tuple
@@ -205,6 +212,24 @@ def _cyclic(p: int, step: int) -> tuple:
     return tuple(tuple((i + step * g) % p for i in range(p)) for g in range(p))
 
 
+def label_invariants(p: int, label: BimoduleLabel) -> tuple[Subgroup, int]:
+    """(H, q) of a catalogue label: the stabilizer of each of its simples, and its cocycle index.
+
+    H is trivial for T, <(1,0)> for L, <(0,1)> for R, the line <(-k,1)> for
+    X_k and the full group for F_q; q is the index of F_q and 0 elsewhere.
+    A label outside the basis at p raises ValueError, as in basis_index.
+    """
+    basis_index(p, label)
+    kind, idx = label.kind, label.index
+    if kind == "T":
+        return Subgroup(p, "trivial"), 0
+    if kind == "F":
+        return Subgroup(p, "full"), idx
+    if kind == "X":
+        return subgroup_from_generators(p, [(-idx, 1)]), 0
+    return subgroup_from_generators(p, [(1, 0) if kind == "L" else (0, 1)]), 0
+
+
 def catalogue_entry(p: int, label: BimoduleLabel) -> BimoduleData:
     """The catalogue row for one label, its tables built straight from the coset labels."""
     require_prime(p)
@@ -212,31 +237,25 @@ def catalogue_entry(p: int, label: BimoduleLabel) -> BimoduleData:
     kind, idx = label.kind, label.index
     q, n = 0, p
     if kind == "T":
-        sub = Subgroup(p, "trivial")
         n = p * p
         simples = tuple((a, b) for a in range(p) for b in range(p))
         left = tuple(tuple((i + g * p) % n for i in range(n)) for g in range(p))
         right = tuple(tuple(i - i % p + (i + h) % p for i in range(n)) for h in range(p))
     elif kind == "L":
-        sub = subgroup_from_generators(p, [(1, 0)])
         simples, left, right = tuple(range(p)), _cyclic(p, 0), _cyclic(p, 1)
     elif kind == "R":
-        sub = subgroup_from_generators(p, [(0, 1)])
         simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, 0)
     elif kind == "F":
-        sub, q, n = Subgroup(p, "full"), idx, 1
+        q, n = idx, 1
         simples, left, right = (STAR,), ((0,),) * p, ((0,),) * p
-    elif kind == "X":
-        # coset {n(-k,1) + (h,0)} carries label h = left + k*right
-        sub = subgroup_from_generators(p, [(-idx, 1)])
-        simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, idx)
     else:
-        raise ValueError(f"unknown label {label}")
+        # X_k: coset {n(-k,1) + (h,0)} carries label h = left + k*right
+        simples, left, right = tuple(range(p)), _cyclic(p, 1), _cyclic(p, idx)
     if q:
         mixed = tuple((tuple(q * g * h % p for h in range(p)),) for g in range(p))
     else:
         mixed = (((0,) * p,) * n,) * p
-    return BimoduleData(p, sub, CocycleClass(p, q), simples, left, right, mixed, label)
+    return BimoduleData(p, simples, left, right, mixed, label)
 
 
 def catalogue(p: int) -> list[BimoduleData]:
@@ -308,16 +327,19 @@ def validate(b: BimoduleData) -> list[str]:
                         out.append(f"mixed associator not additive in h at (g={g1}, m={m}, h1={g2}, h2={h})")
 
     if b.label is not None:
-        q = b.cocycle.q
+        try:
+            sub, q = label_invariants(p, b.label)
+        except ValueError as err:
+            return [str(err)]
         for g in range(p):
             for h in range(p):
                 for i, m in enumerate(simples):
                     if mixed[g][i][h] != q * g * h % p:
                         out.append(f"catalogue entry {b.label} has wrong mixed associator at (g={g}, m={m}, h={h})")
         for i, m in enumerate(simples):
-            if b.stabilizer_of(i) != b.subgroup:
+            if b.stabilizer_of(i) != sub:
                 out.append(f"stabilizer of {m} differs from the stored subgroup")
-        if n * b.subgroup.order != p * p:
+        if n * sub.order != p * p:
             out.append("object count does not match the subgroup index")
 
     return out

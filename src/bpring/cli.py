@@ -14,7 +14,7 @@ import json
 import sys
 from functools import lru_cache
 
-from .bimodules import catalogue, catalogue_entry, format_simple, label_parse
+from .bimodules import catalogue, catalogue_entry, format_simple, label_invariants, label_parse
 from .closed_form import closed_form_table
 from .cyclotomic import is_prime
 from .fusion import RelativeTensorProduct, build_table
@@ -34,23 +34,25 @@ def _moves(entry, table) -> list[list[tuple[str, str]]]:
 
 
 def _entry_payload(entry) -> dict:
+    subgroup, q = label_invariants(entry.p, entry.label)
     payload = {
         "label": str(entry.label),
-        "subgroup": str(entry.subgroup),
+        "subgroup": str(subgroup),
         "object_count": len(entry.simples),
         "objects": [_fmt_simple(m) for m in entry.simples],
     }
     for side, table in (("left", entry.left), ("right", entry.right)):
         payload[f"{side}_action"] = {str(g): dict(row) for g, row in enumerate(_moves(entry, table))}
-    payload["associator_exponent"] = entry.cocycle.q
+    payload["associator_exponent"] = q
     return payload
 
 
 def _entry_markdown(entry) -> list[str]:
+    subgroup, q = label_invariants(entry.p, entry.label)
     lines = [f"### {entry.label}", ""]
-    lines.append(f"- subgroup: {entry.subgroup}")
+    lines.append(f"- subgroup: {subgroup}")
     lines.append(f"- objects ({len(entry.simples)}): " + ", ".join(_fmt_simple(m) for m in entry.simples))
-    lines.append(f"- associator exponent: {entry.cocycle.q}")
+    lines.append(f"- associator exponent: {q}")
     for side, table in (("left", entry.left), ("right", entry.right)):
         for g, row in enumerate(_moves(entry, table)):
             lines.append(f"- {side} {g}: " + ", ".join(f"{m}->{t}" for m, t in row))

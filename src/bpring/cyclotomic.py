@@ -121,12 +121,6 @@ class CyclotomicScalar:
         require_prime(p)
         return _monomial(p, 0, 1, 1)
 
-    @classmethod
-    def from_rational(cls, p: int, value) -> "CyclotomicScalar":
-        require_prime(p)
-        value = Fraction(value)
-        return _monomial(p, 0, value.numerator, value.denominator)
-
     # -- ring structure ----------------------------------------------------
 
     def _check_compatible(self, other: "CyclotomicScalar") -> None:
@@ -272,9 +266,6 @@ class CyclotomicScalar:
 
     def is_zero(self) -> bool:
         return not any(self._num)
-
-    def is_one(self) -> bool:
-        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
     def is_rational(self) -> bool:
         return not any(self._num[1:])

@@ -84,8 +84,9 @@ actions commute there: the commutation check above covers that on every
 simple, and the step tables already check the re-anchoring the paths rely on.
 
 Classification of an orbit: stabilizer H = {(g,h) : g acts then h acts fixes
-the simple}; trivial H -> T, H = <(1,0)> -> L, H = <(0,1)> -> R, other lines
--> X_k with <(-k,1)> = H, full H -> F_q with q the associator exponent.
+the simple}; a full H gives F_q with q the associator exponent, and any other
+H the one label that bpring.bimodules.label_invariants maps to H (T, L, R or
+X_k), looked up in its inverse, built once per prime.
 
 build_table assembles the engine's RingTable from one product per ordered
 pair of labels, serially or in a pool of worker processes.  The engine
@@ -101,7 +102,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .bimodules import BimoduleData, BimoduleLabel, Decomposition, catalogue, format_simple
+from .bimodules import BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple, label_invariants
 from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
 from .karoubi import FIXED, KarEnvelope, KarObject, KarSimple, gatherer, proportionality
@@ -145,6 +146,12 @@ class ProductAnalysis:
 def _subgroups(p: int) -> tuple[Subgroup, ...]:
     """The p+3 subgroups in enumerate_subgroups order."""
     return tuple(enumerate_subgroups(p))
+
+
+@lru_cache(maxsize=None)
+def _label_of_stabilizer(p: int) -> dict[Subgroup, BimoduleLabel]:
+    """Stabilizer -> label for every label but F_q: the inverse of label_invariants on those."""
+    return {label_invariants(p, label)[0]: label for label in all_labels(p) if label.kind != "F"}
 
 
 @lru_cache(maxsize=None)
@@ -463,21 +470,9 @@ class RelativeTensorProduct:
         return subgroups[fixing[0]]
 
     def _classify(self, stab: Subgroup, exponent: int | None) -> BimoduleLabel:
-        p = self.p
-        if stab.kind == "trivial":
-            return BimoduleLabel("T")
         if stab.kind == "full":
             return BimoduleLabel("F", exponent)
-        gen = stab.generator
-        if gen == (1, 0):
-            return BimoduleLabel("L")
-        if gen == (0, 1):
-            return BimoduleLabel("R")
-        t = gen[1]
-        k = (-pow(t, p - 2, p)) % p  # <(-k,1)> == <(1,t)> with t = -1/k
-        if k == 0:
-            raise ClassificationError(f"stabilizer {stab} does not match any label")
-        return BimoduleLabel("X", k)
+        return _label_of_stabilizer(self.p)[stab]
 
     def _classified_orbits(self, every_exponent: bool) -> list[tuple]:
         """(orbit, simple, stabilizer, exponent, label) for every orbit.

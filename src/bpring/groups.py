@@ -43,15 +43,6 @@ class Subgroup:
             return self.p
         return self.p * self.p
 
-    def elements(self) -> list[tuple[int, int]]:
-        p = self.p
-        if self.kind == "trivial":
-            return [(0, 0)]
-        if self.kind == "line":
-            gl, gr = self.generator
-            return [(n * gl % p, n * gr % p) for n in range(p)]
-        return [(a, b) for a in range(p) for b in range(p)]
-
     def contains(self, x) -> bool:
         l, r = _reduced(self.p, x)
         if self.kind == "trivial":
@@ -118,32 +109,3 @@ def enumerate_subgroups(p: int) -> list[Subgroup]:
     out.extend(Subgroup(p, "line", (1, t)) for t in range(p))
     out.append(Subgroup(p, "full"))
     return out
-
-
-def cosets(sub: Subgroup) -> list[tuple[int, int]]:
-    """Lexicographically least representative of each coset of sub."""
-    p = sub.p
-    seen: set[tuple[int, int]] = set()
-    reps = []
-    members = sub.elements()
-    for a in range(p):
-        for b in range(p):
-            if (a, b) in seen:
-                continue
-            reps.append((a, b))
-            for hl, hr in members:
-                seen.add(((a + hl) % p, (b + hr) % p))
-    return reps
-
-
-@dataclass(frozen=True)
-class CocycleClass:
-    """Index q of the bilinear 2-cocycle w((g1,h1),(g2,h2)) = zeta^(q h1 g2)."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        require_prime(self.p)
-        object.__setattr__(self, "q", self.q % self.p)
-

@@ -57,8 +57,8 @@ Everything else is built when asked for, on class and object indices:
 representative(c), the base of class c with its idempotent (the stored
 character projector on a fixed base, the identity on a free one, sharing the
 envelope's one scalar); simple(c), which adds the class and character index;
-the list simples of all of them; and the connectors to the representative,
-which are the basic rung ladders.  The p character projectors of every fixed
+the list simples of all of them; and the connector to the representative,
+which is a basic rung ladder.  The p character projectors of every fixed
 object share the coefficient dicts cached per prime, not copies of them:
 nothing mutates a morphism's coefficients.  When they are built, once per
 prime, each I_k is composed with itself by group_algebra_product and must
@@ -76,8 +76,7 @@ idempotent's rung-0 and rung-1 coefficients in a per-prime table kept beside
 the stored projectors, with no scalar product or inverse, and the idempotent
 is then compared with that stored I_k on every rung.  proportionality reads
 the scalar c with f == c*g off one rung and checks it on every rung, by a
-rotation when c is a root of unity.  connectors(obj, k) builds the pair,
-the from-representative ladder too.  Callers that want the simple itself
+rotation when c is a root of unity.  Callers that want the simple itself
 call simple(c) on that class.  The table path reads only the integer
 lists, and builds a simple only to hand a full-stabilizer orbit to the
 witness associator, which works on class indices.
@@ -343,10 +342,6 @@ class KarEnvelope:
         """Number of classes of simples."""
         return len(self._bases)
 
-    def base_at(self, c: int) -> int:
-        """Object index of the base of class c."""
-        return self._bases[c]
-
     def simple(self, c: int) -> KarSimple:
         """The canonical simple of class c, built on each call."""
         rep = self.representative(c)
@@ -425,17 +420,6 @@ class KarEnvelope:
         i = self.lad.object_index(obj)
         k = self._primitive_index(obj, i, kobj.idem)
         return self._class[i] + k, self._to_rep(obj, i, k)
-
-    def connectors(self, obj: LadderObject, char_index: int):
-        """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative."""
-        i = self.lad.object_index(obj)
-        if not 0 <= char_index < self.dimension_at(i):
-            raise KeyError((obj, char_index))
-        to_rep = self._to_rep(obj, i, char_index)
-        b = self._rung[i]
-        if b in (0, FIXED):
-            return to_rep, to_rep
-        return to_rep, LadderMorphism._nonzero(to_rep.target, obj, {b: self._one})
 
     def _to_rep(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
         """The connector from (obj, I_k), obj of object_index i and k valid, to its representative.

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bimodules import BimoduleData, format_simple
-from .cyclotomic import CyclotomicScalar, group_algebra_product
+from .cyclotomic import group_algebra_product
 
 
 class EngineError(Exception):
@@ -122,26 +122,14 @@ class LadderCategory:
         self.rung_m = [left.right[-b % p] for b in range(p)]
         self.rung_n = right.left
 
-    def objects(self) -> list[LadderObject]:
-        """Every object in canonical order: right leg first, then left leg.
-
-        This makes the least member of each isomorphism class the one whose
-        right leg is normalised, e.g. (a,b)(0,c) in Lad(T,T) and (a)(0) in
-        Lad(X,X).  The position of an object is its object_index.
-        """
-        return [LadderObject(m, n) for n in self.N.simples for m in self.M.simples]
-
     def object_index(self, obj: LadderObject) -> int:
-        """Position of obj in objects(): N.index[n] * |M| + M.index[m]."""
+        """Position of obj in the canonical order, right leg first: N.index[n] * |M| + M.index[m]."""
         return self.N.index[obj.n] * len(self.M.simples) + self.M.index[obj.m]
 
     def object_at(self, i: int) -> LadderObject:
         """The object with object_index i: the inverse of object_index."""
         n, m = divmod(i, len(self.M.simples))
         return LadderObject(self.M.simples[m], self.N.simples[n])
-
-    def identity(self, obj: LadderObject) -> LadderMorphism:
-        return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(self.p)})
 
     def compose(self, f: LadderMorphism, g: LadderMorphism) -> LadderMorphism:
         """f followed by g (f is stacked under g).

@@ -5,12 +5,15 @@
   gives an equivalent bimodule whose exponents depend on the simple;
 - relabel renames and reorders an entry's simples, which gives the same
   bimodule in another canonical object order;
-- op swaps the two sides, which gives the opposite bimodule.
+- op swaps the two sides, which gives the opposite bimodule;
+- product_bimodule reads the engine's relative tensor product as a
+  bimodule, and ProductMemo builds each such product once.
 """
 
 import dataclasses
 
-from bpring.groups import CocycleClass, subgroup_from_elements
+from bpring.bimodules import BimoduleData
+from bpring.fusion import RelativeTensorProduct
 
 
 def exponent_table(p, n, f):
@@ -62,17 +65,56 @@ def op(entry):
     """The opposite bimodule: g acts on the left as it acted on the right, and h on the right as on the left.
 
     mixed'[g][i][h] = -mixed[h][i][g]: the op's mixed associator at (g, m, h)
-    is the inverse of the entry's at (h, m, g).  The stabilizer is swapped
-    and the cocycle negated; label=None, since op of a catalogue entry is a
-    presentation the catalogue never makes.
+    is the inverse of the entry's at (h, m, g).  label=None, since op of a
+    catalogue entry is a presentation the catalogue never makes.
     """
     p, mixed = entry.p, entry.mixed
     return dataclasses.replace(
         entry,
-        subgroup=subgroup_from_elements(p, [(h, g) for g, h in entry.subgroup.elements()]),
-        cocycle=CocycleClass(p, -entry.cocycle.q % p),
         left=entry.right,
         right=entry.left,
         mixed=exponent_table(p, len(entry.simples), lambda g, i, h: -mixed[h][i][g]),
         label=None,
     )
+
+
+def product_bimodule(rtp):
+    """The relative tensor product of rtp as a bimodule, read off the engine alone.
+
+    Its simples are the envelope's class indices.  left[g][c] is the class
+    that locate finds for the representative of c acted on by g on the left,
+    and right[h][c] likewise on the right; mixed[g][c][h] is the witness
+    associator mixed_associator(g, h) on the simple of c.  It has no label:
+    a product is its tables, with no subgroup or cocycle to make up.
+    """
+    env, p = rtp.env, rtp.p
+    simples = [env.simple(c) for c in range(env.simple_count)]
+
+    def action(side):
+        return tuple(
+            tuple(env.locate(rtp._apply(side, g, s.representative))[0] for s in simples) for g in range(p)
+        )
+
+    mixed = tuple(tuple(tuple(rtp.mixed_associator(g, h, s) for h in range(p)) for s in simples) for g in range(p))
+    return BimoduleData(p, tuple(range(len(simples))), action("left"), action("right"), mixed)
+
+
+class ProductMemo:
+    """product_bimodule of lefts[i] and rights[j], built once for each (i, j).
+
+    The memo is keyed on positions in the two tuples and keeps both, so a
+    product never outlives its factors.  A memo keyed on id() of its
+    factors can hand out the product of freed bimodules whose ids a new
+    bimodule has taken.
+    """
+
+    def __init__(self, lefts, rights):
+        self.lefts, self.rights = tuple(lefts), tuple(rights)
+        self._products = {}
+
+    def __getitem__(self, key):
+        product = self._products.get(key)
+        if product is None:
+            i, j = key
+            product = self._products[key] = product_bimodule(RelativeTensorProduct(self.lefts[i], self.rights[j]))
+        return product

@@ -3,8 +3,22 @@
 Elements of Z_p x Z_p are (left, right) int tuples, as in bpring.groups.
 """
 
-from bpring.cyclotomic import CyclotomicScalar, root_of_unity
-from bpring.groups import CocycleClass
+from dataclasses import dataclass
+
+from bpring.cyclotomic import CyclotomicScalar, require_prime, root_of_unity
+from bpring.groups import Subgroup
+
+
+@dataclass(frozen=True)
+class CocycleClass:
+    """Index q of the bilinear 2-cocycle w((g1,h1),(g2,h2)) = zeta^(q h1 g2)."""
+
+    p: int
+    q: int
+
+    def __post_init__(self):
+        require_prime(self.p)
+        object.__setattr__(self, "q", self.q % self.p)
 
 
 def pair_add(p: int, x, y) -> tuple[int, int]:
@@ -14,3 +28,30 @@ def pair_add(p: int, x, y) -> tuple[int, int]:
 def cocycle_phase(c: CocycleClass, x, y) -> CyclotomicScalar:
     """The bilinear 2-cocycle w(x, y) = zeta^(q x_right y_left) of class c."""
     return root_of_unity(c.p, c.q * x[1] * y[0])
+
+
+def elements(sub: Subgroup) -> list[tuple[int, int]]:
+    """Every element of sub."""
+    p = sub.p
+    if sub.kind == "trivial":
+        return [(0, 0)]
+    if sub.kind == "line":
+        gl, gr = sub.generator
+        return [(n * gl % p, n * gr % p) for n in range(p)]
+    return [(a, b) for a in range(p) for b in range(p)]
+
+
+def cosets(sub: Subgroup) -> list[tuple[int, int]]:
+    """Lexicographically least representative of each coset of sub."""
+    p = sub.p
+    seen: set[tuple[int, int]] = set()
+    reps = []
+    members = elements(sub)
+    for a in range(p):
+        for b in range(p):
+            if (a, b) in seen:
+                continue
+            reps.append((a, b))
+            for hl, hr in members:
+                seen.add(((a + hl) % p, (b + hr) % p))
+    return reps

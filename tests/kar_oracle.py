@@ -16,7 +16,10 @@ searching.  The helpers here work on objects, from the bimodule actions:
 - walk_objects, the envelope's classes from one walk over every object, and
   step_tables, the step permutations from one loop over every class: the
   envelope and bpring.fusion compute both a row at a time from the leg
-  orbits instead.
+  orbits instead;
+- every object of a ladder category in canonical order, identities, and an
+  envelope's class bases and connector pairs, read through its public
+  queries.
 """
 
 from dataclasses import dataclass
@@ -27,6 +30,45 @@ from bpring.cyclotomic import CyclotomicScalar, root_of_unity
 from bpring.fusion import ClassificationError
 from bpring.karoubi import KarEnvelope, KarObject, KarSimple, UnsupportedEndAlgebra, proportionality
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
+
+
+def objects(lad: LadderCategory) -> list[LadderObject]:
+    """Every object in canonical order, right leg first: the position of an object is its object_index.
+
+    This makes the least member of each isomorphism class the one whose
+    right leg is normalised, e.g. (a,b)(0,c) in Lad(T,T) and (a)(0) in
+    Lad(X,X).
+    """
+    return [LadderObject(m, n) for n in lad.N.simples for m in lad.M.simples]
+
+
+def identity(lad: LadderCategory, obj: LadderObject) -> LadderMorphism:
+    return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(lad.p)})
+
+
+def base_at(env: KarEnvelope, c: int) -> int:
+    """Object index of the base of class c."""
+    return env.lad.object_index(env.representative(c).obj)
+
+
+def connectors(env: KarEnvelope, obj: LadderObject, k: int) -> tuple[LadderMorphism, LadderMorphism]:
+    """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative.
+
+    to_rep is the connector that locate returns.  On a base both are its
+    idempotent; on the rung-b image of a base, to_rep is the basic rung -b
+    ladder, and from_rep the rung-b ladder back.  A character index outside
+    End(obj) raises KeyError((obj, k)).
+    """
+    i = env.lad.object_index(obj)
+    if not 0 <= k < env.dimension_at(i):
+        raise KeyError((obj, k))
+    # a fixed object is its class's base; a free one has the identity only
+    idem = env.representative(env.class_at(i) + k).idem if env.dimension_at(i) > 1 else identity(env.lad, obj)
+    to_rep = env.locate(KarObject(obj, idem))[1]
+    if to_rep.source == to_rep.target:
+        return to_rep, to_rep
+    (b,) = to_rep.coeffs
+    return to_rep, LadderMorphism(to_rep.target, obj, {-b % env.lad.p: CyclotomicScalar.one(env.lad.p)})
 
 
 def rung_target(lad: LadderCategory, obj: LadderObject, b: int) -> LadderObject:
@@ -100,7 +142,7 @@ def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[Ladder
     """
     p = lad.p
     if rung_target(lad, obj, 1) != obj:
-        return [lad.identity(obj)]
+        return [identity(lad, obj)]
     inv_p = Fraction(1, p)
     return [LadderMorphism(obj, obj, {g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)})
             for k in range(p)]
@@ -158,7 +200,7 @@ def isomorphism_classes(lad: LadderCategory) -> list[list[tuple[int, KarObject]]
     the first member of each, (character index, Kar object), is its least one.
     """
     classes: list[list[tuple[int, KarObject]]] = []
-    for obj in lad.objects():
+    for obj in objects(lad):
         for k, e in enumerate(primitive_idempotents(lad, obj)):
             kobj = KarObject(obj, e)
             hits = [members for members in classes if is_isomorphic(lad, members[0][1], kobj)]

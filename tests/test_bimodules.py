@@ -10,6 +10,7 @@ from bpring.bimodules import (
     all_labels,
     catalogue,
     catalogue_entry,
+    label_invariants,
     label_parse,
     validate,
 )
@@ -45,15 +46,31 @@ def test_invertibility_split():
 
 def test_catalogue_subgroups():
     for p in (2, 3, 5):
-        by_label = {str(b.label): b for b in catalogue(p)}
-        assert by_label["T"].subgroup.kind == "trivial"
-        assert by_label["L"].subgroup == subgroup_from_generators(p, [(1, 0)])
-        assert by_label["R"].subgroup == subgroup_from_generators(p, [(0, 1)])
-        assert by_label["F0"].subgroup.kind == "full"
+        subgroup = lambda text: label_invariants(p, label_parse(text))[0]
+        assert subgroup("T").kind == "trivial"
+        assert subgroup("L") == subgroup_from_generators(p, [(1, 0)])
+        assert subgroup("R") == subgroup_from_generators(p, [(0, 1)])
+        assert subgroup("F0").kind == "full"
         for k in range(1, p):
-            sub = by_label[f"X{k}"].subgroup
+            sub = subgroup(f"X{k}")
             assert sub == subgroup_from_generators(p, [(-k, 1)])
             assert sub.contains((-k % p, 1))
+
+
+def test_label_invariants_give_the_cocycle_index_and_validate_checks_them():
+    for p in (2, 3, 5):
+        for label in all_labels(p):
+            q = label_invariants(p, label)[1]
+            assert q == (label.index if label.kind == "F" else 0)
+        # tables of one entry under another entry's label
+        wrong = dataclasses.replace(catalogue_entry(p, label_parse("L")), label=label_parse("R"))
+        assert "stabilizer of 0 differs from the stored subgroup" in validate(wrong)
+        wrong = dataclasses.replace(catalogue_entry(p, label_parse("F1")), label=label_parse("F0"))
+        assert any("catalogue entry F0 has wrong mixed associator" in v for v in validate(wrong))
+    with pytest.raises(ValueError, match="X index 7 out of range for p=5"):
+        label_invariants(5, label_parse("X7"))
+    beyond = dataclasses.replace(catalogue_entry(5, label_parse("X2")), label=label_parse("X7"))
+    assert validate(beyond) == ["X index 7 out of range for p=5"]
 
 
 def act(entry, row, m):
@@ -115,10 +132,12 @@ def test_validate_detects_nonbilinear_mixed_associator():
 
 
 def test_stabilizers_match_stored_subgroup():
+    # the subgroup that label_invariants gives each catalogue label
     for p in (2, 3, 5):
         for entry in catalogue(p):
+            sub = label_invariants(p, entry.label)[0]
             for i in range(len(entry.simples)):
-                assert entry.stabilizer_of(i) == entry.subgroup
+                assert entry.stabilizer_of(i) == sub
 
 
 def _lists(table):

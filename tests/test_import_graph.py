@@ -6,6 +6,10 @@ evidence only while no route derives from another, so no route may import
 another, directly or through a shared module.  The graph is read from the
 source with ast, imports inside functions included, so it does not depend on
 what happens to be loaded.
+
+The library also holds no code that only the tests call: every function,
+class and method it defines must be named somewhere in the library, the
+demos or the benchmark.  Test-only helpers live in tests/.
 """
 
 import ast
@@ -13,8 +17,10 @@ import shutil
 from collections import deque
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bpring"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bpring"
 PACKAGE = "bpring"
+USERS = ("demos", "perfbench")  # outside the library, the code that may keep a library name alive
 
 SHARED = {"cyclotomic", "groups", "bimodules", "ring"}
 ROUTES = {
@@ -110,3 +116,94 @@ def test_graph_sees_imports_inside_functions_and_through_shared_modules(tmp_path
     assert "shared module reaches a route: ring -> fusion" in found
     assert "route walls reaches another route: walls -> ring -> fusion" in found
     assert "route closed_form reaches another route: closed_form -> ring -> fusion" in found
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def definitions(src: Path) -> dict[str, str]:
+    """Every function, class and non-dunder method defined at the top of a module or a class.
+
+    Maps "module.name" or "module.Class.method" to the name a reference uses.
+    """
+    out = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not _is_def(node):
+                continue
+            out[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if _is_def(member) and not (member.name.startswith("__") and member.name.endswith("__")):
+                        out[f"{path.stem}.{node.name}.{member.name}"] = member.name
+    return out
+
+
+def names_used(paths) -> set[str]:
+    """Names that an ast Name, Attribute or import alias in paths refers to."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def names_defined(paths) -> set[str]:
+    """Names that paths define themselves: functions, classes, methods and record fields.
+
+    A record field is an annotated name, as in a dataclass body, or a
+    keyword argument, as in SimpleNamespace(objects=...).
+    """
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if _is_def(node):
+                out.add(node.name)
+            elif isinstance(node, ast.keyword) and node.arg:
+                out.add(node.arg)
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                out.add(node.target.id)
+    return out
+
+
+def unused_definitions(root: Path) -> list[str]:
+    """Library definitions that nothing outside the tests names.
+
+    A reference counts from the library outside __init__, and from the
+    demos and the benchmark, except to a name those define themselves (a
+    benchmark record's objects field is not LadderCategory.objects).
+    """
+    src = root / "src" / PACKAGE
+    users = [path for d in USERS for path in sorted((root / d).glob("*.py"))]
+    used = names_used(path for path in src.glob("*.py") if path.name != "__init__.py")
+    used |= names_used(users) - names_defined(users)
+    return sorted(qualified for qualified, name in definitions(src).items() if name not in used)
+
+
+def test_library_defines_nothing_that_only_the_tests_use():
+    unused = unused_definitions(ROOT)
+    assert not unused, "only the tests use these; move them into tests/: " + ", ".join(unused)
+
+
+def test_unused_definition_guard_sees_a_method_only_the_tests_call(tmp_path):
+    """A method that only tests call is found; one that a demo calls is not."""
+    (tmp_path / "src" / PACKAGE).mkdir(parents=True)
+    for d in USERS:
+        (tmp_path / d).mkdir()
+    (tmp_path / "src" / PACKAGE / "thing.py").write_text(
+        "class Thing:\n    def used(self):\n        return self._helper()\n\n"
+        "    def _helper(self):\n        return 1\n\n    def spare(self):\n        return 2\n\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    (tmp_path / "demos" / "demo.py").write_text("from bpring.thing import Thing\nThing().used()\n")
+    (tmp_path / "perfbench" / "record.py").write_text(
+        "from types import SimpleNamespace\n\nclass Record:\n    spare: int\n\n"
+        "Record().spare\nSimpleNamespace(spare=2).spare\n"
+    )
+    assert unused_definitions(tmp_path) == ["thing.Thing.spare"]

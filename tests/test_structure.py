@@ -1,12 +1,14 @@
-"""The engine's outer actions tested as functors of the ladder category, and op duality of its products."""
+"""The engine's outer actions tested as functors, op duality of its products, and its products as bimodules."""
 
+import gc
 import itertools
 import random
+import weakref
 
 from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse, validate
 from bpring.cyclotomic import Rational, root_of_unity
 from bpring.fusion import RelativeTensorProduct, decompose
-from bimodule_transforms import gauge_twist, op, relabel
+from bimodule_transforms import ProductMemo, gauge_twist, op, relabel
 from kar_oracle import basic
 
 
@@ -79,3 +81,61 @@ def test_op_duality_of_products():
                 assert decompose(opN, opM) == want, (p, str(M.label), str(N.label))
                 pairs += 1
     assert pairs == 2 * sum((2 * p + 2) ** 2 for p in (2, 3, 5, 7))
+
+
+def test_engine_products_are_valid_bimodules():
+    # Every ordered pair at p <= 3: the product, read off the engine as a
+    # bimodule, passes validate, so its actions are additive and commute and
+    # its exponents are additive in each argument.
+    for p in (2, 3):
+        cat = catalogue(p)
+        products = ProductMemo(cat, cat)
+        for i, j in itertools.product(range(len(cat)), repeat=2):
+            product = products[i, j]
+            assert validate(product) == [], (p, str(cat[i].label), str(cat[j].label))
+            assert len(product.simples) == decompose(cat[i], cat[j]).total_simples(p)
+
+
+def test_engine_products_are_associative_and_distribute():
+    # All 512 triples (A, B, C) at p=3, with the catalogue and with A and C
+    # gauge-twisted by seeded coboundaries: decompose(A x B, C) equals
+    # decompose(A, B x C), the products read off the engine as bimodules,
+    # and equals the sum of decompose(s, C) over the summands s of A x B.
+    # The label table passes associativity by construction; this reads the
+    # engine's own products, their witness exponents at every (g, h) too.
+    p, rng = 3, random.Random(2024)
+    cat = catalogue(p)
+    entry = {e.label: e for e in cat}
+    twist = lambda e: gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
+    pairs = list(itertools.product(range(len(cat)), repeat=2))
+    for lefts, rights in ((cat, cat), ([twist(e) for e in cat], [twist(e) for e in cat])):
+        ab, bc = ProductMemo(lefts, cat), ProductMemo(cat, rights)
+        summands = {(i, j): decompose(lefts[i], cat[j]).summands for i, j in pairs}
+        times_c = {}  # (label, k) -> the summands of decompose(entry[label], rights[k])
+        for (i, j), k in itertools.product(pairs, range(len(cat))):
+            where = (str(cat[i].label), str(cat[j].label), str(cat[k].label), lefts is cat)
+            left = decompose(ab[i, j], rights[k])
+            assert left == decompose(lefts[i], bc[j, k]), where
+            parts = []
+            for label, mult in summands[i, j]:
+                if (label, k) not in times_c:
+                    times_c[label, k] = decompose(entry[label], rights[k]).summands
+                parts += [(s, n * mult) for s, n in times_c[label, k]]
+            assert left == Decomposition.from_pairs(parts), where
+
+
+def test_product_memo_keeps_its_factors():
+    # The memo holds its factors, so none is freed while it can still be
+    # asked for their product.
+    p, rng = 3, random.Random(5)
+    cat = catalogue(p)
+    lefts = [gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, "left") for e in cat]
+    refs = [weakref.ref(e) for e in lefts]
+    products = ProductMemo(lefts, cat)
+    del lefts
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    unit = catalogue_entry(p, label_parse("X1"))
+    for i, j in ((0, 0), (4, 7), (7, 4)):
+        assert products.lefts[i] is refs[i]()
+        assert decompose(products[i, j], unit) == decompose(refs[i](), cat[j])
