@@ -62,7 +62,10 @@ its action is the acted idempotent that the path has just built, and that one
 is reused.  If the second connector then lands on a base too, it is that
 base's stored idempotent e, which locate has just compared with the acted
 idempotent on every rung; the path is e followed by e, which is e, so the
-connector is the path and lad.compose is not called.  The idempotent law
+connector is the path and lad.compose is not called.  When both paths end
+so on one base, they share its stored idempotent's coefficient dict, and
+proportionality returns one without a scalar operation; both paths are
+still built and located, with all of locate's checks.  The idempotent law
 e e = e is not assumed: each stored projector is composed with itself once
 per prime, where the projectors are built (bpring.karoubi), and the free
 bases' identity is the unit of the group algebra.  The paths that carry

@@ -76,10 +76,13 @@ idempotent's rung-0 and rung-1 coefficients in a per-prime table kept beside
 the stored projectors, with no scalar product or inverse, and the idempotent
 is then compared with that stored I_k on every rung.  proportionality reads
 the scalar c with f == c*g off one rung and checks it on every rung, by a
-rotation when c is a root of unity.  Callers that want the simple itself
-call simple(c) on that class.  The table path reads only the integer
-lists, and builds a simple only to hand a full-stabilizer orbit to the
-witness associator, which works on class indices.
+rotation when c is a root of unity; when f and g share one coefficient dict,
+c is one without a scalar operation.  The witness route still builds both
+paths, and locate still checks each landing idempotent on every rung.
+Callers that want the simple itself call simple(c) on that class.  The
+table path reads only the integer lists, and builds a simple only to hand a
+full-stabilizer orbit to the witness associator, which works on class
+indices.
 """
 
 from __future__ import annotations
@@ -147,12 +150,17 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
     c is read off one rung, with one inversion, and then checked on every
     rung.  When c is a root of unity zeta^k, as for two witness paths, each
     rung of g is multiplied by a rotation (CyclotomicScalar.rotate) instead
-    of a product.
+    of a product.  When f and g share one coefficient dict, as two witness
+    paths that each land on the same base's stored idempotent do, c is one,
+    with no product, inversion or rotation; equal but distinct dicts are
+    read as above.
     """
     if g.is_zero():
         return None
     if f.is_zero():
         return CyclotomicScalar.zero(next(iter(g.coeffs.values())).p)
+    if f.coeffs is g.coeffs:
+        return CyclotomicScalar.one(next(iter(g.coeffs.values())).p)
     if f.coeffs.keys() != g.coeffs.keys():
         return None
     b, gc = next(iter(g.coeffs.items()))

@@ -7,9 +7,11 @@ bpring.walls.oracle_table from wall stacking.  This module holds only what
 reads a table: diff_tables, check_axioms, units_group (the dihedral group of
 invertible labels), serialize and parse_json.  It imports no route, so the
 routes can share it and stay independent; tests/test_import_graph.py checks
-this.  check_axioms decides associativity exactly by the middle nucleus: it
-compares only the middles that products of already proven ones do not reach
-(7 of 36 on the closed form at p=17).
+this.  check_axioms decides associativity exactly by the middle nucleus: X1
+joins it uncompared when the unit check passes, the middles read by a gather
+alone are compared first, and only the middles that products of already
+proven ones do not reach are compared (4 of 36 on the closed form at p=17:
+X2, X3, F1 and T).
 
 A table's cell (i, j) is the product a_i x a_j as a sparse cell: a tuple of
 (basis index, multiplicity) pairs in increasing index, with no zero entry,
@@ -121,12 +123,15 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
     N for s, t in N: (x(st))y = ((xs)t)y = (xs)(ty) = x(s(ty)) = x((st)y),
     each step using only that s or t is in N.  The module is free, so
     torsion-free: a cell s.t = m.a_q with m != 0 (p or negative too) puts
-    a_q in N.  So the middles j are walked in basis order, and only one not
+    a_q in N.  When the unit check passes, X1 joins the members uncompared,
+    since (x.1).y = x.y = x.(1.y).  The other middles j are walked in the
+    order of _walk: first those whose row is all single labels with
+    multiplicity 1, then the rest, each group in basis order.  Only one not
     yet proven is compared over every (i, k) (_middle_violations).  One that
     passes joins the members, and a single-label cell s.t or t.s of two
     members proves its label.  One that fails never joins, and no closure
     can prove it, so every violation is found; they are reported in
-    (i, j, k, q) order.
+    (i, j, k, q) order, whatever the walk's order.
     """
     violations = []
     basis, constants = table.basis, table.constants
@@ -148,13 +153,12 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
         n = len(basis)
         nz = [tuple(rows) for rows in constants]
         proven, unproven, members, failed = bytearray(n), n, [], {}
-        for j in range(n):
-            if proven[j]:
-                continue
-            found = _middle_violations(table, nz, j)
-            if found:
-                failed.update(found)
-                continue
+        for j, compare in _walk(nz, proven, e if unit_ok else None):
+            if compare:
+                found = _middle_violations(table, nz, j)
+                if found:
+                    failed.update(found)
+                    continue
             proven[j], unproven, queue = 1, unproven - 1, [j]
             while queue and unproven:
                 s = queue.pop()
@@ -169,6 +173,27 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
         for key in sorted(failed):
             violations += failed[key]
     return AxiomReport(unit_ok, associativity_ok, violations)
+
+
+def _walk(nz: list, proven: bytearray, unit: int | None):
+    """(j, compare) for each middle j in the order check_axioms takes them, skipping the proven.
+
+    A two-sided unit comes first, with compare False: it is in N, since
+    (x.1).y = x.y = x.(1.y).  Then, each group in basis order, the middles
+    whose row is all single labels with multiplicity 1, which
+    _middle_violations reads by one gather per row and no sparse sum, and
+    then the rest.  Each middle is compared at most once, and proven is read
+    as the walk goes, so a middle proven meanwhile is skipped.
+    """
+    if unit is not None:
+        yield unit, False
+    singles = {((k, 1),) for k in range(len(nz))}
+    compared = bytearray(len(nz))
+    for gathered_only in (True, False):
+        for j, row in enumerate(nz):
+            if not (proven[j] or compared[j]) and (not gathered_only or singles.issuperset(row)):
+                compared[j] = 1
+                yield j, True
 
 
 def _middle_violations(table: RingTable, nz: list, j: int) -> dict:
@@ -354,21 +379,29 @@ def _units_json(table: RingTable) -> dict:
 def _products_json(table: RingTable) -> str:
     """The "products" value of serialize(table, "json"), as json.dumps(indent=2) lays it out.
 
-    Each distinct cell gets its JSON text once per call; equal cells reuse it.
+    The value sits two levels deep in the payload.  Each distinct cell's text
+    is written once per call, in the layout json.dumps(summands, indent=2)
+    gives a list of {"label", "mult"} objects at that depth ([] for an empty
+    cell), and equal cells reuse it; each label is quoted once per call.
+    tests/test_ring.py compares the whole text with the json encoder's.
     """
     names = [str(b) for b in table.basis]
+    quoted = [json.dumps(name) for name in names]
+    ends = [f'{b}": ' for b in names]  # each key is a row's prefix and a column's end
     texts: dict = {}
     lines = []
     for a, rows in zip(names, table.constants):
-        for b, cell in zip(names, rows):
+        prefix = f'    "{a},'
+        for end, cell in zip(ends, rows):
             text = texts.get(cell)
             if text is None:
                 if any(mult < 0 for _, mult in cell):
                     raise ValueError("multiplicities must be positive")
-                summands = [{"label": names[k], "mult": mult} for k, mult in cell]
-                # a cell sits two levels deep in the payload
-                text = texts[cell] = json.dumps(summands, indent=2).replace("\n", "\n    ")
-            lines.append(f'    "{a},{b}": {text}')
+                summands = ",\n".join(
+                    f'      {{\n        "label": {quoted[k]},\n        "mult": {mult}\n      }}' for k, mult in cell
+                )
+                text = texts[cell] = f"[\n{summands}\n    ]" if cell else "[]"
+            lines.append(prefix + end + text)
     return "{\n" + ",\n".join(lines) + "\n  }"
 
 

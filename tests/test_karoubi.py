@@ -260,6 +260,28 @@ def test_proportionality_checks_every_rung():
     assert proportionality(g, LadderMorphism(obj, obj, {})) is None
 
 
+def test_proportionality_of_one_coefficient_dict_is_one_without_an_inverse(monkeypatch):
+    # f and g sharing one dict are one morphism, so the ratio is one with no
+    # inversion; equal but distinct dicts still read the ratio off a rung
+    p = 5
+    obj = LadderObject(1, "*")
+    z = [root_of_unity(p, k) for k in range(p)]
+    g = LadderMorphism(obj, obj, {0: z[0], 1: z[1], 2: z[3]})
+    inverses, inv = [], CyclotomicScalar.inv
+
+    def counting(self):
+        inverses.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(CyclotomicScalar, "inv", counting)
+    assert proportionality(g, g) == CyclotomicScalar.one(p)
+    assert proportionality(LadderMorphism(obj, obj, {}), LadderMorphism(obj, obj, {})) is None
+    assert inverses == []
+    copy = LadderMorphism(obj, obj, g.coeffs)  # the constructor copies the dict
+    assert copy.coeffs is not g.coeffs
+    assert proportionality(copy, g) == CyclotomicScalar.one(p)
+    assert len(inverses) == 1
+
 
 def test_proportionality_under_a_root_of_unity_checks_every_rung():
     # a root-of-unity ratio zeta^k is checked on each rung by a rotation; one

@@ -379,9 +379,26 @@ def test_nucleus_closure_matches_dense_oracle(monkeypatch):
 
 @pytest.mark.parametrize("p", [17, 29, 31, 37, 41])
 def test_closed_form_compares_at_most_seven_middles(monkeypatch, p):
+    # the unit joins uncompared and the gather-only middles come first: an
+    # X generating the units' cyclic part (one or two of them), F1 and T
     checked = _checked_middles(monkeypatch)
     assert check_axioms(closed_form_table(p)).ok()
-    assert 0 < len(checked) <= 7, checked
+    assert 0 < len(checked) <= 4, checked
+
+
+def test_a_unit_that_passes_joins_the_nucleus_uncompared(monkeypatch):
+    checked = _checked_middles(monkeypatch)
+    tables = [closed_form_table(p) for p in (2, 3, 5, 7, 11)] + [_signed_z6(), _nucleus_pair()]
+    tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7) for seed in range(20)]
+    passed = failed = 0
+    for t in tables:
+        checked.clear()
+        if check_axioms(t).unit_ok:
+            assert "X1" not in checked, t.p
+            passed += 1
+        else:
+            failed += 1
+    assert passed >= 20 and failed >= 5
 
 
 def test_units_group_shapes():
@@ -527,7 +544,7 @@ def _json_outcome(fn, t):
 
 def test_serialize_json_matches_plain_encoder():
     tables = [closed_form_table(p) for p in (7, 11, 13, 17)] + [table(7)]
-    tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7) for seed in range(20)]
+    tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7, 17) for seed in range(20)]
     tables += [t for p in (2, 3, 5) for t in _unit_breaks(p)]
     raised = 0
     for t in tables:
@@ -536,6 +553,12 @@ def test_serialize_json_matches_plain_encoder():
         raised += isinstance(got, tuple)
     # the unit breaks reach the raising path too
     assert raised >= 20
+    # the cell writer meets empty cells and cells of several summands with
+    # two-digit labels
+    two_digit = {i for i, b in enumerate(RingTable.empty(17).basis) if len(str(b)) == 3}
+    cells = {cell for t in tables if t.p == 17 for rows in t.constants for cell in rows}
+    assert () in cells
+    assert any(len(cell) > 1 and two_digit.intersection(k for k, _ in cell) for cell in cells)
 
 
 def test_readers_see_in_place_edits():
