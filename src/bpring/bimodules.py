@@ -41,7 +41,8 @@ from .groups import Subgroup, subgroup_from_elements, subgroup_from_generators
 
 STAR = "*"
 
-_LABEL_RE = re.compile(r"^([TLRFX])(\d+)?$")
+# an index is ASCII digits with no leading zero, so each label has one spelling
+_LABEL_RE = re.compile(r"([TLRFX])(0|[1-9][0-9]*)?")
 
 
 class LabelParseError(ValueError):
@@ -95,7 +96,7 @@ class BimoduleLabel:
 
 
 def label_parse(text: str) -> BimoduleLabel:
-    m = _LABEL_RE.match(text.strip())
+    m = _LABEL_RE.fullmatch(text.strip())
     if not m:
         raise LabelParseError(f"cannot parse bimodule label {text!r}")
     kind, idx = m.group(1), m.group(2)
@@ -182,10 +183,11 @@ class BimoduleData:
 
     left[g][i] and right[h][i] are simple indices and mixed[g][i][h] an
     exponent mod p (see the module docstring).  The tables may share rows;
-    the catalogue's zero exponent table is one row repeated.  index is read
-    once, so build a new instance (dataclasses.replace) to change simples.
-    label names the catalogue entry the tables present, or is None; its
-    subgroup and cocycle index come from label_invariants.
+    the catalogue's zero exponent table is one row repeated.  index and
+    trivial_mixed are read once, so build a new instance
+    (dataclasses.replace) to change simples or mixed.  label names the
+    catalogue entry the tables present, or is None; its subgroup and cocycle
+    index come from label_invariants.
     """
 
     p: int
@@ -199,6 +201,11 @@ class BimoduleData:
     def index(self) -> dict:
         """Simple -> its position in simples."""
         return {m: i for i, m in enumerate(self.simples)}
+
+    @cached_property
+    def trivial_mixed(self) -> bool:
+        """Whether every exponent of mixed is 0: each mixed associator is the identity."""
+        return not any(any(row) for plane in self.mixed for row in plane)
 
     def stabilizer_of(self, i: int) -> Subgroup:
         """Subgroup {(g,h) : (g > m_i) < h == m_i}."""

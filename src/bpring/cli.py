@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure or unwritable output,
 2 invalid input, 3 internal fault of the engine, the wall oracle or a table
-reader.  All output is deterministic.  BPRING_THREADS, a positive integer
+reader.  All output is deterministic.  A number in --p or in a label is
+ASCII digits with no leading zero; any other spelling is invalid input, and
+fuse prints each label as parsed.  BPRING_THREADS, a positive integer
 (unset or empty means 1), sets how many worker processes build a table,
 capped at the CPU count; any other value is invalid input.
 """
@@ -81,8 +83,8 @@ def _cmd_fuse(args) -> int:
     if args.format == "json":
         payload = {
             "p": args.p,
-            "left": args.left,
-            "right": args.right,
+            "left": str(left.label),
+            "right": str(right.label),
             "result": str(analysis.decomposition),
             "summands": [
                 {"label": str(label), "mult": mult}
@@ -108,7 +110,7 @@ def _cmd_fuse(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     if args.detail:
-        print(f"{args.left} (x) {args.right} at p={args.p}")
+        print(f"{left.label} (x) {right.label} at p={args.p}")
         print(f"ladder objects: {analysis.object_count}")
         dims = ", ".join(f"dim {k}: {v} objects" for k, v in sorted(analysis.end_dimensions.items()))
         print(f"end algebras: {dims}")
@@ -172,6 +174,9 @@ def _cmd_verify(args) -> int:
 
 
 def _prime(text: str) -> int:
+    """p from its one spelling: ASCII digits with no leading zero, so "1_1", "+7" or "07" are bad input."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise argparse.ArgumentTypeError(f"p must be ASCII digits with no leading zero, got {text!r}")
     value = int(text)
     if not is_prime(value):
         raise argparse.ArgumentTypeError(f"p must be prime, got {value}")
@@ -179,15 +184,16 @@ def _prime(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bpring", description=__doc__)
+    """The command-line parser; a bad option value raises argparse.ArgumentError, which main reports in one line."""
+    parser = argparse.ArgumentParser(prog="bpring", description=__doc__, exit_on_error=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cat = sub.add_parser("catalog", help="list the 2p+2 indecomposable bimodules")
+    cat = sub.add_parser("catalog", exit_on_error=False, help="list the 2p+2 indecomposable bimodules")
     cat.add_argument("--p", type=_prime, required=True)
     cat.add_argument("--format", choices=["json", "md"], default="md")
     cat.set_defaults(func=_cmd_catalog)
 
-    fuse = sub.add_parser("fuse", help="compute one relative tensor product")
+    fuse = sub.add_parser("fuse", exit_on_error=False, help="compute one relative tensor product")
     fuse.add_argument("--p", type=_prime, required=True)
     fuse.add_argument("--left", required=True)
     fuse.add_argument("--right", required=True)
@@ -195,13 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--format", choices=["json", "md"], default="md")
     fuse.set_defaults(func=_cmd_fuse)
 
-    tab = sub.add_parser("table", help="emit the full multiplication table")
+    tab = sub.add_parser("table", exit_on_error=False, help="emit the full multiplication table")
     tab.add_argument("--p", type=_prime, required=True)
     tab.add_argument("--format", choices=["json", "md", "csv"], default="md")
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=_cmd_table)
 
-    ver = sub.add_parser("verify", help="check the engine against the closed form")
+    ver = sub.add_parser("verify", exit_on_error=False, help="check the engine against the closed form")
     ver.add_argument("--p", type=_prime, required=True)
     ver.add_argument("--oracle", action="store_true", help="also compare with the wall oracle")
     ver.add_argument("--triples", action="store_true", help="exhaustive associativity check")
@@ -218,6 +224,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the invalid-input code
         return int(exc.code or 0)

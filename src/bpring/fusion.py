@@ -8,7 +8,12 @@ multiplies by zeta^N.mixed[b][j][h], j the index of its source's N leg.
 Each such multiplication is a rotation of the scalar's numerators
 (CyclotomicScalar.rotate), with no product, and a rotation keeps a nonzero
 scalar nonzero, so act_left and act_right build the result without the
-constructor's zero filter (LadderMorphism._nonzero).  Acting on a Kar object
+constructor's zero filter (LadderMorphism._nonzero).  When every exponent of
+the acting entry's mixed table is 0 (BimoduleData.trivial_mixed, read once
+per entry), every rotation is by zero and the action is the identity on
+coefficients: the shifted morphism takes the input's own coefficient dict.
+That holds for every catalogue entry but F_q with q != 0; a gauge-twisted
+entry, or F_q, rotates every rung.  Acting on a Kar object
 shifts its object once and uses it as the source and target of the acted
 idempotent.  Applying a functor to a Kar simple and re-anchoring to the
 canonical class representative yields the action on simples together with
@@ -210,12 +215,16 @@ class RelativeTensorProduct:
     def _act_left(self, g: int, f: LadderMorphism, source: LadderObject, target: LadderObject) -> LadderMorphism:
         """act_left(g, f), given the shifted source and target."""
         p, M = self.p, self.M
+        if M.trivial_mixed:
+            return LadderMorphism._nonzero(source, target, f.coeffs)
         row = M.mixed[g % p][M.index[f.target.m]]
         return LadderMorphism._nonzero(source, target, {b: c.rotate(row[b]) for b, c in f.coeffs.items()})
 
     def _act_right(self, h: int, f: LadderMorphism, source: LadderObject, target: LadderObject) -> LadderMorphism:
         """act_right(h, f), given the shifted source and target."""
         p, N = self.p, self.N
+        if N.trivial_mixed:
+            return LadderMorphism._nonzero(source, target, f.coeffs)
         j, h = N.index[f.source.n], h % p
         return LadderMorphism._nonzero(source, target, {b: c.rotate(N.mixed[b][j][h]) for b, c in f.coeffs.items()})
 
@@ -242,8 +251,13 @@ class RelativeTensorProduct:
 
         leg is the index of the object's simple on that side.  Checks that
         e(b) = b e(1) for every rung b of End(obj) (see the module
-        docstring), once per product for each (side, leg, dim).
+        docstring), once per product for each (side, leg, dim).  When that
+        side's entry has trivial_mixed set, the table is all zero, which is
+        the character with e(1) = 0 on every rung, and 0 is returned with no
+        read.
         """
+        if (self.M if side == "left" else self.N).trivial_mixed:
+            return 0
         key = (side, leg, dim)
         e1 = self._exponents.get(key)
         if e1 is not None:

@@ -2,15 +2,18 @@
 
 The library walks the orbits as cycles of the two commuting step
 permutations and reads each orbit's stabilizer from the orbit's size; these
-are the brute-force oracles it is tested against.  acted_witness_exponent
-is the witness associator with every connector acted on, never reusing an
-acted idempotent, and its ratio read with full scalar products.
+are the brute-force oracles it is tested against.  rotated_action is the
+outer action with every rung rotated by its exponent read from the table,
+always into a new coefficient dict.  acted_witness_exponent is the witness
+associator acting through it on every connector, never reusing an acted
+idempotent, and its ratio read with full scalar products.
 """
 
 from bpring.cyclotomic import phase_exponent
 from bpring.fusion import ClassificationError
 from bpring.groups import Subgroup, subgroup_from_elements
 from bpring.karoubi import KarObject
+from bpring.ladders import LadderMorphism, LadderObject
 
 
 def action_tables(product) -> tuple[list[list[int]], list[list[int]]]:
@@ -54,16 +57,39 @@ def search_orbits(product) -> list[list[int]]:
     return out
 
 
+def rotated_action(product, side: str, g: int, f: LadderMorphism) -> LadderMorphism:
+    """f acted on by g on side, each rung b rotated by its exponent read from the mixed table.
+
+    On the left the M leg moves by M.left[g] and rung b is multiplied by
+    zeta^M.mixed[g][i][b], i the index of the target's M leg; on the right
+    the N leg moves by N.right[g] and rung b by zeta^N.mixed[b][j][g], j the
+    index of the source's N leg.  The result never shares f's coefficient
+    dict, whatever the exponents.
+    """
+    p, M, N = product.p, product.M, product.N
+    g %= p
+    if side == "left":
+        move = lambda obj: LadderObject(M.simples[M.left[g][M.index[obj.m]]], obj.n)
+        i = M.index[f.target.m]
+        exponent = lambda b: M.mixed[g][i][b]
+    else:
+        move = lambda obj: LadderObject(obj.m, N.simples[N.right[g][N.index[obj.n]]])
+        j = N.index[f.source.n]
+        exponent = lambda b: N.mixed[b][j][g]
+    coeffs = {b: c.rotate(exponent(b)) for b, c in f.coeffs.items()}
+    return LadderMorphism(move(f.source), move(f.target), coeffs)
+
+
 def acted_witness_exponent(product, g: int, h: int, simple) -> int:
-    """k with (left-g then right-h) = zeta^k (right-h then left-g), every connector acted on."""
-    env, act = product.env, {"left": product.act_left, "right": product.act_right}
+    """k with (left-g then right-h) = zeta^k (right-h then left-g), every connector acted on by rotated_action."""
+    env = product.env
     paths = []
     for first, a, second, b in (("right", h, "left", g), ("left", g, "right", h)):
-        shifted = act[first](a, simple.representative.idem)
+        shifted = rotated_action(product, first, a, simple.representative.idem)
         c1, u1 = env.locate(KarObject(shifted.source, shifted))
-        acted = act[second](b, env.representative(c1).idem)
+        acted = rotated_action(product, second, b, env.representative(c1).idem)
         c2, u2 = env.locate(KarObject(acted.source, acted))
-        paths.append((c2, product.lad.compose(act[second](b, u1), u2)))
+        paths.append((c2, product.lad.compose(rotated_action(product, second, b, u1), u2)))
     (c_rl, path_rl), (c_lr, path_lr) = paths
     if c_rl != c_lr or path_rl.source != path_lr.source or path_rl.coeffs.keys() != path_lr.coeffs.keys():
         raise ClassificationError("the two witness paths do not land in one Hom space")

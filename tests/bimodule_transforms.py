@@ -3,6 +3,9 @@
 - exponent_table builds a mixed-associator table from a function;
 - gauge_twist twists an entry's mixed associator by a coboundary, which
   gives an equivalent bimodule whose exponents depend on the simple;
+- character_twist rescales an action that fixes every simple by a
+  character per simple, the gauge freedom gauge_twist leaves out on R and L;
+- random_twist applies whichever of the two changes the entry's table;
 - relabel renames and reorders an entry's simples, which gives the same
   bimodule in another canonical object order;
 - op swaps the two sides, which gives the opposite bimodule;
@@ -38,6 +41,37 @@ def gauge_twist(entry, c, side):
         shift = lambda g, i, h: e(g, right[h][i]) - e(g, i)
     twisted = exponent_table(p, len(c), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
     return dataclasses.replace(entry, mixed=twisted, label=None)
+
+
+def character_twist(entry, chi, side):
+    """entry with the action on side rescaled at each simple m by the character a -> zeta^(chi[m] a).
+
+    This is a natural isomorphism of that action only where it fixes every
+    simple: on the right of R and on the left of L, whose mixed tables no
+    gauge_twist changes.  The exponents become (chi[m] - chi[g > m]) h or
+    g (chi[m < h] - chi[m]), the same shift gauge_twist makes with its
+    coboundary replaced by chi, so the result is again an equivalent
+    bimodule, with label=None.
+    """
+    p, left, right, mixed = entry.p, entry.left, entry.right, entry.mixed
+    table = right if side == "right" else left
+    if any(row[i] != i for row in table for i in range(len(entry.simples))):
+        raise ValueError(f"the {side} action of {entry.label} moves a simple")
+    chi = [chi[m] for m in entry.simples]
+    if side == "right":
+        shift = lambda g, i, h: (chi[i] - chi[left[g][i]]) * h
+    else:
+        shift = lambda g, i, h: g * (chi[right[h][i]] - chi[i])
+    twisted = exponent_table(p, len(chi), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
+    return dataclasses.replace(entry, mixed=twisted, label=None)
+
+
+def random_twist(entry, rng):
+    """entry gauge-twisted with seeded values: by a character on R's right and L's left, by a coboundary elsewhere."""
+    c = {m: rng.randrange(entry.p) for m in entry.simples}
+    if entry.label is not None and entry.label.kind in ("R", "L"):
+        return character_twist(entry, c, "right" if entry.label.kind == "R" else "left")
+    return gauge_twist(entry, c, rng.choice(("left", "right")))
 
 
 def relabel(entry, rng):

@@ -175,6 +175,25 @@ def test_validate_reports_malformed_tables(case):
         assert len(violations) == 1 and isinstance(violations[0], str), violations
 
 
+def test_trivial_mixed_is_read_from_the_tables():
+    # Set for every catalogue label but F_q with q != 0, at p <= 7.  At
+    # p <= 3, one nonzero exponent in any slot (g, i, h) of a zero table,
+    # every g and every right-hand h included, clears it on every entry.
+    for p in (2, 3, 5, 7):
+        for entry in catalogue(p):
+            assert entry.trivial_mixed == (entry.label.kind != "F" or entry.label.index == 0), (p, str(entry.label))
+    for p in (2, 3):
+        for entry in catalogue(p):
+            n = len(entry.simples)
+            zero = (((0,) * p,) * n,) * p  # _set copies it into lists
+            assert dataclasses.replace(entry, mixed=zero).trivial_mixed
+            for g in range(p):
+                for i in range(n):
+                    for h in range(p):
+                        mixed = _set(zero, (g, i, h), 1 + (g + i + h) % (p - 1))
+                        assert not dataclasses.replace(entry, mixed=mixed).trivial_mixed, (p, str(entry.label), g, i, h)
+
+
 def test_label_grammar_round_trip():
     for p in (2, 5):
         for label in all_labels(p):
@@ -184,7 +203,10 @@ def test_label_grammar_round_trip():
     assert label_parse("F12") == BimoduleLabel("F", 12)
 
 
-@pytest.mark.parametrize("bad", ["X0", "T1", "L2", "F", "X", "Q3", "", "x1", "F-1"])
+# an index is ASCII digits with no leading zero: other digits and padded spellings are rejected
+@pytest.mark.parametrize(
+    "bad", ["X0", "T1", "L2", "F", "X", "Q3", "", "x1", "F-1", "X01", "F00", " F03", "X\uff11", "F\u0663", "X1_0", "F+1"]
+)
 def test_label_parse_errors(bad):
     with pytest.raises(LabelParseError):
         label_parse(bad)

@@ -79,6 +79,33 @@ def test_fuse_rejects_bad_label(capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "fuse", "--p", "3", "--left", "X5", "--right", "T")
     assert code == 2
+    # an index is ASCII digits with no leading zero, on either side
+    for label in ("X01", "X\uff11", "F\u0663", "F00"):
+        for argv in (("--left", label, "--right", "T"), ("--left", "T", "--right", label)):
+            code, out, err = run_cli(capsys, "fuse", "--p", "7", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["catalog", "table", "verify", "fuse"])
+@pytest.mark.parametrize("p", ["1_1", "\u0667", "07", "+7", " 7", "7 ", "", "4"])
+def test_p_has_one_spelling(capsys, command, p):
+    # --p is ASCII digits with no leading zero, and prime: anything else is
+    # bad input, exit code 2 with a one-line message and nothing on stdout.
+    labels = ["--left", "T", "--right", "T"] if command == "fuse" else []
+    code, out, err = run_cli(capsys, command, "--p", p, *labels)
+    assert code == 2 and out == ""
+    assert err.startswith("error: argument --p: p must be ") and err.count("\n") == 1, err
+
+
+def test_fuse_prints_the_parsed_labels(capsys):
+    # labels are echoed as parsed, not as typed
+    code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", " F1", "--right", "T ", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["left"], payload["right"]) == ("F1", "T")
+    code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", " F1", "--right", "T ", "--detail")
+    assert code == 0 and out.startswith("F1 (x) T at p=3\n")
 
 
 def test_table_markdown(capsys):

@@ -20,8 +20,8 @@ from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, b
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, KarObject, _checked_idempotent, _projector_coeffs
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
-from action_oracle import acted_witness_exponent, action_tables, orbit_stabilizer, search_orbits
-from bimodule_transforms import exponent_table, gauge_twist, relabel
+from action_oracle import acted_witness_exponent, action_tables, orbit_stabilizer, rotated_action, search_orbits
+from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel
 from kar_oracle import FIXED, base_at, connectors, step_tables, walk_objects
 from scalar_oracle import is_one
 
@@ -417,6 +417,39 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
     assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["checked"] > 10000, kinds
 
 
+def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial():
+    # act_left and act_right return the input's own coefficient dict when the
+    # acting entry's mixed table is all zero, and rotate every rung otherwise.
+    # On every ordered pair at p in {2, 3, 5}, plain and gauge-twisted on both
+    # factors, every simple's idempotent and every connector acted on by g in
+    # {0, 1} and a seeded g on both sides must equal rotated_action, which
+    # reads each exponent from the table and never shares a dict, and must
+    # share the input's dict exactly when the acting entry's trivial_mixed is
+    # set.  The one-object entries keep their tables under any twist, so both
+    # flags occur twisted.
+    rng = random.Random(2602)
+    seen = Counter()
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        twisted = [random_twist(e, rng) for e in cat]
+        for entries in (cat, twisted):
+            for M, N in itertools.product(entries, repeat=2):
+                product = RelativeTensorProduct(M, N)
+                env, lad = product.env, product.lad
+                morphisms = [env.representative(c).idem for c in range(env.simple_count)]
+                for i in range(lad.object_count):
+                    for k in range(env.dimension_at(i)):
+                        morphisms.extend(connectors(env, lad.object_at(i), k))
+                for side, act, entry in (("left", product.act_left, M), ("right", product.act_right, N)):
+                    for g in sorted({0, 1, rng.randrange(p)}):
+                        for f in morphisms:
+                            acted = act(g, f)
+                            assert acted == rotated_action(product, side, g, f), (p, side, g, f)
+                            assert (acted.coeffs is f.coeffs) == entry.trivial_mixed, (p, side, g, f)
+                    seen[entry.trivial_mixed, entries is twisted] += 1
+    assert all(seen[flag, twist] > 0 for flag in (True, False) for twist in (True, False)), seen
+
+
 def test_row_walk_and_step_tables_match_the_per_object_oracle():
     # Every ordered pair at p in {2, 3, 5, 7, 11}: of the catalogue, of
     # gauge-twisted entries, whose exponents depend on the simple, and of
@@ -581,6 +614,23 @@ def test_gauge_twist_preserves_product_invariants():
                 assert got == expected, (M.p, str(M.label), str(N.label), side)
 
 
+def test_character_twist_preserves_product_invariants():
+    # R twisted on the right and L on the left by a character per simple:
+    # each is a valid bimodule with a nonzero exponent table, which no
+    # coboundary twist gives them, and a product with it on either side has
+    # the invariants of the product with the plain entry.
+    rng = random.Random(2603)
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        for name, side in (("R", "right"), ("L", "left")):
+            entry = catalogue_entry(p, label_parse(name))
+            twisted = character_twist(entry, {m: rng.randrange(1, p) * (m != 0) for m in entry.simples}, side)
+            assert validate(twisted) == [] and not twisted.trivial_mixed, (p, name)
+            for other in cat:
+                for plain, moved in (((entry, other), (twisted, other)), ((other, entry), (other, twisted))):
+                    assert gauge_invariants(analyze(*moved)) == gauge_invariants(analyze(*plain)), (p, name, str(other.label))
+
+
 def test_relabelled_simples_preserve_product_invariants():
     # every ordered pair at p in {2, 3} and a seeded sample at p=5, both
     # factors relabelled; the canonical object order changes, the invariants
@@ -694,10 +744,9 @@ def test_witness_paths_match_the_plain_route_at_p7_and_p11():
         q, r, l = (rng.randrange(1, p) for _ in range(3))
         names = [("R", "L"), ("L", "R"), ("R", "F0"), (f"F{q}", f"F{r}"), (f"F{q}", f"X{l}"), ("T", f"X{l}")]
         at = [(1, 1), (rng.randrange(p), rng.randrange(p))]
-        twist = lambda e: gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
         for a, b in names:
             M, N = catalogue_entry(p, label_parse(a)), catalogue_entry(p, label_parse(b))
-            for left, right in ((M, N), (twist(M), twist(N))):
+            for left, right in ((M, N), (random_twist(M, rng), random_twist(N, rng))):
                 product = RelativeTensorProduct(left, right)
                 for orbit in product.orbits():
                     s = product.env.simple(orbit[0])
