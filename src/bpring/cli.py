@@ -183,17 +183,26 @@ def _prime(text: str) -> int:
     return value
 
 
+def _usage_error(message: str):
+    """Raise a usage error as argparse.ArgumentError, where argparse would print its usage line and exit."""
+    raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; a bad option value raises argparse.ArgumentError, which main reports in one line."""
-    parser = argparse.ArgumentParser(prog="bpring", description=__doc__, exit_on_error=False)
+    """The command-line parser; every usage error raises argparse.ArgumentError, which main reports in one line.
+
+    That covers a bad option value, a missing or unknown option and a
+    missing or unknown command.
+    """
+    parser = argparse.ArgumentParser(prog="bpring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cat = sub.add_parser("catalog", exit_on_error=False, help="list the 2p+2 indecomposable bimodules")
+    cat = sub.add_parser("catalog", help="list the 2p+2 indecomposable bimodules")
     cat.add_argument("--p", type=_prime, required=True)
     cat.add_argument("--format", choices=["json", "md"], default="md")
     cat.set_defaults(func=_cmd_catalog)
 
-    fuse = sub.add_parser("fuse", exit_on_error=False, help="compute one relative tensor product")
+    fuse = sub.add_parser("fuse", help="compute one relative tensor product")
     fuse.add_argument("--p", type=_prime, required=True)
     fuse.add_argument("--left", required=True)
     fuse.add_argument("--right", required=True)
@@ -201,17 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
     fuse.add_argument("--format", choices=["json", "md"], default="md")
     fuse.set_defaults(func=_cmd_fuse)
 
-    tab = sub.add_parser("table", exit_on_error=False, help="emit the full multiplication table")
+    tab = sub.add_parser("table", help="emit the full multiplication table")
     tab.add_argument("--p", type=_prime, required=True)
     tab.add_argument("--format", choices=["json", "md", "csv"], default="md")
     tab.add_argument("--out", default=None)
     tab.set_defaults(func=_cmd_table)
 
-    ver = sub.add_parser("verify", exit_on_error=False, help="check the engine against the closed form")
+    ver = sub.add_parser("verify", help="check the engine against the closed form")
     ver.add_argument("--p", type=_prime, required=True)
     ver.add_argument("--oracle", action="store_true", help="also compare with the wall oracle")
     ver.add_argument("--triples", action="store_true", help="exhaustive associativity check")
     ver.set_defaults(func=_cmd_verify)
+    for each in (parser, *sub.choices.values()):
+        each.error = _usage_error
     return parser
 
 
@@ -228,7 +239,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
-        # argparse exits with 2 on bad flags, which matches the invalid-input code
+        # --help exits with 0
         return int(exc.code or 0)
     try:
         return args.func(args)

@@ -13,11 +13,15 @@ the acting entry's mixed table is 0 (BimoduleData.trivial_mixed, read once
 per entry), every rotation is by zero and the action is the identity on
 coefficients: the shifted morphism takes the input's own coefficient dict.
 That holds for every catalogue entry but F_q with q != 0; a gauge-twisted
-entry, or F_q, rotates every rung.  Acting on a Kar object
-shifts its object once and uses it as the source and target of the acted
-idempotent.  Applying a functor to a Kar simple and re-anchoring to the
-canonical class representative yields the action on simples together with
-an absorbing witness morphism (outer_action).
+entry, or F_q, rotates every rung.  Objects are shifted as object indices,
+by one index shift (_shift): acting by g on the left sends n*|M| + m to
+n*|M| + M.left[g][m], and acting on the right sends it to
+N.right[g][n]*|M| + m.  act_left and act_right read a morphism's two object
+indices once and shift them; acting on an idempotent shifts its object
+once, for its source and target (_apply).  Applying a functor to a Kar
+simple and re-anchoring to the canonical class representative yields the
+action on simples together with an absorbing witness morphism
+(outer_action).
 
 The orbits only need where each simple goes under the generators, and that
 is read on class indices, with no witness and no simple built.  Acting by 1
@@ -46,7 +50,8 @@ once per product, before the orbits are read, by comparing lstep after
 rstep with rstep after lstep, each composite gathered in C; a failure is a
 ClassificationError naming the first simple where they differ.  The orbit
 of a simple is then the union of the rstep cycles through the points of
-its lstep cycle, walked over one bytearray.  Each step is the action of
+its lstep cycle, walked over one bytearray, whose find jumps in C to the
+first simple of the next orbit.  Each step is the action of
 the generator 1 of Z_p, so commuting steps are an action of Z_p x Z_p: an
 orbit has size 1, p or p^2 and its stabilizer has order p^2 / size:
 size p^2 gives the trivial subgroup, size 1 the full group, and size p a
@@ -57,34 +62,42 @@ by no line or by more than one, is a ClassificationError.
 The mixed associator of the product at (g, h) is the scalar ratio of the two
 witness paths (left-g then right-h) / (right-h then left-g), both of which are
 morphisms in the same one-dimensional absorbed Hom space.  Each path acts,
-re-anchors through a connector (KarEnvelope.locate, which returns the
-landing class as an index), acts on that class's representative, re-anchors
-again, and is composed with one lad.compose; the two landing classes are
-compared as integers, and the ratio is read by proportionality and
-phase_exponent.  When the first connector lands on a base, it is that base's
-idempotent, sharing the representative's coefficient dict and endpoints, so
-its action is the acted idempotent that the path has just built, and that one
-is reused.  If the second connector then lands on a base too, it is that
-base's stored idempotent e, which locate has just compared with the acted
-idempotent on every rung; the path is e followed by e, which is e, so the
-connector is the path and lad.compose is not called.  When both paths end
-so on one base, they share its stored idempotent's coefficient dict, and
-proportionality returns one without a scalar operation; both paths are
-still built and located, with all of locate's checks.  The idempotent law
-e e = e is not assumed: each stored projector is composed with itself once
-per prime, where the projectors are built (bpring.karoubi), and the free
-bases' identity is the unit of the group algebra.  The paths that carry
-the phase, an acted connector followed by u2, are all composed.  No simple is built on the way.  On an orbit fixed by both actions
-the connector gauges cancel in this ratio, so the extracted exponent is
-canonical; the calibration is fixed so that the product of the one-object
-bimodule with cocycle q and the invertible X_l comes out with exponent q*l at
-(g, h) = (1, 1).  Only these exponents, on orbits with full stabilizer (label
-F_q), are invariants of the product.  On an orbit with a trivial or line
-stabilizer the exponent depends on the gauge of the inputs: twisting a
-factor's mixed associator by a coboundary can change it, e.g. the T orbit of
-T x X1 at p=2 goes from 0 to 1.  So decompose, and with it build_table, runs
-the witness paths on full-stabilizer orbits only.  analyze, which fuse --detail
-prints, runs them on every orbit and reports each exponent as computed, never
+re-anchors through a connector, acts on the landing class's
+representative, re-anchors again, and is composed with one lad.compose; the
+two landing classes are compared as integers, and the ratio is read by
+proportionality and phase_exponent.  A path runs on object and class
+indices: it carries an object index and an idempotent, locates each acted
+idempotent at its shifted index (KarEnvelope._locate_at, which keeps every
+check of locate and returns the class), and reads the landing class's
+representative as its base's index and stored coefficients, with no Kar
+object.  A connector is built (KarEnvelope._to_rep) only where it is acted,
+composed or returned.  When the first landing j is its class's base r1
+(r1 == j), the first connector is that base's idempotent, sharing the
+representative's coefficient dict and endpoints, so its action is the
+acted idempotent that the path has just built, and that one is reused.  If
+the second landing j2 is a base too (bases[c2] == j2), the second connector
+is that base's stored idempotent e, which _locate_at has just compared with
+the acted idempotent on every rung; the path is e followed by e, which is
+e, so the connector is the path and lad.compose is not called.  When both
+paths end so on one base, they share its stored idempotent's coefficient
+dict, and proportionality returns one without a scalar operation; both
+paths are still built and located, with all of the locate checks.  The
+idempotent law e e = e is not assumed: each stored projector is composed
+with itself once per prime, where the projectors are built
+(bpring.karoubi), and the free bases' identity is the unit of the group
+algebra.  The paths that carry the phase, an acted connector followed by
+u2, are all composed.  No simple is built on the way.  On an orbit fixed
+by both actions the connector gauges cancel in this ratio, so the
+extracted exponent is canonical; the calibration is fixed so that the
+product of the one-object bimodule with cocycle q and the invertible X_l
+comes out with exponent q*l at (g, h) = (1, 1).  Only these exponents, on
+orbits with full stabilizer (label F_q), are invariants of the product.  On
+an orbit with a trivial or line stabilizer the exponent depends on the
+gauge of the inputs: twisting a factor's mixed associator by a coboundary
+can change it, e.g. the T orbit of T x X1 at p=2 goes from 0 to 1.  So
+decompose, and with it build_table, runs the witness paths on
+full-stabilizer orbits only.  analyze, which fuse --detail prints, runs
+them on every orbit and reports each exponent as computed, never
 using it to classify a non-full orbit; both share one orbit loop and one
 stabilizer reading.  On a non-full orbit, what the witness paths checked
 beyond the exponent was that both paths land on one simple, i.e. that the
@@ -114,7 +127,7 @@ from .bimodules import BimoduleData, BimoduleLabel, Decomposition, all_labels, c
 from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
 from .karoubi import FIXED, KarEnvelope, KarObject, KarSimple, gatherer, proportionality
-from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
+from .ladders import EngineError, LadderCategory, LadderMorphism
 from .ring import RingTable
 
 
@@ -188,6 +201,7 @@ class RelativeTensorProduct:
         self.lad = LadderCategory(M, N)
         self.p = self.lad.p
         self.env = KarEnvelope(self.lad)
+        self._width = len(M.simples)  # object index n*|M| + m
         self._steps: tuple[list[int], list[int]] | None = None
         self._exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
 
@@ -198,43 +212,59 @@ class RelativeTensorProduct:
 
     # -- the outer-action endofunctors --------------------------------------
 
-    def shift_left(self, g: int, obj: LadderObject) -> LadderObject:
-        M = self.M
-        return LadderObject(M.simples[M.left[g % self.p][M.index[obj.m]]], obj.n)
+    def _shift(self, side: str, g: int, i: int) -> int:
+        """The object index of the object of index i acted on by g (in 0..p-1) on side.
 
-    def shift_right(self, h: int, obj: LadderObject) -> LadderObject:
-        N = self.N
-        return LadderObject(obj.m, N.simples[N.right[h % self.p][N.index[obj.n]]])
+        Acting on the left sends n*|M| + m to n*|M| + M.left[g][m]; acting on
+        the right sends it to N.right[g][n]*|M| + m.
+        """
+        width = self._width
+        if side == "left":
+            m = i % width
+            return i - m + self.M.left[g][m]
+        n, m = divmod(i, width)
+        return self.N.right[g][n] * width + m
 
     def act_left(self, g: int, f: LadderMorphism) -> LadderMorphism:
-        return self._act_left(g, f, self.shift_left(g, f.source), self.shift_left(g, f.target))
+        index = self.lad.object_index
+        return self._act("left", g % self.p, f, index(f.source), index(f.target))
 
     def act_right(self, h: int, f: LadderMorphism) -> LadderMorphism:
-        return self._act_right(h, f, self.shift_right(h, f.source), self.shift_right(h, f.target))
+        index = self.lad.object_index
+        return self._act("right", h % self.p, f, index(f.source), index(f.target))
 
-    def _act_left(self, g: int, f: LadderMorphism, source: LadderObject, target: LadderObject) -> LadderMorphism:
-        """act_left(g, f), given the shifted source and target."""
-        p, M = self.p, self.M
-        if M.trivial_mixed:
-            return LadderMorphism._nonzero(source, target, f.coeffs)
-        row = M.mixed[g % p][M.index[f.target.m]]
-        return LadderMorphism._nonzero(source, target, {b: c.rotate(row[b]) for b, c in f.coeffs.items()})
+    def _act(self, side: str, g: int, f: LadderMorphism, s: int, t: int) -> LadderMorphism:
+        """f, from the object of index s to that of index t, acted on by g (in 0..p-1) on side."""
+        at = self.lad.object_at
+        coeffs = self._rotated(side, g, f.coeffs, s, t)
+        return LadderMorphism._nonzero(at(self._shift(side, g, s)), at(self._shift(side, g, t)), coeffs)
 
-    def _act_right(self, h: int, f: LadderMorphism, source: LadderObject, target: LadderObject) -> LadderMorphism:
-        """act_right(h, f), given the shifted source and target."""
-        p, N = self.p, self.N
-        if N.trivial_mixed:
-            return LadderMorphism._nonzero(source, target, f.coeffs)
-        j, h = N.index[f.source.n], h % p
-        return LadderMorphism._nonzero(source, target, {b: c.rotate(N.mixed[b][j][h]) for b, c in f.coeffs.items()})
+    def _apply(self, side: str, g: int, i: int, coeffs: dict) -> tuple[int, LadderMorphism]:
+        """(j, acted): the idempotent with coeffs on the object of index i acted on by g on side.
 
-    def _apply(self, side: str, g: int, kobj: KarObject) -> KarObject:
-        """kobj acted on by g on side; its object is shifted once, for the idempotent too."""
+        j is the shifted object's index, shifted once for both ends of the
+        acted idempotent.
+        """
+        j = self._shift(side, g, i)
+        obj = self.lad.object_at(j)
+        return j, LadderMorphism._nonzero(obj, obj, self._rotated(side, g, coeffs, i, i))
+
+    def _rotated(self, side: str, g: int, coeffs: dict, s: int, t: int) -> dict:
+        """coeffs of a morphism from object index s to t, with rung b rotated as acting by g on side does.
+
+        On the left the exponent is M.mixed[g][m][b], m the M leg of t; on
+        the right it is N.mixed[b][n][g], n the N leg of s.  When that side's
+        entry has trivial_mixed set, coeffs itself is returned.
+        """
         if side == "left":
-            obj = self.shift_left(g, kobj.obj)
-            return KarObject(obj, self._act_left(g, kobj.idem, obj, obj))
-        obj = self.shift_right(g, kobj.obj)
-        return KarObject(obj, self._act_right(g, kobj.idem, obj, obj))
+            if self.M.trivial_mixed:
+                return coeffs
+            row = self.M.mixed[g][t % self._width]
+            return {b: c.rotate(row[b]) for b, c in coeffs.items()}
+        if self.N.trivial_mixed:
+            return coeffs
+        n, mixed = s // self._width, self.N.mixed
+        return {b: c.rotate(mixed[b][n][g]) for b, c in coeffs.items()}
 
     # -- actions on simples ---------------------------------------------------
 
@@ -242,8 +272,8 @@ class RelativeTensorProduct:
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         g = g % self.p
-        shifted = self._apply(side, g, simple.representative)
-        c, u = self.env.locate(shifted)
+        acted = (self.act_left if side == "left" else self.act_right)(g, simple.representative.idem)
+        c, u = self.env.locate(KarObject(acted.source, acted))
         return ActionMorphism(g, side, simple, self.env.simple(c), _normalize(u))
 
     def _exponent(self, side: str, leg: int, dim: int) -> int:
@@ -385,9 +415,9 @@ class RelativeTensorProduct:
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
         """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g)."""
         g, h = g % self.p, h % self.p
-        rep = simple.representative
-        c2, path_rl = self._witness_path("right", h, "left", g, rep)
-        c2b, path_lr = self._witness_path("left", g, "right", h, rep)
+        base = self.env._base_of(simple.class_index)
+        c2, path_rl = self._witness_path("right", h, "left", g, *base)
+        c2b, path_lr = self._witness_path("left", g, "right", h, *base)
         if c2 != c2b or path_lr.source != path_rl.source:
             raise ClassificationError("the two witness paths do not land in one Hom space")
         ratio = proportionality(path_lr, path_rl)
@@ -398,34 +428,38 @@ class RelativeTensorProduct:
             raise ClassificationError(f"associator ratio {ratio!r} is not a root of unity")
         return k
 
-    def _witness_path(self, first: str, a: int, second: str, b: int, rep: KarObject) -> tuple[int, LadderMorphism]:
-        """(landing class, path) of acting by a on side first, then by b on side second, from rep.
+    def _witness_path(self, first: str, a: int, second: str, b: int, i: int, coeffs: dict) -> tuple[int, LadderMorphism]:
+        """(landing class, path) of acting by a on side first, then by b on side second.
 
-        The path acts, re-anchors through a connector u, acts on the landing
-        class's representative, re-anchors again through u2, and is the
-        acted u followed by u2.  When u is the representative's own
-        idempotent, sharing its coefficient dict and with its endpoints, the
-        acted u is the acted idempotent already built, and is reused.  If
-        u2 then lands on a base, it is an endomorphism of the acted object:
-        the base's stored idempotent e, which locate has just compared with
-        the acted idempotent on every rung.  The path is e followed by e,
-        which is e by the idempotent law, checked once per prime where the
-        projectors are stored (see bpring.karoubi), so u2 is the path and
-        nothing is composed.
+        The path starts from the idempotent with coeffs on the object of
+        index i, a class representative.  It acts, re-anchors through a
+        connector u to the landing class's representative, of object index
+        r1, acts on that, re-anchors again through u2, and is the acted u
+        followed by u2.  Objects are carried as indices; a connector is
+        built only where it is acted, composed or returned.  When the first
+        landing j is its class's base (r1 == j), u is the representative's
+        own idempotent, so the acted u is the acted idempotent already
+        built, and is reused.  If u2 then lands on a base too, it is an
+        endomorphism of the acted object: the base's stored idempotent e,
+        which _locate_at has just compared with the acted idempotent on
+        every rung.  The path is e followed by e, which is e by the
+        idempotent law, checked once per prime where the projectors are
+        stored (see bpring.karoubi), so u2 is the path and nothing is
+        composed.
         """
         env = self.env
-        c1, u = env.locate(self._apply(first, a, rep))
-        rep1 = env.representative(c1)
-        acted = self._apply(second, b, rep1)
-        c2, u2 = env.locate(acted)
-        if u.coeffs is rep1.idem.coeffs and u.source == u.target == rep1.obj:
-            if u2.source == u2.target:
-                return c2, u2  # a base: w and u2 are its idempotent e, and e followed by e is e
-            w = acted.idem
-        elif second == "left":
-            w = self.act_left(b, u)
+        j, acted = self._apply(first, a, i, coeffs)
+        c1 = env._locate_at(j, acted.source, acted)
+        r1, coeffs1 = env._base_of(c1)
+        j2, acted2 = self._apply(second, b, r1, coeffs1)
+        c2 = env._locate_at(j2, acted2.source, acted2)
+        u2 = env._to_rep(acted2.source, j2, c2)
+        if r1 != j:
+            w = self._act(second, b, env._to_rep(acted.source, j, c1), j, r1)
+        elif env._bases[c2] == j2:
+            return c2, u2  # a base: acted2 and u2 are its idempotent e, and e followed by e is e
         else:
-            w = self.act_right(b, u)
+            w = acted2
         return c2, self.lad.compose(w, u2)
 
     # -- orbits and classification ---------------------------------------------
@@ -442,9 +476,8 @@ class RelativeTensorProduct:
         # through the points of its lstep cycle.
         seen = bytearray(len(lstep))
         out = []
-        for i in range(len(lstep)):
-            if seen[i]:
-                continue
+        i = seen.find(0)
+        while i >= 0:
             orbit = []
             j = i
             while not seen[j]:
@@ -456,6 +489,7 @@ class RelativeTensorProduct:
                 j = lstep[j]
             orbit.sort()
             out.append(orbit)
+            i = seen.find(0, i + 1)  # the next unseen simple, found in C
         return out
 
     def _stabilizer(self, i: int, size: int) -> Subgroup:
@@ -572,14 +606,18 @@ def _worker_pair_product(a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
 def _worker_count(workers: int | None) -> int:
     """workers, or BPRING_THREADS when it is None (unset or empty means 1).
 
-    Either must be a positive integer; anything else is invalid input.
+    workers must be a positive int, and BPRING_THREADS one spelled in ASCII
+    digits with no leading zero, as --p is; anything else is invalid input.
     """
-    name, given = "workers", workers
     if workers is None:
-        name, given = "BPRING_THREADS", os.environ.get("BPRING_THREADS") or "1"
-        workers = int(given) if given.isdecimal() else None
+        given = os.environ.get("BPRING_THREADS") or "1"
+        if not (given.isascii() and given.isdigit()) or given[0] == "0":
+            raise ValueError(
+                f"BPRING_THREADS must be a positive integer in ASCII digits with no leading zero, got {given!r}"
+            )
+        return int(given)
     if type(workers) is not int or workers < 1:
-        raise ValueError(f"{name} must be a positive integer, got {given!r}")
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     return workers
 
 

@@ -69,20 +69,25 @@ a zero coefficient, so they are built by LadderMorphism._nonzero, without
 the constructor's copy and zero filter.
 
 locate(kobj) checks that the idempotent of kobj is a stored primitive and
-returns its class index and the connector to the class representative; it
-reads the object index once, builds no simple, and builds only that one
-connector.  On a fixed object the character index is looked up from the
-idempotent's rung-0 and rung-1 coefficients in a per-prime table kept beside
-the stored projectors, with no scalar product or inverse, and the idempotent
-is then compared with that stored I_k on every rung.  proportionality reads
-the scalar c with f == c*g off one rung and checks it on every rung, by a
-rotation when c is a root of unity; when f and g share one coefficient dict,
-c is one without a scalar operation.  The witness route still builds both
-paths, and locate still checks each landing idempotent on every rung.
-Callers that want the simple itself call simple(c) on that class.  The
-table path reads only the integer lists, and builds a simple only to hand a
-full-stabilizer orbit to the witness associator, which works on class
-indices.
+returns its class index and the connector to the class representative.  It
+is object_index, read once, followed by the index-level _locate_at(i, obj,
+idem), which makes the check and returns the class, and _to_rep, which
+builds the one connector; no simple is built.  The witness route of
+bpring.fusion, which carries object indices, calls _locate_at at the
+shifted index with no object_index, reads the landing representative as
+_base_of(c), its base's index and stored coefficients, and calls _to_rep
+only where it acts, composes or returns a connector.  On a fixed object the
+character index is looked up from the idempotent's rung-0 and rung-1
+coefficients in a per-prime table kept beside the stored projectors, with
+no scalar product or inverse, and the idempotent is then compared with that
+stored I_k on every rung.  proportionality reads the scalar c with f == c*g
+off one rung and checks it on every rung, by a rotation when c is a root of
+unity; when f and g share one coefficient dict, c is one without a scalar
+operation.  The witness route still builds both paths, and _locate_at still
+checks each landing idempotent on every rung.  Callers that want the simple
+itself call simple(c) on that class.  The table path reads only the integer
+lists, and builds a simple only to hand a full-stabilizer orbit to the
+witness associator, which works on class indices.
 """
 
 from __future__ import annotations
@@ -359,13 +364,14 @@ class KarEnvelope:
         """The representative of class c: its base with the class's idempotent."""
         if not 0 <= c < len(self._bases):
             raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
-        i = self._bases[c]
+        i, coeffs = self._base_of(c)
         obj = self.lad.object_at(i)
-        return KarObject(obj, self._base_idempotent(obj, i, c - self._class[i]))
+        return KarObject(obj, LadderMorphism._nonzero(obj, obj, coeffs))
 
-    def _base_idempotent(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
-        """The primitive idempotent of character k on obj, whose object_index is i."""
-        return LadderMorphism._nonzero(obj, obj, self._base_coeffs(i, k))
+    def _base_of(self, c: int) -> tuple[int, dict]:
+        """(object index, idempotent coefficients) of the representative of class c, with no morphism built."""
+        i = self._bases[c]
+        return i, self._base_coeffs(i, c - self._class[i])
 
     def _base_coeffs(self, i: int, k: int) -> dict:
         """Rung coefficients of the primitive idempotent of character k on object index i.
@@ -398,13 +404,27 @@ class KarEnvelope:
         counts = {self.lad.p: fixed, 1: len(self._rung) - fixed}
         return {d: c for d, c in counts.items() if c}
 
-    def _primitive_index(self, obj: LadderObject, i: int, idem: LadderMorphism) -> int:
-        """Character index k of idem among the primitives of obj, whose object_index is i.
+    def locate(self, kobj: KarObject) -> tuple[int, LadderMorphism]:
+        """The class of kobj and the connecting map to its representative.
 
-        On a fixed object, k is looked up from the rung-0 and rung-1
-        coefficients of idem in the table of the stored projectors
-        (_projector_index); idem must then equal the stored I_k, compared
-        on all its coefficients, so that no morphism is built for the check.
+        Reads the object index once and hands it to _locate_at, which
+        checks the idempotent; builds no simple and only the
+        to-representative connector.  On a base the connector is the base's
+        idempotent, sharing the stored coefficient dict on a fixed one.
+        """
+        obj = kobj.obj
+        i = self.lad.object_index(obj)
+        c = self._locate_at(i, obj, kobj.idem)
+        return c, self._to_rep(obj, i, c)
+
+    def _locate_at(self, i: int, obj: LadderObject, idem: LadderMorphism) -> int:
+        """The class of (obj, idem), obj of object_index i, after checking that idem is a stored primitive.
+
+        On a fixed object the character index k is looked up from the rung-0
+        and rung-1 coefficients of idem in the table of the stored
+        projectors (_projector_index); idem must then equal the stored I_k,
+        compared on all its coefficients, so that no morphism is built for
+        the check.  Raises UnsupportedEndAlgebra otherwise.
         """
         k = 0
         if self._rung[i] == FIXED:
@@ -412,31 +432,16 @@ class KarEnvelope:
             k = _projector_index(self.lad.p).get((coeffs.get(0), coeffs.get(1)))
         if k is None or not idem.source == idem.target == obj or idem.coeffs != self._base_coeffs(i, k):
             raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
-        return k
+        return self._class[i] + k
 
-    def locate(self, kobj: KarObject) -> tuple[int, LadderMorphism]:
-        """The class of kobj and the connecting map to its representative.
-
-        Reads the object index once, builds no simple and only the
-        to-representative connector.  Raises UnsupportedEndAlgebra unless the
-        idempotent of kobj equals a stored primitive of its object on every
-        rung; on a fixed object its character index is looked up from rungs 0
-        and 1 (see _primitive_index).  On a base the connector is the base's
-        idempotent, sharing the stored coefficient dict on a fixed one.
-        """
-        obj = kobj.obj
-        i = self.lad.object_index(obj)
-        k = self._primitive_index(obj, i, kobj.idem)
-        return self._class[i] + k, self._to_rep(obj, i, k)
-
-    def _to_rep(self, obj: LadderObject, i: int, k: int) -> LadderMorphism:
-        """The connector from (obj, I_k), obj of object_index i and k valid, to its representative.
+    def _to_rep(self, obj: LadderObject, i: int, c: int) -> LadderMorphism:
+        """The connector from obj, of object_index i, with the idempotent of class c to its representative.
 
         On a base it is the idempotent itself; on the rung-b image of a base it
         is the basic rung -b ladder back to the base.
         """
         b = self._rung[i]
         if b in (0, FIXED):
-            return self._base_idempotent(obj, i, k)
-        rep = self.lad.object_at(self._bases[self._class[i]])
+            return LadderMorphism._nonzero(obj, obj, self._base_coeffs(i, c - self._class[i]))
+        rep = self.lad.object_at(self._bases[c])
         return LadderMorphism._nonzero(obj, rep, {self.lad.p - b: self._one})

@@ -7,6 +7,11 @@ outer action with every rung rotated by its exponent read from the table,
 always into a new coefficient dict.  acted_witness_exponent is the witness
 associator acting through it on every connector, never reusing an acted
 idempotent, and its ratio read with full scalar products.
+object_witness_path is one witness path on Kar objects: it shifts objects
+through the entries' simple indices, locates each acted idempotent by its
+object, and tells a base landing by comparing connectors with the
+representative's idempotent, where the library works on object and class
+indices.
 """
 
 from bpring.cyclotomic import phase_exponent
@@ -101,3 +106,32 @@ def acted_witness_exponent(product, g: int, h: int, simple) -> int:
     if k is None:
         raise ClassificationError(f"associator ratio {ratio!r} is not a root of unity")
     return k
+
+
+def object_witness_path(product, first: str, a: int, second: str, b: int, rep: KarObject):
+    """(landing class, path) of acting by a on side first, then by b on side second, from the Kar object rep.
+
+    The path acts, locates the acted idempotent, acts on the landing class's
+    representative, locates again, and is the acted first connector u
+    followed by the second u2.  When u is the representative's own
+    idempotent, sharing its coefficient dict and with its endpoints, the
+    acted idempotent stands for the acted u; if u2 is then an endomorphism,
+    a base's idempotent e, the path is u2 (e followed by e is e).
+    """
+    env = product.env
+
+    def apply(side, g, kobj):
+        acted = rotated_action(product, side, g, kobj.idem)
+        return KarObject(acted.source, acted)
+
+    c1, u = env.locate(apply(first, a, rep))
+    rep1 = env.representative(c1)
+    acted = apply(second, b, rep1)
+    c2, u2 = env.locate(acted)
+    if u.coeffs is rep1.idem.coeffs and u.source == u.target == rep1.obj:
+        if u2.source == u2.target:
+            return c2, u2
+        w = acted.idem
+    else:
+        w = rotated_action(product, second, b, u)
+    return c2, product.lad.compose(w, u2)

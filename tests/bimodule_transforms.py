@@ -17,6 +17,7 @@ import dataclasses
 
 from bpring.bimodules import BimoduleData
 from bpring.fusion import RelativeTensorProduct
+from bpring.karoubi import KarObject
 
 
 def exponent_table(p, n, f):
@@ -125,9 +126,9 @@ def product_bimodule(rtp):
     simples = [env.simple(c) for c in range(env.simple_count)]
 
     def action(side):
-        return tuple(
-            tuple(env.locate(rtp._apply(side, g, s.representative))[0] for s in simples) for g in range(p)
-        )
+        act = rtp.act_left if side == "left" else rtp.act_right
+        located = lambda f: env.locate(KarObject(f.source, f))[0]
+        return tuple(tuple(located(act(g, s.representative.idem)) for s in simples) for g in range(p))
 
     mixed = tuple(tuple(tuple(rtp.mixed_associator(g, h, s) for h in range(p)) for s in simples) for g in range(p))
     return BimoduleData(p, tuple(range(len(simples))), action("left"), action("right"), mixed)

@@ -98,6 +98,25 @@ def test_p_has_one_spelling(capsys, command, p):
     assert err.startswith("error: argument --p: p must be ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["catalog"], "the following arguments are required: --p"),
+        (["fuse", "--p", "3", "--left", "T"], "the following arguments are required: --right"),
+        (["table", "--p", "5", "--bogus"], "unrecognized arguments: --bogus"),
+        (["table", "--p", "3", "extra"], "unrecognized arguments: extra"),
+        ([], "the following arguments are required: command"),
+        (["nope"], "argument command: invalid choice: 'nope' (choose from 'catalog', 'fuse', 'table', 'verify')"),
+        (["catalog", "--p", "3", "--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'json', 'md')"),
+    ],
+)
+def test_every_usage_error_is_one_line(capsys, argv, message):
+    # a missing or unknown option or command is bad input like a bad option
+    # value: exit code 2 and one line, with no usage line
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fuse_prints_the_parsed_labels(capsys):
     # labels are echoed as parsed, not as typed
     code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", " F1", "--right", "T ", "--format", "json")
@@ -215,13 +234,16 @@ def test_exit_codes(capsys, monkeypatch):
     assert err == "internal error: orbit size times stabilizer order is not p^2\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "-4", "0", "2.5", " "])
+@pytest.mark.parametrize("value", ["abc", "-4", "0", "2.5", " ", "\u0662", "02", "+2", " 2", "2 ", "1_0", "\uff12"])
 def test_bad_threads_value_is_invalid_input(capsys, monkeypatch, value):
+    # a worker count has one spelling, ASCII digits with no leading zero, as --p has
     monkeypatch.setenv("BPRING_THREADS", value)
     code, out, err = run_cli(capsys, "table", "--p", "2")
     assert code == 2
     assert out == ""
-    assert err == f"error: BPRING_THREADS must be a positive integer, got {value!r}\n"
+    assert err == (
+        f"error: BPRING_THREADS must be a positive integer in ASCII digits with no leading zero, got {value!r}\n"
+    )
 
 
 def test_verify_lists_only_unit_violations_under_unit(capsys, monkeypatch):

@@ -20,7 +20,14 @@ from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, b
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, KarObject, _checked_idempotent, _projector_coeffs
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
-from action_oracle import acted_witness_exponent, action_tables, orbit_stabilizer, rotated_action, search_orbits
+from action_oracle import (
+    acted_witness_exponent,
+    action_tables,
+    object_witness_path,
+    orbit_stabilizer,
+    rotated_action,
+    search_orbits,
+)
 from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel
 from kar_oracle import FIXED, base_at, connectors, step_tables, walk_objects
 from scalar_oracle import is_one
@@ -368,13 +375,16 @@ def test_analyze_builds_each_orbit_simple_once(monkeypatch):
 
 
 def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
-    # act_left, act_right, compose and locate build their morphisms without
-    # the constructor's zero filter; each must equal the morphism the
-    # filtering constructor builds from its coefficients, so no zero
-    # coefficient is ever kept.  Every ordered pair at p in {2, 3, 5}:
-    # the witness route of analyze, every simple acted on by every g on both
-    # sides, every connector, and on one fixed object every product of two
-    # character projectors, which cancels every rung unless they are equal.
+    # The actions, the acted idempotents, compose and the connectors are
+    # built without the constructor's zero filter; each must equal the
+    # morphism the filtering constructor builds from its coefficients, so no
+    # zero coefficient is ever kept.  They are recorded where the index-level
+    # route builds them (_act, under act_left and act_right, _apply and
+    # _to_rep, under locate), so the witness route's are checked too.  Every
+    # ordered pair at p in {2, 3, 5}: the witness route of analyze, every
+    # simple acted on by every g on both sides, every connector, and on one
+    # fixed object every product of two character projectors, which cancels
+    # every rung unless they are equal.
     made = []
 
     def recording(method, pick=lambda out: [out]):
@@ -384,10 +394,10 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(RelativeTensorProduct, "act_left", recording(RelativeTensorProduct.act_left))
-    monkeypatch.setattr(RelativeTensorProduct, "act_right", recording(RelativeTensorProduct.act_right))
+    monkeypatch.setattr(RelativeTensorProduct, "_act", recording(RelativeTensorProduct._act))
+    monkeypatch.setattr(RelativeTensorProduct, "_apply", recording(RelativeTensorProduct._apply, lambda out: out[1:]))
     monkeypatch.setattr(LadderCategory, "compose", recording(LadderCategory.compose))
-    monkeypatch.setattr(KarEnvelope, "locate", recording(KarEnvelope.locate, lambda out: out[1:]))
+    monkeypatch.setattr(KarEnvelope, "_to_rep", recording(KarEnvelope._to_rep))
     kinds = Counter()
     for p in (2, 3, 5):
         for M, N in itertools.product(catalogue(p), repeat=2):
@@ -452,13 +462,14 @@ def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial(
 
 def test_row_walk_and_step_tables_match_the_per_object_oracle():
     # Every ordered pair at p in {2, 3, 5, 7, 11}: of the catalogue, of
-    # gauge-twisted entries, whose exponents depend on the simple, and of
-    # relabelled ones, whose leg simples are out of the catalogue's order.
+    # twisted entries, whose exponents depend on the simple (R and L twisted
+    # by a character, so that their tables change too), and of relabelled
+    # ones, whose leg simples are out of the catalogue's order.
     rng = random.Random(1806)
     for p in (2, 3, 5, 7, 11):
         cat = catalogue(p)
-        twisted = [gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
-                   for e in cat]
+        twisted = [random_twist(e, rng) for e in cat]
+        assert all(t.mixed != e.mixed for e, t in zip(cat, twisted) if e.label.kind in ("R", "L")), p
         for entries in (cat, twisted, [relabel(e, rng) for e in cat]):
             for M, N in itertools.product(entries, repeat=2):
                 product = RelativeTensorProduct(M, N)
@@ -709,16 +720,17 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
 def test_witness_associator_matches_the_route_that_acts_every_connector():
     # mixed_associator reuses the acted representative idempotent when the
     # first connector is that idempotent; on every orbit of every ordered
-    # pair at p in {2, 3, 5}, plain and gauge-twisted on both factors, it must
-    # give the exponent of the route that acts every connector, which reads
-    # its ratio with full scalar products.  Both kinds of landing occur: on a
-    # fixed object (the reused idempotent) and on a free one.
+    # pair at p in {2, 3, 5}, plain and twisted on both factors (R and L by a
+    # character, so that their tables change too), it must give the exponent
+    # of the route that acts every connector, which reads its ratio with full
+    # scalar products.  Both kinds of landing occur: on a fixed object (the
+    # reused idempotent) and on a free one.
     rng = random.Random(521)
     dims = Counter()
     for p in (2, 3, 5):
         cat = catalogue(p)
-        twisted = [gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
-                   for e in cat]
+        twisted = [random_twist(e, rng) for e in cat]
+        assert all(t.mixed != e.mixed for e, t in zip(cat, twisted) if e.label.kind in ("R", "L")), p
         exponents_at = [(1, 1), (rng.randrange(p), rng.randrange(p))]
         for entries in (cat, twisted):
             for M, N in itertools.product(entries, repeat=2):
@@ -755,6 +767,38 @@ def test_witness_paths_match_the_plain_route_at_p7_and_p11():
                         assert product.mixed_associator(g, h, s) == want, (p, a, b, g, h)
                         checked += 1
     assert checked > 200, checked
+
+
+def test_witness_paths_equal_the_object_level_route():
+    # The library runs each witness path on object and class indices; on
+    # every orbit of every ordered pair at p in {2, 3, 5}, plain, twisted and
+    # relabelled, at (1, 1) and one seeded (g, h), both paths must equal
+    # those of the route on Kar objects, in landing class and in morphism.
+    # Every kind of path occurs: a first landing off its base (the acted
+    # connector composed), and after a base, a second landing on a base (the
+    # base's idempotent) and off one (the acted idempotent composed).
+    rng = random.Random(2707)
+    kinds = Counter()
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        at = [(1, 1), (rng.randrange(p), rng.randrange(p))]
+        for entries in (cat, [random_twist(e, rng) for e in cat], [relabel(e, rng) for e in cat]):
+            for M, N in itertools.product(entries, repeat=2):
+                product = RelativeTensorProduct(M, N)
+                env = product.env
+                for orbit in product.orbits():
+                    rep, base = env.representative(orbit[0]), env._base_of(orbit[0])
+                    for g, h in at:
+                        for route in (("right", h, "left", g), ("left", g, "right", h)):
+                            c2, path = product._witness_path(*route, *base)
+                            want = object_witness_path(product, *route, rep)
+                            assert (c2, path) == want, (p, str(M.label), str(N.label), route)
+                            j = product._shift(route[0], route[1], base[0])
+                            if base_at(env, env.class_at(j)) != j:
+                                kinds["first off base"] += 1
+                            else:
+                                kinds["base" if path.source == path.target else "second off base"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) > 100, kinds
 
 
 def _products_p11(seed):

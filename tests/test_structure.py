@@ -8,12 +8,17 @@ import weakref
 from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse, validate
 from bpring.cyclotomic import Rational, root_of_unity
 from bpring.fusion import RelativeTensorProduct, decompose
-from bimodule_transforms import ProductMemo, gauge_twist, op, relabel
+from bimodule_transforms import ProductMemo, gauge_twist, op, random_twist, relabel
 from kar_oracle import basic
 
 
 def twisted(entry, rng):
-    """entry gauge-twisted on both sides by seeded coboundaries, then relabelled."""
+    """entry twisted by random_twist (R and L by a character), gauge-twisted on both sides, then relabelled.
+
+    A coboundary leaves the tables of R and L as they are, so R and L change
+    only by the character.
+    """
+    entry = random_twist(entry, rng)
     for side in ("left", "right"):
         entry = gauge_twist(entry, {m: rng.randrange(entry.p) for m in entry.simples}, side)
     entry = relabel(entry, rng)
@@ -24,7 +29,7 @@ def twisted(entry, rng):
 def test_outer_actions_are_functors():
     # act(g, f;h) = act(g, f);act(g, h) for basic ladders f, h with seeded
     # rungs and scalars, every g and both sides, on up to 4 objects of every
-    # ordered pair at p in {3, 5}.  Both factors are gauge-twisted, so that
+    # ordered pair at p in {3, 5}.  Both factors go through twisted, so that
     # the exponent tables depend on the simple: a catalogue entry with more
     # than one simple has exponent 0 everywhere, and there an action that
     # reads the wrong leg's row goes unseen.
@@ -62,7 +67,7 @@ def op_label(label, p):
 def test_op_duality_of_products():
     # The engine's label map, decompose(X1, op e), is the hand-written one,
     # and decompose(op N, op M) = op(decompose(M, N)) on every ordered pair
-    # at p <= 7, plain and gauge-twisted.  The ops are presentations the
+    # at p <= 7, plain and through twisted.  The ops are presentations the
     # catalogue never makes: their exponent tables are transposed and
     # negated, and the witness associator that reads F_q must give -q.
     rng = random.Random(31)
@@ -98,7 +103,8 @@ def test_engine_products_are_valid_bimodules():
 
 def test_engine_products_are_associative_and_distribute():
     # All 512 triples (A, B, C) at p=3, with the catalogue and with A and C
-    # gauge-twisted by seeded coboundaries: decompose(A x B, C) equals
+    # twisted by random_twist (R and L by a character, so that their tables
+    # change too): decompose(A x B, C) equals
     # decompose(A, B x C), the products read off the engine as bimodules,
     # and equals the sum of decompose(s, C) over the summands s of A x B.
     # The label table passes associativity by construction; this reads the
@@ -106,7 +112,7 @@ def test_engine_products_are_associative_and_distribute():
     p, rng = 3, random.Random(2024)
     cat = catalogue(p)
     entry = {e.label: e for e in cat}
-    twist = lambda e: gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, rng.choice(("left", "right")))
+    twist = lambda e: random_twist(e, rng)
     pairs = list(itertools.product(range(len(cat)), repeat=2))
     for lefts, rights in ((cat, cat), ([twist(e) for e in cat], [twist(e) for e in cat])):
         ab, bc = ProductMemo(lefts, cat), ProductMemo(cat, rights)
