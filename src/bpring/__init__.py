@@ -38,6 +38,7 @@ from .ladders import (
     LadderCategory,
     LadderMorphism,
     LadderObject,
+    NonMonomialRung,
 )
 from .ring import (
     AxiomReport,

@@ -5,10 +5,10 @@ the left shifts the M leg of every object by M.left[g] and multiplies the
 rung-b slot of a morphism by zeta^M.mixed[g][i][b], i the index of its
 target's M leg; acting by h on the right shifts the N leg by N.right[h] and
 multiplies by zeta^N.mixed[b][j][h], j the index of its source's N leg.
-Each such multiplication is a rotation of the scalar's numerators
-(CyclotomicScalar.rotate), with no product, and a rotation keeps a nonzero
-scalar nonzero, so act_left and act_right build the result without the
-constructor's zero filter (LadderMorphism._nonzero).  When every exponent of
+Each such multiplication is a rotation (CyclotomicScalar.rotate), which
+moves only the monomial's exponent and keeps a nonzero scalar nonzero, so
+act_left and act_right build the result without the constructor's zero
+filter (LadderMorphism._nonzero).  When every exponent of
 the acting entry's mixed table is 0 (BimoduleData.trivial_mixed, read once
 per entry), every rotation is by zero and the action is the identity on
 coefficients: the shifted morphism takes the input's own coefficient dict.

@@ -77,15 +77,15 @@ bpring.fusion, which carries object indices, calls _locate_at at the
 shifted index with no object_index, reads the landing representative as
 _base_of(c), its base's index and stored coefficients, and calls _to_rep
 only where it acts, composes or returns a connector.  On a fixed object the
-character index is looked up from the idempotent's rung-0 and rung-1
-coefficients in a per-prime table kept beside the stored projectors, with
-no scalar product or inverse, and the idempotent is then compared with that
-stored I_k on every rung.  proportionality reads the scalar c with f == c*g
-off one rung and checks it on every rung, by a rotation when c is a root of
-unity; when f and g share one coefficient dict, c is one without a scalar
-operation.  The witness route still builds both paths, and _locate_at still
-checks each landing idempotent on every rung.  Callers that want the simple
-itself call simple(c) on that class.  The table path reads only the integer
+character index is looked up from the fields of the idempotent's rung-1
+coefficient in a per-prime table kept beside the stored projectors, with
+no scalar product, inverse or scalar hash, and the idempotent is then
+compared with that stored I_k on every rung.  proportionality reads the
+scalar c with f == c*g off one rung and checks it on every rung; when f and
+g share one coefficient dict, c is one without a scalar operation.  The
+witness route still builds both paths, and _locate_at still checks each
+landing idempotent on every rung.  Callers that want the simple itself
+call simple(c) on that class.  The table path reads only the integer
 lists, and builds a simple only to hand a full-stabilizer orbit to the
 witness associator, which works on class indices.
 """
@@ -98,8 +98,8 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .cyclotomic import CyclotomicScalar, group_algebra_product, phase_exponent, root_of_unity
-from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
+from .cyclotomic import CyclotomicScalar
+from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject, group_algebra_product
 
 
 class UnsupportedEndAlgebra(EngineError):
@@ -126,9 +126,7 @@ class KarSimple:
 def _projector_coeffs(p: int) -> tuple[dict, ...]:
     """Rung coefficients of the p character projectors I_k of C[Z_p], each checked idempotent."""
     inv_p = Fraction(1, p)
-    return _checked_idempotent(
-        p, tuple({g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)} for k in range(p))
-    )
+    return _checked_idempotent(p, tuple({g: CyclotomicScalar(p, inv_p, k * g) for g in range(p)} for k in range(p)))
 
 
 def _checked_idempotent(p: int, projectors: tuple[dict, ...]) -> tuple[dict, ...]:
@@ -145,19 +143,21 @@ def _checked_idempotent(p: int, projectors: tuple[dict, ...]) -> tuple[dict, ...
 
 @lru_cache(maxsize=None)
 def _projector_index(p: int) -> dict:
-    """(I_k[0], I_k[1]) -> k for the stored projectors of _projector_coeffs(p)."""
-    return {(coeffs[0], coeffs[1]): k for k, coeffs in enumerate(_projector_coeffs(p))}
+    """The fields (num, den, k) of I_k[1] -> k, for the stored projectors of _projector_coeffs(p).
+
+    The key is a tuple of ints, hashed in C.  At p = 2 the two keys differ
+    in the sign of num, since zeta = -1 is folded into it.
+    """
+    return {(x.num, x.den, x.k): k for k, x in enumerate(coeffs[1] for coeffs in _projector_coeffs(p))}
 
 
 def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
     """The scalar c with f == c*g, if one exists (g nonzero).
 
     c is read off one rung, with one inversion, and then checked on every
-    rung.  When c is a root of unity zeta^k, as for two witness paths, each
-    rung of g is multiplied by a rotation (CyclotomicScalar.rotate) instead
-    of a product.  When f and g share one coefficient dict, as two witness
-    paths that each land on the same base's stored idempotent do, c is one,
-    with no product, inversion or rotation; equal but distinct dicts are
+    rung by one product each.  When f and g share one coefficient dict, as
+    two witness paths that each land on the same base's stored idempotent
+    do, c is one, with no product or inversion; equal but distinct dicts are
     read as above.
     """
     if g.is_zero():
@@ -170,11 +170,7 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
         return None
     b, gc = next(iter(g.coeffs.items()))
     ratio = f.coeffs[b] * gc.inv()
-    k = phase_exponent(ratio)
-    if k is None:
-        if any(f.coeffs[b] != gc * ratio for b, gc in g.coeffs.items()):
-            return None
-    elif any(f.coeffs[b] != gc.rotate(k) for b, gc in g.coeffs.items()):
+    if any(f.coeffs[b] != gc * ratio for b, gc in g.coeffs.items()):
         return None
     return ratio
 
@@ -420,16 +416,16 @@ class KarEnvelope:
     def _locate_at(self, i: int, obj: LadderObject, idem: LadderMorphism) -> int:
         """The class of (obj, idem), obj of object_index i, after checking that idem is a stored primitive.
 
-        On a fixed object the character index k is looked up from the rung-0
-        and rung-1 coefficients of idem in the table of the stored
+        On a fixed object the character index k is looked up from the fields
+        of the rung-1 coefficient of idem in the table of the stored
         projectors (_projector_index); idem must then equal the stored I_k,
         compared on all its coefficients, so that no morphism is built for
         the check.  Raises UnsupportedEndAlgebra otherwise.
         """
         k = 0
         if self._rung[i] == FIXED:
-            coeffs = idem.coeffs
-            k = _projector_index(self.lad.p).get((coeffs.get(0), coeffs.get(1)))
+            x = idem.coeffs.get(1)
+            k = None if x is None else _projector_index(self.lad.p).get((x.num, x.den, x.k))
         if k is None or not idem.source == idem.target == obj or idem.coeffs != self._base_coeffs(i, k):
             raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
         return self._class[i] + k

@@ -22,19 +22,26 @@ pure module associators of M and N; bimodules are kept in the gauge where
 those are trivial (see bpring.bimodules), so the coefficient is 1 and the
 rung-b1+b2 coefficient of the stack is just the product of the two.  A
 morphism is then an element of the group algebra Q(zeta_p)[Z_p], a map
-rung -> scalar, and compose is its product, computed on integer numerators
-by cyclotomic.group_algebra_product.  That kernel already leaves out the
-rungs that sum to zero, so compose takes its dict as the coefficients of
-the result (LadderMorphism._nonzero) instead of copying and filtering it
-through the constructor.  The public constructor keeps its zero filter.
+rung -> scalar, and compose is its product (group_algebra_product).  Every
+coefficient the engine makes is one monomial c * zeta^k (see
+bpring.cyclotomic for why), so the kernel sums each output rung's integer
+numerators by power over one common denominator and reads the rung back as
+one monomial: a rung whose p power entries all equal one value v but at
+most one power k is (raw[k] - v) * zeta^k, or zero when all p are equal,
+since 1 + zeta + ... + zeta^(p-1) = 0.  Any other rung raises
+NonMonomialRung, an engine fault.  The kernel leaves out the rungs that sum
+to zero, so compose takes its dict as the coefficients of the result
+(LadderMorphism._nonzero) instead of copying and filtering it through the
+constructor.  The public constructor keeps its zero filter.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple
 
 from .bimodules import BimoduleData, format_simple
-from .cyclotomic import group_algebra_product
+from .cyclotomic import CyclotomicScalar, monomial
 
 
 class EngineError(Exception):
@@ -46,6 +53,10 @@ class EngineError(Exception):
 
 class CompositionError(EngineError):
     pass
+
+
+class NonMonomialRung(EngineError):
+    """A composite's rung that is not one monomial c * zeta^k, which the engine's scalars cannot hold."""
 
 
 class LadderObject(NamedTuple):
@@ -85,9 +96,6 @@ class LadderMorphism:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def scale(self, factor) -> "LadderMorphism":
         return LadderMorphism(self.source, self.target, {b: c * factor for b, c in self.coeffs.items()})
 
@@ -100,12 +108,75 @@ class LadderMorphism:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(self.coeffs.items()))))
-
     def __repr__(self):
         terms = " + ".join(f"{c}.[rung {b}]" for b, c in sorted(self.coeffs.items())) or "0"
         return f"Ladder({self.source} -> {self.target}: {terms})"
+
+
+def _terms(p: int, xs: dict) -> tuple[int, list]:
+    """(den, [(rung, k, numerator), ...]): the monomials of xs over one common denominator."""
+    den = lcm(*{x.den for x in xs.values()})
+    out = []
+    for b, x in xs.items():
+        if x.p != p:
+            raise ValueError(f"mismatched primes {x.p} and {p}")
+        out.append((b, x.k, x.num if x.den == den else x.num * (den // x.den)))
+    return den, out
+
+
+def _rung_scalar(p: int, b: int, powers: dict, den: int) -> CyclotomicScalar | None:
+    """sum(powers[i] * zeta^i) / den as one monomial, None when it is zero.
+
+    Raises NonMonomialRung, naming the rung b, when it is neither.  At p = 2
+    every k is 0 (zeta = -1 is folded into the sign), so a rung there has
+    one power.
+    """
+    if len(powers) == 1:
+        ((k, a),) = powers.items()
+    else:
+        raw = [powers.get(i, 0) for i in range(p)]
+        v = raw[0] if raw.count(raw[0]) >= p - 1 else raw[1]
+        rest = [i for i, a in enumerate(raw) if a != v]
+        if len(rest) > 1:
+            raise NonMonomialRung(f"rung {b} of a composite is not a monomial c*zeta^k at p={p}")
+        if not rest:
+            return None
+        (k,) = rest
+        a = raw[k] - v
+    return monomial(p, a, den, k) if a else None
+
+
+def group_algebra_product(p: int, f: dict, g: dict) -> dict:
+    """f * g in Q(zeta_p)[Z_p], for maps rung -> CyclotomicScalar over one p.
+
+    Rung b1 of f times rung b2 of g lands on rung b1 + b2 mod p.  One double
+    loop over the two factors' monomials sums each output rung's numerators
+    by power; each rung is then read back as one monomial (_rung_scalar).
+    Rungs whose sum is zero are left out of the result, and the rungs keep
+    the order in which a rung pair first meets them.
+    """
+    fden, fterms = _terms(p, f)
+    gden, gterms = _terms(p, g)
+    acc: dict[int, dict] = {}
+    for b1, i, a in fterms:
+        for b2, j, c in gterms:
+            b, k = b1 + b2, i + j
+            if b >= p:
+                b -= p
+            if k >= p:
+                k -= p
+            powers = acc.get(b)
+            if powers is None:
+                acc[b] = {k: a * c}
+            else:
+                powers[k] = powers.get(k, 0) + a * c
+    den = fden * gden
+    out = {}
+    for b, powers in acc.items():
+        x = _rung_scalar(p, b, powers, den)
+        if x is not None:
+            out[b] = x
+    return out
 
 
 class LadderCategory:

@@ -6,7 +6,7 @@ are the brute-force oracles it is tested against.  rotated_action is the
 outer action with every rung rotated by its exponent read from the table,
 always into a new coefficient dict.  acted_witness_exponent is the witness
 associator acting through it on every connector, never reusing an acted
-idempotent, and its ratio read with full scalar products.
+idempotent, and its ratio read on the field oracle (scalar_oracle).
 object_witness_path is one witness path on Kar objects: it shifts objects
 through the entries' simple indices, locates each acted idempotent by its
 object, and tells a base landing by comparing connectors with the
@@ -14,11 +14,12 @@ representative's idempotent, where the library works on object and class
 indices.
 """
 
-from bpring.cyclotomic import phase_exponent
 from bpring.fusion import ClassificationError
 from bpring.groups import Subgroup, subgroup_from_elements
 from bpring.karoubi import KarObject
 from bpring.ladders import LadderMorphism, LadderObject
+from kar_oracle import as_oracle
+from scalar_oracle import phase_exponent, to_oracle
 
 
 def action_tables(product) -> tuple[list[list[int]], list[list[int]]]:
@@ -99,8 +100,8 @@ def acted_witness_exponent(product, g: int, h: int, simple) -> int:
     if c_rl != c_lr or path_rl.source != path_lr.source or path_rl.coeffs.keys() != path_lr.coeffs.keys():
         raise ClassificationError("the two witness paths do not land in one Hom space")
     b, c = next(iter(path_rl.coeffs.items()))
-    ratio = path_lr.coeffs[b] / c
-    if path_lr != path_rl.scale(ratio):
+    ratio = to_oracle(path_lr.coeffs[b]) / to_oracle(c)
+    if as_oracle(path_lr) != as_oracle(path_rl).scale(ratio):
         raise ClassificationError("witness paths are not proportional")
     k = phase_exponent(ratio)
     if k is None:

@@ -1,0 +1,208 @@
+"""Checks beyond the tier-1 tests, at primes or on inputs too large for them.
+
+    python tests/beyond_tier1.py NAME
+
+runs one check and exits with 0 when it passes; a failing check exits with
+a message naming what failed.  python tests/beyond_tier1.py lists the names.
+Each check uses fixed primes and seeds.
+"""
+
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+CHECKS = {}
+
+
+def check(name):
+    def register(fn):
+        CHECKS[name] = fn
+        return fn
+
+    return register
+
+
+@check("closed-form-vs-oracle")
+def closed_form_vs_oracle():
+    """The closed form and the wall oracle fill their tables by basis index, so
+    the two cheap routes are compared at primes the engine cannot reach in CI time."""
+    from bpring.closed_form import closed_form_table
+    from bpring.walls import oracle_table
+
+    bad = [p for p in (29, 31, 37, 41) if closed_form_table(p).constants != oracle_table(p).constants]
+    return f"closed form and wall oracle differ at p in {bad}" if bad else None
+
+
+@check("ring-readers")
+def ring_readers():
+    """The ring readers on the sparse cells of tables larger than any the tier-1
+    tests read: axioms, the dihedral units group and the JSON round trip.
+
+    check_axioms accepts after comparing a few middles and proving the rest
+    by closure, so at p=41 one replaced cell (X2 x X2 = X1 instead of X4)
+    must still be found.  serialize writes each cell's JSON text itself, so
+    its text must equal the json encoder's (plain_serialize_json).
+    """
+    from bpring.bimodules import label_parse
+    from bpring.closed_form import closed_form_table
+    from bpring.ring import check_axioms, parse_json, serialize, units_group
+    from ring_oracle import plain_serialize_json
+
+    bad = []
+    for p in (29, 31, 37, 41, 53, 59):
+        t = closed_form_table(p)
+        units = units_group(t)
+        text = serialize(t, "json")
+        if not check_axioms(t).ok() or (units.order, units.is_dihedral()) != (2 * (p - 1), True):
+            bad.append(p)
+        elif serialize(parse_json(text), "json") != text or text != plain_serialize_json(t):
+            bad.append(p)
+    t = closed_form_table(41)
+    x1, x2 = t.index(label_parse("X1")), t.index(label_parse("X2"))
+    t.constants[x2][x2] = ((x1, 1),)
+    if check_axioms(t).associativity_ok:
+        bad.append("41 with X2 x X2 = X1")
+    return f"ring readers fail on the closed form at p in {bad}" if bad else None
+
+
+@check("json-round-trip")
+def json_round_trip():
+    """serialize writes the JSON products block itself: the engine's p=17 table,
+    written by the CLI, parsed and re-serialized, must give the same text."""
+    from bpring.cli import main
+    from bpring.ring import parse_json, serialize
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table-p17.json"
+        if main(["table", "--p", "17", "--format", "json", "--out", str(path)]) != 0:
+            return "table --p 17 --format json failed"
+        text = path.read_text(encoding="utf-8")
+    return "the p=17 table does not survive a JSON round trip" if serialize(parse_json(text), "json") != text else None
+
+
+@check("witness-vs-composing-oracle")
+def witness_vs_composing_oracle():
+    """Beyond the tier-1 primes, the witness associator must agree with the
+    oracle that composes every path and rotates every rung by its table
+    exponent (acted_witness_exponent), on every orbit at p=13.
+
+    The witness route reads a path that lands on a base as the base's
+    idempotent and acts by a trivial mixed associator without rotating.  R x
+    L is also run with both factors gauge-twisted (R on the right and L on
+    the left by a character per simple, which no coboundary twist changes),
+    so the rotating path is compared there too.
+    """
+    from action_oracle import acted_witness_exponent
+    from bimodule_transforms import character_twist
+    from bpring.bimodules import catalogue_entry, label_parse
+    from bpring.fusion import RelativeTensorProduct
+
+    p, rng, bad, checked = 13, random.Random(1313), [], 0
+    entry = lambda a: catalogue_entry(p, label_parse(a))
+    twist = lambda e, side: character_twist(e, {m: rng.randrange(p) for m in e.simples}, side)
+    pairs = [(f"{a} x {b}", entry(a), entry(b)) for a, b in (("R", "L"), ("R", "F0"), ("F3", "F5"), ("F2", "X3"))]
+    pairs.append(("R x L, gauge-twisted", twist(entry("R"), "right"), twist(entry("L"), "left")))
+    if pairs[-1][1].trivial_mixed or pairs[-1][2].trivial_mixed:
+        return "the gauge twists left a mixed table all zero"
+    for name, M, N in pairs:
+        product = RelativeTensorProduct(M, N)
+        for orbit in product.orbits():
+            s = product.env.simple(orbit[0])
+            for g, h in ((1, 1), (2, 5)):
+                checked += 1
+                if product.mixed_associator(g, h, s) != acted_witness_exponent(product, g, h, s):
+                    bad.append(f"{name} at {s}, (g, h) = ({g}, {h})")
+    print(f"{checked} exponents compared at p={p}")
+    return f"witness associator differs from the composing oracle: {bad}" if bad else None
+
+
+@check("engine-products-p5")
+def engine_products_p5():
+    """The engine's products read back as bimodules beyond the tier-1 prime.
+
+    On seeded triples at p=5, plain and with A and C twisted (R and L by a
+    character, so that their tables change too), each product passes
+    validate, decompose(A x B, C) equals decompose(A, B x C), and it equals
+    the sum of decompose(s, C) over the summands s of A x B.
+    """
+    from bimodule_transforms import ProductMemo, random_twist
+    from bpring.bimodules import Decomposition, catalogue, validate
+    from bpring.fusion import decompose
+
+    p, rng, bad, checked = 5, random.Random(55), [], 0
+    cat = catalogue(p)
+    entry = {e.label: e for e in cat}
+    twist = lambda e: random_twist(e, rng)
+    for lefts, rights in ((cat, cat), ([twist(e) for e in cat], [twist(e) for e in cat])):
+        ab, bc = ProductMemo(lefts, cat), ProductMemo(cat, rights)
+        for _ in range(40):
+            i, j, k = (rng.randrange(len(cat)) for _ in range(3))
+            where = f"{cat[i].label} x {cat[j].label} x {cat[k].label}, twisted: {lefts is not cat}"
+            if validate(ab[i, j]) or validate(bc[j, k]):
+                bad.append(f"{where}: a product fails validate")
+            left = decompose(ab[i, j], rights[k])
+            if left != decompose(lefts[i], bc[j, k]):
+                bad.append(f"{where}: not associative")
+            parts = [(l, m * n) for s, m in decompose(lefts[i], cat[j]).summands
+                     for l, n in decompose(entry[s], rights[k]).summands]
+            if left != Decomposition.from_pairs(parts):
+                bad.append(f"{where}: not distributive")
+            checked += 1
+    print(f"{checked} triples checked at p={p}")
+    return f"engine products fail as bimodules: {bad}" if bad else None
+
+
+@check("kernel-vs-field-oracle-p17")
+def kernel_vs_field_oracle_p17():
+    """Every composition of serial build_table(17), beyond the tier-1 primes,
+    against the scalar loop on the general field scalars (scalar_oracle): the
+    kernel's monomial read-back must give the oracle's values, rung for rung
+    and in the same order.  The stored projectors are rebuilt, so their
+    idempotent checks are compared too."""
+    from bpring import karoubi, ladders
+    from bpring.fusion import build_table
+    from compose_oracle import scalar_product
+    from scalar_oracle import to_oracle
+
+    p, kernel, bad, checked = 17, ladders.group_algebra_product, [], 0
+    oracle = lambda xs: {b: to_oracle(c) for b, c in xs.items()}
+
+    def compared(q, f, g):
+        nonlocal checked
+        got = kernel(q, f, g)
+        want = scalar_product(q, oracle(f), oracle(g))
+        checked += 1
+        if oracle(got) != want or list(got) != list(want):
+            bad.append((f, g))
+        return got
+
+    ladders.group_algebra_product = karoubi.group_algebra_product = compared
+    karoubi._projector_coeffs.cache_clear()
+    try:
+        build_table(p, workers=1)
+    finally:
+        ladders.group_algebra_product = karoubi.group_algebra_product = kernel
+        karoubi._projector_coeffs.cache_clear()
+    print(f"{checked} compositions compared at p={p}")
+    if not checked:
+        return "build_table(17) made no composition"
+    return f"kernel differs from the field oracle on {len(bad)} compositions, first {bad[0]}" if bad else None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0] not in CHECKS:
+        print("usage: python tests/beyond_tier1.py NAME, one of: " + ", ".join(CHECKS), file=sys.stderr)
+        return 2
+    failure = CHECKS[argv[0]]()
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,9 +1,10 @@
 """Ladder composition one scalar at a time, kept as an oracle for the tests.
 
-`bpring.cyclotomic.group_algebra_product` composes on integer numerators and
-puts each output rung in canonical form once.  This is the plain loop over
-rung pairs: one `CyclotomicScalar` product and sum per pair, with the rungs
-that sum to zero dropped at the end.
+`bpring.ladders.group_algebra_product` sums each output rung's integer
+numerators by power and reads the rung back as one monomial.  This is the
+plain loop over rung pairs: one scalar product and sum per pair, with the
+rungs that sum to zero dropped at the end.  It needs a scalar with + and *,
+so the tests run it on the field oracle (scalar_oracle.FieldScalar).
 """
 
 

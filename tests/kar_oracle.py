@@ -20,16 +20,27 @@ searching.  The helpers here work on objects, from the bimodule actions:
 - every object of a ladder category in canonical order, identities, and an
   envelope's class bases and connector pairs, read through its public
   queries.
+
+Identities, basic ladders, primitive idempotents and connectors are single
+monomials per rung, so they hold library scalars and can be handed to the
+engine.  Everything that sums or solves (compose, ladder_sum,
+reduce_to_basis, the End algebras and the isomorphism search) runs on the
+general field scalars of scalar_oracle, with compose_oracle.scalar_product
+as the composition, so the search never runs the engine's composition
+kernel that it checks.  as_oracle reads a morphism's coefficients into
+that field for comparisons.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from bpring.bimodules import BimoduleData
-from bpring.cyclotomic import CyclotomicScalar, root_of_unity
+from bpring.cyclotomic import CyclotomicScalar
 from bpring.fusion import ClassificationError
-from bpring.karoubi import KarEnvelope, KarObject, KarSimple, UnsupportedEndAlgebra, proportionality
+from bpring.karoubi import KarEnvelope, KarObject, KarSimple, UnsupportedEndAlgebra
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
+from compose_oracle import scalar_product
+from scalar_oracle import FieldScalar, to_oracle
 
 
 def objects(lad: LadderCategory) -> list[LadderObject]:
@@ -90,15 +101,42 @@ def zero(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> LadderMor
     return LadderMorphism(src, tgt, {})
 
 
+def as_oracle(f: LadderMorphism) -> LadderMorphism:
+    """f with every coefficient read into the field oracle (scalar_oracle.to_oracle)."""
+    return LadderMorphism(f.source, f.target, {b: to_oracle(c) for b, c in f.coeffs.items()})
+
+
+def kar_key(kobj: KarObject) -> tuple:
+    """A hashable key of a Kar object: its object and its idempotent's coefficients in rung order."""
+    return kobj.obj, tuple(sorted(kobj.idem.coeffs.items()))
+
+
+def compose(lad: LadderCategory, f: LadderMorphism, g: LadderMorphism) -> LadderMorphism:
+    """f followed by g on oracle scalars, by the scalar loop; CompositionError if they do not meet."""
+    if f.target != g.source:
+        raise CompositionError(f"cannot stack {g.source} on top of {f.target}")
+    return LadderMorphism(f.source, g.target, scalar_product(lad.p, as_oracle(f).coeffs, as_oracle(g).coeffs))
+
+
 def ladder_sum(first: LadderMorphism, *rest: LadderMorphism) -> LadderMorphism:
-    """The sum of parallel morphisms; CompositionError if they are not parallel."""
-    coeffs = dict(first.coeffs)
+    """The sum of parallel morphisms on oracle scalars; CompositionError if they are not parallel."""
+    coeffs = dict(as_oracle(first).coeffs)
     for f in rest:
         if f.source != first.source or f.target != first.target:
             raise CompositionError("cannot add morphisms between different objects")
-        for b, c in f.coeffs.items():
+        for b, c in as_oracle(f).coeffs.items():
             coeffs[b] = coeffs[b] + c if b in coeffs else c
     return LadderMorphism(first.source, first.target, coeffs)
+
+
+def proportional(f: LadderMorphism, g: LadderMorphism) -> FieldScalar | None:
+    """The oracle scalar c with f == c*g, if one exists (g nonzero), checked on every rung of both."""
+    f, g = as_oracle(f), as_oracle(g)
+    if g.is_zero():
+        return None
+    b, gc = next(iter(g.coeffs.items()))
+    c = f.coeffs.get(b, FieldScalar.zero(gc.p)) / gc
+    return c if g.scale(c) == f else None
 
 
 def end_rungs(lad: LadderCategory, obj: LadderObject) -> tuple[int, ...]:
@@ -129,7 +167,7 @@ def end_algebra(lad: LadderCategory, obj: LadderObject) -> EndAlgebra:
         fb1 = LadderMorphism(obj, obj, {b1: one})
         for b2 in rungs:
             fb2 = LadderMorphism(obj, obj, {b2: one})
-            table[(b1, b2)] = lad.compose(fb1, fb2)
+            table[(b1, b2)] = compose(lad, fb1, fb2)
     return EndAlgebra(rungs, table)
 
 
@@ -144,8 +182,7 @@ def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[Ladder
     if rung_target(lad, obj, 1) != obj:
         return [identity(lad, obj)]
     inv_p = Fraction(1, p)
-    return [LadderMorphism(obj, obj, {g: root_of_unity(p, k * g).scale(inv_p) for g in range(p)})
-            for k in range(p)]
+    return [LadderMorphism(obj, obj, {g: CyclotomicScalar(p, inv_p, k * g) for g in range(p)}) for k in range(p)]
 
 
 def simples(left, right) -> list[KarSimple]:
@@ -160,11 +197,11 @@ def hom_basis(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list
 
 
 def reduce_to_basis(morphisms) -> list[LadderMorphism]:
-    """Row-reduce a list of parallel morphisms to a linearly independent basis."""
+    """Row-reduce a list of parallel morphisms to a linearly independent basis, on oracle scalars."""
     pivots: dict[int, LadderMorphism] = {}
     basis = []
     for f in morphisms:
-        g = f
+        g = as_oracle(f)
         for b in sorted(pivots):
             if b in g.coeffs:
                 g = ladder_sum(g, pivots[b].scale(-g.coeffs[b]))
@@ -179,14 +216,14 @@ def reduce_to_basis(morphisms) -> list[LadderMorphism]:
 
 def kar_hom_basis(lad: LadderCategory, a: KarObject, b: KarObject) -> list[LadderMorphism]:
     """A basis of the absorbed Hom space e_a . Hom(A, B) . e_b."""
-    images = [lad.compose(lad.compose(a.idem, f), b.idem) for f in hom_basis(lad, a.obj, b.obj)]
+    images = [compose(lad, compose(lad, a.idem, f), b.idem) for f in hom_basis(lad, a.obj, b.obj)]
     return reduce_to_basis(images)
 
 
 def is_isomorphic(lad: LadderCategory, a: KarObject, b: KarObject) -> bool:
     for u in kar_hom_basis(lad, a, b):
         for v in kar_hom_basis(lad, b, a):
-            lam = proportionality(lad.compose(u, v), a.idem)
+            lam = proportional(compose(lad, u, v), a.idem)
             if lam is not None and not lam.is_zero():
                 return True
     return False

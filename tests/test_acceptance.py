@@ -16,13 +16,15 @@ from bpring.groups import subgroup_from_generators
 from bpring.closed_form import closed_form_table
 from bpring.fusion import build_table
 from bpring.karoubi import KarEnvelope
-from bpring.ladders import LadderCategory
+from bpring.ladders import LadderCategory, group_algebra_product
 from bpring.ring import check_axioms, diff_tables, units_group
 from bpring.walls import oracle_table, preserves_braiding, wall_of
 from action_oracle import orbit_stabilizer
 from group_oracle import CocycleClass, cocycle_phase, pair_add
-from kar_oracle import basic, end_algebra, end_rungs, identity, ladder_sum, objects, primitive_idempotents, zero
-from scalar_oracle import is_one
+from kar_oracle import as_oracle, basic, end_algebra, end_rungs, identity, ladder_sum, objects, primitive_idempotents, zero
+from scalar_oracle import FieldScalar, is_one
+from scalar_oracle import phase_exponent as field_phase_exponent
+from scalar_oracle import root_of_unity as field_root
 
 PRIMES = (2, 3, 5, 7)
 
@@ -83,7 +85,7 @@ def test_criterion_3_worked_example_replay():
             for k, ek in enumerate(idems):
                 expected = ek if j == k else zero(rf.lad, obj, obj)
                 assert rf.lad.compose(ej, ek) == expected
-        assert ladder_sum(*idems) == identity(rf.lad, obj)
+        assert ladder_sum(*idems) == as_oracle(identity(rf.lad, obj))
     assert len(rf.simples) == p**2
     assert str(rf.decompose()) == "3*R"
 
@@ -130,17 +132,17 @@ def test_criterion_6_oracle_equivalence(engine_tables):
 
 
 def test_criterion_7_property_suites():
-    # cyclotomic field axioms and zeta relations
+    # cyclotomic field axioms and zeta relations, on the field oracle
     rng = random.Random(99)
     for p in (2, 3, 5, 7):
-        total = CyclotomicScalar.zero(p)
+        total = FieldScalar.zero(p)
         for k in range(p):
-            total = total + root_of_unity(p, k)
+            total = total + field_root(p, k)
         assert total.is_zero()
-        assert is_one(root_of_unity(p, 1) ** p)
+        assert is_one(field_root(p, 1) ** p)
         for _ in range(10):
             vals = [
-                CyclotomicScalar(p, [Rational(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p)])
+                FieldScalar(p, [Rational(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p)])
                 for _ in range(3)
             ]
             x, y, z = vals
@@ -151,7 +153,27 @@ def test_criterion_7_property_suites():
             if not x.is_zero():
                 assert is_one(x * x.inv())
         for k in range(2 * p):
+            assert field_phase_exponent(field_root(p, k)) == k % p
+
+    # the same laws on the library's monomials c * zeta^k, and the character
+    # projectors orthogonal through the composition kernel
+    rng = random.Random(77)
+    for p in (2, 3, 5, 7):
+        for _ in range(10):
+            x, y, z = (CyclotomicScalar(p, Rational(rng.randint(-3, 3), rng.randint(1, 4)), rng.randrange(p))
+                       for _ in range(3))
+            assert x * y == y * x
+            assert (x * y) * z == x * (y * z)
+            if not x.is_zero():
+                assert is_one(x * x.inv())
+            for k in range(-p, 2 * p):
+                assert x.rotate(k) == x * root_of_unity(p, k)
+        for k in range(2 * p):
             assert phase_exponent(root_of_unity(p, k)) == k % p
+        projectors = [{b: CyclotomicScalar(p, Rational(1, p), j * b) for b in range(p)} for j in range(p)]
+        for j, ej in enumerate(projectors):
+            for k, ek in enumerate(projectors):
+                assert group_algebra_product(p, ej, ek) == (ek if j == k else {})
 
     # 2-cocycle identity for every representative at p in (2, 3)
     for p in (2, 3):

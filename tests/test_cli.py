@@ -320,6 +320,25 @@ def test_non_unit_conjugate_exit_code(capsys, monkeypatch):
     assert err == "internal error: unit product F1 x X2 is T, not a unit\n"
 
 
+def test_non_monomial_rung_exit_code(capsys, monkeypatch):
+    # a composite rung that is not one monomial c*zeta^k is an engine fault:
+    # here every composition stacks {0: 1, 1: 1} on {0: 1, 1: zeta}, whose
+    # rung 1 is 1 + zeta, and the kernel refuses it in one line, exit code 3
+    from bpring.cyclotomic import CyclotomicScalar, root_of_unity
+    from bpring.ladders import LadderCategory, LadderMorphism, group_algebra_product
+
+    def non_monomial(self, f, g):
+        one = CyclotomicScalar.one(self.p)
+        coeffs = group_algebra_product(self.p, {0: one, 1: one}, {0: one, 1: root_of_unity(self.p, 1)})
+        return LadderMorphism(f.source, g.target, coeffs)
+
+    monkeypatch.setattr(LadderCategory, "compose", non_monomial)
+    code, out, err = run_cli(capsys, "fuse", "--p", "5", "--left", "F1", "--right", "X2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: rung 1 of a composite is not a monomial c*zeta^k at p=5\n"
+
+
 def test_corrupted_step_table_exit_code():
     # two swapped left steps make the actions on simples not commute
     code = """

@@ -29,7 +29,7 @@ from action_oracle import (
     search_orbits,
 )
 from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel
-from kar_oracle import FIXED, base_at, connectors, step_tables, walk_objects
+from kar_oracle import FIXED, base_at, connectors, kar_key, step_tables, walk_objects
 from scalar_oracle import is_one
 
 
@@ -135,12 +135,12 @@ def test_action_is_power_of_generator():
     for product in products:
         p = product.p
         lefts, rights = action_tables(product)
-        index = {s.representative: i for i, s in enumerate(product.simples)}
+        index = {kar_key(s.representative): i for i, s in enumerate(product.simples)}
         for i, s in enumerate(product.simples):
             for g in range(p):
-                direct = index[product.outer_action(g, "left", s).target.representative]
+                direct = index[kar_key(product.outer_action(g, "left", s).target.representative)]
                 assert direct == lefts[g][i]
-                direct = index[product.outer_action(g, "right", s).target.representative]
+                direct = index[kar_key(product.outer_action(g, "right", s).target.representative)]
                 assert direct == rights[g][i]
 
 

@@ -14,6 +14,7 @@ from bpring.karoubi import KarEnvelope, KarObject, UnsupportedEndAlgebra, propor
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from scalar_oracle import from_rational
 from kar_oracle import (
+    as_oracle,
     basic,
     connectors,
     hom_rungs,
@@ -21,9 +22,11 @@ from kar_oracle import (
     is_isomorphic,
     isomorphism_classes,
     kar_hom_basis,
+    kar_key,
     ladder_sum,
     objects,
     primitive_idempotents,
+    proportional,
     reduce_to_basis,
     simples,
     walk_objects,
@@ -58,7 +61,7 @@ def test_idempotents_orthogonal_complete():
                     prod = lad.compose(ej, ek)
                     assert prod == (ek if j == k else zero(lad, obj, obj))
                 total = ej if total is None else ladder_sum(total, ej)
-            assert total == identity(lad, obj)
+            assert as_oracle(total) == as_oracle(identity(lad, obj))
 
 
 def test_tt_already_idempotent_complete():
@@ -72,7 +75,7 @@ def test_ff_idempotent_products_p3():
     obj = LadderObject("*", "*")
     i0, i1, i2 = primitive_idempotents(lad, obj)
     assert lad.compose(i0, i1).is_zero()
-    assert ladder_sum(i0, i1, i2) == identity(lad, obj)
+    assert ladder_sum(i0, i1, i2) == as_oracle(identity(lad, obj))
 
 
 def test_idempotent_solver_oracle_p2():
@@ -128,7 +131,7 @@ def test_kar_hom_basis_simple_self():
     for s in env.simples:
         basis = kar_hom_basis(env.lad, s.representative, s.representative)
         assert len(basis) == 1
-        lam = proportionality(basis[0], s.representative.idem)
+        lam = proportional(basis[0], s.representative.idem)
         assert lam is not None and not lam.is_zero()
 
 
@@ -239,8 +242,8 @@ def test_orbit_classes_match_isomorphism_search():
                     u, v = connectors(env, obj, k)
                     assert lad.compose(u, v) == e
                     assert lad.compose(v, u) == env.simples[cls].representative.idem
-            partition = {frozenset(block) for block in blocks}
-            assert partition == {frozenset(c) for c in by_class.values()}, (M.label, N.label)
+            partition = {frozenset(map(kar_key, block)) for block in blocks}
+            assert partition == {frozenset(map(kar_key, c)) for c in by_class.values()}, (M.label, N.label)
             assert len(blocks) == len(env.simples)
 
 
@@ -284,9 +287,10 @@ def test_proportionality_of_one_coefficient_dict_is_one_without_an_inverse(monke
 
 
 def test_proportionality_under_a_root_of_unity_checks_every_rung():
-    # a root-of-unity ratio zeta^k is checked on each rung by a rotation; one
-    # later rung off that ratio, by another root of unity, by a rational
-    # factor or by an added term, means the morphisms are not proportional
+    # a root-of-unity ratio zeta^k is checked on each rung; one later rung
+    # off that ratio, by another root of unity, by a rational factor or by a
+    # sign (-1 is no power of zeta at odd p), means the morphisms are not
+    # proportional
     rng = random.Random(1123)
     for p in (3, 5, 7, 11):
         obj = LadderObject(1, "*")
@@ -294,16 +298,15 @@ def test_proportionality_under_a_root_of_unity_checks_every_rung():
             coeffs = {}
             for b in rng.sample(range(p), rng.randint(2, p)):
                 while b not in coeffs or coeffs[b].is_zero():
-                    raw = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, p))) for _ in range(p)]
-                    coeffs[b] = CyclotomicScalar(p, raw)
+                    c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, p)))
+                    coeffs[b] = CyclotomicScalar(p, c, rng.randrange(p))
             g = LadderMorphism(obj, obj, coeffs)
             for k in range(p):
                 z = root_of_unity(p, k)
                 f = {b: c * z for b, c in coeffs.items()}
                 assert proportionality(LadderMorphism(obj, obj, f), g) == z, (p, k)
                 later = rng.choice(list(coeffs)[1:])
-                for off in (f[later].rotate(rng.randrange(1, p)), f[later].scale(2),
-                            f[later] + CyclotomicScalar.one(p).scale(Fraction(1, p))):
+                for off in (f[later].rotate(rng.randrange(1, p)), f[later].scale(2), f[later].scale(-1)):
                     off_f = LadderMorphism(obj, obj, f | {later: off})
                     assert proportionality(off_f, g) is None, (p, k, later)
 
@@ -431,11 +434,17 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
 def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
     env = KarEnvelope(make_lad(5, "R", "F0"))
     obj = LadderObject(1, "*")
-    i0, i1 = primitive_idempotents(env.lad, obj)[:2]
-    both = ladder_sum(i0, i1)
-    assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
-    with pytest.raises(UnsupportedEndAlgebra):
-        env.locate(KarObject(obj, both))
+    idems = primitive_idempotents(env.lad, obj)
+    i1 = idems[1]
+    # the sum of the characters but I_0 has rational rungs 4/5, -1/5, ..., so
+    # the engine's scalars hold it; the identity is the sum of all of them
+    rest = LadderMorphism(obj, obj, {b: from_rational(5, Fraction(4 if b == 0 else -1, 5)) for b in range(5)})
+    assert as_oracle(rest) == ladder_sum(*idems[1:])
+    assert ladder_sum(*idems) == as_oracle(identity(env.lad, obj))
+    for both in (rest, identity(env.lad, obj)):
+        assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
+        with pytest.raises(UnsupportedEndAlgebra):
+            env.locate(KarObject(obj, both))
     # rung 1 over rung 0 reads zeta, yet this is not the stored I_1
     with pytest.raises(UnsupportedEndAlgebra):
         env.locate(KarObject(obj, i1.scale(2)))

@@ -3,12 +3,23 @@ import random
 
 import pytest
 
+from bimodule_transforms import random_twist
+from bpring import ladders
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
-from bpring.cyclotomic import CyclotomicScalar, Rational, group_algebra_product, root_of_unity
-from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
+from bpring.cyclotomic import CyclotomicScalar, Rational, root_of_unity
+from bpring.fusion import analyze, build_table
+from bpring.karoubi import _projector_coeffs
+from bpring.ladders import (
+    CompositionError,
+    LadderCategory,
+    LadderMorphism,
+    LadderObject,
+    NonMonomialRung,
+    group_algebra_product,
+)
 from compose_oracle import scalar_product
-from kar_oracle import basic, end_algebra, end_rungs, hom_rungs, identity, ladder_sum, objects, rung_target
-from scalar_oracle import is_one
+from kar_oracle import as_oracle, basic, end_algebra, end_rungs, hom_rungs, identity, ladder_sum, objects, rung_target
+from scalar_oracle import FieldScalar, is_one, to_oracle
 
 
 def entry(p, text):
@@ -86,7 +97,9 @@ def test_rf0_end_algebra_is_group_algebra():
     for g in range(p):
         for h in range(p):
             prod = alg.table[(g, h)]
-            assert prod.coeffs == {(g + h) % p: one}
+            assert prod.coeffs == {(g + h) % p: FieldScalar.one(p)}
+            composite = lad.compose(LadderMorphism(obj, obj, {g: one}), LadderMorphism(obj, obj, {h: one}))
+            assert composite.coeffs == {(g + h) % p: one}
 
 
 def test_tt_end_algebra_is_trivial():
@@ -114,17 +127,13 @@ def test_identity_is_two_sided_unit():
 
 
 def test_identity_absorbs_random_morphisms():
-    import random
-
-    from bpring.cyclotomic import Rational
-
     rng = random.Random(5)
     for p in (2, 3, 5):
         lad = LadderCategory(entry(p, "R"), entry(p, "F0"))
         obj = objects(lad)[0]
         for _ in range(10):
             coeffs = {
-                b: CyclotomicScalar(p, [Rational(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(p)])
+                b: CyclotomicScalar(p, Rational(rng.randint(-3, 3), rng.randint(1, 3)), rng.randrange(p))
                 for b in range(p)
             }
             f = LadderMorphism(obj, obj, coeffs)
@@ -142,7 +151,7 @@ def test_composition_coefficients_are_unit_for_catalogue():
                 for b2 in range(p):
                     g = basic(lad, f.target, b2)
                     comp = lad.compose(f, g)
-                    assert comp.support() == [(b1 + b2) % p]
+                    assert sorted(comp.coeffs) == [(b1 + b2) % p]
                     assert is_one(comp.coeffs[(b1 + b2) % p])
 
 
@@ -183,7 +192,7 @@ def test_composition_preserves_admissibility():
                 g = basic(lad, f.target, b2)
                 comp = lad.compose(f, g)
                 admissible = hom_rungs(lad, comp.source, comp.target)
-                assert all(b in admissible for b in comp.support())
+                assert all(b in admissible for b in sorted(comp.coeffs))
 
 
 def test_hom_dimensions_symmetric_and_quantized():
@@ -225,67 +234,96 @@ def test_morphism_addition_and_pruning():
         ladder_sum(basic(tt, o, 0), basic(tt, o, 1))  # different targets
 
 
-def _random_scalar(rng, p, shape):
-    """A scalar of the given shape, with its own denominator."""
+def _random_scalar(rng, p, power=None):
+    """c * zeta^power (a random power if None), with its own denominator."""
     den = rng.choice([1, 2, 3, 4, 6, p, 2 * p, p * p])
-    if shape == "dense":
-        return CyclotomicScalar(p, [Rational(rng.randint(-9, 9), den) for _ in range(p)])
-    if shape == "sparse":
-        raw = [0] * p
-        for i in rng.sample(range(p), rng.randint(1, min(2, p))):
-            raw[i] = Rational(rng.choice([-5, -2, -1, 1, 3, 7]), den)
-        return CyclotomicScalar(p, raw)
-    # c * zeta^(p-1): p-1 equal numerators in canonical form
-    return root_of_unity(p, p - 1).scale(Rational(rng.choice([-3, -1, 1, 2, 5]), den))
+    k = rng.randrange(p) if power is None else power
+    return CyclotomicScalar(p, Rational(rng.choice([-5, -3, -2, -1, 1, 2, 3, 7]), den), k)
 
 
 def _random_coeffs(rng, p):
     rungs = rng.sample(range(p), rng.randint(1, p))
-    return {b: _random_scalar(rng, p, rng.choice(["dense", "sparse", "top"])) for b in rungs}
+    return {b: _random_scalar(rng, p) for b in rungs}
+
+
+def _oracle(xs: dict) -> dict:
+    return {b: to_oracle(c) for b, c in xs.items()}
+
+
+def _is_monomial(x: FieldScalar) -> bool:
+    """True when the field value x is c * zeta^k: one nonzero coefficient, or p-1 equal ones."""
+    nonzero = [c for c in x.coeffs if c]
+    return len(nonzero) <= 1 or (len(nonzero) == x.p - 1 and len(set(nonzero)) == 1)
+
+
+def _check_kernel(p, f, g):
+    """group_algebra_product(p, f, g) against the scalar loop on the field oracle.
+
+    Where every output rung of the oracle is a monomial, the kernel must give
+    the same values in the same rung order; otherwise it must raise
+    NonMonomialRung naming the first rung that is not one.  Returns the
+    oracle's product.
+    """
+    want = scalar_product(p, _oracle(f), _oracle(g))
+    bad = [b for b, x in want.items() if not _is_monomial(x)]
+    if bad:
+        with pytest.raises(NonMonomialRung, match=f"^rung {bad[0]} of a composite is not a monomial"):
+            group_algebra_product(p, f, g)
+    else:
+        got = group_algebra_product(p, f, g)
+        assert _oracle(got) == want and list(got) == list(want), (p, f, g)
+    return want
 
 
 def test_compose_matches_scalar_oracle():
-    """The integer kernel equals the scalar-by-scalar loop, zero rungs dropped."""
+    """The kernel equals the scalar-by-scalar loop on the field oracle, zero rungs dropped.
+
+    Random monomial maps make rungs that are single monomials, rungs that
+    cancel to zero, and rungs that are neither, which must raise.
+    """
     rng = random.Random(8)
     for p in (2, 3, 5, 7, 11):
         lad = LadderCategory(entry(p, "R"), entry(p, "F0"))
         obj = LadderObject(0, "*")  # End(obj) = Q(zeta_p)[Z_p]
         cases = [(_random_coeffs(rng, p), _random_coeffs(rng, p)) for _ in range(40)]
-        # a rung sum that cancels: x*c at rung 0 from (0, 0) and -x*c from (1, p-1)
         for _ in range(5):
-            x = _random_scalar(rng, p, "dense")
-            c = _random_scalar(rng, p, rng.choice(["sparse", "top"]))
-            cases.append(({0: x, 1: x}, {0: c, p - 1: -c}))
-        dropped = 0
+            x = _random_scalar(rng, p)
+            c = _random_scalar(rng, p)
+            # a rung sum that cancels: x*c at rung 0 from (0, 0) and -x*c from (1, p-1)
+            cases.append(({0: x, 1: x}, {0: c, p - 1: c.scale(-1)}))
+            # rungs that sum p terms x*c*zeta^(jB + (1-j)b1) over every b1: zero
+            # unless j = 1 (1 + zeta + ... + zeta^(p-1) = 0)
+            j = rng.randrange(p)
+            cases.append(({b: x.rotate(b) for b in range(p)}, {b: c.rotate(j * b) for b in range(p)}))
+            # rung 1 is x*c*(1 + zeta): -x*c*zeta^2 at p=3, no monomial beyond
+            cases.append(({0: x, 1: x}, {0: c, 1: c.rotate(1)}))
+        dropped = raised = 0
         for f, g in cases:
-            want = scalar_product(p, f, g)
-            got = group_algebra_product(p, f, g)
-            assert got == want, (p, f, g)
-            dropped += len({(b1 + b2) % p for b1 in f for b2 in g}) - len(want)
-            composite = lad.compose(LadderMorphism(obj, obj, f), LadderMorphism(obj, obj, g))
-            assert composite == LadderMorphism(obj, obj, want)
+            want = _check_kernel(p, f, g)
+            if all(_is_monomial(x) for x in want.values()):
+                dropped += len({(b1 + b2) % p for b1 in f for b2 in g}) - len(want)
+                composite = lad.compose(LadderMorphism(obj, obj, f), LadderMorphism(obj, obj, g))
+                assert as_oracle(composite) == LadderMorphism(obj, obj, want)
+            else:
+                raised += 1
         assert dropped >= 5
+        assert raised >= (0 if p == 2 else 5), p
     with pytest.raises(ValueError):
         group_algebra_product(3, {0: CyclotomicScalar.one(3)}, {0: CyclotomicScalar.one(5)})
 
 
 def test_kernel_matches_scalar_oracle_on_every_term_shape():
-    """Each shape the kernel reads on a fast path, against the scalar loop.
+    """Each input shape against the scalar loop.
 
-    The same dict and the same key order: one nonzero numerator at every
-    power, the p-1 equal numerators of c*zeta^(p-1), multi-term scalars,
-    coefficients over one denominator and over several, one-rung and empty
-    maps, at p=2 too.
+    The same dict and the same key order: a monomial at every power,
+    including c*zeta^(p-1), coefficients over one denominator and over
+    several, one-rung and empty maps, at p=2 too.
     """
     rng = random.Random(18)
     for p in (2, 3, 5, 7, 11):
         c = [Rational(n, d) for n, d in ((1, 1), (-3, 1), (2, p), (-5, 6))]
-        single = [root_of_unity(p, i).scale(rng.choice(c)) for i in range(p - 1)]
-        top = [root_of_unity(p, p - 1).scale(x) for x in c]
-        assert all(x.coeffs.count(0) == p - 1 for x in single)
-        assert all(x.coeffs.count(x.coeffs[0]) == p - 1 for x in top)
-        dense = [_random_scalar(rng, p, "dense") for _ in range(4)]
-        shapes = single + top + dense
+        shapes = [root_of_unity(p, i).scale(rng.choice(c)) for i in range(p)]
+        shapes += [root_of_unity(p, p - 1).scale(x) for x in c]
         maps = [{}]
         maps += [{b: x} for b, x in zip(rng.choices(range(p), k=len(shapes)), shapes)]
         for _ in range(6):
@@ -295,9 +333,7 @@ def test_kernel_matches_scalar_oracle_on_every_term_shape():
             maps.append({b: rng.choice(shapes) for b in rng.sample(range(p), rng.randint(1, p))})
         for f in maps:
             for g in rng.sample(maps, 12) + [{}, maps[-1]]:
-                want = scalar_product(p, f, g)
-                got = group_algebra_product(p, f, g)
-                assert got == want and list(got) == list(want), (p, f, g)
+                _check_kernel(p, f, g)
         # a mismatched prime on either factor, also next to a matching one
         other = CyclotomicScalar.one(3 if p != 3 else 5)
         one = CyclotomicScalar.one(p)
@@ -307,11 +343,11 @@ def test_kernel_matches_scalar_oracle_on_every_term_shape():
 
 
 def test_kernel_matches_scalar_oracle_on_monomial_rung_outputs():
-    """Output rungs with one nonzero numerator, canonical by one gcd, against the scalar loop.
+    """Output rungs that sum one term or p terms, against the scalar loop.
 
     Products of scaled character projectors and of one-rung monomials:
-    every output power including p-1 (which has p-1 equal numerators in
-    canonical form), denominators that reduce, and rungs that cancel.
+    every output power including p-1, denominators that reduce, rungs of p
+    equal powers and rungs that cancel.
     """
     rng = random.Random(2111)
     seen = {"below top": 0, "top": 0, "reduced": 0, "cancelled": 0}
@@ -326,16 +362,65 @@ def test_kernel_matches_scalar_oracle_on_monomial_rung_outputs():
             s, t = rng.choice(scales), rng.choice(scales)
             cases.append(({rng.randrange(p): z[i].scale(s)}, {rng.randrange(p): z[j].scale(t)}))
         for f, g in cases:
-            want = scalar_product(p, f, g)
+            _check_kernel(p, f, g)
             got = group_algebra_product(p, f, g)
-            assert got == want and list(got) == list(want), (p, f, g)
-            den = next(iter(f.values()))._den * next(iter(g.values()))._den
+            den = next(iter(f.values())).den * next(iter(g.values())).den
             for x in got.values():
-                num = x._num
-                if num.count(0) == p - 1:
+                if x.k < p - 1 or p == 2:
                     seen["below top"] += 1
-                    seen["reduced"] += x._den != den
-                elif p > 2:
+                else:
                     seen["top"] += 1
+                seen["reduced"] += x.den != den
             seen["cancelled"] += len({(b1 + b2) % p for b1 in f for b2 in g}) - len(got)
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_kernel_raises_on_a_non_monomial_rung():
+    # {0: 1, 1: 1} after {0: 1, 1: zeta}: rung 1 sums 1*zeta + 1*1 = 1 + zeta,
+    # which at p=5 is no monomial, and at p=3 is -zeta^2
+    one, z = CyclotomicScalar.one(5), root_of_unity(5, 1)
+    f, g = {0: one, 1: one}, {0: one, 1: z}
+    with pytest.raises(NonMonomialRung, match=r"^rung 1 of a composite is not a monomial c\*zeta\^k at p=5$"):
+        group_algebra_product(5, f, g)
+    lad = LadderCategory(entry(5, "R"), entry(5, "F0"))
+    obj = LadderObject(0, "*")
+    with pytest.raises(NonMonomialRung):
+        lad.compose(LadderMorphism(obj, obj, f), LadderMorphism(obj, obj, g))
+    one, z = CyclotomicScalar.one(3), root_of_unity(3, 1)
+    got = group_algebra_product(3, {0: one, 1: one}, {0: one, 1: z})
+    assert got == {0: one, 1: root_of_unity(3, 2).scale(-1), 2: z}
+    assert repr(got[1]) == "Cyc(p=3: 1 + z)"
+
+
+def test_kernel_matches_the_field_oracle_on_every_engine_composition(monkeypatch):
+    """Every composition the engine makes, against the scalar loop on the field oracle.
+
+    Serial build_table at p <= 11, and analyze of every ordered pair at
+    p <= 5, plain and with both factors random_twist'ed.  The stored
+    projectors are rebuilt, so their idempotent checks are compared too.
+    """
+    kernel, calls = ladders.group_algebra_product, []
+
+    def checked(p, f, g):
+        calls.append(p)
+        got = kernel(p, f, g)
+        want = scalar_product(p, _oracle(f), _oracle(g))
+        assert _oracle(got) == want and list(got) == list(want), (p, f, g)
+        return got
+
+    monkeypatch.setattr(ladders, "group_algebra_product", checked)
+    monkeypatch.setattr("bpring.karoubi.group_algebra_product", checked)
+    _projector_coeffs.cache_clear()
+    try:
+        for p in (2, 3, 5, 7, 11):
+            build_table(p, workers=1)
+        rng = random.Random(505)
+        for p in (2, 3, 5):
+            cat = catalogue(p)
+            twisted = [random_twist(e, rng) for e in cat]
+            for lefts, rights in ((cat, cat), (twisted, twisted)):
+                for M, N in itertools.product(lefts, rights):
+                    analyze(M, N)
+    finally:
+        _projector_coeffs.cache_clear()
+    assert len(calls) > 1000 and set(calls) == {2, 3, 5, 7, 11}
