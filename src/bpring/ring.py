@@ -25,7 +25,6 @@ indices when first read), so a replaced cell is seen by the next call.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -385,6 +384,8 @@ def _products_json(table: RingTable) -> str:
     cell), and equal cells reuse it; each label is quoted once per call.
     tests/test_ring.py compares the whole text with the json encoder's.
     """
+    import json
+
     names = [str(b) for b in table.basis]
     quoted = [json.dumps(name) for name in names]
     ends = [f'{b}": ' for b in names]  # each key is a row's prefix and a column's end
@@ -407,6 +408,8 @@ def _products_json(table: RingTable) -> str:
 
 def serialize(table: RingTable, format: str = "json") -> str:
     if format == "json":
+        import json  # loaded by the JSON readers and writers only
+
         report = check_axioms(table)
         products = _products_json(table)
         payload = {
@@ -446,6 +449,8 @@ def parse_json(text: str) -> RingTable:
     it, a p or multiplicity that is not an integer, or a multiplicity below 1
     raises ValueError naming it.
     """
+    import json
+
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("the JSON text is not an object")

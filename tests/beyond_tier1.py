@@ -193,6 +193,22 @@ def kernel_vs_field_oracle_p17():
     return f"kernel differs from the field oracle on {len(bad)} compositions, first {bad[0]}" if bad else None
 
 
+@check("pool-under-spawn")
+def pool_under_spawn():
+    """The worker pool of build_table when workers start by spawn, the default on
+    macOS (and forkserver, from Python 3.14 on Linux): each worker imports the
+    package afresh, and its names load on first use there too."""
+    import multiprocessing
+
+    from bpring.closed_form import closed_form_table
+    from bpring.fusion import build_table
+
+    multiprocessing.set_start_method("spawn")
+    if build_table(7, workers=2).constants != closed_form_table(7).constants:
+        return "build_table(7, workers=2) under spawn differs from the closed form"
+    return None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1 or argv[0] not in CHECKS:
         print("usage: python tests/beyond_tier1.py NAME, one of: " + ", ".join(CHECKS), file=sys.stderr)

@@ -90,7 +90,10 @@ def rung_target(lad: LadderCategory, obj: LadderObject, b: int) -> LadderObject:
 
 
 def hom_rungs(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list[int]:
-    return [b for b in range(lad.p) if rung_target(lad, src, b) == tgt]
+    """The rungs b whose basic ladder out of src lands on tgt, read on leg indices as rung_target reads them."""
+    M, N, p = lad.M, lad.N, lad.p
+    m, n, tm, tn = M.index[src.m], N.index[src.n], M.index[tgt.m], N.index[tgt.n]
+    return [b for b in range(p) if N.left[b][n] == tn and M.right[-b % p][m] == tm]
 
 
 def basic(lad: LadderCategory, src: LadderObject, b: int) -> LadderMorphism:
@@ -192,8 +195,11 @@ def simples(left, right) -> list[KarSimple]:
 
 def hom_basis(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list[LadderMorphism]:
     """The basic ladders from src to tgt, one per admissible rung."""
+    rungs = hom_rungs(lad, src, tgt)
+    if not rungs:  # nearly every pair the isomorphism search tries
+        return []
     one = CyclotomicScalar.one(lad.p)
-    return [LadderMorphism(src, tgt, {b: one}) for b in hom_rungs(lad, src, tgt)]
+    return [LadderMorphism(src, tgt, {b: one}) for b in rungs]
 
 
 def reduce_to_basis(morphisms) -> list[LadderMorphism]:

@@ -5,7 +5,8 @@ the hand-written closed form and the domain-wall oracle.  Their agreement is
 evidence only while no route derives from another, so no route may import
 another, directly or through a shared module.  The graph is read from the
 source with ast, imports inside functions included, so it does not depend on
-what happens to be loaded.
+what happens to be loaded.  The package loads each name on first use, so a
+run loads only the route it calls; that is checked on fresh interpreters.
 
 The library also holds no code that only the tests call: every function,
 class and method it defines must be named somewhere in the library, the
@@ -13,9 +14,14 @@ demos or the benchmark.  Test-only helpers live in tests/.
 """
 
 import ast
+import os
 import shutil
+import subprocess
+import sys
 from collections import deque
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bpring"
@@ -118,24 +124,66 @@ def test_graph_sees_imports_inside_functions_and_through_shared_modules(tmp_path
     assert "route closed_form reaches another route: closed_form -> ring -> fusion" in found
 
 
+# Each run, in a fresh interpreter: its code, the bpring modules it loads,
+# and modules it must not load.
+VERIFY_P5 = """import bpring
+t = bpring.closed_form_table(5)
+assert not bpring.diff_tables(t, bpring.oracle_table(5))
+assert bpring.check_axioms(t).ok()
+units = bpring.units_group(t)
+assert (units.order, units.is_dihedral()) == (8, True)
+assert not bpring.diff_tables(t, bpring.parse_json(bpring.serialize(t, "json")))
+"""
+RUNS = {
+    "import": ("import bpring", set(), {"multiprocessing", "json"}),
+    "verify": (VERIFY_P5, SHARED | ROUTES["closed_form"] | ROUTES["walls"], {"multiprocessing"}),
+    "build_table": ("import bpring\nbpring.build_table(3)", SHARED | ROUTES["engine"],
+                    {"multiprocessing", "json"}),
+}
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The modules that code loads in a fresh interpreter, beyond those loaded at start-up."""
+    probe = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))"
+    env = {k: v for k, v in os.environ.items() if k != "BPRING_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(out.stdout))
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_a_run_loads_only_the_route_it_calls(run):
+    code, modules, absent = RUNS[run]
+    loaded = modules_loaded_by(code)
+    assert {m for m in loaded if m.split(".")[0] == PACKAGE} == {PACKAGE} | {f"{PACKAGE}.{m}" for m in modules}
+    assert not loaded & absent
+
+
 def _is_def(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
 
-def definitions(src: Path) -> dict[str, str]:
-    """Every function, class and non-dunder method defined at the top of a module or a class.
+def _is_named_def(node) -> bool:
+    """A definition whose name is not a dunder: the interpreter calls dunders itself."""
+    return _is_def(node) and not (node.name.startswith("__") and node.name.endswith("__"))
 
-    Maps "module.name" or "module.Class.method" to the name a reference uses.
+
+def definitions(src: Path) -> dict[str, str]:
+    """Every non-dunder function, class and method defined at the top of a module or a class.
+
+    A dunder is called by the interpreter, whether a class's __len__ or a
+    module's __getattr__ and __dir__.  Maps "module.name" or
+    "module.Class.method" to the name a reference uses.
     """
     out = {}
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if not _is_def(node):
+            if not _is_named_def(node):
                 continue
             out[f"{path.stem}.{node.name}"] = node.name
             if isinstance(node, ast.ClassDef):
                 for member in node.body:
-                    if _is_def(member) and not (member.name.startswith("__") and member.name.endswith("__")):
+                    if _is_named_def(member):
                         out[f"{path.stem}.{node.name}.{member.name}"] = member.name
     return out
 
@@ -192,18 +240,22 @@ def test_library_defines_nothing_that_only_the_tests_use():
 
 
 def test_unused_definition_guard_sees_a_method_only_the_tests_call(tmp_path):
-    """A method that only tests call is found; one that a demo calls is not."""
+    """A method or module function that only tests call is found; one that a
+    demo calls is not, nor a dunder of a class or a module."""
     (tmp_path / "src" / PACKAGE).mkdir(parents=True)
     for d in USERS:
         (tmp_path / d).mkdir()
     (tmp_path / "src" / PACKAGE / "thing.py").write_text(
         "class Thing:\n    def used(self):\n        return self._helper()\n\n"
         "    def _helper(self):\n        return 1\n\n    def spare(self):\n        return 2\n\n"
-        "    def __len__(self):\n        return 0\n"
+        "    def __len__(self):\n        return 0\n\n\n"
+        "def spare_function():\n    return 3\n\n\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
+        "def __dir__():\n    return []\n"
     )
     (tmp_path / "demos" / "demo.py").write_text("from bpring.thing import Thing\nThing().used()\n")
     (tmp_path / "perfbench" / "record.py").write_text(
         "from types import SimpleNamespace\n\nclass Record:\n    spare: int\n\n"
         "Record().spare\nSimpleNamespace(spare=2).spare\n"
     )
-    assert unused_definitions(tmp_path) == ["thing.Thing.spare"]
+    assert unused_definitions(tmp_path) == ["thing.Thing.spare", "thing.spare_function"]

@@ -4,8 +4,6 @@ import json
 import os
 import random
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -642,13 +640,6 @@ def test_threads_unset_or_empty_means_serial(monkeypatch):
     build_table(2)
     monkeypatch.setenv("BPRING_THREADS", "")
     build_table(2)
-
-
-def test_import_leaves_multiprocessing_unloaded():
-    # the pool is imported only when a table is built with more than one worker
-    code = "import sys, bpring; sys.exit('multiprocessing' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_markdown_row_count():
