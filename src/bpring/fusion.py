@@ -126,9 +126,9 @@ from operator import add
 from .bimodules import BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple, label_invariants
 from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
-from .karoubi import FIXED, KarEnvelope, KarObject, KarSimple, gatherer, proportionality
+from .karoubi import FIXED, KarEnvelope, KarObject, KarSimple, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism
-from .ring import RingTable
+from .ring import RingTable, gatherer
 
 
 class ClassificationError(EngineError):

@@ -43,7 +43,7 @@ and the classes repeat N's leg pattern.  The last rule reads every entry of
 M's rung rows, where the leg walk reads those of the bases only, so before
 it is first used M's rows are checked to compose as a Z_p action; a failure
 is reported as a rung orbit that is not a Z_p orbit.  Each row's lists are
-gathered in C by an operator.itemgetter (gatherer), the classes of the third
+gathered in C by an itemgetter (ring.gatherer), the classes of the third
 kind from those of the base row.  The walk records classes only, as
 three integer lists: per object index, the class of its first simple and its
 rung from the base; per class, the object index of its base.  A fixed base
@@ -95,11 +95,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject, group_algebra_product
+from .ring import gatherer
 
 
 class UnsupportedEndAlgebra(EngineError):
@@ -183,19 +183,6 @@ class LegOrbits(NamedTuple):
 
     base: tuple[int, ...]
     rung: tuple[int, ...]  # FIXED on a fixed simple
-
-
-def gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """The function seq -> (seq[i] for i in indices), as a tuple, gathered in C.
-
-    operator.itemgetter with one index returns the item itself, so that case
-    is wrapped.  Gathering from a list of existing ints is much faster than
-    from a range, which makes each int anew.
-    """
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
 
 
 def _leg_orbits(rows: Sequence[Sequence[int]], p: int, name: Callable[[int], LadderObject]) -> LegOrbits:

@@ -4,8 +4,9 @@ RingTable holds the structure constants over the 2p+2 indecomposable labels.
 Each route fills one: bpring.fusion.build_table from the ladder/Karoubi
 engine, bpring.closed_form.closed_form_table from the hand-written law, and
 bpring.walls.oracle_table from wall stacking.  This module holds only what
-reads a table: diff_tables, check_axioms, units_group (the dihedral group of
-invertible labels), serialize and parse_json.  It imports no route, so the
+reads a table (diff_tables, check_axioms, units_group (the dihedral group of
+invertible labels), serialize and parse_json) and gatherer, the C-level
+gather that the readers and the engine share.  It imports no route, so the
 routes can share it and stay independent; tests/test_import_graph.py checks
 this.  check_axioms decides associativity exactly by the middle nucleus: X1
 joins it uncompared when the unit check passes, the middles read by a gather
@@ -25,7 +26,7 @@ indices when first read), so a replaced cell is seen by the next call.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -35,6 +36,21 @@ from .bimodules import BimoduleLabel, Decomposition, all_labels
 
 class TableError(RuntimeError):
     """A table breaks an invariant that one of its readers relies on."""
+
+
+def gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The function seq -> (seq[i] for i in indices), as a tuple, gathered in C.
+
+    operator.itemgetter with one index returns the item itself and with none
+    raises TypeError, so those cases are wrapped.  Gathering from a list of
+    existing ints is much faster than from a range, which makes each int anew.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if not indices:
+        return lambda seq: ()
+    (i,) = indices
+    return lambda seq: (seq[i],)
 
 
 @dataclass
@@ -113,8 +129,11 @@ class AxiomReport:
         return self.unit_ok and self.associativity_ok
 
 
-def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomReport:
+def check_axioms(table: RingTable) -> AxiomReport:
     """Verify that X_1 is a two-sided unit and that the ring is associative.
+
+    Both checks run on every call, so a report's associativity_ok is always
+    decided, never assumed.
 
     Associativity is exact and complete by the middle nucleus
     N = {z : (x.z).y = x.(z.y) for all x, y} (Light's test): the table is
@@ -147,30 +166,28 @@ def check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomRep
             violations.append(f"{a} x X1 != {a}")
             unit_ok = False
 
-    associativity_ok = True
-    if check_associativity:
-        n = len(basis)
-        nz = [tuple(rows) for rows in constants]
-        proven, unproven, members, failed = bytearray(n), n, [], {}
-        for j, compare in _walk(nz, proven, e if unit_ok else None):
-            if compare:
-                found = _middle_violations(table, nz, j)
-                if found:
-                    failed.update(found)
-                    continue
-            proven[j], unproven, queue = 1, unproven - 1, [j]
-            while queue and unproven:
-                s = queue.pop()
-                members.append(s)
-                for t in members:
-                    for cell in (nz[s][t], nz[t][s]):
-                        if len(cell) == 1 and cell[0][1] and not proven[cell[0][0]]:
-                            proven[cell[0][0]] = 1
-                            unproven -= 1
-                            queue.append(cell[0][0])
-        associativity_ok = not failed
-        for key in sorted(failed):
-            violations += failed[key]
+    n = len(basis)
+    nz = [tuple(rows) for rows in constants]
+    proven, unproven, members, failed = bytearray(n), n, [], {}
+    for j, compare in _walk(nz, proven, e if unit_ok else None):
+        if compare:
+            found = _middle_violations(table, nz, j)
+            if found:
+                failed.update(found)
+                continue
+        proven[j], unproven, queue = 1, unproven - 1, [j]
+        while queue and unproven:
+            s = queue.pop()
+            members.append(s)
+            for t in members:
+                for cell in (nz[s][t], nz[t][s]):
+                    if len(cell) == 1 and cell[0][1] and not proven[cell[0][0]]:
+                        proven[cell[0][0]] = 1
+                        unproven -= 1
+                        queue.append(cell[0][0])
+    associativity_ok = not failed
+    for key in sorted(failed):
+        violations += failed[key]
     return AxiomReport(unit_ok, associativity_ok, violations)
 
 
@@ -205,7 +222,7 @@ def _middle_violations(table: RingTable, nz: list, j: int) -> dict:
     # a_i.(a_j.c) reads each single cell f of row j with multiplicity 1 as
     # cell f of row i, and sums the other cells of row j
     single = [cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else None for cell in nz[j]]
-    gather = itemgetter(*(0 if f is None else f for f in single))
+    gather = gatherer([0 if f is None else f for f in single])
     rest = [(k, cell) for k, (f, cell) in enumerate(zip(single, nz[j])) if f is None]
     basis, found = table.basis, {}
     for i in cols:
@@ -282,7 +299,7 @@ def units_group(table: RingTable) -> UnitsGroup:
     units = [i for i in cols if _is_unit(N, i, one)]
     at = {j: n for n, j in enumerate(units)}  # the position of each unit among the units
     label_of = {((k, 1),): k for k in cols}  # a single-label cell -> its label's index
-    at_units = _gatherer(units)
+    at_units = gatherer(units)
     rows = {}  # unit i -> [the index of the unit a_i x a_j, for the units j in order]
     for i in units:
         row = list(map(label_of.get, at_units(N[i])))
@@ -309,13 +326,6 @@ def units_group(table: RingTable) -> UnitsGroup:
     return UnitsGroup(labels, len(labels), _UnitTable(basis, units, rows), cyclic_ok, involution_ok, conjugation_ok)
 
 
-def _gatherer(indices: list):
-    """The function seq -> (seq[i] for i in indices), as a tuple, gathered in C where it can be."""
-    if len(indices) > 1:
-        return itemgetter(*indices)
-    return lambda seq: tuple(seq[i] for i in indices)
-
-
 def _cyclic(rows: dict, at: dict, x: dict, p: int) -> bool:
     """Whether X_k x X_l = X_(kl mod p) for all k, l, with x[k] the unit X_k for every k in 1..p-1.
 
@@ -324,7 +334,7 @@ def _cyclic(rows: dict, at: dict, x: dict, p: int) -> bool:
     """
     xs = [None] + [x[k] for k in range(1, p)]
     repeated = xs * p  # repeated[m] is X_(m mod p)
-    at_xs = _gatherer([at[i] for i in xs[1:]])
+    at_xs = gatherer([at[i] for i in xs[1:]])
     return all(at_xs(rows[x[k]]) == tuple(repeated[k:k * p:k]) for k in range(1, p))
 
 
@@ -421,7 +431,7 @@ def serialize(table: RingTable, format: str = "json") -> str:
         }
         text = json.dumps(payload, indent=2).replace('"products": null', '"products": ' + products, 1)
         return text + "\n"
-    if format == "markdown" or format == "md":
+    if format == "md":
         names = [str(b) for b in table.basis]
         # each cell's text is built once: the widest sets the column width
         texts = [[str(table.product(a, b)) for b in table.basis] for a in table.basis]

@@ -71,7 +71,7 @@ def outputs():
         for fmt in ("json", "md"):
             argv = ("fuse", "--p", "11", "--left", a, "--right", b, "--detail", "--format", fmt)
             yield (" ".join(argv), *_cli(parser, *argv))
-    yield ("verify --p 17 --oracle --triples", *_cli(parser, "verify", "--p", "17", "--oracle", "--triples"))
+    yield ("verify --p 17", *_cli(parser, "verify", "--p", "17"))
     for p in (7, 11, 13, 17):
         yield f'serialize(closed_form_table({p}), "json")', serialize(closed_form_table(p), "json"), None
         yield f'serialize(oracle_table({p}), "json")', serialize(oracle_table(p), "json"), None

@@ -50,7 +50,7 @@ def densified(table: RingTable) -> list:
     return [[dense_row(table, i, j) for j in n] for i in n]
 
 
-def dense_check_axioms(table: RingTable, check_associativity: bool = True) -> AxiomReport:
+def dense_check_axioms(table: RingTable) -> AxiomReport:
     violations = []
     unit = BimoduleLabel("X", 1)
     unit_ok = True
@@ -63,30 +63,29 @@ def dense_check_axioms(table: RingTable, check_associativity: bool = True) -> Ax
             unit_ok = False
 
     associativity_ok = True
-    if check_associativity:
-        n = len(table.basis)
-        N = densified(table)
-        # the nonzero entries (e, N[i][j][e]) of every product a_i x a_j
-        terms = [[[(e, m) for e, m in enumerate(row) if m] for row in rows] for rows in N]
-        for i in range(n):
-            for j in range(n):
-                ij = terms[i][j]
-                for k in range(n):
-                    # (a_i x a_j) x a_k and a_i x (a_j x a_k) as dense rows over q
-                    lhs, rhs = [0] * n, [0] * n
-                    for e, m in ij:
-                        lhs = [a + m * x for a, x in zip(lhs, N[e][k])]
-                    for f, m in terms[j][k]:
-                        rhs = [a + m * x for a, x in zip(rhs, N[i][f])]
-                    if lhs == rhs:
-                        continue
-                    associativity_ok = False
-                    for q in range(n):
-                        if lhs[q] != rhs[q]:
-                            violations.append(
-                                f"associativity fails at ({table.basis[i]}, {table.basis[j]}, "
-                                f"{table.basis[k]}) -> {table.basis[q]}: {lhs[q]} != {rhs[q]}"
-                            )
+    n = len(table.basis)
+    N = densified(table)
+    # the nonzero entries (e, N[i][j][e]) of every product a_i x a_j
+    terms = [[[(e, m) for e, m in enumerate(row) if m] for row in rows] for rows in N]
+    for i in range(n):
+        for j in range(n):
+            ij = terms[i][j]
+            for k in range(n):
+                # (a_i x a_j) x a_k and a_i x (a_j x a_k) as dense rows over q
+                lhs, rhs = [0] * n, [0] * n
+                for e, m in ij:
+                    lhs = [a + m * x for a, x in zip(lhs, N[e][k])]
+                for f, m in terms[j][k]:
+                    rhs = [a + m * x for a, x in zip(rhs, N[i][f])]
+                if lhs == rhs:
+                    continue
+                associativity_ok = False
+                for q in range(n):
+                    if lhs[q] != rhs[q]:
+                        violations.append(
+                            f"associativity fails at ({table.basis[i]}, {table.basis[j]}, "
+                            f"{table.basis[k]}) -> {table.basis[q]}: {lhs[q]} != {rhs[q]}"
+                        )
     return AxiomReport(unit_ok, associativity_ok, violations)
 
 

@@ -106,12 +106,12 @@ def test_criterion_3_worked_example_replay():
 
 def test_criterion_4_ring_axioms(engine_tables):
     for p in PRIMES:
-        report_p = check_axioms(engine_tables[p], check_associativity=True)
+        report_p = check_axioms(engine_tables[p])
         assert report_p.unit_ok, f"p={p}"
         assert report_p.associativity_ok, f"p={p}"
     for p in (5, 7):
-        assert cli_main(["verify", "--p", str(p), "--triples"]) == 0
-    report(4, f"unit and exhaustive associativity for p in {PRIMES}, and via verify --triples at p in (5, 7)")
+        assert cli_main(["verify", "--p", str(p)]) == 0
+    report(4, f"unit and exhaustive associativity for p in {PRIMES}, and via verify at p in (5, 7)")
 
 
 def test_criterion_5_units_group(engine_tables):

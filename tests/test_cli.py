@@ -108,6 +108,8 @@ def test_p_has_one_spelling(capsys, command, p):
         ([], "the following arguments are required: command"),
         (["nope"], "argument command: invalid choice: 'nope' (choose from 'catalog', 'fuse', 'table', 'verify')"),
         (["catalog", "--p", "3", "--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'json', 'md')"),
+        (["verify", "--p", "3", "--oracle"], "unrecognized arguments: --oracle"),
+        (["verify", "--p", "3", "--triples"], "unrecognized arguments: --triples"),
     ],
 )
 def test_every_usage_error_is_one_line(capsys, argv, message):
@@ -151,18 +153,39 @@ def test_table_unwritable_path(capsys, tmp_path):
     assert "cannot write" in err
 
 
+VERIFY_OK = "closed-form table: ok\nunit: ok\nassociativity: ok\nwall oracle: ok\n"
+
+
 def test_verify_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--oracle", "--triples")
-    assert code == 0
-    assert "closed-form table: ok" in out
-    assert "wall oracle: ok" in out
-    assert "associativity: ok" in out
+    # verify has one mode: all four checks, in this order, on every run
+    assert run_cli(capsys, "verify", "--p", "2") == (0, VERIFY_OK, "")
 
 
 def test_verify_p3(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "3")
-    assert code == 0
-    assert "unit: ok" in out
+    assert run_cli(capsys, "verify", "--p", "3") == (0, VERIFY_OK, "")
+
+
+def test_verify_checks_associativity_without_flags(capsys, monkeypatch):
+    # X2 x X2 = X1 at p=5 keeps X1 a unit but breaks associativity:
+    # (X2 x X2) x X3 = X3, while X2 x (X2 x X3) = X2 x X1 = X2
+    from bpring import cli
+    from bpring.bimodules import Decomposition, label_parse
+    from bpring.closed_form import closed_form_table
+
+    def non_associative(p):
+        table = closed_form_table(p)
+        table.set_product(label_parse("X2"), label_parse("X2"), Decomposition.single(label_parse("X1")))
+        return table
+
+    monkeypatch.setattr(cli, "build_table", non_associative)
+    code, out, _ = run_cli(capsys, "verify", "--p", "5")
+    assert code == 1
+    assert out.splitlines()[:4] == [
+        "closed-form table: FAIL",
+        "unit: ok",
+        "associativity: FAIL",
+        "wall oracle: FAIL",
+    ]
 
 
 def test_fuse_detail_matches_golden_files(capsys):
@@ -257,9 +280,9 @@ def test_verify_lists_only_unit_violations_under_unit(capsys, monkeypatch):
         return table
 
     monkeypatch.setattr(cli, "build_table", broken_unit_table)
-    code, out, _ = run_cli(capsys, "verify", "--p", "2", "--triples")
+    code, out, _ = run_cli(capsys, "verify", "--p", "2")
     assert code == 1
-    assert "unit: FAIL" in out and "associativity: FAIL" in out
+    assert "unit: FAIL" in out and "associativity: FAIL" in out and "wall oracle: FAIL" in out
     unit_lines = [line for line in out.splitlines() if line.startswith("  unit: ")]
     assert unit_lines == ["  unit: X1 x T != T"]
     assert any(line.startswith("  associativity: associativity fails at ") for line in out.splitlines())
@@ -275,7 +298,7 @@ def test_oracle_fault_exit_code(capsys, monkeypatch):
 
     real_wall_of = walls.wall_of
     monkeypatch.setattr(walls, "wall_of", sheared_wall_of)
-    code, out, err = run_cli(capsys, "verify", "--p", "3", "--oracle")
+    code, out, err = run_cli(capsys, "verify", "--p", "3")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: wall map ((1, 1), (0, 1)) ")

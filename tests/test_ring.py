@@ -133,9 +133,6 @@ def test_sparse_axioms_match_dense_oracle():
             t = _perturbed(p, 100 * p + seed)
             got = _summary(check_axioms(t))
             assert got == _summary(dense_check_axioms(t)), f"p={p} seed={seed}"
-            assert _summary(check_axioms(t, check_associativity=False)) == _summary(
-                dense_check_axioms(t, check_associativity=False)
-            )
             broken_assoc += not got[1]
             broken_unit += not got[0]
     # the perturbations really exercise both halves of the check
@@ -198,6 +195,7 @@ def test_row_readers_match_product_oracles():
     tables += [_perturbed(p, 100 * p + seed) for p in (2, 3, 5, 7) for seed in range(20)]
     tables += [t for p in (2, 3, 5) for t in _unit_breaks(p)]
     tables.append(_inverse_not_a_unit())
+    tables.append(RingTable.empty(3))  # no unit: units_group gathers at no index
     raised = fewer_units = 0
     for t in tables:
         got = _units_outcome(units_group, t)
