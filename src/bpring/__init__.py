@@ -38,9 +38,7 @@ _EXPORTS = {
         "ClassificationError",
         "ProductAnalysis",
         "RelativeTensorProduct",
-        "analyze",
         "build_table",
-        "decompose",
     ),
     "groups": ("Subgroup", "enumerate_subgroups", "subgroup_from_generators"),
     "karoubi": ("KarEnvelope", "KarObject", "KarSimple"),

@@ -96,7 +96,7 @@ class BimoduleLabel:
 
 
 def label_parse(text: str) -> BimoduleLabel:
-    m = _LABEL_RE.fullmatch(text.strip())
+    m = _LABEL_RE.fullmatch(text)
     if not m:
         raise LabelParseError(f"cannot parse bimodule label {text!r}")
     kind, idx = m.group(1), m.group(2)

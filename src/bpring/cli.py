@@ -6,11 +6,12 @@ reader.  verify runs the same four checks on every run, in this order: the
 engine's table against the closed form, the unit, associativity on every
 triple, and the table against the wall oracle.  It prints one status line
 per check, then each failing check's findings, at most 20 lines each.
-All output is deterministic.  A number in --p or in a label is
-ASCII digits with no leading zero; any other spelling is invalid input, and
-fuse prints each label as parsed.  BPRING_THREADS, a positive integer
-(unset or empty means 1), sets how many worker processes build a table,
-capped at the CPU count; any other value is invalid input.
+All output is deterministic.  --p and each label have one spelling, with
+no surrounding whitespace and any number in ASCII digits with no leading
+zero; any other spelling is invalid input, and fuse prints each label as
+parsed.  BPRING_THREADS, a positive integer (unset or empty means 1), sets
+how many worker processes build a table, capped at the CPU count; any other
+value is invalid input.
 """
 
 from __future__ import annotations

@@ -1,113 +1,29 @@
 """Relative tensor product of two bimodules, computed through Kar(Lad(M, N)).
 
-The outer Z_p actions are endofunctors of the ladder category: acting by g on
-the left shifts the M leg of every object by M.left[g] and multiplies the
-rung-b slot of a morphism by zeta^M.mixed[g][i][b], i the index of its
-target's M leg; acting by h on the right shifts the N leg by N.right[h] and
-multiplies by zeta^N.mixed[b][j][h], j the index of its source's N leg.
-Each such multiplication is a rotation (CyclotomicScalar.rotate), which
-moves only the monomial's exponent and keeps a nonzero scalar nonzero, so
-act_left and act_right build the result without the constructor's zero
-filter (LadderMorphism._nonzero).  When every exponent of
-the acting entry's mixed table is 0 (BimoduleData.trivial_mixed, read once
-per entry), every rotation is by zero and the action is the identity on
-coefficients: the shifted morphism takes the input's own coefficient dict.
-That holds for every catalogue entry but F_q with q != 0; a gauge-twisted
-entry, or F_q, rotates every rung.  Objects are shifted as object indices,
-by one index shift (_shift): acting by g on the left sends n*|M| + m to
-n*|M| + M.left[g][m], and acting on the right sends it to
-N.right[g][n]*|M| + m.  act_left and act_right read a morphism's two object
-indices once and shift them; acting on an idempotent shifts its object
-once, for its source and target (_apply).  Applying a functor to a Kar
-simple and re-anchoring to the canonical class representative yields the
-action on simples together with an absorbing witness morphism
-(outer_action).
+The simples of the product are those of the Karoubi envelope (bpring.karoubi).
+The outer Z_p actions are endofunctors of the ladder category, act_left and
+act_right: each moves one leg of an object (_shift) and rotates each rung of a
+morphism by an exponent of that side's mixed table (_rotated).  outer_action
+applies one to a simple and re-anchors the result to its class.
 
-The orbits only need where each simple goes under the generators, and that
-is read on class indices, with no witness and no simple built.  Acting by 1
-multiplies the rung-b slot of End(obj) by zeta^e(b), with e(b) read from the
-exponent table.  It sends the character projector I_k of obj to the stored
-projector I_(k+e(1)) of the shifted object exactly when e(b) = b e(1) for
-every rung b of End(obj) and the shifted object has the same End dimension.
-Both are checked, and a failure is a ClassificationError; class (obj, k) then
-steps to the class of (shift(obj), k + e(1)).  This is the condition under
-which re-anchoring the acted projector succeeds, so the step tables verify no
-less than the witness route.  The step tables are built a row at a time,
-like the envelope's classes (see bpring.karoubi): each row that makes
-classes gives one block of each table, gathered in C from a row of the
-envelope's class list.  The shifts are two rows of the entries' action
-tables, shift_m = M.left[1] on the M leg and shift_n = N.right[1] on the N
-leg, like the rung rows of LadderCategory, so the left step keeps an object
-in its row and the right step moves it to row shift_n[n].  A leg is fixed or
-free on every rung, so the End-dimension check compares the legs' orbit
-kinds; e depends only on the leg simple on that side and the End dimension,
-so it is read and checked once per such pair.  A simple is built only where
-a witness needs one: the orbit representative handed to mixed_associator,
-and those that analyze reports.
+Classifying the product reads the following, each described where it is done:
 
-The two step permutations must commute on every simple; this is checked
-once per product, before the orbits are read, by comparing lstep after
-rstep with rstep after lstep, each composite gathered in C; a failure is a
-ClassificationError naming the first simple where they differ.  The orbit
-of a simple is then the union of the rstep cycles through the points of
-its lstep cycle, walked over one bytearray, whose find jumps in C to the
-first simple of the next orbit.  Each step is the action of
-the generator 1 of Z_p, so commuting steps are an action of Z_p x Z_p: an
-orbit has size 1, p or p^2 and its stabilizer has order p^2 / size:
-size p^2 gives the trivial subgroup, size 1 the full group, and size p a
-line, found among the p+1 canonical generators by walking the steps, O(p)
-per orbit.  Any other size, or a size-p orbit whose representative is fixed
-by no line or by more than one, is a ClassificationError.
+- _step_tables: the class each simple goes to under the generator 1 of each
+  side, read on class indices with the checks of _exponent, no simple built;
+- orbits: the check that the two steps commute, and the orbit walk, which
+  counts each orbit from its least simple;
+- _stabilizer: an orbit's stabilizer, read from its size;
+- mixed_associator and _witness_path: the associator exponent, the ratio of
+  two witness paths composed of LadderMorphisms;
+- _classify: the label, F_q for a full stabilizer with q the exponent, else
+  the one label that bimodules.label_invariants maps to the stabilizer.
 
-The mixed associator of the product at (g, h) is the scalar ratio of the two
-witness paths (left-g then right-h) / (right-h then left-g), both of which are
-morphisms in the same one-dimensional absorbed Hom space.  Each path acts,
-re-anchors through a connector, acts on the landing class's
-representative, re-anchors again, and is composed with one lad.compose; the
-two landing classes are compared as integers, and the ratio is read by
-proportionality and phase_exponent.  A path runs on object and class
-indices: it carries an object index and an idempotent, locates each acted
-idempotent at its shifted index (KarEnvelope._locate_at, which keeps every
-check of locate and returns the class), and reads the landing class's
-representative as its base's index and stored coefficients, with no Kar
-object.  A connector is built (KarEnvelope._to_rep) only where it is acted,
-composed or returned.  When the first landing j is its class's base r1
-(r1 == j), the first connector is that base's idempotent, sharing the
-representative's coefficient dict and endpoints, so its action is the
-acted idempotent that the path has just built, and that one is reused.  If
-the second landing j2 is a base too (bases[c2] == j2), the second connector
-is that base's stored idempotent e, which _locate_at has just compared with
-the acted idempotent on every rung; the path is e followed by e, which is
-e, so the connector is the path and lad.compose is not called.  When both
-paths end so on one base, they share its stored idempotent's coefficient
-dict, and proportionality returns one without a scalar operation; both
-paths are still built and located, with all of the locate checks.  The
-idempotent law e e = e is not assumed: each stored projector is composed
-with itself once per prime, where the projectors are built
-(bpring.karoubi), and the free bases' identity is the unit of the group
-algebra.  The paths that carry the phase, an acted connector followed by
-u2, are all composed.  No simple is built on the way.  On an orbit fixed
-by both actions the connector gauges cancel in this ratio, so the
-extracted exponent is canonical; the calibration is fixed so that the
-product of the one-object bimodule with cocycle q and the invertible X_l
-comes out with exponent q*l at (g, h) = (1, 1).  Only these exponents, on
-orbits with full stabilizer (label F_q), are invariants of the product.  On
-an orbit with a trivial or line stabilizer the exponent depends on the
-gauge of the inputs: twisting a factor's mixed associator by a coboundary
-can change it, e.g. the T orbit of T x X1 at p=2 goes from 0 to 1.  So
-decompose, and with it build_table, runs the witness paths on
-full-stabilizer orbits only.  analyze, which fuse --detail prints, runs
-them on every orbit and reports each exponent as computed, never
-using it to classify a non-full orbit; both share one orbit loop and one
-stabilizer reading.  On a non-full orbit, what the witness paths checked
-beyond the exponent was that both paths land on one simple, i.e. that the
-actions commute there: the commutation check above covers that on every
-simple, and the step tables already check the re-anchoring the paths rely on.
-
-Classification of an orbit: stabilizer H = {(g,h) : g acts then h acts fixes
-the simple}; a full H gives F_q with q the associator exponent, and any other
-H the one label that bpring.bimodules.label_invariants maps to H (T, L, R or
-X_k), looked up in its inverse, built once per prime.
+Only the exponents of full-stabilizer orbits are invariants of the product;
+on any other orbit the exponent depends on the gauge of the inputs: twisting
+a factor's mixed associator by a coboundary can change it, e.g. the T orbit
+of T x X1 at p=2 goes from 0 to 1.  So decompose, and with it build_table,
+runs the witness paths on full-stabilizer orbits only, while analyze, which
+fuse --detail prints, reports every orbit's exponent (_classified_orbits).
 
 build_table assembles the engine's RingTable from one product per ordered
 pair of labels, serially or in a pool of worker processes.  The engine
@@ -203,7 +119,6 @@ class RelativeTensorProduct:
         self.env = KarEnvelope(self.lad)
         self._width = len(M.simples)  # object index n*|M| + m
         self._steps: tuple[list[int], list[int]] | None = None
-        self._exponents: dict[tuple, int] = {}  # (side, leg index, dim) -> e(1)
 
     @property
     def simples(self) -> list[KarSimple]:
@@ -234,7 +149,12 @@ class RelativeTensorProduct:
         return self._act("right", h % self.p, f, index(f.source), index(f.target))
 
     def _act(self, side: str, g: int, f: LadderMorphism, s: int, t: int) -> LadderMorphism:
-        """f, from the object of index s to that of index t, acted on by g (in 0..p-1) on side."""
+        """f, from the object of index s to that of index t, acted on by g (in 0..p-1) on side.
+
+        Each rotation (CyclotomicScalar.rotate) moves only a monomial's
+        exponent and keeps it nonzero, so the result is built without the
+        constructor's zero filter (LadderMorphism._nonzero).
+        """
         at = self.lad.object_at
         coeffs = self._rotated(side, g, f.coeffs, s, t)
         return LadderMorphism._nonzero(at(self._shift(side, g, s)), at(self._shift(side, g, t)), coeffs)
@@ -254,7 +174,9 @@ class RelativeTensorProduct:
 
         On the left the exponent is M.mixed[g][m][b], m the M leg of t; on
         the right it is N.mixed[b][n][g], n the N leg of s.  When that side's
-        entry has trivial_mixed set, coeffs itself is returned.
+        entry has trivial_mixed set (an all-zero mixed table, as on every
+        catalogue entry but F_q with q != 0), every rotation is by zero and
+        coeffs itself is returned, so the result shares the input's dict.
         """
         if side == "left":
             if self.M.trivial_mixed:
@@ -269,6 +191,7 @@ class RelativeTensorProduct:
     # -- actions on simples ---------------------------------------------------
 
     def outer_action(self, g: int, side: str, simple: KarSimple) -> ActionMorphism:
+        """The simple that acting by g on side sends simple to, with the normalized connector as witness."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         g = g % self.p
@@ -279,19 +202,14 @@ class RelativeTensorProduct:
     def _exponent(self, side: str, leg: int, dim: int) -> int:
         """e(1) for acting by 1 on side, on an object whose End has dimension dim.
 
-        leg is the index of the object's simple on that side.  Checks that
-        e(b) = b e(1) for every rung b of End(obj) (see the module
-        docstring), once per product for each (side, leg, dim).  When that
-        side's entry has trivial_mixed set, the table is all zero, which is
-        the character with e(1) = 0 on every rung, and 0 is returned with no
-        read.
+        leg is the index of the object's simple on that side.  Checks on
+        every call that e(b) = b e(1) for every rung b of End(obj), as
+        _step_tables needs.  When that side's entry has trivial_mixed set,
+        the table is all zero, which is the character with e(1) = 0 on every
+        rung, and 0 is returned with no read.
         """
         if (self.M if side == "left" else self.N).trivial_mixed:
             return 0
-        key = (side, leg, dim)
-        e1 = self._exponents.get(key)
-        if e1 is not None:
-            return e1
         if side == "left":
             exps = tuple(self.M.mixed[1][leg][:dim])
             simple = self.M.simples[leg]
@@ -304,7 +222,6 @@ class RelativeTensorProduct:
                 f"the {side} mixed associator on {format_simple(simple)} "
                 "is not a character of its rung stabilizer"
             )
-        self._exponents[key] = e1
         return e1
 
     def _step_tables(self) -> tuple[list[int], list[int]]:
@@ -315,10 +232,13 @@ class RelativeTensorProduct:
         the right moves its N leg to shift_n[n] = N.right[1][n], into row
         shift_n[n].  Class c + k, the character k of a base whose End has
         dimension dim, goes to class_at(shift(base)) + (k + e(1)) mod p,
-        after checking that the shift keeps the End dimension.  The tables
+        after checking that the shift keeps the End dimension.  These checks
+        are the condition under which re-anchoring the acted projector I_k to
+        the stored I_(k+e(1)) succeeds, so the tables check no less than the
+        witness route does.  A failure is a ClassificationError.  The tables
         are built a row at a time over the rows that make classes (see
-        bpring.karoubi), the left block of a row before its right block,
-        each gathered in C from a row of class_at:
+        KarEnvelope._walk_rows), the left block of a row before its right
+        block, each gathered in C from a row of class_at:
 
         - the base row of a free N orbit steps on the left by shift_m, and
           on the right to its target row as it stands;
@@ -413,7 +333,15 @@ class RelativeTensorProduct:
     # -- mixed associator -----------------------------------------------------
 
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
-        """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g)."""
+        """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g).
+
+        Both witness paths (_witness_path) lie in one one-dimensional
+        absorbed Hom space, and their ratio is read by proportionality and
+        phase_exponent.  On an orbit fixed by both actions the connector
+        gauges cancel in the ratio, so the exponent is canonical; the
+        calibration makes the product of the one-object bimodule with cocycle
+        q and the invertible X_l come out with exponent q*l at (1, 1).
+        """
         g, h = g % self.p, h % self.p
         base = self.env._base_of(simple.class_index)
         c2, path_rl = self._witness_path("right", h, "left", g, *base)
@@ -444,7 +372,8 @@ class RelativeTensorProduct:
         which _locate_at has just compared with the acted idempotent on
         every rung.  The path is e followed by e, which is e by the
         idempotent law, checked once per prime where the projectors are
-        stored (see bpring.karoubi), so u2 is the path and nothing is
+        stored (karoubi._checked_idempotent; a free base's identity is the
+        unit of the group algebra), so u2 is the path and nothing is
         composed.
         """
         env = self.env
@@ -464,38 +393,46 @@ class RelativeTensorProduct:
 
     # -- orbits and classification ---------------------------------------------
 
-    def orbits(self) -> list[list[int]]:
-        """Orbits of the two step permutations, after checking that they commute."""
+    def orbits(self) -> list[tuple[int, int]]:
+        """(first, size) for each orbit of the two step permutations, in walk order.
+
+        The steps are first checked to commute, lstep after rstep against
+        rstep after lstep, each gathered in C; a failure is a
+        ClassificationError naming the first simple where they differ.
+        Commuting steps are an action of Z_p x Z_p.  The orbit of i is the
+        union of the rstep cycles through the points of its lstep cycle,
+        walked over one bytearray of seen simples.  Each walk starts at the
+        least unseen simple, found in C by bytearray.find, so first is the
+        orbit's least member; the walk counts the members and keeps no list.
+        """
         lstep, rstep = self._step_tables()
-        # lstep after rstep against rstep after lstep, each gathered in C;
         # the walk runs only to name the first simple where they differ
         if gatherer(rstep)(lstep) != gatherer(lstep)(rstep):
             bad = next(i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]])
             raise ClassificationError(f"the left and right actions do not commute on {self.env.simple(bad)}")
-        # Commuting steps: the orbit of i is the union of the rstep cycles
-        # through the points of its lstep cycle.
         seen = bytearray(len(lstep))
         out = []
         i = seen.find(0)
         while i >= 0:
-            orbit = []
-            j = i
+            size, j = 0, i
             while not seen[j]:
                 k = j
                 while not seen[k]:
                     seen[k] = 1
-                    orbit.append(k)
+                    size += 1
                     k = rstep[k]
                 j = lstep[j]
-            orbit.sort()
-            out.append(orbit)
-            i = seen.find(0, i + 1)  # the next unseen simple, found in C
+            out.append((i, size))
+            i = seen.find(0, i + 1)
         return out
 
     def _stabilizer(self, i: int, size: int) -> Subgroup:
         """Stabilizer of simple i, whose orbit has the given size.
 
-        Size p^2 means the trivial subgroup and size 1 the full group.  Size p
+        The stabilizer of an orbit of the Z_p x Z_p action has order
+        p^2 / size, and any size other than 1, p or p^2 is a
+        ClassificationError.  Size p^2 means the trivial subgroup and size 1
+        the full group.  Size p
         means a line: <(0,1)> fixes i when rstep[i] == i, and <(1,t)> when t
         right steps bring lstep[i] back to i.  Exactly one line must fix i.
         """
@@ -526,21 +463,23 @@ class RelativeTensorProduct:
         return _label_of_stabilizer(self.p)[stab]
 
     def _classified_orbits(self, every_exponent: bool) -> list[tuple]:
-        """(orbit, simple, stabilizer, exponent, label) for every orbit.
+        """(size, simple, stabilizer, exponent, label) for every orbit.
 
         The witness associator runs on the simple of the orbit's first class
         on every orbit if every_exponent, else only on full-stabilizer
         orbits, the one place where it classifies; the simple and the
-        exponent are None elsewhere.
+        exponent are None elsewhere.  On any other orbit the witness paths
+        would check, beyond the exponent, only that both land on one simple,
+        and the commutation check of orbits covers that on every simple.
         """
         out = []
-        for orbit in self.orbits():
-            stab = self._stabilizer(orbit[0], len(orbit))
+        for first, size in self.orbits():
+            stab = self._stabilizer(first, size)
             simple = exponent = None
             if every_exponent or stab.kind == "full":
-                simple = self.env.simple(orbit[0])
+                simple = self.env.simple(first)
                 exponent = self.mixed_associator(1, 1, simple)
-            out.append((orbit, simple, stab, exponent, self._classify(stab, exponent)))
+            out.append((size, simple, stab, exponent, self._classify(stab, exponent)))
         return out
 
     def _decomposition(self, labels) -> Decomposition:
@@ -553,8 +492,8 @@ class RelativeTensorProduct:
     def analyze(self) -> ProductAnalysis:
         """Every orbit with its associator exponent, invariant or not, and the decomposition."""
         infos = tuple(
-            OrbitInfo(simple, len(orbit), stab, exponent, label)
-            for orbit, simple, stab, exponent, label in self._classified_orbits(every_exponent=True)
+            OrbitInfo(simple, size, stab, exponent, label)
+            for size, simple, stab, exponent, label in self._classified_orbits(every_exponent=True)
         )
         return ProductAnalysis(
             p=self.p,
@@ -568,15 +507,6 @@ class RelativeTensorProduct:
     def decompose(self) -> Decomposition:
         """The decomposition, computing only the exponents that classify."""
         return self._decomposition(label for *_, label in self._classified_orbits(every_exponent=False))
-
-
-def decompose(M: BimoduleData, N: BimoduleData) -> Decomposition:
-    """Decompose the relative tensor product of M and N into catalogue labels."""
-    return RelativeTensorProduct(M, N).decompose()
-
-
-def analyze(M: BimoduleData, N: BimoduleData) -> ProductAnalysis:
-    return RelativeTensorProduct(M, N).analyze()
 
 
 # -- the engine's table -------------------------------------------------------

@@ -16,78 +16,22 @@ orbit of p objects with End = C, which is one simple: the basic rung-b ladder
 from the base to its rung-b image is invertible, its inverse being the rung -b
 ladder.
 
-Rung b acts on the object (m, n) as (rung_m[b][m], rung_n[b][n]), one Z_p
-action per leg, so the envelope starts from the rung orbits of each leg
-(leg_m and leg_n, computed once per envelope).  Each leg's simples are walked
-in order; the first simple met of each orbit is its base, and its p-1 rung
-images decide the orbit: all equal to the base (fixed) or p-1 new simples
-(free).  Anything else means the leg's rung rows are not a Z_p action, and
-UnsupportedEndAlgebra is raised, naming the object made of the defective
-simple and the other leg's first simple.  A leg whose rows 1 to p-1 are all
-the identity is fixed without the walk.
+KarEnvelope records the classes of simples as integer lists only and builds
+every other value when asked for, on class and object indices.  Each
+mechanic is described where it is done:
 
-An object is fixed exactly when both legs are, and otherwise its orbit is
-free.  The classes are then built a row at a time, walking the rows n of
-object indices n*|M| + m in order, with the numbering that a walk over every
-object in canonical order gives.  There are three kinds of row:
+- _leg_orbits: the rung orbits of each leg, checked to be Z_p orbits;
+- _leg_pattern, _walk_rows and _back_rows: the classes, a row of objects at
+  a time, each row gathered in C (ring.gatherer);
+- representative, simple, simples and _base_of: a class's base with its
+  idempotent, one of the character projectors that _projector_coeffs
+  stores and checks idempotent once per prime;
+- locate, _locate_at and _to_rep: the class of a primitive idempotent,
+  checked against the stored one, and the connector to its representative;
+- proportionality: the scalar ratio of two morphisms.
 
-- an N-fixed row repeats M's leg pattern: p classes on each fixed m, and one
-  class on each free M orbit at its base, with the rungs of M's leg;
-- the base row of a free N orbit makes |M| new classes of dimension 1, one
-  per object, each its own base;
-- the row n = rung_n[b][n0] of that orbit makes none: the object (m, n) is
-  the rung-b image of (rung_m[p-b][m], n0), and takes its class, with rung b.
-
-When M has one simple, which is then fixed, the row n is the one object n
-and the classes repeat N's leg pattern.  The last rule reads every entry of
-M's rung rows, where the leg walk reads those of the bases only, so before
-it is first used M's rows are checked to compose as a Z_p action; a failure
-is reported as a rung orbit that is not a Z_p orbit.  Each row's lists are
-gathered in C by an itemgetter (ring.gatherer), the classes of the third
-kind from those of the base row.  The walk records classes only, as
-three integer lists: per object index, the class of its first simple and its
-rung from the base; per class, the object index of its base.  A fixed base
-owns p consecutive classes, and class c of base i has character index
-c - class_at(i).  The walk builds no LadderObject, morphism or simple; an
-object is built only for an error message.  The step tables of bpring.fusion
-read the same rows, through the leg orbits and M's leg pattern (pattern,
-pattern_bases and pattern_get).
-
-Everything else is built when asked for, on class and object indices:
-representative(c), the base of class c with its idempotent (the stored
-character projector on a fixed base, the identity on a free one, sharing the
-envelope's one scalar); simple(c), which adds the class and character index;
-the list simples of all of them; and the connector to the representative,
-which is a basic rung ladder.  The p character projectors of every fixed
-object share the coefficient dicts cached per prime, not copies of them:
-nothing mutates a morphism's coefficients.  When they are built, once per
-prime, each I_k is composed with itself by group_algebra_product and must
-come back as I_k, else EngineError names k; the witness route of
-bpring.fusion reads a path that lands on a base as that base's idempotent
-by this law, without composing it.  None of these morphisms can have
-a zero coefficient, so they are built by LadderMorphism._nonzero, without
-the constructor's copy and zero filter.
-
-locate(kobj) checks that the idempotent of kobj is a stored primitive and
-returns its class index and the connector to the class representative.  It
-is object_index, read once, followed by the index-level _locate_at(i, obj,
-idem), which makes the check and returns the class, and _to_rep, which
-builds the one connector; no simple is built.  The witness route of
-bpring.fusion, which carries object indices, calls _locate_at at the
-shifted index with no object_index, reads the landing representative as
-_base_of(c), its base's index and stored coefficients, and calls _to_rep
-only where it acts, composes or returns a connector.  On a fixed object the
-character index is looked up from the fields of the idempotent's rung-1
-coefficient in a per-prime table kept beside the stored projectors, with
-no scalar product, inverse or scalar hash, and the idempotent is then
-compared with that stored I_k on every rung.  proportionality reads the
-scalar c with f == c*g off one rung and checks it on every rung; when f and
-g share one coefficient dict, c is one without a scalar operation.  The
-witness route still builds both paths, and _locate_at still checks each
-landing idempotent on every rung.  Callers that want the simple itself
-call simple(c) on that class.  The table path reads only the integer
-lists, and builds a simple only to hand a full-stabilizer orbit to the
-witness associator, which works on class indices.
+The step tables and the witness route of bpring.fusion read these lists and
+methods.
 """
 
 from __future__ import annotations
@@ -190,9 +134,10 @@ def _leg_orbits(rows: Sequence[Sequence[int]], p: int, name: Callable[[int], Lad
 
     Simples are walked in order, so the first one met of each orbit is its
     least one and becomes the base; its p-1 rung images decide the orbit:
-    all equal to the base (fixed) or p-1 new simples (free).  A leg whose
-    rows 1 to p-1 are all the identity tuple is fixed without the walk.
-    name(x) is the object an error message names for the simple x.
+    all equal to the base (fixed) or p-1 new simples (free); anything else
+    means the rows are not a Z_p action and raises UnsupportedEndAlgebra.
+    A leg whose rows 1 to p-1 are all the identity tuple is fixed without
+    the walk.  name(x) is the object an error message names for the simple x.
     """
     count, later = len(rows[0]), rows[1:]
     simples = tuple(range(count))
@@ -236,7 +181,11 @@ def _leg_pattern(leg: LegOrbits, p: int) -> tuple[list[int], list[int], list[int
 
 
 class KarEnvelope:
-    """Simples of Kar(Lad(M, N)) plus the connecting-isomorphism bookkeeping."""
+    """Simples of Kar(Lad(M, N)) plus the connecting-isomorphism bookkeeping.
+
+    No morphism it builds has a zero coefficient, so each is built by
+    LadderMorphism._nonzero, without the constructor's copy and zero filter.
+    """
 
     def __init__(self, lad: LadderCategory):
         self.lad = lad
@@ -263,12 +212,33 @@ class KarEnvelope:
     def _walk_rows(self, first: list[int]) -> tuple[list[int], list[int], list[int]]:
         """One class per character of a fixed object, one per free orbit, a row at a time.
 
-        A later member obj of an orbit, the rung-b image of its base,
-        connects by the basic ladders u: obj -> base of rung -b and v: base ->
-        obj of rung b; u followed by v is rung 0, the identity of obj, and v
-        followed by u the identity of base.  first is M's pattern_first (see
-        _leg_pattern).  Each row's lists are gathered in C (gatherer): the
-        classes of a row of a free N orbit from those of its base row.
+        An object is fixed exactly when both legs are; otherwise its orbit
+        is free.  A later member obj of an orbit, the rung-b image of its
+        base, connects by the basic ladders u: obj -> base of rung -b and v:
+        base -> obj of rung b; u followed by v is rung 0, the identity of obj,
+        and v followed by u the identity of base.  The rows n of object
+        indices n*|M| + m are walked in order, numbering the classes as a
+        walk over every object in canonical order would.  There are three
+        kinds of row:
+
+        - an N-fixed row repeats M's leg pattern: p classes on each fixed m,
+          and one class on each free M orbit at its base, with the rungs of
+          M's leg;
+        - the base row n0 of a free N orbit makes |M| new classes of
+          dimension 1, one per object, each its own base;
+        - the row n = rung_n[b][n0] of that orbit makes none: the object
+          (m, n) is the rung-b image of (rung_m[p-b][m], n0), and takes its
+          class, with rung b (read through _back_rows).
+
+        When M has one simple, which is then fixed, the row n is the one
+        object n and the classes repeat N's leg pattern.  first is M's
+        pattern_first (see _leg_pattern).  Each row's lists are gathered in
+        C.  Returns, per object index, the class of its first simple and its
+        rung from the base, and per class the object index of its base; a
+        fixed base owns p consecutive classes, and class c of base i has
+        character index c - class_at(i).  The step tables of bpring.fusion
+        read the same rows, through the leg orbits and M's leg pattern
+        (pattern, pattern_bases and pattern_get).
         """
         p, width = self.lad.p, len(self.lad.M.simples)
         m_rung, n_rung = self.leg_m.rung, self.leg_n.rung

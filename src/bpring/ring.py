@@ -20,15 +20,13 @@ and () for an empty product.  Every route writes cells in this form and every
 reader reads them as they are.  Cells are immutable, so equal cells may share
 one tuple; an edit replaces a cell.  A reader keeps nothing on the table
 between calls (serialize(table, "json") writes each distinct cell's JSON text
-once per call, and units_group's label table is built from that call's
-indices when first read), so a replaced cell is seen by the next call.
+once per call), so a replaced cell is seen by the next call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels
@@ -273,7 +271,6 @@ def _sparse_sum(terms: list) -> tuple:
 class UnitsGroup:
     labels: tuple[BimoduleLabel, ...]
     order: int
-    table: Mapping  # (label, label) -> label, built when first read
     cyclic_part_ok: bool
     involution_ok: bool
     conjugation_ok: bool
@@ -283,13 +280,12 @@ class UnitsGroup:
 
 
 def units_group(table: RingTable) -> UnitsGroup:
-    """Invertible labels with their product table and the dihedral relations.
+    """Invertible labels and the dihedral relations among them.
 
     The unit products are read a row at a time: each unit's row is gathered
     at the units and its cells mapped to labels in C, a cell that is not a
     single label with multiplicity 1 mapping to None.  The cyclic, involution
-    and conjugation relations are read from these rows, and the (label,
-    label) -> label table is built only when UnitsGroup.table is read.
+    and conjugation relations are read from these rows.
     """
     p = table.p
     basis, N = table.basis, table.constants
@@ -323,7 +319,7 @@ def units_group(table: RingTable) -> UnitsGroup:
         conjugate(i) == table.index(BimoduleLabel("X", pow(k, p - 2, p))) for k, i in x.items()
     )
     labels = tuple(basis[i] for i in units)
-    return UnitsGroup(labels, len(labels), _UnitTable(basis, units, rows), cyclic_ok, involution_ok, conjugation_ok)
+    return UnitsGroup(labels, len(labels), cyclic_ok, involution_ok, conjugation_ok)
 
 
 def _cyclic(rows: dict, at: dict, x: dict, p: int) -> bool:
@@ -348,30 +344,6 @@ def _is_unit(N: list, i: int, one: tuple) -> bool:
                 return True
     except ValueError:
         return False
-
-
-class _UnitTable(Mapping):
-    """UnitsGroup.table, (label, label) -> label, built from the unit rows when first read."""
-
-    def __init__(self, basis: tuple, units: list, rows: dict):
-        self._basis, self._units, self._rows = basis, units, rows
-
-    @cached_property
-    def _by_label(self) -> dict:
-        basis, units = self._basis, self._units
-        return {(basis[i], basis[j]): basis[k] for i in units for j, k in zip(units, self._rows[i])}
-
-    def __getitem__(self, key):
-        return self._by_label[key]
-
-    def __iter__(self):
-        return iter(self._by_label)
-
-    def __len__(self):
-        return len(self._units) ** 2
-
-    def __repr__(self):
-        return repr(self._by_label)
 
 
 # -- serialization -----------------------------------------------------------------

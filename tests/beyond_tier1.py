@@ -110,8 +110,8 @@ def witness_vs_composing_oracle():
         return "the gauge twists left a mixed table all zero"
     for name, M, N in pairs:
         product = RelativeTensorProduct(M, N)
-        for orbit in product.orbits():
-            s = product.env.simple(orbit[0])
+        for first, _ in product.orbits():
+            s = product.env.simple(first)
             for g, h in ((1, 1), (2, 5)):
                 checked += 1
                 if product.mixed_associator(g, h, s) != acted_witness_exponent(product, g, h, s):
@@ -131,7 +131,7 @@ def engine_products_p5():
     """
     from bimodule_transforms import ProductMemo, random_twist
     from bpring.bimodules import Decomposition, catalogue, validate
-    from bpring.fusion import decompose
+    from bpring.fusion import RelativeTensorProduct
 
     p, rng, bad, checked = 5, random.Random(55), [], 0
     cat = catalogue(p)
@@ -144,11 +144,11 @@ def engine_products_p5():
             where = f"{cat[i].label} x {cat[j].label} x {cat[k].label}, twisted: {lefts is not cat}"
             if validate(ab[i, j]) or validate(bc[j, k]):
                 bad.append(f"{where}: a product fails validate")
-            left = decompose(ab[i, j], rights[k])
-            if left != decompose(lefts[i], bc[j, k]):
+            left = RelativeTensorProduct(ab[i, j], rights[k]).decompose()
+            if left != RelativeTensorProduct(lefts[i], bc[j, k]).decompose():
                 bad.append(f"{where}: not associative")
-            parts = [(l, m * n) for s, m in decompose(lefts[i], cat[j]).summands
-                     for l, n in decompose(entry[s], rights[k]).summands]
+            parts = [(l, m * n) for s, m in RelativeTensorProduct(lefts[i], cat[j]).decompose().summands
+                     for l, n in RelativeTensorProduct(entry[s], rights[k]).decompose().summands]
             if left != Decomposition.from_pairs(parts):
                 bad.append(f"{where}: not distributive")
             checked += 1

@@ -203,9 +203,12 @@ def test_label_grammar_round_trip():
     assert label_parse("F12") == BimoduleLabel("F", 12)
 
 
-# an index is ASCII digits with no leading zero: other digits and padded spellings are rejected
+# an index is ASCII digits with no leading zero, and a label has nothing around
+# it: other digits, padded spellings and surrounding whitespace are rejected
 @pytest.mark.parametrize(
-    "bad", ["X0", "T1", "L2", "F", "X", "Q3", "", "x1", "F-1", "X01", "F00", " F03", "X\uff11", "F\u0663", "X1_0", "F+1"]
+    "bad",
+    ["X0", "T1", "L2", "F", "X", "Q3", "", "x1", "F-1", "X01", "F00", " F03", "X\uff11", "F\u0663", "X1_0", "F+1",
+     " T", "X1\n", "F0 ", "\tR"],
 )
 def test_label_parse_errors(bad):
     with pytest.raises(LabelParseError):

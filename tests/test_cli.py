@@ -79,8 +79,9 @@ def test_fuse_rejects_bad_label(capsys):
     assert "error" in err
     code, _, err = run_cli(capsys, "fuse", "--p", "3", "--left", "X5", "--right", "T")
     assert code == 2
-    # an index is ASCII digits with no leading zero, on either side
-    for label in ("X01", "X\uff11", "F\u0663", "F00"):
+    # an index is ASCII digits with no leading zero, and a label has no
+    # surrounding whitespace, on either side
+    for label in ("X01", "X\uff11", "F\u0663", "F00", " T", "X1\n", "F0 ", "\tR"):
         for argv in (("--left", label, "--right", "T"), ("--left", "T", "--right", label)):
             code, out, err = run_cli(capsys, "fuse", "--p", "7", *argv)
             assert code == 2 and out == ""
@@ -120,12 +121,12 @@ def test_every_usage_error_is_one_line(capsys, argv, message):
 
 
 def test_fuse_prints_the_parsed_labels(capsys):
-    # labels are echoed as parsed, not as typed
-    code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", " F1", "--right", "T ", "--format", "json")
+    # labels are echoed as parsed, which is their one spelling
+    code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", "F1", "--right", "T", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert (payload["left"], payload["right"]) == ("F1", "T")
-    code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", " F1", "--right", "T ", "--detail")
+    code, out, _ = run_cli(capsys, "fuse", "--p", "3", "--left", "F1", "--right", "T", "--detail")
     assert code == 0 and out.startswith("F1 (x) T at p=3\n")
 
 

@@ -16,7 +16,7 @@ from bpring.bimodules import (
     validate,
 )
 from bpring import fusion
-from bpring.fusion import ClassificationError, RelativeTensorProduct, analyze, build_table, decompose
+from bpring.fusion import ClassificationError, RelativeTensorProduct, build_table
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, KarObject, _checked_idempotent, _projector_coeffs
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
@@ -188,8 +188,8 @@ def test_associator_bilinear_all_products_small():
         cat = catalogue(p)
         for M, N in itertools.product(cat, repeat=2):
             product = RelativeTensorProduct(M, N)
-            for orbit in product.orbits():
-                s = product.simples[orbit[0]]
+            for first, _ in product.orbits():
+                s = product.simples[first]
                 base = product.mixed_associator(1, 1, s)
                 for g in range(p):
                     for h in range(p):
@@ -203,8 +203,8 @@ def test_associator_bilinear_all_products_small():
         pairs += [(str(rng.choice(labels)), str(rng.choice(labels))) for _ in range(2)]
         for left, right in pairs:
             product = rtp(p, left, right)
-            for orbit in product.orbits():
-                s = product.simples[orbit[0]]
+            for first, _ in product.orbits():
+                s = product.simples[first]
                 base = product.mixed_associator(1, 1, s)
                 for _ in range(3):
                     g, h = rng.randrange(p), rng.randrange(p)
@@ -225,19 +225,21 @@ def test_associator_bilinear_all_products_small():
 
 
 def test_orbits_match_the_set_search():
-    # the cycle walk against the search over a set: same sorted orbits, same order
+    # the counting walk against the search over a set: each orbit's least
+    # member and size, in the same order
     cases = [pair for p in (3, 5) for pair in itertools.product(catalogue(p), repeat=2)]
     cases.append((catalogue_entry(7, label_parse("T")), catalogue_entry(7, label_parse("T"))))
     for M, N in cases:
         product = RelativeTensorProduct(M, N)
-        assert product.orbits() == search_orbits(product), (M.p, str(M.label), str(N.label))
+        want = [(min(o), len(o)) for o in search_orbits(product)]
+        assert product.orbits() == want, (M.p, str(M.label), str(N.label))
 
 
 def test_stabilizer_independent_of_orbit_member():
     for p in (2, 3):
         for left, right in [("T", "T"), ("R", "F0"), ("F1", "F2" if p == 3 else "F1"), ("L", "T")]:
             product = rtp(p, left, right)
-            for orbit in product.orbits():
+            for orbit in search_orbits(product):
                 stabs = {orbit_stabilizer(product, i) for i in orbit}
                 assert len(stabs) == 1
 
@@ -250,9 +252,9 @@ def test_decompose_matches_analyze_and_the_stabilizer_scan():
             product = RelativeTensorProduct(M, N)
             analysis = product.analyze()
             assert product.decompose() == analysis.decomposition
-            orbits = product.orbits()
-            assert [o.stabilizer for o in analysis.orbits] == [orbit_stabilizer(product, o[0]) for o in orbits]
-            for orbit in orbits:
+            firsts = [first for first, _ in product.orbits()]
+            assert [o.stabilizer for o in analysis.orbits] == [orbit_stabilizer(product, i) for i in firsts]
+            for orbit in search_orbits(product):
                 for i in orbit:
                     assert product._stabilizer(i, len(orbit)) == orbit_stabilizer(product, i)
     # every ordered pair at p=7: analyze and decompose agree
@@ -314,7 +316,7 @@ def test_decompose_builds_simples_only_for_the_witness_associator(monkeypatch):
             m.setattr(KarEnvelope, "simple", counted_simple)
             m.setattr(RelativeTensorProduct, "mixed_associator", counted_mixed)
             product.decompose()
-        full = [orbit[0] for orbit in product.orbits() if len(orbit) == 1]
+        full = [first for first, size in product.orbits() if size == 1]
         assert [c for c, inside in calls if not inside] == full, (str(M.label), str(N.label))
         assert not any(inside for _, inside in calls), (str(M.label), str(N.label))
         total += len(full)
@@ -371,7 +373,7 @@ def test_analyze_builds_each_orbit_simple_once(monkeypatch):
         product = rtp(p, left, right)
         calls.clear()
         infos = product.analyze().orbits
-        assert calls == [info.representative.class_index for info in infos] == [orbit[0] for orbit in product.orbits()]
+        assert calls == [info.representative.class_index for info in infos] == [i for i, _ in product.orbits()]
 
 
 def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
@@ -536,9 +538,7 @@ def test_build_table_rejects_a_multiplicity_other_than_0_1_or_p(monkeypatch):
 
 
 def test_decompose_worked_products():
-    assert decompose(catalogue_entry(3, label_parse("T")), catalogue_entry(3, label_parse("T"))) == dec(
-        "", ("T", 3)
-    )
+    assert rtp(3, "T", "T").decompose() == dec("", ("T", 3))
     assert rtp(3, "R", "F0").decompose() == dec("", ("R", 3))
     assert rtp(5, "F2", "F3").decompose() == dec("", ("X4", 1))
     assert rtp(5, "F2", "X3").decompose() == dec("", ("F1", 1))
@@ -553,21 +553,21 @@ def test_unit_fixes_every_label():
         cat = catalogue(p)
         unit = catalogue_entry(p, BimoduleLabel("X", 1))
         for M in cat:
-            assert decompose(unit, M) == Decomposition.single(M.label)
-            assert decompose(M, unit) == Decomposition.single(M.label)
+            assert RelativeTensorProduct(unit, M).decompose() == Decomposition.single(M.label)
+            assert RelativeTensorProduct(M, unit).decompose() == Decomposition.single(M.label)
 
 
 def test_counting_identity_all_products_small():
     for p in (2, 3):
         cat = catalogue(p)
         for M, N in itertools.product(cat, repeat=2):
-            a = analyze(M, N)
+            a = RelativeTensorProduct(M, N).analyze()
             assert a.decomposition.total_simples(p) == a.simple_count
             assert sum(o.size for o in a.orbits) == a.simple_count
 
 
 def test_analysis_details_rf0():
-    a = analyze(catalogue_entry(3, label_parse("R")), catalogue_entry(3, label_parse("F0")))
+    a = rtp(3, "R", "F0").analyze()
     assert a.object_count == 3
     assert a.end_dimensions == {3: 3}
     assert a.simple_count == 9
@@ -576,7 +576,7 @@ def test_analysis_details_rf0():
 
 
 def test_analysis_details_fx():
-    a = analyze(catalogue_entry(3, label_parse("F1")), catalogue_entry(3, label_parse("X2")))
+    a = rtp(3, "F1", "X2").analyze()
     assert a.object_count == 3
     assert a.simple_count == 1
     assert len(a.orbits) == 1
@@ -616,12 +616,12 @@ def test_gauge_twist_preserves_product_invariants():
             assert validate(twisted) == []
             twists.setdefault((p, str(entry.label), side), []).append(twisted)
     for M, N in cases:
-        expected = gauge_invariants(analyze(M, N))
+        expected = gauge_invariants(RelativeTensorProduct(M, N).analyze())
         for side in ("left", "right"):
             tM = rng.choice(twists[(M.p, str(M.label), side)])
             tN = rng.choice(twists[(N.p, str(N.label), side)])
             for left, right in ((tM, N), (M, tN), (tM, tN)):
-                got = gauge_invariants(analyze(left, right))
+                got = gauge_invariants(RelativeTensorProduct(left, right).analyze())
                 assert got == expected, (M.p, str(M.label), str(N.label), side)
 
 
@@ -639,7 +639,8 @@ def test_character_twist_preserves_product_invariants():
             assert validate(twisted) == [] and not twisted.trivial_mixed, (p, name)
             for other in cat:
                 for plain, moved in (((entry, other), (twisted, other)), ((other, entry), (other, twisted))):
-                    assert gauge_invariants(analyze(*moved)) == gauge_invariants(analyze(*plain)), (p, name, str(other.label))
+                    got = gauge_invariants(RelativeTensorProduct(*moved).analyze())
+                    assert got == gauge_invariants(RelativeTensorProduct(*plain).analyze()), (p, name, str(other.label))
 
 
 def test_relabelled_simples_preserve_product_invariants():
@@ -661,20 +662,19 @@ def test_relabelled_simples_preserve_product_invariants():
                 assert validate(relabelled[key]) == []
                 assert relabelled[key].simples != entry.simples
         rM, rN = relabelled[(M.p, str(M.label))], relabelled[(N.p, str(N.label))]
-        assert gauge_invariants(analyze(rM, rN)) == gauge_invariants(analyze(M, N)), (
-            M.p, str(M.label), str(N.label)
-        )
+        got = gauge_invariants(RelativeTensorProduct(rM, rN).analyze())
+        assert got == gauge_invariants(RelativeTensorProduct(M, N).analyze()), (M.p, str(M.label), str(N.label))
 
 
 def test_gauge_twist_moves_exponent_off_full_orbits():
     # the T orbit of T x X1 at p=2 has exponent 0, and 1 after a twist of T
     p = 2
     T, X1 = catalogue_entry(p, label_parse("T")), catalogue_entry(p, label_parse("X1"))
-    assert [o.assoc_exponent for o in analyze(T, X1).orbits] == [0]
+    assert [o.assoc_exponent for o in RelativeTensorProduct(T, X1).analyze().orbits] == [0]
     exponents = set()
     for values in itertools.product(range(p), repeat=len(T.simples)):
         twisted = gauge_twist(T, dict(zip(T.simples, values)), "right")
-        (orbit,) = analyze(twisted, X1).orbits
+        (orbit,) = RelativeTensorProduct(twisted, X1).analyze().orbits
         assert str(orbit.label) == "T"
         exponents.add(orbit.assoc_exponent)
     assert exponents == {0, 1}
@@ -692,7 +692,7 @@ def test_mixed_associator_off_the_rung_characters_is_a_classification_error():
     for M, N, side in ((squares_in_h, F0, "left"), (F0, squares_in_g, "right")):
         assert validate(M) != [] or validate(N) != []
         with pytest.raises(ClassificationError, match=side):
-            analyze(M, N)
+            RelativeTensorProduct(M, N).analyze()
 
 
 def test_action_that_changes_end_dimension_is_a_classification_error():
@@ -714,7 +714,7 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
     assert validate(M) != []
     message = "acting on the left changes the End dimension of (0)(*)"
     with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
-        analyze(M, F0)
+        RelativeTensorProduct(M, F0).analyze()
 
 
 def test_witness_associator_matches_the_route_that_acts_every_connector():
@@ -735,9 +735,9 @@ def test_witness_associator_matches_the_route_that_acts_every_connector():
         for entries in (cat, twisted):
             for M, N in itertools.product(entries, repeat=2):
                 product = RelativeTensorProduct(M, N)
-                for orbit in product.orbits():
-                    s = product.env.simple(orbit[0])
-                    dims[product.env.dimension_at(base_at(product.env, orbit[0]))] += 1
+                for first, _ in product.orbits():
+                    s = product.env.simple(first)
+                    dims[product.env.dimension_at(base_at(product.env, first))] += 1
                     for g, h in exponents_at:
                         want = acted_witness_exponent(product, g, h, s)
                         assert product.mixed_associator(g, h, s) == want, (p, str(M.label), str(N.label), g, h)
@@ -760,8 +760,8 @@ def test_witness_paths_match_the_plain_route_at_p7_and_p11():
             M, N = catalogue_entry(p, label_parse(a)), catalogue_entry(p, label_parse(b))
             for left, right in ((M, N), (random_twist(M, rng), random_twist(N, rng))):
                 product = RelativeTensorProduct(left, right)
-                for orbit in product.orbits():
-                    s = product.env.simple(orbit[0])
+                for first, _ in product.orbits():
+                    s = product.env.simple(first)
                     for g, h in at:
                         want = acted_witness_exponent(product, g, h, s)
                         assert product.mixed_associator(g, h, s) == want, (p, a, b, g, h)
@@ -786,8 +786,8 @@ def test_witness_paths_equal_the_object_level_route():
             for M, N in itertools.product(entries, repeat=2):
                 product = RelativeTensorProduct(M, N)
                 env = product.env
-                for orbit in product.orbits():
-                    rep, base = env.representative(orbit[0]), env._base_of(orbit[0])
+                for first, _ in product.orbits():
+                    rep, base = env.representative(first), env._base_of(first)
                     for g, h in at:
                         for route in (("right", h, "left", g), ("left", g, "right", h)):
                             c2, path = product._witness_path(*route, *base)

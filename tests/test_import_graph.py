@@ -202,6 +202,31 @@ def names_used(paths) -> set[str]:
     return out
 
 
+def module_references(paths) -> set[tuple[str, str]]:
+    """(module, name) for each name that paths import from a module or read as module.name.
+
+    The module is the last part of a from-import's module, or of the object
+    an attribute is read on, so "from .ring import gatherer",
+    "from bpring.ring import gatherer" and "ring.gatherer" all give
+    ("ring", "gatherer"); "from bpring import x" and "bpring.x" give
+    (PACKAGE, x).  An attribute read on anything else, such as self.x, gives
+    nothing.
+    """
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or PACKAGE).rsplit(".", 1)[-1]
+                out.update((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                on = node.value
+                if isinstance(on, ast.Name):
+                    out.add((on.id, node.attr))
+                elif isinstance(on, ast.Attribute):
+                    out.add((on.attr, node.attr))
+    return out
+
+
 def names_defined(paths) -> set[str]:
     """Names that paths define themselves: functions, classes, methods and record fields.
 
@@ -220,18 +245,39 @@ def names_defined(paths) -> set[str]:
     return out
 
 
+def bare_names(path: Path) -> set[str]:
+    """Names that path reads as an ast Name."""
+    return {node.id for node in ast.walk(ast.parse(path.read_text(), str(path))) if isinstance(node, ast.Name)}
+
+
 def unused_definitions(root: Path) -> list[str]:
     """Library definitions that nothing outside the tests names.
 
-    A reference counts from the library outside __init__, and from the
-    demos and the benchmark, except to a name those define themselves (a
-    benchmark record's objects field is not LadderCategory.objects).
+    References count from the library outside __init__, and from the demos
+    and the benchmark.  A method counts as used where any of them names it,
+    except by a name the demos and the benchmark define themselves (a
+    benchmark record's objects field is not LadderCategory.objects).  A
+    module-level function or class counts as used only where one of them
+    imports it by name or reads it as module.name or bpring.name, or where
+    its own module names it bare, so a method of the same name does not keep
+    it alive.
     """
     src = root / "src" / PACKAGE
     users = [path for d in USERS for path in sorted((root / d).glob("*.py"))]
-    used = names_used(path for path in src.glob("*.py") if path.name != "__init__.py")
-    used |= names_used(users) - names_defined(users)
-    return sorted(qualified for qualified, name in definitions(src).items() if name not in used)
+    library = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    used = names_used(library) | (names_used(users) - names_defined(users))
+    referenced = module_references(library + users)
+    bare = {path.stem: bare_names(path) for path in library}
+    unused = []
+    for qualified, name in definitions(src).items():
+        module = qualified.split(".", 1)[0]
+        if qualified.count(".") == 2:  # module.Class.method
+            alive = name in used
+        else:
+            alive = {(module, name), (PACKAGE, name)} & referenced or name in bare.get(module, ())
+        if not alive:
+            unused.append(qualified)
+    return sorted(unused)
 
 
 def test_library_defines_nothing_that_only_the_tests_use():
@@ -241,21 +287,31 @@ def test_library_defines_nothing_that_only_the_tests_use():
 
 def test_unused_definition_guard_sees_a_method_only_the_tests_call(tmp_path):
     """A method or module function that only tests call is found; one that a
-    demo calls is not, nor a dunder of a class or a module."""
+    demo calls is not, nor a dunder of a class or a module.  A module
+    function is kept only by a reference to it: an import of it, a read as
+    module.name or bpring.name, or a bare name in its own module; a method
+    of the same name does not keep it."""
     (tmp_path / "src" / PACKAGE).mkdir(parents=True)
     for d in USERS:
         (tmp_path / d).mkdir()
     (tmp_path / "src" / PACKAGE / "thing.py").write_text(
         "class Thing:\n    def used(self):\n        return self._helper()\n\n"
-        "    def _helper(self):\n        return 1\n\n    def spare(self):\n        return 2\n\n"
+        "    def _helper(self):\n        return _bare()\n\n    def spare(self):\n        return 2\n\n"
         "    def __len__(self):\n        return 0\n\n\n"
         "def spare_function():\n    return 3\n\n\n"
+        "def used():\n    return 4\n\n\n"
+        "def _bare():\n    return 5\n\n\n"
+        "def by_module():\n    return 6\n\n\n"
+        "def by_package():\n    return 7\n\n\n"
         "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
         "def __dir__():\n    return []\n"
     )
-    (tmp_path / "demos" / "demo.py").write_text("from bpring.thing import Thing\nThing().used()\n")
+    (tmp_path / "demos" / "demo.py").write_text(
+        "import bpring\nfrom bpring import thing\nfrom bpring.thing import Thing\n"
+        "Thing().used()\nthing.by_module()\nbpring.by_package()\n"
+    )
     (tmp_path / "perfbench" / "record.py").write_text(
         "from types import SimpleNamespace\n\nclass Record:\n    spare: int\n\n"
-        "Record().spare\nSimpleNamespace(spare=2).spare\n"
+        "Record().spare\nSimpleNamespace(spare=2).spare\nRecord().spare_function\n"
     )
-    assert unused_definitions(tmp_path) == ["thing.Thing.spare", "thing.spare_function"]
+    assert unused_definitions(tmp_path) == ["thing.Thing.spare", "thing.spare_function", "thing.used"]

@@ -7,7 +7,7 @@ from bimodule_transforms import random_twist
 from bpring import ladders
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
 from bpring.cyclotomic import CyclotomicScalar, Rational, root_of_unity
-from bpring.fusion import analyze, build_table
+from bpring.fusion import RelativeTensorProduct, build_table
 from bpring.karoubi import _projector_coeffs
 from bpring.ladders import (
     CompositionError,
@@ -419,7 +419,7 @@ def test_kernel_matches_the_field_oracle_on_every_engine_composition(monkeypatch
             twisted = [random_twist(e, rng) for e in cat]
             for lefts, rights in ((cat, cat), (twisted, twisted)):
                 for M, N in itertools.product(lefts, rights):
-                    analyze(M, N)
+                    RelativeTensorProduct(M, N).analyze()
     finally:
         _projector_coeffs.cache_clear()
     assert len(calls) > 1000 and set(calls) == {2, 3, 5, 7, 11}

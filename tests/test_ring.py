@@ -405,28 +405,22 @@ def test_units_group_shapes():
     u3 = units_group(table(3))
     assert u3.order == 4 and u3.is_dihedral()
     for p in (2, 3):
-        u = units_group(table(p))
+        t = table(p)
+        u = units_group(t)
         assert u.order == 2 * (p - 1)
+
+        def unit_product(a, b):  # a unit cell of the table: one label, multiplicity 1
+            ((label, mult),) = t.product(a, b).summands
+            assert mult == 1
+            return label
+
         f1 = lab("F1")
-        assert u.table[(f1, f1)] == lab("X1")
+        assert unit_product(f1, f1) == lab("X1")
         for k in range(1, p):
             xk = lab(f"X{k}")
-            conj = u.table[(u.table[(f1, xk)], f1)]
+            conj = unit_product(unit_product(f1, xk), f1)
             assert conj == BimoduleLabel("X", pow(k, p - 2, p))
 
-
-
-def test_units_group_builds_its_label_table_when_read():
-    # the relations are read from the unit rows; the (label, label) -> label
-    # table is built only when UnitsGroup.table is read, and then equals the
-    # scan oracle's
-    for p in (5, 7):
-        t = closed_form_table(p)
-        units = units_group(t)
-        assert units.is_dihedral() and len(units.table) == units.order ** 2
-        assert "_by_label" not in vars(units.table)
-        assert units.table == scan_units_group(t).table
-        assert "_by_label" in vars(units.table)
 
 def test_closed_form_row_samples():
     p = 7
@@ -566,7 +560,8 @@ def test_readers_see_in_place_edits():
         row[x4], row[x1] = 0, 1  # X2 x X2 = X1 now, a replaced cell
     assert not check_axioms(t).associativity_ok
     units = units_group(t)
-    assert units.table[(lab("X2"), lab("X2"))] == lab("X1") and not units.is_dihedral()
+    # only the cyclic relation reads X2 x X2
+    assert (units.cyclic_part_ok, units.involution_ok, units.conjugation_ok) == (False, True, True)
     edited = serialize(t, "json")
     assert edited != text and edited == plain_serialize_json(t)
     assert '"dihedral": false' in edited and '"associativity": false' in edited

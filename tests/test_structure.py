@@ -7,7 +7,7 @@ import weakref
 
 from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse, validate
 from bpring.cyclotomic import Rational, root_of_unity
-from bpring.fusion import RelativeTensorProduct, decompose
+from bpring.fusion import RelativeTensorProduct
 from bimodule_transforms import ProductMemo, gauge_twist, op, random_twist, relabel
 from kar_oracle import basic
 
@@ -78,12 +78,14 @@ def test_op_duality_of_products():
         for entry in cat:
             dual = op(entry)
             assert validate(dual) == [], (p, str(entry.label))
-            assert decompose(X1, dual) == Decomposition.single(op_label(entry.label, p)), (p, str(entry.label))
+            want = Decomposition.single(op_label(entry.label, p))
+            assert RelativeTensorProduct(X1, dual).decompose() == want, (p, str(entry.label))
         for entries in (cat, [twisted(e, rng) for e in cat]):
             duals = [op(e) for e in entries]
             for (M, opM), (N, opN) in itertools.product(zip(entries, duals), repeat=2):
-                want = Decomposition.from_pairs((op_label(l, p), m) for l, m in decompose(M, N).summands)
-                assert decompose(opN, opM) == want, (p, str(M.label), str(N.label))
+                summands = RelativeTensorProduct(M, N).decompose().summands
+                want = Decomposition.from_pairs((op_label(l, p), m) for l, m in summands)
+                assert RelativeTensorProduct(opN, opM).decompose() == want, (p, str(M.label), str(N.label))
                 pairs += 1
     assert pairs == 2 * sum((2 * p + 2) ** 2 for p in (2, 3, 5, 7))
 
@@ -98,7 +100,7 @@ def test_engine_products_are_valid_bimodules():
         for i, j in itertools.product(range(len(cat)), repeat=2):
             product = products[i, j]
             assert validate(product) == [], (p, str(cat[i].label), str(cat[j].label))
-            assert len(product.simples) == decompose(cat[i], cat[j]).total_simples(p)
+            assert len(product.simples) == RelativeTensorProduct(cat[i], cat[j]).decompose().total_simples(p)
 
 
 def test_engine_products_are_associative_and_distribute():
@@ -116,16 +118,16 @@ def test_engine_products_are_associative_and_distribute():
     pairs = list(itertools.product(range(len(cat)), repeat=2))
     for lefts, rights in ((cat, cat), ([twist(e) for e in cat], [twist(e) for e in cat])):
         ab, bc = ProductMemo(lefts, cat), ProductMemo(cat, rights)
-        summands = {(i, j): decompose(lefts[i], cat[j]).summands for i, j in pairs}
-        times_c = {}  # (label, k) -> the summands of decompose(entry[label], rights[k])
+        summands = {(i, j): RelativeTensorProduct(lefts[i], cat[j]).decompose().summands for i, j in pairs}
+        times_c = {}  # (label, k) -> the summands of entry[label] x rights[k]
         for (i, j), k in itertools.product(pairs, range(len(cat))):
             where = (str(cat[i].label), str(cat[j].label), str(cat[k].label), lefts is cat)
-            left = decompose(ab[i, j], rights[k])
-            assert left == decompose(lefts[i], bc[j, k]), where
+            left = RelativeTensorProduct(ab[i, j], rights[k]).decompose()
+            assert left == RelativeTensorProduct(lefts[i], bc[j, k]).decompose(), where
             parts = []
             for label, mult in summands[i, j]:
                 if (label, k) not in times_c:
-                    times_c[label, k] = decompose(entry[label], rights[k]).summands
+                    times_c[label, k] = RelativeTensorProduct(entry[label], rights[k]).decompose().summands
                 parts += [(s, n * mult) for s, n in times_c[label, k]]
             assert left == Decomposition.from_pairs(parts), where
 
@@ -144,4 +146,5 @@ def test_product_memo_keeps_its_factors():
     unit = catalogue_entry(p, label_parse("X1"))
     for i, j in ((0, 0), (4, 7), (7, 4)):
         assert products.lefts[i] is refs[i]()
-        assert decompose(products[i, j], unit) == decompose(refs[i](), cat[j])
+        got = RelativeTensorProduct(products[i, j], unit).decompose()
+        assert got == RelativeTensorProduct(refs[i](), cat[j]).decompose()
