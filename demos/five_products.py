@@ -46,7 +46,7 @@ tt = narrate("T", "T")
 rf = narrate("R", "F0")
 env = rf.env
 obj = env.lad.object_at(0)
-idems = [env.representative(env.class_at(0) + k).idem for k in range(env.dimension_at(0))]
+idems = [env.representative(env.class_at(0) + k) for k in range(env.dimension_at(0))]
 print(f"character idempotents on {obj}:")
 for k, e in enumerate(idems):
     print(f"  I_{k} = {e!r}")

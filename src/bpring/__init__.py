@@ -41,7 +41,7 @@ _EXPORTS = {
         "build_table",
     ),
     "groups": ("Subgroup", "enumerate_subgroups", "subgroup_from_generators"),
-    "karoubi": ("KarEnvelope", "KarObject", "KarSimple"),
+    "karoubi": ("KarEnvelope", "KarSimple"),
     "ladders": (
         "CompositionError",
         "EngineError",

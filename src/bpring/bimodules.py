@@ -41,8 +41,10 @@ from .groups import Subgroup, subgroup_from_elements, subgroup_from_generators
 
 STAR = "*"
 
-# an index is ASCII digits with no leading zero, so each label has one spelling
-_LABEL_RE = re.compile(r"([TLRFX])(0|[1-9][0-9]*)?")
+# a number is ASCII digits with no leading zero ([0-9] is ASCII-only in re), so
+# each label, --p and BPRING_THREADS have one spelling
+NUMBER = re.compile(r"0|[1-9][0-9]*")
+_LABEL_RE = re.compile(rf"([TLRFX])({NUMBER.pattern})?")
 
 
 class LabelParseError(ValueError):

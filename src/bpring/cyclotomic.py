@@ -57,15 +57,19 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
+    """Raise ValueError unless p is an int (not a bool) and prime."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an integer, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
 def _ratio(c) -> tuple[int, int]:
-    """(numerator, denominator) of the rational c."""
+    """(numerator, denominator) of c, an int (not a bool) or a Fraction; anything else raises ValueError."""
     if type(c) is int:
         return c, 1
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        raise ValueError(f"a scalar's rational factor must be an int or a Fraction, got {c!r}")
     return c.numerator, c.denominator
 
 

@@ -8,7 +8,7 @@ applies one to a simple and re-anchors the result to its class.
 
 Classifying the product reads the following, each described where it is done:
 
-- _step_tables: the class each simple goes to under the generator 1 of each
+- _steps: the class each simple goes to under the generator 1 of each
   side, read on class indices with the checks of _exponent, no simple built;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
-from .bimodules import BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple, label_invariants
+from .bimodules import (NUMBER, BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple,
+                        label_invariants)
 from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
-from .karoubi import FIXED, KarEnvelope, KarObject, KarSimple, proportionality
+from .karoubi import FIXED, KarEnvelope, KarSimple, proportionality
 from .ladders import EngineError, LadderCategory, LadderMorphism
 from .ring import RingTable, gatherer
 
@@ -103,11 +104,6 @@ def _rotation(p: int, e1: int) -> tuple[int, ...]:
     return tuple((k + e1) % p for k in range(p))
 
 
-def _normalize(w: LadderMorphism) -> LadderMorphism:
-    lead = min(w.coeffs)
-    return w.scale(w.coeffs[lead].inv())
-
-
 class RelativeTensorProduct:
     """Kar(Lad(M, N)) with its outer actions, associator, and classification."""
 
@@ -118,7 +114,6 @@ class RelativeTensorProduct:
         self.p = self.lad.p
         self.env = KarEnvelope(self.lad)
         self._width = len(M.simples)  # object index n*|M| + m
-        self._steps: tuple[list[int], list[int]] | None = None
 
     @property
     def simples(self) -> list[KarSimple]:
@@ -191,20 +186,20 @@ class RelativeTensorProduct:
     # -- actions on simples ---------------------------------------------------
 
     def outer_action(self, g: int, side: str, simple: KarSimple) -> ActionMorphism:
-        """The simple that acting by g on side sends simple to, with the normalized connector as witness."""
+        """The simple that g on side sends simple to, witnessed by the connector scaled to 1 on its least rung."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         g = g % self.p
-        acted = (self.act_left if side == "left" else self.act_right)(g, simple.representative.idem)
-        c, u = self.env.locate(KarObject(acted.source, acted))
-        return ActionMorphism(g, side, simple, self.env.simple(c), _normalize(u))
+        acted = (self.act_left if side == "left" else self.act_right)(g, simple.representative)
+        c, u = self.env.locate(acted)
+        return ActionMorphism(g, side, simple, self.env.simple(c), u.scale(u.coeffs[min(u.coeffs)].inv()))
 
     def _exponent(self, side: str, leg: int, dim: int) -> int:
         """e(1) for acting by 1 on side, on an object whose End has dimension dim.
 
         leg is the index of the object's simple on that side.  Checks on
         every call that e(b) = b e(1) for every rung b of End(obj), as
-        _step_tables needs.  When that side's entry has trivial_mixed set,
+        _steps needs.  When that side's entry has trivial_mixed set,
         the table is all zero, which is the character with e(1) = 0 on every
         rung, and 0 is returned with no read.
         """
@@ -224,7 +219,8 @@ class RelativeTensorProduct:
             )
         return e1
 
-    def _step_tables(self) -> tuple[list[int], list[int]]:
+    @cached_property
+    def _steps(self) -> tuple[list[int], list[int]]:
         """Each simple's index after acting by 1 on the left, and on the right.
 
         Acting by 1 on the left moves the M leg of the object with index
@@ -252,12 +248,6 @@ class RelativeTensorProduct:
         A leg is fixed or free on every rung, so the End dimension of an
         object is read from its two legs.  No simple is built.
         """
-        if self._steps is None:
-            self._steps = self._row_steps()
-        return self._steps
-
-    def _row_steps(self) -> tuple[list[int], list[int]]:
-        """The tables of _step_tables, kept apart so that the cache check stays cheap."""
         env, p = self.env, self.p
         width = len(self.M.simples)
         shift_m, shift_n = self.M.left[1], self.N.right[1]
@@ -378,10 +368,10 @@ class RelativeTensorProduct:
         """
         env = self.env
         j, acted = self._apply(first, a, i, coeffs)
-        c1 = env._locate_at(j, acted.source, acted)
+        c1 = env._locate_at(j, acted)
         r1, coeffs1 = env._base_of(c1)
         j2, acted2 = self._apply(second, b, r1, coeffs1)
-        c2 = env._locate_at(j2, acted2.source, acted2)
+        c2 = env._locate_at(j2, acted2)
         u2 = env._to_rep(acted2.source, j2, c2)
         if r1 != j:
             w = self._act(second, b, env._to_rep(acted.source, j, c1), j, r1)
@@ -405,7 +395,7 @@ class RelativeTensorProduct:
         least unseen simple, found in C by bytearray.find, so first is the
         orbit's least member; the walk counts the members and keeps no list.
         """
-        lstep, rstep = self._step_tables()
+        lstep, rstep = self._steps
         # the walk runs only to name the first simple where they differ
         if gatherer(rstep)(lstep) != gatherer(lstep)(rstep):
             bad = next(i for i in range(len(lstep)) if lstep[rstep[i]] != rstep[lstep[i]])
@@ -444,7 +434,7 @@ class RelativeTensorProduct:
             return subgroups[-1]
         if size != p:
             raise ClassificationError(f"an orbit of size {size} is not of size 1, p or p^2")
-        lstep, rstep = self._step_tables()
+        lstep, rstep = self._steps
         fixing = [1] if rstep[i] == i else []
         j = lstep[i]
         for t in range(p):
@@ -541,7 +531,7 @@ def _worker_count(workers: int | None) -> int:
     """
     if workers is None:
         given = os.environ.get("BPRING_THREADS") or "1"
-        if not (given.isascii() and given.isdigit()) or given[0] == "0":
+        if not NUMBER.fullmatch(given) or given == "0":
             raise ValueError(
                 f"BPRING_THREADS must be a positive integer in ASCII digits with no leading zero, got {given!r}"
             )

@@ -1,11 +1,12 @@
 """Idempotent completion of a ladder category.
 
-Kar objects are pairs (A, e) with e an idempotent endo-ladder of A; simples of
-the completion are primitive such pairs up to isomorphism.  Bimodules are
-kept in the gauge with trivial pure associators (see bpring.bimodules), so
-stacking rungs g and h gives rung g+h with coefficient 1.  End algebras are
-therefore the group algebras C[S] of the rung stabilizer S <= Z_p, which are
-commutative, and the primitive idempotents are the character projectors
+A Kar object, a pair (A, e) with e an idempotent endo-ladder of A, is its
+idempotent e, whose source is A; simples of the completion are primitive
+idempotents up to isomorphism.  Bimodules are kept in the gauge with trivial
+pure associators (see bpring.bimodules), so stacking rungs g and h gives rung
+g+h with coefficient 1.  End algebras are therefore the group algebras C[S]
+of the rung stabilizer S <= Z_p, which are commutative, and the primitive
+idempotents are the character projectors
 
     I_k = (1/|S|) sum_g zeta^(k g) . (rung g),   k indexing characters of S.
 
@@ -23,9 +24,9 @@ mechanic is described where it is done:
 - _leg_orbits: the rung orbits of each leg, checked to be Z_p orbits;
 - _leg_pattern, _walk_rows and _back_rows: the classes, a row of objects at
   a time, each row gathered in C (ring.gatherer);
-- representative, simple, simples and _base_of: a class's base with its
-  idempotent, one of the character projectors that _projector_coeffs
-  stores and checks idempotent once per prime;
+- representative, simple, simples and _base_of: a class's idempotent on
+  its base, one of the character projectors that _projector_coeffs stores
+  and checks idempotent once per prime;
 - locate, _locate_at and _to_rep: the class of a primitive idempotent,
   checked against the stored one, and the connector to its representative;
 - proportionality: the scalar ratio of two morphisms.
@@ -51,19 +52,13 @@ class UnsupportedEndAlgebra(EngineError):
 
 
 @dataclass(frozen=True)
-class KarObject:
-    obj: LadderObject
-    idem: LadderMorphism
-
-
-@dataclass(frozen=True)
 class KarSimple:
     class_index: int
-    representative: KarObject
+    representative: LadderMorphism  # the class's idempotent, on its base object
     char_index: int  # character index of the representative's idempotent
 
     def __str__(self):
-        return f"{self.representative.obj}#{self.char_index}"
+        return f"{self.representative.source}#{self.char_index}"
 
 
 @lru_cache(maxsize=None)
@@ -313,13 +308,13 @@ class KarEnvelope:
         rep = self.representative(c)
         return KarSimple(c, rep, c - self._class[self._bases[c]])
 
-    def representative(self, c: int) -> KarObject:
-        """The representative of class c: its base with the class's idempotent."""
+    def representative(self, c: int) -> LadderMorphism:
+        """The representative of class c: the class's idempotent, on its base object."""
         if not 0 <= c < len(self._bases):
             raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
         i, coeffs = self._base_of(c)
         obj = self.lad.object_at(i)
-        return KarObject(obj, LadderMorphism._nonzero(obj, obj, coeffs))
+        return LadderMorphism._nonzero(obj, obj, coeffs)
 
     def _base_of(self, c: int) -> tuple[int, dict]:
         """(object index, idempotent coefficients) of the representative of class c, with no morphism built."""
@@ -357,21 +352,20 @@ class KarEnvelope:
         counts = {self.lad.p: fixed, 1: len(self._rung) - fixed}
         return {d: c for d, c in counts.items() if c}
 
-    def locate(self, kobj: KarObject) -> tuple[int, LadderMorphism]:
-        """The class of kobj and the connecting map to its representative.
+    def locate(self, idem: LadderMorphism) -> tuple[int, LadderMorphism]:
+        """The class of the Kar object idem and the connecting map to its representative.
 
-        Reads the object index once and hands it to _locate_at, which
-        checks the idempotent; builds no simple and only the
-        to-representative connector.  On a base the connector is the base's
-        idempotent, sharing the stored coefficient dict on a fixed one.
+        Reads the object index of idem's source once and hands it to
+        _locate_at, which checks the idempotent; builds no simple and only
+        the to-representative connector.  On a base the connector is the
+        base's idempotent, sharing the stored coefficient dict on a fixed one.
         """
-        obj = kobj.obj
-        i = self.lad.object_index(obj)
-        c = self._locate_at(i, obj, kobj.idem)
-        return c, self._to_rep(obj, i, c)
+        i = self.lad.object_index(idem.source)
+        c = self._locate_at(i, idem)
+        return c, self._to_rep(idem.source, i, c)
 
-    def _locate_at(self, i: int, obj: LadderObject, idem: LadderMorphism) -> int:
-        """The class of (obj, idem), obj of object_index i, after checking that idem is a stored primitive.
+    def _locate_at(self, i: int, idem: LadderMorphism) -> int:
+        """The class of idem, whose source has object_index i, after checking that idem is a stored primitive.
 
         On a fixed object the character index k is looked up from the fields
         of the rung-1 coefficient of idem in the table of the stored
@@ -383,8 +377,8 @@ class KarEnvelope:
         if self._rung[i] == FIXED:
             x = idem.coeffs.get(1)
             k = None if x is None else _projector_index(self.lad.p).get((x.num, x.den, x.k))
-        if k is None or not idem.source == idem.target == obj or idem.coeffs != self._base_coeffs(i, k):
-            raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
+        if k is None or idem.source != idem.target or idem.coeffs != self._base_coeffs(i, k):
+            raise UnsupportedEndAlgebra(f"idempotent on {idem.source} is not a stored primitive")
         return self._class[i] + k
 
     def _to_rep(self, obj: LadderObject, i: int, c: int) -> LadderMorphism:

@@ -26,7 +26,7 @@ once per call), so a replaced cell is seen by the next call.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels
@@ -53,22 +53,22 @@ def gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 
 @dataclass
 class RingTable:
-    """Structure constants over the canonical label basis, one sparse cell per pair.
+    """Structure constants over the canonical label basis of p, one sparse cell per pair.
 
     constants[i][j] is the cell of a_i x a_j: ((k, N_ij^k), ...) over the
     nonzero N_ij^k in increasing k.  `constants` is the only store: every
     reader works on its cells when called, so a replaced cell is seen by the
-    next read.
+    next read.  basis is all_labels(p), set on construction.
     """
 
     p: int
-    basis: tuple[BimoduleLabel, ...]
     constants: list  # (2p+2) lists of (2p+2) cells
 
     def index(self, label: BimoduleLabel) -> int:
         return self._index[label]
 
     def __post_init__(self):
+        self.basis = tuple(all_labels(self.p))
         self._index = {label: i for i, label in enumerate(self.basis)}
 
     def product(self, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
@@ -92,18 +92,16 @@ class RingTable:
         """
         interned: dict = {}
         constants = [[interned.setdefault(pair, (pair,)) for pair in row] for row in rows]
-        return cls(p, tuple(all_labels(p)), constants)
+        return cls(p, constants)
 
     @classmethod
     def empty(cls, p: int) -> "RingTable":
-        basis = tuple(all_labels(p))
-        n = len(basis)
-        return cls(p, basis, [[()] * n for _ in range(n)])
+        return cls(p, [[()] * (2 * p + 2) for _ in range(2 * p + 2)])
 
 
 def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
-    """Located mismatches between two tables over the same basis."""
-    if t1.p != t2.p or t1.basis != t2.basis:
+    """Located mismatches between two tables over the same prime."""
+    if t1.p != t2.p:
         return [f"incomparable tables (p={t1.p} vs p={t2.p})"]
     out = []
     for a, rows1, rows2 in zip(t1.basis, t1.constants, t2.constants):
@@ -119,9 +117,22 @@ def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
 
 @dataclass
 class AxiomReport:
-    unit_ok: bool
-    associativity_ok: bool
-    violations: list = field(default_factory=list)
+    """The findings of check_axioms, filed by check; a check passed when its list is empty.
+
+    unit holds the failed unit products in basis order, and associativity
+    the failed triples in (i, j, k, q) order.
+    """
+
+    unit: list
+    associativity: list
+
+    @property
+    def unit_ok(self) -> bool:
+        return not self.unit
+
+    @property
+    def associativity_ok(self) -> bool:
+        return not self.associativity
 
     def ok(self) -> bool:
         return self.unit_ok and self.associativity_ok
@@ -130,8 +141,9 @@ class AxiomReport:
 def check_axioms(table: RingTable) -> AxiomReport:
     """Verify that X_1 is a two-sided unit and that the ring is associative.
 
-    Both checks run on every call, so a report's associativity_ok is always
-    decided, never assumed.
+    Both checks run on every call and file their findings in the report's
+    unit and associativity lists, so associativity is always decided, never
+    assumed.
 
     Associativity is exact and complete by the middle nucleus
     N = {z : (x.z).y = x.(z.y) for all x, y} (Light's test): the table is
@@ -146,28 +158,25 @@ def check_axioms(table: RingTable) -> AxiomReport:
     yet proven is compared over every (i, k) (_middle_violations).  One that
     passes joins the members, and a single-label cell s.t or t.s of two
     members proves its label.  One that fails never joins, and no closure
-    can prove it, so every violation is found; they are reported in
+    can prove it, so every violation is found; they are filed in
     (i, j, k, q) order, whatever the walk's order.
     """
-    violations = []
     basis, constants = table.basis, table.constants
-    unit = BimoduleLabel("X", 1)
-    e = table.index(unit)
-    unit_ok = True
+    one = BimoduleLabel("X", 1)
+    e = table.index(one)
+    unit = []
     for i, a in enumerate(basis):
         # only a cell other than a_i alone builds its product, which raises
         # ValueError on a negative multiplicity
-        if constants[e][i] != ((i, 1),) and table.product(unit, a) != Decomposition.single(a):
-            violations.append(f"X1 x {a} != {a}")
-            unit_ok = False
-        if constants[i][e] != ((i, 1),) and table.product(a, unit) != Decomposition.single(a):
-            violations.append(f"{a} x X1 != {a}")
-            unit_ok = False
+        if constants[e][i] != ((i, 1),) and table.product(one, a) != Decomposition.single(a):
+            unit.append(f"X1 x {a} != {a}")
+        if constants[i][e] != ((i, 1),) and table.product(a, one) != Decomposition.single(a):
+            unit.append(f"{a} x X1 != {a}")
 
     n = len(basis)
     nz = [tuple(rows) for rows in constants]
     proven, unproven, members, failed = bytearray(n), n, [], {}
-    for j, compare in _walk(nz, proven, e if unit_ok else None):
+    for j, compare in _walk(nz, proven, None if unit else e):
         if compare:
             found = _middle_violations(table, nz, j)
             if found:
@@ -183,10 +192,7 @@ def check_axioms(table: RingTable) -> AxiomReport:
                         proven[cell[0][0]] = 1
                         unproven -= 1
                         queue.append(cell[0][0])
-    associativity_ok = not failed
-    for key in sorted(failed):
-        violations += failed[key]
-    return AxiomReport(unit_ok, associativity_ok, violations)
+    return AxiomReport(unit, [v for key in sorted(failed) for v in failed[key]])
 
 
 def _walk(nz: list, proven: bytearray, unit: int | None):
@@ -348,15 +354,6 @@ def _is_unit(N: list, i: int, one: tuple) -> bool:
 
 # -- serialization -----------------------------------------------------------------
 
-def _units_json(table: RingTable) -> dict:
-    units = units_group(table)
-    return {
-        "order": units.order,
-        "labels": [str(u) for u in units.labels],
-        "dihedral": units.is_dihedral(),
-    }
-
-
 def _products_json(table: RingTable) -> str:
     """The "products" value of serialize(table, "json"), as json.dumps(indent=2) lays it out.
 
@@ -394,11 +391,12 @@ def serialize(table: RingTable, format: str = "json") -> str:
 
         report = check_axioms(table)
         products = _products_json(table)
+        units = units_group(table)
         payload = {
             "p": table.p,
             "basis": [str(b) for b in table.basis],
             "products": None,
-            "units": _units_json(table),
+            "units": {"order": units.order, "labels": [str(u) for u in units.labels], "dihedral": units.is_dihedral()},
             "checks": {"unit": report.unit_ok, "associativity": report.associativity_ok},
         }
         text = json.dumps(payload, indent=2).replace('"products": null', '"products": ' + products, 1)
@@ -448,8 +446,7 @@ def parse_json(text: str) -> RingTable:
     given = payload["basis"]
     if not isinstance(given, list) or len(given) != 2 * p + 2:
         raise ValueError("basis in JSON does not match the canonical basis order")
-    basis = tuple(all_labels(p))
-    names = [str(b) for b in basis]
+    names = [str(b) for b in all_labels(p)]
     if names != given:
         raise ValueError("basis in JSON does not match the canonical basis order")
     position = {name: i for i, name in enumerate(names)}
@@ -493,4 +490,4 @@ def parse_json(text: str) -> RingTable:
     if len(products) != len(names) ** 2:
         extra = sorted(set(products) - {f"{a},{b}" for a in names for b in names})
         raise ValueError(f"products has cells outside the basis: {', '.join(map(repr, extra))}")
-    return RingTable(p, basis, constants)
+    return RingTable(p, constants)

@@ -107,7 +107,15 @@ def wall_of(p: int, label: BimoduleLabel) -> WallModel:
     return InvertibleWall(p, ((0, idx), (pow(idx, p - 2, p), 0)))
 
 
+def _same_prime(p: int, wall: WallModel) -> None:
+    """Raise ValueError when wall is an invertible wall of a prime other than p."""
+    if isinstance(wall, InvertibleWall) and wall.p != p:
+        raise ValueError(f"a wall at p={wall.p} cannot be stacked or named at p={p}")
+
+
 def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
+    """The basis label of wall at p; an invertible wall of another prime raises ValueError."""
+    _same_prime(p, wall)
     if isinstance(wall, BoundaryPair):
         key = (wall.left, wall.right)
         return {
@@ -146,8 +154,10 @@ def _stack(w1: WallModel, w2: WallModel, p: int) -> tuple[WallModel, int]:
 
 
 def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
-    """Stack w1 (left) against w2 (right) and decompose into labels."""
+    """Stack w1 (left) against w2 (right) and decompose into labels; a wall of another prime raises ValueError."""
     require_prime(p)
+    _same_prime(p, w1)
+    _same_prime(p, w2)
     wall, mult = _stack(w1, w2, p)
     return Decomposition.single(label_of_wall(p, wall), mult)
 

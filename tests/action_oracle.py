@@ -7,16 +7,15 @@ outer action with every rung rotated by its exponent read from the table,
 always into a new coefficient dict.  acted_witness_exponent is the witness
 associator acting through it on every connector, never reusing an acted
 idempotent, and its ratio read on the field oracle (scalar_oracle).
-object_witness_path is one witness path on Kar objects: it shifts objects
-through the entries' simple indices, locates each acted idempotent by its
-object, and tells a base landing by comparing connectors with the
+object_witness_path is one witness path on Kar objects, each its idempotent:
+it shifts objects through the entries' simple indices, locates each acted
+idempotent by its source, and tells a base landing by comparing connectors with the
 representative's idempotent, where the library works on object and class
 indices.
 """
 
 from bpring.fusion import ClassificationError
 from bpring.groups import Subgroup, subgroup_from_elements
-from bpring.karoubi import KarObject
 from bpring.ladders import LadderMorphism, LadderObject
 from kar_oracle import as_oracle
 from scalar_oracle import phase_exponent, to_oracle
@@ -24,7 +23,7 @@ from scalar_oracle import phase_exponent, to_oracle
 
 def action_tables(product) -> tuple[list[list[int]], list[list[int]]]:
     """left[g][i] and right[h][i] as permutations of simple indices, g, h in 0..p-1."""
-    lstep, rstep = product._step_tables()
+    lstep, rstep = product._steps
     n = len(product.simples)
     left = [list(range(n))]
     right = [list(range(n))]
@@ -44,7 +43,7 @@ def orbit_stabilizer(product, i: int) -> Subgroup:
 
 def search_orbits(product) -> list[list[int]]:
     """Orbits of the two step permutations, each grown by a search over a set."""
-    lstep, rstep = product._step_tables()
+    lstep, rstep = product._steps
     seen: set[int] = set()
     out = []
     for i in range(len(lstep)):
@@ -91,10 +90,10 @@ def acted_witness_exponent(product, g: int, h: int, simple) -> int:
     env = product.env
     paths = []
     for first, a, second, b in (("right", h, "left", g), ("left", g, "right", h)):
-        shifted = rotated_action(product, first, a, simple.representative.idem)
-        c1, u1 = env.locate(KarObject(shifted.source, shifted))
-        acted = rotated_action(product, second, b, env.representative(c1).idem)
-        c2, u2 = env.locate(KarObject(acted.source, acted))
+        shifted = rotated_action(product, first, a, simple.representative)
+        c1, u1 = env.locate(shifted)
+        acted = rotated_action(product, second, b, env.representative(c1))
+        c2, u2 = env.locate(acted)
         paths.append((c2, product.lad.compose(rotated_action(product, second, b, u1), u2)))
     (c_rl, path_rl), (c_lr, path_lr) = paths
     if c_rl != c_lr or path_rl.source != path_lr.source or path_rl.coeffs.keys() != path_lr.coeffs.keys():
@@ -109,8 +108,8 @@ def acted_witness_exponent(product, g: int, h: int, simple) -> int:
     return k
 
 
-def object_witness_path(product, first: str, a: int, second: str, b: int, rep: KarObject):
-    """(landing class, path) of acting by a on side first, then by b on side second, from the Kar object rep.
+def object_witness_path(product, first: str, a: int, second: str, b: int, rep: LadderMorphism):
+    """(landing class, path) of acting by a on side first, then by b on side second, from the idempotent rep.
 
     The path acts, locates the acted idempotent, acts on the landing class's
     representative, locates again, and is the acted first connector u
@@ -120,19 +119,14 @@ def object_witness_path(product, first: str, a: int, second: str, b: int, rep: K
     a base's idempotent e, the path is u2 (e followed by e is e).
     """
     env = product.env
-
-    def apply(side, g, kobj):
-        acted = rotated_action(product, side, g, kobj.idem)
-        return KarObject(acted.source, acted)
-
-    c1, u = env.locate(apply(first, a, rep))
+    c1, u = env.locate(rotated_action(product, first, a, rep))
     rep1 = env.representative(c1)
-    acted = apply(second, b, rep1)
+    acted = rotated_action(product, second, b, rep1)
     c2, u2 = env.locate(acted)
-    if u.coeffs is rep1.idem.coeffs and u.source == u.target == rep1.obj:
+    if u.coeffs is rep1.coeffs and u.source == u.target == rep1.source:
         if u2.source == u2.target:
             return c2, u2
-        w = acted.idem
+        w = acted
     else:
         w = rotated_action(product, second, b, u)
     return c2, product.lad.compose(w, u2)

@@ -193,6 +193,56 @@ def kernel_vs_field_oracle_p17():
     return f"kernel differs from the field oracle on {len(bad)} compositions, first {bad[0]}" if bad else None
 
 
+@check("fuse-detail")
+def fuse_detail():
+    """Five single products through fuse --detail beyond the tier-1 primes, in
+    one process.  Each runs through bpring.cli.main with its output captured
+    and printed, and must exit with 0 and print the expected whole line, or
+    the expected part of a line where one is named:
+
+    - T x T at p=17, exit code only: decompose runs the witness associator on
+      full-stabilizer orbits only; fuse --detail runs it on every orbit, here
+      17 trivial-stabilizer ones.
+    - R x L at p=11, line 11*T: products-p11's slowest item.  Every simple is
+      a character projector on a fixed object, sharing the stored projectors,
+      and every orbit goes through the witness associator, located by class
+      index.
+    - R x F0 at p=11, line 11*R: products-p11's other fixed-object item, 11
+      simples on one fixed object per simple of R, every witness composite a
+      product of full projectors.
+    - F5 x X7 at p=23, part "associator exponent 12  -> F12": the rotated
+      witness route.  The exponent is q*l = 35 = 12 mod 23 under the
+      calibration in the fusion docstring.
+    - R x F0 at p=23, line 23*R: the stored projector table and the kernel's
+      one-numerator output rungs.  Every simple is a character projector on
+      a fixed object, and the witness composites have denominator 23^2
+      before they reduce.
+    """
+    import contextlib
+    import io
+
+    from bpring.cli import main
+
+    runs = [  # (p, left, right, expected, whether it is a whole line)
+        ("17", "T", "T", "", False),
+        ("11", "R", "L", "11*T", True),
+        ("11", "R", "F0", "11*R", True),
+        ("23", "F5", "X7", "associator exponent 12  -> F12", False),
+        ("23", "R", "F0", "23*R", True),
+    ]
+    bad = []
+    for p, left, right, want, whole in runs:
+        argv = ["fuse", "--p", p, "--left", left, "--right", right, "--detail"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        text = out.getvalue()
+        print(f"$ bpring {' '.join(argv)}\n{text}", end="")
+        if code != 0 or not (want in text.splitlines() if whole else want in text):
+            bad.append(f"{left} x {right} at p={p} (exit {code})")
+    return f"fuse --detail misses its expected output on {bad}" if bad else None
+
+
 @check("pool-under-spawn")
 def pool_under_spawn():
     """The worker pool of build_table when workers start by spawn, the default on

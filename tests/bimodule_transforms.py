@@ -17,7 +17,6 @@ import dataclasses
 
 from bpring.bimodules import BimoduleData
 from bpring.fusion import RelativeTensorProduct
-from bpring.karoubi import KarObject
 
 
 def exponent_table(p, n, f):
@@ -127,8 +126,7 @@ def product_bimodule(rtp):
 
     def action(side):
         act = rtp.act_left if side == "left" else rtp.act_right
-        located = lambda f: env.locate(KarObject(f.source, f))[0]
-        return tuple(tuple(located(act(g, s.representative.idem)) for s in simples) for g in range(p))
+        return tuple(tuple(env.locate(act(g, s.representative))[0] for s in simples) for g in range(p))
 
     mixed = tuple(tuple(tuple(rtp.mixed_associator(g, h, s) for h in range(p)) for s in simples) for g in range(p))
     return BimoduleData(p, tuple(range(len(simples))), action("left"), action("right"), mixed)

@@ -9,9 +9,10 @@ searching.  The helpers here work on objects, from the bimodule actions:
 - primitive_idempotents, which decides whether an object is fixed from its
   rung-1 target instead of from the envelope's orbit walk, and builds the
   character projectors itself instead of reading the envelope's stored ones;
-- isomorphism decided the slow, general way: two primitives (A, e) and
-  (A', e') are isomorphic iff absorbed morphisms u: (A,e) -> (A',e') and v
-  back exist with u followed by v a nonzero multiple of e;
+- isomorphism decided the slow, general way: two primitives e on A and e'
+  on A' (a Kar object is its idempotent) are isomorphic iff absorbed
+  morphisms u: e -> e' and v back exist with u followed by v a nonzero
+  multiple of e;
 - the isomorphism classes of all primitives, found by that search;
 - walk_objects, the envelope's classes from one walk over every object, and
   step_tables, the step permutations from one loop over every class: the
@@ -37,7 +38,7 @@ from fractions import Fraction
 from bpring.bimodules import BimoduleData
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.fusion import ClassificationError
-from bpring.karoubi import KarEnvelope, KarObject, KarSimple, UnsupportedEndAlgebra
+from bpring.karoubi import KarEnvelope, KarSimple, UnsupportedEndAlgebra
 from bpring.ladders import CompositionError, LadderCategory, LadderMorphism, LadderObject
 from compose_oracle import scalar_product
 from scalar_oracle import FieldScalar, to_oracle
@@ -59,7 +60,7 @@ def identity(lad: LadderCategory, obj: LadderObject) -> LadderMorphism:
 
 def base_at(env: KarEnvelope, c: int) -> int:
     """Object index of the base of class c."""
-    return env.lad.object_index(env.representative(c).obj)
+    return env.lad.object_index(env.representative(c).source)
 
 
 def connectors(env: KarEnvelope, obj: LadderObject, k: int) -> tuple[LadderMorphism, LadderMorphism]:
@@ -74,8 +75,8 @@ def connectors(env: KarEnvelope, obj: LadderObject, k: int) -> tuple[LadderMorph
     if not 0 <= k < env.dimension_at(i):
         raise KeyError((obj, k))
     # a fixed object is its class's base; a free one has the identity only
-    idem = env.representative(env.class_at(i) + k).idem if env.dimension_at(i) > 1 else identity(env.lad, obj)
-    to_rep = env.locate(KarObject(obj, idem))[1]
+    idem = env.representative(env.class_at(i) + k) if env.dimension_at(i) > 1 else identity(env.lad, obj)
+    to_rep = env.locate(idem)[1]
     if to_rep.source == to_rep.target:
         return to_rep, to_rep
     (b,) = to_rep.coeffs
@@ -109,9 +110,9 @@ def as_oracle(f: LadderMorphism) -> LadderMorphism:
     return LadderMorphism(f.source, f.target, {b: to_oracle(c) for b, c in f.coeffs.items()})
 
 
-def kar_key(kobj: KarObject) -> tuple:
-    """A hashable key of a Kar object: its object and its idempotent's coefficients in rung order."""
-    return kobj.obj, tuple(sorted(kobj.idem.coeffs.items()))
+def kar_key(e: LadderMorphism) -> tuple:
+    """A hashable key of the Kar object e: its source and its coefficients in rung order."""
+    return e.source, tuple(sorted(e.coeffs.items()))
 
 
 def compose(lad: LadderCategory, f: LadderMorphism, g: LadderMorphism) -> LadderMorphism:
@@ -220,39 +221,38 @@ def reduce_to_basis(morphisms) -> list[LadderMorphism]:
     return basis
 
 
-def kar_hom_basis(lad: LadderCategory, a: KarObject, b: KarObject) -> list[LadderMorphism]:
-    """A basis of the absorbed Hom space e_a . Hom(A, B) . e_b."""
-    images = [compose(lad, compose(lad, a.idem, f), b.idem) for f in hom_basis(lad, a.obj, b.obj)]
+def kar_hom_basis(lad: LadderCategory, a: LadderMorphism, b: LadderMorphism) -> list[LadderMorphism]:
+    """A basis of the absorbed Hom space a . Hom(A, B) . b between the idempotents a on A and b on B."""
+    images = [compose(lad, compose(lad, a, f), b) for f in hom_basis(lad, a.source, b.source)]
     return reduce_to_basis(images)
 
 
-def is_isomorphic(lad: LadderCategory, a: KarObject, b: KarObject) -> bool:
+def is_isomorphic(lad: LadderCategory, a: LadderMorphism, b: LadderMorphism) -> bool:
     for u in kar_hom_basis(lad, a, b):
         for v in kar_hom_basis(lad, b, a):
-            lam = proportional(compose(lad, u, v), a.idem)
+            lam = proportional(compose(lad, u, v), a)
             if lam is not None and not lam.is_zero():
                 return True
     return False
 
 
-def isomorphism_classes(lad: LadderCategory) -> list[list[tuple[int, KarObject]]]:
+def isomorphism_classes(lad: LadderCategory) -> list[list[tuple[int, LadderMorphism]]]:
     """The isomorphism classes of all primitive Kar objects, found by search.
 
     Objects are walked in canonical order and the primitives of each by
     character index, so the classes come in order of first appearance and
-    the first member of each, (character index, Kar object), is its least one.
+    the first member of each, (character index, idempotent), is its least one.
     """
-    classes: list[list[tuple[int, KarObject]]] = []
+    classes: list[list[tuple[int, LadderMorphism]]] = []
     for obj in objects(lad):
         for k, e in enumerate(primitive_idempotents(lad, obj)):
-            kobj = KarObject(obj, e)
-            hits = [members for members in classes if is_isomorphic(lad, members[0][1], kobj)]
+            hits = [members for members in classes if is_isomorphic(lad, members[0][1], e)]
             if len(hits) > 1:
                 raise AssertionError(f"{obj}#{k} is isomorphic to {len(hits)} classes")
             if hits:
-                hits[0].append((k, kobj))
+                hits[0].append((k, e))
             else:
-                classes.append([(k, kobj)])
+                classes.append([(k, e)])
     return classes
 
 

@@ -370,7 +370,7 @@ import sys
 from bpring.cli import main
 from bpring.fusion import RelativeTensorProduct
 
-inner = RelativeTensorProduct._step_tables
+inner = RelativeTensorProduct._steps.func
 
 def swapped(self):
     lstep, rstep = inner(self)
@@ -378,7 +378,7 @@ def swapped(self):
     lstep[0], lstep[1] = lstep[1], lstep[0]
     return lstep, rstep
 
-RelativeTensorProduct._step_tables = swapped
+RelativeTensorProduct._steps = property(swapped)
 sys.exit(main(["fuse", "--p", "3", "--left", "T", "--right", "T"]))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

@@ -7,10 +7,11 @@ the Fraction oracle or against FieldScalar through to_oracle.
 """
 
 import random
+import re
 
 import pytest
 
-from bpring.cyclotomic import CyclotomicScalar, Rational, is_prime, phase_exponent, root_of_unity
+from bpring.cyclotomic import CyclotomicScalar, Rational, is_prime, phase_exponent, require_prime, root_of_unity
 from scalar_oracle import FieldScalar, from_rational, is_one, to_oracle
 from scalar_oracle import phase_exponent as field_phase_exponent
 from scalar_oracle import root_of_unity as field_root
@@ -82,6 +83,27 @@ def test_root_of_unity_requires_prime():
         CyclotomicScalar(6, 1)
     with pytest.raises(ValueError):
         FieldScalar(6, [0] * 6)
+    # a prime is an int: 7.0 equals a small prime, yet the tables would fail
+    # on it later with a TypeError
+    for p in (7.0, True, Rational(7), "7"):
+        with pytest.raises(ValueError, match=f"^p must be an integer, got {re.escape(repr(p))}$"):
+            CyclotomicScalar(p, 1)
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+        require_prime(4)
+
+
+def test_rational_factors_stay_exact():
+    # a float would be stored as its binary fraction and a string parsed, so
+    # both are bad input, as is a bool
+    one = CyclotomicScalar.one(3)
+    for c in (0.1, 0.5, "1/3", True, None):
+        message = f"^a scalar's rational factor must be an int or a Fraction, got {re.escape(repr(c))}$"
+        with pytest.raises(ValueError, match=message):
+            CyclotomicScalar(3, c)
+        with pytest.raises(ValueError, match=message):
+            one.scale(c)
+    assert CyclotomicScalar(3, Rational(1, 3), 1) == root_of_unity(3, 1).scale(Rational(2, 6))
+    assert CyclotomicScalar(3, -2) == one.scale(-2)
 
 
 def test_cyclotomic_relation():

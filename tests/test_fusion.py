@@ -18,7 +18,7 @@ from bpring.bimodules import (
 from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, build_table
 from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, KarObject, _checked_idempotent, _projector_coeffs
+from bpring.karoubi import KarEnvelope, _checked_idempotent, _projector_coeffs
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from action_oracle import (
     acted_witness_exponent,
@@ -47,16 +47,16 @@ def test_tt_left_action_shifts_first_leg():
     p = 3
     product = rtp(p, "T", "T")
     for s in product.simples:
-        (a, b), (zero, c) = s.representative.obj.m, s.representative.obj.n
+        (a, b), (zero, c) = s.representative.source.m, s.representative.source.n
         assert zero == 0
         for g in range(p):
             act = product.outer_action(g, "left", s)
-            assert act.target.representative.obj == LadderObject(((a + g) % p, b), (0, c))
+            assert act.target.representative.source == LadderObject(((a + g) % p, b), (0, c))
     for s in product.simples:
-        (a, b), (_, c) = s.representative.obj.m, s.representative.obj.n
+        (a, b), (_, c) = s.representative.source.m, s.representative.source.n
         for h in range(p):
             act = product.outer_action(h, "right", s)
-            assert act.target.representative.obj == LadderObject((a, b), (0, (c + h) % p))
+            assert act.target.representative.source == LadderObject((a, b), (0, (c + h) % p))
 
 
 def test_xx_right_action_uses_correction_ladder():
@@ -64,13 +64,13 @@ def test_xx_right_action_uses_correction_ladder():
     k, l = 2, 3
     product = rtp(p, f"X{k}", f"X{l}")
     for s in product.simples:
-        a = s.representative.obj.m
+        a = s.representative.source.m
         for g in range(p):
             act = product.outer_action(g, "right", s)
-            assert act.target.representative.obj == LadderObject((a + k * l * g) % p, 0)
+            assert act.target.representative.source == LadderObject((a + k * l * g) % p, 0)
         for g in range(p):
             act = product.outer_action(g, "left", s)
-            assert act.target.representative.obj == LadderObject((a + g) % p, 0)
+            assert act.target.representative.source == LadderObject((a + g) % p, 0)
 
 
 def test_rf0_actions():
@@ -80,7 +80,7 @@ def test_rf0_actions():
         for h in range(p):
             assert product.outer_action(h, "right", s).target == s
         moved = product.outer_action(1, "left", s).target
-        assert moved.representative.obj.m == (s.representative.obj.m + 1) % p
+        assert moved.representative.source.m == (s.representative.source.m + 1) % p
         assert moved.char_index == s.char_index
 
 
@@ -94,11 +94,11 @@ def test_witnesses_absorb_idempotents():
                     act = product.outer_action(g, side, s)
                     w = act.witness
                     if side == "left":
-                        shifted_idem = product.act_left(g, s.representative.idem)
+                        shifted_idem = product.act_left(g, s.representative)
                     else:
-                        shifted_idem = product.act_right(g, s.representative.idem)
+                        shifted_idem = product.act_right(g, s.representative)
                     assert lad.compose(shifted_idem, w) == w
-                    assert lad.compose(w, act.target.representative.idem) == w
+                    assert lad.compose(w, act.target.representative) == w
                     lead = min(w.coeffs)
                     assert is_one(w.coeffs[lead])
 
@@ -339,7 +339,7 @@ def test_witness_route_shares_the_stored_projectors_unchanged():
         assert fixed, (left, right)
         for i in fixed:
             c = env.class_at(i)
-            assert all(env.representative(c + k).idem.coeffs is coeffs for k, coeffs in enumerate(stored))
+            assert all(env.representative(c + k).coeffs is coeffs for k, coeffs in enumerate(stored))
     assert [dict(coeffs) for coeffs in stored] == before
 
 
@@ -355,7 +355,7 @@ def test_free_bases_share_one_identity_unchanged():
         product.analyze()
         assert identity == {0: CyclotomicScalar.one(p)}, (str(M.label), str(N.label))
         free = [c for c in range(env.simple_count) if env.dimension_at(env._bases[c]) == 1]
-        assert all(env.representative(c).idem.coeffs is identity for c in free)
+        assert all(env.representative(c).coeffs is identity for c in free)
         free_classes += len(free)
     assert free_classes > 0
 
@@ -407,11 +407,11 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
             env, lad = product.env, product.lad
             product.analyze()
             for c in range(env.simple_count):
-                idem = env.representative(c).idem
+                idem = env.representative(c)
                 for g in range(p):
                     for act in (product.act_left, product.act_right):
                         acted = act(g, idem)
-                        env.locate(KarObject(acted.source, acted))
+                        env.locate(acted)
             for i in range(lad.object_count):
                 obj = lad.object_at(i)
                 for k in range(env.dimension_at(i)):
@@ -419,7 +419,7 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
                     lad.compose(u, v)
             fixed = next((c for c in range(env.simple_count) if env.dimension_at(base_at(env, c)) == p), None)
             if fixed is not None:
-                projectors = [env.representative(fixed + k).idem for k in range(p)]
+                projectors = [env.representative(fixed + k) for k in range(p)]
                 for e, f in itertools.product(projectors, repeat=2):
                     kinds["cancelled" if lad.compose(e, f).is_zero() else "kept"] += 1
             for f in made:
@@ -448,7 +448,7 @@ def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial(
             for M, N in itertools.product(entries, repeat=2):
                 product = RelativeTensorProduct(M, N)
                 env, lad = product.env, product.lad
-                morphisms = [env.representative(c).idem for c in range(env.simple_count)]
+                morphisms = [env.representative(c) for c in range(env.simple_count)]
                 for i in range(lad.object_count):
                     for k in range(env.dimension_at(i)):
                         morphisms.extend(connectors(env, lad.object_at(i), k))
@@ -484,13 +484,13 @@ def test_row_walk_and_step_tables_match_the_per_object_oracle():
                 assert list(map(env.class_at, objects)) == cls_of, where
                 assert list(map(env.dimension_at, objects)) == [p if r == FIXED else 1 for r in rung_of], where
                 assert env._rung == rung_of, where
-                assert product._step_tables() == step_tables(M, N, walk), where
+                assert product._steps == step_tables(M, N, walk), where
 
 
 def test_corrupted_step_tables_are_classification_errors():
     p = 3
     product = rtp(p, "T", "T")
-    lstep, rstep = product._step_tables()
+    lstep, rstep = product._steps
     identity = list(range(len(lstep)))
     swapped = list(lstep)
     swapped[0], swapped[1] = swapped[1], swapped[0]
@@ -830,7 +830,7 @@ def test_witness_paths_that_land_on_a_base_are_its_idempotent(monkeypatch):
         if len(composed) > before:
             kinds["composed"] += 1
         else:
-            assert path.source == path.target and path.coeffs is env.representative(c2).idem.coeffs
+            assert path.source == path.target and path.coeffs is env.representative(c2).coeffs
             kinds["fixed base" if env.dimension_at(base_at(env, c2)) == product.p else "free base"] += 1
         return c2, path
 

@@ -10,7 +10,7 @@ import pytest
 
 from bpring.bimodules import catalogue, catalogue_entry, format_simple, label_parse, validate
 from bpring.cyclotomic import CyclotomicScalar, root_of_unity
-from bpring.karoubi import KarEnvelope, KarObject, UnsupportedEndAlgebra, proportionality
+from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from scalar_oracle import from_rational
 from kar_oracle import (
@@ -118,12 +118,12 @@ def test_simple_counts():
 def test_tt_representatives_normalise_right_leg():
     env = KarEnvelope(make_lad(3, "T", "T"))
     for s in env.simples:
-        assert s.representative.obj.n[0] == 0
+        assert s.representative.source.n[0] == 0
 
 
 def test_xx_representatives_normalise_right_leg():
     env = KarEnvelope(make_lad(3, "X1", "X2"))
-    assert [s.representative.obj for s in env.simples] == [LadderObject(a, 0) for a in range(3)]
+    assert [s.representative.source for s in env.simples] == [LadderObject(a, 0) for a in range(3)]
 
 
 def test_kar_hom_basis_simple_self():
@@ -131,7 +131,7 @@ def test_kar_hom_basis_simple_self():
     for s in env.simples:
         basis = kar_hom_basis(env.lad, s.representative, s.representative)
         assert len(basis) == 1
-        lam = proportional(basis[0], s.representative.idem)
+        lam = proportional(basis[0], s.representative)
         assert lam is not None and not lam.is_zero()
 
 
@@ -152,10 +152,10 @@ def test_kar_hom_vanishes_between_characters():
     lad = env.lad
     obj = LadderObject(1, "*")
     c = env.class_at(lad.object_index(obj))
-    idems = [env.representative(c + k).idem for k in range(3)]
+    idems = [env.representative(c + k) for k in range(3)]
     for j in range(3):
         for k in range(3):
-            basis = kar_hom_basis(env.lad, KarObject(obj, idems[j]), KarObject(obj, idems[k]))
+            basis = kar_hom_basis(env.lad, idems[j], idems[k])
             assert len(basis) == (1 if j == k else 0)
 
 
@@ -166,19 +166,19 @@ def test_tt_one_dimensional_kar_hom_along_rung():
     src = LadderObject((1, 2), (0, 1))
     g = 1
     tgt = LadderObject((1, (2 - g) % p), ((0 + g) % p, 1))
-    basis = kar_hom_basis(lad, KarObject(src, identity(lad, src)), KarObject(tgt, identity(lad, tgt)))
+    basis = kar_hom_basis(lad, identity(lad, src), identity(lad, tgt))
     assert len(basis) == 1
 
 
 def test_isomorphism_is_equivalence_relation_p2():
     for left, right in [("T", "T"), ("R", "F0"), ("F1", "F1"), ("X1", "L")]:
         env = KarEnvelope(make_lad(2, left, right))
-        kobjs = [KarObject(obj, e) for obj in objects(env.lad) for e in primitive_idempotents(env.lad, obj)]
+        prims = [e for obj in objects(env.lad) for e in primitive_idempotents(env.lad, obj)]
         iso = {
             (i, j): is_isomorphic(env.lad, a, b)
-            for (i, a), (j, b) in itertools.product(enumerate(kobjs), repeat=2)
+            for (i, a), (j, b) in itertools.product(enumerate(prims), repeat=2)
         }
-        n = len(kobjs)
+        n = len(prims)
         for i in range(n):
             assert iso[(i, i)]
             for j in range(n):
@@ -196,7 +196,7 @@ def test_classes_partition_all_primitives():
         assigned = 0
         for obj in objs:
             for e in primitive_idempotents(env.lad, obj):
-                cls = env.locate(KarObject(obj, e))[0]
+                cls = env.locate(e)[0]
                 assert 0 <= cls < len(env.simples)
                 assigned += 1
         assert assigned == total_prims
@@ -212,8 +212,8 @@ def test_connectors_invert_exactly():
                 c = env.class_at(lad.object_index(obj)) + k
                 rep = env.simples[c].representative
                 assert lad.compose(u, v) == e
-                assert lad.compose(v, u) == rep.idem
-                assert env.locate(KarObject(obj, e)) == (c, u)
+                assert lad.compose(v, u) == rep
+                assert env.locate(e) == (c, u)
                 assert env.representative(c) == rep
 
 
@@ -226,22 +226,21 @@ def test_orbit_classes_match_isomorphism_search():
         for M, N in itertools.product(catalogue(p), repeat=2):
             env = KarEnvelope(LadderCategory(M, N))
             lad = env.lad
-            blocks: list[list[KarObject]] = []  # isomorphism classes, by search
-            by_class: dict[int, list[KarObject]] = {}  # classes, by locate
+            blocks: list[list[LadderMorphism]] = []  # isomorphism classes, by search
+            by_class: dict[int, list[LadderMorphism]] = {}  # classes, by locate
             for obj in objects(lad):
                 for k, e in enumerate(primitive_idempotents(lad, obj)):
-                    kobj = KarObject(obj, e)
-                    hits = [block for block in blocks if is_isomorphic(lad, block[0], kobj)]
+                    hits = [block for block in blocks if is_isomorphic(lad, block[0], e)]
                     assert len(hits) <= 1, (M.label, N.label, obj, k)
                     if hits:
-                        hits[0].append(kobj)
+                        hits[0].append(e)
                     else:
-                        blocks.append([kobj])
-                    cls = env.locate(kobj)[0]
-                    by_class.setdefault(cls, []).append(kobj)
+                        blocks.append([e])
+                    cls = env.locate(e)[0]
+                    by_class.setdefault(cls, []).append(e)
                     u, v = connectors(env, obj, k)
                     assert lad.compose(u, v) == e
-                    assert lad.compose(v, u) == env.simples[cls].representative.idem
+                    assert lad.compose(v, u) == env.simples[cls].representative
             partition = {frozenset(map(kar_key, block)) for block in blocks}
             assert partition == {frozenset(map(kar_key, c)) for c in by_class.values()}, (M.label, N.label)
             assert len(blocks) == len(env.simples)
@@ -431,6 +430,21 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
         KarEnvelope(lad)
 
 
+def test_locate_rejects_a_morphism_that_is_not_an_endomorphism():
+    # the coefficients of the stored primitive, but from the object to another
+    env = KarEnvelope(make_lad(5, "R", "F0"))
+    obj, other = LadderObject(1, "*"), LadderObject(2, "*")
+    stored = env.representative(env.class_at(env.lad.object_index(obj)) + 1)
+    assert env.locate(stored)[0] == env.class_at(env.lad.object_index(obj)) + 1
+    free = KarEnvelope(make_lad(3, "T", "T"))
+    cases = [(env, LadderMorphism(obj, other, stored.coeffs))]
+    cases.append((free, LadderMorphism(free.lad.object_at(0), free.lad.object_at(1), {0: CyclotomicScalar.one(3)})))
+    for e, f in cases:
+        message = f"idempotent on {f.source} is not a stored primitive"
+        with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+            e.locate(f)
+
+
 def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
     env = KarEnvelope(make_lad(5, "R", "F0"))
     obj = LadderObject(1, "*")
@@ -444,26 +458,26 @@ def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
     for both in (rest, identity(env.lad, obj)):
         assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
         with pytest.raises(UnsupportedEndAlgebra):
-            env.locate(KarObject(obj, both))
+            env.locate(both)
     # rung 1 over rung 0 reads zeta, yet this is not the stored I_1
     with pytest.raises(UnsupportedEndAlgebra):
-        env.locate(KarObject(obj, i1.scale(2)))
+        env.locate(i1.scale(2))
     # rungs 0 and 1 are those of a stored I_k, which names k, but a later rung
     # is not: every rung is still compared
     first = env.class_at(env.lad.object_index(obj))
-    stored = [env.representative(first + k).idem.coeffs for k in range(5)]
+    stored = [env.representative(first + k).coeffs for k in range(5)]
     for k, b in itertools.product(range(5), range(2, 5)):
         for other in (stored[(k + 1) % 5][b], stored[k][b].scale(2)):
             idem = LadderMorphism(obj, obj, stored[k] | {b: other})
             message = f"idempotent on {obj} is not a stored primitive"
             with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
-                env.locate(KarObject(obj, idem))
-        assert env.locate(KarObject(obj, LadderMorphism(obj, obj, stored[k])))[0] == first + k
+                env.locate(idem)
+        assert env.locate(LadderMorphism(obj, obj, stored[k]))[0] == first + k
     # on a free object the only primitive is the identity
     env = KarEnvelope(make_lad(3, "T", "T"))
     obj = env.lad.object_at(0)
     with pytest.raises(UnsupportedEndAlgebra):
-        env.locate(KarObject(obj, identity(env.lad, obj).scale(2)))
+        env.locate(identity(env.lad, obj).scale(2))
     with pytest.raises(IndexError):
         env.representative(env.simple_count)
 

@@ -3,13 +3,15 @@
 closed_form_product and closed_form_table read one law, and fuse_walls and
 oracle_table one stacking rule; these tests pin that the label-level calls
 and the tables agree cell by cell, that the two tables agree with each other,
-and that every route refuses a label outside the basis at p as bad input.
+and that every route refuses a label outside the basis at p, or a p that is
+not an int, as bad input.
 """
 
 import pytest
 
 from bpring.bimodules import BimoduleLabel, catalogue_entry
 from bpring.closed_form import closed_form_product, closed_form_table
+from bpring.fusion import build_table
 from bpring.walls import fuse_walls, oracle_table, wall_of
 from ring_oracle import dense_cell, dense_row
 
@@ -44,6 +46,13 @@ def test_each_call_builds_its_own_cells():
             row[0] = 99
         assert dense_row(build(3), 0, 0)[0] == 3
         assert [dense_row(t, i, j)[0] for i in range(8) for j in range(8)].count(99) == 1
+
+
+@pytest.mark.parametrize("build", [closed_form_table, oracle_table, build_table])
+def test_a_prime_that_is_no_int_is_bad_input_on_every_route(build):
+    # 7.0 equals the prime 7, but range() and pow() inside each route refuse it
+    with pytest.raises(ValueError, match="^p must be an integer, got 7.0$"):
+        build(7.0)
 
 
 @pytest.mark.parametrize("p", PAIR_PRIMES)

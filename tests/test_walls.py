@@ -51,6 +51,18 @@ def test_label_of_wall_rejects_unknown_maps():
         label_of_wall(5, InvertibleWall(5, ((2, 0), (0, 2))))
 
 
+def test_a_wall_of_another_prime_is_bad_input():
+    # X2 x X2 is X1 at p=3, but X4 when the walls are read at p=5
+    x2 = wall_of(3, lab("X2"))
+    assert fuse_walls(x2, x2, 3) == Decomposition.single(lab("X1"))
+    message = "^a wall at p=3 cannot be stacked or named at p=5$"
+    for w1, w2 in ((x2, x2), (x2, wall_of(5, lab("X2"))), (wall_of(5, lab("F1")), x2), (wall_of(5, lab("T")), x2)):
+        with pytest.raises(ValueError, match=message):
+            fuse_walls(w1, w2, 5)
+    with pytest.raises(ValueError, match=message):
+        label_of_wall(5, x2)
+
+
 def test_sector_behavior():
     for p in (3, 5):
         for k in range(1, p):
