@@ -33,7 +33,7 @@ tables of every bimodule that carries a label.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .cyclotomic import require_prime
@@ -51,23 +51,27 @@ class LabelParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BimoduleLabel:
-    kind: str  # "T" | "L" | "R" | "F" | "X"
-    index: int | None = None
+class BimoduleLabel(namedtuple("BimoduleLabel", "kind index")):
+    """A catalogue label: kind "T", "L", "R", "F" or "X", and the index q of F_q or k of X_k."""
 
-    def __post_init__(self):
-        if self.kind in ("T", "L", "R"):
-            if self.index is not None:
-                raise LabelParseError(f"label {self.kind} takes no index")
-        elif self.kind == "F":
-            if self.index is None or self.index < 0:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int | None = None):
+        if kind in ("T", "L", "R"):
+            if index is not None:
+                raise LabelParseError(f"label {kind} takes no index")
+        elif kind == "F":
+            if index is None or index < 0:
                 raise LabelParseError("F labels need an index q >= 0")
-        elif self.kind == "X":
-            if self.index is None or self.index < 1:
+        elif kind == "X":
+            if index is None or index < 1:
                 raise LabelParseError("X labels need a nonzero index k")
         else:
-            raise LabelParseError(f"unknown label kind {self.kind!r}")
+            raise LabelParseError(f"unknown label kind {kind!r}")
+        return tuple.__new__(cls, (kind, index))
+
+    # _replace builds through _make, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def sort_key(self) -> tuple[int, int]:
         # canonical basis order T, L, R, F0, X1..X_{p-1}, F1..F_{p-1}
@@ -145,11 +149,13 @@ def format_simple(m) -> str:
     return str(m)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """A formal sum of bimodule labels with positive multiplicities."""
+class Decomposition(namedtuple("Decomposition", "summands")):
+    """A formal sum of bimodule labels with positive multiplicities.
 
-    summands: tuple[tuple[BimoduleLabel, int], ...]
+    summands is a tuple of (label, multiplicity) pairs in basis order.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_pairs(cls, pairs) -> "Decomposition":
@@ -179,25 +185,17 @@ class Decomposition:
         return " + ".join(parts)
 
 
-@dataclass
-class BimoduleData:
+class BimoduleData(namedtuple("BimoduleData", "p simples left right mixed label", defaults=(None,))):
     """One bimodule: simples in engine order and its integer tables.
 
     left[g][i] and right[h][i] are simple indices and mixed[g][i][h] an
     exponent mod p (see the module docstring).  The tables may share rows;
-    the catalogue's zero exponent table is one row repeated.  index and
-    trivial_mixed are read once, so build a new instance
-    (dataclasses.replace) to change simples or mixed.  label names the
-    catalogue entry the tables present, or is None; its subgroup and cocycle
-    index come from label_invariants.
+    the catalogue's zero exponent table is one row repeated.  The record is
+    immutable, and index and trivial_mixed are read once from it, so build a
+    new instance with entry._replace(...) to change a field.  label names
+    the catalogue entry the tables present, or is None; its subgroup and
+    cocycle index come from label_invariants.
     """
-
-    p: int
-    simples: tuple
-    left: tuple
-    right: tuple
-    mixed: tuple
-    label: BimoduleLabel | None = None
 
     @cached_property
     def index(self) -> dict:

@@ -125,7 +125,8 @@ class CyclotomicScalar:
 
     def __mul__(self, other):
         if type(other) is not CyclotomicScalar:
-            if isinstance(other, (int, Fraction)):
+            # the factors _ratio takes; any other, a bool or a float, raises TypeError
+            if type(other) is int or isinstance(other, Fraction):
                 return self.scale(other)
             return NotImplemented
         p = self.p

@@ -35,9 +35,9 @@ this.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add
+from typing import NamedTuple
 
 from .bimodules import (NUMBER, BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple,
                         label_invariants)
@@ -52,8 +52,7 @@ class ClassificationError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class ActionMorphism:
+class ActionMorphism(NamedTuple):
     g: int
     side: str  # "left" | "right"
     source: KarSimple
@@ -61,8 +60,7 @@ class ActionMorphism:
     witness: LadderMorphism
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     representative: KarSimple
     size: int
     stabilizer: Subgroup
@@ -70,8 +68,7 @@ class OrbitInfo:
     label: BimoduleLabel
 
 
-@dataclass(frozen=True)
-class ProductAnalysis:
+class ProductAnalysis(NamedTuple):
     p: int
     object_count: int
     end_dimensions: dict

@@ -7,7 +7,7 @@ canonical generator whose first nonzero coordinate is 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import require_prime
 
@@ -18,22 +18,26 @@ def _reduced(p: int, x) -> tuple[int, int]:
     return l % p, r % p
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of Z_p x Z_p: trivial, a line through a generator, or full."""
+class Subgroup(namedtuple("Subgroup", "p kind generator")):
+    """A subgroup of Z_p x Z_p: kind "trivial", "line" through a generator, or "full".
 
-    p: int
-    kind: str  # "trivial" | "line" | "full"
-    generator: tuple[int, int] | None = None
+    A line's generator is stored in canonical form.
+    """
 
-    def __post_init__(self):
-        require_prime(self.p)
-        if self.kind not in ("trivial", "line", "full"):
-            raise ValueError(f"unknown subgroup kind {self.kind!r}")
-        if (self.kind == "line") != (self.generator is not None):
+    __slots__ = ()
+
+    def __new__(cls, p: int, kind: str, generator: tuple[int, int] | None = None):
+        require_prime(p)
+        if kind not in ("trivial", "line", "full"):
+            raise ValueError(f"unknown subgroup kind {kind!r}")
+        if (kind == "line") != (generator is not None):
             raise ValueError("line subgroups need a generator, others must not have one")
-        if self.kind == "line":
-            object.__setattr__(self, "generator", _canonical_generator(self.p, self.generator))
+        if kind == "line":
+            generator = _canonical_generator(p, generator)
+        return tuple.__new__(cls, (p, kind, generator))
+
+    # _replace builds through _make, so it validates too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def order(self) -> int:

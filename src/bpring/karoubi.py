@@ -37,7 +37,6 @@ methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -51,8 +50,7 @@ class UnsupportedEndAlgebra(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class KarSimple:
+class KarSimple(NamedTuple):
     class_index: int
     representative: LadderMorphism  # the class's idempotent, on its base object
     char_index: int  # character index of the representative's idempotent

@@ -25,8 +25,8 @@ once per call), so a replaced cell is seen by the next call.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels
@@ -51,25 +51,27 @@ def gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda seq: (seq[i],)
 
 
-@dataclass
-class RingTable:
+class RingTable(namedtuple("RingTable", "p constants")):
     """Structure constants over the canonical label basis of p, one sparse cell per pair.
 
-    constants[i][j] is the cell of a_i x a_j: ((k, N_ij^k), ...) over the
-    nonzero N_ij^k in increasing k.  `constants` is the only store: every
-    reader works on its cells when called, so a replaced cell is seen by the
-    next read.  basis is all_labels(p), set on construction.
+    constants is (2p+2) lists of (2p+2) cells, and constants[i][j] is the
+    cell of a_i x a_j: ((k, N_ij^k), ...) over the nonzero N_ij^k in
+    increasing k.  `constants` is the only store: every reader works on its
+    cells when called, so a replaced cell is seen by the next read.  basis
+    is all_labels(p), set on construction.
     """
 
-    p: int
-    constants: list  # (2p+2) lists of (2p+2) cells
+    def __new__(cls, p: int, constants: list):
+        self = tuple.__new__(cls, (p, constants))
+        self.basis = tuple(all_labels(p))
+        self._index = {label: i for i, label in enumerate(self.basis)}
+        return self
+
+    # _replace builds through _make, so it sets basis too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def index(self, label: BimoduleLabel) -> int:
         return self._index[label]
-
-    def __post_init__(self):
-        self.basis = tuple(all_labels(self.p))
-        self._index = {label: i for i, label in enumerate(self.basis)}
 
     def product(self, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
         cell = self.constants[self._index[a]][self._index[b]]
@@ -115,16 +117,14 @@ def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
 
 # -- ring axioms ---------------------------------------------------------------
 
-@dataclass
-class AxiomReport:
+class AxiomReport(namedtuple("AxiomReport", "unit associativity")):
     """The findings of check_axioms, filed by check; a check passed when its list is empty.
 
     unit holds the failed unit products in basis order, and associativity
     the failed triples in (i, j, k, q) order.
     """
 
-    unit: list
-    associativity: list
+    __slots__ = ()
 
     @property
     def unit_ok(self) -> bool:
@@ -273,13 +273,14 @@ def _sparse_sum(terms: list) -> tuple:
 
 # -- units ----------------------------------------------------------------------
 
-@dataclass
-class UnitsGroup:
-    labels: tuple[BimoduleLabel, ...]
-    order: int
-    cyclic_part_ok: bool
-    involution_ok: bool
-    conjugation_ok: bool
+class UnitsGroup(namedtuple("UnitsGroup", "labels cyclic_part_ok involution_ok conjugation_ok")):
+    """The invertible labels of a table, and whether each dihedral relation holds among them."""
+
+    __slots__ = ()
+
+    @property
+    def order(self) -> int:
+        return len(self.labels)
 
     def is_dihedral(self) -> bool:
         return self.cyclic_part_ok and self.involution_ok and self.conjugation_ok
@@ -324,8 +325,7 @@ def units_group(table: RingTable) -> UnitsGroup:
     conjugation_ok = f1 in at and all(
         conjugate(i) == table.index(BimoduleLabel("X", pow(k, p - 2, p))) for k, i in x.items()
     )
-    labels = tuple(basis[i] for i in units)
-    return UnitsGroup(labels, len(labels), cyclic_ok, involution_ok, conjugation_ok)
+    return UnitsGroup(tuple(basis[i] for i in units), cyclic_ok, involution_ok, conjugation_ok)
 
 
 def _cyclic(rows: dict, at: dict, x: dict, p: int) -> bool:

@@ -28,7 +28,7 @@ tests/test_import_graph.py checks that it reaches nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -49,18 +49,17 @@ class BoundaryType(Enum):
         return BoundaryType.M_CONDENSING if self is BoundaryType.E_CONDENSING else BoundaryType.E_CONDENSING
 
 
-@dataclass(frozen=True)
-class BoundaryPair:
-    left: BoundaryType
-    right: BoundaryType
+class BoundaryPair(namedtuple("BoundaryPair", "left right")):
+    """A non-invertible wall: the BoundaryType of its left and of its right boundary."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InvertibleWall:
-    """Anyon map e^a m^b -> e^(ua+vb) m^(wa+xb), an automorphism of Z_p^2."""
+class InvertibleWall(namedtuple("InvertibleWall", "p matrix")):
+    """Anyon map e^a m^b -> e^(ua+vb) m^(wa+xb), an automorphism of Z_p^2.
 
-    p: int
-    matrix: tuple[tuple[int, int], tuple[int, int]]  # rows act on column (a, b)
+    matrix is ((u, v), (w, x)): its rows act on the column (a, b).
+    """
 
     def apply(self, anyon: tuple[int, int]) -> tuple[int, int]:
         a, b = anyon

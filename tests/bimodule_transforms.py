@@ -13,8 +13,6 @@
   bimodule, and ProductMemo builds each such product once.
 """
 
-import dataclasses
-
 from bpring.bimodules import BimoduleData
 from bpring.fusion import RelativeTensorProduct
 
@@ -40,7 +38,7 @@ def gauge_twist(entry, c, side):
         e = lambda g, i: c[left[g][i]] - c[i]
         shift = lambda g, i, h: e(g, right[h][i]) - e(g, i)
     twisted = exponent_table(p, len(c), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
-    return dataclasses.replace(entry, mixed=twisted, label=None)
+    return entry._replace(mixed=twisted, label=None)
 
 
 def character_twist(entry, chi, side):
@@ -63,7 +61,7 @@ def character_twist(entry, chi, side):
     else:
         shift = lambda g, i, h: g * (chi[right[h][i]] - chi[i])
     twisted = exponent_table(p, len(chi), lambda g, i, h: mixed[g][i][h] + shift(g, i, h))
-    return dataclasses.replace(entry, mixed=twisted, label=None)
+    return entry._replace(mixed=twisted, label=None)
 
 
 def random_twist(entry, rng):
@@ -86,8 +84,7 @@ def relabel(entry, rng):
     new_index = {old: k for k, old in enumerate(order)}
     names = [f"s{r}" for r in rng.sample(range(10 * n), n)]
     move = lambda table: [[new_index[row[old]] for old in order] for row in table]
-    return dataclasses.replace(
-        entry,
+    return entry._replace(
         simples=tuple(names[old] for old in order),
         left=move(entry.left),
         right=move(entry.right),
@@ -103,8 +100,7 @@ def op(entry):
     catalogue entry is a presentation the catalogue never makes.
     """
     p, mixed = entry.p, entry.mixed
-    return dataclasses.replace(
-        entry,
+    return entry._replace(
         left=entry.right,
         right=entry.left,
         mixed=exponent_table(p, len(entry.simples), lambda g, i, h: -mixed[h][i][g]),

@@ -122,7 +122,7 @@ def scan_units_group(table: RingTable) -> UnitsGroup:
     conjugation_ok = f1 in units and all(
         conjugate(x) == BimoduleLabel("X", pow(x.index, p - 2, p)) for x in xs
     )
-    return UnitsGroup(tuple(units), len(units), cyclic_ok, involution_ok, conjugation_ok)
+    return UnitsGroup(tuple(units), cyclic_ok, involution_ok, conjugation_ok)
 
 
 def product_diff_tables(t1: RingTable, t2: RingTable) -> list[str]:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from bpring.bimodules import (
@@ -63,13 +61,13 @@ def test_label_invariants_give_the_cocycle_index_and_validate_checks_them():
             q = label_invariants(p, label)[1]
             assert q == (label.index if label.kind == "F" else 0)
         # tables of one entry under another entry's label
-        wrong = dataclasses.replace(catalogue_entry(p, label_parse("L")), label=label_parse("R"))
+        wrong = catalogue_entry(p, label_parse("L"))._replace(label=label_parse("R"))
         assert "stabilizer of 0 differs from the stored subgroup" in validate(wrong)
-        wrong = dataclasses.replace(catalogue_entry(p, label_parse("F1")), label=label_parse("F0"))
+        wrong = catalogue_entry(p, label_parse("F1"))._replace(label=label_parse("F0"))
         assert any("catalogue entry F0 has wrong mixed associator" in v for v in validate(wrong))
     with pytest.raises(ValueError, match="X index 7 out of range for p=5"):
         label_invariants(5, label_parse("X7"))
-    beyond = dataclasses.replace(catalogue_entry(5, label_parse("X2")), label=label_parse("X7"))
+    beyond = catalogue_entry(5, label_parse("X2"))._replace(label=label_parse("X7"))
     assert validate(beyond) == ["X index 7 out of range for p=5"]
 
 
@@ -120,14 +118,12 @@ def test_validate_detects_broken_action():
     bad = [list(row) for row in entry.right]
     zero = entry.index[(0, 0)]
     bad[1][zero] = zero  # no longer free, breaks additivity/commutation
-    entry.right = bad
-    assert validate(entry) != []
+    assert validate(entry._replace(right=bad)) != []
 
 
 def test_validate_detects_nonbilinear_mixed_associator():
     entry = catalogue_entry(3, BimoduleLabel("F", 1))
-    entry.mixed = [[[(g + h) % 3 for h in range(3)]] for g in range(3)]
-    violations = validate(entry)
+    violations = validate(entry._replace(mixed=[[[(g + h) % 3 for h in range(3)]] for g in range(3)]))
     assert any("mixed associator" in v for v in violations)
 
 
@@ -170,7 +166,7 @@ MALFORMED = {
 def test_validate_reports_malformed_tables(case):
     entry = catalogue_entry(3, BimoduleLabel("T"))
     for label in (entry.label, None):
-        bad = dataclasses.replace(entry, label=label, **MALFORMED[case](entry))
+        bad = entry._replace(label=label, **MALFORMED[case](entry))
         violations = validate(bad)
         assert len(violations) == 1 and isinstance(violations[0], str), violations
 
@@ -186,12 +182,12 @@ def test_trivial_mixed_is_read_from_the_tables():
         for entry in catalogue(p):
             n = len(entry.simples)
             zero = (((0,) * p,) * n,) * p  # _set copies it into lists
-            assert dataclasses.replace(entry, mixed=zero).trivial_mixed
+            assert entry._replace(mixed=zero).trivial_mixed
             for g in range(p):
                 for i in range(n):
                     for h in range(p):
                         mixed = _set(zero, (g, i, h), 1 + (g + i + h) % (p - 1))
-                        assert not dataclasses.replace(entry, mixed=mixed).trivial_mixed, (p, str(entry.label), g, i, h)
+                        assert not entry._replace(mixed=mixed).trivial_mixed, (p, str(entry.label), g, i, h)
 
 
 def test_label_grammar_round_trip():

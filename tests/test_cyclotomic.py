@@ -106,6 +106,16 @@ def test_rational_factors_stay_exact():
     assert CyclotomicScalar(3, -2) == one.scale(-2)
 
 
+def test_a_factor_that_scale_rejects_is_no_operand_of_mul():
+    # x * c scales by an int or a Fraction; every other factor, a bool
+    # included, raises TypeError, while scale(True) raises ValueError above
+    x = root_of_unity(3, 1)
+    for c in (True, False, 1.5, 0.5, "1/3", None):
+        with pytest.raises(TypeError):
+            x * c
+    assert x * 2 == x.scale(2) and x * Rational(2, 6) == x.scale(Rational(1, 3))
+
+
 def test_cyclotomic_relation():
     for p in PRIMES:
         total = FieldScalar.zero(p)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -124,12 +123,8 @@ def test_action_is_power_of_generator():
     for p in (3, 5):
         R, L = catalogue_entry(p, label_parse("R")), catalogue_entry(p, label_parse("L"))
         c = [rng.randrange(p) for _ in range(p)]
-        R2 = dataclasses.replace(
-            R, mixed=exponent_table(p, p, lambda g, m, h: (c[(g + m) % p] - c[m]) * h), label=None
-        )
-        L2 = dataclasses.replace(
-            L, mixed=exponent_table(p, p, lambda g, m, h: g * (c[(m + h) % p] - c[m])), label=None
-        )
+        R2 = R._replace(mixed=exponent_table(p, p, lambda g, m, h: (c[(g + m) % p] - c[m]) * h), label=None)
+        L2 = L._replace(mixed=exponent_table(p, p, lambda g, m, h: g * (c[(m + h) % p] - c[m])), label=None)
         assert validate(R2) == [] and validate(L2) == []
         products += [RelativeTensorProduct(R2, L), RelativeTensorProduct(R, L2), RelativeTensorProduct(R2, L2)]
     for product in products:
@@ -687,8 +682,8 @@ def test_mixed_associator_off_the_rung_characters_is_a_classification_error():
     # the right action multiplies it by zeta^(b^2) as well.
     p = 5
     F0 = catalogue_entry(p, label_parse("F0"))
-    squares_in_h = dataclasses.replace(F0, mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
-    squares_in_g = dataclasses.replace(F0, mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
+    squares_in_h = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
+    squares_in_g = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
     for M, N, side in ((squares_in_h, F0, "left"), (F0, squares_in_g, "right")):
         assert validate(M) != [] or validate(N) != []
         with pytest.raises(ClassificationError, match=side):
@@ -703,8 +698,7 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
     p = 2
     F0 = catalogue_entry(p, label_parse("F0"))
     swap = {0: 1, 1: 0, 2: 2}
-    M = dataclasses.replace(
-        F0,
+    M = F0._replace(
         simples=(0, 1, 2),
         left=[[swap[m] if g else m for m in range(3)] for g in range(p)],
         right=[[m if h == 0 or m == 0 else 3 - m for m in range(3)] for h in range(p)],

@@ -134,20 +134,28 @@ units = bpring.units_group(t)
 assert (units.order, units.is_dihedral()) == (8, True)
 assert not bpring.diff_tables(t, bpring.parse_json(bpring.serialize(t, "json")))
 """
+# No run loads dataclasses or inspect, which cost more to import than a
+# route's records, and the verify run loads no typing: its records are
+# collections.namedtuple classes.
+NEVER = {"dataclasses", "inspect"}
 RUNS = {
-    "import": ("import bpring", set(), {"multiprocessing", "json"}),
-    "verify": (VERIFY_P5, SHARED | ROUTES["closed_form"] | ROUTES["walls"], {"multiprocessing"}),
+    "import": ("import bpring", set(), NEVER | {"multiprocessing", "json"}),
+    "verify": (VERIFY_P5, SHARED | ROUTES["closed_form"] | ROUTES["walls"], NEVER | {"multiprocessing", "typing"}),
     "build_table": ("import bpring\nbpring.build_table(3)", SHARED | ROUTES["engine"],
-                    {"multiprocessing", "json"}),
+                    NEVER | {"multiprocessing", "json"}),
 }
 
 
 def modules_loaded_by(code: str) -> set[str]:
-    """The modules that code loads in a fresh interpreter, beyond those loaded at start-up."""
+    """The modules that code loads in a fresh interpreter, beyond those loaded at start-up.
+
+    The interpreter runs with -S, so that what the site module loads at
+    start-up, such as typing imported by a .pth file, cannot hide a load.
+    """
     probe = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(sorted(set(sys.modules) - before))"
     env = {k: v for k, v in os.environ.items() if k != "BPRING_THREADS"}
     env["PYTHONPATH"] = str(ROOT / "src")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     return set(ast.literal_eval(out.stdout))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import random
@@ -353,8 +352,7 @@ def test_rung_action_not_a_zp_action_is_unsupported():
         2: "the rung orbit of (*)(0) is not a Z_p orbit at p=5",
     }
     for s in (1, 2):
-        N = dataclasses.replace(
-            F0,
+        N = F0._replace(
             simples=(0, 1),
             left=[[n if g in (0, s) else 1 - n for n in (0, 1)] for g in range(p)],
             right=[[0, 1]] * p,
@@ -371,8 +369,7 @@ def test_rung_action_not_a_zp_action_is_unsupported():
 def _two_simples(p, s):
     """Hand-built data that fails validate: simples 0 and 1, the right action fixing both for h in {0, s} only."""
     F0 = catalogue_entry(p, label_parse("F0"))
-    return dataclasses.replace(
-        F0,
+    return F0._replace(
         simples=(0, 1),
         left=[[0, 1]] * p,
         right=[[n if h in (0, s) else 1 - n for n in (0, 1)] for h in range(p)],
@@ -415,8 +412,7 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
     p = 3
     X1 = catalogue_entry(p, label_parse("X1"))
     one, two = [1, 5, 0, 4, 2, 3], [2, 0, 1, 5, 3, 4]
-    M = dataclasses.replace(
-        catalogue_entry(p, label_parse("F0")),
+    M = catalogue_entry(p, label_parse("F0"))._replace(
         simples=tuple(range(6)),
         left=[list(range(6))] * p,
         right=[list(range(6)), two, one],  # rung b acts by M.right[-b]

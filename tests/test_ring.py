@@ -185,7 +185,7 @@ def _inverse_not_a_unit():
 
 def _units_outcome(fn, t):
     try:
-        return vars(fn(t))
+        return fn(t)._asdict()
     except TableError as exc:
         return type(exc), exc.args
 
@@ -201,7 +201,7 @@ def test_row_readers_match_product_oracles():
         got = _units_outcome(units_group, t)
         assert got == _units_outcome(scan_units_group, t)
         raised += isinstance(got, tuple)
-        fewer_units += isinstance(got, dict) and got["order"] < 2 * (t.p - 1)
+        fewer_units += isinstance(got, dict) and len(got["labels"]) < 2 * (t.p - 1)
         clean = closed_form_table(t.p)
         assert diff_tables(clean, t) == product_diff_tables(clean, t)
         assert diff_tables(t, clean) == product_diff_tables(t, clean)

@@ -132,19 +132,30 @@ def test_engine_products_are_associative_and_distribute():
             assert left == Decomposition.from_pairs(parts), where
 
 
+class _Lifetime:
+    """Weakly referable, unlike a BimoduleData (a tuple): set on an entry, it is freed with the entry."""
+
+
 def test_product_memo_keeps_its_factors():
     # The memo holds its factors, so none is freed while it can still be
     # asked for their product.
     p, rng = 3, random.Random(5)
     cat = catalogue(p)
     lefts = [gauge_twist(e, {m: rng.randrange(p) for m in e.simples}, "left") for e in cat]
-    refs = [weakref.ref(e) for e in lefts]
+    refs = []
+    for e in lefts:
+        e.lifetime = _Lifetime()
+        refs.append(weakref.ref(e.lifetime))
+    pairs = ((0, 0), (4, 7), (7, 4))
+    # an entry and a copy of it are alive together while the memo is built,
+    # so a memo that holds copies holds other ids
+    ids = [id(e) for e in lefts]
+    expected = {(i, j): RelativeTensorProduct(lefts[i], cat[j]).decompose() for i, j in pairs}
     products = ProductMemo(lefts, cat)
-    del lefts
+    del lefts, e
     gc.collect()
     assert all(ref() is not None for ref in refs)
     unit = catalogue_entry(p, label_parse("X1"))
-    for i, j in ((0, 0), (4, 7), (7, 4)):
-        assert products.lefts[i] is refs[i]()
-        got = RelativeTensorProduct(products[i, j], unit).decompose()
-        assert got == RelativeTensorProduct(refs[i](), cat[j]).decompose()
+    for i, j in pairs:
+        assert id(products.lefts[i]) == ids[i] and products.lefts[i].lifetime is refs[i]()
+        assert RelativeTensorProduct(products[i, j], unit).decompose() == expected[i, j]
