@@ -102,17 +102,15 @@ class BimoduleLabel(namedtuple("BimoduleLabel", "kind index")):
 
 
 def label_parse(text: str) -> BimoduleLabel:
+    """The label spelled text; BimoduleLabel holds every kind and index rule, and its error gains the text."""
     m = _LABEL_RE.fullmatch(text)
     if not m:
         raise LabelParseError(f"cannot parse bimodule label {text!r}")
-    kind, idx = m.group(1), m.group(2)
-    if kind in ("T", "L", "R"):
-        if idx is not None:
-            raise LabelParseError(f"label {kind} takes no index: {text!r}")
-        return BimoduleLabel(kind)
-    if idx is None:
-        raise LabelParseError(f"label {kind} needs an index: {text!r}")
-    return BimoduleLabel(kind, int(idx))
+    kind, idx = m.groups()
+    try:
+        return BimoduleLabel(kind, None if idx is None else int(idx))
+    except LabelParseError as exc:
+        raise LabelParseError(f"{exc}: {text!r}") from None
 
 
 def all_labels(p: int) -> list[BimoduleLabel]:

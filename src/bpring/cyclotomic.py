@@ -38,16 +38,12 @@ from math import gcd
 # Exact rational scalar used throughout the engine.
 Rational = Fraction
 
-_SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n in _SMALL_PRIMES:
-        return True
     if n % 2 == 0:
-        return False
+        return n == 2
     d = 3
     while d * d <= n:
         if n % d == 0:

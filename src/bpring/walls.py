@@ -10,16 +10,18 @@ states, hence multiplicity p; mismatched inner faces give a unique state.
 The wall assignments are T=(e,e), L=(m,e), R=(e,m), F0=(m,m),
 X_k: e^a m^b -> e^(ka) m^(b/k), F1: e^a m^b -> e^b m^a, with F_q the e<->m
 swap followed by X_q.  The composition order for F_q and for stacking was
-calibrated once against the multiplication table at p=5 and then frozen.
+calibrated once against the multiplication table at p=5 and then frozen;
+deriving both from the Lagrangian subgroups of the folded double, with no
+calibration, is still open.
 
-Stacking is one label-free step, _stack, which returns the resulting wall and
-its multiplicity; fuse_walls names that wall with label_of_wall.
-oracle_table fills the table by basis index, a row at a time: one wall_of
-per basis label, the stacking step per cell, the sector check once per
-invertible wall, and label_of_wall once per distinct resulting wall, kept in
-a memo that lives for the one call.  Each row is a list of (basis index,
-multiplicity) pairs, which RingTable.from_cells stores as one-pair sparse
-cells.
+wall_of states that assignment once: a wall is named by the inverse of
+wall_of over the basis, built afresh on every call, and a wall that is no
+basis label's, or one that two labels share, raises OracleError.  Stacking is
+one label-free step, _stack, giving the resulting wall and its multiplicity.
+oracle_table fills the table by basis index, a row at a time: one wall_of per
+basis label, _stack and one lookup in the inverse per cell, and the sector
+check once per invertible wall; RingTable.from_cells stores each row's
+(basis index, multiplicity) pairs as one-pair sparse cells.
 
 This module never touches the categorical engine or the closed form; it
 shares only the labels, scalars and table type of the shared modules, and
@@ -112,27 +114,30 @@ def _same_prime(p: int, wall: WallModel) -> None:
         raise ValueError(f"a wall at p={wall.p} cannot be stacked or named at p={p}")
 
 
+def _basis_walls(p: int) -> tuple[list[BimoduleLabel], list[WallModel], dict]:
+    """The basis labels at p, their walls, and the inverse of wall_of (wall -> basis index)."""
+    labels = all_labels(p)
+    walls = [wall_of(p, label) for label in labels]
+    index_of = {}
+    for k, wall in enumerate(walls):
+        first = index_of.setdefault(wall, k)
+        if first != k:
+            raise OracleError(f"labels {labels[first]} and {labels[k]} share the wall {wall!r}")
+    return labels, walls, index_of
+
+
+def _unnamed(p: int, wall: WallModel) -> OracleError:
+    return OracleError(f"{wall!r} is the wall of no basis label at p={p}")
+
+
 def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
-    """The basis label of wall at p; an invertible wall of another prime raises ValueError."""
+    """The basis label whose wall is wall; an invertible wall of another prime raises ValueError."""
     _same_prime(p, wall)
-    if isinstance(wall, BoundaryPair):
-        key = (wall.left, wall.right)
-        return {
-            (_E, _E): BimoduleLabel("T"),
-            (_M, _E): BimoduleLabel("L"),
-            (_E, _M): BimoduleLabel("R"),
-            (_M, _M): BimoduleLabel("F", 0),
-        }[key]
-    (u, v), (w, x) = wall.matrix
-    if v == 0 and w == 0 and u != 0:
-        if (u * x) % p != 1:
-            raise OracleError(f"diagonal wall map {wall.matrix} is not in the catalogue")
-        return BimoduleLabel("X", u)
-    if u == 0 and x == 0 and v != 0:
-        if (v * w) % p != 1:
-            raise OracleError(f"antidiagonal wall map {wall.matrix} is not in the catalogue")
-        return BimoduleLabel("F", pow(w, p - 2, p))
-    raise OracleError(f"wall map {wall.matrix} is not in the image of the catalogue")
+    labels, _, index_of = _basis_walls(p)
+    try:
+        return labels[index_of[wall]]
+    except (KeyError, TypeError):  # TypeError: a wall whose matrix is unhashable, e.g. a list
+        raise _unnamed(p, wall) from None
 
 
 def _stack(w1: WallModel, w2: WallModel, p: int) -> tuple[WallModel, int]:
@@ -164,11 +169,10 @@ def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
 def oracle_table(p: int) -> RingTable:
     """The full multiplication table computed purely by wall stacking.
 
-    Each cell is stacked as fuse_walls stacks it, and each distinct resulting
-    wall is named by label_of_wall once, at its first cell in row order.
+    Each cell is stacked as fuse_walls stacks it and named, as label_of_wall
+    names a wall, by the one inverse of wall_of that this call builds.
     """
-    walls = [wall_of(p, label) for label in all_labels(p)]
-    index_of = {}  # stacked wall -> its basis index, for this call only
+    _, walls, index_of = _basis_walls(p)
     rows = []
     for w1 in walls:
         row = []
@@ -176,7 +180,7 @@ def oracle_table(p: int) -> RingTable:
             wall, mult = _stack(w1, w2, p)
             k = index_of.get(wall)
             if k is None:
-                k = index_of[wall] = basis_index(p, label_of_wall(p, wall))
+                raise _unnamed(p, wall)
             row.append((k, mult))
         rows.append(row)
     return RingTable.from_cells(p, rows)

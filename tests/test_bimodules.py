@@ -207,8 +207,9 @@ def test_label_grammar_round_trip():
      " T", "X1\n", "F0 ", "\tR"],
 )
 def test_label_parse_errors(bad):
-    with pytest.raises(LabelParseError):
+    with pytest.raises(LabelParseError) as caught:
         label_parse(bad)
+    assert repr(bad) in str(caught.value)
 
 
 def test_basis_order():

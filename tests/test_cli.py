@@ -293,7 +293,7 @@ def test_oracle_fault_exit_code(capsys, monkeypatch):
     from bpring import walls
 
     def sheared_wall_of(p, label):
-        if label.kind == "X":
+        if str(label) == "X2":
             return walls.InvertibleWall(p, ((1, 1), (0, 1)))
         return real_wall_of(p, label)
 
@@ -303,6 +303,20 @@ def test_oracle_fault_exit_code(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: wall map ((1, 1), (0, 1)) ")
+    assert err.count("\n") == 1
+
+
+def test_oracle_naming_fault_exit_code(capsys, monkeypatch):
+    from bpring import walls
+    from bpring.bimodules import label_parse
+
+    real_wall_of = walls.wall_of
+    x1, x2 = label_parse("X1"), label_parse("X2")
+    monkeypatch.setattr(walls, "wall_of", lambda p, label: real_wall_of(p, x1 if label == x2 else label))
+    code, out, err = run_cli(capsys, "verify", "--p", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: labels X1 and X2 share the wall ")
     assert err.count("\n") == 1
 
 

@@ -199,6 +199,14 @@ def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
     assert not is_prime(49)
+    # agreement with a sieve on every n below 5000: 2, the even numbers,
+    # squares of primes such as 1369 = 37^2 and products such as 2021 = 43*47
+    sieve = [n >= 2 for n in range(5000)]
+    for n in range(2, 71):
+        if sieve[n]:
+            for multiple in range(n * n, 5000, n):
+                sieve[multiple] = False
+    assert [n for n in range(-5, 5000) if is_prime(n)] == [n for n in range(5000) if sieve[n]]
 
 
 def test_arithmetic_matches_fraction_oracle():

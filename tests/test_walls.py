@@ -49,6 +49,27 @@ def test_label_of_wall_rejects_unknown_maps():
         label_of_wall(5, InvertibleWall(5, ((1, 1), (0, 1))))
     with pytest.raises(OracleError):
         label_of_wall(5, InvertibleWall(5, ((2, 0), (0, 2))))
+    # a wall is named only if it equals the wall of a basis label: an unreduced
+    # matrix, a matrix held in lists and faces that are not BoundaryType
+    # members are no label's wall
+    with pytest.raises(OracleError, match="wall of no basis label at p=5$"):
+        label_of_wall(5, InvertibleWall(5, ((6, 0), (0, 1))))
+    with pytest.raises(OracleError, match="wall of no basis label at p=3$"):
+        label_of_wall(3, BoundaryPair("e", "e"))
+    with pytest.raises(OracleError, match="wall of no basis label at p=3$"):
+        label_of_wall(3, InvertibleWall(3, [[1, 0], [0, 1]]))
+
+
+def test_two_labels_with_one_wall_are_an_oracle_fault(monkeypatch):
+    from bpring import walls
+
+    real_wall_of = walls.wall_of
+    monkeypatch.setattr(walls, "wall_of", lambda p, label: real_wall_of(p, lab("X1") if label == lab("X2") else label))
+    message = "^labels X1 and X2 share the wall "
+    with pytest.raises(OracleError, match=message):
+        oracle_table(3)
+    with pytest.raises(OracleError, match=message):
+        label_of_wall(3, real_wall_of(3, lab("T")))
 
 
 def test_a_wall_of_another_prime_is_bad_input():
