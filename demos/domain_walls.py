@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The lattice domain-wall picture, and the cross-check it provides.
 
-Each bimodule label corresponds to a domain wall of the Z_p quantum double:
-the four non-invertible labels are pairs of gapped boundaries (each condensing
-the e or m sector), and the invertible labels act as automorphisms of the
-anyon lattice.  Stacking walls reproduces the entire multiplication table
+Each bimodule label corresponds to a domain wall of the Z_p quantum double,
+read from a Lagrangian subgroup of the folded double: the four non-invertible
+labels are pairs of gapped boundaries (each condensing the e or m sector), and
+the invertible labels act as automorphisms of the anyon lattice.  Stacking walls reproduces the entire multiplication table
 without ever touching the categorical engine, giving an independent oracle.
 """
 
@@ -14,9 +14,7 @@ from bpring import (
     build_table,
     diff_tables,
     fuse_walls,
-    mutual_braiding,
     oracle_table,
-    preserves_braiding,
     wall_of,
 )
 
@@ -37,19 +35,11 @@ print(f"L (x) R -> {fuse_walls(wall_of(p, L), wall_of(p, R), p)}")
 print()
 
 # invertible walls act on dyon labels e^a m^b; X-type preserves the two
-# sectors, F-type exchanges them, and both preserve mutual statistics
+# sectors and F-type exchanges them
 x2 = wall_of(p, BimoduleLabel("X", 2))
 f1 = wall_of(p, BimoduleLabel("F", 1))
 print(f"X2 moves e^1 m^1 -> e^{x2.apply((1, 1))[0]} m^{x2.apply((1, 1))[1]}")
 print(f"F1 moves e^1 m^0 -> e^{f1.apply((1, 0))[0]} m^{f1.apply((1, 0))[1]}")
-for label in all_labels(p):
-    if label.is_invertible():
-        assert preserves_braiding(wall_of(p, label))
-print("all invertible walls preserve the mutual-braiding pairing: ok")
-print()
-
-sample = mutual_braiding(p, (1, 0), (0, 1))
-print(f"mutual braiding of e and m: {sample!r}")
 print()
 
 # the whole table, by wall stacking alone, agrees with the engine

@@ -32,7 +32,7 @@ _EXPORTS = {
         "validate",
     ),
     "closed_form": ("closed_form_product", "closed_form_table"),
-    "cyclotomic": ("CyclotomicScalar", "Rational", "phase_exponent", "root_of_unity"),
+    "cyclotomic": ("CyclotomicScalar", "Rational", "phase_exponent"),
     "fusion": (
         "ActionMorphism",
         "ClassificationError",
@@ -69,9 +69,7 @@ _EXPORTS = {
         "WallModel",
         "fuse_walls",
         "label_of_wall",
-        "mutual_braiding",
         "oracle_table",
-        "preserves_braiding",
         "wall_of",
     ),
 }

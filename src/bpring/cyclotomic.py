@@ -171,11 +171,6 @@ class CyclotomicScalar:
         return f"Cyc(p={self.p}: {body})"
 
 
-def root_of_unity(p: int, k: int) -> CyclotomicScalar:
-    """zeta_p^k in canonical form."""
-    return CyclotomicScalar(p, 1, k)
-
-
 def phase_exponent(x: CyclotomicScalar) -> int | None:
     """Return k with x == zeta^k exactly, or None if x is not a root of unity."""
     if x.den != 1:

@@ -29,7 +29,7 @@ from collections import namedtuple
 from collections.abc import Callable, Sequence
 from operator import itemgetter
 
-from .bimodules import BimoduleLabel, Decomposition, all_labels
+from .bimodules import BimoduleLabel, Decomposition, all_labels, basis_index
 
 
 class TableError(RuntimeError):
@@ -64,17 +64,17 @@ class RingTable(namedtuple("RingTable", "p constants")):
     def __new__(cls, p: int, constants: list):
         self = tuple.__new__(cls, (p, constants))
         self.basis = tuple(all_labels(p))
-        self._index = {label: i for i, label in enumerate(self.basis)}
         return self
 
     # _replace builds through _make, so it sets basis too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def index(self, label: BimoduleLabel) -> int:
-        return self._index[label]
+        """The position of label in the basis; a label outside it raises ValueError, as in basis_index."""
+        return basis_index(self.p, label)
 
     def product(self, a: BimoduleLabel, b: BimoduleLabel) -> Decomposition:
-        cell = self.constants[self._index[a]][self._index[b]]
+        cell = self.constants[self.index(a)][self.index(b)]
         if any(mult < 0 for _, mult in cell):
             raise ValueError("multiplicities must be positive")
         # the basis is in canonical order, so the cell's labels already are
@@ -82,8 +82,8 @@ class RingTable(namedtuple("RingTable", "p constants")):
         return Decomposition(tuple((basis[k], mult) for k, mult in cell))
 
     def set_product(self, a: BimoduleLabel, b: BimoduleLabel, dec: Decomposition) -> None:
-        index = self._index
-        self.constants[index[a]][index[b]] = tuple(sorted((index[label], mult) for label, mult in dec.summands))
+        index = self.index
+        self.constants[index(a)][index(b)] = tuple(sorted((index(label), mult) for label, mult in dec.summands))
 
     @classmethod
     def from_cells(cls, p: int, rows) -> "RingTable":
@@ -313,7 +313,7 @@ def units_group(table: RingTable) -> UnitsGroup:
 
     x = {basis[i].index: i for i in units if basis[i].kind == "X"}  # k -> the unit X_k
     cyclic_ok = len(x) == p - 1 and _cyclic(rows, at, x, p)
-    f1 = table._index.get(BimoduleLabel("F", 1))
+    f1 = table.index(BimoduleLabel("F", 1))
     involution_ok = f1 in at and rows[f1][at[f1]] == e
 
     def conjugate(i):  # F1 x a_i x F1

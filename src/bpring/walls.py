@@ -1,30 +1,55 @@
-"""Lattice domain-wall model of the bimodule labels, used as a cross-check.
+"""Domain-wall model of the bimodule labels, used as a cross-check.
 
-Non-invertible walls are a pair of gapped boundaries (each condensing the e or
-the m sector); invertible walls are linear automorphisms of the anyon labels
-e^a m^b.  Stacking walls left-to-right composes: a particle crossing wall w1
-and then w2 is transformed by map(w2) o map(w1).  Fusing two boundary pairs
+By the folding trick, a gapped domain wall of the Z_p quantum double D(Z_p)
+is a Lagrangian subgroup L of D(Z_p) + D(Z_p)^rev (Kitaev-Kong,
+arXiv:1104.5047).  Write the anyon e^a m^b as (charge a, flux b) and a point
+of the folded double as (c1, h1, c2, h2), the left anyon and then the right.
+The spin of a point is c1*h1 - c2*h2 mod p, and L is a 2-dimensional subspace
+of F_p^4 on which the spin vanishes (L is isotropic).
+
+wall_of reads every wall by one rule, (H, q) -> L -> wall:
+
+- (H, q) is the label's subgroup H of Z_p x Z_p and its cocycle index q
+  (Etingof-Nikshych-Ostrik, arXiv:0909.3140), read from this module's own
+  table, _invariants, not from bimodules.label_invariants, which the engine
+  reads; a test compares the two.
+- L = {(c1, h1, c2, -h2) : h in H, c|_H = q*(h1*y - h2*x)}.  It is spanned by
+  (-q*h2, h1, q*h1, -h2) for each generator h of H and (c1, 0, c2, 0) for
+  each generator c of the annihilator of H.  An L that is not isotropic
+  raises OracleError.
+- When the left 2x2 block of that basis is invertible, L is the graph of the
+  anyon map right . left^-1, an InvertibleWall.  Otherwise L is a left line
+  times a right line, a BoundaryPair: a side whose fluxes are all zero
+  condenses e, and any other side condenses m.
+
+Nothing here was fitted to the table it checks:
+
+- The -h2 sign is forced by isotropy: D(G x G) is D(G) + D(G)^rev only after
+  h2 -> -h2.  With +h2, the X_k and F_q (q != 0) subgroups are not isotropic
+  at any odd p.
+- The table cannot fix the sign of q, since F_q -> F_(-q) is a ring
+  automorphism.  The catalogue's convention fixes it: the mixed exponent of
+  F_q is q*g*h, and L pairs (g, 0) with (0, h) by the same q*g*h.
+- The stacking order is forced.  A particle that crosses w1 and then w2 is
+  moved by map(w2) o map(w1), which is the composition of the relation L1
+  followed by L2.  Stacking in the reverse order gets 28, 68 and 132 cells
+  wrong at p = 3, 5, 7.
+
+_stack is that relation composition, worked out on graphs and products.  Its
+multiplicity is |{y : (0, y) in L1, (y, 0) in L2}|: fusing two boundary pairs
 whose inner faces condense the same sector leaves a closed strip carrying p
-states, hence multiplicity p; mismatched inner faces give a unique state.
+states, and any other pair leaves a unique state.
 
-The wall assignments are T=(e,e), L=(m,e), R=(e,m), F0=(m,m),
-X_k: e^a m^b -> e^(ka) m^(b/k), F1: e^a m^b -> e^b m^a, with F_q the e<->m
-swap followed by X_q.  The composition order for F_q and for stacking was
-calibrated once against the multiplication table at p=5 and then frozen;
-deriving both from the Lagrangian subgroups of the folded double, with no
-calibration, is still open.
-
-wall_of states that assignment once: a wall is named by the inverse of
-wall_of over the basis, built afresh on every call, and a wall that is no
-basis label's, or one that two labels share, raises OracleError.  Stacking is
-one label-free step, _stack, giving the resulting wall and its multiplicity.
-oracle_table fills the table by basis index, a row at a time: one wall_of per
-basis label, _stack and one lookup in the inverse per cell, and the sector
-check once per invertible wall; RingTable.from_cells stores each row's
-(basis index, multiplicity) pairs as one-pair sparse cells.
+A wall is named by the inverse of wall_of over the basis, built afresh on
+every call, and a wall that is no basis label's, or one that two labels
+share, raises OracleError.  fuse_walls names both its inputs that way before
+it stacks them.  oracle_table fills the table by basis index, a row at a
+time: one wall_of per basis label, _stack and one lookup in the inverse per
+cell, and the sector check once per invertible wall; RingTable.from_cells
+stores each row's (basis index, multiplicity) pairs as one-pair sparse cells.
 
 This module never touches the categorical engine or the closed form; it
-shares only the labels, scalars and table type of the shared modules, and
+shares only the labels and the table type of the shared modules, and
 tests/test_import_graph.py checks that it reaches nothing else.
 """
 
@@ -35,7 +60,7 @@ from enum import Enum
 from functools import cached_property
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels, basis_index
-from .cyclotomic import CyclotomicScalar, require_prime, root_of_unity
+from .cyclotomic import require_prime
 from .ring import RingTable
 
 
@@ -89,23 +114,46 @@ _E = BoundaryType.E_CONDENSING
 _M = BoundaryType.M_CONDENSING
 
 
-def wall_of(p: int, label: BimoduleLabel) -> WallModel:
-    """The wall of a basis label; a label outside the basis at p raises ValueError."""
-    require_prime(p)
+# H of T, L and R; X_k and F_q are read from their index
+_BOUNDARY_H = {"T": (), "L": ((1, 0),), "R": ((0, 1),)}
+
+
+def _invariants(p: int, label: BimoduleLabel) -> tuple[tuple[tuple[int, int], ...], int]:
+    """(H, q) of a basis label: generators of H in Z_p x Z_p, as (left, right) pairs, and q.
+
+    H is trivial for T, <(1,0)> for L, <(0,1)> for R, <(-k,1)> for X_k and
+    the whole group for F_q; q is the index of F_q and 0 elsewhere.  A label
+    outside the basis at p raises ValueError, as in basis_index.
+    """
     basis_index(p, label)
     kind, idx = label.kind, label.index
-    if kind == "T":
-        return BoundaryPair(_E, _E)
-    if kind == "L":
-        return BoundaryPair(_M, _E)
-    if kind == "R":
-        return BoundaryPair(_E, _M)
-    if kind == "F" and idx == 0:
-        return BoundaryPair(_M, _M)
+    if kind == "F":
+        return ((1, 0), (0, 1)), idx
     if kind == "X":
-        return InvertibleWall(p, ((idx, 0), (0, pow(idx, p - 2, p))))
-    # F_q, q != 0: e<->m swap composed with X_q
-    return InvertibleWall(p, ((0, idx), (pow(idx, p - 2, p), 0)))
+        return ((-idx % p, 1),), 0
+    return _BOUNDARY_H[kind], 0
+
+
+def wall_of(p: int, label: BimoduleLabel) -> WallModel:
+    """The wall of a basis label, read from its Lagrangian subgroup; a label outside the basis at p raises ValueError.
+
+    An L that is not isotropic raises OracleError.
+    """
+    require_prime(p)
+    gens, q = _invariants(p, label)
+    # the annihilator of H: all of Z_p^2 for H = 0, the line through (-h2, h1) for H = <h>, 0 for H = Z_p^2
+    perp = ((1, 0), (0, 1)) if not gens else ((-gens[0][1] % p, gens[0][0]),) if len(gens) == 1 else ()
+    basis = [(-q * h2 % p, h1, q * h1 % p, -h2 % p) for h1, h2 in gens] + [(c1, 0, c2, 0) for c1, c2 in perp]
+    (a, b, e, f), (c, d, g, h) = basis
+    # the spin c1*h1 - c2*h2 vanishes on L when it vanishes on both basis vectors and their pairing does
+    if (a * b - e * f) % p or (c * d - g * h) % p or (a * d + c * b - e * h - g * f) % p:
+        raise OracleError(f"the subgroup L of {label} at p={p} is not isotropic for c1*h1 - c2*h2")
+    det = (a * d - b * c) % p
+    if det:  # the graph of right . left^-1, with left = ((a, c), (b, d)) and right = ((e, g), (f, h))
+        r = pow(det, p - 2, p)
+        return InvertibleWall(p, (((e * d - g * b) * r % p, (g * a - e * c) * r % p),
+                                  ((f * d - h * b) * r % p, (h * a - f * c) * r % p)))
+    return BoundaryPair(_E if b == d == 0 else _M, _E if f == h == 0 else _M)
 
 
 def _same_prime(p: int, wall: WallModel) -> None:
@@ -158,10 +206,17 @@ def _stack(w1: WallModel, w2: WallModel, p: int) -> tuple[WallModel, int]:
 
 
 def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
-    """Stack w1 (left) against w2 (right) and decompose into labels; a wall of another prime raises ValueError."""
+    """Stack w1 (left) against w2 (right) and decompose into labels.
+
+    Both walls are named first, as label_of_wall names them: a wall of
+    another prime raises ValueError, and any other wall that is no basis
+    label's raises OracleError.
+    """
     require_prime(p)
     _same_prime(p, w1)
     _same_prime(p, w2)
+    label_of_wall(p, w1)
+    label_of_wall(p, w2)
     wall, mult = _stack(w1, w2, p)
     return Decomposition.single(label_of_wall(p, wall), mult)
 
@@ -184,24 +239,3 @@ def oracle_table(p: int) -> RingTable:
             row.append((k, mult))
         rows.append(row)
     return RingTable.from_cells(p, rows)
-
-
-# -- braiding diagnostics --------------------------------------------------------
-
-def mutual_braiding(p: int, x: tuple[int, int], y: tuple[int, int]) -> CyclotomicScalar:
-    """Full mutual statistics of dyons e^a m^b and e^c m^d: zeta^(ad + bc)."""
-    (a, b), (c, d) = x, y
-    return root_of_unity(p, a * d + b * c)
-
-
-def preserves_braiding(wall: InvertibleWall) -> bool:
-    p = wall.p
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if mutual_braiding(p, wall.apply((a, b)), wall.apply((c, d))) != mutual_braiding(
-                        p, (a, b), (c, d)
-                    ):
-                        return False
-    return True

@@ -37,6 +37,24 @@ def closed_form_vs_oracle():
     return f"closed form and wall oracle differ at p in {bad}" if bad else None
 
 
+@check("lagrangian-completeness")
+def lagrangian_completeness():
+    """The catalogue is complete: wall_of maps the 2p+2 labels one to one onto
+    the Lagrangian subgroups of the folded double, which tests/wall_oracle.py
+    enumerates, at the primes beyond the tier-1 test's p <= 5."""
+    from bpring.bimodules import all_labels
+    from bpring.walls import wall_of
+    from wall_oracle import lagrangian_subgroups, wall_points
+
+    bad = []
+    for p in (7, 11, 13, 17, 19, 23):
+        subgroups = lagrangian_subgroups(p)
+        images = [wall_points(p, wall_of(p, label)) for label in all_labels(p)]
+        if len(subgroups) != 2 * p + 2 or len(set(images)) != len(images) or set(images) != set(subgroups):
+            bad.append(p)
+    return f"labels and Lagrangian subgroups are not in bijection at p in {bad}" if bad else None
+
+
 @check("ring-readers")
 def ring_readers():
     """The ring readers on the sparse cells of tables larger than any the tier-1

@@ -5,8 +5,9 @@ Elements of Z_p x Z_p are (left, right) int tuples, as in bpring.groups.
 
 from dataclasses import dataclass
 
-from bpring.cyclotomic import CyclotomicScalar, require_prime, root_of_unity
+from bpring.cyclotomic import CyclotomicScalar, require_prime
 from bpring.groups import Subgroup
+from scalar_oracle import root_of_unity
 
 
 @dataclass(frozen=True)

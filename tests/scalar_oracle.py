@@ -11,7 +11,9 @@ powers, and every inverse goes through the norm: the product of the
 nontrivial Galois conjugates divided by the rational norm.
 
 to_oracle reads a library scalar into this class from its fields, so the
-two can be compared without trusting the library's own coeffs.
+two can be compared without trusting the library's own coeffs.  field_root
+is zeta^k in this class, and root_of_unity is zeta^k as a library scalar,
+CyclotomicScalar(p, 1, k), which the tests build often.
 """
 
 from __future__ import annotations
@@ -179,15 +181,20 @@ def _monomial(p: int, num: int, den: int, k: int) -> FieldScalar:
     return _make(p, raw, den)
 
 
-def root_of_unity(p: int, k: int) -> FieldScalar:
+def field_root(p: int, k: int) -> FieldScalar:
     """zeta_p^k in the oracle's canonical form."""
     require_prime(p)
     return _monomial(p, 1, 1, k)
 
 
+def root_of_unity(p: int, k: int) -> CyclotomicScalar:
+    """zeta_p^k as a library scalar; the library itself writes CyclotomicScalar(p, 1, k)."""
+    return CyclotomicScalar(p, 1, k)
+
+
 def phase_exponent(x: FieldScalar) -> int | None:
     """k with x == zeta^k exactly, or None if x is not a root of unity, found by trying every k."""
-    return next((k for k in range(x.p) if x == root_of_unity(x.p, k)), None)
+    return next((k for k in range(x.p) if x == field_root(x.p, k)), None)
 
 
 def to_oracle(x) -> FieldScalar:

@@ -10,7 +10,7 @@ import pytest
 
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry, label_invariants, label_parse
 from bpring.cli import main as cli_main
-from bpring.cyclotomic import CyclotomicScalar, Rational, phase_exponent, root_of_unity
+from bpring.cyclotomic import CyclotomicScalar, Rational, phase_exponent
 from bpring.fusion import RelativeTensorProduct
 from bpring.groups import subgroup_from_generators
 from bpring.closed_form import closed_form_table
@@ -18,13 +18,14 @@ from bpring.fusion import build_table
 from bpring.karoubi import KarEnvelope
 from bpring.ladders import LadderCategory, group_algebra_product
 from bpring.ring import check_axioms, diff_tables, units_group
-from bpring.walls import oracle_table, preserves_braiding, wall_of
+from bpring.walls import InvertibleWall, oracle_table, wall_of
 from action_oracle import orbit_stabilizer, search_orbits
 from group_oracle import CocycleClass, cocycle_phase, pair_add
 from kar_oracle import as_oracle, basic, end_algebra, end_rungs, identity, ladder_sum, objects, primitive_idempotents, zero
-from scalar_oracle import FieldScalar, is_one
+from scalar_oracle import FieldScalar, is_one, root_of_unity
 from scalar_oracle import phase_exponent as field_phase_exponent
-from scalar_oracle import root_of_unity as field_root
+from scalar_oracle import field_root
+from wall_oracle import spin
 
 PRIMES = (2, 3, 5, 7)
 
@@ -209,8 +210,14 @@ def test_criterion_7_property_suites():
 
 
 def test_criterion_8_braiding_pairing():
+    # the spin a*b of e^a m^b determines the mutual braiding a*d + b*c of
+    # e^a m^b and e^c m^d, so a wall that preserves the spin preserves it too
     for p in (2, 3, 5):
+        anyons = list(itertools.product(range(p), repeat=2))
         for k in range(1, p):
-            assert preserves_braiding(wall_of(p, BimoduleLabel("X", k)))
-            assert preserves_braiding(wall_of(p, BimoduleLabel("F", k)))
-    report(8, "every invertible wall map preserves the mutual-braiding pairing for p in (2, 3, 5)")
+            for kind in ("X", "F"):
+                wall = wall_of(p, BimoduleLabel(kind, k))
+                assert all(spin(p, wall.apply(x)) == spin(p, x) for x in anyons), (p, kind, k)
+        shear = InvertibleWall(p, ((1, 1), (0, 1)))
+        assert any(spin(p, shear.apply(x)) != spin(p, x) for x in anyons)
+    report(8, "every invertible wall map preserves the spin of e^a m^b, hence the mutual braiding, for p in (2, 3, 5)")

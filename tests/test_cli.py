@@ -362,8 +362,9 @@ def test_non_monomial_rung_exit_code(capsys, monkeypatch):
     # a composite rung that is not one monomial c*zeta^k is an engine fault:
     # here every composition stacks {0: 1, 1: 1} on {0: 1, 1: zeta}, whose
     # rung 1 is 1 + zeta, and the kernel refuses it in one line, exit code 3
-    from bpring.cyclotomic import CyclotomicScalar, root_of_unity
+    from bpring.cyclotomic import CyclotomicScalar
     from bpring.ladders import LadderCategory, LadderMorphism, group_algebra_product
+    from scalar_oracle import root_of_unity
 
     def non_monomial(self, f, g):
         one = CyclotomicScalar.one(self.p)

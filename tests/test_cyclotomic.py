@@ -11,10 +11,10 @@ import re
 
 import pytest
 
-from bpring.cyclotomic import CyclotomicScalar, Rational, is_prime, phase_exponent, require_prime, root_of_unity
-from scalar_oracle import FieldScalar, from_rational, is_one, to_oracle
+from bpring.cyclotomic import CyclotomicScalar, Rational, is_prime, phase_exponent, require_prime
+from scalar_oracle import FieldScalar, from_rational, is_one, root_of_unity, to_oracle
 from scalar_oracle import phase_exponent as field_phase_exponent
-from scalar_oracle import root_of_unity as field_root
+from scalar_oracle import field_root
 
 PRIMES = [2, 3, 5, 7]
 PROPERTY_PRIMES = [2, 3, 5, 7, 11]

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from bpring.cyclotomic import require_prime, root_of_unity
+from bpring.cyclotomic import require_prime
 from bpring.groups import Subgroup, enumerate_subgroups, subgroup_from_elements, subgroup_from_generators
 from group_oracle import CocycleClass, cocycle_phase, cosets, elements, pair_add
-from scalar_oracle import is_one
+from scalar_oracle import is_one, root_of_unity
 
 
 # Closure by brute force: oracles for enumerate_subgroups and

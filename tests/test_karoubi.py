@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from bpring.bimodules import catalogue, catalogue_entry, format_simple, label_parse, validate
-from bpring.cyclotomic import CyclotomicScalar, root_of_unity
+from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
-from scalar_oracle import from_rational
+from scalar_oracle import from_rational, root_of_unity
 from kar_oracle import (
     as_oracle,
     basic,

@@ -6,7 +6,7 @@ import pytest
 from bimodule_transforms import random_twist
 from bpring import ladders
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
-from bpring.cyclotomic import CyclotomicScalar, Rational, root_of_unity
+from bpring.cyclotomic import CyclotomicScalar, Rational
 from bpring.fusion import RelativeTensorProduct, build_table
 from bpring.karoubi import _projector_coeffs
 from bpring.ladders import (
@@ -19,7 +19,7 @@ from bpring.ladders import (
 )
 from compose_oracle import scalar_product
 from kar_oracle import as_oracle, basic, end_algebra, end_rungs, hom_rungs, identity, ladder_sum, objects, rung_target
-from scalar_oracle import FieldScalar, is_one, to_oracle
+from scalar_oracle import FieldScalar, is_one, root_of_unity, to_oracle
 
 
 def entry(p, text):

@@ -518,6 +518,24 @@ def test_parse_json_rejects_labels_outside_the_basis():
         parse_json(json.dumps({"p": 101, "basis": big_basis, "products": {"T,T": []}}))
 
 
+def test_a_label_outside_the_basis_is_bad_input_to_a_table():
+    # the table's readers and writer name the index as basis_index does, and a
+    # refused set_product leaves the table as it was
+    t = closed_form_table(3)
+    x5, tee = BimoduleLabel("X", 5), BimoduleLabel("T")
+    calls = [
+        lambda: t.index(x5),
+        lambda: t.product(x5, tee),
+        lambda: t.product(tee, x5),
+        lambda: t.set_product(x5, tee, Decomposition.single(tee)),
+        lambda: t.set_product(tee, tee, Decomposition.single(x5)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^X index 5 out of range for p=3$"):
+            call()
+    assert t.constants == closed_form_table(3).constants
+
+
 def test_parse_json_rejects_a_missing_cell():
     payload = json.loads(serialize(closed_form_table(3), "json"))
     del payload["products"]["T,L"]

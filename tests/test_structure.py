@@ -6,10 +6,11 @@ import random
 import weakref
 
 from bpring.bimodules import BimoduleLabel, Decomposition, catalogue, catalogue_entry, label_parse, validate
-from bpring.cyclotomic import Rational, root_of_unity
+from bpring.cyclotomic import Rational
 from bpring.fusion import RelativeTensorProduct
 from bimodule_transforms import ProductMemo, gauge_twist, op, random_twist, relabel
 from kar_oracle import basic
+from scalar_oracle import root_of_unity
 
 
 def twisted(entry, rng):

@@ -2,21 +2,23 @@ import itertools
 
 import pytest
 
-from bpring.bimodules import BimoduleLabel, Decomposition, all_labels, label_parse
+from bpring.bimodules import BimoduleLabel, Decomposition, all_labels, label_invariants, label_parse
 from bpring.closed_form import closed_form_table
+from bpring.groups import subgroup_from_generators
 from bpring.ring import diff_tables
 from bpring.walls import (
     BoundaryPair,
     BoundaryType,
     InvertibleWall,
     OracleError,
+    _invariants,
+    _stack,
     fuse_walls,
     label_of_wall,
-    mutual_braiding,
     oracle_table,
-    preserves_braiding,
     wall_of,
 )
+from wall_oracle import compose, lagrangian, lagrangian_subgroups, spin, wall_points
 
 E = BoundaryType.E_CONDENSING
 M = BoundaryType.M_CONDENSING
@@ -148,12 +150,15 @@ def test_oracle_matches_closed_form():
 
 
 def test_braiding_pairing_preserved():
+    # preserving the spin a*b of e^a m^b is stronger than preserving the
+    # mutual braiding a*d + b*c, which is the spin of the sum less the spins
     for p in (2, 3, 5):
+        anyons = list(itertools.product(range(p), repeat=2))
         for label in all_labels(p):
             if not label.is_invertible():
                 continue
             wall = wall_of(p, label)
-            assert preserves_braiding(wall)
+            assert all(spin(p, wall.apply(x)) == spin(p, x) for x in anyons), (p, label)
 
 
 def test_braiding_pairing_values():
@@ -161,7 +166,57 @@ def test_braiding_pairing_values():
     anyons = list(itertools.product(range(p), repeat=2))
     for x in anyons:
         for y in anyons:
-            assert mutual_braiding(p, x, y) == mutual_braiding(p, y, x)
-    # a sector-mixing shear is not a catalogue wall and breaks the pairing
-    shear = InvertibleWall(p, ((1, 1), (0, 1)))
-    assert not preserves_braiding(shear)
+            (a, b), (c, d) = x, y
+            assert (spin(p, (a + c, b + d)) - spin(p, x) - spin(p, y)) % p == (a * d + b * c) % p
+    # a sector-mixing shear is not a catalogue wall and breaks the spin: e^a m^b -> e^(a+b) m^b
+    for p in (2, 3, 5):
+        shear = InvertibleWall(p, ((1, 1), (0, 1)))
+        assert any(spin(p, shear.apply(x)) != spin(p, x) for x in itertools.product(range(p), repeat=2))
+
+
+def test_fuse_walls_names_both_inputs():
+    # an input that label_of_wall refuses is refused before stacking, on either
+    # side: an unreduced matrix, the same held in lists, faces that are not
+    # BoundaryType members
+    x2, f1 = wall_of(3, lab("X2")), wall_of(3, lab("F1"))
+    unreduced = InvertibleWall(3, ((4, 0), (0, 1)))
+    cases = ((unreduced, x2), (InvertibleWall(3, [[4, 0], [0, 1]]), x2), (BoundaryPair("e", "e"), f1), (x2, unreduced))
+    for w1, w2 in cases:
+        with pytest.raises(OracleError, match="wall of no basis label at p=3$"):
+            fuse_walls(w1, w2, 3)
+
+
+def test_oracle_invariants_match_the_catalogue_labels():
+    # the one place where the oracle's (H, q) table meets bimodules.label_invariants
+    for p in (2, 3, 5, 7, 11, 13):
+        for label in all_labels(p):
+            gens, q = _invariants(p, label)
+            assert (subgroup_from_generators(p, gens), q) == label_invariants(p, label), (p, label)
+
+
+def test_each_wall_is_the_lagrangian_subgroup_of_its_label():
+    for p in (2, 3, 5, 7):
+        for label in all_labels(p):
+            assert wall_points(p, wall_of(p, label)) == lagrangian(p, *_invariants(p, label)), (p, label)
+
+
+def test_stacking_is_relation_composition():
+    for p in (2, 3, 5, 7):
+        labels = all_labels(p)
+        sets = [lagrangian(p, *_invariants(p, label)) for label in labels]
+        name = dict(zip(sets, labels))
+        table = oracle_table(p)
+        for (a, l1), (b, l2) in itertools.product(zip(labels, sets), repeat=2):
+            composite, mult = compose(l1, l2)
+            wall, stacked = _stack(wall_of(p, a), wall_of(p, b), p)
+            assert (wall_points(p, wall), stacked) == (composite, mult), (p, a, b)
+            assert table.product(a, b) == Decomposition.single(name[composite], mult), (p, a, b)
+
+
+def test_labels_are_in_bijection_with_the_lagrangian_subgroups():
+    for p, count in ((2, 6), (3, 8), (5, 12)):
+        subgroups = lagrangian_subgroups(p)
+        assert len(subgroups) == len(set(subgroups)) == count
+        images = [wall_points(p, wall_of(p, label)) for label in all_labels(p)]
+        assert len(set(images)) == len(images)
+        assert set(images) == set(subgroups)
