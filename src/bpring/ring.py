@@ -10,9 +10,12 @@ gather that the readers and the engine share.  It imports no route, so the
 routes can share it and stay independent; tests/test_import_graph.py checks
 this.  check_axioms decides associativity exactly by the middle nucleus: X1
 joins it uncompared when the unit check passes, the middles read by a gather
-alone are compared first, and only the middles that products of already
-proven ones do not reach are compared (4 of 36 on the closed form at p=17:
-X2, X3, F1 and T).
+alone are compared first, and only the middles that the products of members
+with the joined middles do not reach are compared (4 of 36 on the closed
+form at p=17: X2, X3, F1 and T).  Each compared middle is read a whole row
+at a time, with each distinct multiple of a cell scaled once, and the
+closure multiplies each member by each joined middle once, a new member's
+row gathered at them in C, instead of walking every pair of members.
 
 A table's cell (i, j) is the product a_i x a_j as a sparse cell: a tuple of
 (basis index, multiplicity) pairs in increasing index, with no zero entry,
@@ -92,9 +95,8 @@ class RingTable(namedtuple("RingTable", "p constants")):
         Equal cells share one tuple, and each row is a list of its own, so
         replacing one cell moves no other.
         """
-        interned: dict = {}
-        constants = [[interned.setdefault(pair, (pair,)) for pair in row] for row in rows]
-        return cls(p, constants)
+        interned = _Memo(lambda pair: (pair,))
+        return cls(p, [list(map(interned.__getitem__, row)) for row in rows])
 
     @classmethod
     def empty(cls, p: int) -> "RingTable":
@@ -105,14 +107,9 @@ def diff_tables(t1: RingTable, t2: RingTable) -> list[str]:
     """Located mismatches between two tables over the same prime."""
     if t1.p != t2.p:
         return [f"incomparable tables (p={t1.p} vs p={t2.p})"]
-    out = []
-    for a, rows1, rows2 in zip(t1.basis, t1.constants, t2.constants):
-        if rows1 == rows2:
-            continue
-        for b, row1, row2 in zip(t1.basis, rows1, rows2):
-            if row1 != row2:
-                out.append(f"{a} x {b}: {t1.product(a, b)} != {t2.product(a, b)}")
-    return out
+    return [f"{a} x {b}: {t1.product(a, b)} != {t2.product(a, b)}"
+            for a, rows1, rows2 in zip(t1.basis, t1.constants, t2.constants) if rows1 != rows2
+            for b, row1, row2 in zip(t1.basis, rows1, rows2) if row1 != row2]
 
 
 # -- ring axioms ---------------------------------------------------------------
@@ -156,9 +153,15 @@ def check_axioms(table: RingTable) -> AxiomReport:
     order of _walk: first those whose row is all single labels with
     multiplicity 1, then the rest, each group in basis order.  Only one not
     yet proven is compared over every (i, k) (_middle_violations).  One that
-    passes joins the members, and a single-label cell s.t or t.s of two
-    members proves its label.  One that fails never joins, and no closure
-    can prove it, so every violation is found; they are filed in
+    passes joins as a generator, and a single-label cell s.g of a member s
+    and a generator g proves its label, which joins the members: each member
+    is multiplied by each generator once, the new member's row gathered at
+    the generators, so the closure reads at most n.r cells for r generators,
+    not every pair of members.  Since (x.s).y = x.(s.y) for s in N, every
+    bracketing of a product of generators equals the left-normed one, which
+    the closure follows as far as its prefixes are single labels; a label it
+    leaves unproven is only compared.  One that fails never joins, and no
+    closure can prove it, so every violation is found; they are filed in
     (i, j, k, q) order, whatever the walk's order.
     """
     basis, constants = table.basis, table.constants
@@ -175,24 +178,35 @@ def check_axioms(table: RingTable) -> AxiomReport:
 
     n = len(basis)
     nz = [tuple(rows) for rows in constants]
-    proven, unproven, members, failed = bytearray(n), n, [], {}
+    proven, unproven, members, generators, failed = bytearray(n), n, [], [], {}
     for j, compare in _walk(nz, proven, None if unit else e):
         if compare:
             found = _middle_violations(table, nz, j)
             if found:
                 failed.update(found)
                 continue
-        proven[j], unproven, queue = 1, unproven - 1, [j]
-        while queue and unproven:
-            s = queue.pop()
-            members.append(s)
-            for t in members:
-                for cell in (nz[s][t], nz[t][s]):
-                    if len(cell) == 1 and cell[0][1] and not proven[cell[0][0]]:
-                        proven[cell[0][0]] = 1
-                        unproven -= 1
-                        queue.append(cell[0][0])
+        generators.append(j)
+        times_generators = gatherer(generators)
+        # j itself, each member times j, then each new member times every generator
+        cells = [((j, 1),)] + [nz[s][j] for s in members]
+        while cells and unproven:
+            cell = cells.pop()
+            if len(cell) == 1 and cell[0][1] and not proven[cell[0][0]]:
+                s = cell[0][0]
+                proven[s], unproven = 1, unproven - 1
+                members.append(s)
+                cells += times_generators(nz[s])
     return AxiomReport(unit, [v for key in sorted(failed) for v in failed[key]])
+
+
+class _Memo(dict):
+    """f(key) for each key looked up, worked out once per distinct key; a repeated key is found in C."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.f(key))
 
 
 def _walk(nz: list, proven: bytearray, unit: int | None):
@@ -201,9 +215,9 @@ def _walk(nz: list, proven: bytearray, unit: int | None):
     A two-sided unit comes first, with compare False: it is in N, since
     (x.1).y = x.y = x.(1.y).  Then, each group in basis order, the middles
     whose row is all single labels with multiplicity 1, which
-    _middle_violations reads by one gather per row and no sparse sum, and
-    then the rest.  Each middle is compared at most once, and proven is read
-    as the walk goes, so a middle proven meanwhile is skipped.
+    _middle_violations compares by one gather per row and no sum, and then
+    the rest.  Each middle is compared at most once, and proven is read as
+    the walk goes, so a middle proven meanwhile is skipped.
     """
     if unit is not None:
         yield unit, False
@@ -220,9 +234,12 @@ def _middle_violations(table: RingTable, nz: list, j: int) -> dict:
     """{(i, j): violation strings} for every a_i with (a_i.a_j).a_k != a_i.(a_j.a_k) at some k.
 
     For each i, both sides are built as whole rows of cells over k and
-    compared in one step; k and q are walked only when the rows differ.
+    compared in one step; k and q are walked only when the rows differ.  A
+    multiple m.c of a cell is read from scaled[m], which scales each
+    distinct cell once, so a side m.a_e is row e mapped through it in C.
     """
     cols = range(len(nz))
+    scaled = _Memo(lambda m: _Memo(lambda cell: tuple((q, m * c) for q, c in cell)))
     # a_i.(a_j.c) reads each single cell f of row j with multiplicity 1 as
     # cell f of row i, and sums the other cells of row j
     single = [cell[0][0] if len(cell) == 1 and cell[0][1] == 1 else None for cell in nz[j]]
@@ -232,15 +249,16 @@ def _middle_violations(table: RingTable, nz: list, j: int) -> dict:
     for i in cols:
         nz_i = nz[i]
         ij = nz_i[j]
-        if len(ij) == 1 and ij[0][1] == 1:
-            lhs = nz[ij[0][0]]
+        if len(ij) == 1:
+            ((e, m),) = ij
+            lhs = nz[e] if m == 1 else tuple(map(scaled[m].__getitem__, nz[e]))
         else:
-            lhs = tuple(_sparse_sum([(m, nz[e][k]) for e, m in ij]) for k in cols)
+            lhs = tuple(_sparse_sum(ij, column, scaled) for column in zip(*nz))
         rhs = gather(nz_i)
         if rest:
             rhs = list(rhs)
             for k, jk in rest:
-                rhs[k] = _sparse_sum([(m, nz_i[f]) for f, m in jk])
+                rhs[k] = _sparse_sum(jk, nz_i, scaled)
             rhs = tuple(rhs)
         if lhs == rhs:
             continue
@@ -259,14 +277,17 @@ def _middle_violations(table: RingTable, nz: list, j: int) -> dict:
     return found
 
 
-def _sparse_sum(terms: list) -> tuple:
-    """sum(m * cell) over (m, cell) terms, as sorted nonzero (index, mult) pairs."""
-    if len(terms) == 1:
-        m, cell = terms[0]
-        return cell if m == 1 else tuple((q, m * c) for q, c in cell)
-    acc: dict = {}
-    for m, cell in terms:
-        for q, c in cell:
+def _sparse_sum(cell, cells, scaled):
+    """sum(m * cells[f]) over the (f, m) of cell, as sorted nonzero (index, mult) pairs.
+
+    One pair (f, m) gives cells[f] itself when m is 1, and scaled[m][cells[f]] otherwise.
+    """
+    if len(cell) == 1:
+        ((f, m),) = cell
+        return cells[f] if m == 1 else scaled[m][cells[f]]
+    acc = {}
+    for f, m in cell:
+        for q, c in cells[f]:
             acc[q] = acc.get(q, 0) + m * c
     return tuple(sorted((q, c) for q, c in acc.items() if c))
 
@@ -354,18 +375,18 @@ def _is_unit(N: list, i: int, one: tuple) -> bool:
 
 # -- serialization -----------------------------------------------------------------
 
-def _products_json(table: RingTable) -> str:
+def _products_json(table: RingTable, names: list) -> str:
     """The "products" value of serialize(table, "json"), as json.dumps(indent=2) lays it out.
 
-    The value sits two levels deep in the payload.  Each distinct cell's text
-    is written once per call, in the layout json.dumps(summands, indent=2)
-    gives a list of {"label", "mult"} objects at that depth ([] for an empty
-    cell), and equal cells reuse it; each label is quoted once per call.
-    tests/test_ring.py compares the whole text with the json encoder's.
+    names are the basis labels' texts.  The value sits two levels deep in
+    the payload.  Each distinct cell's text is written once per call, in the
+    layout json.dumps(summands, indent=2) gives a list of {"label", "mult"}
+    objects at that depth ([] for an empty cell), and equal cells reuse it;
+    each label is quoted once per call.  tests/test_ring.py compares the
+    whole text with the json encoder's.
     """
     import json
 
-    names = [str(b) for b in table.basis]
     quoted = [json.dumps(name) for name in names]
     ends = [f'{b}": ' for b in names]  # each key is a row's prefix and a column's end
     texts: dict = {}
@@ -386,15 +407,16 @@ def _products_json(table: RingTable) -> str:
 
 
 def serialize(table: RingTable, format: str = "json") -> str:
+    names = [str(b) for b in table.basis]
     if format == "json":
         import json  # loaded by the JSON readers and writers only
 
         report = check_axioms(table)
-        products = _products_json(table)
+        products = _products_json(table, names)
         units = units_group(table)
         payload = {
             "p": table.p,
-            "basis": [str(b) for b in table.basis],
+            "basis": names,
             "products": None,
             "units": {"order": units.order, "labels": [str(u) for u in units.labels], "dihedral": units.is_dihedral()},
             "checks": {"unit": report.unit_ok, "associativity": report.associativity_ok},
@@ -402,7 +424,6 @@ def serialize(table: RingTable, format: str = "json") -> str:
         text = json.dumps(payload, indent=2).replace('"products": null', '"products": ' + products, 1)
         return text + "\n"
     if format == "md":
-        names = [str(b) for b in table.basis]
         # each cell's text is built once: the widest sets the column width
         texts = [[str(table.product(a, b)) for b in table.basis] for a in table.basis]
         width = max(4, max(len(text) for row in texts for text in row))
@@ -413,7 +434,6 @@ def serialize(table: RingTable, format: str = "json") -> str:
             rows.append(f"| {a} | " + " | ".join(text.ljust(width) for text in row) + " |")
         return "\n".join(rows) + "\n"
     if format == "csv":
-        names = [str(b) for b in table.basis]
         rows = ["x," + ",".join(names)]
         for a in table.basis:
             cells = [str(table.product(a, b)).replace(" ", "") for b in table.basis]

@@ -35,18 +35,24 @@ Nothing here was fitted to the table it checks:
   followed by L2.  Stacking in the reverse order gets 28, 68 and 132 cells
   wrong at p = 3, 5, 7.
 
-_stack is that relation composition, worked out on graphs and products.  Its
+_stack_row is that relation composition, worked out on graphs and products,
+and the one stacking rule: it stacks one wall against a row of walls.  Its
 multiplicity is |{y : (0, y) in L1, (y, 0) in L2}|: fusing two boundary pairs
 whose inner faces condense the same sector leaves a closed strip carrying p
 states, and any other pair leaves a unique state.
 
 A wall is named by the inverse of wall_of over the basis, built afresh on
 every call, and a wall that is no basis label's, or one that two labels
-share, raises OracleError.  fuse_walls names both its inputs that way before
-it stacks them.  oracle_table fills the table by basis index, a row at a
-time: one wall_of per basis label, _stack and one lookup in the inverse per
-cell, and the sector check once per invertible wall; RingTable.from_cells
-stores each row's (basis index, multiplicity) pairs as one-pair sparse cells.
+share, raises OracleError.  fuse_walls names both its inputs that way, then
+stacks them as a row of one.  oracle_table fills the table a row at a time:
+one wall_of and one sector check per basis label, then per row of an
+invertible wall one comprehension over the columns, in which an invertible
+x invertible cell is the 2x2 matrix product mod p and a boundary cell is its
+two faces.  Each result is a plain tuple equal to the wall it stands for, so
+no wall object is built per cell, and the row is named by one
+map(index_of.get, ...) in C; RingTable.from_cells stores the (basis index,
+multiplicity) pairs as one-pair sparse cells.  BoundaryType hashes by
+identity, in C.
 
 This module never touches the categorical engine or the closed form; it
 shares only the labels and the table type of the shared modules, and
@@ -57,7 +63,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
 
 from .bimodules import BimoduleLabel, Decomposition, all_labels, basis_index
 from .cyclotomic import require_prime
@@ -72,8 +77,11 @@ class BoundaryType(Enum):
     E_CONDENSING = "e"  # rough
     M_CONDENSING = "m"  # smooth
 
+    # a member is its own one instance: hashed by identity, in C, where Enum hashes its name in Python
+    __hash__ = object.__hash__
+
     def flipped(self) -> "BoundaryType":
-        return BoundaryType.M_CONDENSING if self is BoundaryType.E_CONDENSING else BoundaryType.E_CONDENSING
+        return _M if self is _E else _E
 
 
 class BoundaryPair(namedtuple("BoundaryPair", "left right")):
@@ -94,16 +102,11 @@ class InvertibleWall(namedtuple("InvertibleWall", "p matrix")):
         return ((u * a + v * b) % self.p, (w * a + x * b) % self.p)
 
     def swaps_sectors(self) -> bool:
-        return self._swaps
-
-    @cached_property
-    def _swaps(self) -> bool:
-        """swaps_sectors, worked out once per wall; a failed check is not kept and raises again."""
-        e_image = self.apply((1, 0))
-        m_image = self.apply((0, 1))
-        if e_image[1] == 0 and m_image[0] == 0:
+        """Whether the map swaps the e and m sectors; one that neither preserves nor swaps them raises OracleError."""
+        (u, v), (w, x) = self.matrix  # e -> e^u m^w and m -> e^v m^x
+        if not (v % self.p or w % self.p):
             return False
-        if e_image[0] == 0 and m_image[1] == 0:
+        if not (u % self.p or x % self.p):
             return True
         raise OracleError(f"wall map {self.matrix} does not preserve or swap the sectors")
 
@@ -156,22 +159,24 @@ def wall_of(p: int, label: BimoduleLabel) -> WallModel:
     return BoundaryPair(_E if b == d == 0 else _M, _E if f == h == 0 else _M)
 
 
-def _same_prime(p: int, wall: WallModel) -> None:
-    """Raise ValueError when wall is an invertible wall of a prime other than p."""
-    if isinstance(wall, InvertibleWall) and wall.p != p:
-        raise ValueError(f"a wall at p={wall.p} cannot be stacked or named at p={p}")
+def _basis_walls(p: int) -> tuple[list[BimoduleLabel], list[tuple], dict]:
+    """The basis labels at p, their walls as _stack_row reads them, and the inverse of wall_of (wall -> basis index).
 
-
-def _basis_walls(p: int) -> tuple[list[BimoduleLabel], list[WallModel], dict]:
-    """The basis labels at p, their walls, and the inverse of wall_of (wall -> basis index)."""
+    _stack_row reads a wall as (left, right, swaps, matrix): a boundary pair
+    gives its faces, None and a zero matrix, and an invertible wall gives
+    None, None, its sector check and its matrix, so each sector check runs
+    once per call.
+    """
     labels = all_labels(p)
-    walls = [wall_of(p, label) for label in labels]
-    index_of = {}
-    for k, wall in enumerate(walls):
+    columns, index_of = [], {}
+    for k, label in enumerate(labels):
+        wall = wall_of(p, label)
         first = index_of.setdefault(wall, k)
         if first != k:
             raise OracleError(f"labels {labels[first]} and {labels[k]} share the wall {wall!r}")
-    return labels, walls, index_of
+        columns.append((*wall, None, ((0, 0), (0, 0))) if isinstance(wall, BoundaryPair)
+                       else (None, None, wall.swaps_sectors(), wall.matrix))
+    return labels, columns, index_of
 
 
 def _unnamed(p: int, wall: WallModel) -> OracleError:
@@ -180,7 +185,8 @@ def _unnamed(p: int, wall: WallModel) -> OracleError:
 
 def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
     """The basis label whose wall is wall; an invertible wall of another prime raises ValueError."""
-    _same_prime(p, wall)
+    if isinstance(wall, InvertibleWall) and wall.p != p:
+        raise ValueError(f"a wall at p={wall.p} cannot be stacked or named at p={p}")
     labels, _, index_of = _basis_walls(p)
     try:
         return labels[index_of[wall]]
@@ -188,21 +194,31 @@ def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
         raise _unnamed(p, wall) from None
 
 
-def _stack(w1: WallModel, w2: WallModel, p: int) -> tuple[WallModel, int]:
-    """Stack w1 (left) against w2 (right): the resulting wall and its multiplicity."""
-    if isinstance(w1, BoundaryPair):
-        if isinstance(w2, BoundaryPair):
-            return BoundaryPair(w1.left, w2.right), (p if w1.right == w2.left else 1)
-        face = w1.right.flipped() if w2.swaps_sectors() else w1.right
-        return BoundaryPair(w1.left, face), 1
-    if isinstance(w2, BoundaryPair):
-        face = w2.left.flipped() if w1.swaps_sectors() else w2.left
-        return BoundaryPair(face, w2.right), 1
-    # a particle crosses w1 and then w2: the composite map(w2) o map(w1)
-    (a, b), (c, d) = w2.matrix
-    (e, f), (g, h) = w1.matrix
-    composite = (((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p))
-    return InvertibleWall(p, composite), 1
+def _stack_row(row, columns, p, index_of):
+    """Stack the wall of row (left) against the wall of each column (right), all as _basis_walls gives them.
+
+    Each resulting wall is built as the plain tuple of its fields, which
+    equals the wall and hashes alike, and the row is named at once by
+    index_of, the inverse of wall_of: (basis index, multiplicity) pairs.  A
+    wall that is no basis label's raises OracleError.
+    """
+    left, right, flip, ((e, f), (g, h)) = row
+    if left is not None:
+        walls, mults = [], []
+        for l2, r2, swaps, _ in columns:
+            # a face that crosses a sector-swapping wall flips, and inner faces that
+            # condense the same sector leave a closed strip carrying p states
+            walls.append((left, (right.flipped() if swaps else right) if l2 is None else r2))
+            mults.append(p if l2 == right else 1)
+    else:  # a particle crosses the row's wall, then the column's: map(column) o map(row)
+        walls = [(p, (((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)))
+                 if l2 is None else (l2.flipped() if flip else l2, r2) for l2, r2, _, ((a, b), (c, d)) in columns]
+        mults = [1] * len(walls)
+    ks = list(map(index_of.get, walls))
+    if None in ks:
+        fields = walls[ks.index(None)]
+        raise _unnamed(p, (InvertibleWall if type(fields[0]) is int else BoundaryPair)(*fields))
+    return zip(ks, mults)
 
 
 def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
@@ -213,29 +229,21 @@ def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
     label's raises OracleError.
     """
     require_prime(p)
-    _same_prime(p, w1)
-    _same_prime(p, w2)
     label_of_wall(p, w1)
     label_of_wall(p, w2)
-    wall, mult = _stack(w1, w2, p)
-    return Decomposition.single(label_of_wall(p, wall), mult)
+    labels, columns, index_of = _basis_walls(p)
+    ((k, mult),) = _stack_row(columns[index_of[w1]], [columns[index_of[w2]]], p, index_of)
+    return Decomposition.single(labels[k], mult)
 
 
 def oracle_table(p: int) -> RingTable:
     """The full multiplication table computed purely by wall stacking.
 
-    Each cell is stacked as fuse_walls stacks it and named, as label_of_wall
-    names a wall, by the one inverse of wall_of that this call builds.
+    Each row is stacked and named as fuse_walls stacks and names a cell, by
+    the one inverse of wall_of that this call builds.
     """
-    _, walls, index_of = _basis_walls(p)
+    _, columns, index_of = _basis_walls(p)
     rows = []
-    for w1 in walls:
-        row = []
-        for w2 in walls:
-            wall, mult = _stack(w1, w2, p)
-            k = index_of.get(wall)
-            if k is None:
-                raise _unnamed(p, wall)
-            row.append((k, mult))
-        rows.append(row)
+    for row in columns:
+        rows.append(_stack_row(row, columns, p, index_of))
     return RingTable.from_cells(p, rows)

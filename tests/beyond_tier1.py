@@ -33,7 +33,7 @@ def closed_form_vs_oracle():
     from bpring.closed_form import closed_form_table
     from bpring.walls import oracle_table
 
-    bad = [p for p in (29, 31, 37, 41) if closed_form_table(p).constants != oracle_table(p).constants]
+    bad = [p for p in (29, 31, 37, 41, 53, 97, 101) if closed_form_table(p).constants != oracle_table(p).constants]
     return f"closed form and wall oracle differ at p in {bad}" if bad else None
 
 

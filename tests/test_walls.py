@@ -11,8 +11,9 @@ from bpring.walls import (
     BoundaryType,
     InvertibleWall,
     OracleError,
+    _basis_walls,
     _invariants,
-    _stack,
+    _stack_row,
     fuse_walls,
     label_of_wall,
     oracle_table,
@@ -74,6 +75,33 @@ def test_two_labels_with_one_wall_are_an_oracle_fault(monkeypatch):
         label_of_wall(3, real_wall_of(3, lab("T")))
 
 
+def _replace_wall(monkeypatch, replaced, wall):
+    """Make walls.wall_of return wall for the label replaced, and the true wall for every other label."""
+    from bpring import walls
+
+    real_wall_of = walls.wall_of
+    monkeypatch.setattr(walls, "wall_of", lambda p, label: wall if label == lab(replaced) else real_wall_of(p, label))
+
+
+def test_an_invertible_cell_outside_the_basis_is_an_oracle_fault(monkeypatch):
+    # X2 becomes diag(1, 2), which preserves the sectors and is no label's
+    # wall, so X2 x X2 = diag(1, 4) is the wall of no label
+    _replace_wall(monkeypatch, "X2", InvertibleWall(5, ((1, 0), (0, 2))))
+    message = r"^InvertibleWall\(p=5, matrix=\(\(1, 0\), \(0, 4\)\)\) is the wall of no basis label at p=5$"
+    with pytest.raises(OracleError, match=message):
+        oracle_table(5)
+
+
+def test_a_boundary_cell_outside_the_basis_is_an_oracle_fault(monkeypatch):
+    # F0 becomes diag(2, 2), so no label's wall has two m-condensing faces,
+    # and L x R is the wall of no label
+    _replace_wall(monkeypatch, "F0", InvertibleWall(5, ((2, 0), (0, 2))))
+    message = (r"^BoundaryPair\(left=<BoundaryType.M_CONDENSING: 'm'>, right=<BoundaryType.M_CONDENSING: 'm'>\)"
+               r" is the wall of no basis label at p=5$")
+    with pytest.raises(OracleError, match=message):
+        oracle_table(5)
+
+
 def test_a_wall_of_another_prime_is_bad_input():
     # X2 x X2 is X1 at p=3, but X4 when the walls are read at p=5
     x2 = wall_of(3, lab("X2"))
@@ -94,7 +122,7 @@ def test_sector_behavior():
 
 
 def test_sector_check_raises_on_every_call():
-    # the sector behaviour is worked out once per wall, but a failed check is not kept
+    # a failed sector check is kept nowhere: it raises on every call
     shear = InvertibleWall(5, ((1, 1), (0, 1)))
     for _ in range(2):
         with pytest.raises(OracleError, match=r"^wall map \(\(1, 1\), \(0, 1\)\) does not preserve"):
@@ -201,16 +229,27 @@ def test_each_wall_is_the_lagrangian_subgroup_of_its_label():
 
 
 def test_stacking_is_relation_composition():
+    # _stack_row is the one stacking rule: oracle_table stacks each row with
+    # it and fuse_walls each cell
     for p in (2, 3, 5, 7):
-        labels = all_labels(p)
+        labels, columns, index_of = _basis_walls(p)
         sets = [lagrangian(p, *_invariants(p, label)) for label in labels]
         name = dict(zip(sets, labels))
         table = oracle_table(p)
-        for (a, l1), (b, l2) in itertools.product(zip(labels, sets), repeat=2):
-            composite, mult = compose(l1, l2)
-            wall, stacked = _stack(wall_of(p, a), wall_of(p, b), p)
-            assert (wall_points(p, wall), stacked) == (composite, mult), (p, a, b)
-            assert table.product(a, b) == Decomposition.single(name[composite], mult), (p, a, b)
+        for a, l1, row in zip(labels, sets, columns):
+            named = list(_stack_row(row, columns, p, index_of))
+            assert len(named) == len(labels)
+            for b, l2, (k, stacked) in zip(labels, sets, named):
+                composite, mult = compose(l1, l2)
+                assert (labels[k], stacked) == (name[composite], mult), (p, a, b)
+                assert table.product(a, b) == Decomposition.single(name[composite], mult), (p, a, b)
+
+
+def test_fuse_walls_and_oracle_table_stack_alike():
+    for p in (2, 3, 5):
+        table = oracle_table(p)
+        for a, b in itertools.product(all_labels(p), repeat=2):
+            assert fuse_walls(wall_of(p, a), wall_of(p, b), p) == table.product(a, b), (p, a, b)
 
 
 def test_labels_are_in_bijection_with_the_lagrangian_subgroups():
