@@ -68,7 +68,6 @@ _EXPORTS = {
         "OracleError",
         "WallModel",
         "fuse_walls",
-        "label_of_wall",
         "oracle_table",
         "wall_of",
     ),

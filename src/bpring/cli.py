@@ -1,25 +1,31 @@
 """Command-line interface: catalog, fuse, table, verify.
 
-Exit codes: 0 success, 1 verification failure or unwritable output,
-2 invalid input, 3 internal fault of the engine, the wall oracle or a table
-reader.  verify runs the same four checks on every run, in this order: the
-engine's table against the closed form, the unit, associativity on every
-triple, and the table against the wall oracle.  It prints one status line
-per check, then each failing check's findings, at most 20 lines each.
-All output is deterministic.  --p and each label have one spelling, with
-no surrounding whitespace and any number in ASCII digits with no leading
-zero; any other spelling is invalid input, and fuse prints each label as
-parsed.  BPRING_THREADS, a positive integer (unset or empty means 1), sets
-how many worker processes build a table, capped at the CPU count; any other
-value is invalid input.
+Each command returns its text and exit code, and main writes the text once,
+to stdout or to the file given by table's --out.  catalog and fuse build one
+record each and print it as JSON or read their Markdown lines from it.
+Exit codes: 0 success, 1 verification failure or unwritable output (a full,
+closed or broken stdout, or an unwritable --out file, reported in one
+"cannot write ..." line), 2 invalid input, 3 internal fault of the engine,
+the wall oracle or a table reader.  verify runs the same four checks on
+every run, in this order: the engine's table against the closed form, the
+unit, associativity on every triple, and the table against the wall oracle.
+It prints one status line per check, then each failing check's findings, at
+most 20 lines each.  All output is deterministic.  --p and each label have
+one spelling, with no surrounding whitespace and any number in ASCII digits
+with no leading zero; any other spelling is invalid input, and fuse prints
+each label as parsed.  BPRING_THREADS, a positive integer (unset or empty
+means 1), sets how many worker processes build a table, capped at the CPU
+count; any other value is invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
+import os
 import sys
-from functools import lru_cache
 
 from .bimodules import NUMBER, catalogue, catalogue_entry, format_simple, label_invariants, label_parse
 from .closed_form import closed_form_table
@@ -30,122 +36,79 @@ from .ring import TableError, check_axioms, diff_tables, serialize
 from .walls import OracleError, oracle_table
 
 
-def _fmt_simple(m) -> str:
-    return f"({format_simple(m)})" if isinstance(m, tuple) else format_simple(m)
-
-
-def _moves(entry, table) -> list[list[tuple[str, str]]]:
-    """Each row of an action table as (simple, image) pairs of printed labels."""
-    names = [_fmt_simple(m) for m in entry.simples]
-    return [[(names[i], names[t]) for i, t in enumerate(row)] for row in table]
-
-
-def _entry_payload(entry) -> dict:
+def _entry_record(entry) -> dict:
+    """One catalogue entry as catalog prints it: the JSON object, from which the Markdown is read."""
     subgroup, q = label_invariants(entry.p, entry.label)
-    payload = {
-        "label": str(entry.label),
-        "subgroup": str(subgroup),
-        "object_count": len(entry.simples),
-        "objects": [_fmt_simple(m) for m in entry.simples],
-    }
+    names = [f"({format_simple(m)})" if isinstance(m, tuple) else format_simple(m) for m in entry.simples]
+    record = {"label": str(entry.label), "subgroup": str(subgroup), "object_count": len(names), "objects": names}
     for side, table in (("left", entry.left), ("right", entry.right)):
-        payload[f"{side}_action"] = {str(g): dict(row) for g, row in enumerate(_moves(entry, table))}
-    payload["associator_exponent"] = q
-    return payload
+        record[f"{side}_action"] = {str(g): {m: names[t] for m, t in zip(names, row)} for g, row in enumerate(table)}
+    record["associator_exponent"] = q
+    return record
 
 
-def _entry_markdown(entry) -> list[str]:
-    subgroup, q = label_invariants(entry.p, entry.label)
-    lines = [f"### {entry.label}", ""]
-    lines.append(f"- subgroup: {subgroup}")
-    lines.append(f"- objects ({len(entry.simples)}): " + ", ".join(_fmt_simple(m) for m in entry.simples))
-    lines.append(f"- associator exponent: {q}")
-    for side, table in (("left", entry.left), ("right", entry.right)):
-        for g, row in enumerate(_moves(entry, table)):
-            lines.append(f"- {side} {g}: " + ", ".join(f"{m}->{t}" for m, t in row))
-    lines.append("")
-    return lines
-
-
-def _cmd_catalog(args) -> int:
-    entries = catalogue(args.p)
+def _cmd_catalog(args) -> tuple[str, int]:
+    entries = [_entry_record(e) for e in catalogue(args.p)]
     if args.format == "json":
-        payload = {"p": args.p, "entries": [_entry_payload(e) for e in entries]}
-        print(json.dumps(payload, indent=2))
-    else:
-        lines = [f"## Vec(Z_{args.p}) bimodule catalogue ({len(entries)} entries)", ""]
-        for e in entries:
-            lines.extend(_entry_markdown(e))
-        print("\n".join(lines).rstrip())
-    return 0
+        return json.dumps({"p": args.p, "entries": entries}, indent=2) + "\n", 0
+    lines = [f"## Vec(Z_{args.p}) bimodule catalogue ({len(entries)} entries)", ""]
+    for e in entries:
+        lines += [f"### {e['label']}", "", f"- subgroup: {e['subgroup']}",
+                  f"- objects ({e['object_count']}): " + ", ".join(e["objects"]),
+                  f"- associator exponent: {e['associator_exponent']}"]
+        for side in ("left", "right"):
+            for g, row in e[f"{side}_action"].items():
+                lines.append(f"- {side} {g}: " + ", ".join(f"{m}->{t}" for m, t in row.items()))
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n", 0
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args) -> tuple[str, int]:
+    """One product as fuse prints it: the JSON record, from which the Markdown is read."""
     left = catalogue_entry(args.p, label_parse(args.left))
     right = catalogue_entry(args.p, label_parse(args.right))
-    product = RelativeTensorProduct(left, right)
-    analysis = product.analyze()
-    if args.format == "json":
-        payload = {
-            "p": args.p,
-            "left": str(left.label),
-            "right": str(right.label),
-            "result": str(analysis.decomposition),
-            "summands": [
-                {"label": str(label), "mult": mult}
-                for label, mult in analysis.decomposition.summands
+    analysis = RelativeTensorProduct(left, right).analyze()
+    record = {
+        "p": args.p,
+        "left": str(left.label),
+        "right": str(right.label),
+        "result": str(analysis.decomposition),
+        "summands": [{"label": str(label), "mult": mult} for label, mult in analysis.decomposition.summands],
+    }
+    if args.detail:
+        record["detail"] = {
+            "ladder_objects": analysis.object_count,
+            "end_dimensions": {str(k): v for k, v in sorted(analysis.end_dimensions.items())},
+            "kar_simples": analysis.simple_count,
+            "orbits": [
+                {
+                    "representative": str(o.representative),
+                    "size": o.size,
+                    "stabilizer": str(o.stabilizer),
+                    "associator_exponent": o.assoc_exponent,
+                    "label": str(o.label),
+                }
+                for o in analysis.orbits
             ],
         }
-        if args.detail:
-            payload["detail"] = {
-                "ladder_objects": analysis.object_count,
-                "end_dimensions": {str(k): v for k, v in sorted(analysis.end_dimensions.items())},
-                "kar_simples": analysis.simple_count,
-                "orbits": [
-                    {
-                        "representative": str(o.representative),
-                        "size": o.size,
-                        "stabilizer": str(o.stabilizer),
-                        "associator_exponent": o.assoc_exponent,
-                        "label": str(o.label),
-                    }
-                    for o in analysis.orbits
-                ],
-            }
-        print(json.dumps(payload, indent=2))
-        return 0
+    if args.format == "json":
+        return json.dumps(record, indent=2) + "\n", 0
+    lines = []
     if args.detail:
-        print(f"{left.label} (x) {right.label} at p={args.p}")
-        print(f"ladder objects: {analysis.object_count}")
-        dims = ", ".join(f"dim {k}: {v} objects" for k, v in sorted(analysis.end_dimensions.items()))
-        print(f"end algebras: {dims}")
-        print(f"karoubi simples: {analysis.simple_count}")
-        print("orbits:")
-        for o in analysis.orbits:
-            print(
-                f"  rep {o.representative}  size {o.size}  stabilizer {o.stabilizer}  "
-                f"associator exponent {o.assoc_exponent}  -> {o.label}"
-            )
-    print(str(analysis.decomposition))
-    return 0
+        detail = record["detail"]
+        dims = ", ".join(f"dim {k}: {v} objects" for k, v in detail["end_dimensions"].items())
+        lines = [f"{record['left']} (x) {record['right']} at p={args.p}", f"ladder objects: {detail['ladder_objects']}",
+                 f"end algebras: {dims}", f"karoubi simples: {detail['kar_simples']}", "orbits:"]
+        lines += [f"  rep {o['representative']}  size {o['size']}  stabilizer {o['stabilizer']}  "
+                  f"associator exponent {o['associator_exponent']}  -> {o['label']}" for o in detail["orbits"]]
+    return "\n".join([*lines, record["result"]]) + "\n", 0
 
 
-def _cmd_table(args) -> int:
-    table = build_table(args.p)
-    text = serialize(table, args.format)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
-    return 0
+def _cmd_table(args) -> tuple[str, int]:
+    return serialize(build_table(args.p), args.format), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     table = build_table(args.p)
     golden = diff_tables(table, closed_form_table(args.p))
     report = check_axioms(table)
@@ -155,14 +118,33 @@ def _cmd_verify(args) -> int:
         ("associativity", report.associativity),
         ("wall oracle", diff_tables(table, oracle_table(args.p))),
     ]
+    lines = [f"{name}: {'FAIL' if findings else 'ok'}" for name, findings in checks]
     for name, findings in checks:
-        print(f"{name}: {'FAIL' if findings else 'ok'}")
-    for name, findings in checks:
-        for line in findings[:20]:
-            print(f"  {name}: {line}")
+        lines += [f"  {name}: {line}" for line in findings[:20]]
         if len(findings) > 20:
-            print(f"  ... {len(findings) - 20} more")
-    return 1 if any(findings for _, findings in checks) else 0
+            lines.append(f"  ... {len(findings) - 20} more")
+    return "\n".join(lines) + "\n", 1 if any(findings for _, findings in checks) else 0
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it; a failed write, or a stdout closed at start, raises OSError.
+
+    After a failed write, stdout's descriptor is pointed at os.devnull, so
+    that the interpreter's own flush at exit does not fail again.
+    """
+    stream = sys.stdout
+    if stream is None:  # the descriptor was closed when the interpreter started
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        with contextlib.suppress(OSError):  # a stream with no descriptor, as under a test's capture, is left alone
+            fd = stream.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
 
 
 def _prime(text: str) -> int:
@@ -216,15 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: parse_args leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -232,13 +208,24 @@ def main(argv=None) -> int:
         # --help exits with 0
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        text, code = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, OracleError, TableError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    out = getattr(args, "out", None)  # only table has --out
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _write_stdout(text)
+    except OSError as exc:
+        print(f"cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -43,16 +43,16 @@ states, and any other pair leaves a unique state.
 
 A wall is named by the inverse of wall_of over the basis, built afresh on
 every call, and a wall that is no basis label's, or one that two labels
-share, raises OracleError.  fuse_walls names both its inputs that way, then
-stacks them as a row of one.  oracle_table fills the table a row at a time:
-one wall_of and one sector check per basis label, then per row of an
-invertible wall one comprehension over the columns, in which an invertible
-x invertible cell is the 2x2 matrix product mod p and a boundary cell is its
-two faces.  Each result is a plain tuple equal to the wall it stands for, so
-no wall object is built per cell, and the row is named by one
-map(index_of.get, ...) in C; RingTable.from_cells stores the (basis index,
-multiplicity) pairs as one-pair sparse cells.  BoundaryType hashes by
-identity, in C.
+share, raises OracleError.  fuse_walls builds that inverse once, names both
+its inputs by it, then stacks them as a row of one.  oracle_table fills the
+table a row at a time: one wall_of and one sector check per basis label,
+then per row of an invertible wall one comprehension over the columns, in
+which an invertible x invertible cell is the 2x2 matrix product mod p and a
+boundary cell is its two faces.  Each result is a plain tuple equal to the
+wall it stands for, so no wall object is built per cell, and the row is
+named by one map(index_of.get, ...) in C; RingTable.from_cells stores the
+(basis index, multiplicity) pairs as one-pair sparse cells.  BoundaryType
+hashes by identity, in C.
 
 This module never touches the categorical engine or the closed form; it
 shares only the labels and the table type of the shared modules, and
@@ -183,13 +183,12 @@ def _unnamed(p: int, wall: WallModel) -> OracleError:
     return OracleError(f"{wall!r} is the wall of no basis label at p={p}")
 
 
-def label_of_wall(p: int, wall: WallModel) -> BimoduleLabel:
-    """The basis label whose wall is wall; an invertible wall of another prime raises ValueError."""
+def _named(p: int, wall: WallModel, index_of: dict) -> int:
+    """The basis index of wall by index_of, the inverse of wall_of; a wall of another prime raises ValueError."""
     if isinstance(wall, InvertibleWall) and wall.p != p:
         raise ValueError(f"a wall at p={wall.p} cannot be stacked or named at p={p}")
-    labels, _, index_of = _basis_walls(p)
     try:
-        return labels[index_of[wall]]
+        return index_of[wall]
     except (KeyError, TypeError):  # TypeError: a wall whose matrix is unhashable, e.g. a list
         raise _unnamed(p, wall) from None
 
@@ -224,15 +223,14 @@ def _stack_row(row, columns, p, index_of):
 def fuse_walls(w1: WallModel, w2: WallModel, p: int) -> Decomposition:
     """Stack w1 (left) against w2 (right) and decompose into labels.
 
-    Both walls are named first, as label_of_wall names them: a wall of
-    another prime raises ValueError, and any other wall that is no basis
-    label's raises OracleError.
+    Both walls are named first, w1 and then w2, by the one inverse of
+    wall_of that this call builds: a wall of another prime raises
+    ValueError, and any other wall that is no basis label's raises
+    OracleError.
     """
     require_prime(p)
-    label_of_wall(p, w1)
-    label_of_wall(p, w2)
     labels, columns, index_of = _basis_walls(p)
-    ((k, mult),) = _stack_row(columns[index_of[w1]], [columns[index_of[w2]]], p, index_of)
+    ((k, mult),) = _stack_row(columns[_named(p, w1, index_of)], [columns[_named(p, w2, index_of)]], p, index_of)
     return Decomposition.single(labels[k], mult)
 
 

@@ -1,9 +1,9 @@
 """The outputs pinned by tests/golden/digests.json, and the script that writes it.
 
-Each output is a name, the text bpring writes for it, and, for a command run
-through bpring.cli.main, its exit code.  tests/test_digests.py recomputes
-every output and compares its sha256 and byte length with the file; this
-script writes the file.  Rewrite the digests only from a commit whose output
+Each output is a name, the text bpring writes for it, and, for a command,
+the exit code it returns to bpring.cli.main, which writes the text.
+tests/test_digests.py recomputes every output and compares its sha256 and
+byte length with the file; this script writes the file.  Rewrite the digests only from a commit whose output
 is known to be right, from the repository root:
 
     PYTHONPATH=src python tests/digest_outputs.py
@@ -32,18 +32,20 @@ DIGESTS = Path(__file__).parent / "golden" / "digests.json"
 
 
 def _cli(parser, *argv: str) -> tuple[str, int]:
-    """stdout and exit code of one command, run as bpring.cli.main runs it.
+    """The text and exit code that one command returns, for bpring.cli.main to write.
 
     The parser is built once for all commands, since building it costs more
-    than a p=7 product.  A raised error or anything on stderr is an error here.
+    than a p=7 product.  A raised error is an error here, and so is anything
+    the command writes to stdout or stderr itself: only main writes.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         args = parser.parse_args(list(argv))
-        code = args.func(args)
-    if err.getvalue():
-        raise AssertionError(f"bpring {' '.join(argv)} wrote to stderr: {err.getvalue()!r}")
-    return out.getvalue(), code
+        text, code = args.func(args)
+    if out.getvalue() or err.getvalue():
+        raise AssertionError(f"bpring {' '.join(argv)} wrote itself: {out.getvalue()!r} to stdout, "
+                             f"{err.getvalue()!r} to stderr")
+    return text, code
 
 
 def outputs():

@@ -402,3 +402,64 @@ sys.exit(main(["fuse", "--p", "3", "--left", "T", "--right", "T"]))
     assert result.stdout == ""
     assert result.stderr.startswith("internal error: the left and right actions do not commute on ")
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+
+
+# every command writes its output once, through main: a stdout that cannot
+# take it is exit code 1 and one stderr line, whatever the command
+UNWRITABLE = {
+    "catalog": ["catalog", "--p", "3"],
+    "fuse": ["fuse", "--p", "3", "--left", "T", "--right", "T"],
+    "fuse-detail": ["fuse", "--p", "3", "--left", "T", "--right", "T", "--detail", "--format", "json"],
+    "table": ["table", "--p", "2"],
+    "verify": ["verify", "--p", "2"],
+}
+
+
+def _full():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return open("/dev/full", "w", encoding="utf-8")
+
+
+def _broken_pipe():
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w", encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", UNWRITABLE)
+@pytest.mark.parametrize("stdout", ["full", "broken-pipe", "closed"])
+def test_unwritable_stdout_is_exit_1(capsys, monkeypatch, command, stdout):
+    # "closed" is a stdout closed when the interpreter started, where sys.stdout is None
+    stream = {"full": _full, "broken-pipe": _broken_pipe, "closed": lambda: None}[stdout]()
+    monkeypatch.setattr(sys, "stdout", stream)
+    try:
+        code = main(UNWRITABLE[command])
+    finally:
+        if stream is not None:
+            stream.close()  # its descriptor now leads to os.devnull, so the close's flush succeeds
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("cannot write stdout: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_stdout_in_a_fresh_interpreter():
+    # the interpreter flushes stdout again at exit, and that flush must neither
+    # fail nor print: one line on stderr, no traceback, no "Exception ignored"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    cli = [sys.executable, "-m", "bpring.cli"]
+    pipe = {"stderr": subprocess.PIPE, "text": True, "env": env}
+    read, write = os.pipe()
+    os.close(read)
+    runs = [
+        subprocess.Popen(["sh", "-c", 'exec "$@" >&-', "sh", *cli, *UNWRITABLE["verify"]], **pipe),
+        subprocess.Popen([*cli, *UNWRITABLE["fuse-detail"]], stdout=write, **pipe),
+    ]
+    os.close(write)
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            runs.append(subprocess.Popen([*cli, *UNWRITABLE["catalog"]], stdout=full, **pipe))
+    errs = [run.communicate(timeout=60)[1] for run in runs]
+    for run, err in zip(runs, errs):
+        assert run.returncode == 1, run.args
+        assert err.startswith("cannot write stdout: ") and err.count("\n") == 1, err

@@ -15,11 +15,10 @@ from bpring.walls import (
     _invariants,
     _stack_row,
     fuse_walls,
-    label_of_wall,
     oracle_table,
     wall_of,
 )
-from wall_oracle import compose, lagrangian, lagrangian_subgroups, spin, wall_points
+from wall_oracle import compose, label_of_wall, lagrangian, lagrangian_subgroups, spin, wall_points
 
 E = BoundaryType.E_CONDENSING
 M = BoundaryType.M_CONDENSING
@@ -212,6 +211,19 @@ def test_fuse_walls_names_both_inputs():
     for w1, w2 in cases:
         with pytest.raises(OracleError, match="wall of no basis label at p=3$"):
             fuse_walls(w1, w2, 3)
+
+
+def test_fuse_walls_builds_the_basis_once(monkeypatch):
+    # both inputs are named by the one inverse of wall_of that the stacking reads
+    from bpring import walls
+
+    x2, f1 = wall_of(5, lab("X2")), wall_of(5, lab("F1"))
+    want = oracle_table(5).product(lab("X2"), lab("F1"))
+    builds = []
+    basis_walls = walls._basis_walls
+    monkeypatch.setattr(walls, "_basis_walls", lambda p: builds.append(p) or basis_walls(p))
+    assert fuse_walls(x2, f1, 5) == want
+    assert builds == [5]
 
 
 def test_oracle_invariants_match_the_catalogue_labels():

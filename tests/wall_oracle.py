@@ -16,11 +16,14 @@ on whole sets of points:
   |{y : (0, y) in L1, (y, 0) in L2}|;
 - lagrangian_subgroups(p) enumerates every Lagrangian subgroup, one per
   2-dimensional subspace of F_p^4 in reduced row echelon form;
-- spin(p, anyon) is a*b mod p for e^a m^b.
+- spin(p, anyon) is a*b mod p for e^a m^b;
+- label_of_wall(p, wall) names a wall model by the inverse of wall_of that
+  bpring.walls builds, as fuse_walls names its inputs.
 """
 
 from itertools import combinations, product
 
+from bpring import walls
 from bpring.walls import BoundaryPair, BoundaryType
 
 
@@ -95,3 +98,13 @@ def lagrangian_subgroups(p: int) -> list[frozenset]:
                 if _isotropic(p, v) and _isotropic(p, w) and _isotropic(p, [a + b for a, b in zip(v, w)]):
                     out.append(frozenset(_span(p, [v, w])))
     return out
+
+
+def label_of_wall(p: int, wall):
+    """The basis label whose wall is wall.
+
+    A wall of another prime raises ValueError, and any other wall that is no
+    basis label's raises OracleError.
+    """
+    labels, _, index_of = walls._basis_walls(p)
+    return labels[walls._named(p, wall, index_of)]
