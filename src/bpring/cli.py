@@ -162,11 +162,23 @@ def _usage_error(message: str):
     raise argparse.ArgumentError(None, message)
 
 
+class _HelpText(Exception):
+    """A parser's help text, raised where argparse would print it and exit 0, so that main writes it."""
+
+
+def _help_of(parser: argparse.ArgumentParser):
+    """parser's print_help: raise its help text as _HelpText instead of printing it."""
+    def print_help(file=None):
+        raise _HelpText(parser.format_help())
+    return print_help
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser; every usage error raises argparse.ArgumentError, which main reports in one line.
 
     That covers a bad option value, a missing or unknown option and a
-    missing or unknown command.
+    missing or unknown command.  --help raises _HelpText, whose text main
+    writes as it writes a command's output.
     """
     parser = argparse.ArgumentParser(prog="bpring", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -195,27 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=_cmd_verify)
     for each in (parser, *sub.choices.values()):
         each.error = _usage_error
+        each.print_help = _help_of(each)
     return parser
 
 
 def main(argv=None) -> int:
+    out = None  # only table has --out
     try:
         args = build_parser().parse_args(argv)
-    except argparse.ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        # --help exits with 0
-        return int(exc.code or 0)
-    try:
+        out = getattr(args, "out", None)
         text, code = args.func(args)
-    except ValueError as exc:
+    except _HelpText as exc:
+        text, code = str(exc), 0
+    except (argparse.ArgumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, OracleError, TableError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    out = getattr(args, "out", None)  # only table has --out
     try:
         if out:
             with open(out, "w", encoding="utf-8") as fh:

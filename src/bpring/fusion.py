@@ -231,7 +231,9 @@ class RelativeTensorProduct:
         witness route does.  A failure is a ClassificationError.  The tables
         are built a row at a time over the rows that make classes (see
         KarEnvelope._walk_rows), the left block of a row before its right
-        block, each gathered in C from a row of class_at:
+        block, each gathered in C from a row of class_at (class_row).  The
+        right block reads the target row shift_n[n], which need not make
+        classes itself; class_row then gathers it off its base row.
 
         - the base row of a free N orbit steps on the left by shift_m, and
           on the right to its target row as it stands;
@@ -350,7 +352,9 @@ class RelativeTensorProduct:
         index i, a class representative.  It acts, re-anchors through a
         connector u to the landing class's representative, of object index
         r1, acts on that, re-anchors again through u2, and is the acted u
-        followed by u2.  Objects are carried as indices; a connector is
+        followed by u2.  _locate_at gives each landing's class with the
+        representative's idempotent, so the representative is read with no
+        further lookup.  Objects are carried as indices; a connector is
         built only where it is acted, composed or returned.  When the first
         landing j is its class's base (r1 == j), u is the representative's
         own idempotent, so the acted u is the acted idempotent already
@@ -365,13 +369,13 @@ class RelativeTensorProduct:
         """
         env = self.env
         j, acted = self._apply(first, a, i, coeffs)
-        c1 = env._locate_at(j, acted)
-        r1, coeffs1 = env._base_of(c1)
-        j2, acted2 = self._apply(second, b, r1, coeffs1)
-        c2 = env._locate_at(j2, acted2)
-        u2 = env._to_rep(acted2.source, j2, c2)
+        c1, rung1, e1 = env._locate_at(j, acted)
+        r1 = env._bases[c1]  # the representative's object; e1 is its idempotent
+        j2, acted2 = self._apply(second, b, r1, e1)
+        c2, rung2, e2 = env._locate_at(j2, acted2)
+        u2 = env._to_rep(acted2.source, c2, rung2, e2)
         if r1 != j:
-            w = self._act(second, b, env._to_rep(acted.source, j, c1), j, r1)
+            w = self._act(second, b, env._to_rep(acted.source, c1, rung1, e1), j, r1)
         elif env._bases[c2] == j2:
             return c2, u2  # a base: acted2 and u2 are its idempotent e, and e followed by e is e
         else:

@@ -17,13 +17,20 @@ orbit of p objects with End = C, which is one simple: the basic rung-b ladder
 from the base to its rung-b image is invertible, its inverse being the rung -b
 ladder.
 
-KarEnvelope records the classes of simples as integer lists only and builds
-every other value when asked for, on class and object indices.  Each
-mechanic is described where it is done:
+KarEnvelope records the classes of simples as integer lists only, and only
+for the rows of objects that make classes: the rows whose N leg is fixed and
+the base row of each free orbit of N's leg, so they hold at most one entry
+per class, not one per object.  Every other value is built when asked for, on
+class and object indices: another row is read off its base row, and an
+object's rung and End dimension off its two legs.  Each mechanic is
+described where it is done:
 
 - _leg_orbits: the rung orbits of each leg, checked to be Z_p orbits;
 - _leg_pattern, _walk_rows and _back_rows: the classes, a row of objects at
   a time, each row gathered in C (ring.gatherer);
+- _class_rung, class_at, dimension_at and class_row: an object's class,
+  rung and End dimension, and a row's classes, read from the stored rows and
+  the leg orbits;
 - representative, simple, simples and _base_of: a class's idempotent on
   its base, one of the character projectors that _projector_coeffs stores
   and checks idempotent once per prime;
@@ -176,6 +183,13 @@ def _leg_pattern(leg: LegOrbits, p: int) -> tuple[list[int], list[int], list[int
 class KarEnvelope:
     """Simples of Kar(Lad(M, N)) plus the connecting-isomorphism bookkeeping.
 
+    It stores class lists only for the rows that make classes (see
+    _walk_rows): per class, the object index of its base, and per N-fixed
+    row and per base row of a free N orbit, the class of each object's first
+    simple.  Every other row is read off its base row, and each object's
+    rung and End dimension off its two legs, when asked for, so the storage
+    grows with the classes, not with the |M|*|N| objects.
+
     No morphism it builds has a zero coefficient, so each is built by
     LadderMorphism._nonzero, without the constructor's copy and zero filter.
     """
@@ -184,6 +198,7 @@ class KarEnvelope:
         self.lad = lad
         self._one = CyclotomicScalar.one(lad.p)
         self._identity = {0: self._one}  # every free base's idempotent shares it
+        self._width = len(lad.M.simples)  # object index n*|M| + m
         M, N = lad.M.simples, lad.N.simples
         self.leg_m = _leg_orbits(lad.rung_m, lad.p, lambda m: LadderObject(M[m], N[0]))
         self.leg_n = _leg_orbits(lad.rung_n, lad.p, lambda n: LadderObject(M[0], N[n]))
@@ -191,9 +206,11 @@ class KarEnvelope:
         # and the gatherer of a row of objects or classes at each class's base
         first, self.pattern, self.pattern_bases = _leg_pattern(self.leg_m, lad.p)
         self.pattern_get = gatherer(self.pattern)
-        # per object index: the class of its first simple, and its rung from
-        # the base; per class: the object index of its base
-        self._class, self._rung, self._bases = self._walk_rows(first)
+        # per row that makes classes: the class of each object's first simple
+        # (None on any other row); per class: the object index of its base;
+        # per rung b > 0: the gatherer that reads a free N orbit's rung-b row
+        # off its base row (None when M's leg is fixed or N has no free orbit)
+        self._rows, self._bases, self._back = self._walk_rows(first)
 
     @cached_property
     def simples(self) -> list[KarSimple]:
@@ -202,7 +219,7 @@ class KarEnvelope:
 
     # -- class construction -------------------------------------------------
 
-    def _walk_rows(self, first: list[int]) -> tuple[list[int], list[int], list[int]]:
+    def _walk_rows(self, first: list[int]) -> tuple[list, list[int], list | None]:
         """One class per character of a fixed object, one per free orbit, a row at a time.
 
         An object is fixed exactly when both legs are; otherwise its orbit
@@ -219,58 +236,47 @@ class KarEnvelope:
           M's leg;
         - the base row n0 of a free N orbit makes |M| new classes of
           dimension 1, one per object, each its own base;
-        - the row n = rung_n[b][n0] of that orbit makes none: the object
-          (m, n) is the rung-b image of (rung_m[p-b][m], n0), and takes its
-          class, with rung b (read through _back_rows).
+        - the row n = rung_n[b][n0] of that orbit makes none and is not
+          stored: the object (m, n) is the rung-b image of (rung_m[p-b][m],
+          n0), and takes its class, with rung b.  class_at and class_row read
+          it from row n0 through back[b] (see _back_rows), or as row n0
+          itself when M's leg is fixed, since rung p-b then fixes every m.
 
         When M has one simple, which is then fixed, the row n is the one
         object n and the classes repeat N's leg pattern.  first is M's
-        pattern_first (see _leg_pattern).  Each row's lists are gathered in
-        C.  Returns, per object index, the class of its first simple and its
-        rung from the base, and per class the object index of its base; a
-        fixed base owns p consecutive classes, and class c of base i has
-        character index c - class_at(i).  The step tables of bpring.fusion
-        read the same rows, through the leg orbits and M's leg pattern
+        pattern_first (see _leg_pattern).  Each row's list is gathered in C.
+        Returns the class rows, per row index (None on a row that makes no
+        class), per class the object index of its base, and back (None when
+        M's leg is fixed or N's has no free orbit).  A fixed base owns p
+        consecutive classes, and class c of base i has character index
+        c - class_at(i).  The step tables of bpring.fusion read the same
+        rows, through class_row, the leg orbits and M's leg pattern
         (pattern, pattern_bases and pattern_get).
         """
-        p, width = self.lad.p, len(self.lad.M.simples)
-        m_rung, n_rung = self.leg_m.rung, self.leg_n.rung
+        p, width = self.lad.p, self._width
+        n_rung = self.leg_n.rung
         if width == 1:
             # M's one simple is fixed, since a free orbit has p simples: the
             # row n is the object n, and the classes repeat N's leg pattern
             first_n, pattern_n, _ = _leg_pattern(self.leg_n, p)
-            return first_n, list(n_rung), pattern_n
+            return [(c,) if r <= 0 else None for c, r in zip(first_n, n_rung)], pattern_n, None
         size = len(self.pattern)
         fixed_classes, fixed_bases = gatherer(first), self.pattern_get
-        # on a fixed M leg every rung row is the identity; otherwise back[b]
-        # gathers a row at rung_m[p-b], made at the first free N orbit
-        m_fixed = size == p * width
-        back = None
-        # the per-object lists are allocated once at their full lengths; the
-        # rows of a free N orbit are filled from its base row n0, whose rung-b
-        # image is the row rung_n[b][n0]
-        rung_n = self.lad.rung_n
-        count = len(n_rung) * width
-        cls, rung, bases = [0] * count, [0] * count, []
+        rows, bases = [None] * len(n_rung), []
         for n, r in enumerate(n_rung):
             if r > 0:
-                continue  # filled from its base row
-            start, offset, end = len(bases), n * width, (n + 1) * width
+                continue  # read from its base row
+            start, offset = len(bases), n * width
             if r == FIXED:
-                cls[offset:end] = fixed_classes(list(range(start, start + size)))
-                rung[offset:end] = m_rung
-                bases += fixed_bases(list(range(offset, end)))
-                continue
-            row = list(range(start, start + width))
-            cls[offset:end] = row
-            bases += range(offset, end)
-            if back is None and not m_fixed:
-                back = self._back_rows()
-            for b in range(1, p):
-                image = rung_n[b][n] * width
-                cls[image:image + width] = row if m_fixed else back[b](row)
-                rung[image:image + width] = [b] * width
-        return cls, rung, bases
+                rows[n] = fixed_classes(list(range(start, start + size)))
+                bases += fixed_bases(list(range(offset, offset + width)))
+            else:
+                rows[n] = list(range(start, start + width))
+                bases += range(offset, offset + width)
+        # on a fixed M leg every rung row is the identity; otherwise the rows
+        # of a free N orbit are read through back, checked here
+        back = self._back_rows() if size != p * width and 0 in n_rung else None
+        return rows, bases, back
 
     def _back_rows(self) -> list:
         """Per rung b > 0, the gatherer of rung_m[p-b], after checking that M's rung rows are a Z_p action.
@@ -304,7 +310,7 @@ class KarEnvelope:
     def simple(self, c: int) -> KarSimple:
         """The canonical simple of class c, built on each call."""
         rep = self.representative(c)
-        return KarSimple(c, rep, c - self._class[self._bases[c]])
+        return KarSimple(c, rep, c - self.class_at(self._bases[c]))
 
     def representative(self, c: int) -> LadderMorphism:
         """The representative of class c: the class's idempotent, on its base object."""
@@ -317,37 +323,67 @@ class KarEnvelope:
     def _base_of(self, c: int) -> tuple[int, dict]:
         """(object index, idempotent coefficients) of the representative of class c, with no morphism built."""
         i = self._bases[c]
-        return i, self._base_coeffs(i, c - self._class[i])
+        first, rung = self._class_rung(i)
+        return i, self._base_coeffs(rung, c - first)
 
-    def _base_coeffs(self, i: int, k: int) -> dict:
-        """Rung coefficients of the primitive idempotent of character k on object index i.
+    def _base_coeffs(self, rung: int, k: int) -> dict:
+        """Rung coefficients of the primitive idempotent of character k on an object with this rung from its base.
 
-        The stored projector I_k on a fixed object, the envelope's one
-        identity dict on a free one; neither is edited in place.
+        The stored projector I_k on a fixed object (rung FIXED), the
+        envelope's one identity dict on a free one; neither is edited in
+        place.
         """
-        if self._rung[i] == FIXED:
+        if rung == FIXED:
             return _projector_coeffs(self.lad.p)[k]
         return self._identity
 
     # -- queries --------------------------------------------------------------
 
+    def _class_rung(self, i: int) -> tuple[int, int]:
+        """(class, rung) of the object with object_index i: the class of its first simple, and its rung from the base.
+
+        The rung is FIXED on a fixed object, and both are read from the legs.
+        On an N-fixed row the orbits are those of M's leg, so the rung is M's
+        leg rung, and the class is stored.  On the base row n0 of a free N
+        orbit the rung is 0 and the class is stored.  On its row n =
+        rung_n[b][n0] the object (m, n) is the rung-b image of
+        (rung_m[p-b][m], n0), or of (m, n0) on a fixed M leg, and takes its
+        class, with rung b.
+        """
+        n, m = divmod(i, self._width)
+        b = self.leg_n.rung[n]
+        if b == FIXED:
+            return self._rows[n][m], self.leg_m.rung[m]
+        if b == 0:
+            return self._rows[n][m], 0
+        if self._back is not None:
+            m = self.lad.rung_m[self.lad.p - b][m]
+        return self._rows[self.leg_n.base[n]][m], b
+
     def dimension_at(self, i: int) -> int:
         """End dimension of the object with object_index i."""
-        return self.lad.p if self._rung[i] == FIXED else 1
+        return self.lad.p if self._class_rung(i)[1] == FIXED else 1
 
     def class_at(self, i: int) -> int:
         """Class of the first simple of the object with object_index i."""
-        return self._class[i]
+        return self._class_rung(i)[0]
 
-    def class_row(self, n: int) -> list[int]:
-        """class_at of the row n: the objects with object_index n*|M| + m, for every m."""
-        width = len(self.lad.M.simples)
-        return self._class[n * width:(n + 1) * width]
+    def class_row(self, n: int) -> Sequence[int]:
+        """class_at of the row n: the objects with object_index n*|M| + m, for every m.
+
+        A stored row is returned as stored, not copied; any other row is
+        gathered from its base row (see _walk_rows).
+        """
+        b = self.leg_n.rung[n]
+        if b <= 0:
+            return self._rows[n]
+        row = self._rows[self.leg_n.base[n]]
+        return row if self._back is None else self._back[b](row)
 
     def end_dimensions(self) -> dict[int, int]:
-        """End dimension -> number of objects with it."""
-        fixed = self._rung.count(FIXED)
-        counts = {self.lad.p: fixed, 1: len(self._rung) - fixed}
+        """End dimension -> number of objects with it: the fixed M simples times the fixed N simples have p."""
+        fixed = self.leg_m.rung.count(FIXED) * self.leg_n.rung.count(FIXED)
+        counts = {self.lad.p: fixed, 1: self.lad.object_count - fixed}
         return {d: c for d, c in counts.items() if c}
 
     def locate(self, idem: LadderMorphism) -> tuple[int, LadderMorphism]:
@@ -358,35 +394,40 @@ class KarEnvelope:
         the to-representative connector.  On a base the connector is the
         base's idempotent, sharing the stored coefficient dict on a fixed one.
         """
-        i = self.lad.object_index(idem.source)
-        c = self._locate_at(i, idem)
-        return c, self._to_rep(idem.source, i, c)
+        c, rung, e = self._locate_at(self.lad.object_index(idem.source), idem)
+        return c, self._to_rep(idem.source, c, rung, e)
 
-    def _locate_at(self, i: int, idem: LadderMorphism) -> int:
-        """The class of idem, whose source has object_index i, after checking that idem is a stored primitive.
+    def _locate_at(self, i: int, idem: LadderMorphism) -> tuple[int, int, dict]:
+        """(c, rung, e) for idem, whose source has object_index i, after checking that idem is a stored primitive.
 
-        On a fixed object the character index k is looked up from the fields
-        of the rung-1 coefficient of idem in the table of the stored
-        projectors (_projector_index); idem must then equal the stored I_k,
-        compared on all its coefficients, so that no morphism is built for
-        the check.  Raises UnsupportedEndAlgebra otherwise.
+        c is idem's class, rung the source's rung from the base of c, and e
+        the coefficient dict of c's representative, as _base_of gives it: a
+        fixed object is its class's base, and every free object's idempotent
+        is the envelope's one identity dict.  On a fixed object the character
+        index k is looked up from the fields of the rung-1 coefficient of
+        idem in the table of the stored projectors (_projector_index); idem
+        must then equal the stored I_k, compared on all its coefficients, so
+        that no morphism is built for the check.  Raises
+        UnsupportedEndAlgebra otherwise.
         """
+        first, rung = self._class_rung(i)
         k = 0
-        if self._rung[i] == FIXED:
+        if rung == FIXED:
             x = idem.coeffs.get(1)
             k = None if x is None else _projector_index(self.lad.p).get((x.num, x.den, x.k))
-        if k is None or idem.source != idem.target or idem.coeffs != self._base_coeffs(i, k):
+        e = None if k is None else self._base_coeffs(rung, k)
+        if e is None or idem.source != idem.target or idem.coeffs != e:
             raise UnsupportedEndAlgebra(f"idempotent on {idem.source} is not a stored primitive")
-        return self._class[i] + k
+        return first + k, rung, e
 
-    def _to_rep(self, obj: LadderObject, i: int, c: int) -> LadderMorphism:
-        """The connector from obj, of object_index i, with the idempotent of class c to its representative.
+    def _to_rep(self, obj: LadderObject, c: int, rung: int, e: dict) -> LadderMorphism:
+        """The connector from obj with the idempotent of class c to its representative.
 
-        On a base it is the idempotent itself; on the rung-b image of a base it
-        is the basic rung -b ladder back to the base.
+        rung and e are as _locate_at returns them for obj.  On a base it is
+        the idempotent e itself; on the rung-b image of a base it is the
+        basic rung -b ladder back to the base.
         """
-        b = self._rung[i]
-        if b in (0, FIXED):
-            return LadderMorphism._nonzero(obj, obj, self._base_coeffs(i, c - self._class[i]))
+        if rung in (0, FIXED):
+            return LadderMorphism._nonzero(obj, obj, e)
         rep = self.lad.object_at(self._bases[c])
-        return LadderMorphism._nonzero(obj, rep, {self.lad.p - b: self._one})
+        return LadderMorphism._nonzero(obj, rep, {self.lad.p - rung: self._one})

@@ -404,14 +404,17 @@ sys.exit(main(["fuse", "--p", "3", "--left", "T", "--right", "T"]))
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
 
 
-# every command writes its output once, through main: a stdout that cannot
-# take it is exit code 1 and one stderr line, whatever the command
+# every command writes its output once, through main, and so does --help: a
+# stdout that cannot take it is exit code 1 and one stderr line, whatever the
+# command
 UNWRITABLE = {
     "catalog": ["catalog", "--p", "3"],
     "fuse": ["fuse", "--p", "3", "--left", "T", "--right", "T"],
     "fuse-detail": ["fuse", "--p", "3", "--left", "T", "--right", "T", "--detail", "--format", "json"],
     "table": ["table", "--p", "2"],
     "verify": ["verify", "--p", "2"],
+    "help": ["--help"],
+    "catalog-help": ["catalog", "--help"],
 }
 
 
@@ -443,6 +446,13 @@ def test_unwritable_stdout_is_exit_1(capsys, monkeypatch, command, stdout):
     assert err.startswith("cannot write stdout: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["catalog", "--help"], ["fuse", "-h"]])
+def test_help_is_written_to_stdout_with_exit_0(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: bpring") and err == "", (out, err)
+
+
 def test_unwritable_stdout_in_a_fresh_interpreter():
     # the interpreter flushes stdout again at exit, and that flush must neither
     # fail nor print: one line on stderr, no traceback, no "Exception ignored"
@@ -451,14 +461,17 @@ def test_unwritable_stdout_in_a_fresh_interpreter():
     pipe = {"stderr": subprocess.PIPE, "text": True, "env": env}
     read, write = os.pipe()
     os.close(read)
+    closed = ["sh", "-c", 'exec "$@" >&-', "sh", *cli]
     runs = [
-        subprocess.Popen(["sh", "-c", 'exec "$@" >&-', "sh", *cli, *UNWRITABLE["verify"]], **pipe),
+        subprocess.Popen([*closed, *UNWRITABLE["verify"]], **pipe),
+        subprocess.Popen([*closed, *UNWRITABLE["help"]], **pipe),
         subprocess.Popen([*cli, *UNWRITABLE["fuse-detail"]], stdout=write, **pipe),
     ]
     os.close(write)
     if os.path.exists("/dev/full"):
         with open("/dev/full", "wb") as full:
-            runs.append(subprocess.Popen([*cli, *UNWRITABLE["catalog"]], stdout=full, **pipe))
+            for command in ("catalog", "catalog-help"):
+                runs.append(subprocess.Popen([*cli, *UNWRITABLE[command]], stdout=full, **pipe))
     errs = [run.communicate(timeout=60)[1] for run in runs]
     for run, err in zip(runs, errs):
         assert run.returncode == 1, run.args

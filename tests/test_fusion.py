@@ -478,7 +478,12 @@ def test_row_walk_and_step_tables_match_the_per_object_oracle():
                 objects = range(env.lad.object_count)
                 assert list(map(env.class_at, objects)) == cls_of, where
                 assert list(map(env.dimension_at, objects)) == [p if r == FIXED else 1 for r in rung_of], where
-                assert env._rung == rung_of, where
+                assert [env._class_rung(i) for i in objects] == list(zip(cls_of, rung_of)), where
+                # every row, the image rows of a free N orbit included, which
+                # the envelope reads off their base row
+                width = len(M.simples)
+                for n in range(len(N.simples)):
+                    assert list(env.class_row(n)) == cls_of[n * width:(n + 1) * width], where + (n,)
                 assert product._steps == step_tables(M, N, walk), where
 
 
