@@ -132,8 +132,19 @@ class CyclotomicScalar:
         return monomial(p, self.num * other.num, self.den * other.den, k - p if k >= p else k)
 
     def rotate(self, j: int) -> "CyclotomicScalar":
-        """self * zeta^j: only the exponent moves."""
-        return monomial(self.p, self.num, self.den, (self.k + j) % self.p)
+        """self * zeta^j: only the exponent moves.
+
+        The rational factor is already canonical, so no gcd is taken.  Zero
+        stays zero, with k = 0, and at p = 2 an odd k is folded into the sign
+        as _canonical does.
+        """
+        p, num = self.p, self.num
+        k = (self.k + j) % p if num else 0
+        if k and p == 2:
+            num, k = -num, 0
+        x = object.__new__(CyclotomicScalar)
+        x.p, x.num, x.den, x.k = p, num, self.den, k
+        return x
 
     def scale(self, factor) -> "CyclotomicScalar":
         """self times the rational factor."""

@@ -9,12 +9,14 @@ applies one to a simple and re-anchors the result to its class.
 Classifying the product reads the following, each described where it is done:
 
 - _steps: the class each simple goes to under the generator 1 of each
-  side, read on class indices with the checks of _exponent, no simple built;
+  side, read on class indices with the checks of _exponent, a block of a
+  row at a time by at most one gather, no simple built;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
 - _stabilizer: an orbit's stabilizer, read from its size;
 - mixed_associator and _witness_path: the associator exponent, the ratio of
-  two witness paths composed of LadderMorphisms;
+  two witness paths composed of LadderMorphisms, each run on (object index,
+  coefficient dict) pairs up to its connectors;
 - _classify: the label, F_q for a full stabilizer with q the exponent, else
   the one label that bimodules.label_invariants maps to the stabilizer.
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 import os
 from functools import cached_property, lru_cache
 from operator import add
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bimodules import (NUMBER, BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple,
                         label_invariants)
@@ -101,6 +103,22 @@ def _rotation(p: int, e1: int) -> tuple[int, ...]:
     return tuple((k + e1) % p for k in range(p))
 
 
+def _block(pattern: list, first: int) -> Sequence[int]:
+    """The classes first + o for each offset o of pattern, a step block's [offsets, gatherer or None].
+
+    A block whose first class is 0 is its offsets.  Any other is one gather
+    at the offsets from list(range(first, first + len(offsets))); the
+    gatherer is built on first use and kept in pattern, so a product with a
+    single N-fixed row builds none.
+    """
+    offsets, pick = pattern
+    if not first:
+        return offsets
+    if pick is None:
+        pick = pattern[1] = gatherer(offsets)
+    return pick(list(range(first, first + len(offsets))))
+
+
 class RelativeTensorProduct:
     """Kar(Lad(M, N)) with its outer actions, associator, and classification."""
 
@@ -151,15 +169,15 @@ class RelativeTensorProduct:
         coeffs = self._rotated(side, g, f.coeffs, s, t)
         return LadderMorphism._nonzero(at(self._shift(side, g, s)), at(self._shift(side, g, t)), coeffs)
 
-    def _apply(self, side: str, g: int, i: int, coeffs: dict) -> tuple[int, LadderMorphism]:
-        """(j, acted): the idempotent with coeffs on the object of index i acted on by g on side.
+    def _apply(self, side: str, g: int, i: int, coeffs: dict) -> tuple[int, dict]:
+        """(j, acted): the endomorphism with coeffs of the object of index i, acted on by g on side.
 
-        j is the shifted object's index, shifted once for both ends of the
-        acted idempotent.
+        j is the shifted object's index, shifted once for both ends, and
+        acted the rotated coefficient dict (_rotated), the input's own when
+        that side's trivial_mixed is set.  No object or morphism is built;
+        the witness route hands both to KarEnvelope._locate_at.
         """
-        j = self._shift(side, g, i)
-        obj = self.lad.object_at(j)
-        return j, LadderMorphism._nonzero(obj, obj, self._rotated(side, g, coeffs, i, i))
+        return self._shift(side, g, i), self._rotated(side, g, coeffs, i, i)
 
     def _rotated(self, side: str, g: int, coeffs: dict, s: int, t: int) -> dict:
         """coeffs of a morphism from object index s to t, with rung b rotated as acting by g on side does.
@@ -231,28 +249,37 @@ class RelativeTensorProduct:
         witness route does.  A failure is a ClassificationError.  The tables
         are built a row at a time over the rows that make classes (see
         KarEnvelope._walk_rows), the left block of a row before its right
-        block, each gathered in C from a row of class_at (class_row).  The
-        right block reads the target row shift_n[n], which need not make
-        classes itself; class_row then gathers it off its base row.
+        block, each gathered in C.  The right block reads the target row
+        shift_n[n], which need not make classes itself; class_row then
+        gathers it off its base row.
 
         - the base row of a free N orbit steps on the left by shift_m, and
           on the right to its target row as it stands;
         - an N-fixed row follows M's leg pattern, one block of p classes per
-          fixed M simple and one class per free M orbit: its left block
-          gathers the row at shift_m of each class's base and adds
-          (k + e(1)) mod p on a fixed block, which is the same for every
-          N-fixed row; its right block gathers the target row at each base
-          and adds (k + e(1)) mod p with e(1) of the row's N leg.
+          fixed M simple and one class per free M orbit.  Its left block is
+          the row's first class plus an offset pattern that is the same for
+          every N-fixed row (_fixed_row_left), and so is its right block
+          into an N-fixed row, with the target row's first class and an
+          offset pattern that depends only on e(1) of the row's N leg
+          (_fixed_row_right), built once per e(1).  Each block is read by
+          _block: the offsets themselves when its first class is 0, else
+          one gather at them from the row's own classes, list(range(first,
+          first + len(pattern))); no list of every class is kept.  The right
+          block into a free row, where every M simple is free, is that row
+          at M's pattern.
 
-        A leg is fixed or free on every rung, so the End dimension of an
+        The e(1) and End-dimension checks run on every row, in the row's
+        order: the left ones, which depend on M alone, on the first N-fixed
+        row and on the first free base row; the right ones on each row.  A
+        leg is fixed or free on every rung, so the End dimension of an
         object is read from its two legs.  No simple is built.
         """
         env, p = self.env, self.p
         width = len(self.M.simples)
         shift_m, shift_n = self.M.left[1], self.N.right[1]
         m_rung, n_rung = env.leg_m.rung, env.leg_n.rung
-        fixed_row = free_left = None  # the left-step data of an N-fixed row, of a free N orbit's base row
-        right_chars: dict[int, list[int]] = {}  # e(1) -> the characters an N-fixed row's right block adds
+        fixed_left = free_left = None  # the left step of an N-fixed row (see _block), of a free N orbit's base row
+        right_blocks: dict = {}  # e(1) -> the right step of an N-fixed row into an N-fixed row (see _block)
         lstep, rstep = [], []
         for n, r in enumerate(n_rung):
             if r > 0:
@@ -260,10 +287,10 @@ class RelativeTensorProduct:
             here, row, target = n * width, env.class_row(n), env.class_row(shift_n[n])
             into_fixed = n_rung[shift_n[n]] == FIXED
             if r == FIXED:
-                if fixed_row is None:
-                    fixed_row = self._fixed_row_left(here)
-                pick_left, left_chars, dims, first_fixed = fixed_row
-                lstep += map(add, pick_left(row), left_chars)
+                if fixed_left is None:
+                    offsets, dims, first_fixed = self._fixed_row_left(here)
+                    fixed_left = [offsets, None]
+                lstep += _block(fixed_left, row[0])
                 e1 = 0
                 for d in dims:
                     e = self._exponent("right", n, d)
@@ -271,13 +298,13 @@ class RelativeTensorProduct:
                         e1 = e
                 if first_fixed is not None and not into_fixed:
                     self._dimension_fault("right", here + first_fixed)
-                chars = right_chars.get(e1)
-                if chars is None:  # (k + e(1)) mod p on a fixed class, 0 on a free one
-                    rotated = _rotation(p, e1)
-                    chars = right_chars[e1] = [
-                        k for x in env.pattern_bases for k in (rotated if m_rung[x] == FIXED else (0,))
-                    ]
-                rstep += map(add, env.pattern_get(target), chars)
+                if into_fixed:
+                    block = right_blocks.get(e1)
+                    if block is None:
+                        block = right_blocks[e1] = [self._fixed_row_right(e1), None]
+                    rstep += _block(block, target[0])
+                else:
+                    rstep += env.pattern_get(target)
             else:
                 if free_left is None:
                     for m in range(width):
@@ -291,19 +318,21 @@ class RelativeTensorProduct:
         return lstep, rstep
 
     def _fixed_row_left(self, here: int) -> tuple:
-        """The left-step data of every N-fixed row, checked on the first, whose first object index is here.
+        """The left step of every N-fixed row, checked on the first, whose first object index is here.
 
         Per M orbit, in the order of M's leg pattern: its base x, with e(1)
-        on the left and the check that shift_m keeps x fixed or free.
-        Returns the gatherer of the row at shift_m of each class's base, the
-        characters (k + e(1)) mod p to add (0 on a free class), the End
-        dimensions in the order the row meets them, and the first fixed M
-        simple, or None.
+        on the left and the check that shift_m keeps x fixed or free.  Class
+        j of the row, on base x, goes to the class of shift_m[x] plus
+        (k + e(1)) mod p on the k-th class of a fixed x, and to that class on
+        a free one.  Counted from the row's first class, as the envelope's
+        _pattern_first counts, that is the same for every N-fixed row.
+        Returns those offsets (see _block), the End dimensions in the order
+        the row meets them, and the first fixed M simple, or None.
         """
-        p, shift_m = self.p, self.M.left[1]
-        m_rung = self.env.leg_m.rung
+        env, p, shift_m = self.env, self.p, self.M.left[1]
+        m_rung = env.leg_m.rung
         chars, dims = [], []
-        for x in self.env.pattern_bases:
+        for x in env.pattern_bases:
             fixed = m_rung[x] == FIXED
             d = p if fixed else 1
             e1 = self._exponent("left", x, d)
@@ -313,7 +342,22 @@ class RelativeTensorProduct:
                 dims.append(d)
             chars += _rotation(p, e1) if fixed else (0,)
         first_fixed = m_rung.index(FIXED) if FIXED in m_rung else None
-        return gatherer([shift_m[x] for x in self.env.pattern]), chars, dims, first_fixed
+        at_shift = gatherer([shift_m[x] for x in env.pattern])(env._pattern_first)
+        return list(map(add, at_shift, chars)), dims, first_fixed
+
+    def _fixed_row_right(self, e1: int) -> list[int]:
+        """The right step of an N-fixed row with right e(1) = e1 into an N-fixed row, counted from its first class.
+
+        The target row repeats M's leg pattern, so class j of the row, the
+        k-th class of its base, goes to the target's class of that base (the
+        envelope's _pattern_first) plus (k + e1) mod p on a fixed M simple,
+        and to that class on a free one.  Returns those offsets, which
+        _block adds to the target row's first class.
+        """
+        env, rotated = self.env, _rotation(self.p, e1)
+        m_rung = env.leg_m.rung
+        chars = [k for x in env.pattern_bases for k in (rotated if m_rung[x] == FIXED else (0,))]
+        return list(map(add, env.pattern_get(env._pattern_first), chars))
 
     def _dimension_fault(self, side: str, i: int):
         """Raise the End-dimension fault of acting on side on the object of index i."""
@@ -324,15 +368,17 @@ class RelativeTensorProduct:
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
         """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g).
 
-        Both witness paths (_witness_path) lie in one one-dimensional
-        absorbed Hom space, and their ratio is read by proportionality and
-        phase_exponent.  On an orbit fixed by both actions the connector
-        gauges cancel in the ratio, so the exponent is canonical; the
-        calibration makes the product of the one-object bimodule with cocycle
-        q and the invertible X_l come out with exponent q*l at (1, 1).
+        Both witness paths (_witness_path) start from simple's representative,
+        read as its base's object index and its coefficient dict.  They lie in
+        one one-dimensional absorbed Hom space, and their ratio is read by
+        proportionality and phase_exponent.  On an orbit fixed by both actions
+        the connector gauges cancel in the ratio, so the exponent is
+        canonical; the calibration makes the product of the one-object
+        bimodule with cocycle q and the invertible X_l come out with exponent
+        q*l at (1, 1).
         """
         g, h = g % self.p, h % self.p
-        base = self.env._base_of(simple.class_index)
+        base = self.env._bases[simple.class_index], simple.representative.coeffs
         c2, path_rl = self._witness_path("right", h, "left", g, *base)
         c2b, path_lr = self._witness_path("left", g, "right", h, *base)
         if c2 != c2b or path_lr.source != path_rl.source:
@@ -352,34 +398,36 @@ class RelativeTensorProduct:
         index i, a class representative.  It acts, re-anchors through a
         connector u to the landing class's representative, of object index
         r1, acts on that, re-anchors again through u2, and is the acted u
-        followed by u2.  _locate_at gives each landing's class with the
-        representative's idempotent, so the representative is read with no
-        further lookup.  Objects are carried as indices; a connector is
-        built only where it is acted, composed or returned.  When the first
-        landing j is its class's base (r1 == j), u is the representative's
-        own idempotent, so the acted u is the acted idempotent already
-        built, and is reused.  If u2 then lands on a base too, it is an
-        endomorphism of the acted object: the base's stored idempotent e,
-        which _locate_at has just compared with the acted idempotent on
-        every rung.  The path is e followed by e, which is e by the
-        idempotent law, checked once per prime where the projectors are
+        followed by u2.  The route runs on (object index, coefficient dict)
+        pairs: _apply gives the acted index and dict, and _locate_at checks
+        the dict against the stored primitive and gives the landing's class
+        with the representative's idempotent, so the representative is read
+        with no further lookup.  An object or morphism is built only where
+        the route composes (w) or returns a connector (_to_rep).  When the
+        first landing j is its class's base (r1 == j), u is the
+        representative's own idempotent, so the acted u is the acted
+        idempotent, and its dict is reused.  If u2 then lands on a base too,
+        it is an endomorphism of the acted object: the base's stored
+        idempotent e, which _locate_at has just compared with the acted
+        idempotent on every rung.  The path is e followed by e, which is e by
+        the idempotent law, checked once per prime where the projectors are
         stored (karoubi._checked_idempotent; a free base's identity is the
         unit of the group algebra), so u2 is the path and nothing is
         composed.
         """
-        env = self.env
+        env, at = self.env, self.lad.object_at
         j, acted = self._apply(first, a, i, coeffs)
         c1, rung1, e1 = env._locate_at(j, acted)
         r1 = env._bases[c1]  # the representative's object; e1 is its idempotent
         j2, acted2 = self._apply(second, b, r1, e1)
         c2, rung2, e2 = env._locate_at(j2, acted2)
-        u2 = env._to_rep(acted2.source, c2, rung2, e2)
+        u2 = env._to_rep(at(j2), c2, rung2, e2)
         if r1 != j:
-            w = self._act(second, b, env._to_rep(acted.source, c1, rung1, e1), j, r1)
+            w = self._act(second, b, env._to_rep(at(j), c1, rung1, e1), j, r1)
         elif env._bases[c2] == j2:
             return c2, u2  # a base: acted2 and u2 are its idempotent e, and e followed by e is e
         else:
-            w = acted2
+            w = LadderMorphism._nonzero(u2.source, u2.source, acted2)  # the acted idempotent
         return c2, self.lad.compose(w, u2)
 
     # -- orbits and classification ---------------------------------------------

@@ -33,9 +33,14 @@ described where it is done:
   the leg orbits;
 - representative, simple, simples and _base_of: a class's idempotent on
   its base, one of the character projectors that _projector_coeffs stores
-  and checks idempotent once per prime;
+  and checks idempotent once per prime, bound by each envelope that has a
+  fixed object;
 - locate, _locate_at and _to_rep: the class of a primitive idempotent,
-  checked against the stored one, and the connector to its representative;
+  checked against the stored one, and the connector to its representative.
+  _locate_at works on an (object index, coefficient dict) pair, so the
+  witness route of bpring.fusion builds no morphism to locate one; locate
+  is its public form on a morphism, which it first checks to be an
+  endomorphism;
 - proportionality: the scalar ratio of two morphisms.
 
 The step tables and the witness route of bpring.fusion read these lists and
@@ -48,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .cyclotomic import CyclotomicScalar
+from .cyclotomic import CyclotomicScalar, monomial
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject, group_algebra_product
 from .ring import gatherer
 
@@ -109,7 +114,7 @@ def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | 
     if f.is_zero():
         return CyclotomicScalar.zero(next(iter(g.coeffs.values())).p)
     if f.coeffs is g.coeffs:
-        return CyclotomicScalar.one(next(iter(g.coeffs.values())).p)
+        return monomial(next(iter(g.coeffs.values())).p, 1, 1, 0)
     if f.coeffs.keys() != g.coeffs.keys():
         return None
     b, gc = next(iter(g.coeffs.items()))
@@ -196,21 +201,25 @@ class KarEnvelope:
 
     def __init__(self, lad: LadderCategory):
         self.lad = lad
-        self._one = CyclotomicScalar.one(lad.p)
+        self._one = monomial(lad.p, 1, 1, 0)
         self._identity = {0: self._one}  # every free base's idempotent shares it
         self._width = len(lad.M.simples)  # object index n*|M| + m
         M, N = lad.M.simples, lad.N.simples
         self.leg_m = _leg_orbits(lad.rung_m, lad.p, lambda m: LadderObject(M[m], N[0]))
         self.leg_n = _leg_orbits(lad.rung_n, lad.p, lambda n: LadderObject(M[0], N[n]))
+        # the stored projectors and their index, bound where a fixed object exists
+        self._projectors = self._projector_keys = None
+        if FIXED in self.leg_m.rung and FIXED in self.leg_n.rung:
+            self._projectors, self._projector_keys = _projector_coeffs(lad.p), _projector_index(lad.p)
         # M's leg pattern, the classes of an N-fixed row (see _leg_pattern),
         # and the gatherer of a row of objects or classes at each class's base
-        first, self.pattern, self.pattern_bases = _leg_pattern(self.leg_m, lad.p)
+        self._pattern_first, self.pattern, self.pattern_bases = _leg_pattern(self.leg_m, lad.p)
         self.pattern_get = gatherer(self.pattern)
         # per row that makes classes: the class of each object's first simple
         # (None on any other row); per class: the object index of its base;
         # per rung b > 0: the gatherer that reads a free N orbit's rung-b row
         # off its base row (None when M's leg is fixed or N has no free orbit)
-        self._rows, self._bases, self._back = self._walk_rows(first)
+        self._rows, self._bases, self._back = self._walk_rows(self._pattern_first)
 
     @cached_property
     def simples(self) -> list[KarSimple]:
@@ -251,7 +260,7 @@ class KarEnvelope:
         consecutive classes, and class c of base i has character index
         c - class_at(i).  The step tables of bpring.fusion read the same
         rows, through class_row, the leg orbits and M's leg pattern
-        (pattern, pattern_bases and pattern_get).
+        (_pattern_first, pattern, pattern_bases and pattern_get).
         """
         p, width = self.lad.p, self._width
         n_rung = self.leg_n.rung
@@ -334,7 +343,7 @@ class KarEnvelope:
         place.
         """
         if rung == FIXED:
-            return _projector_coeffs(self.lad.p)[k]
+            return self._projectors[k]
         return self._identity
 
     # -- queries --------------------------------------------------------------
@@ -389,35 +398,43 @@ class KarEnvelope:
     def locate(self, idem: LadderMorphism) -> tuple[int, LadderMorphism]:
         """The class of the Kar object idem and the connecting map to its representative.
 
-        Reads the object index of idem's source once and hands it to
-        _locate_at, which checks the idempotent; builds no simple and only
-        the to-representative connector.  On a base the connector is the
-        base's idempotent, sharing the stored coefficient dict on a fixed one.
+        Reads the object index of idem's source once, checks that idem is an
+        endomorphism and hands its coefficient dict to _locate_at, which
+        checks it against the stored primitive; both faults raise one
+        UnsupportedEndAlgebra message.  Builds no simple and only the
+        to-representative connector.  On a base the connector is the base's
+        idempotent, sharing the stored coefficient dict on a fixed one.
         """
-        c, rung, e = self._locate_at(self.lad.object_index(idem.source), idem)
+        i = self.lad.object_index(idem.source)
+        if idem.source != idem.target:
+            raise UnsupportedEndAlgebra(f"idempotent on {idem.source} is not a stored primitive")
+        c, rung, e = self._locate_at(i, idem.coeffs)
         return c, self._to_rep(idem.source, c, rung, e)
 
-    def _locate_at(self, i: int, idem: LadderMorphism) -> tuple[int, int, dict]:
-        """(c, rung, e) for idem, whose source has object_index i, after checking that idem is a stored primitive.
+    def _locate_at(self, i: int, coeffs: dict) -> tuple[int, int, dict]:
+        """(c, rung, e) for the endomorphism with coeffs of the object of index i, checked to be a stored primitive.
 
-        c is idem's class, rung the source's rung from the base of c, and e
-        the coefficient dict of c's representative, as _base_of gives it: a
-        fixed object is its class's base, and every free object's idempotent
-        is the envelope's one identity dict.  On a fixed object the character
-        index k is looked up from the fields of the rung-1 coefficient of
-        idem in the table of the stored projectors (_projector_index); idem
-        must then equal the stored I_k, compared on all its coefficients, so
-        that no morphism is built for the check.  Raises
-        UnsupportedEndAlgebra otherwise.
+        The caller guarantees the endomorphism: locate checks it, and the
+        witness route of bpring.fusion acts on an idempotent, whose acted
+        coefficients it hands over with the acted object's index, so no
+        morphism is built for the check.  c is the class, rung the object's
+        rung from the base of c, and e the coefficient dict of c's
+        representative, as _base_of gives it: a fixed object is its class's
+        base, and every free object's idempotent is the envelope's one
+        identity dict.  On a fixed object the character index k is looked up
+        from the fields of the rung-1 coefficient in the index of the stored
+        projectors (_projector_index, bound at construction); coeffs must
+        then equal the stored I_k on all its coefficients.  Raises
+        UnsupportedEndAlgebra, naming the object, otherwise.
         """
         first, rung = self._class_rung(i)
         k = 0
         if rung == FIXED:
-            x = idem.coeffs.get(1)
-            k = None if x is None else _projector_index(self.lad.p).get((x.num, x.den, x.k))
+            x = coeffs.get(1)
+            k = None if x is None else self._projector_keys.get((x.num, x.den, x.k))
         e = None if k is None else self._base_coeffs(rung, k)
-        if e is None or idem.source != idem.target or idem.coeffs != e:
-            raise UnsupportedEndAlgebra(f"idempotent on {idem.source} is not a stored primitive")
+        if e is None or coeffs != e:
+            raise UnsupportedEndAlgebra(f"idempotent on {self.lad.object_at(i)} is not a stored primitive")
         return first + k, rung, e
 
     def _to_rep(self, obj: LadderObject, c: int, rung: int, e: dict) -> LadderMorphism:

@@ -73,16 +73,20 @@ def rotated_action(product, side: str, g: int, f: LadderMorphism) -> LadderMorph
     """
     p, M, N = product.p, product.M, product.N
     g %= p
+    s, t = f.source, f.target
     if side == "left":
-        move = lambda obj: LadderObject(M.simples[M.left[g][M.index[obj.m]]], obj.n)
-        i = M.index[f.target.m]
-        exponent = lambda b: M.mixed[g][i][b]
+        move = M.left[g]
+        source = LadderObject(M.simples[move[M.index[s.m]]], s.n)
+        target = LadderObject(M.simples[move[M.index[t.m]]], t.n)
+        exponents = M.mixed[g][M.index[t.m]]
+        coeffs = {b: c.rotate(exponents[b]) for b, c in f.coeffs.items()}
     else:
-        move = lambda obj: LadderObject(obj.m, N.simples[N.right[g][N.index[obj.n]]])
-        j = N.index[f.source.n]
-        exponent = lambda b: N.mixed[b][j][g]
-    coeffs = {b: c.rotate(exponent(b)) for b, c in f.coeffs.items()}
-    return LadderMorphism(move(f.source), move(f.target), coeffs)
+        move = N.right[g]
+        source = LadderObject(s.m, N.simples[move[N.index[s.n]]])
+        target = LadderObject(t.m, N.simples[move[N.index[t.n]]])
+        j, mixed = N.index[s.n], N.mixed
+        coeffs = {b: c.rotate(mixed[b][j][g]) for b, c in f.coeffs.items()}
+    return LadderMorphism(source, target, coeffs)
 
 
 def acted_witness_exponent(product, g: int, h: int, simple) -> int:

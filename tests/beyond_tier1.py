@@ -213,7 +213,7 @@ def kernel_vs_field_oracle_p17():
 
 @check("fuse-detail")
 def fuse_detail():
-    """Five single products through fuse --detail beyond the tier-1 primes, in
+    """Six single products through fuse --detail beyond the tier-1 primes, in
     one process.  Each runs through bpring.cli.main with its output captured
     and printed, and must exit with 0 and print the expected whole line, or
     the expected part of a line where one is named:
@@ -235,6 +235,11 @@ def fuse_detail():
       one-numerator output rungs.  Every simple is a character projector on
       a fixed object, and the witness composites have denominator 23^2
       before they reduce.
+    - R x L at p=23, line 23*T: all 23 rows are N-fixed, with 529 classes
+      each (23 fixed M simples times 23 characters), so the step tables read
+      each row's left and right block of 529 classes by one gather from the
+      row's own classes, and the witness associator runs on each of the 23
+      orbits, of size 529.
     """
     import contextlib
     import io
@@ -247,6 +252,7 @@ def fuse_detail():
         ("11", "R", "F0", "11*R", True),
         ("23", "F5", "X7", "associator exponent 12  -> F12", False),
         ("23", "R", "F0", "23*R", True),
+        ("23", "R", "L", "23*T", True),
     ]
     bad = []
     for p, left, right, want, whole in runs:

@@ -87,13 +87,12 @@ def dense_check_axioms(table: RingTable) -> AxiomReport:
 def scan_units_group(table: RingTable) -> UnitsGroup:
     p = table.p
     unit = BimoduleLabel("X", 1)
+    # a x b = X1 exactly when the cell is X1 alone, with multiplicity 1
+    N, one = table.constants, ((table.index(unit), 1),)
     units = []
-    for a in table.basis:
-        for b in table.basis:
-            if (
-                table.product(a, b) == Decomposition.single(unit)
-                and table.product(b, a) == Decomposition.single(unit)
-            ):
+    for i, a in enumerate(table.basis):
+        for j in range(len(table.basis)):
+            if N[i][j] == one and N[j][i] == one:
                 units.append(a)
                 break
     mul = {}
@@ -141,13 +140,14 @@ def plain_serialize_json(table: RingTable) -> str:
     # check_axioms rather than dense_check_axioms, which is dense over n^3
     # triples at n = 36 for p=17; the tests check the two against each other
     report = check_axioms(table)
-    products = {
-        f"{a},{b}": [
-            {"label": str(label), "mult": mult} for label, mult in table.product(a, b).summands
-        ]
-        for a in table.basis
-        for b in table.basis
-    }
+    # every cell read once from the constants, as RingTable.product reads it
+    names = [str(label) for label in table.basis]
+    products = {}
+    for a, row in zip(names, table.constants):
+        for b, cell in zip(names, row):
+            if any(mult < 0 for _, mult in cell):
+                raise ValueError("multiplicities must be positive")
+            products[f"{a},{b}"] = [{"label": names[k], "mult": mult} for k, mult in cell]
     units = scan_units_group(table)
     payload = {
         "p": table.p,

@@ -11,6 +11,7 @@ from bpring.bimodules import (
     all_labels,
     catalogue,
     catalogue_entry,
+    format_simple,
     label_parse,
     validate,
 )
@@ -372,27 +373,29 @@ def test_analyze_builds_each_orbit_simple_once(monkeypatch):
 
 
 def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
-    # The actions, the acted idempotents, compose and the connectors are
-    # built without the constructor's zero filter; each must equal the
-    # morphism the filtering constructor builds from its coefficients, so no
-    # zero coefficient is ever kept.  They are recorded where the index-level
-    # route builds them (_act, under act_left and act_right, _apply and
-    # _to_rep, under locate), so the witness route's are checked too.  Every
-    # ordered pair at p in {2, 3, 5}: the witness route of analyze, every
-    # simple acted on by every g on both sides, every connector, and on one
-    # fixed object every product of two character projectors, which cancels
-    # every rung unless they are equal.
-    made = []
+    # The actions, compose and the connectors are built without the
+    # constructor's zero filter; each must equal the morphism the filtering
+    # constructor builds from its coefficients, so no zero coefficient is
+    # ever kept.  They are recorded where the index-level route builds them
+    # (_act, under act_left and act_right, and _to_rep, under locate), so
+    # the witness route's are checked too; the acted idempotents' coefficient
+    # dicts, which _apply returns with no morphism built, must each equal
+    # their zero-filtered copy.  Every ordered pair at p in {2, 3, 5}: the
+    # witness route of analyze, every simple acted on by every g on both
+    # sides, every connector, and on one fixed object every product of two
+    # character projectors, which cancels every rung unless they are equal.
+    made, dicts = [], []
 
-    def recording(method, pick=lambda out: [out]):
+    def recording(method, into=made, pick=lambda out: out):
         def wrapper(*args):
             out = method(*args)
-            made.extend(pick(out))
+            into.append(pick(out))
             return out
         return wrapper
 
     monkeypatch.setattr(RelativeTensorProduct, "_act", recording(RelativeTensorProduct._act))
-    monkeypatch.setattr(RelativeTensorProduct, "_apply", recording(RelativeTensorProduct._apply, lambda out: out[1:]))
+    apply = recording(RelativeTensorProduct._apply, dicts, lambda out: out[1])
+    monkeypatch.setattr(RelativeTensorProduct, "_apply", apply)
     monkeypatch.setattr(LadderCategory, "compose", recording(LadderCategory.compose))
     monkeypatch.setattr(KarEnvelope, "_to_rep", recording(KarEnvelope._to_rep))
     kinds = Counter()
@@ -419,9 +422,13 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
                     kinds["cancelled" if lad.compose(e, f).is_zero() else "kept"] += 1
             for f in made:
                 assert f == LadderMorphism(f.source, f.target, f.coeffs), (str(M.label), str(N.label), f)
+            for coeffs in dicts:
+                assert coeffs == {b: c for b, c in coeffs.items() if not c.is_zero()}, (str(M.label), str(N.label))
             kinds["checked"] += len(made)
+            kinds["dicts"] += len(dicts)
             made.clear()
-    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["checked"] > 10000, kinds
+            dicts.clear()
+    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["checked"] > 10000 and kinds["dicts"] > 1000, kinds
 
 
 def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial():
@@ -693,6 +700,23 @@ def test_mixed_associator_off_the_rung_characters_is_a_classification_error():
         assert validate(M) != [] or validate(N) != []
         with pytest.raises(ClassificationError, match=side):
             RelativeTensorProduct(M, N).analyze()
+
+
+def test_right_exponents_are_checked_on_every_n_fixed_row():
+    # Hand-built data that fails validate.  Every row of Lad(R, N) is
+    # N-fixed, N being L with its mixed table replaced: on row 0 the right
+    # action is the trivial character, and on row 1 it multiplies rung b by
+    # zeta^(b^2), which is not a character of Z_5.  The step tables check
+    # e(1) on every N-fixed row, not only on the first, so both analyze and
+    # decompose raise the right action's fault on the simple 1 of N.
+    p = 5
+    R, L = catalogue_entry(p, label_parse("R")), catalogue_entry(p, label_parse("L"))
+    N = L._replace(mixed=exponent_table(p, p, lambda g, n, h: g * g * h if n == 1 else 0), label=None)
+    assert validate(N) != []
+    message = f"the right mixed associator on {format_simple(N.simples[1])} is not a character of its rung stabilizer"
+    for run in (RelativeTensorProduct.analyze, RelativeTensorProduct.decompose):
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+            run(RelativeTensorProduct(R, N))
 
 
 def test_action_that_changes_end_dimension_is_a_classification_error():
