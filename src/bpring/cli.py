@@ -6,9 +6,10 @@ record each and print it as JSON or read their Markdown lines from it.
 Exit codes: 0 success, 1 verification failure or unwritable output (a full,
 closed or broken stdout, or an unwritable --out file, reported in one
 "cannot write ..." line), 2 invalid input, 3 internal fault of the engine,
-the wall oracle or a table reader.  verify runs the same four checks on
-every run, in this order: the engine's table against the closed form, the
-unit, associativity on every triple, and the table against the wall oracle.
+the wall oracle or a table reader, a dead worker process, or running out of
+memory, 130 an interrupt.  verify runs the same four checks on every run,
+in this order: the engine's table against the closed form, the unit,
+associativity on every triple, and the table against the wall oracle.
 It prints one status line per check, then each failing check's findings, at
 most 20 lines each.  All output is deterministic.  --p and each label have
 one spelling, with no surrounding whitespace and any number in ASCII digits
@@ -212,6 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an interrupt and running out of memory end it with one line too, no traceback."""
+    try:
+        return _run(argv)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    except MemoryError as exc:
+        print(f"internal error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 3
+
+
+def _run(argv) -> int:
     out = None  # only table has --out
     try:
         args = build_parser().parse_args(argv)

@@ -1,22 +1,22 @@
 """Relative tensor product of two bimodules, computed through Kar(Lad(M, N)).
 
 The simples of the product are those of the Karoubi envelope (bpring.karoubi).
-The outer Z_p actions are endofunctors of the ladder category, act_left and
-act_right: each moves one leg of an object (_shift) and rotates each rung of a
-morphism by an exponent of that side's mixed table (_rotated).  outer_action
-applies one to a simple and re-anchors the result to its class.
+The outer Z_p actions have one core, _act, on (source index, target index,
+coefficient dict): it moves one leg of each end (_shift) and rotates each rung
+by an exponent of that side's mixed table (_rotated).  outer_action applies it
+to a simple and re-anchors the result to its class.
 
 Classifying the product reads the following, each described where it is done:
 
 - _steps: the class each simple goes to under the generator 1 of each
   side, read on class indices with the checks of _exponent, a block of a
-  row at a time by at most one gather, no simple built;
+  row at a time by at most one gather from one class range, no simple built;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
 - _stabilizer: an orbit's stabilizer, read from its size;
 - mixed_associator and _witness_path: the associator exponent, the ratio of
-  two witness paths composed of LadderMorphisms, each run on (object index,
-  coefficient dict) pairs up to its connectors;
+  two witness paths, each a base's stored idempotent or lad.compose of two
+  LadderMorphisms, read as (landing class, source index, coefficient dict);
 - _classify: the label, F_q for a full stabilizer with q the exponent, else
   the one label that bimodules.label_invariants maps to the stabilizer.
 
@@ -103,20 +103,22 @@ def _rotation(p: int, e1: int) -> tuple[int, ...]:
     return tuple((k + e1) % p for k in range(p))
 
 
-def _block(pattern: list, first: int) -> Sequence[int]:
+def _block(pattern: list, first: int, classes: list[int], count: int) -> Sequence[int]:
     """The classes first + o for each offset o of pattern, a step block's [offsets, gatherer or None].
 
     A block whose first class is 0 is its offsets.  Any other is one gather
-    at the offsets from list(range(first, first + len(offsets))); the
-    gatherer is built on first use and kept in pattern, so a product with a
-    single N-fixed row builds none.
+    at the offsets from classes[first:], the product's one list(range(count)),
+    filled on first use, so both steps share its ints; the gatherer is built
+    on first use and kept in pattern.  A single N-fixed row builds neither.
     """
     offsets, pick = pattern
     if not first:
         return offsets
     if pick is None:
         pick = pattern[1] = gatherer(offsets)
-    return pick(list(range(first, first + len(offsets))))
+    if not classes:
+        classes += range(count)
+    return pick(classes[first:first + len(offsets)])
 
 
 class RelativeTensorProduct:
@@ -150,34 +152,16 @@ class RelativeTensorProduct:
         n, m = divmod(i, width)
         return self.N.right[g][n] * width + m
 
-    def act_left(self, g: int, f: LadderMorphism) -> LadderMorphism:
-        index = self.lad.object_index
-        return self._act("left", g % self.p, f, index(f.source), index(f.target))
+    def _act(self, side: str, g: int, s: int, t: int, coeffs: dict) -> tuple[int, int, dict]:
+        """(s', t', coeffs'): the morphism with coeffs from object index s to t, acted on by g (in 0..p-1) on side.
 
-    def act_right(self, h: int, f: LadderMorphism) -> LadderMorphism:
-        index = self.lad.object_index
-        return self._act("right", h % self.p, f, index(f.source), index(f.target))
-
-    def _act(self, side: str, g: int, f: LadderMorphism, s: int, t: int) -> LadderMorphism:
-        """f, from the object of index s to that of index t, acted on by g (in 0..p-1) on side.
-
-        Each rotation (CyclotomicScalar.rotate) moves only a monomial's
-        exponent and keeps it nonzero, so the result is built without the
-        constructor's zero filter (LadderMorphism._nonzero).
+        s' and t' are the shifted indices (_shift), one shift when s == t, and
+        coeffs' the rotated dict (_rotated).  Each rotation keeps a monomial
+        nonzero, so a morphism on coeffs' needs no zero filter
+        (LadderMorphism._nonzero).  No object or morphism is built.
         """
-        at = self.lad.object_at
-        coeffs = self._rotated(side, g, f.coeffs, s, t)
-        return LadderMorphism._nonzero(at(self._shift(side, g, s)), at(self._shift(side, g, t)), coeffs)
-
-    def _apply(self, side: str, g: int, i: int, coeffs: dict) -> tuple[int, dict]:
-        """(j, acted): the endomorphism with coeffs of the object of index i, acted on by g on side.
-
-        j is the shifted object's index, shifted once for both ends, and
-        acted the rotated coefficient dict (_rotated), the input's own when
-        that side's trivial_mixed is set.  No object or morphism is built;
-        the witness route hands both to KarEnvelope._locate_at.
-        """
-        return self._shift(side, g, i), self._rotated(side, g, coeffs, i, i)
+        shifted = self._shift(side, g, s)
+        return shifted, shifted if t == s else self._shift(side, g, t), self._rotated(side, g, coeffs, s, t)
 
     def _rotated(self, side: str, g: int, coeffs: dict, s: int, t: int) -> dict:
         """coeffs of a morphism from object index s to t, with rung b rotated as acting by g on side does.
@@ -201,12 +185,15 @@ class RelativeTensorProduct:
     # -- actions on simples ---------------------------------------------------
 
     def outer_action(self, g: int, side: str, simple: KarSimple) -> ActionMorphism:
-        """The simple that g on side sends simple to, witnessed by the connector scaled to 1 on its least rung."""
+        """The simple that g on side sends simple to, witnessed by the connector scaled to 1 on its least rung.
+
+        The acted representative is named by its objects and checked by KarEnvelope.locate.
+        """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        g = g % self.p
-        acted = (self.act_left if side == "left" else self.act_right)(g, simple.representative)
-        c, u = self.env.locate(acted)
+        g, rep, index, at = g % self.p, simple.representative, self.lad.object_index, self.lad.object_at
+        s, t, acted = self._act(side, g, index(rep.source), index(rep.target), rep.coeffs)
+        c, u = self.env.locate(LadderMorphism._nonzero(at(s), at(t), acted))
         return ActionMorphism(g, side, simple, self.env.simple(c), u.scale(u.coeffs[min(u.coeffs)].inv()))
 
     def _exponent(self, side: str, leg: int, dim: int) -> int:
@@ -263,8 +250,8 @@ class RelativeTensorProduct:
           offset pattern that depends only on e(1) of the row's N leg
           (_fixed_row_right), built once per e(1).  Each block is read by
           _block: the offsets themselves when its first class is 0, else
-          one gather at them from the row's own classes, list(range(first,
-          first + len(pattern))); no list of every class is kept.  The right
+          one gather at them from the product's one class range, built on
+          the first such block (T x T builds none).  The right
           block into a free row, where every M simple is free, is that row
           at M's pattern.
 
@@ -280,7 +267,8 @@ class RelativeTensorProduct:
         m_rung, n_rung = env.leg_m.rung, env.leg_n.rung
         fixed_left = free_left = None  # the left step of an N-fixed row (see _block), of a free N orbit's base row
         right_blocks: dict = {}  # e(1) -> the right step of an N-fixed row into an N-fixed row (see _block)
-        lstep, rstep = [], []
+        classes: list[int] = []  # the class range that _block gathers from, filled on first use
+        count, lstep, rstep = env.simple_count, [], []
         for n, r in enumerate(n_rung):
             if r > 0:
                 continue  # a row of a free N orbit other than its base makes no class
@@ -290,7 +278,7 @@ class RelativeTensorProduct:
                 if fixed_left is None:
                     offsets, dims, first_fixed = self._fixed_row_left(here)
                     fixed_left = [offsets, None]
-                lstep += _block(fixed_left, row[0])
+                lstep += _block(fixed_left, row[0], classes, count)
                 e1 = 0
                 for d in dims:
                     e = self._exponent("right", n, d)
@@ -302,7 +290,7 @@ class RelativeTensorProduct:
                     block = right_blocks.get(e1)
                     if block is None:
                         block = right_blocks[e1] = [self._fixed_row_right(e1), None]
-                    rstep += _block(block, target[0])
+                    rstep += _block(block, target[0], classes, count)
                 else:
                     rstep += env.pattern_get(target)
             else:
@@ -369,21 +357,21 @@ class RelativeTensorProduct:
         """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g).
 
         Both witness paths (_witness_path) start from simple's representative,
-        read as its base's object index and its coefficient dict.  They lie in
-        one one-dimensional absorbed Hom space, and their ratio is read by
-        proportionality and phase_exponent.  On an orbit fixed by both actions
-        the connector gauges cancel in the ratio, so the exponent is
-        canonical; the calibration makes the product of the one-object
-        bimodule with cocycle q and the invertible X_l come out with exponent
-        q*l at (1, 1).
+        read as its base's object index and its coefficient dict.  Landing on
+        one class from one source, they lie in one one-dimensional absorbed
+        Hom space; their dicts' ratio is read by proportionality and
+        phase_exponent.  On an orbit fixed by both actions the connector
+        gauges cancel in the ratio, so the exponent is canonical; the
+        calibration makes the product of the one-object bimodule with cocycle
+        q and the invertible X_l come out with exponent q*l at (1, 1).
         """
         g, h = g % self.p, h % self.p
         base = self.env._bases[simple.class_index], simple.representative.coeffs
-        c2, path_rl = self._witness_path("right", h, "left", g, *base)
-        c2b, path_lr = self._witness_path("left", g, "right", h, *base)
-        if c2 != c2b or path_lr.source != path_rl.source:
+        c2, source, path_rl = self._witness_path("right", h, "left", g, *base)
+        c2b, source_b, path_lr = self._witness_path("left", g, "right", h, *base)
+        if c2 != c2b or source != source_b:
             raise ClassificationError("the two witness paths do not land in one Hom space")
-        ratio = proportionality(path_lr, path_rl)
+        ratio = proportionality(path_lr, path_rl, self.env._one)
         if ratio is None or ratio.is_zero():
             raise ClassificationError("witness paths are not proportional")
         k = phase_exponent(ratio)
@@ -391,44 +379,41 @@ class RelativeTensorProduct:
             raise ClassificationError(f"associator ratio {ratio!r} is not a root of unity")
         return k
 
-    def _witness_path(self, first: str, a: int, second: str, b: int, i: int, coeffs: dict) -> tuple[int, LadderMorphism]:
-        """(landing class, path) of acting by a on side first, then by b on side second.
+    def _witness_path(self, first: str, a: int, second: str, b: int, i: int, coeffs: dict) -> tuple[int, int, dict]:
+        """(landing class, source object index, coefficients) of acting by a on side first, then by b on side second.
 
         The path starts from the idempotent with coeffs on the object of
-        index i, a class representative.  It acts, re-anchors through a
-        connector u to the landing class's representative, of object index
+        index i, a class representative.  It acts (_act), re-anchors through
+        a connector u to the landing class's representative, of object index
         r1, acts on that, re-anchors again through u2, and is the acted u
-        followed by u2.  The route runs on (object index, coefficient dict)
-        pairs: _apply gives the acted index and dict, and _locate_at checks
-        the dict against the stored primitive and gives the landing's class
-        with the representative's idempotent, so the representative is read
-        with no further lookup.  An object or morphism is built only where
-        the route composes (w) or returns a connector (_to_rep).  When the
-        first landing j is its class's base (r1 == j), u is the
-        representative's own idempotent, so the acted u is the acted
-        idempotent, and its dict is reused.  If u2 then lands on a base too,
-        it is an endomorphism of the acted object: the base's stored
-        idempotent e, which _locate_at has just compared with the acted
-        idempotent on every rung.  The path is e followed by e, which is e by
-        the idempotent law, checked once per prime where the projectors are
-        stored (karoubi._checked_idempotent; a free base's identity is the
-        unit of the group algebra), so u2 is the path and nothing is
-        composed.
+        followed by u2, all on indices and dicts: KarEnvelope._locate_at
+        checks each acted dict against the stored primitive, and _to_rep
+        gives the connectors.  When the first landing j is its class's base
+        (r1 == j), the acted u is the acted idempotent.  If u2 then lands on
+        a base too, it is the base's stored idempotent e, which _locate_at
+        has just compared with the acted idempotent on every rung, and e
+        followed by e is e by the idempotent law, checked once per prime
+        where the projectors are stored (karoubi._checked_idempotent; a free
+        base's identity is the unit of the group algebra): the path is e's
+        dict, and nothing is built.  Every other path is lad.compose of two
+        LadderMorphisms, the acted u and u2, on the route's only objects.
         """
-        env, at = self.env, self.lad.object_at
-        j, acted = self._apply(first, a, i, coeffs)
+        env = self.env
+        j, _, acted = self._act(first, a, i, i, coeffs)
         c1, rung1, e1 = env._locate_at(j, acted)
         r1 = env._bases[c1]  # the representative's object; e1 is its idempotent
-        j2, acted2 = self._apply(second, b, r1, e1)
+        j2, _, acted2 = self._act(second, b, r1, r1, e1)
         c2, rung2, e2 = env._locate_at(j2, acted2)
-        u2 = env._to_rep(at(j2), c2, rung2, e2)
         if r1 != j:
-            w = self._act(second, b, env._to_rep(at(j), c1, rung1, e1), j, r1)
+            source, _, w = self._act(second, b, j, r1, env._to_rep(j, c1, rung1, e1)[1])
         elif env._bases[c2] == j2:
-            return c2, u2  # a base: acted2 and u2 are its idempotent e, and e followed by e is e
+            return c2, j2, e2  # a base: acted2 is its idempotent e, and e followed by e is e
         else:
-            w = LadderMorphism._nonzero(u2.source, u2.source, acted2)  # the acted idempotent
-        return c2, self.lad.compose(w, u2)
+            source, w = j2, acted2  # the acted idempotent
+        t2, u2 = env._to_rep(j2, c2, rung2, e2)
+        at, mid = self.lad.object_at, self.lad.object_at(j2)
+        path = self.lad.compose(LadderMorphism._nonzero(at(source), mid, w), LadderMorphism._nonzero(mid, at(t2), u2))
+        return c2, source, path.coeffs
 
     # -- orbits and classification ---------------------------------------------
 
@@ -594,7 +579,8 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
     """Structure constants from the fusion engine over all ordered label pairs.
 
     workers (default: BPRING_THREADS) is capped at os.cpu_count().  A pool
-    gets the pairs in about four chunks per worker.
+    gets the pairs in about four chunks per worker.  A worker that dies, as
+    one killed for memory does, is an EngineError.
     """
     require_prime(p)
     table = RingTable.empty(p)
@@ -604,12 +590,16 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
     if workers > 1:
         # imported here so that serial users never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # a few chunks per worker: one pair is too little work to pay for its own round trip
         chunksize = -(-len(pairs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
-            for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=chunksize)):
-                table.set_product(a, b, dec)
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
+                for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=chunksize)):
+                    table.set_product(a, b, dec)
+        except BrokenProcessPool as exc:
+            raise EngineError("a worker process ended unexpectedly") from exc
     else:
         entries = _catalogue_by_label(p)
         for a, b in pairs:

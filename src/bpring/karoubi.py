@@ -37,11 +37,10 @@ described where it is done:
   fixed object;
 - locate, _locate_at and _to_rep: the class of a primitive idempotent,
   checked against the stored one, and the connector to its representative.
-  _locate_at works on an (object index, coefficient dict) pair, so the
-  witness route of bpring.fusion builds no morphism to locate one; locate
-  is its public form on a morphism, which it first checks to be an
-  endomorphism;
-- proportionality: the scalar ratio of two morphisms.
+  _locate_at and _to_rep work on object indices and coefficient dicts, for
+  the witness route of bpring.fusion; locate is their public form on a
+  morphism, which it first checks to be an endomorphism;
+- proportionality: the scalar ratio of two coefficient dicts.
 
 The step tables and the witness route of bpring.fusion read these lists and
 methods.
@@ -100,26 +99,25 @@ def _projector_index(p: int) -> dict:
     return {(x.num, x.den, x.k): k for k, x in enumerate(coeffs[1] for coeffs in _projector_coeffs(p))}
 
 
-def proportionality(f: LadderMorphism, g: LadderMorphism) -> CyclotomicScalar | None:
-    """The scalar c with f == c*g, if one exists (g nonzero).
+def proportionality(f: dict, g: dict, one: CyclotomicScalar) -> CyclotomicScalar | None:
+    """The scalar c with f == c*g, if one exists, for coefficient dicts f and g (g nonzero).
 
     c is read off one rung, with one inversion, and then checked on every
-    rung by one product each.  When f and g share one coefficient dict, as
-    two witness paths that each land on the same base's stored idempotent
-    do, c is one, with no product or inversion; equal but distinct dicts are
-    read as above.
+    rung by one product each.  When f and g are one dict, as two witness
+    paths that land on the same base's stored idempotent are, c is one, the
+    field's 1, with no product or inversion.
     """
-    if g.is_zero():
+    if not g:
         return None
-    if f.is_zero():
-        return CyclotomicScalar.zero(next(iter(g.coeffs.values())).p)
-    if f.coeffs is g.coeffs:
-        return monomial(next(iter(g.coeffs.values())).p, 1, 1, 0)
-    if f.coeffs.keys() != g.coeffs.keys():
+    if not f:
+        return CyclotomicScalar.zero(one.p)
+    if f is g:
+        return one
+    if f.keys() != g.keys():
         return None
-    b, gc = next(iter(g.coeffs.items()))
-    ratio = f.coeffs[b] * gc.inv()
-    if any(f.coeffs[b] != gc * ratio for b, gc in g.coeffs.items()):
+    b, gc = next(iter(g.items()))
+    ratio = f[b] * gc.inv()
+    if any(f[b] != gc * ratio for b, gc in g.items()):
         return None
     return ratio
 
@@ -409,7 +407,8 @@ class KarEnvelope:
         if idem.source != idem.target:
             raise UnsupportedEndAlgebra(f"idempotent on {idem.source} is not a stored primitive")
         c, rung, e = self._locate_at(i, idem.coeffs)
-        return c, self._to_rep(idem.source, c, rung, e)
+        t, coeffs = self._to_rep(i, c, rung, e)
+        return c, LadderMorphism._nonzero(idem.source, idem.source if t == i else self.lad.object_at(t), coeffs)
 
     def _locate_at(self, i: int, coeffs: dict) -> tuple[int, int, dict]:
         """(c, rung, e) for the endomorphism with coeffs of the object of index i, checked to be a stored primitive.
@@ -437,14 +436,14 @@ class KarEnvelope:
             raise UnsupportedEndAlgebra(f"idempotent on {self.lad.object_at(i)} is not a stored primitive")
         return first + k, rung, e
 
-    def _to_rep(self, obj: LadderObject, c: int, rung: int, e: dict) -> LadderMorphism:
-        """The connector from obj with the idempotent of class c to its representative.
+    def _to_rep(self, i: int, c: int, rung: int, e: dict) -> tuple[int, dict]:
+        """(target, coeffs): the connector from the object of index i, with class c's idempotent, to its representative.
 
-        rung and e are as _locate_at returns them for obj.  On a base it is
-        the idempotent e itself; on the rung-b image of a base it is the
-        basic rung -b ladder back to the base.
+        rung and e are as _locate_at returns them for i, and target is the
+        representative's object index.  On a base it is the idempotent e
+        itself; on the rung-b image of a base it is the basic rung -b ladder
+        back to the base.
         """
         if rung in (0, FIXED):
-            return LadderMorphism._nonzero(obj, obj, e)
-        rep = self.lad.object_at(self._bases[c])
-        return LadderMorphism._nonzero(obj, rep, {self.lad.p - rung: self._one})
+            return i, e
+        return self._bases[c], {self.lad.p - rung: self._one}

@@ -7,6 +7,8 @@ outer action with every rung rotated by its exponent read from the table,
 always into a new coefficient dict.  acted_witness_exponent is the witness
 associator acting through it on every connector, never reusing an acted
 idempotent, and its ratio read on the field oracle (scalar_oracle).
+act_on is the library's own action on a morphism: its index-level core
+RelativeTensorProduct._act, with the objects named at both ends.
 object_witness_path is one witness path on Kar objects, each its idempotent:
 it shifts objects through the entries' simple indices, locates each acted
 idempotent by its source, and tells a base landing by comparing connectors with the
@@ -60,6 +62,13 @@ def search_orbits(product) -> list[list[int]]:
         out.append(sorted(orbit))
         seen.update(orbit)
     return out
+
+
+def act_on(product, side: str, g: int, f: LadderMorphism) -> LadderMorphism:
+    """f acted on by g on side through the library's action core, sharing its coefficient dict when no rung rotates."""
+    lad = product.lad
+    s, t, coeffs = product._act(side, g % product.p, lad.object_index(f.source), lad.object_index(f.target), f.coeffs)
+    return LadderMorphism._nonzero(lad.object_at(s), lad.object_at(t), coeffs)
 
 
 def rotated_action(product, side: str, g: int, f: LadderMorphism) -> LadderMorphism:

@@ -112,29 +112,50 @@ def witness_vs_composing_oracle():
     idempotent and acts by a trivial mixed associator without rotating.  R x
     L is also run with both factors gauge-twisted (R on the right and L on
     the left by a character per simple, which no coboundary twist changes),
-    so the rotating path is compared there too.
+    so the rotating path is compared there too.  X_k x T and X_a x X_b have
+    paths that compose, and every product is also run on relabelled entries,
+    whose leg simples are out of the catalogue's order.  Each path is sorted
+    into one of three kinds: a first landing off its base (the acted
+    connector composed), a second landing off its base after a base (the
+    acted idempotent composed), and a base landing (the base's idempotent);
+    each kind must occur.
     """
+    from collections import Counter
+
     from action_oracle import acted_witness_exponent
-    from bimodule_transforms import character_twist
+    from bimodule_transforms import character_twist, relabel
     from bpring.bimodules import catalogue_entry, label_parse
     from bpring.fusion import RelativeTensorProduct
 
-    p, rng, bad, checked = 13, random.Random(1313), [], 0
+    p, rng, bad, checked, kinds = 13, random.Random(1313), [], 0, Counter()
     entry = lambda a: catalogue_entry(p, label_parse(a))
     twist = lambda e, side: character_twist(e, {m: rng.randrange(p) for m in e.simples}, side)
-    pairs = [(f"{a} x {b}", entry(a), entry(b)) for a, b in (("R", "L"), ("R", "F0"), ("F3", "F5"), ("F2", "X3"))]
+    names = (("R", "L"), ("R", "F0"), ("F3", "F5"), ("F2", "X3"), ("X4", "T"), ("X2", "X7"))
+    pairs = [(f"{a} x {b}", entry(a), entry(b)) for a, b in names]
     pairs.append(("R x L, gauge-twisted", twist(entry("R"), "right"), twist(entry("L"), "left")))
     if pairs[-1][1].trivial_mixed or pairs[-1][2].trivial_mixed:
         return "the gauge twists left a mixed table all zero"
+    pairs += [(f"{name}, relabelled", relabel(M, rng), relabel(N, rng)) for name, M, N in pairs]
     for name, M, N in pairs:
         product = RelativeTensorProduct(M, N)
+        env = product.env
         for first, _ in product.orbits():
             s = product.env.simple(first)
+            base = env._bases[first], s.representative.coeffs
             for g, h in ((1, 1), (2, 5)):
                 checked += 1
                 if product.mixed_associator(g, h, s) != acted_witness_exponent(product, g, h, s):
                     bad.append(f"{name} at {s}, (g, h) = ({g}, {h})")
-    print(f"{checked} exponents compared at p={p}")
+                for route in (("right", h, "left", g), ("left", g, "right", h)):
+                    c2, source, _ = product._witness_path(*route, *base)
+                    j = product._shift(route[0], route[1], base[0])
+                    if env._bases[env.class_at(j)] != j:
+                        kinds["first off base"] += 1
+                    else:
+                        kinds["base" if source == env._bases[c2] else "second off base"] += 1
+    print(f"{checked} exponents compared at p={p}; paths by kind: {dict(kinds)}")
+    if len(kinds) != 3:
+        return f"not every kind of witness path occurred: {dict(kinds)}"
     return f"witness associator differs from the composing oracle: {bad}" if bad else None
 
 

@@ -358,6 +358,58 @@ def test_non_unit_conjugate_exit_code(capsys, monkeypatch):
     assert err == "internal error: unit product F1 x X2 is T, not a unit\n"
 
 
+def test_an_interrupt_is_exit_130_with_one_line(capsys, monkeypatch):
+    # Ctrl-C anywhere in a command ends the run with one line, no traceback
+    from bpring.fusion import RelativeTensorProduct
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(RelativeTensorProduct, "analyze", interrupted)
+    code, out, err = run_cli(capsys, "fuse", "--p", "5", "--left", "R", "--right", "L", "--detail")
+    assert (code, out, err) == (130, "", "interrupted\n")
+
+
+@pytest.mark.parametrize(
+    "message, line", [("", "out of memory"), ("cannot allocate", "out of memory: cannot allocate")]
+)
+def test_running_out_of_memory_is_an_internal_error(capsys, monkeypatch, message, line):
+    from bpring import cli
+
+    def exhausted(p):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(cli, "build_table", exhausted)
+    code, out, err = run_cli(capsys, "verify", "--p", "5")
+    assert (code, out, err) == (3, "", f"internal error: {line}\n")
+
+
+def test_a_worker_that_dies_is_an_internal_error(capsys, monkeypatch):
+    # A forked two-worker pool in which the worker that gets T x T ends at
+    # once, as one killed for memory would: one line and exit 3
+    import concurrent.futures
+    import functools
+    import multiprocessing
+
+    from bpring import fusion
+    from bpring.bimodules import label_parse
+
+    T, pair_product = label_parse("T"), fusion._pair_product
+
+    def dying(entries, a, b):
+        if a == b == T:
+            os._exit(1)
+        return pair_product(entries, a, b)
+
+    forked = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forked)
+    monkeypatch.setattr(fusion, "_pair_product", dying)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("BPRING_THREADS", "2")
+    code, out, err = run_cli(capsys, "table", "--p", "3")
+    assert (code, out, err) == (3, "", "internal error: a worker process ended unexpectedly\n")
+
+
 def test_non_monomial_rung_exit_code(capsys, monkeypatch):
     # a composite rung that is not one monomial c*zeta^k is an engine fault:
     # here every composition stacks {0: 1, 1: 1} on {0: 1, 1: zeta}, whose

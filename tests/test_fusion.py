@@ -21,6 +21,7 @@ from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, _checked_idempotent, _projector_coeffs
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from action_oracle import (
+    act_on,
     acted_witness_exponent,
     action_tables,
     object_witness_path,
@@ -93,10 +94,7 @@ def test_witnesses_absorb_idempotents():
                 for g in range(p):
                     act = product.outer_action(g, side, s)
                     w = act.witness
-                    if side == "left":
-                        shifted_idem = product.act_left(g, s.representative)
-                    else:
-                        shifted_idem = product.act_right(g, s.representative)
+                    shifted_idem = act_on(product, side, g, s.representative)
                     assert lad.compose(shifted_idem, w) == w
                     assert lad.compose(w, act.target.representative) == w
                     lead = min(w.coeffs)
@@ -376,14 +374,15 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
     # The actions, compose and the connectors are built without the
     # constructor's zero filter; each must equal the morphism the filtering
     # constructor builds from its coefficients, so no zero coefficient is
-    # ever kept.  They are recorded where the index-level route builds them
-    # (_act, under act_left and act_right, and _to_rep, under locate), so
-    # the witness route's are checked too; the acted idempotents' coefficient
-    # dicts, which _apply returns with no morphism built, must each equal
-    # their zero-filtered copy.  Every ordered pair at p in {2, 3, 5}: the
-    # witness route of analyze, every simple acted on by every g on both
-    # sides, every connector, and on one fixed object every product of two
-    # character projectors, which cancels every rung unless they are equal.
+    # ever kept.  The action core (_act) and the connectors (_to_rep) give
+    # coefficient dicts with no morphism built, and each dict must equal its
+    # zero-filtered copy; they are recorded where the index-level route
+    # makes them, so the witness route's and outer_action's are checked too.
+    # compose's morphisms are checked as morphisms.  Every ordered pair at p
+    # in {2, 3, 5}: the witness route of analyze, every simple acted on by
+    # every g on both sides, every connector, and on one fixed object every
+    # product of two character projectors, which cancels every rung unless
+    # they are equal.
     made, dicts = [], []
 
     def recording(method, into=made, pick=lambda out: out):
@@ -393,23 +392,20 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(RelativeTensorProduct, "_act", recording(RelativeTensorProduct._act))
-    apply = recording(RelativeTensorProduct._apply, dicts, lambda out: out[1])
-    monkeypatch.setattr(RelativeTensorProduct, "_apply", apply)
+    monkeypatch.setattr(RelativeTensorProduct, "_act", recording(RelativeTensorProduct._act, dicts, lambda out: out[2]))
     monkeypatch.setattr(LadderCategory, "compose", recording(LadderCategory.compose))
-    monkeypatch.setattr(KarEnvelope, "_to_rep", recording(KarEnvelope._to_rep))
+    monkeypatch.setattr(KarEnvelope, "_to_rep", recording(KarEnvelope._to_rep, dicts, lambda out: out[1]))
     kinds = Counter()
     for p in (2, 3, 5):
         for M, N in itertools.product(catalogue(p), repeat=2):
             product = RelativeTensorProduct(M, N)
             env, lad = product.env, product.lad
             product.analyze()
-            for c in range(env.simple_count):
-                idem = env.representative(c)
+            for s in env.simples:
                 for g in range(p):
-                    for act in (product.act_left, product.act_right):
-                        acted = act(g, idem)
-                        env.locate(acted)
+                    for side in ("left", "right"):
+                        env.locate(act_on(product, side, g, s.representative))
+                        product.outer_action(g, side, s)
             for i in range(lad.object_count):
                 obj = lad.object_at(i)
                 for k in range(env.dimension_at(i)):
@@ -424,16 +420,17 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
                 assert f == LadderMorphism(f.source, f.target, f.coeffs), (str(M.label), str(N.label), f)
             for coeffs in dicts:
                 assert coeffs == {b: c for b, c in coeffs.items() if not c.is_zero()}, (str(M.label), str(N.label))
-            kinds["checked"] += len(made)
+            kinds["morphisms"] += len(made)
             kinds["dicts"] += len(dicts)
             made.clear()
             dicts.clear()
-    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["checked"] > 10000 and kinds["dicts"] > 1000, kinds
+    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["morphisms"] > 5000 and kinds["dicts"] > 50000, kinds
 
 
 def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial():
-    # act_left and act_right return the input's own coefficient dict when the
-    # acting entry's mixed table is all zero, and rotate every rung otherwise.
+    # The action core (_act, on a morphism through act_on) returns the input's
+    # own coefficient dict when the acting entry's mixed table is all zero,
+    # and rotates every rung otherwise.
     # On every ordered pair at p in {2, 3, 5}, plain and gauge-twisted on both
     # factors, every simple's idempotent and every connector acted on by g in
     # {0, 1} and a seeded g on both sides must equal rotated_action, which
@@ -454,14 +451,27 @@ def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial(
                 for i in range(lad.object_count):
                     for k in range(env.dimension_at(i)):
                         morphisms.extend(connectors(env, lad.object_at(i), k))
-                for side, act, entry in (("left", product.act_left, M), ("right", product.act_right, N)):
+                for side, entry in (("left", M), ("right", N)):
                     for g in sorted({0, 1, rng.randrange(p)}):
                         for f in morphisms:
-                            acted = act(g, f)
+                            acted = act_on(product, side, g, f)
                             assert acted == rotated_action(product, side, g, f), (p, side, g, f)
                             assert (acted.coeffs is f.coeffs) == entry.trivial_mixed, (p, side, g, f)
                     seen[entry.trivial_mixed, entries is twisted] += 1
     assert all(seen[flag, twist] > 0 for flag in (True, False) for twist in (True, False)), seen
+
+
+def test_step_blocks_share_one_class_range():
+    # The blocks of the N-fixed rows are gathered from one class range per
+    # product, so lstep and rstep hold one int object per class.  The blocks
+    # of R x L at p=11 that start at class 0 are their offsets, so only the
+    # classes after the first row, p*p of them, are compared.
+    p = 11
+    product = rtp(p, "R", "L")
+    lstep, rstep = product._steps
+    later = [x for x in lstep + rstep if x >= p * p]
+    assert len(later) == 2 * (product.env.simple_count - p * p)
+    assert len({id(x) for x in later}) == len(later) // 2
 
 
 def test_row_walk_and_step_tables_match_the_per_object_oracle():
@@ -793,10 +803,13 @@ def test_witness_paths_match_the_plain_route_at_p7_and_p11():
 
 
 def test_witness_paths_equal_the_object_level_route():
-    # The library runs each witness path on object and class indices; on
-    # every orbit of every ordered pair at p in {2, 3, 5}, plain, twisted and
-    # relabelled, at (1, 1) and one seeded (g, h), both paths must equal
-    # those of the route on Kar objects, in landing class and in morphism.
+    # The library runs each witness path on object and class indices and
+    # returns (landing class, source object index, coefficient dict); the
+    # path is the morphism with that dict, unfiltered, from that source to
+    # the landing class's representative.  On every orbit of every ordered
+    # pair at p in {2, 3, 5}, plain, twisted and relabelled, at (1, 1) and
+    # one seeded (g, h), both paths must equal those of the route on Kar
+    # objects, in landing class and in morphism.
     # Every kind of path occurs: a first landing off its base (the acted
     # connector composed), and after a base, a second landing on a base (the
     # base's idempotent) and off one (the acted idempotent composed).
@@ -813,7 +826,9 @@ def test_witness_paths_equal_the_object_level_route():
                     rep, base = env.representative(first), env._base_of(first)
                     for g, h in at:
                         for route in (("right", h, "left", g), ("left", g, "right", h)):
-                            c2, path = product._witness_path(*route, *base)
+                            c2, source, coeffs = product._witness_path(*route, *base)
+                            landing = env.representative(c2).source
+                            path = LadderMorphism._nonzero(product.lad.object_at(source), landing, coeffs)
                             want = object_witness_path(product, *route, rep)
                             assert (c2, path) == want, (p, str(M.label), str(N.label), route)
                             j = product._shift(route[0], route[1], base[0])
@@ -834,7 +849,8 @@ def _products_p11(seed):
 
 def test_witness_paths_that_land_on_a_base_are_its_idempotent(monkeypatch):
     # A path whose connectors are both a base's idempotent is that
-    # idempotent, with no lad.compose; every other path is composed.  All
+    # idempotent, an endomorphism of the base with its stored coefficient
+    # dict, with no lad.compose; every other path is composed.  All
     # three kinds occur on the five products-p11 products of seed 1, which
     # make exactly 2 compositions over 50 paths.
     composed = []
@@ -848,14 +864,14 @@ def test_witness_paths_that_land_on_a_base_are_its_idempotent(monkeypatch):
 
     def classified(product, *args):
         before = len(composed)
-        c2, path = witness_path(product, *args)
+        c2, source, coeffs = witness_path(product, *args)
         env = product.env
         if len(composed) > before:
             kinds["composed"] += 1
         else:
-            assert path.source == path.target and path.coeffs is env.representative(c2).coeffs
+            assert source == base_at(env, c2) and coeffs is env.representative(c2).coeffs
             kinds["fixed base" if env.dimension_at(base_at(env, c2)) == product.p else "free base"] += 1
-        return c2, path
+        return c2, source, coeffs
 
     monkeypatch.setattr(LadderCategory, "compose", counted)
     monkeypatch.setattr(RelativeTensorProduct, "_witness_path", classified)
@@ -863,6 +879,60 @@ def test_witness_paths_that_land_on_a_base_are_its_idempotent(monkeypatch):
         product.analyze()
     assert len(composed) == kinds["composed"] == 2
     assert sum(kinds.values()) == 50 and kinds["fixed base"] > 0 and kinds["free base"] > 0, kinds
+
+
+def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
+    # Inside mixed_associator, counted with LadderCategory.object_at and
+    # LadderMorphism._nonzero on the five products-p11 products of seed 1: a
+    # path that lands on a base builds no ladder object and no morphism; a
+    # composing path names the three objects of its two morphisms and builds
+    # those two and compose's result; and nothing outside the two paths
+    # builds anything.
+    built = Counter()
+    object_at, nonzero = LadderCategory.object_at, LadderMorphism._nonzero.__func__
+    compose, witness_path = LadderCategory.compose, RelativeTensorProduct._witness_path
+    mixed_associator = RelativeTensorProduct.mixed_associator
+
+    def counted_at(lad, i):
+        built["objects"] += 1
+        return object_at(lad, i)
+
+    def counted_nonzero(cls, source, target, coeffs):
+        built["morphisms"] += 1
+        return nonzero(cls, source, target, coeffs)
+
+    def counted_compose(lad, f, g):
+        built["compositions"] += 1
+        return compose(lad, f, g)
+
+    paths = []
+
+    def counted_path(product, *args):
+        before = Counter(built)
+        out = witness_path(product, *args)
+        paths.append(built - before)
+        return out
+
+    calls = []
+
+    def counted_associator(product, g, h, simple):
+        before, first = Counter(built), len(paths)
+        out = mixed_associator(product, g, h, simple)
+        calls.append((built - before, sum(paths[first:], Counter())))
+        return out
+
+    monkeypatch.setattr(LadderCategory, "object_at", counted_at)
+    monkeypatch.setattr(LadderMorphism, "_nonzero", classmethod(counted_nonzero))
+    monkeypatch.setattr(LadderCategory, "compose", counted_compose)
+    monkeypatch.setattr(RelativeTensorProduct, "_witness_path", counted_path)
+    monkeypatch.setattr(RelativeTensorProduct, "mixed_associator", counted_associator)
+    for product in _products_p11(1):
+        product.analyze()
+    assert len(paths) == 2 * len(calls) == 50
+    composing = [path for path in paths if path["compositions"]]
+    assert composing == [Counter(objects=3, morphisms=3, compositions=1)] * 2, paths
+    assert all(not path for path in paths if not path["compositions"]), paths
+    assert all(total == in_paths for total, in_paths in calls), calls
 
 
 def test_projectors_are_checked_idempotent():

@@ -246,28 +246,30 @@ def test_orbit_classes_match_isomorphism_search():
 
 
 def test_proportionality_checks_every_rung():
-    # the ratio is read off one rung; a rung off that ratio, with the same
-    # support, means the morphisms are not proportional
+    # the ratio of two coefficient dicts is read off one rung; a rung off
+    # that ratio, with the same support, means they are not proportional
     p = 5
-    obj = LadderObject(1, "*")
+    one = CyclotomicScalar.one(p)
     z = [root_of_unity(p, k) for k in range(p)]
-    g = LadderMorphism(obj, obj, {0: z[0], 1: z[1], 2: z[3]})
-    assert proportionality(g.scale(z[2]), g) == z[2]
-    assert proportionality(g.scale(Fraction(-3, 2)), g) == from_rational(p, Fraction(-3, 2))
+    g = {0: z[0], 1: z[1], 2: z[3]}
+    assert proportionality({b: c * z[2] for b, c in g.items()}, g, one) == z[2]
+    assert proportionality({b: c.scale(Fraction(-3, 2)) for b, c in g.items()}, g, one) == from_rational(
+        p, Fraction(-3, 2))
     for off in ({0: z[2], 1: z[3], 2: z[1]}, {0: z[2], 1: z[4], 2: z[0]}):
-        assert proportionality(LadderMorphism(obj, obj, off), g) is None
-    assert proportionality(LadderMorphism(obj, obj, {0: z[2], 1: z[3]}), g) is None
-    assert proportionality(LadderMorphism(obj, obj, {}), g).is_zero()
-    assert proportionality(g, LadderMorphism(obj, obj, {})) is None
+        assert proportionality(off, g, one) is None
+    assert proportionality({0: z[2], 1: z[3]}, g, one) is None
+    assert proportionality({}, g, one).is_zero()
+    assert proportionality(g, {}, one) is None
 
 
 def test_proportionality_of_one_coefficient_dict_is_one_without_an_inverse(monkeypatch):
-    # f and g sharing one dict are one morphism, so the ratio is one with no
-    # inversion; equal but distinct dicts still read the ratio off a rung
+    # f and g sharing one dict are one morphism, so the ratio is the one it
+    # is handed, with no inversion; equal but distinct dicts still read the
+    # ratio off a rung
     p = 5
-    obj = LadderObject(1, "*")
+    one = CyclotomicScalar.one(p)
     z = [root_of_unity(p, k) for k in range(p)]
-    g = LadderMorphism(obj, obj, {0: z[0], 1: z[1], 2: z[3]})
+    g = {0: z[0], 1: z[1], 2: z[3]}
     inverses, inv = [], CyclotomicScalar.inv
 
     def counting(self):
@@ -275,38 +277,36 @@ def test_proportionality_of_one_coefficient_dict_is_one_without_an_inverse(monke
         return inv(self)
 
     monkeypatch.setattr(CyclotomicScalar, "inv", counting)
-    assert proportionality(g, g) == CyclotomicScalar.one(p)
-    assert proportionality(LadderMorphism(obj, obj, {}), LadderMorphism(obj, obj, {})) is None
+    assert proportionality(g, g, one) is one
+    empty = {}
+    assert proportionality(empty, empty, one) is None
     assert inverses == []
-    copy = LadderMorphism(obj, obj, g.coeffs)  # the constructor copies the dict
-    assert copy.coeffs is not g.coeffs
-    assert proportionality(copy, g) == CyclotomicScalar.one(p)
+    copy = dict(g)
+    assert proportionality(copy, g, one) == one
     assert len(inverses) == 1
 
 
 def test_proportionality_under_a_root_of_unity_checks_every_rung():
     # a root-of-unity ratio zeta^k is checked on each rung; one later rung
     # off that ratio, by another root of unity, by a rational factor or by a
-    # sign (-1 is no power of zeta at odd p), means the morphisms are not
+    # sign (-1 is no power of zeta at odd p), means the dicts are not
     # proportional
     rng = random.Random(1123)
     for p in (3, 5, 7, 11):
-        obj = LadderObject(1, "*")
+        one = CyclotomicScalar.one(p)
         for _ in range(6):
             coeffs = {}
             for b in rng.sample(range(p), rng.randint(2, p)):
                 while b not in coeffs or coeffs[b].is_zero():
                     c = Fraction(rng.randint(-5, 5), rng.choice((1, 2, p)))
                     coeffs[b] = CyclotomicScalar(p, c, rng.randrange(p))
-            g = LadderMorphism(obj, obj, coeffs)
             for k in range(p):
                 z = root_of_unity(p, k)
                 f = {b: c * z for b, c in coeffs.items()}
-                assert proportionality(LadderMorphism(obj, obj, f), g) == z, (p, k)
+                assert proportionality(f, coeffs, one) == z, (p, k)
                 later = rng.choice(list(coeffs)[1:])
                 for off in (f[later].rotate(rng.randrange(1, p)), f[later].scale(2), f[later].scale(-1)):
-                    off_f = LadderMorphism(obj, obj, f | {later: off})
-                    assert proportionality(off_f, g) is None, (p, k, later)
+                    assert proportionality(f | {later: off}, coeffs, one) is None, (p, k, later)
 
 
 def test_reduce_to_basis_drops_dependent_vectors():
