@@ -202,8 +202,16 @@ class BimoduleData(namedtuple("BimoduleData", "p simples left right mixed label"
 
     @cached_property
     def trivial_mixed(self) -> bool:
-        """Whether every exponent of mixed is 0: each mixed associator is the identity."""
-        return not any(any(row) for plane in self.mixed for row in plane)
+        """Whether every exponent of mixed is 0: each mixed associator is the identity.
+
+        Each distinct plane and row object is read once, told apart by
+        identity (one object has one content): the catalogue's zero table is
+        one row repeated, while a table whose rows are not shared is read in
+        full.
+        """
+        planes = {id(plane): plane for plane in self.mixed}.values()
+        rows = {id(row): row for plane in planes for row in plane}.values()
+        return not any(map(any, rows))
 
     def stabilizer_of(self, i: int) -> Subgroup:
         """Subgroup {(g,h) : (g > m_i) < h == m_i}."""

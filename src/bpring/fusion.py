@@ -2,9 +2,9 @@
 
 The simples of the product are those of the Karoubi envelope (bpring.karoubi).
 The outer Z_p actions have one core, _act, on (source index, target index,
-coefficient dict): it moves one leg of each end (_shift) and rotates each rung
-by an exponent of that side's mixed table (_rotated).  outer_action applies it
-to a simple and re-anchors the result to its class.
+coefficient dict): in one call it moves one leg of each end and rotates each
+rung by an exponent of that side's mixed table.  outer_action applies it to a
+simple and re-anchors the result to its class.
 
 Classifying the product reads the following, each described where it is done:
 
@@ -139,48 +139,39 @@ class RelativeTensorProduct:
 
     # -- the outer-action endofunctors --------------------------------------
 
-    def _shift(self, side: str, g: int, i: int) -> int:
-        """The object index of the object of index i acted on by g (in 0..p-1) on side.
-
-        Acting on the left sends n*|M| + m to n*|M| + M.left[g][m]; acting on
-        the right sends it to N.right[g][n]*|M| + m.
-        """
-        width = self._width
-        if side == "left":
-            m = i % width
-            return i - m + self.M.left[g][m]
-        n, m = divmod(i, width)
-        return self.N.right[g][n] * width + m
-
     def _act(self, side: str, g: int, s: int, t: int, coeffs: dict) -> tuple[int, int, dict]:
         """(s', t', coeffs'): the morphism with coeffs from object index s to t, acted on by g (in 0..p-1) on side.
 
-        s' and t' are the shifted indices (_shift), one shift when s == t, and
-        coeffs' the rotated dict (_rotated).  Each rotation keeps a monomial
-        nonzero, so a morphism on coeffs' needs no zero filter
-        (LadderMorphism._nonzero).  No object or morphism is built.
-        """
-        shifted = self._shift(side, g, s)
-        return shifted, shifted if t == s else self._shift(side, g, t), self._rotated(side, g, coeffs, s, t)
-
-    def _rotated(self, side: str, g: int, coeffs: dict, s: int, t: int) -> dict:
-        """coeffs of a morphism from object index s to t, with rung b rotated as acting by g on side does.
-
-        On the left the exponent is M.mixed[g][m][b], m the M leg of t; on
-        the right it is N.mixed[b][n][g], n the N leg of s.  When that side's
+        Acting on the left moves the M leg, sending n*|M| + m to n*|M| +
+        M.left[g][m], and multiplies rung b by zeta^M.mixed[g][m][b], m the M
+        leg of t; acting on the right moves the N leg, sending n*|M| + m to
+        N.right[g][n]*|M| + m, and multiplies rung b by zeta^N.mixed[b][n][g],
+        n the N leg of s.  t is shifted only when t != s.  When that side's
         entry has trivial_mixed set (an all-zero mixed table, as on every
         catalogue entry but F_q with q != 0), every rotation is by zero and
         coeffs itself is returned, so the result shares the input's dict.
+        Each rotation keeps a monomial nonzero, so a morphism on coeffs needs
+        no zero filter (LadderMorphism._nonzero).  No object or morphism is
+        built, and the whole action is this one call.
         """
+        width = self._width
         if side == "left":
-            if self.M.trivial_mixed:
-                return coeffs
-            row = self.M.mixed[g][t % self._width]
-            return {b: c.rotate(row[b]) for b, c in coeffs.items()}
-        if self.N.trivial_mixed:
-            return coeffs
-        n, mixed = s // self._width, self.N.mixed
-        return {b: c.rotate(mixed[b][n][g]) for b, c in coeffs.items()}
+            M = self.M
+            shift, m = M.left[g], t % width
+            t2 = t - m + shift[m]
+            s2 = t2 if s == t else s - s % width + shift[s % width]
+            if M.trivial_mixed:
+                return s2, t2, coeffs
+            row = M.mixed[g][m]
+            return s2, t2, {b: c.rotate(row[b]) for b, c in coeffs.items()}
+        N = self.N
+        shift, (n, m) = N.right[g], divmod(s, width)
+        s2 = shift[n] * width + m
+        t2 = s2 if t == s else shift[t // width] * width + t % width
+        if N.trivial_mixed:
+            return s2, t2, coeffs
+        mixed = N.mixed
+        return s2, t2, {b: c.rotate(mixed[b][n][g]) for b, c in coeffs.items()}
 
     # -- actions on simples ---------------------------------------------------
 
@@ -549,6 +540,10 @@ _worker_entries: dict[BimoduleLabel, BimoduleData] = {}
 
 
 def _init_worker(p: int) -> None:
+    """Fill the worker's catalogue; the worker ignores SIGINT, so on Ctrl-C only the parent reports."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker_entries.update(_catalogue_by_label(p))
 
 
@@ -580,7 +575,9 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
 
     workers (default: BPRING_THREADS) is capped at os.cpu_count().  A pool
     gets the pairs in about four chunks per worker.  A worker that dies, as
-    one killed for memory does, is an EngineError.
+    one killed for memory does, is an EngineError.  The workers ignore
+    SIGINT: on an interrupt the parent starts no further chunk, waits for
+    the running ones and raises KeyboardInterrupt, with no worker left.
     """
     require_prime(p)
     table = RingTable.empty(p)
@@ -596,8 +593,12 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
         chunksize = -(-len(pairs) // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
-                for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=chunksize)):
-                    table.set_product(a, b, dec)
+                try:
+                    for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=chunksize)):
+                        table.set_product(a, b, dec)
+                except KeyboardInterrupt:
+                    pool.shutdown(cancel_futures=True)  # the workers ignore SIGINT: start no queued chunk
+                    raise
         except BrokenProcessPool as exc:
             raise EngineError("a worker process ended unexpectedly") from exc
     else:

@@ -27,16 +27,17 @@ described where it is done:
 
 - _leg_orbits: the rung orbits of each leg, checked to be Z_p orbits;
 - _leg_pattern, _walk_rows and _back_rows: the classes, a row of objects at
-  a time, each row gathered in C (ring.gatherer);
+  a time, each row read off M's leg pattern (ring.gatherer);
 - _class_rung, class_at, dimension_at and class_row: an object's class,
   rung and End dimension, and a row's classes, read from the stored rows and
   the leg orbits;
-- representative, simple, simples and _base_of: a class's idempotent on
-  its base, one of the character projectors that _projector_coeffs stores
-  and checks idempotent once per prime, bound by each envelope that has a
-  fixed object;
+- simple, representative and simples: a class's idempotent on its base,
+  one of the character projectors that _projector_coeffs stores and checks
+  idempotent once per prime, bound by each envelope that has a fixed
+  object; simple reads its base's class and rung once;
 - locate, _locate_at and _to_rep: the class of a primitive idempotent,
-  checked against the stored one, and the connector to its representative.
+  checked against the stored one (accepted at once when it is the stored
+  dict itself), and the connector to its representative.
   _locate_at and _to_rep work on object indices and coefficient dicts, for
   the witness route of bpring.fusion; locate is their public form on a
   morphism, which it first checks to be an endomorphism;
@@ -251,7 +252,9 @@ class KarEnvelope:
 
         When M has one simple, which is then fixed, the row n is the one
         object n and the classes repeat N's leg pattern.  first is M's
-        pattern_first (see _leg_pattern).  Each row's list is gathered in C.
+        pattern_first (see _leg_pattern).  An N-fixed row's classes are the
+        row's first class plus first, one addition per object, and its bases
+        are gathered in C; a free base row's are two ranges.
         Returns the class rows, per row index (None on a row that makes no
         class), per class the object index of its base, and back (None when
         M's leg is fixed or N's has no free orbit).  A fixed base owns p
@@ -267,15 +270,14 @@ class KarEnvelope:
             # row n is the object n, and the classes repeat N's leg pattern
             first_n, pattern_n, _ = _leg_pattern(self.leg_n, p)
             return [(c,) if r <= 0 else None for c, r in zip(first_n, n_rung)], pattern_n, None
-        size = len(self.pattern)
-        fixed_classes, fixed_bases = gatherer(first), self.pattern_get
+        size, fixed_bases = len(self.pattern), self.pattern_get
         rows, bases = [None] * len(n_rung), []
         for n, r in enumerate(n_rung):
             if r > 0:
                 continue  # read from its base row
             start, offset = len(bases), n * width
             if r == FIXED:
-                rows[n] = fixed_classes(list(range(start, start + size)))
+                rows[n] = [start + f for f in first]
                 bases += fixed_bases(list(range(offset, offset + width)))
             else:
                 rows[n] = list(range(start, start + width))
@@ -315,23 +317,22 @@ class KarEnvelope:
         return len(self._bases)
 
     def simple(self, c: int) -> KarSimple:
-        """The canonical simple of class c, built on each call."""
-        rep = self.representative(c)
-        return KarSimple(c, rep, c - self.class_at(self._bases[c]))
+        """The canonical simple of class c, built on each call.
+
+        Its representative is the class's idempotent on its base object, and
+        its character index c minus the base's first class; the base's
+        (class, rung) is read once for both.
+        """
+        if not 0 <= c < len(self._bases):
+            raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
+        i = self._bases[c]
+        first, rung = self._class_rung(i)
+        obj = self.lad.object_at(i)
+        return KarSimple(c, LadderMorphism._nonzero(obj, obj, self._base_coeffs(rung, c - first)), c - first)
 
     def representative(self, c: int) -> LadderMorphism:
         """The representative of class c: the class's idempotent, on its base object."""
-        if not 0 <= c < len(self._bases):
-            raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
-        i, coeffs = self._base_of(c)
-        obj = self.lad.object_at(i)
-        return LadderMorphism._nonzero(obj, obj, coeffs)
-
-    def _base_of(self, c: int) -> tuple[int, dict]:
-        """(object index, idempotent coefficients) of the representative of class c, with no morphism built."""
-        i = self._bases[c]
-        first, rung = self._class_rung(i)
-        return i, self._base_coeffs(rung, c - first)
+        return self.simple(c).representative
 
     def _base_coeffs(self, rung: int, k: int) -> dict:
         """Rung coefficients of the primitive idempotent of character k on an object with this rung from its base.
@@ -417,14 +418,16 @@ class KarEnvelope:
         witness route of bpring.fusion acts on an idempotent, whose acted
         coefficients it hands over with the acted object's index, so no
         morphism is built for the check.  c is the class, rung the object's
-        rung from the base of c, and e the coefficient dict of c's
-        representative, as _base_of gives it: a fixed object is its class's
-        base, and every free object's idempotent is the envelope's one
-        identity dict.  On a fixed object the character index k is looked up
-        from the fields of the rung-1 coefficient in the index of the stored
-        projectors (_projector_index, bound at construction); coeffs must
-        then equal the stored I_k on all its coefficients.  Raises
-        UnsupportedEndAlgebra, naming the object, otherwise.
+        rung from the base of c, both read once, and e the coefficient dict
+        of c's representative, as simple gives it: a fixed object is its
+        class's base, and every free object's idempotent is the envelope's
+        one identity dict.  On a fixed object the character index k is looked
+        up from the fields of the rung-1 coefficient in the index of the
+        stored projectors (_projector_index, bound at construction).  coeffs
+        is accepted when it is e itself, as an action by a trivial mixed
+        table hands the stored dict through, and otherwise when it equals e
+        on every rung.  Raises UnsupportedEndAlgebra, naming the object, if
+        neither holds.
         """
         first, rung = self._class_rung(i)
         k = 0
@@ -432,7 +435,7 @@ class KarEnvelope:
             x = coeffs.get(1)
             k = None if x is None else self._projector_keys.get((x.num, x.den, x.k))
         e = None if k is None else self._base_coeffs(rung, k)
-        if e is None or coeffs != e:
+        if e is None or (coeffs is not e and coeffs != e):
             raise UnsupportedEndAlgebra(f"idempotent on {self.lad.object_at(i)} is not a stored primitive")
         return first + k, rung, e
 

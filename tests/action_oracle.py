@@ -9,6 +9,7 @@ associator acting through it on every connector, never reusing an acted
 idempotent, and its ratio read on the field oracle (scalar_oracle).
 act_on is the library's own action on a morphism: its index-level core
 RelativeTensorProduct._act, with the objects named at both ends.
+shifted_index is where an action moves an object index, read on objects.
 object_witness_path is one witness path on Kar objects, each its idempotent:
 it shifts objects through the entries' simple indices, locates each acted
 idempotent by its source, and tells a base landing by comparing connectors with the
@@ -62,6 +63,17 @@ def search_orbits(product) -> list[list[int]]:
         out.append(sorted(orbit))
         seen.update(orbit)
     return out
+
+
+def shifted_index(product, side: str, g: int, i: int) -> int:
+    """The object index of the object of index i acted on by g on side, moved through the entries' simple indices."""
+    lad, M, N = product.lad, product.M, product.N
+    obj = lad.object_at(i)
+    if side == "left":
+        moved = LadderObject(M.simples[M.left[g % product.p][M.index[obj.m]]], obj.n)
+    else:
+        moved = LadderObject(obj.m, N.simples[N.right[g % product.p][N.index[obj.n]]])
+    return lad.object_index(moved)
 
 
 def act_on(product, side: str, g: int, f: LadderMorphism) -> LadderMorphism:

@@ -118,16 +118,30 @@ def witness_vs_composing_oracle():
     into one of three kinds: a first landing off its base (the acted
     connector composed), a second landing off its base after a base (the
     acted idempotent composed), and a base landing (the base's idempotent);
-    each kind must occur.
+    each kind must occur.  Each locate of the witness route is counted too,
+    as accepted because the acted dict is the stored one (an action by a
+    trivial mixed table hands it through) or compared rung by rung: both
+    must occur, and every locate of the gauge-twisted R x L and of F3 x F5,
+    whose mixed tables rotate every rung, must compare.
     """
     from collections import Counter
 
-    from action_oracle import acted_witness_exponent
+    from action_oracle import acted_witness_exponent, shifted_index
     from bimodule_transforms import character_twist, relabel
     from bpring.bimodules import catalogue_entry, label_parse
     from bpring.fusion import RelativeTensorProduct
+    from bpring.karoubi import KarEnvelope
 
     p, rng, bad, checked, kinds = 13, random.Random(1313), [], 0, Counter()
+    locates, locate_at, routes = Counter(), KarEnvelope._locate_at, []  # routes: the product whose path runs
+
+    def counted_locate_at(env, i, coeffs):
+        out = locate_at(env, i, coeffs)
+        if routes:
+            locates[routes[-1], "stored dict" if coeffs is out[2] else "compared"] += 1
+        return out
+
+    KarEnvelope._locate_at = counted_locate_at
     entry = lambda a: catalogue_entry(p, label_parse(a))
     twist = lambda e, side: character_twist(e, {m: rng.randrange(p) for m in e.simples}, side)
     names = (("R", "L"), ("R", "F0"), ("F3", "F5"), ("F2", "X3"), ("X4", "T"), ("X2", "X7"))
@@ -147,15 +161,26 @@ def witness_vs_composing_oracle():
                 if product.mixed_associator(g, h, s) != acted_witness_exponent(product, g, h, s):
                     bad.append(f"{name} at {s}, (g, h) = ({g}, {h})")
                 for route in (("right", h, "left", g), ("left", g, "right", h)):
+                    routes.append(name)
                     c2, source, _ = product._witness_path(*route, *base)
-                    j = product._shift(route[0], route[1], base[0])
+                    routes.pop()
+                    j = shifted_index(product, route[0], route[1], base[0])
                     if env._bases[env.class_at(j)] != j:
                         kinds["first off base"] += 1
                     else:
                         kinds["base" if source == env._bases[c2] else "second off base"] += 1
-    print(f"{checked} exponents compared at p={p}; paths by kind: {dict(kinds)}")
+    KarEnvelope._locate_at = locate_at
+    by_kind = Counter()
+    for (_, kind), count in locates.items():
+        by_kind[kind] += count
+    print(f"{checked} exponents compared at p={p}; paths by kind: {dict(kinds)}; locates: {dict(by_kind)}")
     if len(kinds) != 3:
         return f"not every kind of witness path occurred: {dict(kinds)}"
+    if len(by_kind) != 2:
+        return f"not every kind of locate occurred: {dict(by_kind)}"
+    rotating = [name for name, *_ in pairs if name.startswith(("R x L, gauge-twisted", "F3 x F5"))]
+    if len(rotating) != 4 or any(locates[name, "stored dict"] or not locates[name, "compared"] for name in rotating):
+        return f"a locate on a rotating product was not compared: {dict(locates)}"
     return f"witness associator differs from the composing oracle: {bad}" if bad else None
 
 

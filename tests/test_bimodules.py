@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bpring.bimodules import (
@@ -13,6 +15,7 @@ from bpring.bimodules import (
     validate,
 )
 from bpring.groups import subgroup_from_generators
+from bimodule_transforms import random_twist, relabel
 
 
 def test_catalogue_counts_and_shapes():
@@ -188,6 +191,28 @@ def test_trivial_mixed_is_read_from_the_tables():
                     for h in range(p):
                         mixed = _set(zero, (g, i, h), 1 + (g + i + h) % (p - 1))
                         assert not entry._replace(mixed=mixed).trivial_mixed, (p, str(entry.label), g, i, h)
+
+
+def test_trivial_mixed_reads_every_distinct_row():
+    # The flag reads each distinct plane and row object once.  A zero table
+    # whose rows are all distinct objects is trivial, and one nonzero
+    # exponent in its last slot of its last row clears the flag.  Gauge-
+    # twisted and relabelled entries, whose tables share no rows, keep the
+    # flag that a full read of their table gives, both ways.
+    rng, flags = random.Random(4242), set()
+    for p in (2, 3, 5):
+        for entry in catalogue(p):
+            n = len(entry.simples)
+            unshared = [[[0] * p for _ in range(n)] for _ in range(p)]
+            assert len({id(row) for plane in unshared for row in plane}) == p * n
+            assert entry._replace(mixed=unshared).trivial_mixed, (p, str(entry.label))
+            unshared[-1][-1][-1] = 1
+            assert not entry._replace(mixed=unshared).trivial_mixed, (p, str(entry.label))
+            for changed in (random_twist(entry, rng), relabel(entry, rng)):
+                full = not any(e for plane in changed.mixed for row in plane for e in row)
+                assert changed.trivial_mixed == full, (p, str(entry.label))
+                flags.add(full)
+    assert flags == {True, False}
 
 
 def test_label_grammar_round_trip():

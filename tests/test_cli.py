@@ -410,6 +410,81 @@ def test_a_worker_that_dies_is_an_internal_error(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: a worker process ended unexpectedly\n")
 
 
+INTERRUPTED_POOL = """
+import concurrent.futures, functools, multiprocessing, os, signal, sys
+from bpring import fusion
+from bpring.cli import main
+from bpring.ring import RingTable
+
+ready, go = int(sys.argv[1]), int(sys.argv[2])
+init_worker, set_product = fusion._init_worker, RingTable.set_product
+workers = []
+
+def init_then_ready(p):
+    init_worker(p)
+    os.write(ready, b"w")
+
+def last_result_then_wait(table, a, b, dec):
+    set_product(table, a, b, dec)
+    if a == b == table.basis[-1]:  # every chunk is done, and both workers wait for work
+        workers.extend(multiprocessing.active_children())
+        os.write(ready, b"p")
+        os.read(go, 1)  # never written: SIGINT ends the wait
+
+concurrent.futures.ProcessPoolExecutor = functools.partial(
+    concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+fusion._init_worker = init_then_ready
+RingTable.set_product = last_result_then_wait
+os.cpu_count = lambda: 2
+signal.signal(signal.SIGINT, signal.default_int_handler)  # whatever the test process ignores
+code = main(["verify", "--p", "5"])
+os.write(ready, " ".join(str(worker.exitcode) for worker in workers).encode())
+sys.exit(code)
+"""
+
+
+def test_sigint_to_the_process_group_of_a_pool_run_is_one_line_and_leaves_no_worker():
+    # A two-worker verify in its own process group: each worker writes "w"
+    # once its initializer has run, and the parent writes "p" at its last
+    # result, when both workers wait for work, and then blocks there.  Once
+    # all three have been read, SIGINT goes to the whole group.  The workers
+    # ignore it and the parent reports it: exit 130, one line, both workers
+    # ended normally (exit code 0, which the parent writes last), and no
+    # process of the group is left.  The timeouts only bound a hang.
+    import select
+    import signal
+
+    ready_read, ready_write = os.pipe()
+    go_read, go_write = os.pipe()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), BPRING_THREADS="2")
+    run = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_POOL, str(ready_write), str(go_read)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        pass_fds=(ready_write, go_read), start_new_session=True,
+    )
+    os.close(ready_write)
+    os.close(go_read)
+    try:
+        seen = b""
+        while len(seen) < 3:
+            assert select.select([ready_read], [], [], 60)[0], seen
+            chunk = os.read(ready_read, 3 - len(seen))
+            assert chunk, (seen, run.communicate(timeout=60))
+            seen += chunk
+        assert sorted(seen) == sorted(b"wwp"), seen
+        os.killpg(run.pid, signal.SIGINT)
+        out, err = run.communicate(timeout=60)
+        exit_codes = b""
+        while select.select([ready_read], [], [], 60)[0] and (chunk := os.read(ready_read, 64)):
+            exit_codes += chunk
+    finally:
+        os.close(ready_read)
+        os.close(go_write)
+    assert (run.returncode, out, err, exit_codes) == (130, "", "interrupted\n", b"0 0")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(run.pid, 0)
+
+
 def test_non_monomial_rung_exit_code(capsys, monkeypatch):
     # a composite rung that is not one monomial c*zeta^k is an engine fault:
     # here every composition stacks {0: 1, 1: 1} on {0: 1, 1: zeta}, whose

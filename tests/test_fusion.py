@@ -2,6 +2,7 @@ import itertools
 import random
 import re
 from collections import Counter
+from types import FunctionType
 
 import pytest
 
@@ -28,6 +29,7 @@ from action_oracle import (
     orbit_stabilizer,
     rotated_action,
     search_orbits,
+    shifted_index,
 )
 from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel
 from kar_oracle import FIXED, base_at, connectors, kar_key, step_tables, walk_objects
@@ -823,7 +825,8 @@ def test_witness_paths_equal_the_object_level_route():
                 product = RelativeTensorProduct(M, N)
                 env = product.env
                 for first, _ in product.orbits():
-                    rep, base = env.representative(first), env._base_of(first)
+                    rep = env.representative(first)
+                    base = env._bases[first], rep.coeffs
                     for g, h in at:
                         for route in (("right", h, "left", g), ("left", g, "right", h)):
                             c2, source, coeffs = product._witness_path(*route, *base)
@@ -831,7 +834,7 @@ def test_witness_paths_equal_the_object_level_route():
                             path = LadderMorphism._nonzero(product.lad.object_at(source), landing, coeffs)
                             want = object_witness_path(product, *route, rep)
                             assert (c2, path) == want, (p, str(M.label), str(N.label), route)
-                            j = product._shift(route[0], route[1], base[0])
+                            j = shifted_index(product, route[0], route[1], base[0])
                             if base_at(env, env.class_at(j)) != j:
                                 kinds["first off base"] += 1
                             else:
@@ -933,6 +936,74 @@ def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
     assert composing == [Counter(objects=3, morphisms=3, compositions=1)] * 2, paths
     assert all(not path for path in paths if not path["compositions"]), paths
     assert all(total == in_paths for total, in_paths in calls), calls
+
+
+def test_classifying_an_orbit_reads_each_class_once(monkeypatch):
+    # On the five products-p11 products of seed 1: each simple reads its
+    # base's (class, rung) once; each action is one _act call, inside which
+    # no other method of the product or the envelope runs; and _locate_at
+    # compares no scalar on R x L and R x F0, whose trivial mixed tables hand
+    # the stored dict through, and p per locate on F_q x F_r, whose rotated
+    # dicts are compared on every rung.
+    reads, inside, nested, compares = Counter(), [], Counter(), Counter()
+    per_simple, per_locate = [], {}
+    class_rung, simple = KarEnvelope._class_rung, KarEnvelope.simple
+    act, locate_at, eq = RelativeTensorProduct._act, KarEnvelope._locate_at, CyclotomicScalar.__eq__
+
+    def counted_class_rung(env, i):
+        reads["class rung"] += 1
+        return class_rung(env, i)
+
+    def counted_simple(env, c):
+        before = reads["class rung"]
+        out = simple(env, c)
+        per_simple.append(reads["class rung"] - before)
+        return out
+
+    def counted_act(product, *args):
+        reads["act"] += 1
+        inside.append(True)
+        try:
+            return act(product, *args)
+        finally:
+            inside.pop()
+
+    def counted_locate_at(env, i, coeffs):
+        before = compares["eq"]
+        out = locate_at(env, i, coeffs)
+        per_locate.setdefault(f"{env.lad.M.label} x {env.lad.N.label}", []).append(compares["eq"] - before)
+        return out
+
+    def counted_eq(x, y):
+        compares["eq"] += 1
+        return eq(x, y)
+
+    def watched(name, method):
+        def call(*args, **kwargs):
+            if inside:
+                nested[name] += 1
+            return method(*args, **kwargs)
+        return call
+
+    products = _products_p11(1)
+    for cls in (RelativeTensorProduct, KarEnvelope):
+        for name, value in vars(cls).items():
+            if isinstance(value, FunctionType) and not name.startswith("__"):
+                monkeypatch.setattr(cls, name, watched(name, value))
+    monkeypatch.setattr(KarEnvelope, "_class_rung", watched("_class_rung", counted_class_rung))
+    monkeypatch.setattr(KarEnvelope, "simple", watched("simple", counted_simple))
+    monkeypatch.setattr(KarEnvelope, "_locate_at", watched("_locate_at", counted_locate_at))
+    monkeypatch.setattr(RelativeTensorProduct, "_act", counted_act)
+    monkeypatch.setattr(CyclotomicScalar, "__eq__", counted_eq)
+    for product in products:
+        product.analyze()
+    assert per_simple and set(per_simple) == {1}, Counter(per_simple)
+    assert reads["act"] > 0 and not nested, nested
+    names = [f"{product.M.label} x {product.N.label}" for product in products]
+    assert set(per_locate) == set(names), per_locate
+    for name in names[0], names[2]:
+        assert set(per_locate[name]) == {0}, (name, Counter(per_locate[name]))
+    assert set(per_locate[names[3]]) == {11}, Counter(per_locate[names[3]])
 
 
 def test_projectors_are_checked_idempotent():

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -618,7 +619,10 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
 
         def __init__(self, max_workers, initializer, initargs):
             self.sizes.append(max_workers)
+            # the initializer makes a worker ignore SIGINT, and this process is none
+            handler = signal.getsignal(signal.SIGINT)
             initializer(*initargs)
+            signal.signal(signal.SIGINT, handler)
 
         def __enter__(self):
             return self
