@@ -9,8 +9,11 @@ simple and re-anchors the result to its class.
 Classifying the product reads the following, each described where it is done:
 
 - _steps: the class each simple goes to under the generator 1 of each
-  side, read on class indices with the checks of _exponent, a block of a
-  row at a time by at most one gather from one class range, no simple built;
+  side, read on class indices with the checks of _exponent and one
+  fixedness check per leg simple (_leg_fault: a generator keeps its leg's
+  rung-fixed simples fixed), a block of a row at a time, each N-fixed row
+  by one rule (_offsets) and at most one gather from one class range, no
+  simple built;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
 - _stabilizer: an orbit's stabilizer, read from its size;
@@ -221,7 +224,9 @@ class RelativeTensorProduct:
         the right moves its N leg to shift_n[n] = N.right[1][n], into row
         shift_n[n].  Class c + k, the character k of a base whose End has
         dimension dim, goes to class_at(shift(base)) + (k + e(1)) mod p,
-        after checking that the shift keeps the End dimension.  These checks
+        after checking that e(b) = b e(1) on every rung of that End
+        (_exponent) and that the shift keeps each leg simple it moves fixed
+        or free (_leg_fault), which keeps every End dimension.  These checks
         are the condition under which re-anchoring the acted projector I_k to
         the stored I_(k+e(1)) succeeds, so the tables check no less than the
         witness route does.  A failure is a ClassificationError.  The tables
@@ -234,113 +239,99 @@ class RelativeTensorProduct:
         - the base row of a free N orbit steps on the left by shift_m, and
           on the right to its target row as it stands;
         - an N-fixed row follows M's leg pattern, one block of p classes per
-          fixed M simple and one class per free M orbit.  Its left block is
-          the row's first class plus an offset pattern that is the same for
-          every N-fixed row (_fixed_row_left), and so is its right block
-          into an N-fixed row, with the target row's first class and an
-          offset pattern that depends only on e(1) of the row's N leg
-          (_fixed_row_right), built once per e(1).  Each block is read by
-          _block: the offsets themselves when its first class is 0, else
-          one gather at them from the product's one class range, built on
-          the first such block (T x T builds none).  The right
-          block into a free row, where every M simple is free, is that row
-          at M's pattern.
+          fixed M simple and one class per free M orbit, and steps into an
+          N-fixed row.  Both of its blocks are offsets (_offsets) added to
+          the first class of the row they land in: on the left, the same
+          for every N-fixed row, with shift_m and each M base's own e(1); on
+          the right, with no shift and the row's N leg's e(1), built once
+          per e(1).  Each block is read by _block: the offsets themselves
+          when its first class is 0, else one gather at them from the
+          product's one class range, built on the first such block (T x T
+          builds none).
 
-        The e(1) and End-dimension checks run on every row, in the row's
-        order: the left ones, which depend on M alone, on the first N-fixed
-        row and on the first free base row; the right ones on each row.  A
-        leg is fixed or free on every rung, so the End dimension of an
-        object is read from its two legs.  No simple is built.
+        The checks run in the row's order.  The left ones depend on M alone
+        and run on the first row of each kind: on a free base row, e(1) on
+        each M simple and then fixedness on each M base; on an N-fixed row,
+        e(1) and fixedness on each M base in turn.  The right ones run on
+        each row: e(1), read on a fixed M simple when the row is N-fixed and
+        M has one, which checks every rung the row's objects have, then
+        whether the row steps into a row of its own kind.  A leg is fixed or
+        free on every rung, so the End dimension of an object is read from
+        its two legs.  No simple is built.
         """
-        env, p = self.env, self.p
-        width = len(self.M.simples)
+        env, p, width = self.env, self.p, self._width
         shift_m, shift_n = self.M.left[1], self.N.right[1]
         m_rung, n_rung = env.leg_m.rung, env.leg_n.rung
-        fixed_left = free_left = None  # the left step of an N-fixed row (see _block), of a free N orbit's base row
-        right_blocks: dict = {}  # e(1) -> the right step of an N-fixed row into an N-fixed row (see _block)
+        fixed_dim = p if FIXED in m_rung else 1  # the largest End dimension of an N-fixed row
+        lefts = [None, None]  # the left step of a free base row (a gatherer), of an N-fixed row (see _block)
+        right_blocks: dict = {}  # e(1) -> the right step of an N-fixed row (see _block)
         classes: list[int] = []  # the class range that _block gathers from, filled on first use
         count, lstep, rstep = env.simple_count, [], []
         for n, r in enumerate(n_rung):
             if r > 0:
                 continue  # a row of a free N orbit other than its base makes no class
-            here, row, target = n * width, env.class_row(n), env.class_row(shift_n[n])
-            into_fixed = n_rung[shift_n[n]] == FIXED
-            if r == FIXED:
-                if fixed_left is None:
-                    offsets, dims, first_fixed = self._fixed_row_left(here)
-                    fixed_left = [offsets, None]
-                lstep += _block(fixed_left, row[0], classes, count)
-                e1 = 0
-                for d in dims:
-                    e = self._exponent("right", n, d)
-                    if d == p:
-                        e1 = e
-                if first_fixed is not None and not into_fixed:
-                    self._dimension_fault("right", here + first_fixed)
-                if into_fixed:
-                    block = right_blocks.get(e1)
-                    if block is None:
-                        block = right_blocks[e1] = [self._fixed_row_right(e1), None]
-                    rstep += _block(block, target[0], classes, count)
-                else:
-                    rstep += env.pattern_get(target)
-            else:
-                if free_left is None:
+            fixed = r == FIXED
+            if lefts[fixed] is None:
+                if not fixed:
                     for m in range(width):
                         self._exponent("left", m, 1)
-                    free_left = gatherer(shift_m)
-                lstep += free_left(row)
-                self._exponent("right", n, 1)
-                if into_fixed and FIXED in m_rung:
-                    self._dimension_fault("right", here + m_rung.index(FIXED))
+                e1s = []
+                for x in env.pattern_bases:
+                    x_fixed = m_rung[x] == FIXED
+                    if fixed:
+                        e1s.append(self._exponent("left", x, p if x_fixed else 1))
+                    if (m_rung[shift_m[x]] == FIXED) != x_fixed:
+                        self._leg_fault("left", x)
+                lefts[fixed] = [self._offsets(shift_m, e1s), None] if fixed else gatherer(shift_m)
+            e1 = self._exponent("right", n, fixed_dim if fixed else 1)
+            if (n_rung[shift_n[n]] == FIXED) != fixed:
+                self._leg_fault("right", n)
+            row, target = env.class_row(n), env.class_row(shift_n[n])
+            if fixed:
+                lstep += _block(lefts[fixed], row[0], classes, count)
+                block = right_blocks.get(e1)
+                if block is None:
+                    block = right_blocks[e1] = [self._offsets(None, [e1] * len(env.pattern_bases)), None]
+                rstep += _block(block, target[0], classes, count)
+            else:
+                lstep += lefts[fixed](row)
                 rstep += target
         return lstep, rstep
 
-    def _fixed_row_left(self, here: int) -> tuple:
-        """The left step of every N-fixed row, checked on the first, whose first object index is here.
+    def _offsets(self, shift: Sequence[int] | None, e1s: Sequence[int]) -> list[int]:
+        """A step block of an N-fixed row into an N-fixed row, counted from the first class of each.
 
-        Per M orbit, in the order of M's leg pattern: its base x, with e(1)
-        on the left and the check that shift_m keeps x fixed or free.  Class
-        j of the row, on base x, goes to the class of shift_m[x] plus
-        (k + e(1)) mod p on the k-th class of a fixed x, and to that class on
-        a free one.  Counted from the row's first class, as the envelope's
-        _pattern_first counts, that is the same for every N-fixed row.
-        Returns those offsets (see _block), the End dimensions in the order
-        the row meets them, and the first fixed M simple, or None.
+        Per M orbit, in the order of M's leg pattern, with base x and e(1)
+        e1s[i] for the i-th: class j of the row, the k-th class of x, goes to
+        the target row's class of shift[x] (the envelope's _pattern_first),
+        plus (k + e(1)) mod p on a fixed x, and to that class on a free one.
+        A shift of None is the identity, read by the envelope's pattern_get.
+        Returns those offsets, which _block adds to the target row's first
+        class.
         """
-        env, p, shift_m = self.env, self.p, self.M.left[1]
-        m_rung = env.leg_m.rung
-        chars, dims = [], []
-        for x in env.pattern_bases:
-            fixed = m_rung[x] == FIXED
-            d = p if fixed else 1
-            e1 = self._exponent("left", x, d)
-            if (m_rung[shift_m[x]] == FIXED) != fixed:
-                self._dimension_fault("left", here + x)
-            if d not in dims:
-                dims.append(d)
-            chars += _rotation(p, e1) if fixed else (0,)
-        first_fixed = m_rung.index(FIXED) if FIXED in m_rung else None
-        at_shift = gatherer([shift_m[x] for x in env.pattern])(env._pattern_first)
-        return list(map(add, at_shift, chars)), dims, first_fixed
+        env, p = self.env, self.p
+        first, m_rung = env._pattern_first, env.leg_m.rung
+        at = env.pattern_get(first) if shift is None else [first[shift[x]] for x in env.pattern]
+        chars = []
+        for x, e1 in zip(env.pattern_bases, e1s):
+            chars += _rotation(p, e1) if m_rung[x] == FIXED else (0,)
+        return list(map(add, at, chars))
 
-    def _fixed_row_right(self, e1: int) -> list[int]:
-        """The right step of an N-fixed row with right e(1) = e1 into an N-fixed row, counted from its first class.
+    def _leg_fault(self, side: str, x: int):
+        """Raise the fault of acting by 1 on side moving the leg simple x between its leg's fixed and free simples.
 
-        The target row repeats M's leg pattern, so class j of the row, the
-        k-th class of its base, goes to the target's class of that base (the
-        envelope's _pattern_first) plus (k + e1) mod p on a fixed M simple,
-        and to that class on a free one.  Returns those offsets, which
-        _block adds to the target row's first class.
+        The objects on x and a fixed simple of the other leg change their
+        End dimension, and the message names the one on the first such
+        simple; when the other leg has none, it names x's rung stabilizer.
         """
-        env, rotated = self.env, _rotation(self.p, e1)
-        m_rung = env.leg_m.rung
-        chars = [k for x in env.pattern_bases for k in (rotated if m_rung[x] == FIXED else (0,))]
-        return list(map(add, env.pattern_get(env._pattern_first), chars))
-
-    def _dimension_fault(self, side: str, i: int):
-        """Raise the End-dimension fault of acting on side on the object of index i."""
-        raise ClassificationError(f"acting on the {side} changes the End dimension of {self.lad.object_at(i)}")
+        env, width = self.env, self._width
+        other = (env.leg_n if side == "left" else env.leg_m).rung
+        if FIXED in other:
+            y = other.index(FIXED)
+            i = y * width + x if side == "left" else x * width + y
+            raise ClassificationError(f"acting on the {side} changes the End dimension of {self.lad.object_at(i)}")
+        simple = (self.M if side == "left" else self.N).simples[x]
+        raise ClassificationError(f"acting on the {side} changes the rung stabilizer of {format_simple(simple)}")
 
     # -- mixed associator -----------------------------------------------------
 
@@ -574,10 +565,11 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
     """Structure constants from the fusion engine over all ordered label pairs.
 
     workers (default: BPRING_THREADS) is capped at os.cpu_count().  A pool
-    gets the pairs in about four chunks per worker.  A worker that dies, as
+    gets the pairs in chunks of one table row each.  A worker that dies, as
     one killed for memory does, is an EngineError.  The workers ignore
     SIGINT: on an interrupt the parent starts no further chunk, waits for
-    the running ones and raises KeyboardInterrupt, with no worker left.
+    the running ones, at most one row each, and raises KeyboardInterrupt,
+    with no worker left.
     """
     require_prime(p)
     table = RingTable.empty(p)
@@ -589,12 +581,11 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # a few chunks per worker: one pair is too little work to pay for its own round trip
-        chunksize = -(-len(pairs) // (4 * workers))
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
                 try:
-                    for (a, b), dec in zip(pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=chunksize)):
+                    products = pool.map(_worker_pair_product, *zip(*pairs), chunksize=len(table.basis))
+                    for (a, b), dec in zip(pairs, products):
                         table.set_product(a, b, dec)
                 except KeyboardInterrupt:
                     pool.shutdown(cancel_futures=True)  # the workers ignore SIGINT: start no queued chunk

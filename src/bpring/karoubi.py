@@ -44,7 +44,9 @@ described where it is done:
 - proportionality: the scalar ratio of two coefficient dicts.
 
 The step tables and the witness route of bpring.fusion read these lists and
-methods.
+methods.  The step tables check there that each outer generator keeps the
+fixed simples of its leg fixed, so that every row of objects steps into a
+row of its own kind, N-fixed or free, and M's leg pattern describes both.
 """
 
 from __future__ import annotations
@@ -250,26 +252,19 @@ class KarEnvelope:
           it from row n0 through back[b] (see _back_rows), or as row n0
           itself when M's leg is fixed, since rung p-b then fixes every m.
 
-        When M has one simple, which is then fixed, the row n is the one
-        object n and the classes repeat N's leg pattern.  first is M's
-        pattern_first (see _leg_pattern).  An N-fixed row's classes are the
-        row's first class plus first, one addition per object, and its bases
-        are gathered in C; a free base row's are two ranges.
-        Returns the class rows, per row index (None on a row that makes no
-        class), per class the object index of its base, and back (None when
-        M's leg is fixed or N's has no free orbit).  A fixed base owns p
-        consecutive classes, and class c of base i has character index
-        c - class_at(i).  The step tables of bpring.fusion read the same
-        rows, through class_row, the leg orbits and M's leg pattern
+        first is M's pattern_first (see _leg_pattern).  An N-fixed row's
+        classes are the row's first class plus first, one addition per
+        object, and its bases are gathered in C; a free base row's are two
+        ranges.  Returns the class rows, per row index (None on a row that
+        makes no class), per class the object index of its base, and back
+        (None when M's leg is fixed or N's has no free orbit).  A fixed base
+        owns p consecutive classes, and class c of base i has character
+        index c - class_at(i).  The step tables of bpring.fusion read the
+        same rows, through class_row, the leg orbits and M's leg pattern
         (_pattern_first, pattern, pattern_bases and pattern_get).
         """
         p, width = self.lad.p, self._width
         n_rung = self.leg_n.rung
-        if width == 1:
-            # M's one simple is fixed, since a free orbit has p simples: the
-            # row n is the object n, and the classes repeat N's leg pattern
-            first_n, pattern_n, _ = _leg_pattern(self.leg_n, p)
-            return [(c,) if r <= 0 else None for c, r in zip(first_n, n_rung)], pattern_n, None
         size, fixed_bases = len(self.pattern), self.pattern_get
         rows, bases = [None] * len(n_rung), []
         for n, r in enumerate(n_rung):

@@ -7,6 +7,7 @@ from types import FunctionType
 import pytest
 
 from bpring.bimodules import (
+    BimoduleData,
     BimoduleLabel,
     Decomposition,
     all_labels,
@@ -539,6 +540,53 @@ def test_corrupted_step_tables_are_classification_errors():
         product._stabilizer(0, p)
 
 
+@pytest.mark.parametrize("fault", ["landing", "not proportional", "not a root of unity"])
+def test_witness_paths_that_fail_their_checks_are_classification_errors(monkeypatch, fault):
+    # mixed_associator checks what the two witness paths give it: one landing
+    # class from one source, proportional dicts, and a ratio that is a root
+    # of unity.  Each fault is made by changing the path that acts on the
+    # left first: its landing class, one of its rungs, or its scale (by 2).
+    p = 3
+    product = rtp(p, "R", "L")
+    simple = product.env.simple(0)
+    witness_path = RelativeTensorProduct._witness_path
+    two = CyclotomicScalar(p, 2, 0)
+
+    def changed(self, first, *args):
+        c, source, path = witness_path(self, first, *args)
+        if first == "right":
+            return c, source, path
+        if fault == "landing":
+            return c + 1, source, path
+        if fault == "not proportional":
+            return c, source, {b + 1: x for b, x in path.items()}
+        return c, source, {b: x * two for b, x in path.items()}
+
+    monkeypatch.setattr(RelativeTensorProduct, "_witness_path", changed)
+    message = {
+        "landing": "the two witness paths do not land in one Hom space",
+        "not proportional": "witness paths are not proportional",
+        "not a root of unity": f"associator ratio {two!r} is not a root of unity",
+    }[fault]
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        product.mixed_associator(1, 1, simple)
+
+
+def test_orbits_that_miss_a_simple_are_a_classification_error(monkeypatch):
+    # The decomposition must cover every simple of the envelope: T x T at
+    # p=3 is 3*T, 27 simples, and dropping its last orbit leaves 18.
+    classified_orbits = RelativeTensorProduct._classified_orbits
+
+    def all_but_the_last(self, every_exponent):
+        return classified_orbits(self, every_exponent)[:-1]
+
+    monkeypatch.setattr(RelativeTensorProduct, "_classified_orbits", all_but_the_last)
+    message = "decomposition covers 18 simples but the envelope has 27"
+    for run in (RelativeTensorProduct.analyze, RelativeTensorProduct.decompose):
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+            run(rtp(3, "T", "T"))
+
+
 def test_build_table_rejects_a_multiplicity_other_than_0_1_or_p(monkeypatch):
     p = 3
     pair_product = fusion._pair_product
@@ -750,6 +798,52 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
     message = "acting on the left changes the End dimension of (0)(*)"
     with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         RelativeTensorProduct(M, F0).analyze()
+
+
+def noncommuting(p, swapped=False):
+    """Hand-built data that fails validate: its left and right actions do not commute.
+
+    The simples a, b, ... are p+1.  The right action fixes the first and
+    cycles the other p, and the left action cycles the first p and fixes the
+    last, so acting by 1 on the left moves the rung-fixed first simple to a
+    free one.  swapped exchanges the two actions.  Every exponent is 0.
+    """
+    n = p + 1
+    fix_first = [[0] + [1 + (i - 1 + h) % p for i in range(1, n)] for h in range(p)]
+    fix_last = [[(i + g) % p for i in range(p)] + [p] for g in range(p)]
+    left, right = (fix_first, fix_last) if swapped else (fix_last, fix_first)
+    return BimoduleData(p, tuple("abcd"[:n]), left, right, exponent_table(p, n, lambda g, i, h: 0))
+
+
+def test_right_step_out_of_the_fixed_rows_changes_the_end_dimension():
+    # In Lad(R, N2) at p=2 every M simple is fixed, and acting by 1 on the
+    # right moves the N-fixed simple a of N2 to the free b: the fixed object
+    # (0)(a) goes to the free (0)(b).
+    p = 2
+    N2 = noncommuting(p, swapped=True)
+    assert validate(N2) != []
+    message = "acting on the right changes the End dimension of (0)(a)"
+    for run in (RelativeTensorProduct.analyze, RelativeTensorProduct.decompose):
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+            run(RelativeTensorProduct(catalogue_entry(p, label_parse("R")), N2))
+
+
+@pytest.mark.parametrize("p, left, right, side", [
+    (2, "M", "T", "left"), (3, "M", "T", "left"), (2, "M", "R", "left"), (3, "M", "R", "left"),
+    (2, "L", "N2", "right"),
+])
+def test_a_step_that_moves_a_fixed_leg_simple_to_a_free_one_is_a_classification_error(p, left, right, side):
+    # A factor whose own two actions do not commute (noncommuting): its
+    # generator moves the rung-fixed simple a to a free one.  No object of
+    # these products changes its End dimension, the other leg having no
+    # fixed simple, so the step tables name the leg simple; without that
+    # check each product decomposes, as T + L, R + F0 or L + F0.
+    entries = {"M": noncommuting(p), "N2": noncommuting(p, swapped=True)}
+    M, N = (entries[name] if name in entries else catalogue_entry(p, label_parse(name)) for name in (left, right))
+    message = f"acting on the {side} changes the rung stabilizer of a"
+    for run in (RelativeTensorProduct.analyze, RelativeTensorProduct.decompose):
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+            run(RelativeTensorProduct(M, N))
 
 
 def test_witness_associator_matches_the_route_that_acts_every_connector():

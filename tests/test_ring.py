@@ -613,9 +613,10 @@ def test_process_pool_matches_serial(monkeypatch):
 
 def test_pool_size_capped_at_cpu_count(monkeypatch):
     class SerialPool:
-        """Records the pool size it is given and runs every call in-process."""
+        """Records the pool size and the chunk size it is given and runs every call in-process."""
 
         sizes = []
+        chunksizes = []
 
         def __init__(self, max_workers, initializer, initargs):
             self.sizes.append(max_workers)
@@ -631,6 +632,7 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
+            self.chunksizes.append(chunksize)
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -639,6 +641,7 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
     monkeypatch.setenv("BPRING_THREADS", "100000")
     capped = build_table(2)
     assert SerialPool.sizes == [3]
+    assert SerialPool.chunksizes == [2 * 2 + 2]  # one chunk per table row, so an interrupt waits for a row at most
     assert serialize(capped, "json") == serialize(build_table(2, workers=1), "json")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     build_table(2)
