@@ -32,7 +32,7 @@ _EXPORTS = {
         "validate",
     ),
     "closed_form": ("closed_form_product", "closed_form_table"),
-    "cyclotomic": ("CyclotomicScalar", "Rational", "phase_exponent"),
+    "cyclotomic": ("CyclotomicScalar", "phase_exponent"),
     "fusion": (
         "ActionMorphism",
         "ClassificationError",

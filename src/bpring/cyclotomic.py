@@ -28,15 +28,15 @@ The general field arithmetic is the tests' oracle (tests/scalar_oracle.py).
 coeffs gives the power-basis coefficients 1, zeta, ..., zeta^(p-1) with the
 top one 0, which is how repr prints a scalar: c * zeta^(p-1) is
 -c - c*z - ... - c*z^(p-2).
+
+The engine passes ints only, so fractions.Fraction is imported where it is
+needed and not before: for a rational factor that is not an int, and for
+coeffs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-# Exact rational scalar used throughout the engine.
-Rational = Fraction
 
 
 def is_prime(n: int) -> bool:
@@ -64,6 +64,8 @@ def _ratio(c) -> tuple[int, int]:
     """(numerator, denominator) of c, an int (not a bool) or a Fraction; anything else raises ValueError."""
     if type(c) is int:
         return c, 1
+    from fractions import Fraction
+
     if not isinstance(c, Fraction):
         raise ValueError(f"a scalar's rational factor must be an int or a Fraction, got {c!r}")
     return c.numerator, c.denominator
@@ -101,8 +103,10 @@ class CyclotomicScalar:
         _canonical(self, p, *_ratio(c), k % p)
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Canonical power-basis coefficients; the last one is always 0."""
+    def coeffs(self) -> tuple:
+        """Canonical power-basis coefficients, each a Fraction; the last one is always 0."""
+        from fractions import Fraction
+
         p, c = self.p, Fraction(self.num, self.den)
         out = [Fraction(0)] * p
         if self.k == p - 1:
@@ -115,16 +119,15 @@ class CyclotomicScalar:
     def zero(cls, p: int) -> "CyclotomicScalar":
         return cls(p, 0)
 
-    @classmethod
-    def one(cls, p: int) -> "CyclotomicScalar":
-        return cls(p, 1)
-
     def __mul__(self, other):
         if type(other) is not CyclotomicScalar:
             # the factors _ratio takes; any other, a bool or a float, raises TypeError
-            if type(other) is int or isinstance(other, Fraction):
-                return self.scale(other)
-            return NotImplemented
+            if type(other) is not int:
+                from fractions import Fraction
+
+                if not isinstance(other, Fraction):
+                    return NotImplemented
+            return self.scale(other)
         p = self.p
         if other.p != p:
             raise ValueError(f"mismatched primes {p} and {other.p}")

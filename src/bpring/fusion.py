@@ -40,9 +40,10 @@ this.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from operator import add
-from typing import NamedTuple, Sequence
 
 from .bimodules import (NUMBER, BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple,
                         label_invariants)
@@ -57,29 +58,11 @@ class ClassificationError(EngineError):
     pass
 
 
-class ActionMorphism(NamedTuple):
-    g: int
-    side: str  # "left" | "right"
-    source: KarSimple
-    target: KarSimple
-    witness: LadderMorphism
-
-
-class OrbitInfo(NamedTuple):
-    representative: KarSimple
-    size: int
-    stabilizer: Subgroup
-    assoc_exponent: int
-    label: BimoduleLabel
-
-
-class ProductAnalysis(NamedTuple):
-    p: int
-    object_count: int
-    end_dimensions: dict
-    simple_count: int
-    orbits: tuple[OrbitInfo, ...]
-    decomposition: Decomposition
+# The generator g acting on the side "left" or "right" sends the simple source
+# to target, by the witness ladder.
+ActionMorphism = namedtuple("ActionMorphism", "g side source target witness")
+OrbitInfo = namedtuple("OrbitInfo", "representative size stabilizer assoc_exponent label")
+ProductAnalysis = namedtuple("ProductAnalysis", "p object_count end_dimensions simple_count orbits decomposition")
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +108,15 @@ def _block(pattern: list, first: int, classes: list[int], count: int) -> Sequenc
 
 
 class RelativeTensorProduct:
-    """Kar(Lad(M, N)) with its outer actions, associator, and classification."""
+    """Kar(Lad(M, N)) with its outer actions, associator, and classification.
+
+    A decomposition is meaningful only for factors that pass
+    bimodules.validate.  The engine checks only the rows of the generator 1
+    that it reads, so a factor that fails validate can still decompose: one
+    whose left and right actions do not commute while its generator keeps
+    the rung-fixed simples fixed, or one whose mixed table is not additive
+    in g or in h.
+    """
 
     def __init__(self, M: BimoduleData, N: BimoduleData):
         self.M = M

@@ -51,9 +51,9 @@ row of its own kind, N-fixed or free, and M's leg pattern describes both.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
 
 from .cyclotomic import CyclotomicScalar, monomial
 from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject, group_algebra_product
@@ -64,10 +64,10 @@ class UnsupportedEndAlgebra(EngineError):
     pass
 
 
-class KarSimple(NamedTuple):
-    class_index: int
-    representative: LadderMorphism  # the class's idempotent, on its base object
-    char_index: int  # character index of the representative's idempotent
+class KarSimple(namedtuple("KarSimple", "class_index representative char_index")):
+    """A simple: its class, the class's idempotent on its base object, and that idempotent's character index."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.representative.source}#{self.char_index}"
@@ -76,8 +76,7 @@ class KarSimple(NamedTuple):
 @lru_cache(maxsize=None)
 def _projector_coeffs(p: int) -> tuple[dict, ...]:
     """Rung coefficients of the p character projectors I_k of C[Z_p], each checked idempotent."""
-    inv_p = Fraction(1, p)
-    return _checked_idempotent(p, tuple({g: CyclotomicScalar(p, inv_p, k * g) for g in range(p)} for k in range(p)))
+    return _checked_idempotent(p, tuple({g: monomial(p, 1, p, k * g % p) for g in range(p)} for k in range(p)))
 
 
 def _checked_idempotent(p: int, projectors: tuple[dict, ...]) -> tuple[dict, ...]:
@@ -128,11 +127,9 @@ def proportionality(f: dict, g: dict, one: CyclotomicScalar) -> CyclotomicScalar
 FIXED = -1  # the rung from the base recorded for a fixed object or leg simple
 
 
-class LegOrbits(NamedTuple):
-    """The rung orbits of one leg: per simple, its orbit's base and its rung from it."""
-
-    base: tuple[int, ...]
-    rung: tuple[int, ...]  # FIXED on a fixed simple
+# The rung orbits of one leg: per simple, its orbit's base and its rung from
+# it, FIXED on a fixed simple.
+LegOrbits = namedtuple("LegOrbits", "base rung")
 
 
 def _leg_orbits(rows: Sequence[Sequence[int]], p: int, name: Callable[[int], LadderObject]) -> LegOrbits:

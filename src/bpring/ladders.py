@@ -37,8 +37,8 @@ constructor.  The public constructor keeps its zero filter.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import lcm
-from typing import NamedTuple
 
 from .bimodules import BimoduleData, format_simple
 from .cyclotomic import CyclotomicScalar, monomial
@@ -59,9 +59,8 @@ class NonMonomialRung(EngineError):
     """A composite's rung that is not one monomial c * zeta^k, which the engine's scalars cannot hold."""
 
 
-class LadderObject(NamedTuple):
-    m: object
-    n: object
+class LadderObject(namedtuple("LadderObject", "m n")):
+    __slots__ = ()
 
     def __str__(self):
         return f"({format_simple(self.m)})({format_simple(self.n)})"
@@ -92,9 +91,6 @@ class LadderMorphism:
         f.target = target
         f.coeffs = coeffs
         return f
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def scale(self, factor) -> "LadderMorphism":
         return LadderMorphism(self.source, self.target, {b: c * factor for b, c in self.coeffs.items()})

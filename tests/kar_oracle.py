@@ -55,7 +55,7 @@ def objects(lad: LadderCategory) -> list[LadderObject]:
 
 
 def identity(lad: LadderCategory, obj: LadderObject) -> LadderMorphism:
-    return LadderMorphism(obj, obj, {0: CyclotomicScalar.one(lad.p)})
+    return LadderMorphism(obj, obj, {0: CyclotomicScalar(lad.p, 1)})
 
 
 def base_at(env: KarEnvelope, c: int) -> int:
@@ -80,7 +80,7 @@ def connectors(env: KarEnvelope, obj: LadderObject, k: int) -> tuple[LadderMorph
     if to_rep.source == to_rep.target:
         return to_rep, to_rep
     (b,) = to_rep.coeffs
-    return to_rep, LadderMorphism(to_rep.target, obj, {-b % env.lad.p: CyclotomicScalar.one(env.lad.p)})
+    return to_rep, LadderMorphism(to_rep.target, obj, {-b % env.lad.p: CyclotomicScalar(env.lad.p, 1)})
 
 
 def rung_target(lad: LadderCategory, obj: LadderObject, b: int) -> LadderObject:
@@ -98,7 +98,7 @@ def hom_rungs(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list
 
 
 def basic(lad: LadderCategory, src: LadderObject, b: int) -> LadderMorphism:
-    return LadderMorphism(src, rung_target(lad, src, b), {b: CyclotomicScalar.one(lad.p)})
+    return LadderMorphism(src, rung_target(lad, src, b), {b: CyclotomicScalar(lad.p, 1)})
 
 
 def zero(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> LadderMorphism:
@@ -136,7 +136,7 @@ def ladder_sum(first: LadderMorphism, *rest: LadderMorphism) -> LadderMorphism:
 def proportional(f: LadderMorphism, g: LadderMorphism) -> FieldScalar | None:
     """The oracle scalar c with f == c*g, if one exists (g nonzero), checked on every rung of both."""
     f, g = as_oracle(f), as_oracle(g)
-    if g.is_zero():
+    if not g.coeffs:
         return None
     b, gc = next(iter(g.coeffs.items()))
     c = f.coeffs.get(b, FieldScalar.zero(gc.p)) / gc
@@ -165,7 +165,7 @@ class EndAlgebra:
 
 def end_algebra(lad: LadderCategory, obj: LadderObject) -> EndAlgebra:
     rungs = end_rungs(lad, obj)
-    one = CyclotomicScalar.one(lad.p)
+    one = CyclotomicScalar(lad.p, 1)
     table = {}
     for b1 in rungs:
         fb1 = LadderMorphism(obj, obj, {b1: one})
@@ -199,7 +199,7 @@ def hom_basis(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list
     rungs = hom_rungs(lad, src, tgt)
     if not rungs:  # nearly every pair the isomorphism search tries
         return []
-    one = CyclotomicScalar.one(lad.p)
+    one = CyclotomicScalar(lad.p, 1)
     return [LadderMorphism(src, tgt, {b: one}) for b in rungs]
 
 
@@ -212,7 +212,7 @@ def reduce_to_basis(morphisms) -> list[LadderMorphism]:
         for b in sorted(pivots):
             if b in g.coeffs:
                 g = ladder_sum(g, pivots[b].scale(-g.coeffs[b]))
-        if g.is_zero():
+        if not g.coeffs:
             continue
         lead = min(g.coeffs)
         g = g.scale(g.coeffs[lead].inv())

@@ -214,9 +214,9 @@ def to_oracle(x) -> FieldScalar:
 
 def from_rational(p: int, value) -> CyclotomicScalar:
     """The rational value as a library scalar."""
-    return CyclotomicScalar.one(p).scale(value)
+    return CyclotomicScalar(p, 1).scale(value)
 
 
 def is_one(x) -> bool:
     """x == 1, for a library or an oracle scalar."""
-    return x == type(x).one(x.p)
+    return x == (FieldScalar.one(x.p) if type(x) is FieldScalar else CyclotomicScalar(x.p, 1))

@@ -5,12 +5,13 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry, label_invariants, label_parse
 from bpring.cli import main as cli_main
-from bpring.cyclotomic import CyclotomicScalar, Rational, phase_exponent
+from bpring.cyclotomic import CyclotomicScalar, phase_exponent
 from bpring.fusion import RelativeTensorProduct
 from bpring.groups import subgroup_from_generators
 from bpring.closed_form import closed_form_table
@@ -143,7 +144,7 @@ def test_criterion_7_property_suites():
         assert is_one(field_root(p, 1) ** p)
         for _ in range(10):
             vals = [
-                FieldScalar(p, [Rational(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p)])
+                FieldScalar(p, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p)])
                 for _ in range(3)
             ]
             x, y, z = vals
@@ -161,7 +162,7 @@ def test_criterion_7_property_suites():
     rng = random.Random(77)
     for p in (2, 3, 5, 7):
         for _ in range(10):
-            x, y, z = (CyclotomicScalar(p, Rational(rng.randint(-3, 3), rng.randint(1, 4)), rng.randrange(p))
+            x, y, z = (CyclotomicScalar(p, Fraction(rng.randint(-3, 3), rng.randint(1, 4)), rng.randrange(p))
                        for _ in range(3))
             assert x * y == y * x
             assert (x * y) * z == x * (y * z)
@@ -171,7 +172,7 @@ def test_criterion_7_property_suites():
                 assert x.rotate(k) == x * root_of_unity(p, k)
         for k in range(2 * p):
             assert phase_exponent(root_of_unity(p, k)) == k % p
-        projectors = [{b: CyclotomicScalar(p, Rational(1, p), j * b) for b in range(p)} for j in range(p)]
+        projectors = [{b: CyclotomicScalar(p, Fraction(1, p), j * b) for b in range(p)} for j in range(p)]
         for j, ej in enumerate(projectors):
             for k, ek in enumerate(projectors):
                 assert group_algebra_product(p, ej, ek) == (ek if j == k else {})

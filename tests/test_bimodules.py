@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bpring.bimodules import (
+    BimoduleData,
     BimoduleLabel,
     Decomposition,
     LabelParseError,
@@ -122,6 +123,57 @@ def test_validate_detects_broken_action():
     zero = entry.index[(0, 0)]
     bad[1][zero] = zero  # no longer free, breaks additivity/commutation
     assert validate(entry._replace(right=bad)) != []
+
+
+def test_validate_detects_an_action_conjugated_by_a_permutation():
+    # T with its left action conjugated by the swap of its first two simples:
+    # each action is still a Z_p action, but they no longer commute.  The
+    # engine checks only what it reads, so validate is the check for this.
+    entry = catalogue_entry(3, BimoduleLabel("T"))
+    swap = [1, 0] + list(range(2, 9))
+    left = [tuple(swap[row[swap[i]]] for i in range(9)) for row in entry.left]
+    violations = validate(entry._replace(left=left))
+    assert violations[0] == "left and right actions do not commute at (g=1, m=(0, 0), h=1)"
+    assert {v.split(" at ")[0] for v in violations} == {"left and right actions do not commute"}
+
+
+def test_validate_detects_one_changed_mixed_exponent():
+    # F1 with the exponent at (g=2, m=*, h=1) moved from 2 to 0: additivity
+    # fails in g and in h, at rows of the generator 2, which the engine
+    # never reads
+    entry = catalogue_entry(3, BimoduleLabel("F", 1))
+    mixed = [[list(row) for row in plane] for plane in entry.mixed]
+    mixed[2][0][1] = 0
+    violations = validate(entry._replace(mixed=mixed, label=None))
+    assert violations and {v.split(" at ")[0] for v in violations} == {
+        "mixed associator not additive in g", "mixed associator not additive in h"}
+
+
+def test_validate_reports_duplicate_simples():
+    entry = catalogue_entry(2, BimoduleLabel("T"))
+    assert validate(entry._replace(simples=(entry.simples[0],) * 2 + entry.simples[2:])) == [
+        "duplicate simple object labels"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_validate_reports_an_action_of_zero_that_moves_a_simple(side):
+    entry = catalogue_entry(3, BimoduleLabel("L"))
+    rows = list(getattr(entry, side))
+    rows[0] = (1, 0, 2)
+    violations = validate(entry._replace(**{side: rows}))
+    assert violations[:2] == [f"{side} action of 0 moves 0", f"{side} action of 0 moves 1"]
+
+
+def test_validate_reports_an_object_count_off_the_subgroup_index():
+    # L + L under the label L: every simple has L's stabilizer, but there are
+    # twice as many simples as the index of that subgroup
+    entry = catalogue_entry(3, BimoduleLabel("L"))
+    n = len(entry.simples)
+    double = BimoduleData(3, tuple(range(2 * n)), [row + tuple(i + n for i in row) for row in entry.left],
+                          [row + tuple(i + n for i in row) for row in entry.right],
+                          [plane + plane for plane in entry.mixed], entry.label)
+    assert validate(double) == ["object count does not match the subgroup index"]
+    assert validate(double._replace(label=None)) == []
 
 
 def test_validate_detects_nonbilinear_mixed_associator():
@@ -249,3 +301,13 @@ def test_decomposition_formatting_and_aggregation():
     assert str(dec) == "3*T + L"
     assert dec.total_simples(3) == 3 * 9 + 3
     assert str(Decomposition.single(T)) == "T"
+
+
+def test_decomposition_refuses_a_multiplicity_of_zero():
+    with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        Decomposition.from_pairs([(BimoduleLabel("T"), 1), (BimoduleLabel("L"), 0)])
+
+
+def test_label_of_an_unknown_kind():
+    with pytest.raises(LabelParseError, match="^unknown label kind 'Q'$"):
+        BimoduleLabel("Q")

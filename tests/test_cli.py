@@ -494,7 +494,7 @@ def test_non_monomial_rung_exit_code(capsys, monkeypatch):
     from scalar_oracle import root_of_unity
 
     def non_monomial(self, f, g):
-        one = CyclotomicScalar.one(self.p)
+        one = CyclotomicScalar(self.p, 1)
         coeffs = group_algebra_product(self.p, {0: one, 1: one}, {0: one, 1: root_of_unity(self.p, 1)})
         return LadderMorphism(f.source, g.target, coeffs)
 

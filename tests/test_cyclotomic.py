@@ -8,10 +8,11 @@ the Fraction oracle or against FieldScalar through to_oracle.
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from bpring.cyclotomic import CyclotomicScalar, Rational, is_prime, phase_exponent, require_prime
+from bpring.cyclotomic import CyclotomicScalar, is_prime, phase_exponent, require_prime
 from scalar_oracle import FieldScalar, from_rational, is_one, root_of_unity, to_oracle
 from scalar_oracle import phase_exponent as field_phase_exponent
 from scalar_oracle import field_root
@@ -22,24 +23,24 @@ PROPERTY_PRIMES = [2, 3, 5, 7, 11]
 
 def canonical_oracle(p, raw):
     """Eliminate zeta^(p-1) using 1 + zeta + ... + zeta^(p-1) = 0."""
-    top = Rational(raw[p - 1])
-    return tuple(Rational(c) - top for c in raw)
+    top = Fraction(raw[p - 1])
+    return tuple(Fraction(c) - top for c in raw)
 
 
 def poly_mod_oracle(p, coeffs_a, coeffs_b):
     """Multiply two zeta-polynomials by hand: fold with zeta^p = 1, then
     eliminate zeta^(p-1) using 1 + zeta + ... + zeta^(p-1) = 0."""
-    raw = [Rational(0)] * p
+    raw = [Fraction(0)] * p
     for i, a in enumerate(coeffs_a):
         for j, b in enumerate(coeffs_b):
-            raw[(i + j) % p] += Rational(a) * Rational(b)
+            raw[(i + j) % p] += Fraction(a) * Fraction(b)
     return canonical_oracle(p, raw)
 
 
 def galois_oracle(p, coeffs, k):
-    raw = [Rational(0)] * p
+    raw = [Fraction(0)] * p
     for i, a in enumerate(coeffs):
-        raw[(i * k) % p] += Rational(a)
+        raw[(i * k) % p] += Fraction(a)
     return canonical_oracle(p, raw)
 
 
@@ -51,18 +52,18 @@ def random_raw(rng, p):
         m = rng.choice([1, 2, 3, p])
         den = rng.choice([1, 2, 3, 4, 6, p, p * p]) * m
         num = rng.randint(-9, 9) * m
-        raw.append(num // den if num % den == 0 and rng.random() < 0.5 else Rational(num, den))
+        raw.append(num // den if num % den == 0 and rng.random() < 0.5 else Fraction(num, den))
     return raw
 
 
 def random_scalar(rng, p):
-    return FieldScalar(p, [Rational(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(p)])
+    return FieldScalar(p, [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(p)])
 
 
 def random_rational(rng, p):
     """A rational with shared factors, mixed signs and p in the denominator, sometimes 0."""
     m = rng.choice([1, 2, 3, p])
-    return Rational(rng.randint(-9, 9) * m, rng.choice([1, 2, 3, 4, 6, p, p * p]) * m)
+    return Fraction(rng.randint(-9, 9) * m, rng.choice([1, 2, 3, 4, 6, p, p * p]) * m)
 
 
 def random_monomial(rng, p):
@@ -85,7 +86,7 @@ def test_root_of_unity_requires_prime():
         FieldScalar(6, [0] * 6)
     # a prime is an int: 7.0 equals a small prime, yet the tables would fail
     # on it later with a TypeError
-    for p in (7.0, True, Rational(7), "7"):
+    for p in (7.0, True, Fraction(7), "7"):
         with pytest.raises(ValueError, match=f"^p must be an integer, got {re.escape(repr(p))}$"):
             CyclotomicScalar(p, 1)
     with pytest.raises(ValueError, match="^p must be prime, got 4$"):
@@ -95,14 +96,14 @@ def test_root_of_unity_requires_prime():
 def test_rational_factors_stay_exact():
     # a float would be stored as its binary fraction and a string parsed, so
     # both are bad input, as is a bool
-    one = CyclotomicScalar.one(3)
+    one = CyclotomicScalar(3, 1)
     for c in (0.1, 0.5, "1/3", True, None):
         message = f"^a scalar's rational factor must be an int or a Fraction, got {re.escape(repr(c))}$"
         with pytest.raises(ValueError, match=message):
             CyclotomicScalar(3, c)
         with pytest.raises(ValueError, match=message):
             one.scale(c)
-    assert CyclotomicScalar(3, Rational(1, 3), 1) == root_of_unity(3, 1).scale(Rational(2, 6))
+    assert CyclotomicScalar(3, Fraction(1, 3), 1) == root_of_unity(3, 1).scale(Fraction(2, 6))
     assert CyclotomicScalar(3, -2) == one.scale(-2)
 
 
@@ -113,7 +114,15 @@ def test_a_factor_that_scale_rejects_is_no_operand_of_mul():
     for c in (True, False, 1.5, 0.5, "1/3", None):
         with pytest.raises(TypeError):
             x * c
-    assert x * 2 == x.scale(2) and x * Rational(2, 6) == x.scale(Rational(1, 3))
+    assert x * 2 == x.scale(2) and x * Fraction(2, 6) == x.scale(Fraction(1, 3))
+
+
+def test_a_scalar_is_not_equal_to_what_is_not_a_scalar():
+    # __eq__ leaves any other type to the other operand, so == falls back to identity
+    x = CyclotomicScalar(3, 1)
+    for other in (1, Fraction(1), "1", None):
+        assert x.__eq__(other) is NotImplemented
+        assert x != other and not x == other
 
 
 def test_cyclotomic_relation():
@@ -148,11 +157,11 @@ def test_group_algebra_idempotent_p3():
     # v = (1/3)(1 + z + z^2) squares to itself; expected value frozen from the
     # independent polynomial oracle
     p = 3
-    v = (FieldScalar.one(p) + field_root(p, 1) + field_root(p, 2)).scale(Rational(1, 3))
+    v = (FieldScalar.one(p) + field_root(p, 1) + field_root(p, 2)).scale(Fraction(1, 3))
     expected = poly_mod_oracle(
         p,
-        [Rational(1, 3), Rational(1, 3), Rational(1, 3)],
-        [Rational(1, 3), Rational(1, 3), Rational(1, 3)],
+        [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
+        [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
     )
     assert (v * v).coeffs == expected
     assert v * v == v
@@ -217,16 +226,16 @@ def test_arithmetic_matches_fraction_oracle():
             x, y = FieldScalar(p, a), FieldScalar(p, b)
             assert x.coeffs == canonical_oracle(p, a)
             assert (x * y).coeffs == poly_mod_oracle(p, a, b)
-            assert (x + y).coeffs == canonical_oracle(p, [Rational(u) + Rational(v) for u, v in zip(a, b)])
-            assert (x - y).coeffs == canonical_oracle(p, [Rational(u) - Rational(v) for u, v in zip(a, b)])
-            assert (-x).coeffs == canonical_oracle(p, [-Rational(u) for u in a])
+            assert (x + y).coeffs == canonical_oracle(p, [Fraction(u) + Fraction(v) for u, v in zip(a, b)])
+            assert (x - y).coeffs == canonical_oracle(p, [Fraction(u) - Fraction(v) for u, v in zip(a, b)])
+            assert (-x).coeffs == canonical_oracle(p, [-Fraction(u) for u in a])
             for k in range(1, p):
                 assert x.galois(k).coeffs == galois_oracle(p, a, k)
-            f = Rational(rng.randint(-12, 12), rng.choice([1, 2, 4, p, 3 * p]))
-            assert x.scale(f).coeffs == canonical_oracle(p, [Rational(u) * f for u in a])
+            f = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 4, p, 3 * p]))
+            assert x.scale(f).coeffs == canonical_oracle(p, [Fraction(u) * f for u in a])
             assert (x * f) == x.scale(f) == (f * x)
             n = rng.randint(-5, 5)
-            assert x.scale(n).coeffs == canonical_oracle(p, [Rational(u) * n for u in a])
+            assert x.scale(n).coeffs == canonical_oracle(p, [Fraction(u) * n for u in a])
             assert x.rotate(n).coeffs == canonical_oracle(p, [a[(i - n) % p] for i in range(p)])
 
 
@@ -236,7 +245,7 @@ def test_products_with_a_monomial_factor_match_fraction_oracle():
     # lowest terms included, and an integer or rational factor is a scale
     rng = random.Random(2718)
     for p in PROPERTY_PRIMES:
-        cs = (1, -1, 2, Rational(3, p), Rational(-5, 6), Rational(p, 4))
+        cs = (1, -1, 2, Fraction(3, p), Fraction(-5, 6), Fraction(p, 4))
         for i in range(p):
             x = CyclotomicScalar(p, rng.choice(cs), i)
             for j in range(p):
@@ -267,7 +276,7 @@ def test_rotate_matches_multiplying_by_a_root_of_unity():
 
 def test_monomial_inverse_closed_form():
     for p in PROPERTY_PRIMES:
-        for c in (Rational(1), Rational(-1), Rational(3), Rational(-2, 7), Rational(p, 4), Rational(1, p * p)):
+        for c in (Fraction(1), Fraction(-1), Fraction(3), Fraction(-2, 7), Fraction(p, 4), Fraction(1, p * p)):
             for k in range(p):
                 x = root_of_unity(p, k).scale(c)
                 expected = root_of_unity(p, -k).scale(1 / c)
@@ -283,9 +292,9 @@ def test_non_monomial_inverse():
     for p in PROPERTY_PRIMES[1:]:
         for _ in range(8):
             # two distinct nonzero numerators below the top index: never c*zeta^k
-            coeffs = [Rational(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(p)]
-            coeffs[0], coeffs[p - 1] = Rational(rng.randint(1, 4)), Rational(0)
-            coeffs[1] = coeffs[0] + Rational(1, rng.randint(1, 3))
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(p)]
+            coeffs[0], coeffs[p - 1] = Fraction(rng.randint(1, 4)), Fraction(0)
+            coeffs[1] = coeffs[0] + Fraction(1, rng.randint(1, 3))
             x = FieldScalar(p, coeffs)
             assert is_one(x * x.inv())
             assert is_one(x.inv() * x)
@@ -293,14 +302,14 @@ def test_non_monomial_inverse():
 
 
 def test_equal_values_built_differently():
-    half = Rational(1, 2)
+    half = Fraction(1, 2)
     for p in PROPERTY_PRIMES:
-        one, z = CyclotomicScalar.one(p), root_of_unity(p, 1)
+        one, z = CyclotomicScalar(p, 1), root_of_unity(p, 1)
         top_root = [
             root_of_unity(p, p - 1),
             root_of_unity(p, -1),
             CyclotomicScalar(p, 1, p - 1),
-            CyclotomicScalar(p, Rational(-3, -3), 2 * p - 1),
+            CyclotomicScalar(p, Fraction(-3, -3), 2 * p - 1),
             one.rotate(-1),
             z.inv(),
             z.scale(2).scale(half).rotate(p - 2),
@@ -311,11 +320,11 @@ def test_equal_values_built_differently():
         top_root.append(power)
         halves = [
             from_rational(p, half),
-            CyclotomicScalar(p, Rational(3, 6)),
+            CyclotomicScalar(p, Fraction(3, 6)),
             CyclotomicScalar(p, half, p),
-            one.scale(Rational(2, 4)),
+            one.scale(Fraction(2, 4)),
             from_rational(p, 2).inv(),
-            root_of_unity(p, 3).scale(Rational(-7, -14)).rotate(-3),
+            root_of_unity(p, 3).scale(Fraction(-7, -14)).rotate(-3),
         ]
         zeros = [CyclotomicScalar.zero(p), CyclotomicScalar(p, 0, 3), z.scale(0), CyclotomicScalar.zero(p).rotate(1)]
         for group in (top_root, halves, zeros):
@@ -324,15 +333,15 @@ def test_equal_values_built_differently():
                 assert hash(x) == hash(group[0])
                 assert (x.num, x.den, x.k) == (group[0].num, group[0].den, group[0].k)
                 assert type(x.coeffs) is tuple and len(x.coeffs) == p
-                assert all(type(c) is Rational for c in x.coeffs)
+                assert all(type(c) is Fraction for c in x.coeffs)
                 assert x.coeffs[p - 1] == 0
                 assert to_oracle(x) == to_oracle(group[0])
         assert len({*top_root, *halves, *zeros}) == 3
         # the oracle's canonical form: equal field values built differently
         field = [
             (FieldScalar(p, [0] * (p - 1) + [1]), FieldScalar(p, [-1] * (p - 1) + [0])),
-            (FieldScalar(p, [Rational(3, 6)] + [0] * (p - 1)), FieldScalar(p, [Rational(3, 2)] + [1] * (p - 1))),
-            (FieldScalar.zero(p), FieldScalar(p, [Rational(4, 6)] * p)),
+            (FieldScalar(p, [Fraction(3, 6)] + [0] * (p - 1)), FieldScalar(p, [Fraction(3, 2)] + [1] * (p - 1))),
+            (FieldScalar.zero(p), FieldScalar(p, [Fraction(4, 6)] * p)),
         ]
         for x, y in field:
             assert x == y and hash(x) == hash(y) and x.coeffs == y.coeffs
@@ -343,7 +352,7 @@ def test_phase_exponent_rejects_non_roots():
     for p in PROPERTY_PRIMES[1:]:
         z_top = root_of_unity(p, p - 1)
         assert phase_exponent(z_top) == p - 1
-        for x in (z_top.scale(-1), z_top.scale(2), z_top.scale(Rational(1, 2))):
+        for x in (z_top.scale(-1), z_top.scale(2), z_top.scale(Fraction(1, 2))):
             assert phase_exponent(x) is None
         for k in range(p):
             assert phase_exponent(root_of_unity(p, k).scale(-1)) is None
@@ -360,13 +369,13 @@ def test_p2_folds_zeta_into_the_sign():
     assert (zeta.num, zeta.den, zeta.k) == (-1, 1, 0)
     assert repr(zeta) == repr(minus_one) == "Cyc(p=2: -1)"
     assert phase_exponent(zeta) == phase_exponent(minus_one) == 1
-    assert phase_exponent(CyclotomicScalar.one(2)) == 0
-    half_zeta = CyclotomicScalar(2, Rational(1, 2), 1)
-    assert half_zeta == from_rational(2, Rational(-1, 2)) and repr(half_zeta) == "Cyc(p=2: -1/2)"
-    assert half_zeta.rotate(1) == from_rational(2, Rational(1, 2))
-    assert zeta * zeta == CyclotomicScalar.one(2) and zeta.inv() == zeta
+    assert phase_exponent(CyclotomicScalar(2, 1)) == 0
+    half_zeta = CyclotomicScalar(2, Fraction(1, 2), 1)
+    assert half_zeta == from_rational(2, Fraction(-1, 2)) and repr(half_zeta) == "Cyc(p=2: -1/2)"
+    assert half_zeta.rotate(1) == from_rational(2, Fraction(1, 2))
+    assert zeta * zeta == CyclotomicScalar(2, 1) and zeta.inv() == zeta
     for x in (zeta, half_zeta, zeta.scale(3), zeta.rotate(5)):
-        assert x.k == 0 and to_oracle(x) == FieldScalar(2, [Rational(x.num, x.den), 0])
+        assert x.k == 0 and to_oracle(x) == FieldScalar(2, [Fraction(x.num, x.den), 0])
 
 
 def test_monomials_match_the_field_oracle():

@@ -73,6 +73,13 @@ def test_line_generator_canonical_form():
     assert subgroup_from_generators(7, [(2, 0)]).generator == (1, 0)
 
 
+def test_subgroup_refuses_an_unknown_kind_and_a_zero_line():
+    with pytest.raises(ValueError, match="^unknown subgroup kind 'bogus'$"):
+        Subgroup(3, "bogus")
+    with pytest.raises(ValueError, match="^line generator must be nonzero$"):
+        Subgroup(3, "line", (0, 0))
+
+
 def test_enumerate_subgroups_counts():
     assert len(enumerate_subgroups(2)) == 5
     assert len(enumerate_subgroups(3)) == 6

@@ -135,12 +135,13 @@ assert (units.order, units.is_dihedral()) == (8, True)
 assert not bpring.diff_tables(t, bpring.parse_json(bpring.serialize(t, "json")))
 """
 # No run loads dataclasses or inspect, which cost more to import than a
-# route's records, and the verify run loads no typing: its records are
-# collections.namedtuple classes.
-NEVER = {"dataclasses", "inspect"}
+# route's records, nor typing: every record is a collections.namedtuple.  No
+# run loads fractions, which brings decimal: the scalars the library makes
+# are ints, and fractions is imported only for a Fraction a caller passes.
+NEVER = {"dataclasses", "inspect", "typing", "fractions", "decimal"}
 RUNS = {
     "import": ("import bpring", set(), NEVER | {"multiprocessing", "json"}),
-    "verify": (VERIFY_P5, SHARED | ROUTES["closed_form"] | ROUTES["walls"], NEVER | {"multiprocessing", "typing"}),
+    "verify": (VERIFY_P5, SHARED | ROUTES["closed_form"] | ROUTES["walls"], NEVER | {"multiprocessing"}),
     "build_table": ("import bpring\nbpring.build_table(3)", SHARED | ROUTES["engine"],
                     NEVER | {"multiprocessing", "json"}),
 }
@@ -165,6 +166,14 @@ def test_a_run_loads_only_the_route_it_calls(run):
     loaded = modules_loaded_by(code)
     assert {m for m in loaded if m.split(".")[0] == PACKAGE} == {PACKAGE} | {f"{PACKAGE}.{m}" for m in modules}
     assert not loaded & absent
+
+
+def test_a_submodule_read_first_loads_through_the_package():
+    # bpring.walls, read before anything imports it, is loaded by the
+    # package's __getattr__, with only the shared modules it needs
+    loaded = modules_loaded_by("import bpring\nassert bpring.walls.__name__ == 'bpring.walls'")
+    modules = {PACKAGE} | {f"{PACKAGE}.{m}" for m in SHARED | ROUTES["walls"]}
+    assert {m for m in loaded if m.split(".")[0] == PACKAGE} == modules
 
 
 def _is_def(node) -> bool:
@@ -197,13 +206,15 @@ def definitions(src: Path) -> dict[str, str]:
 
 
 def names_used(paths) -> set[str]:
-    """Names that an ast Name, Attribute or import alias in paths refers to."""
+    """Names that paths read as an attribute (x.name) or import.
+
+    A bare name does not count: a local variable or a parameter named like a
+    method does not call it.
+    """
     out = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 out.add(node.attr)
             elif isinstance(node, ast.alias):
                 out.add(node.name.rsplit(".", 1)[-1])
@@ -262,8 +273,9 @@ def unused_definitions(root: Path) -> list[str]:
     """Library definitions that nothing outside the tests names.
 
     References count from the library outside __init__, and from the demos
-    and the benchmark.  A method counts as used where any of them names it,
-    except by a name the demos and the benchmark define themselves (a
+    and the benchmark.  A method counts as used where any of them reads it
+    as an attribute or imports it, but not by a local variable or parameter
+    of its name, nor by a name the demos and the benchmark define themselves (a
     benchmark record's objects field is not LadderCategory.objects).  A
     module-level function or class counts as used only where one of them
     imports it by name or reads it as module.name or bpring.name, or where
@@ -295,7 +307,8 @@ def test_library_defines_nothing_that_only_the_tests_use():
 
 def test_unused_definition_guard_sees_a_method_only_the_tests_call(tmp_path):
     """A method or module function that only tests call is found; one that a
-    demo calls is not, nor a dunder of a class or a module.  A module
+    demo calls is not, nor a dunder of a class or a module.  A local
+    variable or a parameter named like a method does not keep it.  A module
     function is kept only by a reference to it: an import of it, a read as
     module.name or bpring.name, or a bare name in its own module; a method
     of the same name does not keep it."""
@@ -305,10 +318,10 @@ def test_unused_definition_guard_sees_a_method_only_the_tests_call(tmp_path):
     (tmp_path / "src" / PACKAGE / "thing.py").write_text(
         "class Thing:\n    def used(self):\n        return self._helper()\n\n"
         "    def _helper(self):\n        return _bare()\n\n    def spare(self):\n        return 2\n\n"
-        "    def __len__(self):\n        return 0\n\n\n"
+        "    def __len__(self):\n        return 0\n\n    def one(self):\n        return 1\n\n\n"
         "def spare_function():\n    return 3\n\n\n"
         "def used():\n    return 4\n\n\n"
-        "def _bare():\n    return 5\n\n\n"
+        "def _bare():\n    one = 5\n    return one\n\n\n"
         "def by_module():\n    return 6\n\n\n"
         "def by_package():\n    return 7\n\n\n"
         "def __getattr__(name):\n    raise AttributeError(name)\n\n\n"
@@ -316,10 +329,10 @@ def test_unused_definition_guard_sees_a_method_only_the_tests_call(tmp_path):
     )
     (tmp_path / "demos" / "demo.py").write_text(
         "import bpring\nfrom bpring import thing\nfrom bpring.thing import Thing\n"
-        "Thing().used()\nthing.by_module()\nbpring.by_package()\n"
+        "Thing().used()\nthing.by_module()\nbpring.by_package()\n\n\ndef unit(one):\n    return one\n"
     )
     (tmp_path / "perfbench" / "record.py").write_text(
         "from types import SimpleNamespace\n\nclass Record:\n    spare: int\n\n"
         "Record().spare\nSimpleNamespace(spare=2).spare\nRecord().spare_function\n"
     )
-    assert unused_definitions(tmp_path) == ["thing.Thing.spare", "thing.spare_function", "thing.used"]
+    assert unused_definitions(tmp_path) == ["thing.Thing.one", "thing.Thing.spare", "thing.spare_function", "thing.used"]

@@ -9,7 +9,7 @@ import pytest
 
 from bpring.bimodules import catalogue, catalogue_entry, format_simple, label_parse, validate
 from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, proportionality
+from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, _projector_coeffs, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
 from scalar_oracle import from_rational, root_of_unity
 from kar_oracle import (
@@ -35,6 +35,15 @@ from kar_oracle import (
 
 def make_lad(p, left, right):
     return LadderCategory(catalogue_entry(p, label_parse(left)), catalogue_entry(p, label_parse(right)))
+
+
+def test_stored_projectors_are_one_over_p_times_a_character():
+    # built from ints, I_k has (1/p) zeta^(kg) on rung g, which at p = 2
+    # folds zeta = -1 into the sign
+    for p in (2, 3, 5, 7):
+        want = tuple({g: CyclotomicScalar(p, Fraction(1, p), k * g) for g in range(p)} for k in range(p))
+        assert _projector_coeffs(p) == want
+    assert [x.num for x in _projector_coeffs(2)[1].values()] == [1, -1]
 
 
 def test_rf0_character_idempotents():
@@ -73,7 +82,7 @@ def test_ff_idempotent_products_p3():
     lad = make_lad(3, "F1", "F2")
     obj = LadderObject("*", "*")
     i0, i1, i2 = primitive_idempotents(lad, obj)
-    assert lad.compose(i0, i1).is_zero()
+    assert not lad.compose(i0, i1).coeffs
     assert ladder_sum(i0, i1, i2) == as_oracle(identity(lad, obj))
 
 
@@ -249,7 +258,7 @@ def test_proportionality_checks_every_rung():
     # the ratio of two coefficient dicts is read off one rung; a rung off
     # that ratio, with the same support, means they are not proportional
     p = 5
-    one = CyclotomicScalar.one(p)
+    one = CyclotomicScalar(p, 1)
     z = [root_of_unity(p, k) for k in range(p)]
     g = {0: z[0], 1: z[1], 2: z[3]}
     assert proportionality({b: c * z[2] for b, c in g.items()}, g, one) == z[2]
@@ -267,7 +276,7 @@ def test_proportionality_of_one_coefficient_dict_is_one_without_an_inverse(monke
     # is handed, with no inversion; equal but distinct dicts still read the
     # ratio off a rung
     p = 5
-    one = CyclotomicScalar.one(p)
+    one = CyclotomicScalar(p, 1)
     z = [root_of_unity(p, k) for k in range(p)]
     g = {0: z[0], 1: z[1], 2: z[3]}
     inverses, inv = [], CyclotomicScalar.inv
@@ -293,7 +302,7 @@ def test_proportionality_under_a_root_of_unity_checks_every_rung():
     # proportional
     rng = random.Random(1123)
     for p in (3, 5, 7, 11):
-        one = CyclotomicScalar.one(p)
+        one = CyclotomicScalar(p, 1)
         for _ in range(6):
             coeffs = {}
             for b in rng.sample(range(p), rng.randint(2, p)):
@@ -434,7 +443,7 @@ def test_locate_rejects_a_morphism_that_is_not_an_endomorphism():
     assert env.locate(stored)[0] == env.class_at(env.lad.object_index(obj)) + 1
     free = KarEnvelope(make_lad(3, "T", "T"))
     cases = [(env, LadderMorphism(obj, other, stored.coeffs))]
-    cases.append((free, LadderMorphism(free.lad.object_at(0), free.lad.object_at(1), {0: CyclotomicScalar.one(3)})))
+    cases.append((free, LadderMorphism(free.lad.object_at(0), free.lad.object_at(1), {0: CyclotomicScalar(3, 1)})))
     for e, f in cases:
         message = f"idempotent on {f.source} is not a stored primitive"
         with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):

@@ -519,6 +519,27 @@ def test_parse_json_rejects_labels_outside_the_basis():
         parse_json(json.dumps({"p": 101, "basis": big_basis, "products": {"T,T": []}}))
 
 
+def test_parse_json_rejects_a_basis_of_other_names():
+    payload = json.loads(serialize(closed_form_table(3), "json"))
+    payload["basis"][-1] = "F9"
+    with pytest.raises(ValueError, match="^basis in JSON does not match the canonical basis order$"):
+        parse_json(json.dumps(payload))
+
+
+def test_parse_json_rejects_a_multiplicity_of_zero():
+    payload = json.loads(serialize(closed_form_table(3), "json"))
+    payload["products"]["T,L"][0]["mult"] = 0
+    with pytest.raises(ValueError, match="^" + re.escape("products cell 'T,L' has multiplicity 0, below 1") + "$"):
+        parse_json(json.dumps(payload))
+
+
+def test_serialize_json_refuses_a_negative_multiplicity():
+    # the axiom check and the units pass over the cell T x T = -T; the JSON writer refuses it
+    t = _with_cell(closed_form_table(3), "T", "T", {"T": -1})
+    with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+        serialize(t, "json")
+
+
 def test_a_label_outside_the_basis_is_bad_input_to_a_table():
     # the table's readers and writer name the index as basis_index does, and a
     # refused set_product leaves the table as it was
