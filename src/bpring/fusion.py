@@ -16,12 +16,11 @@ Classifying the product reads the following, each described where it is done:
   simple built;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
-- _stabilizer: an orbit's stabilizer, read from its size;
+- _stabilizer: an orbit's stabilizer, read from its size, as a position in
+  the per-prime table _orbit_names of every subgroup and the label it names;
 - mixed_associator and _witness_path: the associator exponent, the ratio of
   two witness paths, each a base's stored idempotent or lad.compose of two
-  LadderMorphisms, read as (landing class, source index, coefficient dict);
-- _classify: the label, F_q for a full stabilizer with q the exponent, else
-  the one label that bimodules.label_invariants maps to the stabilizer.
+  LadderMorphisms, read as (landing class, source index, coefficient dict).
 
 Only the exponents of full-stabilizer orbits are invariants of the product;
 on any other orbit the exponent depends on the gauge of the inputs: twisting
@@ -31,10 +30,10 @@ runs the witness paths on full-stabilizer orbits only, while analyze, which
 fuse --detail prints, reports every orbit's exponent (_classified_orbits).
 
 build_table assembles the engine's RingTable from one product per ordered
-pair of labels, serially or in a pool of worker processes.  The engine
-reaches only the shared modules (the label, group, scalar and table types),
-never the closed form or the wall oracle; tests/test_import_graph.py checks
-this.
+pair of labels, serially or in a pool of worker processes, through one loop
+that checks each product as it lands.  The engine reaches only the shared
+modules (the label, group, scalar and table types), never the closed form or
+the wall oracle; tests/test_import_graph.py checks this.
 """
 
 from __future__ import annotations
@@ -66,15 +65,16 @@ ProductAnalysis = namedtuple("ProductAnalysis", "p object_count end_dimensions s
 
 
 @lru_cache(maxsize=None)
-def _subgroups(p: int) -> tuple[Subgroup, ...]:
-    """The p+3 subgroups in enumerate_subgroups order."""
-    return tuple(enumerate_subgroups(p))
+def _orbit_names(p: int) -> tuple[tuple[Subgroup, ...], tuple[BimoduleLabel | None, ...]]:
+    """(subgroups, labels): the p+3 subgroups in enumerate_subgroups order, and the label of each.
 
-
-@lru_cache(maxsize=None)
-def _label_of_stabilizer(p: int) -> dict[Subgroup, BimoduleLabel]:
-    """Stabilizer -> label for every label but F_q: the inverse of label_invariants on those."""
-    return {label_invariants(p, label)[0]: label for label in all_labels(p) if label.kind != "F"}
+    The label of a subgroup other than the full group is the one label that
+    bimodules.label_invariants maps to it; the full group's is None, as an
+    orbit it stabilizes is F_q, q its associator exponent.
+    """
+    subgroups = tuple(enumerate_subgroups(p))
+    named = {label_invariants(p, label)[0]: label for label in all_labels(p) if label.kind != "F"}
+    return subgroups, tuple(None if stab.kind == "full" else named[stab] for stab in subgroups)
 
 
 @lru_cache(maxsize=None)
@@ -423,8 +423,8 @@ class RelativeTensorProduct:
             i = seen.find(0, i + 1)
         return out
 
-    def _stabilizer(self, i: int, size: int) -> Subgroup:
-        """Stabilizer of simple i, whose orbit has the given size.
+    def _stabilizer(self, i: int, size: int) -> int:
+        """Stabilizer of simple i, whose orbit has the given size, as its position in _orbit_names.
 
         The stabilizer of an orbit of the Z_p x Z_p action has order
         p^2 / size, and any size other than 1, p or p^2 is a
@@ -433,12 +433,11 @@ class RelativeTensorProduct:
         means a line: <(0,1)> fixes i when rstep[i] == i, and <(1,t)> when t
         right steps bring lstep[i] back to i.  Exactly one line must fix i.
         """
-        p = self.p
-        subgroups = _subgroups(p)  # trivial, <(0,1)>, <(1,0)>, ..., <(1,p-1)>, full
+        p = self.p  # positions: trivial, <(0,1)>, <(1,0)>, ..., <(1,p-1)>, full
         if size == p * p:
-            return subgroups[0]
+            return 0
         if size == 1:
-            return subgroups[-1]
+            return p + 2
         if size != p:
             raise ClassificationError(f"an orbit of size {size} is not of size 1, p or p^2")
         lstep, rstep = self._steps
@@ -452,31 +451,31 @@ class RelativeTensorProduct:
             raise ClassificationError(
                 f"{len(fixing)} lines fix {self.env.simple(i)}, whose orbit has size p"
             )
-        return subgroups[fixing[0]]
-
-    def _classify(self, stab: Subgroup, exponent: int | None) -> BimoduleLabel:
-        if stab.kind == "full":
-            return BimoduleLabel("F", exponent)
-        return _label_of_stabilizer(self.p)[stab]
+        return fixing[0]
 
     def _classified_orbits(self, every_exponent: bool) -> list[tuple]:
-        """(size, simple, stabilizer, exponent, label) for every orbit.
+        """(simple, size, stabilizer, exponent, label), the OrbitInfo fields, for every orbit.
 
-        The witness associator runs on the simple of the orbit's first class
-        on every orbit if every_exponent, else only on full-stabilizer
-        orbits, the one place where it classifies; the simple and the
-        exponent are None elsewhere.  On any other orbit the witness paths
-        would check, beyond the exponent, only that both land on one simple,
-        and the commutation check of orbits covers that on every simple.
+        The stabilizer and its label are read from _orbit_names at the
+        position _stabilizer gives; a full stabilizer's label is F_q with q
+        the exponent.  The witness associator runs on the simple of the
+        orbit's first class on every orbit if every_exponent, else only on
+        full-stabilizer orbits, the one place where it classifies; the simple
+        and the exponent are None elsewhere.  On any other orbit the witness
+        paths would check, beyond the exponent, only that both land on one
+        simple, and the commutation check of orbits covers that on every
+        simple.
         """
+        subgroups, labels = _orbit_names(self.p)
         out = []
         for first, size in self.orbits():
-            stab = self._stabilizer(first, size)
+            k = self._stabilizer(first, size)
+            label = labels[k]
             simple = exponent = None
-            if every_exponent or stab.kind == "full":
+            if every_exponent or label is None:
                 simple = self.env.simple(first)
                 exponent = self.mixed_associator(1, 1, simple)
-            out.append((size, simple, stab, exponent, self._classify(stab, exponent)))
+            out.append((simple, size, subgroups[k], exponent, label or BimoduleLabel("F", exponent)))
         return out
 
     def _decomposition(self, labels) -> Decomposition:
@@ -488,10 +487,7 @@ class RelativeTensorProduct:
 
     def analyze(self) -> ProductAnalysis:
         """Every orbit with its associator exponent, invariant or not, and the decomposition."""
-        infos = tuple(
-            OrbitInfo(simple, size, stab, exponent, label)
-            for size, simple, stab, exponent, label in self._classified_orbits(every_exponent=True)
-        )
+        infos = tuple(map(OrbitInfo._make, self._classified_orbits(every_exponent=True)))
         return ProductAnalysis(
             p=self.p,
             object_count=self.lad.object_count,
@@ -552,15 +548,27 @@ def _worker_count(workers: int | None) -> int:
     return workers
 
 
+def _fill(table: RingTable, pairs: list, products) -> None:
+    """Set each pair's product in table, in order, checking its multiplicities as it lands."""
+    p = table.p
+    for (a, b), dec in zip(pairs, products):
+        for _, mult in dec.summands:
+            if mult not in (1, p):
+                raise ClassificationError(f"product {a} x {b} produced multiplicity {mult}, expected 0, 1 or {p}")
+        table.set_product(a, b, dec)
+
+
 def build_table(p: int, workers: int | None = None) -> RingTable:
     """Structure constants from the fusion engine over all ordered label pairs.
 
+    Each product is checked as it lands: a multiplicity other than 1 or p is
+    a ClassificationError, and a serial run stops at the first such product.
     workers (default: BPRING_THREADS) is capped at os.cpu_count().  A pool
     gets the pairs in chunks of one table row each.  A worker that dies, as
-    one killed for memory does, is an EngineError.  The workers ignore
-    SIGINT: on an interrupt the parent starts no further chunk, waits for
-    the running ones, at most one row each, and raises KeyboardInterrupt,
-    with no worker left.
+    one killed for memory does, is an EngineError.  On any exception out of
+    the loop, the parent starts no further chunk, waits for the running
+    ones, at most one row each, and raises it, with no worker left.  The
+    workers ignore SIGINT, so this holds on an interrupt too.
     """
     require_prime(p)
     table = RingTable.empty(p)
@@ -575,24 +583,13 @@ def build_table(p: int, workers: int | None = None) -> RingTable:
         try:
             with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(p,)) as pool:
                 try:
-                    products = pool.map(_worker_pair_product, *zip(*pairs), chunksize=len(table.basis))
-                    for (a, b), dec in zip(pairs, products):
-                        table.set_product(a, b, dec)
-                except KeyboardInterrupt:
-                    pool.shutdown(cancel_futures=True)  # the workers ignore SIGINT: start no queued chunk
+                    _fill(table, pairs, pool.map(_worker_pair_product, *zip(*pairs), chunksize=len(table.basis)))
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)  # start no queued chunk
                     raise
         except BrokenProcessPool as exc:
             raise EngineError("a worker process ended unexpectedly") from exc
     else:
         entries = _catalogue_by_label(p)
-        for a, b in pairs:
-            table.set_product(a, b, _pair_product(entries, a, b))
-    basis = table.basis
-    for i, rows in enumerate(table.constants):
-        for j, cell in enumerate(rows):
-            for _, mult in cell:
-                if mult not in (1, p):
-                    raise ClassificationError(
-                        f"product {basis[i]} x {basis[j]} produced multiplicity {mult}, expected 0, 1 or {p}"
-                    )
+        _fill(table, pairs, (_pair_product(entries, a, b) for a, b in pairs))
     return table

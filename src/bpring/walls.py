@@ -140,7 +140,10 @@ def _invariants(p: int, label: BimoduleLabel) -> tuple[tuple[tuple[int, int], ..
 def wall_of(p: int, label: BimoduleLabel) -> WallModel:
     """The wall of a basis label, read from its Lagrangian subgroup; a label outside the basis at p raises ValueError.
 
-    An L that is not isotropic raises OracleError.
+    An L that is not isotropic raises OracleError.  No basis label's (H, q)
+    reaches that check, as the basis below is isotropic by construction; it
+    stays because the -h2 sign of the basis rests on it: with +h2, the X_k
+    and F_q (q != 0) subgroups fail it at every odd p.
     """
     require_prime(p)
     gens, q = _invariants(p, label)

@@ -15,6 +15,10 @@ results:
 - `plain_serialize_json` builds the whole payload, one `product` per cell,
   and hands it to `json.dumps(indent=2)`.  `serialize(table, "json")` must
   give the same bytes, and raise the same way where this does.
+- `table_automorphisms` finds every permutation of the basis that maps the
+  closed-form table onto itself, by backtracking: the relabellings that no
+  comparison of two tables can see.  `relabellings` gives each one but the
+  identity as a map from label to label.
 
 The tests edit a table through `dense_cell`, which hands out a cell as a
 dense row of n multiplicities and writes the edited row back as a cell, so
@@ -25,6 +29,7 @@ import json
 from contextlib import contextmanager
 
 from bpring.bimodules import BimoduleLabel, Decomposition
+from bpring.closed_form import closed_form_table
 from bpring.ring import AxiomReport, RingTable, TableError, UnitsGroup, check_axioms
 
 
@@ -161,3 +166,51 @@ def plain_serialize_json(table: RingTable) -> str:
         "checks": {"unit": report.unit_ok, "associativity": report.associativity_ok},
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+def table_automorphisms(p: int) -> list[tuple[int, ...]]:
+    """Every permutation s of the basis indices with cell (s(i), s(j)) = s(cell (i, j)) in closed_form_table(p).
+
+    A cell maps by sending each summand's index k to s(k).  The search fixes
+    s(0), s(1), ... in turn and, after each choice, compares every cell of
+    the indices fixed so far in the multiplicities it holds and in the
+    summands already mapped; a full permutation is then checked on every
+    cell.  The permutations come in increasing order, the identity first.
+    """
+    cells = closed_form_table(p).constants
+    n = len(cells)
+    sigma, used, found = [0] * n, [False] * n, []
+
+    def image(cell):
+        return tuple(sorted((sigma[k], mult) for k, mult in cell))
+
+    def fits(i: int) -> bool:
+        for a in range(i + 1):
+            for x, y in ((a, i), (i, a)):
+                cell, want = cells[x][y], dict(cells[sigma[x]][sigma[y]])
+                if sorted(mult for _, mult in cell) != sorted(want.values()):
+                    return False
+                if any(k <= i and want.get(sigma[k]) != mult for k, mult in cell):
+                    return False
+        return True
+
+    def extend(i: int) -> None:
+        if i == n:
+            if all(image(cells[x][y]) == cells[sigma[x]][sigma[y]] for x in range(n) for y in range(n)):
+                found.append(tuple(sigma))
+            return
+        for t in range(n):
+            if not used[t]:
+                sigma[i], used[t] = t, True
+                if fits(i):
+                    extend(i + 1)
+                used[t] = False
+
+    extend(0)
+    return found
+
+
+def relabellings(p: int) -> list[dict]:
+    """Each automorphism of table_automorphisms(p) but the identity, as a map from basis label to basis label."""
+    basis = closed_form_table(p).basis
+    return [dict(zip(basis, (basis[k] for k in sigma))) for sigma in table_automorphisms(p)[1:]]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bpring import bimodules, fusion
 from bpring.bimodules import (
     BimoduleData,
     BimoduleLabel,
@@ -15,8 +16,9 @@ from bpring.bimodules import (
     label_parse,
     validate,
 )
-from bpring.groups import subgroup_from_generators
+from bpring.groups import subgroup_from_elements, subgroup_from_generators
 from bimodule_transforms import random_twist, relabel
+from ring_oracle import relabellings
 
 
 def test_catalogue_counts_and_shapes():
@@ -180,6 +182,62 @@ def test_validate_detects_nonbilinear_mixed_associator():
     entry = catalogue_entry(3, BimoduleLabel("F", 1))
     violations = validate(entry._replace(mixed=[[[(g + h) % 3 for h in range(3)]] for g in range(3)]))
     assert any("mixed associator" in v for v in violations)
+
+
+# the generators of each label's stabilizer by definition; X_k's is (-k, 1)
+DEFINED_STABILIZER = {"T": [], "L": [(1, 0)], "R": [(0, 1)], "F": [(1, 0), (0, 1)]}
+
+
+def definition_faults(p: int) -> list[str]:
+    """Where a catalogue entry's own tables are not the bimodule its label names.
+
+    The definition is stated here and read from no library table: every
+    simple of T has the trivial stabilizer, of L <(1,0)>, of R <(0,1)>, of
+    X_k <(-k,1)> and of F_q the full group, and mixed[g][i][h] = q*g*h, with
+    q = 0 off F_q.  The stabilizer of simple i is the set of (g, h) with
+    right[h][left[g][i]] == i.
+    """
+    faults = []
+    for label, entry in zip(all_labels(p), catalogue(p)):
+        kind, k = label.kind, label.index
+        want = subgroup_from_generators(p, [(-k, 1)] if kind == "X" else DEFINED_STABILIZER[kind])
+        q = k if kind == "F" else 0
+        if entry.label != label:
+            faults.append(f"{label}: the entry is labelled {entry.label}")
+        n = len(entry.simples)
+        for i in range(n):
+            fixing = [(g, h) for g in range(p) for h in range(p) if entry.right[h][entry.left[g][i]] == i]
+            if subgroup_from_elements(p, fixing) != want:
+                faults.append(f"{label}: simple {i} has another stabilizer")
+        if any(entry.mixed[g][i][h] != q * g * h % p for g in range(p) for i in range(n) for h in range(p)):
+            faults.append(f"{label}: mixed is not q*g*h with q = {q}")
+    return faults
+
+
+def test_each_catalogue_entry_is_the_bimodule_its_label_names():
+    for p in (2, 3, 5, 7):
+        assert definition_faults(p) == [], p
+
+
+def test_the_definition_check_pins_the_engine_labels_against_every_automorphism(monkeypatch):
+    # An automorphism sigma of the table, put into both places where the
+    # engine names labels, the catalogue (its inputs) and label_invariants
+    # (its outputs through fusion._orbit_names), keeps the entries coherent
+    # with label_invariants; the definition check must see it.
+    entry_of, invariants = bimodules.catalogue_entry, bimodules.label_invariants
+    for p in (3, 5):
+        for sigma in relabellings(p):
+            moved = lambda q, label: sigma[label] if q == p else label
+            with monkeypatch.context() as m:
+                m.setattr(bimodules, "catalogue_entry", lambda q, label: entry_of(q, moved(q, label))._replace(label=label))
+                for module in (bimodules, fusion):
+                    m.setattr(module, "label_invariants", lambda q, label: invariants(q, moved(q, label)))
+                fusion._orbit_names.cache_clear()
+                try:
+                    assert all(validate(entry) == [] for entry in catalogue(p))
+                    assert definition_faults(p), (p, sigma)
+                finally:
+                    fusion._orbit_names.cache_clear()
 
 
 def test_stabilizers_match_stored_subgroup():

@@ -14,11 +14,13 @@ from bpring.bimodules import (
     catalogue,
     catalogue_entry,
     format_simple,
+    label_invariants,
     label_parse,
     validate,
 )
 from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, build_table
+from bpring.groups import enumerate_subgroups
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, _checked_idempotent, _projector_coeffs
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
@@ -253,7 +255,7 @@ def test_decompose_matches_analyze_and_the_stabilizer_scan():
             assert [o.stabilizer for o in analysis.orbits] == [orbit_stabilizer(product, i) for i in firsts]
             for orbit in search_orbits(product):
                 for i in orbit:
-                    assert product._stabilizer(i, len(orbit)) == orbit_stabilizer(product, i)
+                    assert fusion._orbit_names(p)[0][product._stabilizer(i, len(orbit))] == orbit_stabilizer(product, i)
     # every ordered pair at p=7: analyze and decompose agree
     for M, N in itertools.product(catalogue(7), repeat=2):
         product = RelativeTensorProduct(M, N)
@@ -587,21 +589,110 @@ def test_orbits_that_miss_a_simple_are_a_classification_error(monkeypatch):
             run(rtp(3, "T", "T"))
 
 
-def test_build_table_rejects_a_multiplicity_other_than_0_1_or_p(monkeypatch):
-    p = 3
+DOUBLED_MESSAGE = "product F1 x X2 produced multiplicity 2, expected 0, 1 or 3"
+
+
+def double_f1_x2(monkeypatch) -> list:
+    """Make _pair_product double every multiplicity of F1 x X2 at p=3; returns the list of pairs it is called on."""
     pair_product = fusion._pair_product
     F1, X2 = label_parse("F1"), label_parse("X2")
+    calls = []
 
     def doubled(entries, a, b):
+        calls.append((a, b))
         dec = pair_product(entries, a, b)
         if (a, b) == (F1, X2):
             dec = Decomposition.from_pairs([(label, 2 * mult) for label, mult in dec.summands])
         return dec
 
     monkeypatch.setattr(fusion, "_pair_product", doubled)
-    message = "product F1 x X2 produced multiplicity 2, expected 0, 1 or 3"
-    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+    return calls
+
+
+def test_build_table_rejects_a_multiplicity_other_than_0_1_or_p(monkeypatch):
+    p = 3
+    double_f1_x2(monkeypatch)
+    with pytest.raises(ClassificationError, match=f"^{re.escape(DOUBLED_MESSAGE)}$"):
         build_table(p, workers=1)
+
+
+def test_a_serial_build_table_stops_at_the_first_bad_product(monkeypatch):
+    # F1 x X2 is pair 54 of the 64 at p=3 (F1 is the 7th label, X2 the 6th):
+    # each product is checked as it lands, so no later pair is computed
+    calls = double_f1_x2(monkeypatch)
+    with pytest.raises(ClassificationError, match=f"^{re.escape(DOUBLED_MESSAGE)}$"):
+        build_table(3, workers=1)
+    assert len(calls) == 54
+    assert tuple(map(str, calls[-1])) == ("F1", "X2")
+
+
+def test_a_pooled_build_table_reports_a_bad_product_with_the_serial_message(monkeypatch):
+    # a forked two-worker pool inherits the doubling _pair_product, and every
+    # product is made in a worker; the bad one is checked in the parent as it
+    # lands, and no worker is left
+    import concurrent.futures
+    import functools
+    import multiprocessing
+    import os
+
+    forked = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = double_f1_x2(monkeypatch)
+    with pytest.raises(ClassificationError, match=f"^{re.escape(DOUBLED_MESSAGE)}$"):
+        build_table(3, workers=2)
+    assert calls == []
+    assert multiprocessing.active_children() == []
+
+
+def test_a_pooled_build_table_starts_no_queued_row_after_a_bad_product(monkeypatch, tmp_path):
+    # T x T, the first pair at p=5, is doubled and every other pair takes
+    # 10 ms, so the twelve rows of twelve take about 0.7 s on two workers.
+    # Once T x T lands, the parent cancels the rows still queued: only those
+    # already handed to a worker run (about half), and some of the 144 pairs
+    # are never computed.
+    import concurrent.futures
+    import functools
+    import multiprocessing
+    import os
+    import time
+
+    log, pair_product, T = tmp_path / "calls", fusion._pair_product, label_parse("T")
+
+    def slow_or_doubled(entries, a, b):
+        with open(log, "a") as calls:
+            calls.write(".")
+        dec = pair_product(entries, a, b)
+        if a == b == T:
+            return Decomposition.from_pairs([(label, 2 * mult) for label, mult in dec.summands])
+        time.sleep(0.01)
+        return dec
+
+    forked = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forked)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fusion, "_pair_product", slow_or_doubled)
+    message = "product T x T produced multiplicity 10, expected 0, 1 or 5"
+    with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+        build_table(5, workers=2)
+    assert multiprocessing.active_children() == []
+    assert len(log.read_text()) < 144
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_orbit_names_invert_label_invariants_off_the_full_group(p):
+    # one entry per subgroup in enumerate_subgroups order: the label whose
+    # label_invariants subgroup it is, and None at the full group, whose
+    # orbits are named F_q by their exponent
+    subgroups, labels = fusion._orbit_names(p)
+    assert subgroups == tuple(enumerate_subgroups(p))
+    assert len(labels) == len(subgroups)
+    for stab, label in zip(subgroups, labels):
+        if stab.kind == "full":
+            assert label is None
+        else:
+            assert label_invariants(p, label) == (stab, 0)
+    assert sorted(map(str, filter(None, labels))) == sorted(str(label) for label in all_labels(p) if label.kind != "F")
 
 
 def test_decompose_worked_products():

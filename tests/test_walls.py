@@ -1,7 +1,13 @@
 import itertools
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from bpring import walls
 from bpring.bimodules import BimoduleLabel, Decomposition, all_labels, label_invariants, label_parse
 from bpring.closed_form import closed_form_table
 from bpring.groups import subgroup_from_generators
@@ -18,6 +24,7 @@ from bpring.walls import (
     oracle_table,
     wall_of,
 )
+from ring_oracle import relabellings
 from wall_oracle import compose, label_of_wall, lagrangian, lagrangian_subgroups, spin, wall_points
 
 E = BoundaryType.E_CONDENSING
@@ -227,11 +234,53 @@ def test_fuse_walls_builds_the_basis_once(monkeypatch):
 
 
 def test_oracle_invariants_match_the_catalogue_labels():
-    # the one place where the oracle's (H, q) table meets bimodules.label_invariants
+    # the one place where the oracle's (H, q) table meets bimodules.label_invariants;
+    # read through the module, so that a relabelled table is read too
     for p in (2, 3, 5, 7, 11, 13):
         for label in all_labels(p):
-            gens, q = _invariants(p, label)
+            gens, q = walls._invariants(p, label)
             assert (subgroup_from_generators(p, gens), q) == label_invariants(p, label), (p, label)
+
+
+def test_the_invariants_comparison_pins_the_oracle_labels_against_every_automorphism(monkeypatch):
+    # An automorphism sigma of the table, put into the oracle's (H, q) table,
+    # leaves oracle_table equal to the closed form: the walls are named by
+    # the same relabelled basis they were built from.  The comparison with
+    # label_invariants must see it.
+    invariants = walls._invariants
+    for p in (3, 5):
+        for sigma in relabellings(p):
+            with monkeypatch.context() as m:
+                m.setattr(walls, "_invariants", lambda q, label: invariants(q, sigma[label] if q == p else label))
+                assert oracle_table(p).constants == closed_form_table(p).constants
+                with pytest.raises(AssertionError):
+                    test_oracle_invariants_match_the_catalogue_labels()
+
+
+def test_wall_of_raises_on_a_subgroup_that_is_not_isotropic(tmp_path):
+    # No basis label's (H, q) reaches wall_of's isotropy check; a copy of the
+    # package whose basis reads h2 for -h2 does, with X1 at p=3, in wall_of
+    # and through verify, in a fresh interpreter each
+    package = tmp_path / "bpring"
+    shutil.copytree(Path(walls.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / "walls.py").read_text()
+    assert source.count("-h2 % p") == 1
+    (package / "walls.py").write_text(source.replace("-h2 % p", "h2 % p"))
+    env = {k: v for k, v in os.environ.items() if k != "BPRING_THREADS"}
+    env.update(PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    probe = (
+        "from bpring.bimodules import label_parse\n"
+        "from bpring.walls import OracleError, wall_of\n"
+        "try:\n"
+        "    wall_of(3, label_parse('X1'))\n"
+        "except OracleError as exc:\n"
+        "    print(wall_of.__module__, wall_of.__code__.co_filename, exc, sep='\\n')\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    message = "the subgroup L of X1 at p=3 is not isotropic for c1*h1 - c2*h2"
+    assert run.stdout == f"bpring.walls\n{package / 'walls.py'}\n{message}\n"
+    run = subprocess.run([sys.executable, "-m", "bpring.cli", "verify", "--p", "3"], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (3, "", f"internal error: {message}\n")
 
 
 def test_each_wall_is_the_lagrangian_subgroup_of_its_label():
