@@ -6,9 +6,10 @@ Every coefficient the engine makes is a single monomial.  The argument:
   is trivial or everything.  A connector, an identity or a character
   projector I_k = (1/p) sum_b zeta^(kb) . (rung b) therefore carries
   c * zeta^(alpha b + gamma) on one rung or on every rung b.
-- The outer actions multiply rung b by zeta^e(b), and bpring.fusion's
-  _exponent checks that e is linear in b on every End it acts on, so an
-  acted morphism keeps that shape.
+- The outer actions multiply rung b by zeta^e(b), and each factor's leg
+  record (bpring.karoubi.leg) checks that e is linear in b on the rung
+  stabilizer of each of its simples, so on every End the actions reach,
+  and an acted morphism keeps that shape.
 - On an output rung of a composite (bpring.ladders.group_algebra_product),
   a product of two such morphisms sums either one term, or p terms
   c * zeta^(beta b1 + delta) over all b1 in Z_p.  That sum is p c zeta^delta

@@ -9,11 +9,12 @@ simple and re-anchors the result to its class.
 Classifying the product reads the following, each described where it is done:
 
 - _steps: the class each simple goes to under the generator 1 of each
-  side, read on class indices with the checks of _exponent and one
-  fixedness check per leg simple (_leg_fault: a generator keeps its leg's
-  rung-fixed simples fixed), a block of a row at a time, each N-fixed row
-  by one rule (_offsets) and at most one gather from one class range, no
-  simple built;
+  side, read on class indices with each leg's e(1), a block of a row at a
+  time, each N-fixed row by one rule (_offsets) and at most one gather from
+  one class range, no simple built.  Each leg record (karoubi.leg) checks
+  that its e(1) is a character of each rung stabilizer and that the
+  generator keeps its leg's rung-fixed simples fixed, and stores a failure
+  as data, which _step_fault raises;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
 - _stabilizer: an orbit's stabilizer, read from its size, as a position in
@@ -78,12 +79,6 @@ def _orbit_names(p: int) -> tuple[tuple[Subgroup, ...], tuple[BimoduleLabel | No
 
 
 @lru_cache(maxsize=None)
-def _character(p: int, e1: int) -> tuple[int, ...]:
-    """(b e1 mod p for every rung b): the exponents of the character of Z_p with e(1) = e1."""
-    return tuple(b * e1 % p for b in range(p))
-
-
-@lru_cache(maxsize=None)
 def _rotation(p: int, e1: int) -> tuple[int, ...]:
     """((k + e1) mod p for every character k): where acting with e(1) = e1 moves the characters."""
     return tuple((k + e1) % p for k in range(p))
@@ -111,11 +106,15 @@ class RelativeTensorProduct:
     """Kar(Lad(M, N)) with its outer actions, associator, and classification.
 
     A decomposition is meaningful only for factors that pass
-    bimodules.validate.  The engine checks only the rows of the generator 1
-    that it reads, so a factor that fails validate can still decompose: one
-    whose left and right actions do not commute while its generator keeps
-    the rung-fixed simples fixed, or one whose mixed table is not additive
-    in g or in h.
+    bimodules.validate.  Each factor's leg record (karoubi.leg) checks that
+    factor alone, whatever the other: on M's leg, that its rung rows are a
+    Z_p action, in full when it has a free orbit; on each leg, e(1) on each
+    simple's own rung stabilizer, and that the generator 1 keeps the orbit
+    bases fixed or free.  A pair raises M's fault before N's.  Beyond those
+    checks the engine reads only the rows of the generator 1, so a factor
+    that fails validate can still decompose: one whose left and right
+    actions do not commute while its generator keeps the rung-fixed simples
+    fixed, or one whose mixed table is not additive in g or in h.
     """
 
     def __init__(self, M: BimoduleData, N: BimoduleData):
@@ -181,31 +180,6 @@ class RelativeTensorProduct:
         c, u = self.env.locate(LadderMorphism._nonzero(at(s), at(t), acted))
         return ActionMorphism(g, side, simple, self.env.simple(c), u.scale(u.coeffs[min(u.coeffs)].inv()))
 
-    def _exponent(self, side: str, leg: int, dim: int) -> int:
-        """e(1) for acting by 1 on side, on an object whose End has dimension dim.
-
-        leg is the index of the object's simple on that side.  Checks on
-        every call that e(b) = b e(1) for every rung b of End(obj), as
-        _steps needs.  When that side's entry has trivial_mixed set,
-        the table is all zero, which is the character with e(1) = 0 on every
-        rung, and 0 is returned with no read.
-        """
-        if (self.M if side == "left" else self.N).trivial_mixed:
-            return 0
-        if side == "left":
-            exps = tuple(self.M.mixed[1][leg][:dim])
-            simple = self.M.simples[leg]
-        else:
-            exps = tuple([self.N.mixed[b][leg][1] for b in range(dim)])
-            simple = self.N.simples[leg]
-        e1 = exps[1] if dim > 1 else 0
-        if exps != _character(self.p, e1)[:dim]:
-            raise ClassificationError(
-                f"the {side} mixed associator on {format_simple(simple)} "
-                "is not a character of its rung stabilizer"
-            )
-        return e1
-
     @cached_property
     def _steps(self) -> tuple[list[int], list[int]]:
         """Each simple's index after acting by 1 on the left, and on the right.
@@ -215,12 +189,13 @@ class RelativeTensorProduct:
         the right moves its N leg to shift_n[n] = N.right[1][n], into row
         shift_n[n].  Class c + k, the character k of a base whose End has
         dimension dim, goes to class_at(shift(base)) + (k + e(1)) mod p,
-        after checking that e(b) = b e(1) on every rung of that End
-        (_exponent) and that the shift keeps each leg simple it moves fixed
-        or free (_leg_fault), which keeps every End dimension.  These checks
-        are the condition under which re-anchoring the acted projector I_k to
-        the stored I_(k+e(1)) succeeds, so the tables check no less than the
-        witness route does.  A failure is a ClassificationError.  The tables
+        after checking that e(b) = b e(1) on every rung of that End and that
+        the shift keeps each leg simple it moves fixed or free, which keeps
+        every End dimension; each leg's record (karoubi.leg) holds the e(1)
+        and the outcome of both checks.  These checks are the condition
+        under which re-anchoring the acted projector I_k to the stored
+        I_(k+e(1)) succeeds, so the tables check no less than the witness
+        route does.  A failure is a ClassificationError.  The tables
         are built a row at a time over the rows that make classes (see
         KarEnvelope._walk_rows), the left block of a row before its right
         block, each gathered in C.  The right block reads the target row
@@ -240,89 +215,77 @@ class RelativeTensorProduct:
           product's one class range, built on the first such block (T x T
           builds none).
 
-        The checks run in the row's order.  The left ones depend on M alone
-        and run on the first row of each kind: on a free base row, e(1) on
-        each M simple and then fixedness on each M base; on an N-fixed row,
-        e(1) and fixedness on each M base in turn.  The right ones run on
-        each row: e(1), read on a fixed M simple when the row is N-fixed and
-        M has one, which checks every rung the row's objects have, then
-        whether the row steps into a row of its own kind.  A leg is fixed or
-        free on every rung, so the End dimension of an object is read from
-        its two legs.  No simple is built.
+        A leg's step fault is raised first, M's before N's, so each entry's
+        e(1) and fixedness are checked on its own rung stabilizers, whatever
+        the other factor.  A leg is fixed or free on every rung, so the End
+        dimension of an object is read from its two legs.  No simple is
+        built.
         """
-        env, p, width = self.env, self.p, self._width
-        shift_m, shift_n = self.M.left[1], self.N.right[1]
-        m_rung, n_rung = env.leg_m.rung, env.leg_n.rung
-        fixed_dim = p if FIXED in m_rung else 1  # the largest End dimension of an N-fixed row
+        env, m_leg, n_leg = self.env, self.env.m, self.env.n
+        if m_leg.step_fault or n_leg.step_fault:
+            self._step_fault("left" if m_leg.step_fault else "right", *(m_leg.step_fault or n_leg.step_fault))
+        shift_m, shift_n, n_e1, width = self.M.left[1], self.N.right[1], n_leg.e1, self._width
         lefts = [None, None]  # the left step of a free base row (a gatherer), of an N-fixed row (see _block)
         right_blocks: dict = {}  # e(1) -> the right step of an N-fixed row (see _block)
         classes: list[int] = []  # the class range that _block gathers from, filled on first use
         count, lstep, rstep = env.simple_count, [], []
-        for n, r in enumerate(n_rung):
+        for n, r in enumerate(n_leg.rung):
             if r > 0:
                 continue  # a row of a free N orbit other than its base makes no class
             fixed = r == FIXED
             if lefts[fixed] is None:
-                if not fixed:
-                    for m in range(width):
-                        self._exponent("left", m, 1)
-                e1s = []
-                for x in env.pattern_bases:
-                    x_fixed = m_rung[x] == FIXED
-                    if fixed:
-                        e1s.append(self._exponent("left", x, p if x_fixed else 1))
-                    if (m_rung[shift_m[x]] == FIXED) != x_fixed:
-                        self._leg_fault("left", x)
-                lefts[fixed] = [self._offsets(shift_m, e1s), None] if fixed else gatherer(shift_m)
-            e1 = self._exponent("right", n, fixed_dim if fixed else 1)
-            if (n_rung[shift_n[n]] == FIXED) != fixed:
-                self._leg_fault("right", n)
+                lefts[fixed] = [self._offsets(shift_m, m_leg.e1), None] if fixed else gatherer(shift_m)
             row, target = env.class_row(n), env.class_row(shift_n[n])
             if fixed:
                 lstep += _block(lefts[fixed], row[0], classes, count)
-                block = right_blocks.get(e1)
+                block = right_blocks.get(n_e1[n])
                 if block is None:
-                    block = right_blocks[e1] = [self._offsets(None, [e1] * len(env.pattern_bases)), None]
+                    block = right_blocks[n_e1[n]] = [self._offsets(None, (n_e1[n],) * width), None]
                 rstep += _block(block, target[0], classes, count)
             else:
                 lstep += lefts[fixed](row)
                 rstep += target
         return lstep, rstep
 
-    def _offsets(self, shift: Sequence[int] | None, e1s: Sequence[int]) -> list[int]:
+    def _offsets(self, shift: Sequence[int] | None, e1: Sequence[int]) -> list[int]:
         """A step block of an N-fixed row into an N-fixed row, counted from the first class of each.
 
         Per M orbit, in the order of M's leg pattern, with base x and e(1)
-        e1s[i] for the i-th: class j of the row, the k-th class of x, goes to
-        the target row's class of shift[x] (the envelope's _pattern_first),
-        plus (k + e(1)) mod p on a fixed x, and to that class on a free one.
-        A shift of None is the identity, read by the envelope's pattern_get.
-        Returns those offsets, which _block adds to the target row's first
-        class.
+        e1[x]: class j of the row, the k-th class of x, goes to the target
+        row's class of shift[x] (M's first, see karoubi.leg), plus (k +
+        e(1)) mod p on a fixed x, and to that class on a free one.  A shift
+        of None is the identity, read by M's pattern gatherer.  Returns
+        those offsets, which _block adds to the target row's first class.
         """
-        env, p = self.env, self.p
-        first, m_rung = env._pattern_first, env.leg_m.rung
-        at = env.pattern_get(first) if shift is None else [first[shift[x]] for x in env.pattern]
+        m, p = self.env.m, self.p
+        first = m.first
+        at = m.get(first) if shift is None else [first[shift[x]] for x in m.pattern]
         chars = []
-        for x, e1 in zip(env.pattern_bases, e1s):
-            chars += _rotation(p, e1) if m_rung[x] == FIXED else (0,)
+        for x in m.bases:
+            chars += _rotation(p, e1[x]) if m.rung[x] == FIXED else (0,)
         return list(map(add, at, chars))
 
-    def _leg_fault(self, side: str, x: int):
-        """Raise the fault of acting by 1 on side moving the leg simple x between its leg's fixed and free simples.
+    def _step_fault(self, side: str, kind: str, x: int):
+        """Raise the step fault (kind, x) of the leg on side (see karoubi.leg) as a ClassificationError.
 
-        The objects on x and a fixed simple of the other leg change their
-        End dimension, and the message names the one on the first such
-        simple; when the other leg has none, it names x's rung stabilizer.
+        A "character" fault names the mixed associator of side on the leg
+        simple x.  A "moves" fault, acting by 1 on side moving x between its
+        leg's fixed and free simples, changes the End dimension of the
+        objects on x and a fixed simple of the other leg, and the message
+        names the one on the first such simple; when the other leg has none,
+        it names x's rung stabilizer.
         """
-        env, width = self.env, self._width
-        other = (env.leg_n if side == "left" else env.leg_m).rung
-        if FIXED in other:
-            y = other.index(FIXED)
-            i = y * width + x if side == "left" else x * width + y
-            raise ClassificationError(f"acting on the {side} changes the End dimension of {self.lad.object_at(i)}")
-        simple = (self.M if side == "left" else self.N).simples[x]
-        raise ClassificationError(f"acting on the {side} changes the rung stabilizer of {format_simple(simple)}")
+        simple = format_simple((self.M if side == "left" else self.N).simples[x])
+        if kind == "character":
+            raise ClassificationError(
+                f"the {side} mixed associator on {simple} is not a character of its rung stabilizer"
+            )
+        other = (self.env.n if side == "left" else self.env.m).rung
+        if FIXED not in other:
+            raise ClassificationError(f"acting on the {side} changes the rung stabilizer of {simple}")
+        y, width = other.index(FIXED), self._width
+        obj = self.lad.object_at(y * width + x if side == "left" else x * width + y)
+        raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
 
     # -- mixed associator -----------------------------------------------------
 

@@ -25,12 +25,17 @@ class and object indices: another row is read off its base row, and an
 object's rung and End dimension off its two legs.  Each mechanic is
 described where it is done:
 
-- _leg_orbits: the rung orbits of each leg, checked to be Z_p orbits;
-- _leg_pattern, _walk_rows and _back_rows: the classes, a row of objects at
-  a time, each row read off M's leg pattern (ring.gatherer);
+- leg: one record per leg, built from that entry's tables alone: the rung
+  orbits, checked to be Z_p orbits, on M's leg its pattern of classes
+  (ring.gatherer) and the rows that read a row of objects off its base row,
+  checked in full, and each simple's e(1), checked to be a character of its
+  rung stabilizer; a fault is stored as data, and the envelope raises a
+  rung fault, the step tables of bpring.fusion a step fault;
+- _walk_rows: the classes, a row of objects at a time, each row read off
+  M's leg pattern;
 - _class_rung, class_at, dimension_at and class_row: an object's class,
   rung and End dimension, and a row's classes, read from the stored rows and
-  the leg orbits;
+  the two leg records;
 - simple, representative and simples: a class's idempotent on its base,
   one of the character projectors that _projector_coeffs stores and checks
   idempotent once per prime, bound by each envelope that has a fixed
@@ -43,20 +48,22 @@ described where it is done:
   morphism, which it first checks to be an endomorphism;
 - proportionality: the scalar ratio of two coefficient dicts.
 
-The step tables and the witness route of bpring.fusion read these lists and
-methods.  The step tables check there that each outer generator keeps the
-fixed simples of its leg fixed, so that every row of objects steps into a
-row of its own kind, N-fixed or free, and M's leg pattern describes both.
+The step tables and the witness route of bpring.fusion read these lists,
+records and methods.  Each leg record checks that the outer generator of
+its side keeps the fixed simples of its leg fixed, so that every row of
+objects steps into a row of its own kind, N-fixed or free, and M's leg
+pattern describes both.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 
+from .bimodules import BimoduleData
 from .cyclotomic import CyclotomicScalar, monomial
-from .ladders import EngineError, LadderCategory, LadderMorphism, LadderObject, group_algebra_product
+from .ladders import EngineError, LadderCategory, LadderMorphism, group_algebra_product
 from .ring import gatherer
 
 
@@ -126,61 +133,114 @@ def proportionality(f: dict, g: dict, one: CyclotomicScalar) -> CyclotomicScalar
 
 FIXED = -1  # the rung from the base recorded for a fixed object or leg simple
 
+# the message templates of a rung fault, filled with the object and p
+_NOT_FIXED = "rung 1 fixes {} but not every rung does, at p={}"
+_NOT_AN_ORBIT = "the rung orbit of {} is not a Z_p orbit at p={}"
 
-# The rung orbits of one leg: per simple, its orbit's base and its rung from
-# it, FIXED on a fixed simple.
-LegOrbits = namedtuple("LegOrbits", "base rung")
+
+# One leg of Lad(M, N), as leg builds it from one entry's tables alone; the
+# left-only fields and every field past a rung fault are None.
+LegRecord = namedtuple(
+    "LegRecord", "rows base rung first pattern bases get back e1 rung_fault step_fault", defaults=(None,) * 10
+)
 
 
-def _leg_orbits(rows: Sequence[Sequence[int]], p: int, name: Callable[[int], LadderObject]) -> LegOrbits:
-    """The rung orbits of the leg whose rung-b row is rows[b].
+def leg(entry: BimoduleData, side: str) -> LegRecord:
+    """The leg of entry in a ladder category, as its M on side "left" or its N on side "right".
 
-    Simples are walked in order, so the first one met of each orbit is its
-    least one and becomes the base; its p-1 rung images decide the orbit:
-    all equal to the base (fixed) or p-1 new simples (free); anything else
-    means the rows are not a Z_p action and raises UnsupportedEndAlgebra.
-    A leg whose rows 1 to p-1 are all the identity tuple is fixed without
-    the walk.  name(x) is the object an error message names for the simple x.
+    Rung b acts on M's leg by rows[b] = M.right[-b] and on N's by rows[b] =
+    N.left[b].  The rung orbits come from a walk over the simples in order:
+    the first one met of each orbit is its least one and becomes the base,
+    and its p-1 rung images decide the orbit, all equal to the base (fixed,
+    rung FIXED) or p-1 new simples (free, rung b from the base).  A leg whose
+    rows 1 to p-1 are all the identity tuple is fixed without the walk.
+    Anything else means the rows are not a Z_p action: the rung fault
+    (message template, simple), which KarEnvelope raises naming the pair's
+    object on that simple, and no other field is filled.
+
+    On the left only, M's leg pattern, the classes of a row whose N leg is
+    fixed: per simple, its first class counted from the row's first; per
+    class, the simple of its base, p classes on a fixed simple and one on a
+    free orbit at its base; the orbit bases in order; and the gatherer of a
+    row at each class's base.  When the leg has a free orbit, back is
+    M.right: back[b] = rows[p-b] is rung -b, which inverts rung b, and a
+    free N orbit's rung-b row reads its classes off its base row gathered at
+    back[b] (see KarEnvelope._walk_rows), each gatherer built when read.
+    That reads every entry of M's rows, which the walk does not, so they are
+    checked in full, whatever the other factor: rung 1 followed by rung b is
+    rung b+1 for b < p-1, and the identity for b = p-1; a failure is the
+    rung fault of the first simple where it fails.
+
+    e1 is each simple's e(1) for acting by 1 on side, checked to be a
+    character of the simple's own rung stabilizer: e(b) = b e(1) on every
+    rung b of a fixed simple, read as M.mixed[1][x][b] or N.mixed[b][x][1],
+    and e(0) = 0 on a free one, whose e(1) is 0.  An entry with trivial_mixed
+    set has e1 all 0, read with no exponent.  The generator 1 of side, which
+    moves the leg by M.left[1] or N.right[1], must keep each orbit base fixed
+    or free; the scan runs only on a leg that has fixed and free simples.
+    The step fault is the first failure of the two by simple, ("character",
+    x) before ("moves", x) on one simple, which the step tables of
+    bpring.fusion raise.
     """
-    count, later = len(rows[0]), rows[1:]
-    simples = tuple(range(count))
+    p, count = entry.p, len(entry.simples)
+    if side == "left":
+        rows, shift = entry.right[:1] + entry.right[:0:-1], entry.left[1]
+    else:
+        rows, shift = entry.left, entry.right[1]
+    later, simples = rows[1:], tuple(range(count))
     if later.count(simples) == p - 1:
-        return LegOrbits(simples, (FIXED,) * count)
-    base, rung = [-1] * count, [0] * count
-    for x in simples:
-        if base[x] >= 0:
-            continue
-        base[x] = x
-        images = [row[x] for row in later]
-        if images[0] == x:
-            if images.count(x) != p - 1:
-                raise UnsupportedEndAlgebra(f"rung 1 fixes {name(x)} but not every rung does, at p={p}")
-            rung[x] = FIXED
-            continue
-        for b, t in enumerate(images, 1):
-            if base[t] >= 0:
-                raise UnsupportedEndAlgebra(f"the rung orbit of {name(x)} is not a Z_p orbit at p={p}")
-            base[t] = x
-            rung[t] = b
-    return LegOrbits(tuple(base), tuple(rung))
-
-
-def _leg_pattern(leg: LegOrbits, p: int) -> tuple[list[int], list[int], list[int]]:
-    """(pattern_first, pattern, bases): the classes of a row along this leg where the other leg is fixed.
-
-    Per simple, its first class counted from the row's first; per class, the
-    simple of its base, p classes on a fixed simple and one on a free orbit
-    at its base; and the orbit bases in order.
-    """
-    first, pattern, bases = [], [], []
-    for x, r in enumerate(leg.rung):
-        if r > 0:
-            first.append(first[leg.base[x]])
-            continue
-        first.append(len(pattern))
-        bases.append(x)
-        pattern += [x] * (p if r == FIXED else 1)
-    return first, pattern, bases
+        base, rung = simples, (FIXED,) * count
+    else:
+        base, rung = [-1] * count, [0] * count
+        for x in simples:
+            if base[x] >= 0:
+                continue
+            base[x] = x
+            images = [row[x] for row in later]
+            if images[0] == x:
+                if images.count(x) != p - 1:
+                    return LegRecord(rows, rung_fault=(_NOT_FIXED, x))
+                rung[x] = FIXED
+                continue
+            for b, t in enumerate(images, 1):
+                if base[t] >= 0:
+                    return LegRecord(rows, rung_fault=(_NOT_AN_ORBIT, x))
+                base[t] = x
+                rung[t] = b
+        base, rung = tuple(base), tuple(rung)
+    first = pattern = bases = get = back = None
+    if side == "left":
+        first, pattern, bases = [], [], []
+        for x, r in enumerate(rung):
+            first.append(first[base[x]] if r > 0 else len(pattern))
+            if r <= 0:
+                bases.append(x)
+                pattern += [x] * (p if r == FIXED else 1)
+        get = gatherer(pattern)
+        if len(pattern) != p * count:
+            then = gatherer(rows[1])  # rung 1 followed by rung b, against rung b+1
+            for b in range(1, p):
+                got, want = then(rows[b]), tuple(rows[b + 1]) if b + 1 < p else simples
+                if got != want:
+                    x = next(x for x in simples if got[x] != want[x])
+                    return LegRecord(rows, rung_fault=(_NOT_AN_ORBIT, x))
+            back = entry.right  # back[b] = rows[p-b]
+    fault = None
+    e1 = (0,) * count
+    if not entry.trivial_mixed:
+        mixed, e1 = entry.mixed, []
+        for x, r in enumerate(rung):
+            dim = p if r == FIXED else 1  # the order of the simple's rung stabilizer
+            exps = tuple(mixed[1][x][:dim]) if side == "left" else tuple([mixed[b][x][1] for b in range(dim)])
+            e1.append(exps[1] if dim > 1 else 0)
+            if exps != tuple(b * e1[-1] % p for b in range(dim)):
+                fault = ("character", x)
+                break
+    if 0 < rung.count(FIXED) < count:
+        moved = next((x for x in simples if rung[x] <= 0 and (rung[shift[x]] == FIXED) != (rung[x] == FIXED)), None)
+        if moved is not None and (fault is None or moved < fault[1]):
+            fault = ("moves", moved)
+    return LegRecord(rows, base, rung, first, pattern, bases, get, back, e1, None, fault)
 
 
 class KarEnvelope:
@@ -191,7 +251,8 @@ class KarEnvelope:
     row and per base row of a free N orbit, the class of each object's first
     simple.  Every other row is read off its base row, and each object's
     rung and End dimension off its two legs, when asked for, so the storage
-    grows with the classes, not with the |M|*|N| objects.
+    grows with the classes, not with the |M|*|N| objects.  Everything it
+    reads of one factor alone is that factor's leg record, m or n (see leg).
 
     No morphism it builds has a zero coefficient, so each is built by
     LadderMorphism._nonzero, without the constructor's copy and zero filter.
@@ -202,22 +263,20 @@ class KarEnvelope:
         self._one = monomial(lad.p, 1, 1, 0)
         self._identity = {0: self._one}  # every free base's idempotent shares it
         self._width = len(lad.M.simples)  # object index n*|M| + m
-        M, N = lad.M.simples, lad.N.simples
-        self.leg_m = _leg_orbits(lad.rung_m, lad.p, lambda m: LadderObject(M[m], N[0]))
-        self.leg_n = _leg_orbits(lad.rung_n, lad.p, lambda n: LadderObject(M[0], N[n]))
+        # the legs of M and N (see leg); M's rung fault is raised before N's
+        self.m, self.n = leg(lad.M, "left"), leg(lad.N, "right")
+        fault = self.m.rung_fault or self.n.rung_fault
+        if fault:
+            template, x = fault
+            i = x if self.m.rung_fault else x * self._width  # x with the other leg's first simple
+            raise UnsupportedEndAlgebra(template.format(lad.object_at(i), lad.p))
         # the stored projectors and their index, bound where a fixed object exists
         self._projectors = self._projector_keys = None
-        if FIXED in self.leg_m.rung and FIXED in self.leg_n.rung:
+        if FIXED in self.m.rung and FIXED in self.n.rung:
             self._projectors, self._projector_keys = _projector_coeffs(lad.p), _projector_index(lad.p)
-        # M's leg pattern, the classes of an N-fixed row (see _leg_pattern),
-        # and the gatherer of a row of objects or classes at each class's base
-        self._pattern_first, self.pattern, self.pattern_bases = _leg_pattern(self.leg_m, lad.p)
-        self.pattern_get = gatherer(self.pattern)
         # per row that makes classes: the class of each object's first simple
-        # (None on any other row); per class: the object index of its base;
-        # per rung b > 0: the gatherer that reads a free N orbit's rung-b row
-        # off its base row (None when M's leg is fixed or N has no free orbit)
-        self._rows, self._bases, self._back = self._walk_rows(self._pattern_first)
+        # (None on any other row); per class: the object index of its base
+        self._rows, self._bases = self._walk_rows()
 
     @cached_property
     def simples(self) -> list[KarSimple]:
@@ -226,7 +285,7 @@ class KarEnvelope:
 
     # -- class construction -------------------------------------------------
 
-    def _walk_rows(self, first: list[int]) -> tuple[list, list[int], list | None]:
+    def _walk_rows(self) -> tuple[list, list[int]]:
         """One class per character of a fixed object, one per free orbit, a row at a time.
 
         An object is fixed exactly when both legs are; otherwise its orbit
@@ -243,26 +302,23 @@ class KarEnvelope:
           M's leg;
         - the base row n0 of a free N orbit makes |M| new classes of
           dimension 1, one per object, each its own base;
-        - the row n = rung_n[b][n0] of that orbit makes none and is not
-          stored: the object (m, n) is the rung-b image of (rung_m[p-b][m],
-          n0), and takes its class, with rung b.  class_at and class_row read
-          it from row n0 through back[b] (see _back_rows), or as row n0
-          itself when M's leg is fixed, since rung p-b then fixes every m.
+        - the row n, the rung-b image of n0, of that orbit makes none and is
+          not stored: the object (m, n) is the rung-b image of (back[b][m],
+          n0), back[b] being M's rung -b (see leg), and takes its class, with
+          rung b.  class_at and class_row read it from row n0 through
+          back[b], or as row n0 itself when M's leg is fixed, since rung -b
+          then fixes every m.
 
-        first is M's pattern_first (see _leg_pattern).  An N-fixed row's
-        classes are the row's first class plus first, one addition per
-        object, and its bases are gathered in C; a free base row's are two
-        ranges.  Returns the class rows, per row index (None on a row that
-        makes no class), per class the object index of its base, and back
-        (None when M's leg is fixed or N's has no free orbit).  A fixed base
-        owns p consecutive classes, and class c of base i has character
-        index c - class_at(i).  The step tables of bpring.fusion read the
-        same rows, through class_row, the leg orbits and M's leg pattern
-        (_pattern_first, pattern, pattern_bases and pattern_get).
+        An N-fixed row's classes are the row's first class plus M's first,
+        one addition per object, and its bases are gathered in C; a free
+        base row's are two ranges.  Returns the class rows, per row index
+        (None on a row that makes no class), and per class the object index
+        of its base.  A fixed base owns p consecutive classes, and class c of
+        base i has character index c - class_at(i).  The step tables of
+        bpring.fusion read the same rows, through class_row and the two leg
+        records.
         """
-        p, width = self.lad.p, self._width
-        n_rung = self.leg_n.rung
-        size, fixed_bases = len(self.pattern), self.pattern_get
+        width, first, fixed_bases, n_rung = self._width, self.m.first, self.m.get, self.n.rung
         rows, bases = [None] * len(n_rung), []
         for n, r in enumerate(n_rung):
             if r > 0:
@@ -274,32 +330,7 @@ class KarEnvelope:
             else:
                 rows[n] = list(range(start, start + width))
                 bases += range(offset, offset + width)
-        # on a fixed M leg every rung row is the identity; otherwise the rows
-        # of a free N orbit are read through back, checked here
-        back = self._back_rows() if size != p * width and 0 in n_rung else None
-        return rows, bases, back
-
-    def _back_rows(self) -> list:
-        """Per rung b > 0, the gatherer of rung_m[p-b], after checking that M's rung rows are a Z_p action.
-
-        The row n = rung_n[b][n0] reads the class of (m, n) at (rung_m[p-b][m],
-        n0), the object whose rung-b image is (m, n) when rung p-b inverts
-        rung b.  That reads every entry of M's rows, which the leg walk does
-        not, so they are checked in full: rung 1 followed by rung b is rung
-        b+1 for b < p-1, and the identity for b = p-1.
-        """
-        lad, p = self.lad, self.lad.p
-        rows = lad.rung_m
-        back = [None] + [gatherer(rows[p - b]) for b in range(1, p)]
-        simples = tuple(range(len(rows[0])))
-        for b in range(1, p):
-            then_b = back[p - 1](rows[b])  # rung 1 followed by rung b
-            want = tuple(rows[b + 1]) if b + 1 < p else simples
-            if then_b != want:
-                m = next(m for m in simples if then_b[m] != want[m])
-                obj = LadderObject(lad.M.simples[m], lad.N.simples[0])
-                raise UnsupportedEndAlgebra(f"the rung orbit of {obj} is not a Z_p orbit at p={p}")
-        return back
+        return rows, bases
 
     # -- classes --------------------------------------------------------------
 
@@ -345,20 +376,20 @@ class KarEnvelope:
         The rung is FIXED on a fixed object, and both are read from the legs.
         On an N-fixed row the orbits are those of M's leg, so the rung is M's
         leg rung, and the class is stored.  On the base row n0 of a free N
-        orbit the rung is 0 and the class is stored.  On its row n =
-        rung_n[b][n0] the object (m, n) is the rung-b image of
-        (rung_m[p-b][m], n0), or of (m, n0) on a fixed M leg, and takes its
-        class, with rung b.
+        orbit the rung is 0 and the class is stored.  On its row n, the
+        rung-b image of n0, the object (m, n) is the rung-b image of (M's
+        back[b][m], n0), or of (m, n0) on a fixed M leg, and takes its class,
+        with rung b.
         """
         n, m = divmod(i, self._width)
-        b = self.leg_n.rung[n]
+        b = self.n.rung[n]
         if b == FIXED:
-            return self._rows[n][m], self.leg_m.rung[m]
+            return self._rows[n][m], self.m.rung[m]
         if b == 0:
             return self._rows[n][m], 0
-        if self._back is not None:
-            m = self.lad.rung_m[self.lad.p - b][m]
-        return self._rows[self.leg_n.base[n]][m], b
+        if self.m.back is not None:
+            m = self.m.back[b][m]
+        return self._rows[self.n.base[n]][m], b
 
     def dimension_at(self, i: int) -> int:
         """End dimension of the object with object_index i."""
@@ -374,15 +405,16 @@ class KarEnvelope:
         A stored row is returned as stored, not copied; any other row is
         gathered from its base row (see _walk_rows).
         """
-        b = self.leg_n.rung[n]
+        b = self.n.rung[n]
         if b <= 0:
             return self._rows[n]
-        row = self._rows[self.leg_n.base[n]]
-        return row if self._back is None else self._back[b](row)
+        row = self._rows[self.n.base[n]]
+        back = self.m.back
+        return row if back is None else gatherer(back[b])(row)
 
     def end_dimensions(self) -> dict[int, int]:
         """End dimension -> number of objects with it: the fixed M simples times the fixed N simples have p."""
-        fixed = self.leg_m.rung.count(FIXED) * self.leg_n.rung.count(FIXED)
+        fixed = self.m.rung.count(FIXED) * self.n.rung.count(FIXED)
         counts = {self.lad.p: fixed, 1: self.lad.object_count - fixed}
         return {d: c for d, c in counts.items() if c}
 

@@ -9,12 +9,11 @@ has one basis element per admissible rung b in Z_p, where admissibility means
 so each object has exactly p outgoing basic ladders, one per rung, and the
 rung-b target map  (m, n) -> (m < -b, b > n)  is a Z_p action on objects.
 The category numbers its objects j * |M| + i, for m the simple of index i of
-M and n that of index j of N, in the order of the bimodules' own simples.  It
-takes the rung action straight from the bimodules' tables, one row per rung
-and leg: rung b sends i to rung_m[b][i] = M.right[-b][i] and j to
-rung_n[b][j] = N.left[b][j].  These are rows of the catalogue entries, read
-once per entry, not once per pair; the Karoubi envelope walks them instead of
-building objects.
+M and n that of index j of N, in the order of the bimodules' own simples.
+The rung action comes straight from the bimodules' tables, one row per rung
+and leg: rung b sends i to M.right[-b][i] and j to N.left[b][j].  These are
+rows of the catalogue entries, which the Karoubi envelope walks, one leg
+record per entry (bpring.karoubi.leg), instead of building objects.
 
 Stacking the rung-b1 ladder under the rung-b2 ladder fuses to the rung b1+b2.
 In general the two rungs enclose a bubble whose coefficient comes from the
@@ -183,11 +182,8 @@ class LadderCategory:
             raise ValueError(f"mismatched primes {left.p} and {right.p}")
         self.M = left
         self.N = right
-        self.p = p = left.p
+        self.p = left.p
         self.object_count = len(left.simples) * len(right.simples)
-        # rung b sends (m, n) to (m < -b, b > n): rows of the entries' tables
-        self.rung_m = [left.right[-b % p] for b in range(p)]
-        self.rung_n = right.left
 
     def object_index(self, obj: LadderObject) -> int:
         """Position of obj in the canonical order, right leg first: N.index[n] * |M| + M.index[m]."""

@@ -1,6 +1,8 @@
 """Transformations of catalogue entries that give equivalent or hand-built bimodules, for the tests.
 
 - exponent_table builds a mixed-associator table from a function;
+- two_simples builds a two-simple entry whose rung action is not a Z_p
+  action, a defective leg;
 - gauge_twist twists an entry's mixed associator by a coboundary, which
   gives an equivalent bimodule whose exponents depend on the simple;
 - character_twist rescales an action that fixes every simple by a
@@ -22,6 +24,18 @@ def exponent_table(p, n, f):
     """mixed[g][i][h] = f(g, i, h) mod p for n simples."""
     return [[[f(g, i, h) % p for h in range(p)] for i in range(n)] for g in range(p)]
 
+
+
+def two_simples(p, s, side):
+    """Hand-built data that fails validate: simples 0 and 1, fixed for g in {0, s} only and swapped otherwise.
+
+    The action that moves them is the one that acts as the rung on side's
+    leg: the right action on the left (M's), the left action on the right
+    (N's).  The other action fixes both, and every exponent is 0.
+    """
+    moving, fixed = [[n if g in (0, s) else 1 - n for n in (0, 1)] for g in range(p)], [[0, 1]] * p
+    left, right = (fixed, moving) if side == "left" else (moving, fixed)
+    return BimoduleData(p, (0, 1), left, right, exponent_table(p, 2, lambda g, i, h: 0))
 
 def gauge_twist(entry, c, side):
     """entry with its mixed associator twisted by the coboundary of c: simples -> Z_p.

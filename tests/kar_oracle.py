@@ -270,7 +270,8 @@ def walk_objects(lad: LadderCategory) -> tuple[list[int], list[int], list[int]]:
     object index of its base.
     """
     p, width = lad.p, len(lad.M.simples)
-    rung_m, rung_n = lad.rung_m, lad.rung_n
+    # rung b sends (m, n) to (m < -b, b > n): read off the entries' own tables
+    rung_m, rung_n = [lad.M.right[-b % p] for b in range(p)], lad.N.left
     cls_of, rung_of, bases = [-1] * lad.object_count, [0] * lad.object_count, []
     for i in range(lad.object_count):
         if cls_of[i] >= 0:

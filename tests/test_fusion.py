@@ -22,7 +22,7 @@ from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, build_table
 from bpring.groups import enumerate_subgroups
 from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, _checked_idempotent, _projector_coeffs
+from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, _checked_idempotent, _projector_coeffs, leg
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from action_oracle import (
     act_on,
@@ -34,7 +34,7 @@ from action_oracle import (
     search_orbits,
     shifted_index,
 )
-from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel
+from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel, two_simples
 from kar_oracle import FIXED, base_at, connectors, kar_key, step_tables, walk_objects
 from scalar_oracle import is_one
 
@@ -842,14 +842,23 @@ def test_mixed_associator_off_the_rung_characters_is_a_classification_error():
     # Hand-built data that fails validate.  On the fixed object of
     # Lad(M, F0), acting by 1 on the left multiplies rung b by zeta^e with
     # e = M.mixed[1][*][b] = b^2, which is not a character of Z_5; mirrored,
-    # the right action multiplies it by zeta^(b^2) as well.
+    # the right action multiplies it by zeta^(b^2) as well.  The defective
+    # simple is checked on its own rung stabilizer, Z_5, whatever the other
+    # factor: paired with X1 or T, whose leg has no fixed simple, so that no
+    # object is fixed, each product raises all the same.  M's fault comes
+    # before N's: X1 with e(0) = 1 on its simple 0 fails on its own, on the
+    # first row of Lad(squares_in_h, X1), yet the left fault is raised.
     p = 5
-    F0 = catalogue_entry(p, label_parse("F0"))
+    F0, X1, T = (catalogue_entry(p, label_parse(name)) for name in ("F0", "X1", "T"))
     squares_in_h = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
     squares_in_g = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
-    for M, N, side in ((squares_in_h, F0, "left"), (F0, squares_in_g, "right")):
+    shifted_x1 = X1._replace(mixed=exponent_table(p, p, lambda g, n, h: 1 if (g, n, h) == (0, 0, 1) else 0), label=None)
+    cases = [(squares_in_h, N, "left") for N in (F0, X1, T, shifted_x1)]
+    cases += [(M, squares_in_g, "right") for M in (F0, X1, T)]
+    for M, N, side in cases:
         assert validate(M) != [] or validate(N) != []
-        with pytest.raises(ClassificationError, match=side):
+        message = f"the {side} mixed associator on * is not a character of its rung stabilizer"
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
             RelativeTensorProduct(M, N).analyze()
 
 
@@ -935,6 +944,53 @@ def test_a_step_that_moves_a_fixed_leg_simple_to_a_free_one_is_a_classification_
     for run in (RelativeTensorProduct.analyze, RelativeTensorProduct.decompose):
         with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
             run(RelativeTensorProduct(M, N))
+
+
+def leg_data(record, count):
+    """The fields of a leg record, its gatherer read by what it gathers from range(count)."""
+    return record._replace(get=None if record.get is None else record.get(range(count)))
+
+
+def test_a_leg_record_depends_on_its_entry_alone():
+    # The records an envelope builds for a pair equal those that karoubi.leg
+    # builds from each entry alone, for every partner.  A defective entry's
+    # fault is the same whatever the partner: a step fault is stored as the
+    # same data, though the message the step tables give it may name the
+    # partner (End dimension or rung stabilizer), and a rung fault is raised
+    # on the same simple, named with the partner's first simple.
+    fixes, moves = "rung 1 fixes {} but not every rung does, at p={}", "the rung orbit of {} is not a Z_p orbit at p={}"
+    for p in (2, 3, 5):
+        cat = catalogue(p)
+        for M, N in itertools.product(cat, repeat=2):
+            env = KarEnvelope(LadderCategory(M, N))
+            assert leg_data(env.m, len(M.simples)) == leg_data(leg(M, "left"), len(M.simples)), (p, M.label, N.label)
+            assert leg_data(env.n, len(N.simples)) == leg_data(leg(N, "right"), len(N.simples)), (p, M.label, N.label)
+        step_faulty, rung_faulty = [], []
+        if p < 5:  # noncommuting names p+1 simples from "abcd"
+            step_faulty += [(noncommuting(p), "left", ("moves", 0)), (noncommuting(p, True), "right", ("moves", 0))]
+        if p > 2:  # at p=2 every g is 0 or 1, and b^2 = b
+            F0 = catalogue_entry(p, label_parse("F0"))
+            squares_in_h = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
+            squares_in_g = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
+            step_faulty += [(squares_in_h, "left", ("character", 0)), (squares_in_g, "right", ("character", 0))]
+            # rung 1 acts by M.right[-1] and by N.left[1]
+            for side, s, template in (("left", p - 1, fixes), ("left", 1, moves), ("right", 1, fixes),
+                                      ("right", p - 1, moves)):
+                rung_faulty.append((two_simples(p, s, side), side, template))
+        for entry, side, fault in step_faulty:
+            record = leg(entry, side)
+            assert validate(entry) != [] and record.step_fault == fault, (p, side, fault)
+            for partner in cat:
+                env = KarEnvelope(LadderCategory(*((entry, partner) if side == "left" else (partner, entry))))
+                built = env.m if side == "left" else env.n
+                assert leg_data(built, len(entry.simples)) == leg_data(record, len(entry.simples)), (p, side, fault)
+        for entry, side, template in rung_faulty:
+            assert validate(entry) != []
+            for partner in cat:
+                lad = LadderCategory(*((entry, partner) if side == "left" else (partner, entry)))
+                message = template.format(lad.object_at(0), p)
+                with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+                    KarEnvelope(lad)
 
 
 def test_witness_associator_matches_the_route_that_acts_every_connector():

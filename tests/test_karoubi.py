@@ -11,6 +11,7 @@ from bpring.bimodules import catalogue, catalogue_entry, format_simple, label_pa
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, _projector_coeffs, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
+from bimodule_transforms import two_simples
 from scalar_oracle import from_rational, root_of_unity
 from kar_oracle import (
     as_oracle,
@@ -361,30 +362,12 @@ def test_rung_action_not_a_zp_action_is_unsupported():
         2: "the rung orbit of (*)(0) is not a Z_p orbit at p=5",
     }
     for s in (1, 2):
-        N = F0._replace(
-            simples=(0, 1),
-            left=[[n if g in (0, s) else 1 - n for n in (0, 1)] for g in range(p)],
-            right=[[0, 1]] * p,
-            mixed=[[[0] * p] * 2] * p,
-            label=None,
-        )
+        N = two_simples(p, s, "right")
         assert validate(N) != []
         lad = LadderCategory(F0, N)
         assert hom_rungs(lad, LadderObject("*", 0), LadderObject("*", 0)) == [0, s]
         with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(messages[s])}$"):
             KarEnvelope(lad)
-
-
-def _two_simples(p, s):
-    """Hand-built data that fails validate: simples 0 and 1, the right action fixing both for h in {0, s} only."""
-    F0 = catalogue_entry(p, label_parse("F0"))
-    return F0._replace(
-        simples=(0, 1),
-        left=[[0, 1]] * p,
-        right=[[n if h in (0, s) else 1 - n for n in (0, 1)] for h in range(p)],
-        mixed=[[[0] * p] * 2] * p,
-        label=None,
-    )
 
 
 def test_rung_action_on_the_m_leg_not_a_zp_action_is_unsupported():
@@ -402,7 +385,7 @@ def test_rung_action_on_the_m_leg_not_a_zp_action_is_unsupported():
             1: f"the rung orbit of (0)({n0}) is not a Z_p orbit at p=5",
         }
         for s, message in messages.items():
-            M = _two_simples(p, s)
+            M = two_simples(p, s, "left")
             assert validate(M) != []
             lad = LadderCategory(M, N)
             if right == "F0":
@@ -417,22 +400,29 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
     # At p=3 rung 1 permutes the M leg as (0 1 2)(3 4 5) at the bases 0 and
     # 3 but sends 1 to 5 and 4 to 2, so rung 1 twice is not rung 2.  The leg
     # walk reads the bases only and passes, and so did the per-object walk;
-    # the row rule reads all of M's rows, which are checked first.
+    # the row rule reads all of M's rows, which are checked first.  They are
+    # checked as a fact of M alone, also with F0, whose leg has no free
+    # orbit, so that no row is read off another, and M's fault comes before
+    # N's: paired with an N whose rung 1 fixes its simple 0 while rung 2
+    # does not, the pair still names M's fault.
     p = 3
-    X1 = catalogue_entry(p, label_parse("X1"))
     one, two = [1, 5, 0, 4, 2, 3], [2, 0, 1, 5, 3, 4]
-    M = catalogue_entry(p, label_parse("F0"))._replace(
+    F0 = catalogue_entry(p, label_parse("F0"))
+    M = F0._replace(
         simples=tuple(range(6)),
         left=[list(range(6))] * p,
         right=[list(range(6)), two, one],  # rung b acts by M.right[-b]
         mixed=[[[0] * p] * 6] * p,
         label=None,
     )
-    lad = LadderCategory(M, X1)
-    assert len(walk_objects(lad)[2]) == 6
-    message = "the rung orbit of (0)(0) is not a Z_p orbit at p=3"
-    with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
-        KarEnvelope(lad)
+    X1, N = catalogue_entry(p, label_parse("X1")), two_simples(p, 1, "right")
+    for right, n0, classes in ((X1, "0", 6), (F0, "*", 2), (N, "0", None)):
+        lad = LadderCategory(M, right)
+        if classes is not None:
+            assert len(walk_objects(lad)[2]) == classes
+        message = f"the rung orbit of (0)({n0}) is not a Z_p orbit at p=3"
+        with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+            KarEnvelope(lad)
 
 
 def test_locate_rejects_a_morphism_that_is_not_an_endomorphism():

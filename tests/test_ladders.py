@@ -9,7 +9,7 @@ from bpring import ladders
 from bpring.bimodules import BimoduleLabel, catalogue, catalogue_entry
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.fusion import RelativeTensorProduct, build_table
-from bpring.karoubi import _projector_coeffs
+from bpring.karoubi import _projector_coeffs, leg
 from bpring.ladders import (
     CompositionError,
     LadderCategory,
@@ -59,13 +59,14 @@ def test_rung_arrays_match_rung_targets():
     for p in (2, 3):
         for M, N in itertools.product(catalogue(p), repeat=2):
             lad = LadderCategory(M, N)
+            rung_m, rung_n = leg(M, "left").rows, leg(N, "right").rows
             objs = objects(lad)
             width = len(M.simples)
             for i, obj in enumerate(objs):
                 assert lad.object_index(obj) == i
                 n, m = divmod(i, width)
                 for b in range(p):
-                    assert objs[lad.rung_n[b][n] * width + lad.rung_m[b][m]] == rung_target(lad, obj, b)
+                    assert objs[rung_n[b][n] * width + rung_m[b][m]] == rung_target(lad, obj, b)
 
 
 def test_object_at_inverts_object_index():
