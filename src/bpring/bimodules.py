@@ -189,16 +189,11 @@ class BimoduleData(namedtuple("BimoduleData", "p simples left right mixed label"
     left[g][i] and right[h][i] are simple indices and mixed[g][i][h] an
     exponent mod p (see the module docstring).  The tables may share rows;
     the catalogue's zero exponent table is one row repeated.  The record is
-    immutable, and index and trivial_mixed are read once from it, so build a
-    new instance with entry._replace(...) to change a field.  label names
+    immutable, and trivial_mixed is read once from it, so build a new
+    instance with entry._replace(...) to change a field.  label names
     the catalogue entry the tables present, or is None; its subgroup and
     cocycle index come from label_invariants.
     """
-
-    @cached_property
-    def index(self) -> dict:
-        """Simple -> its position in simples."""
-        return {m: i for i, m in enumerate(self.simples)}
 
     @cached_property
     def trivial_mixed(self) -> bool:

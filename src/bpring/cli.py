@@ -239,13 +239,13 @@ def _run(argv) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             _write_stdout(text)
     except OSError as exc:
-        print(f"cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        print(f"cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
         return 1
     return code
 

@@ -121,19 +121,16 @@ class CyclotomicScalar:
         return cls(p, 0)
 
     def __mul__(self, other):
-        if type(other) is not CyclotomicScalar:
-            # the factors _ratio takes; any other, a bool or a float, raises TypeError
-            if type(other) is not int:
-                from fractions import Fraction
-
-                if not isinstance(other, Fraction):
-                    return NotImplemented
+        if type(other) is CyclotomicScalar:
+            p = self.p
+            if other.p != p:
+                raise ValueError(f"mismatched primes {p} and {other.p}")
+            k = self.k + other.k
+            return monomial(p, self.num * other.num, self.den * other.den, k - p if k >= p else k)
+        try:
             return self.scale(other)
-        p = self.p
-        if other.p != p:
-            raise ValueError(f"mismatched primes {p} and {other.p}")
-        k = self.k + other.k
-        return monomial(p, self.num * other.num, self.den * other.den, k - p if k >= p else k)
+        except ValueError:  # not a factor _ratio takes, e.g. a bool or a float: x * c raises TypeError
+            return NotImplemented
 
     def rotate(self, j: int) -> "CyclotomicScalar":
         """self * zeta^j: only the exponent moves.

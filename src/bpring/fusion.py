@@ -4,7 +4,8 @@ The simples of the product are those of the Karoubi envelope (bpring.karoubi).
 The outer Z_p actions have one core, _act, on (source index, target index,
 coefficient dict): in one call it moves one leg of each end and rotates each
 rung by an exponent of that side's mixed table.  outer_action applies it to a
-simple and re-anchors the result to its class.
+simple and re-anchors the result to its class through KarEnvelope._locate_at
+and _to_rep, as the witness route does.
 
 Classifying the product reads the following, each described where it is done:
 
@@ -171,14 +172,20 @@ class RelativeTensorProduct:
     def outer_action(self, g: int, side: str, simple: KarSimple) -> ActionMorphism:
         """The simple that g on side sends simple to, witnessed by the connector scaled to 1 on its least rung.
 
-        The acted representative is named by its objects and checked by KarEnvelope.locate.
+        simple is read as mixed_associator reads it, its base's object index
+        and its representative's coefficient dict, and re-anchored as
+        _witness_path re-anchors: KarEnvelope._locate_at checks the acted dict
+        against the stored primitive and _to_rep gives the connector.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        g, rep, index, at = g % self.p, simple.representative, self.lad.object_index, self.lad.object_at
-        s, t, acted = self._act(side, g, index(rep.source), index(rep.target), rep.coeffs)
-        c, u = self.env.locate(LadderMorphism._nonzero(at(s), at(t), acted))
-        return ActionMorphism(g, side, simple, self.env.simple(c), u.scale(u.coeffs[min(u.coeffs)].inv()))
+        g, env, at = g % self.p, self.env, self.lad.object_at
+        i = env._bases[simple.class_index]
+        s, _, acted = self._act(side, g, i, i, simple.representative.coeffs)
+        c, rung, e = env._locate_at(s, acted)
+        t, coeffs = env._to_rep(s, c, rung, e)
+        u = LadderMorphism._nonzero(at(s), at(t), coeffs)
+        return ActionMorphism(g, side, simple, env.simple(c), u.scale(u.coeffs[min(u.coeffs)].inv()))
 
     @cached_property
     def _steps(self) -> tuple[list[int], list[int]]:

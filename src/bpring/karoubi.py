@@ -40,19 +40,18 @@ described where it is done:
   one of the character projectors that _projector_coeffs stores and checks
   idempotent once per prime, bound by each envelope that has a fixed
   object; simple reads its base's class and rung once;
-- locate, _locate_at and _to_rep: the class of a primitive idempotent,
-  checked against the stored one (accepted at once when it is the stored
-  dict itself), and the connector to its representative.
-  _locate_at and _to_rep work on object indices and coefficient dicts, for
-  the witness route of bpring.fusion; locate is their public form on a
-  morphism, which it first checks to be an endomorphism;
+- _locate_at and _to_rep: the class of a primitive idempotent, checked
+  against the stored one (accepted at once when it is the stored dict
+  itself), and the connector to its representative, on object indices and
+  coefficient dicts, for the outer actions and the witness route of
+  bpring.fusion;
 - proportionality: the scalar ratio of two coefficient dicts.
 
-The step tables and the witness route of bpring.fusion read these lists,
-records and methods.  Each leg record checks that the outer generator of
-its side keeps the fixed simples of its leg fixed, so that every row of
-objects steps into a row of its own kind, N-fixed or free, and M's leg
-pattern describes both.
+The step tables, the outer actions and the witness route of bpring.fusion
+read these lists, records and methods.  Each leg record checks that the
+outer generator of its side keeps the fixed simples of its leg fixed, so
+that every row of objects steps into a row of its own kind, N-fixed or
+free, and M's leg pattern describes both.
 """
 
 from __future__ import annotations
@@ -371,7 +370,7 @@ class KarEnvelope:
     # -- queries --------------------------------------------------------------
 
     def _class_rung(self, i: int) -> tuple[int, int]:
-        """(class, rung) of the object with object_index i: the class of its first simple, and its rung from the base.
+        """(class, rung) of the object of index i: the class of its first simple, and its rung from the base.
 
         The rung is FIXED on a fixed object, and both are read from the legs.
         On an N-fixed row the orbits are those of M's leg, so the rung is M's
@@ -392,15 +391,15 @@ class KarEnvelope:
         return self._rows[self.n.base[n]][m], b
 
     def dimension_at(self, i: int) -> int:
-        """End dimension of the object with object_index i."""
+        """End dimension of the object of index i."""
         return self.lad.p if self._class_rung(i)[1] == FIXED else 1
 
     def class_at(self, i: int) -> int:
-        """Class of the first simple of the object with object_index i."""
+        """Class of the first simple of the object of index i."""
         return self._class_rung(i)[0]
 
     def class_row(self, n: int) -> Sequence[int]:
-        """class_at of the row n: the objects with object_index n*|M| + m, for every m.
+        """class_at of the row n: the objects of index n*|M| + m, for every m.
 
         A stored row is returned as stored, not copied; any other row is
         gathered from its base row (see _walk_rows).
@@ -418,29 +417,12 @@ class KarEnvelope:
         counts = {self.lad.p: fixed, 1: self.lad.object_count - fixed}
         return {d: c for d, c in counts.items() if c}
 
-    def locate(self, idem: LadderMorphism) -> tuple[int, LadderMorphism]:
-        """The class of the Kar object idem and the connecting map to its representative.
-
-        Reads the object index of idem's source once, checks that idem is an
-        endomorphism and hands its coefficient dict to _locate_at, which
-        checks it against the stored primitive; both faults raise one
-        UnsupportedEndAlgebra message.  Builds no simple and only the
-        to-representative connector.  On a base the connector is the base's
-        idempotent, sharing the stored coefficient dict on a fixed one.
-        """
-        i = self.lad.object_index(idem.source)
-        if idem.source != idem.target:
-            raise UnsupportedEndAlgebra(f"idempotent on {idem.source} is not a stored primitive")
-        c, rung, e = self._locate_at(i, idem.coeffs)
-        t, coeffs = self._to_rep(i, c, rung, e)
-        return c, LadderMorphism._nonzero(idem.source, idem.source if t == i else self.lad.object_at(t), coeffs)
-
     def _locate_at(self, i: int, coeffs: dict) -> tuple[int, int, dict]:
         """(c, rung, e) for the endomorphism with coeffs of the object of index i, checked to be a stored primitive.
 
-        The caller guarantees the endomorphism: locate checks it, and the
-        witness route of bpring.fusion acts on an idempotent, whose acted
-        coefficients it hands over with the acted object's index, so no
+        The caller guarantees the endomorphism: the outer actions and the
+        witness route of bpring.fusion act on an idempotent, whose acted
+        coefficients they hand over with the acted object's index, so no
         morphism is built for the check.  c is the class, rung the object's
         rung from the base of c, both read once, and e the coefficient dict
         of c's representative, as simple gives it: a fixed object is its

@@ -185,12 +185,8 @@ class LadderCategory:
         self.p = left.p
         self.object_count = len(left.simples) * len(right.simples)
 
-    def object_index(self, obj: LadderObject) -> int:
-        """Position of obj in the canonical order, right leg first: N.index[n] * |M| + M.index[m]."""
-        return self.N.index[obj.n] * len(self.M.simples) + self.M.index[obj.m]
-
     def object_at(self, i: int) -> LadderObject:
-        """The object with object_index i: the inverse of object_index."""
+        """The object of index i = j * |M| + k: the simple of index k of M and that of index j of N."""
         n, m = divmod(i, len(self.M.simples))
         return LadderObject(self.M.simples[m], self.N.simples[n])
 

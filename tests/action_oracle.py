@@ -20,7 +20,7 @@ indices.
 from bpring.fusion import ClassificationError
 from bpring.groups import Subgroup, subgroup_from_elements
 from bpring.ladders import LadderMorphism, LadderObject
-from kar_oracle import as_oracle
+from kar_oracle import as_oracle, locate, object_index, position
 from scalar_oracle import phase_exponent, to_oracle
 
 
@@ -70,16 +70,16 @@ def shifted_index(product, side: str, g: int, i: int) -> int:
     lad, M, N = product.lad, product.M, product.N
     obj = lad.object_at(i)
     if side == "left":
-        moved = LadderObject(M.simples[M.left[g % product.p][M.index[obj.m]]], obj.n)
+        moved = LadderObject(M.simples[M.left[g % product.p][position(M, obj.m)]], obj.n)
     else:
-        moved = LadderObject(obj.m, N.simples[N.right[g % product.p][N.index[obj.n]]])
-    return lad.object_index(moved)
+        moved = LadderObject(obj.m, N.simples[N.right[g % product.p][position(N, obj.n)]])
+    return object_index(lad, moved)
 
 
 def act_on(product, side: str, g: int, f: LadderMorphism) -> LadderMorphism:
     """f acted on by g on side through the library's action core, sharing its coefficient dict when no rung rotates."""
     lad = product.lad
-    s, t, coeffs = product._act(side, g % product.p, lad.object_index(f.source), lad.object_index(f.target), f.coeffs)
+    s, t, coeffs = product._act(side, g % product.p, object_index(lad, f.source), object_index(lad, f.target), f.coeffs)
     return LadderMorphism._nonzero(lad.object_at(s), lad.object_at(t), coeffs)
 
 
@@ -97,15 +97,15 @@ def rotated_action(product, side: str, g: int, f: LadderMorphism) -> LadderMorph
     s, t = f.source, f.target
     if side == "left":
         move = M.left[g]
-        source = LadderObject(M.simples[move[M.index[s.m]]], s.n)
-        target = LadderObject(M.simples[move[M.index[t.m]]], t.n)
-        exponents = M.mixed[g][M.index[t.m]]
+        source = LadderObject(M.simples[move[position(M, s.m)]], s.n)
+        target = LadderObject(M.simples[move[position(M, t.m)]], t.n)
+        exponents = M.mixed[g][position(M, t.m)]
         coeffs = {b: c.rotate(exponents[b]) for b, c in f.coeffs.items()}
     else:
         move = N.right[g]
-        source = LadderObject(s.m, N.simples[move[N.index[s.n]]])
-        target = LadderObject(t.m, N.simples[move[N.index[t.n]]])
-        j, mixed = N.index[s.n], N.mixed
+        source = LadderObject(s.m, N.simples[move[position(N, s.n)]])
+        target = LadderObject(t.m, N.simples[move[position(N, t.n)]])
+        j, mixed = position(N, s.n), N.mixed
         coeffs = {b: c.rotate(mixed[b][j][g]) for b, c in f.coeffs.items()}
     return LadderMorphism(source, target, coeffs)
 
@@ -116,9 +116,9 @@ def acted_witness_exponent(product, g: int, h: int, simple) -> int:
     paths = []
     for first, a, second, b in (("right", h, "left", g), ("left", g, "right", h)):
         shifted = rotated_action(product, first, a, simple.representative)
-        c1, u1 = env.locate(shifted)
+        c1, u1 = locate(env, shifted)
         acted = rotated_action(product, second, b, env.representative(c1))
-        c2, u2 = env.locate(acted)
+        c2, u2 = locate(env, acted)
         paths.append((c2, product.lad.compose(rotated_action(product, second, b, u1), u2)))
     (c_rl, path_rl), (c_lr, path_lr) = paths
     if c_rl != c_lr or path_rl.source != path_lr.source or path_rl.coeffs.keys() != path_lr.coeffs.keys():
@@ -144,10 +144,10 @@ def object_witness_path(product, first: str, a: int, second: str, b: int, rep: L
     a base's idempotent e, the path is u2 (e followed by e is e).
     """
     env = product.env
-    c1, u = env.locate(rotated_action(product, first, a, rep))
+    c1, u = locate(env, rotated_action(product, first, a, rep))
     rep1 = env.representative(c1)
     acted = rotated_action(product, second, b, rep1)
-    c2, u2 = env.locate(acted)
+    c2, u2 = locate(env, acted)
     if u.coeffs is rep1.coeffs and u.source == u.target == rep1.source:
         if u2.source == u2.target:
             return c2, u2

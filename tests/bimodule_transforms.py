@@ -18,6 +18,7 @@
 from bpring.bimodules import BimoduleData
 from bpring.fusion import RelativeTensorProduct
 from action_oracle import act_on
+from kar_oracle import locate
 
 
 def exponent_table(p, n, f):
@@ -136,7 +137,7 @@ def product_bimodule(rtp):
     simples = [env.simple(c) for c in range(env.simple_count)]
 
     def action(side):
-        return tuple(tuple(env.locate(act_on(rtp, side, g, s.representative))[0] for s in simples) for g in range(p))
+        return tuple(tuple(locate(env, act_on(rtp, side, g, s.representative))[0] for s in simples) for g in range(p))
 
     mixed = tuple(tuple(tuple(rtp.mixed_associator(g, h, s) for h in range(p)) for s in simples) for g in range(p))
     return BimoduleData(p, tuple(range(len(simples))), action("left"), action("right"), mixed)

@@ -19,8 +19,13 @@ searching.  The helpers here work on objects, from the bimodule actions:
   envelope and bpring.fusion compute both a row at a time from the leg
   orbits instead;
 - every object of a ladder category in canonical order, identities, and an
-  envelope's class bases and connector pairs, read through its public
-  queries.
+  envelope's class bases and connector pairs, read through its queries;
+- position, object_index and locate, which the library does without: a
+  simple's index in its bimodule, an object's index in its ladder category
+  (the inverse of lad.object_at), and the class of a primitive idempotent
+  with the connector to its representative, read through the envelope's
+  index-level _locate_at and _to_rep, the anchoring path of the outer
+  actions and the witness route.
 
 Identities, basic ladders, primitive idempotents and connectors are single
 monomials per rung, so they hold library scalars and can be handed to the
@@ -45,7 +50,7 @@ from scalar_oracle import FieldScalar, to_oracle
 
 
 def objects(lad: LadderCategory) -> list[LadderObject]:
-    """Every object in canonical order, right leg first: the position of an object is its object_index.
+    """Every object in canonical order, right leg first: the position of an object is object_index(lad, obj).
 
     This makes the least member of each isomorphism class the one whose
     right leg is normalised, e.g. (a,b)(0,c) in Lad(T,T) and (a)(0) in
@@ -58,25 +63,51 @@ def identity(lad: LadderCategory, obj: LadderObject) -> LadderMorphism:
     return LadderMorphism(obj, obj, {0: CyclotomicScalar(lad.p, 1)})
 
 
+def position(entry: BimoduleData, m) -> int:
+    """The index of the simple m in entry.simples."""
+    return entry.simples.index(m)
+
+
+def object_index(lad: LadderCategory, obj: LadderObject) -> int:
+    """The index j * |M| + i of obj = (m_i, n_j) in canonical order, right leg first: the inverse of lad.object_at."""
+    return position(lad.N, obj.n) * len(lad.M.simples) + position(lad.M, obj.m)
+
+
+def locate(env: KarEnvelope, idem: LadderMorphism) -> tuple[int, LadderMorphism]:
+    """(c, to_rep): the class of the primitive idempotent idem and the connector to its representative.
+
+    idem must be an endomorphism.  env._locate_at checks its dict against the
+    stored primitive, raising UnsupportedEndAlgebra if it is not one, and
+    env._to_rep gives the connector: on a base, the base's idempotent,
+    sharing the stored dict on a fixed one; on the rung-b image of a base,
+    the basic rung -b ladder back to it.
+    """
+    assert idem.source == idem.target, idem
+    i = object_index(env.lad, idem.source)
+    c, rung, e = env._locate_at(i, idem.coeffs)
+    t, coeffs = env._to_rep(i, c, rung, e)
+    return c, LadderMorphism._nonzero(idem.source, env.lad.object_at(t), coeffs)
+
+
 def base_at(env: KarEnvelope, c: int) -> int:
     """Object index of the base of class c."""
-    return env.lad.object_index(env.representative(c).source)
+    return object_index(env.lad, env.representative(c).source)
 
 
 def connectors(env: KarEnvelope, obj: LadderObject, k: int) -> tuple[LadderMorphism, LadderMorphism]:
     """(to_rep, from_rep): the isomorphisms between (obj, I_k) and its class representative.
 
-    to_rep is the connector that locate returns.  On a base both are its
+    to_rep is the connector that locate(env, e) returns.  On a base both are its
     idempotent; on the rung-b image of a base, to_rep is the basic rung -b
     ladder, and from_rep the rung-b ladder back.  A character index outside
     End(obj) raises KeyError((obj, k)).
     """
-    i = env.lad.object_index(obj)
+    i = object_index(env.lad, obj)
     if not 0 <= k < env.dimension_at(i):
         raise KeyError((obj, k))
     # a fixed object is its class's base; a free one has the identity only
     idem = env.representative(env.class_at(i) + k) if env.dimension_at(i) > 1 else identity(env.lad, obj)
-    to_rep = env.locate(idem)[1]
+    to_rep = locate(env, idem)[1]
     if to_rep.source == to_rep.target:
         return to_rep, to_rep
     (b,) = to_rep.coeffs
@@ -86,14 +117,14 @@ def connectors(env: KarEnvelope, obj: LadderObject, k: int) -> tuple[LadderMorph
 def rung_target(lad: LadderCategory, obj: LadderObject, b: int) -> LadderObject:
     """Target of the basic rung-b ladder out of obj."""
     M, N = lad.M, lad.N
-    m = M.simples[M.right[-b % lad.p][M.index[obj.m]]]
-    return LadderObject(m, N.simples[N.left[b % lad.p][N.index[obj.n]]])
+    m = M.simples[M.right[-b % lad.p][position(M, obj.m)]]
+    return LadderObject(m, N.simples[N.left[b % lad.p][position(N, obj.n)]])
 
 
 def hom_rungs(lad: LadderCategory, src: LadderObject, tgt: LadderObject) -> list[int]:
     """The rungs b whose basic ladder out of src lands on tgt, read on leg indices as rung_target reads them."""
     M, N, p = lad.M, lad.N, lad.p
-    m, n, tm, tn = M.index[src.m], N.index[src.n], M.index[tgt.m], N.index[tgt.n]
+    m, n, tm, tn = position(M, src.m), position(N, src.n), position(M, tgt.m), position(N, tgt.n)
     return [b for b in range(p) if N.left[b][n] == tn and M.right[-b % p][m] == tm]
 
 

@@ -18,6 +18,7 @@ from bpring.bimodules import (
 )
 from bpring.groups import subgroup_from_elements, subgroup_from_generators
 from bimodule_transforms import random_twist, relabel
+from kar_oracle import position
 from ring_oracle import relabellings
 
 
@@ -79,7 +80,7 @@ def test_label_invariants_give_the_cocycle_index_and_validate_checks_them():
 
 def act(entry, row, m):
     """The simple that one row of an action table sends the simple m to."""
-    return entry.simples[row[entry.index[m]]]
+    return entry.simples[row[position(entry, m)]]
 
 
 def test_catalogue_action_tables():
@@ -104,7 +105,7 @@ def test_mixed_associator_phase():
             entry = catalogue_entry(p, BimoduleLabel("F", q))
             for g in range(p):
                 for h in range(p):
-                    assert entry.mixed[g][entry.index[STAR]][h] == q * g * h % p
+                    assert entry.mixed[g][position(entry, STAR)][h] == q * g * h % p
 
 
 def test_validate_accepts_catalogue():
@@ -122,7 +123,7 @@ def test_validate_is_repeatable():
 def test_validate_detects_broken_action():
     entry = catalogue_entry(3, BimoduleLabel("T"))
     bad = [list(row) for row in entry.right]
-    zero = entry.index[(0, 0)]
+    zero = position(entry, (0, 0))
     bad[1][zero] = zero  # no longer free, breaks additivity/commutation
     assert validate(entry._replace(right=bad)) != []
 

@@ -148,10 +148,12 @@ def test_table_json_round_trip(capsys, tmp_path):
 
 
 def test_table_unwritable_path(capsys, tmp_path):
-    target = tmp_path / "missing_dir" / "table.json"
-    code, _, err = run_cli(capsys, "table", "--p", "2", "--out", str(target))
-    assert code == 1
-    assert "cannot write" in err
+    # an empty --out is a file that cannot be opened, not stdout
+    for target in (str(tmp_path / "missing_dir" / "table.json"), ""):
+        code, out, err = run_cli(capsys, "table", "--p", "2", "--out", target)
+        assert code == 1
+        assert "cannot write" in err
+        assert out == "" and len(err.splitlines()) == 1 and "stdout" not in err
 
 
 VERIFY_OK = "closed-form table: ok\nunit: ok\nassociativity: ok\nwall oracle: ok\n"

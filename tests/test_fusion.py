@@ -35,7 +35,7 @@ from action_oracle import (
     shifted_index,
 )
 from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel, two_simples
-from kar_oracle import FIXED, base_at, connectors, kar_key, step_tables, walk_objects
+from kar_oracle import FIXED, base_at, connectors, kar_key, locate, step_tables, walk_objects
 from scalar_oracle import is_one
 
 
@@ -409,7 +409,7 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
             for s in env.simples:
                 for g in range(p):
                     for side in ("left", "right"):
-                        env.locate(act_on(product, side, g, s.representative))
+                        locate(env, act_on(product, side, g, s.representative))
                         product.outer_action(g, side, s)
             for i in range(lad.object_count):
                 obj = lad.object_at(i)

@@ -19,7 +19,19 @@ from bpring.ladders import (
     group_algebra_product,
 )
 from compose_oracle import scalar_product
-from kar_oracle import as_oracle, basic, end_algebra, end_rungs, hom_rungs, identity, ladder_sum, objects, rung_target
+from kar_oracle import (
+    as_oracle,
+    basic,
+    end_algebra,
+    end_rungs,
+    hom_rungs,
+    identity,
+    ladder_sum,
+    object_index,
+    objects,
+    position,
+    rung_target,
+)
 from scalar_oracle import FieldScalar, is_one, root_of_unity, to_oracle
 
 
@@ -35,7 +47,7 @@ def brute_force_rungs(lad, src, tgt):
     M, N = lad.M, lad.N
     out = []
     for b in range(lad.p):
-        if M.right[b][M.index[tgt.m]] == M.index[src.m] and N.left[b][N.index[src.n]] == N.index[tgt.n]:
+        if M.right[b][position(M, tgt.m)] == position(M, src.m) and N.left[b][position(N, src.n)] == position(N, tgt.n):
             out.append(b)
     return out
 
@@ -63,7 +75,7 @@ def test_rung_arrays_match_rung_targets():
             objs = objects(lad)
             width = len(M.simples)
             for i, obj in enumerate(objs):
-                assert lad.object_index(obj) == i
+                assert object_index(lad, obj) == i
                 n, m = divmod(i, width)
                 for b in range(p):
                     assert objs[rung_n[b][n] * width + rung_m[b][m]] == rung_target(lad, obj, b)
