@@ -245,7 +245,7 @@ def _run(argv) -> int:
         else:
             _write_stdout(text)
     except OSError as exc:
-        print(f"cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
+        print(f"cannot write {'stdout' if out is None else repr(out)}: {exc}", file=sys.stderr)
         return 1
     return code
 

@@ -12,10 +12,10 @@ Classifying the product reads the following, each described where it is done:
 - _steps: the class each simple goes to under the generator 1 of each
   side, read on class indices with each leg's e(1), a block of a row at a
   time, each N-fixed row by one rule (_offsets) and at most one gather from
-  one class range, no simple built.  Each leg record (karoubi.leg) checks
-  that its e(1) is a character of each rung stabilizer and that the
-  generator keeps its leg's rung-fixed simples fixed, and stores a failure
-  as data, which _step_fault raises;
+  one class range, no simple built.  Each leg record (karoubi.leg) has
+  checked that its e(1) is a character of each rung stabilizer and that
+  the generator keeps its leg's rung-fixed simples fixed, and raised a
+  failure when the envelope was built;
 - orbits: the check that the two steps commute, and the orbit walk, which
   counts each orbit from its least simple;
 - _stabilizer: an orbit's stabilizer, read from its size, as a position in
@@ -46,18 +46,12 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from operator import add
 
-from .bimodules import (NUMBER, BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, format_simple,
-                        label_invariants)
+from .bimodules import NUMBER, BimoduleData, BimoduleLabel, Decomposition, all_labels, catalogue, label_invariants
 from .cyclotomic import phase_exponent, require_prime
 from .groups import Subgroup, enumerate_subgroups
 from .karoubi import FIXED, KarEnvelope, KarSimple, proportionality
-from .ladders import EngineError, LadderCategory, LadderMorphism
+from .ladders import ClassificationError, EngineError, LadderCategory, LadderMorphism
 from .ring import RingTable, gatherer
-
-
-class ClassificationError(EngineError):
-    pass
-
 
 # The generator g acting on the side "left" or "right" sends the simple source
 # to target, by the witness ladder.
@@ -111,11 +105,14 @@ class RelativeTensorProduct:
     factor alone, whatever the other: on M's leg, that its rung rows are a
     Z_p action, in full when it has a free orbit; on each leg, e(1) on each
     simple's own rung stabilizer, and that the generator 1 keeps the orbit
-    bases fixed or free.  A pair raises M's fault before N's.  Beyond those
-    checks the engine reads only the rows of the generator 1, so a factor
-    that fails validate can still decompose: one whose left and right
-    actions do not commute while its generator keeps the rung-fixed simples
-    fixed, or one whose mixed table is not additive in g or in h.
+    bases fixed or free.  The record raises a fault where it finds it, when
+    the envelope is built, with one message that names the side and that
+    factor's simple, whatever the partner; M's record is built first, so a
+    pair raises M's fault before N's.  Beyond those checks the engine reads
+    only the rows of the generator 1, so a factor that fails validate can
+    still decompose: one whose left and right actions do not commute while
+    its generator keeps the rung-fixed simples fixed, or one whose mixed
+    table is not additive in g or in h.
     """
 
     def __init__(self, M: BimoduleData, N: BimoduleData):
@@ -175,10 +172,13 @@ class RelativeTensorProduct:
         simple is read as mixed_associator reads it, its base's object index
         and its representative's coefficient dict, and re-anchored as
         _witness_path re-anchors: KarEnvelope._locate_at checks the acted dict
-        against the stored primitive and _to_rep gives the connector.
+        against the stored primitive and _to_rep gives the connector.  A g
+        that is not an int, a bool included, is a ValueError.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        if type(g) is not int:
+            raise ValueError(f"g must be an integer, got {g!r}")
         g, env, at = g % self.p, self.env, self.lad.object_at
         i = env._bases[simple.class_index]
         s, _, acted = self._act(side, g, i, i, simple.representative.coeffs)
@@ -196,18 +196,18 @@ class RelativeTensorProduct:
         the right moves its N leg to shift_n[n] = N.right[1][n], into row
         shift_n[n].  Class c + k, the character k of a base whose End has
         dimension dim, goes to class_at(shift(base)) + (k + e(1)) mod p,
-        after checking that e(b) = b e(1) on every rung of that End and that
-        the shift keeps each leg simple it moves fixed or free, which keeps
+        given that e(b) = b e(1) on every rung of that End and that the
+        shift keeps each leg simple it moves fixed or free, which keeps
         every End dimension; each leg's record (karoubi.leg) holds the e(1)
-        and the outcome of both checks.  These checks are the condition
+        and has checked both when the envelope was built, raising a
+        ClassificationError on a failure.  These checks are the condition
         under which re-anchoring the acted projector I_k to the stored
-        I_(k+e(1)) succeeds, so the tables check no less than the witness
-        route does.  A failure is a ClassificationError.  The tables
-        are built a row at a time over the rows that make classes (see
-        KarEnvelope._walk_rows), the left block of a row before its right
-        block, each gathered in C.  The right block reads the target row
-        shift_n[n], which need not make classes itself; class_row then
-        gathers it off its base row.
+        I_(k+e(1)) succeeds, so the tables assume no more than the witness
+        route checks.  The tables are built a row at a time over the rows
+        that make classes (see KarEnvelope._walk_rows), the left block of a
+        row before its right block, each gathered in C.  The right block
+        reads the target row shift_n[n], which need not make classes itself;
+        class_row then gathers it off its base row.
 
         - the base row of a free N orbit steps on the left by shift_m, and
           on the right to its target row as it stands;
@@ -222,15 +222,12 @@ class RelativeTensorProduct:
           product's one class range, built on the first such block (T x T
           builds none).
 
-        A leg's step fault is raised first, M's before N's, so each entry's
-        e(1) and fixedness are checked on its own rung stabilizers, whatever
-        the other factor.  A leg is fixed or free on every rung, so the End
-        dimension of an object is read from its two legs.  No simple is
-        built.
+        Each entry's e(1) and fixedness were checked on its own rung
+        stabilizers, whatever the other factor, so the tables raise no
+        fault.  A leg is fixed or free on every rung, so the End dimension
+        of an object is read from its two legs.  No simple is built.
         """
         env, m_leg, n_leg = self.env, self.env.m, self.env.n
-        if m_leg.step_fault or n_leg.step_fault:
-            self._step_fault("left" if m_leg.step_fault else "right", *(m_leg.step_fault or n_leg.step_fault))
         shift_m, shift_n, n_e1, width = self.M.left[1], self.N.right[1], n_leg.e1, self._width
         lefts = [None, None]  # the left step of a free base row (a gatherer), of an N-fixed row (see _block)
         right_blocks: dict = {}  # e(1) -> the right step of an N-fixed row (see _block)
@@ -272,28 +269,6 @@ class RelativeTensorProduct:
             chars += _rotation(p, e1[x]) if m.rung[x] == FIXED else (0,)
         return list(map(add, at, chars))
 
-    def _step_fault(self, side: str, kind: str, x: int):
-        """Raise the step fault (kind, x) of the leg on side (see karoubi.leg) as a ClassificationError.
-
-        A "character" fault names the mixed associator of side on the leg
-        simple x.  A "moves" fault, acting by 1 on side moving x between its
-        leg's fixed and free simples, changes the End dimension of the
-        objects on x and a fixed simple of the other leg, and the message
-        names the one on the first such simple; when the other leg has none,
-        it names x's rung stabilizer.
-        """
-        simple = format_simple((self.M if side == "left" else self.N).simples[x])
-        if kind == "character":
-            raise ClassificationError(
-                f"the {side} mixed associator on {simple} is not a character of its rung stabilizer"
-            )
-        other = (self.env.n if side == "left" else self.env.m).rung
-        if FIXED not in other:
-            raise ClassificationError(f"acting on the {side} changes the rung stabilizer of {simple}")
-        y, width = other.index(FIXED), self._width
-        obj = self.lad.object_at(y * width + x if side == "left" else x * width + y)
-        raise ClassificationError(f"acting on the {side} changes the End dimension of {obj}")
-
     # -- mixed associator -----------------------------------------------------
 
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
@@ -306,8 +281,11 @@ class RelativeTensorProduct:
         phase_exponent.  On an orbit fixed by both actions the connector
         gauges cancel in the ratio, so the exponent is canonical; the
         calibration makes the product of the one-object bimodule with cocycle
-        q and the invertible X_l come out with exponent q*l at (1, 1).
+        q and the invertible X_l come out with exponent q*l at (1, 1).  A g
+        or h that is not an int, a bool included, is a ValueError.
         """
+        if type(g) is not int or type(h) is not int:
+            raise ValueError(f"g and h must be integers, got {g!r} and {h!r}")
         g, h = g % self.p, h % self.p
         base = self.env._bases[simple.class_index], simple.representative.coeffs
         c2, source, path_rl = self._witness_path("right", h, "left", g, *base)

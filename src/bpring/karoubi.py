@@ -29,8 +29,8 @@ described where it is done:
   orbits, checked to be Z_p orbits, on M's leg its pattern of classes
   (ring.gatherer) and the rows that read a row of objects off its base row,
   checked in full, and each simple's e(1), checked to be a character of its
-  rung stabilizer; a fault is stored as data, and the envelope raises a
-  rung fault, the step tables of bpring.fusion a step fault;
+  rung stabilizer; leg raises each fault where it finds it, with one
+  message per factor whatever the partner;
 - _walk_rows: the classes, a row of objects at a time, each row read off
   M's leg pattern;
 - _class_rung, class_at, dimension_at and class_row: an object's class,
@@ -60,9 +60,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 
-from .bimodules import BimoduleData
+from .bimodules import BimoduleData, format_simple
 from .cyclotomic import CyclotomicScalar, monomial
-from .ladders import EngineError, LadderCategory, LadderMorphism, group_algebra_product
+from .ladders import ClassificationError, EngineError, LadderCategory, LadderMorphism, group_algebra_product
 from .ring import gatherer
 
 
@@ -132,16 +132,10 @@ def proportionality(f: dict, g: dict, one: CyclotomicScalar) -> CyclotomicScalar
 
 FIXED = -1  # the rung from the base recorded for a fixed object or leg simple
 
-# the message templates of a rung fault, filled with the object and p
-_NOT_FIXED = "rung 1 fixes {} but not every rung does, at p={}"
-_NOT_AN_ORBIT = "the rung orbit of {} is not a Z_p orbit at p={}"
-
 
 # One leg of Lad(M, N), as leg builds it from one entry's tables alone; the
-# left-only fields and every field past a rung fault are None.
-LegRecord = namedtuple(
-    "LegRecord", "rows base rung first pattern bases get back e1 rung_fault step_fault", defaults=(None,) * 10
-)
+# left-only fields are None on the right.
+LegRecord = namedtuple("LegRecord", "rows base rung first pattern bases get back e1")
 
 
 def leg(entry: BimoduleData, side: str) -> LegRecord:
@@ -153,9 +147,8 @@ def leg(entry: BimoduleData, side: str) -> LegRecord:
     and its p-1 rung images decide the orbit, all equal to the base (fixed,
     rung FIXED) or p-1 new simples (free, rung b from the base).  A leg whose
     rows 1 to p-1 are all the identity tuple is fixed without the walk.
-    Anything else means the rows are not a Z_p action: the rung fault
-    (message template, simple), which KarEnvelope raises naming the pair's
-    object on that simple, and no other field is filled.
+    Anything else means the rows are not a Z_p action, and the walk raises
+    UnsupportedEndAlgebra naming side, the simple and p.
 
     On the left only, M's leg pattern, the classes of a row whose N leg is
     fixed: per simple, its first class counted from the row's first; per
@@ -167,8 +160,8 @@ def leg(entry: BimoduleData, side: str) -> LegRecord:
     back[b] (see KarEnvelope._walk_rows), each gatherer built when read.
     That reads every entry of M's rows, which the walk does not, so they are
     checked in full, whatever the other factor: rung 1 followed by rung b is
-    rung b+1 for b < p-1, and the identity for b = p-1; a failure is the
-    rung fault of the first simple where it fails.
+    rung b+1 for b < p-1, and the identity for b = p-1; a failure raises the
+    walk's error on the first simple where it fails.
 
     e1 is each simple's e(1) for acting by 1 on side, checked to be a
     character of the simple's own rung stabilizer: e(b) = b e(1) on every
@@ -177,11 +170,15 @@ def leg(entry: BimoduleData, side: str) -> LegRecord:
     set has e1 all 0, read with no exponent.  The generator 1 of side, which
     moves the leg by M.left[1] or N.right[1], must keep each orbit base fixed
     or free; the scan runs only on a leg that has fixed and free simples.
-    The step fault is the first failure of the two by simple, ("character",
-    x) before ("moves", x) on one simple, which the step tables of
-    bpring.fusion raise.
+    A failure of either check is a ClassificationError naming side and the
+    first simple where it fails, every character checked before the scan.
+    So each fault is raised here, with one message whatever the partner.
     """
     p, count = entry.p, len(entry.simples)
+
+    def fault(x: int, text: str, error: type = UnsupportedEndAlgebra) -> EngineError:  # text names {side}, {x}, {p}
+        return error(text.format(side=side, x=format_simple(entry.simples[x]), p=p))
+
     if side == "left":
         rows, shift = entry.right[:1] + entry.right[:0:-1], entry.left[1]
     else:
@@ -198,12 +195,12 @@ def leg(entry: BimoduleData, side: str) -> LegRecord:
             images = [row[x] for row in later]
             if images[0] == x:
                 if images.count(x) != p - 1:
-                    return LegRecord(rows, rung_fault=(_NOT_FIXED, x))
+                    raise fault(x, "on the {side} leg, rung 1 fixes {x} but not every rung does, at p={p}")
                 rung[x] = FIXED
                 continue
             for b, t in enumerate(images, 1):
                 if base[t] >= 0:
-                    return LegRecord(rows, rung_fault=(_NOT_AN_ORBIT, x))
+                    raise fault(x, "on the {side} leg, the rung orbit of {x} is not a Z_p orbit at p={p}")
                 base[t] = x
                 rung[t] = b
         base, rung = tuple(base), tuple(rung)
@@ -222,9 +219,8 @@ def leg(entry: BimoduleData, side: str) -> LegRecord:
                 got, want = then(rows[b]), tuple(rows[b + 1]) if b + 1 < p else simples
                 if got != want:
                     x = next(x for x in simples if got[x] != want[x])
-                    return LegRecord(rows, rung_fault=(_NOT_AN_ORBIT, x))
+                    raise fault(x, "on the {side} leg, the rung orbit of {x} is not a Z_p orbit at p={p}")
             back = entry.right  # back[b] = rows[p-b]
-    fault = None
     e1 = (0,) * count
     if not entry.trivial_mixed:
         mixed, e1 = entry.mixed, []
@@ -233,13 +229,13 @@ def leg(entry: BimoduleData, side: str) -> LegRecord:
             exps = tuple(mixed[1][x][:dim]) if side == "left" else tuple([mixed[b][x][1] for b in range(dim)])
             e1.append(exps[1] if dim > 1 else 0)
             if exps != tuple(b * e1[-1] % p for b in range(dim)):
-                fault = ("character", x)
-                break
+                raise fault(x, "the {side} mixed associator on {x} is not a character of its rung stabilizer",
+                            ClassificationError)
     if 0 < rung.count(FIXED) < count:
-        moved = next((x for x in simples if rung[x] <= 0 and (rung[shift[x]] == FIXED) != (rung[x] == FIXED)), None)
-        if moved is not None and (fault is None or moved < fault[1]):
-            fault = ("moves", moved)
-    return LegRecord(rows, base, rung, first, pattern, bases, get, back, e1, None, fault)
+        for x in simples:
+            if rung[x] <= 0 and (rung[shift[x]] == FIXED) != (rung[x] == FIXED):
+                raise fault(x, "acting on the {side} changes the rung stabilizer of {x}", ClassificationError)
+    return LegRecord(rows, base, rung, first, pattern, bases, get, back, e1)
 
 
 class KarEnvelope:
@@ -251,7 +247,8 @@ class KarEnvelope:
     simple.  Every other row is read off its base row, and each object's
     rung and End dimension off its two legs, when asked for, so the storage
     grows with the classes, not with the |M|*|N| objects.  Everything it
-    reads of one factor alone is that factor's leg record, m or n (see leg).
+    reads of one factor alone is that factor's leg record, m or n (see leg),
+    built first, M's then N's, so a defective factor raises here.
 
     No morphism it builds has a zero coefficient, so each is built by
     LadderMorphism._nonzero, without the constructor's copy and zero filter.
@@ -262,13 +259,8 @@ class KarEnvelope:
         self._one = monomial(lad.p, 1, 1, 0)
         self._identity = {0: self._one}  # every free base's idempotent shares it
         self._width = len(lad.M.simples)  # object index n*|M| + m
-        # the legs of M and N (see leg); M's rung fault is raised before N's
+        # the legs of M and N (see leg); M's fault is raised before N's
         self.m, self.n = leg(lad.M, "left"), leg(lad.N, "right")
-        fault = self.m.rung_fault or self.n.rung_fault
-        if fault:
-            template, x = fault
-            i = x if self.m.rung_fault else x * self._width  # x with the other leg's first simple
-            raise UnsupportedEndAlgebra(template.format(lad.object_at(i), lad.p))
         # the stored projectors and their index, bound where a fixed object exists
         self._projectors = self._projector_keys = None
         if FIXED in self.m.rung and FIXED in self.n.rung:
@@ -343,8 +335,11 @@ class KarEnvelope:
 
         Its representative is the class's idempotent on its base object, and
         its character index c minus the base's first class; the base's
-        (class, rung) is read once for both.
+        (class, rung) is read once for both.  A c that is not an int, a bool
+        included, is a ValueError, and an int out of range an IndexError.
         """
+        if type(c) is not int:
+            raise ValueError(f"class must be an integer, got {c!r}")
         if not 0 <= c < len(self._bases):
             raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
         i = self._bases[c]

@@ -50,6 +50,10 @@ class EngineError(Exception):
     """
 
 
+class ClassificationError(EngineError):
+    pass
+
+
 class CompositionError(EngineError):
     pass
 

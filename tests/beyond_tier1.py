@@ -220,6 +220,48 @@ def engine_products_p5():
     return f"engine products fail as bimodules: {bad}" if bad else None
 
 
+@check("leg-faults")
+def leg_faults():
+    """Each defective leg raises one fault, whatever the partner, beyond the tier-1 primes.
+
+    At p in {7, 11, 13}, for each defective-entry kind the tier-1 tests build
+    (bimodule_transforms.defective_legs: two_simples on both sides for s = 1
+    and s = p-1, squares_in_h and squares_in_g, and noncommuting on both
+    sides), karoubi.leg alone must raise the expected class, exactly, with
+    the expected whole message, and decompose() with each of the 2p+2
+    catalogue partners on that side must raise the same.
+    """
+    from bimodule_transforms import defective_legs
+    from bpring.bimodules import catalogue
+    from bpring.fusion import RelativeTensorProduct
+    from bpring.karoubi import leg
+
+    def raised(run, *args):
+        """(class, message) of what run(*args) raises, or None."""
+        try:
+            run(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    bad, checked = [], 0
+    for p in (7, 11, 13):
+        cat = catalogue(p)
+        for entry, side, error, message in defective_legs(p):
+            want = (error, message)
+            got = raised(leg, entry, side)
+            if got != want:
+                bad.append(f"p={p}, leg alone: {got}, expected {want}")
+            for partner in cat:
+                M, N = (entry, partner) if side == "left" else (partner, entry)
+                got = raised(lambda: RelativeTensorProduct(M, N).decompose())
+                checked += 1
+                if got != want:
+                    bad.append(f"p={p}, {side} with {partner.label}: {got}, expected {want}")
+    print(f"{checked} pairs with a defective leg checked at p in (7, 11, 13)")
+    return f"a defective leg raised another fault: {bad[:10]}" if bad else None
+
+
 @check("kernel-vs-field-oracle-p17")
 def kernel_vs_field_oracle_p17():
     """Every composition of serial build_table(17), beyond the tier-1 primes,

@@ -3,6 +3,10 @@
 - exponent_table builds a mixed-associator table from a function;
 - two_simples builds a two-simple entry whose rung action is not a Z_p
   action, a defective leg;
+- noncommuting builds an entry whose two actions do not commute, its
+  generator moving a rung-fixed simple to a free one, a defective leg;
+- defective_legs lists every defective leg kind the tests build, each with
+  the fault karoubi.leg raises on it;
 - gauge_twist twists an entry's mixed associator by a coboundary, which
   gives an equivalent bimodule whose exponents depend on the simple;
 - character_twist rescales an action that fixes every simple by a
@@ -15,8 +19,12 @@
   bimodule, and ProductMemo builds each such product once.
 """
 
-from bpring.bimodules import BimoduleData
+from string import ascii_lowercase
+
+from bpring.bimodules import BimoduleData, catalogue_entry, label_parse
 from bpring.fusion import RelativeTensorProduct
+from bpring.karoubi import UnsupportedEndAlgebra
+from bpring.ladders import ClassificationError
 from action_oracle import act_on
 from kar_oracle import locate
 
@@ -37,6 +45,51 @@ def two_simples(p, s, side):
     moving, fixed = [[n if g in (0, s) else 1 - n for n in (0, 1)] for g in range(p)], [[0, 1]] * p
     left, right = (fixed, moving) if side == "left" else (moving, fixed)
     return BimoduleData(p, (0, 1), left, right, exponent_table(p, 2, lambda g, i, h: 0))
+
+
+def noncommuting(p, swapped=False):
+    """Hand-built data that fails validate: its left and right actions do not commute.
+
+    The simples a, b, ... are p+1.  The right action fixes the first and
+    cycles the other p, and the left action cycles the first p and fixes the
+    last, so acting by 1 on the left moves the rung-fixed first simple to a
+    free one.  swapped exchanges the two actions.  Every exponent is 0.
+    """
+    n = p + 1
+    fix_first = [[0] + [1 + (i - 1 + h) % p for i in range(1, n)] for h in range(p)]
+    fix_last = [[(i + g) % p for i in range(p)] + [p] for g in range(p)]
+    left, right = (fix_first, fix_last) if swapped else (fix_last, fix_first)
+    return BimoduleData(p, tuple(ascii_lowercase[:n]), left, right, exponent_table(p, n, lambda g, i, h: 0))
+
+
+def defective_legs(p):
+    """(entry, side, error, message) for each defective leg kind at p, with the fault leg(entry, side) raises.
+
+    two_simples on each side, for s = 1 and s = p-1: rung 1 acts by
+    M.right[-1] on the left and by N.left[1] on the right, so one s fixes
+    the simple 0 at rung 1 but not at rung 2, and the other moves it to 1
+    and back to 0 before rung p; F0 with the exponent g h^2 on the left and
+    g^2 h on the right, not a character of Z_p (squares_in_h and
+    squares_in_g); and noncommuting on each side, whose generator moves the
+    rung-fixed simple a.  At p=2 only noncommuting is defective, as 1 = p-1
+    and b^2 = b there.
+    """
+    out = [(noncommuting(p, side == "right"), side, ClassificationError,
+            f"acting on the {side} changes the rung stabilizer of a") for side in ("left", "right")]
+    if p == 2:
+        return out
+    fixes = "on the {} leg, rung 1 fixes 0 but not every rung does, at p={}"
+    orbit = "on the {} leg, the rung orbit of 0 is not a Z_p orbit at p={}"
+    for side, s, template in (("left", p - 1, fixes), ("left", 1, orbit), ("right", 1, fixes), ("right", p - 1, orbit)):
+        out.append((two_simples(p, s, side), side, UnsupportedEndAlgebra, template.format(side, p)))
+    F0 = catalogue_entry(p, label_parse("F0"))
+    squares_in_h = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
+    squares_in_g = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
+    for entry, side in ((squares_in_h, "left"), (squares_in_g, "right")):
+        message = f"the {side} mixed associator on * is not a character of its rung stabilizer"
+        out.append((entry, side, ClassificationError, message))
+    return out
+
 
 def gauge_twist(entry, c, side):
     """entry with its mixed associator twisted by the coboundary of c: simples -> Z_p.

@@ -148,11 +148,12 @@ def test_table_json_round_trip(capsys, tmp_path):
 
 
 def test_table_unwritable_path(capsys, tmp_path):
-    # an empty --out is a file that cannot be opened, not stdout
+    # an empty --out is a file that cannot be opened, not stdout; the line
+    # names each path by its repr, so the empty one reads ''
     for target in (str(tmp_path / "missing_dir" / "table.json"), ""):
         code, out, err = run_cli(capsys, "table", "--p", "2", "--out", target)
         assert code == 1
-        assert "cannot write" in err
+        assert err.startswith(f"cannot write {target!r}: ")
         assert out == "" and len(err.splitlines()) == 1 and "stdout" not in err
 
 

@@ -22,7 +22,7 @@ from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, build_table
 from bpring.groups import enumerate_subgroups
 from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, _checked_idempotent, _projector_coeffs, leg
+from bpring.karoubi import KarEnvelope, _checked_idempotent, _projector_coeffs, leg
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from action_oracle import (
     act_on,
@@ -34,7 +34,8 @@ from action_oracle import (
     search_orbits,
     shifted_index,
 )
-from bimodule_transforms import character_twist, exponent_table, gauge_twist, random_twist, relabel, two_simples
+from bimodule_transforms import (character_twist, defective_legs, exponent_table, gauge_twist, noncommuting,
+                                 random_twist, relabel)
 from kar_oracle import FIXED, base_at, connectors, kar_key, locate, step_tables, walk_objects
 from scalar_oracle import is_one
 
@@ -750,6 +751,27 @@ def test_outer_action_rejects_bad_side():
         product.outer_action(1, "middle", product.simples[0])
 
 
+@pytest.mark.parametrize("call", ["outer_action", "mixed_associator g", "mixed_associator h", "simple"])
+@pytest.mark.parametrize("value", [1.0, 1.5, True, False, "1"])
+def test_an_index_that_is_not_an_int_is_invalid_input(call, value):
+    # g, h and a class must be ints, a bool included: each call raises one
+    # ValueError naming the value, not a TypeError from inside, and does not
+    # read True as 1
+    product = rtp(3, "R", "F0")
+    simple = product.simples[0]
+    runs = {
+        "outer_action": (lambda: product.outer_action(value, "left", simple), f"g must be an integer, got {value!r}"),
+        "mixed_associator g": (lambda: product.mixed_associator(value, 1, simple),
+                               f"g and h must be integers, got {value!r} and 1"),
+        "mixed_associator h": (lambda: product.mixed_associator(1, value, simple),
+                               f"g and h must be integers, got 1 and {value!r}"),
+        "simple": (lambda: product.env.simple(value), f"class must be an integer, got {value!r}"),
+    }
+    run, message = runs[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
+
+
 def gauge_invariants(a):
     """What analyze must report the same way in every gauge of the inputs.
 
@@ -866,9 +888,9 @@ def test_right_exponents_are_checked_on_every_n_fixed_row():
     # Hand-built data that fails validate.  Every row of Lad(R, N) is
     # N-fixed, N being L with its mixed table replaced: on row 0 the right
     # action is the trivial character, and on row 1 it multiplies rung b by
-    # zeta^(b^2), which is not a character of Z_5.  The step tables check
-    # e(1) on every N-fixed row, not only on the first, so both analyze and
-    # decompose raise the right action's fault on the simple 1 of N.
+    # zeta^(b^2), which is not a character of Z_5.  N's leg checks e(1) on
+    # every simple, not only on the first, so both analyze and decompose
+    # raise the right action's fault on the simple 1 of N.
     p = 5
     R, L = catalogue_entry(p, label_parse("R")), catalogue_entry(p, label_parse("L"))
     N = L._replace(mixed=exponent_table(p, p, lambda g, n, h: g * g * h if n == 1 else 0), label=None)
@@ -883,7 +905,8 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
     # Hand-built data that fails validate: at p=2 the simple 0 of M is fixed
     # by the right action and 1, 2 are swapped, but acting by 1 on the left
     # swaps 0 and 1.  The fixed object (0)(*) of Lad(M, F0) goes to the free
-    # object (1)(*).
+    # object (1)(*); the leg of M raises the fault on its simple 0, as it
+    # would with any partner.
     p = 2
     F0 = catalogue_entry(p, label_parse("F0"))
     swap = {0: 1, 1: 0, 2: 2}
@@ -895,34 +918,21 @@ def test_action_that_changes_end_dimension_is_a_classification_error():
         label=None,
     )
     assert validate(M) != []
-    message = "acting on the left changes the End dimension of (0)(*)"
+    message = "acting on the left changes the rung stabilizer of 0"
     with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
         RelativeTensorProduct(M, F0).analyze()
-
-
-def noncommuting(p, swapped=False):
-    """Hand-built data that fails validate: its left and right actions do not commute.
-
-    The simples a, b, ... are p+1.  The right action fixes the first and
-    cycles the other p, and the left action cycles the first p and fixes the
-    last, so acting by 1 on the left moves the rung-fixed first simple to a
-    free one.  swapped exchanges the two actions.  Every exponent is 0.
-    """
-    n = p + 1
-    fix_first = [[0] + [1 + (i - 1 + h) % p for i in range(1, n)] for h in range(p)]
-    fix_last = [[(i + g) % p for i in range(p)] + [p] for g in range(p)]
-    left, right = (fix_first, fix_last) if swapped else (fix_last, fix_first)
-    return BimoduleData(p, tuple("abcd"[:n]), left, right, exponent_table(p, n, lambda g, i, h: 0))
 
 
 def test_right_step_out_of_the_fixed_rows_changes_the_end_dimension():
     # In Lad(R, N2) at p=2 every M simple is fixed, and acting by 1 on the
     # right moves the N-fixed simple a of N2 to the free b: the fixed object
-    # (0)(a) goes to the free (0)(b).
+    # (0)(a) goes to the free (0)(b).  The leg of N2 raises the fault on a,
+    # when the envelope is built, so analyze and decompose never reach the
+    # step tables.
     p = 2
     N2 = noncommuting(p, swapped=True)
     assert validate(N2) != []
-    message = "acting on the right changes the End dimension of (0)(a)"
+    message = "acting on the right changes the rung stabilizer of a"
     for run in (RelativeTensorProduct.analyze, RelativeTensorProduct.decompose):
         with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
             run(RelativeTensorProduct(catalogue_entry(p, label_parse("R")), N2))
@@ -936,8 +946,8 @@ def test_a_step_that_moves_a_fixed_leg_simple_to_a_free_one_is_a_classification_
     # A factor whose own two actions do not commute (noncommuting): its
     # generator moves the rung-fixed simple a to a free one.  No object of
     # these products changes its End dimension, the other leg having no
-    # fixed simple, so the step tables name the leg simple; without that
-    # check each product decomposes, as T + L, R + F0 or L + F0.
+    # fixed simple, so only the leg's own check finds it; without that check
+    # each product decomposes, as T + L, R + F0 or L + F0.
     entries = {"M": noncommuting(p), "N2": noncommuting(p, swapped=True)}
     M, N = (entries[name] if name in entries else catalogue_entry(p, label_parse(name)) for name in (left, right))
     message = f"acting on the {side} changes the rung stabilizer of a"
@@ -954,43 +964,43 @@ def leg_data(record, count):
 def test_a_leg_record_depends_on_its_entry_alone():
     # The records an envelope builds for a pair equal those that karoubi.leg
     # builds from each entry alone, for every partner.  A defective entry's
-    # fault is the same whatever the partner: a step fault is stored as the
-    # same data, though the message the step tables give it may name the
-    # partner (End dimension or rung stabilizer), and a rung fault is raised
-    # on the same simple, named with the partner's first simple.
-    fixes, moves = "rung 1 fixes {} but not every rung does, at p={}", "the rung orbit of {} is not a Z_p orbit at p={}"
+    # fault is raised by leg itself, with one message that names the side and
+    # the entry's simple, never the partner: leg alone and the product with
+    # every catalogue partner on that side raise the same class, exactly,
+    # with the same whole message.
     for p in (2, 3, 5):
         cat = catalogue(p)
         for M, N in itertools.product(cat, repeat=2):
             env = KarEnvelope(LadderCategory(M, N))
             assert leg_data(env.m, len(M.simples)) == leg_data(leg(M, "left"), len(M.simples)), (p, M.label, N.label)
             assert leg_data(env.n, len(N.simples)) == leg_data(leg(N, "right"), len(N.simples)), (p, M.label, N.label)
-        step_faulty, rung_faulty = [], []
-        if p < 5:  # noncommuting names p+1 simples from "abcd"
-            step_faulty += [(noncommuting(p), "left", ("moves", 0)), (noncommuting(p, True), "right", ("moves", 0))]
-        if p > 2:  # at p=2 every g is 0 or 1, and b^2 = b
-            F0 = catalogue_entry(p, label_parse("F0"))
-            squares_in_h = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * h * h), label=None)
-            squares_in_g = F0._replace(mixed=exponent_table(p, 1, lambda g, m, h: g * g * h), label=None)
-            step_faulty += [(squares_in_h, "left", ("character", 0)), (squares_in_g, "right", ("character", 0))]
-            # rung 1 acts by M.right[-1] and by N.left[1]
-            for side, s, template in (("left", p - 1, fixes), ("left", 1, moves), ("right", 1, fixes),
-                                      ("right", p - 1, moves)):
-                rung_faulty.append((two_simples(p, s, side), side, template))
-        for entry, side, fault in step_faulty:
-            record = leg(entry, side)
-            assert validate(entry) != [] and record.step_fault == fault, (p, side, fault)
-            for partner in cat:
-                env = KarEnvelope(LadderCategory(*((entry, partner) if side == "left" else (partner, entry))))
-                built = env.m if side == "left" else env.n
-                assert leg_data(built, len(entry.simples)) == leg_data(record, len(entry.simples)), (p, side, fault)
-        for entry, side, template in rung_faulty:
-            assert validate(entry) != []
-            for partner in cat:
-                lad = LadderCategory(*((entry, partner) if side == "left" else (partner, entry)))
-                message = template.format(lad.object_at(0), p)
-                with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
-                    KarEnvelope(lad)
+        for entry, side, error, message in defective_legs(p):
+            assert validate(entry) != [], (p, message)
+            runs = [lambda: leg(entry, side)]
+            runs += [lambda pair=pair: RelativeTensorProduct(*pair).decompose()
+                     for pair in ((entry, partner) if side == "left" else (partner, entry) for partner in cat)]
+            for run in runs:
+                with pytest.raises(EngineError, match=f"^{re.escape(message)}$") as raised:
+                    run()
+                assert raised.type is error, (p, message, raised.type)
+
+
+def test_a_leg_raises_its_character_fault_before_its_moves_fault():
+    # noncommuting's generator moves its rung-fixed simple a, a moves fault
+    # on a.  With e(0) = 1 on the free simple b of that side's leg, its mixed
+    # table also breaks the character condition on b.  The leg checks every
+    # character before it scans the moves, so it raises the fault on b
+    # though a comes first, alone and with every partner.
+    p = 3
+    for side, bad in (("left", (1, 1, 0)), ("right", (0, 1, 1))):  # M.mixed[1][b][0], N.mixed[0][b][1]
+        entry = noncommuting(p, side == "right")
+        entry = entry._replace(mixed=exponent_table(p, p + 1, lambda g, i, h: 1 if (g, i, h) == bad else 0))
+        message = f"the {side} mixed associator on b is not a character of its rung stabilizer"
+        with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+            leg(entry, side)
+        for partner in catalogue(p):
+            with pytest.raises(ClassificationError, match=f"^{re.escape(message)}$"):
+                RelativeTensorProduct(*((entry, partner) if side == "left" else (partner, entry))).decompose()
 
 
 def test_witness_associator_matches_the_route_that_acts_every_connector():

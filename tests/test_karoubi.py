@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpring.bimodules import catalogue, catalogue_entry, format_simple, label_parse, validate
+from bpring.bimodules import catalogue, catalogue_entry, label_parse, validate
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, _projector_coeffs, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
@@ -356,12 +356,13 @@ def test_rung_action_not_a_zp_action_is_unsupported():
     # Hand-built data that fails validate: at p=5 the left action of N fixes
     # its simple 0 for g in {0, s} only, so the object (*, 0) of Lad(F0, N)
     # has a rung stabilizer of size 2.  With s=1 rung 1 fixes the object,
-    # with s=2 it moves it.
+    # with s=2 it moves it.  The message names N's simple 0 on the right
+    # leg, not the object.
     p = 5
     F0 = catalogue_entry(p, label_parse("F0"))
     messages = {
-        1: "rung 1 fixes (*)(0) but not every rung does, at p=5",
-        2: "the rung orbit of (*)(0) is not a Z_p orbit at p=5",
+        1: "on the right leg, rung 1 fixes 0 but not every rung does, at p=5",
+        2: "on the right leg, the rung orbit of 0 is not a Z_p orbit at p=5",
     }
     for s in (1, 2):
         N = two_simples(p, s, "right")
@@ -375,16 +376,16 @@ def test_rung_action_not_a_zp_action_is_unsupported():
 def test_rung_action_on_the_m_leg_not_a_zp_action_is_unsupported():
     # Rung b acts on the M leg by M.right[-b], so with s=p-1 rung 1 fixes
     # the simple 0 and rung 2 does not, and with s=1 rung 1 moves it.  The
-    # message names (0) with the first simple of N.  Paired with X1, whose
-    # left action is free, every object has a free orbit and the per-object
-    # walk found 2 classes with no error; the leg walk raises all the same.
+    # message names M's simple 0 on the left leg, whatever N.  Paired with
+    # X1, whose left action is free, every object has a free orbit and the
+    # per-object walk found 2 classes with no error; the leg walk raises all
+    # the same.
     p = 5
     for right in ("F0", "X1"):
         N = catalogue_entry(p, label_parse(right))
-        n0 = format_simple(N.simples[0])
         messages = {
-            p - 1: f"rung 1 fixes (0)({n0}) but not every rung does, at p=5",
-            1: f"the rung orbit of (0)({n0}) is not a Z_p orbit at p=5",
+            p - 1: "on the left leg, rung 1 fixes 0 but not every rung does, at p=5",
+            1: "on the left leg, the rung orbit of 0 is not a Z_p orbit at p=5",
         }
         for s, message in messages.items():
             M = two_simples(p, s, "left")
@@ -406,7 +407,7 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
     # checked as a fact of M alone, also with F0, whose leg has no free
     # orbit, so that no row is read off another, and M's fault comes before
     # N's: paired with an N whose rung 1 fixes its simple 0 while rung 2
-    # does not, the pair still names M's fault.
+    # does not, the pair still raises M's fault, with the same message.
     p = 3
     one, two = [1, 5, 0, 4, 2, 3], [2, 0, 1, 5, 3, 4]
     F0 = catalogue_entry(p, label_parse("F0"))
@@ -418,11 +419,11 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
         label=None,
     )
     X1, N = catalogue_entry(p, label_parse("X1")), two_simples(p, 1, "right")
-    for right, n0, classes in ((X1, "0", 6), (F0, "*", 2), (N, "0", None)):
+    message = "on the left leg, the rung orbit of 0 is not a Z_p orbit at p=3"
+    for right, classes in ((X1, 6), (F0, 2), (N, None)):
         lad = LadderCategory(M, right)
         if classes is not None:
             assert len(walk_objects(lad)[2]) == classes
-        message = f"the rung orbit of (0)({n0}) is not a Z_p orbit at p=3"
         with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
             KarEnvelope(lad)
 
