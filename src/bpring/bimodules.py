@@ -60,14 +60,15 @@ class BimoduleLabel(namedtuple("BimoduleLabel", "kind index")):
         if kind in ("T", "L", "R"):
             if index is not None:
                 raise LabelParseError(f"label {kind} takes no index")
+        elif kind not in ("F", "X"):
+            raise LabelParseError(f"unknown label kind {kind!r}")
+        elif index is not None and type(index) is not int:  # a bool included
+            raise LabelParseError(f"{kind} labels need an integer index, got {index!r}")
         elif kind == "F":
             if index is None or index < 0:
                 raise LabelParseError("F labels need an index q >= 0")
-        elif kind == "X":
-            if index is None or index < 1:
-                raise LabelParseError("X labels need a nonzero index k")
-        else:
-            raise LabelParseError(f"unknown label kind {kind!r}")
+        elif index is None or index < 1:
+            raise LabelParseError("X labels need a nonzero index k")
         return tuple.__new__(cls, (kind, index))
 
     # _replace builds through _make, so it validates too

@@ -100,7 +100,10 @@ class CyclotomicScalar:
     __slots__ = ("p", "num", "den", "k")
 
     def __init__(self, p: int, c=1, k: int = 0):
+        """p is checked by require_prime, c by _ratio, and a k that is not an int, a bool included, is a ValueError."""
         require_prime(p)
+        if type(k) is not int:
+            raise ValueError(f"k must be an integer, got {k!r}")
         _canonical(self, p, *_ratio(c), k % p)
 
     @property

@@ -1,11 +1,11 @@
 """Relative tensor product of two bimodules, computed through Kar(Lad(M, N)).
 
-The simples of the product are those of the Karoubi envelope (bpring.karoubi).
-The outer Z_p actions have one core, _act, on (source index, target index,
-coefficient dict): in one call it moves one leg of each end and rotates each
-rung by an exponent of that side's mixed table.  outer_action applies it to a
-simple and re-anchors the result to its class through KarEnvelope._locate_at
-and _to_rep, as the witness route does.
+The simples of the product are those of the Karoubi envelope (bpring.karoubi),
+which also acts: KarEnvelope._act acts on (source index, target index,
+coefficient dict), and KarEnvelope._land acts on an idempotent and re-anchors
+it to its class in one call.  outer_action lands a simple and builds its
+connector from KarEnvelope._to_rep, as the witness route does; this module
+classifies.
 
 Classifying the product reads the following, each described where it is done:
 
@@ -20,9 +20,11 @@ Classifying the product reads the following, each described where it is done:
   counts each orbit from its least simple;
 - _stabilizer: an orbit's stabilizer, read from its size, as a position in
   the per-prime table _orbit_names of every subgroup and the label it names;
-- mixed_associator and _witness_path: the associator exponent, the ratio of
-  two witness paths, each a base's stored idempotent or lad.compose of two
-  LadderMorphisms, read as (landing class, source index, coefficient dict).
+- _associator and _witness_path: the associator exponent, the ratio of two
+  witness paths from a class's base index and stored idempotent, each path
+  a base's stored idempotent or lad.compose of two LadderMorphisms, read as
+  (landing class, source index, coefficient dict); mixed_associator is its
+  public form on a simple.
 
 Only the exponents of full-stabilizer orbits are invariants of the product;
 on any other orbit the exponent depends on the gauge of the inputs: twisting
@@ -128,61 +130,23 @@ class RelativeTensorProduct:
         """Every simple of the envelope, built when first asked for."""
         return self.env.simples
 
-    # -- the outer-action endofunctors --------------------------------------
-
-    def _act(self, side: str, g: int, s: int, t: int, coeffs: dict) -> tuple[int, int, dict]:
-        """(s', t', coeffs'): the morphism with coeffs from object index s to t, acted on by g (in 0..p-1) on side.
-
-        Acting on the left moves the M leg, sending n*|M| + m to n*|M| +
-        M.left[g][m], and multiplies rung b by zeta^M.mixed[g][m][b], m the M
-        leg of t; acting on the right moves the N leg, sending n*|M| + m to
-        N.right[g][n]*|M| + m, and multiplies rung b by zeta^N.mixed[b][n][g],
-        n the N leg of s.  t is shifted only when t != s.  When that side's
-        entry has trivial_mixed set (an all-zero mixed table, as on every
-        catalogue entry but F_q with q != 0), every rotation is by zero and
-        coeffs itself is returned, so the result shares the input's dict.
-        Each rotation keeps a monomial nonzero, so a morphism on coeffs needs
-        no zero filter (LadderMorphism._nonzero).  No object or morphism is
-        built, and the whole action is this one call.
-        """
-        width = self._width
-        if side == "left":
-            M = self.M
-            shift, m = M.left[g], t % width
-            t2 = t - m + shift[m]
-            s2 = t2 if s == t else s - s % width + shift[s % width]
-            if M.trivial_mixed:
-                return s2, t2, coeffs
-            row = M.mixed[g][m]
-            return s2, t2, {b: c.rotate(row[b]) for b, c in coeffs.items()}
-        N = self.N
-        shift, (n, m) = N.right[g], divmod(s, width)
-        s2 = shift[n] * width + m
-        t2 = s2 if t == s else shift[t // width] * width + t % width
-        if N.trivial_mixed:
-            return s2, t2, coeffs
-        mixed = N.mixed
-        return s2, t2, {b: c.rotate(mixed[b][n][g]) for b, c in coeffs.items()}
-
     # -- actions on simples ---------------------------------------------------
 
     def outer_action(self, g: int, side: str, simple: KarSimple) -> ActionMorphism:
         """The simple that g on side sends simple to, witnessed by the connector scaled to 1 on its least rung.
 
         simple is read as mixed_associator reads it, its base's object index
-        and its representative's coefficient dict, and re-anchored as
-        _witness_path re-anchors: KarEnvelope._locate_at checks the acted dict
-        against the stored primitive and _to_rep gives the connector.  A g
-        that is not an int, a bool included, is a ValueError.
+        and its representative's coefficient dict, and landed as
+        _witness_path lands it: KarEnvelope._land acts and checks the acted
+        dict against the stored primitive, and _to_rep gives the connector.
+        A g that is not an int, a bool included, is a ValueError.
         """
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         if type(g) is not int:
             raise ValueError(f"g must be an integer, got {g!r}")
         g, env, at = g % self.p, self.env, self.lad.object_at
-        i = env._bases[simple.class_index]
-        s, _, acted = self._act(side, g, i, i, simple.representative.coeffs)
-        c, rung, e = env._locate_at(s, acted)
+        s, c, rung, e = env._land(side, g, env._bases[simple.class_index], simple.representative.coeffs)
         t, coeffs = env._to_rep(s, c, rung, e)
         u = LadderMorphism._nonzero(at(s), at(t), coeffs)
         return ActionMorphism(g, side, simple, env.simple(c), u.scale(u.coeffs[min(u.coeffs)].inv()))
@@ -274,22 +238,29 @@ class RelativeTensorProduct:
     def mixed_associator(self, g: int, h: int, simple: KarSimple) -> int:
         """Exponent k with (left-g then right-h) = zeta^k (right-h then left-g).
 
-        Both witness paths (_witness_path) start from simple's representative,
-        read as its base's object index and its coefficient dict.  Landing on
-        one class from one source, they lie in one one-dimensional absorbed
-        Hom space; their dicts' ratio is read by proportionality and
-        phase_exponent.  On an orbit fixed by both actions the connector
-        gauges cancel in the ratio, so the exponent is canonical; the
-        calibration makes the product of the one-object bimodule with cocycle
-        q and the invertible X_l come out with exponent q*l at (1, 1).  A g
-        or h that is not an int, a bool included, is a ValueError.
+        The index-level _associator on simple's base object index and its
+        representative's coefficient dict.  A g or h that is not an int, a
+        bool included, is a ValueError.
         """
         if type(g) is not int or type(h) is not int:
             raise ValueError(f"g and h must be integers, got {g!r} and {h!r}")
-        g, h = g % self.p, h % self.p
-        base = self.env._bases[simple.class_index], simple.representative.coeffs
-        c2, source, path_rl = self._witness_path("right", h, "left", g, *base)
-        c2b, source_b, path_lr = self._witness_path("left", g, "right", h, *base)
+        return self._associator(g % self.p, h % self.p, self.env._bases[simple.class_index],
+                                simple.representative.coeffs)
+
+    def _associator(self, g: int, h: int, i: int, coeffs: dict) -> int:
+        """mixed_associator for g and h in 0..p-1, on the idempotent with coeffs on the object of index i, a class base.
+
+        Both witness paths (_witness_path) start from that idempotent.
+        Landing on one class from one source, they lie in one
+        one-dimensional absorbed Hom space; their dicts' ratio is read by
+        proportionality and phase_exponent.  On an orbit fixed by both
+        actions the connector gauges cancel in the ratio, so the exponent is
+        canonical; the calibration makes the product of the one-object
+        bimodule with cocycle q and the invertible X_l come out with
+        exponent q*l at (1, 1).
+        """
+        c2, source, path_rl = self._witness_path("right", h, "left", g, i, coeffs)
+        c2b, source_b, path_lr = self._witness_path("left", g, "right", h, i, coeffs)
         if c2 != c2b or source != source_b:
             raise ClassificationError("the two witness paths do not land in one Hom space")
         ratio = proportionality(path_lr, path_rl, self.env._one)
@@ -304,33 +275,32 @@ class RelativeTensorProduct:
         """(landing class, source object index, coefficients) of acting by a on side first, then by b on side second.
 
         The path starts from the idempotent with coeffs on the object of
-        index i, a class representative.  It acts (_act), re-anchors through
-        a connector u to the landing class's representative, of object index
-        r1, acts on that, re-anchors again through u2, and is the acted u
-        followed by u2, all on indices and dicts: KarEnvelope._locate_at
-        checks each acted dict against the stored primitive, and _to_rep
-        gives the connectors.  When the first landing j is its class's base
-        (r1 == j), the acted u is the acted idempotent.  If u2 then lands on
-        a base too, it is the base's stored idempotent e, which _locate_at
-        has just compared with the acted idempotent on every rung, and e
-        followed by e is e by the idempotent law, checked once per prime
-        where the projectors are stored (karoubi._checked_idempotent; a free
-        base's identity is the unit of the group algebra): the path is e's
-        dict, and nothing is built.  Every other path is lad.compose of two
-        LadderMorphisms, the acted u and u2, on the route's only objects.
+        index i, a class representative.  It lands (KarEnvelope._land: acts
+        and checks the acted dict against the stored primitive) on the
+        object of index j, re-anchors through a connector u to the landing
+        class's representative, of object index r1, lands that, re-anchors
+        again through u2, and is the acted u followed by u2, all on indices
+        and dicts: KarEnvelope._act acts on u, and _to_rep gives the
+        connectors.  When the first landing j is its class's base (r1 ==
+        j), the acted u is the acted idempotent, which the second landing
+        has found equal to the stored e2 on every rung.  If u2 then lands on
+        a base too, it is that e2, and e2 followed by e2 is e2 by the
+        idempotent law, checked once per prime where the projectors are
+        stored (karoubi._checked_idempotent; a free base's identity is the
+        unit of the group algebra): the path is e2's dict, and nothing is
+        built.  Every other path is lad.compose of two LadderMorphisms, the
+        acted u and u2, on the route's only objects.
         """
         env = self.env
-        j, _, acted = self._act(first, a, i, i, coeffs)
-        c1, rung1, e1 = env._locate_at(j, acted)
+        j, c1, rung1, e1 = env._land(first, a, i, coeffs)
         r1 = env._bases[c1]  # the representative's object; e1 is its idempotent
-        j2, _, acted2 = self._act(second, b, r1, r1, e1)
-        c2, rung2, e2 = env._locate_at(j2, acted2)
+        j2, c2, rung2, e2 = env._land(second, b, r1, e1)
         if r1 != j:
-            source, _, w = self._act(second, b, j, r1, env._to_rep(j, c1, rung1, e1)[1])
+            source, _, w = env._act(second, b, j, r1, env._to_rep(j, c1, rung1, e1)[1])
         elif env._bases[c2] == j2:
-            return c2, j2, e2  # a base: acted2 is its idempotent e, and e followed by e is e
+            return c2, j2, e2  # a base: the acted idempotent is its idempotent e2, and e2 followed by e2 is e2
         else:
-            source, w = j2, acted2  # the acted idempotent
+            source, w = j2, e2  # the acted idempotent, equal to e2
         t2, u2 = env._to_rep(j2, c2, rung2, e2)
         at, mid = self.lad.object_at, self.lad.object_at(j2)
         path = self.lad.compose(LadderMorphism._nonzero(at(source), mid, w), LadderMorphism._nonzero(mid, at(t2), u2))
@@ -406,23 +376,26 @@ class RelativeTensorProduct:
 
         The stabilizer and its label are read from _orbit_names at the
         position _stabilizer gives; a full stabilizer's label is F_q with q
-        the exponent.  The witness associator runs on the simple of the
-        orbit's first class on every orbit if every_exponent, else only on
-        full-stabilizer orbits, the one place where it classifies; the simple
-        and the exponent are None elsewhere.  On any other orbit the witness
-        paths would check, beyond the exponent, only that both land on one
-        simple, and the commutation check of orbits covers that on every
-        simple.
+        the exponent.  The witness associator (_associator) runs on the base
+        index and stored idempotent of the orbit's first class on every
+        orbit if every_exponent, where that class's simple is built for the
+        OrbitInfo, else only on full-stabilizer orbits, the one place where
+        it classifies, and no simple is built; the simple and the exponent
+        are None elsewhere.  On any other orbit the witness paths would
+        check, beyond the exponent, only that both land on one simple, and
+        the commutation check of orbits covers that on every simple.
         """
-        subgroups, labels = _orbit_names(self.p)
+        env, (subgroups, labels) = self.env, _orbit_names(self.p)
         out = []
         for first, size in self.orbits():
             k = self._stabilizer(first, size)
-            label = labels[k]
-            simple = exponent = None
-            if every_exponent or label is None:
-                simple = self.env.simple(first)
-                exponent = self.mixed_associator(1, 1, simple)
+            label, simple, exponent = labels[k], None, None
+            if every_exponent:
+                simple = env.simple(first)
+                exponent = self._associator(1, 1, env._bases[first], simple.representative.coeffs)
+            elif label is None:
+                i, _, e = env._base(first)
+                exponent = self._associator(1, 1, i, e)
             out.append((simple, size, subgroups[k], exponent, label or BimoduleLabel("F", exponent)))
         return out
 

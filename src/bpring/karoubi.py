@@ -36,22 +36,25 @@ described where it is done:
 - _class_rung, class_at, dimension_at and class_row: an object's class,
   rung and End dimension, and a row's classes, read from the stored rows and
   the two leg records;
-- simple, representative and simples: a class's idempotent on its base,
-  one of the character projectors that _projector_coeffs stores and checks
-  idempotent once per prime, bound by each envelope that has a fixed
-  object; simple reads its base's class and rung once;
-- _locate_at and _to_rep: the class of a primitive idempotent, checked
-  against the stored one (accepted at once when it is the stored dict
-  itself), and the connector to its representative, on object indices and
-  coefficient dicts, for the outer actions and the witness route of
-  bpring.fusion;
+- simple, representative, simples and _base: a class's idempotent on its
+  base, one of the character projectors that _projector_coeffs stores and
+  checks idempotent once per prime, bound by each envelope that has a fixed
+  object, or the envelope's one identity dict; _base reads its base's class
+  and rung once, and simple builds its morphism;
+- _act, _land and _to_rep: the outer actions, on object indices and
+  coefficient dicts.  _act acts on any morphism, such as a connector.
+  _land acts on an idempotent and re-anchors it in one step: it reads the
+  landing's class and rung once and checks the acted dict against the
+  stored primitive (accepted at once when it is the stored dict itself).
+  _to_rep gives the connector to the class's representative.  The outer
+  actions and the witness route of bpring.fusion run on these three;
 - proportionality: the scalar ratio of two coefficient dicts.
 
 The step tables, the outer actions and the witness route of bpring.fusion
-read these lists, records and methods.  Each leg record checks that the
-outer generator of its side keeps the fixed simples of its leg fixed, so
-that every row of objects steps into a row of its own kind, N-fixed or
-free, and M's leg pattern describes both.
+read these lists, records and methods, and bpring.fusion classifies.  Each
+leg record checks that the outer generator of its side keeps the fixed
+simples of its leg fixed, so that every row of objects steps into a row of
+its own kind, N-fixed or free, and M's leg pattern describes both.
 """
 
 from __future__ import annotations
@@ -95,16 +98,6 @@ def _checked_idempotent(p: int, projectors: tuple[dict, ...]) -> tuple[dict, ...
         if group_algebra_product(p, coeffs, coeffs) != coeffs:
             raise EngineError(f"the character projector I_{k} of C[Z_{p}] is not idempotent")
     return projectors
-
-
-@lru_cache(maxsize=None)
-def _projector_index(p: int) -> dict:
-    """The fields (num, den, k) of I_k[1] -> k, for the stored projectors of _projector_coeffs(p).
-
-    The key is a tuple of ints, hashed in C.  At p = 2 the two keys differ
-    in the sign of num, since zeta = -1 is folded into it.
-    """
-    return {(x.num, x.den, x.k): k for k, x in enumerate(coeffs[1] for coeffs in _projector_coeffs(p))}
 
 
 def proportionality(f: dict, g: dict, one: CyclotomicScalar) -> CyclotomicScalar | None:
@@ -261,10 +254,10 @@ class KarEnvelope:
         self._width = len(lad.M.simples)  # object index n*|M| + m
         # the legs of M and N (see leg); M's fault is raised before N's
         self.m, self.n = leg(lad.M, "left"), leg(lad.N, "right")
-        # the stored projectors and their index, bound where a fixed object exists
-        self._projectors = self._projector_keys = None
+        # the stored projectors, bound where a fixed object exists
+        self._projectors = None
         if FIXED in self.m.rung and FIXED in self.n.rung:
-            self._projectors, self._projector_keys = _projector_coeffs(lad.p), _projector_index(lad.p)
+            self._projectors = _projector_coeffs(lad.p)
         # per row that makes classes: the class of each object's first simple
         # (None on any other row); per class: the object index of its base
         self._rows, self._bases = self._walk_rows()
@@ -334,33 +327,33 @@ class KarEnvelope:
         """The canonical simple of class c, built on each call.
 
         Its representative is the class's idempotent on its base object, and
-        its character index c minus the base's first class; the base's
-        (class, rung) is read once for both.  A c that is not an int, a bool
-        included, is a ValueError, and an int out of range an IndexError.
+        its character index c minus the base's first class (see _base).  A c
+        that is not an int, a bool included, is a ValueError, and an int out
+        of range an IndexError.
         """
         if type(c) is not int:
             raise ValueError(f"class must be an integer, got {c!r}")
         if not 0 <= c < len(self._bases):
             raise IndexError(f"class {c} out of range for {len(self._bases)} simples")
-        i = self._bases[c]
-        first, rung = self._class_rung(i)
+        i, k, e = self._base(c)
         obj = self.lad.object_at(i)
-        return KarSimple(c, LadderMorphism._nonzero(obj, obj, self._base_coeffs(rung, c - first)), c - first)
+        return KarSimple(c, LadderMorphism._nonzero(obj, obj, e), k)
 
     def representative(self, c: int) -> LadderMorphism:
         """The representative of class c: the class's idempotent, on its base object."""
         return self.simple(c).representative
 
-    def _base_coeffs(self, rung: int, k: int) -> dict:
-        """Rung coefficients of the primitive idempotent of character k on an object with this rung from its base.
+    def _base(self, c: int) -> tuple[int, int, dict]:
+        """(i, k, e) of class c: its base's object index, its character index, and its idempotent's coefficient dict.
 
-        The stored projector I_k on a fixed object (rung FIXED), the
-        envelope's one identity dict on a free one; neither is edited in
-        place.
+        The base's (class, rung) is read once.  e is the stored projector I_k
+        on a fixed base and the envelope's one identity dict on a free one;
+        neither is edited in place.
         """
-        if rung == FIXED:
-            return self._projectors[k]
-        return self._identity
+        i = self._bases[c]
+        first, rung = self._class_rung(i)
+        k = c - first
+        return i, k, self._projectors[k] if rung == FIXED else self._identity
 
     # -- queries --------------------------------------------------------------
 
@@ -373,7 +366,7 @@ class KarEnvelope:
         orbit the rung is 0 and the class is stored.  On its row n, the
         rung-b image of n0, the object (m, n) is the rung-b image of (M's
         back[b][m], n0), or of (m, n0) on a fixed M leg, and takes its class,
-        with rung b.
+        with rung b.  _land reads the same, inline.
         """
         n, m = divmod(i, self._width)
         b = self.n.rung[n]
@@ -412,38 +405,95 @@ class KarEnvelope:
         counts = {self.lad.p: fixed, 1: self.lad.object_count - fixed}
         return {d: c for d, c in counts.items() if c}
 
-    def _locate_at(self, i: int, coeffs: dict) -> tuple[int, int, dict]:
-        """(c, rung, e) for the endomorphism with coeffs of the object of index i, checked to be a stored primitive.
+    # -- actions --------------------------------------------------------------
 
-        The caller guarantees the endomorphism: the outer actions and the
-        witness route of bpring.fusion act on an idempotent, whose acted
-        coefficients they hand over with the acted object's index, so no
-        morphism is built for the check.  c is the class, rung the object's
-        rung from the base of c, both read once, and e the coefficient dict
-        of c's representative, as simple gives it: a fixed object is its
-        class's base, and every free object's idempotent is the envelope's
-        one identity dict.  On a fixed object the character index k is looked
-        up from the fields of the rung-1 coefficient in the index of the
-        stored projectors (_projector_index, bound at construction).  coeffs
-        is accepted when it is e itself, as an action by a trivial mixed
-        table hands the stored dict through, and otherwise when it equals e
-        on every rung.  Raises UnsupportedEndAlgebra, naming the object, if
-        neither holds.
+    def _act(self, side: str, g: int, s: int, t: int, coeffs: dict) -> tuple[int, int, dict]:
+        """(s', t', coeffs'): the morphism with coeffs from object index s to t, acted on by g (in 0..p-1) on side.
+
+        Acting on the left moves the M leg, sending n*|M| + m to n*|M| +
+        M.left[g][m], and multiplies rung b by zeta^M.mixed[g][m][b], m the M
+        leg of t; acting on the right moves the N leg, sending n*|M| + m to
+        N.right[g][n]*|M| + m, and multiplies rung b by zeta^N.mixed[b][n][g],
+        n the N leg of s.  t is shifted only when t != s.  When that side's
+        entry has trivial_mixed set (an all-zero mixed table, as on every
+        catalogue entry but F_q with q != 0), every rotation is by zero and
+        coeffs itself is returned, so the result shares the input's dict.
+        Each rotation keeps a monomial nonzero, so a morphism on coeffs needs
+        no zero filter (LadderMorphism._nonzero).  No object or morphism is
+        built, and the whole action is this one call.
         """
-        first, rung = self._class_rung(i)
-        k = 0
-        if rung == FIXED:
-            x = coeffs.get(1)
-            k = None if x is None else self._projector_keys.get((x.num, x.den, x.k))
-        e = None if k is None else self._base_coeffs(rung, k)
-        if e is None or (coeffs is not e and coeffs != e):
-            raise UnsupportedEndAlgebra(f"idempotent on {self.lad.object_at(i)} is not a stored primitive")
-        return first + k, rung, e
+        width = self._width
+        if side == "left":
+            M = self.lad.M
+            shift, m = M.left[g], t % width
+            t2 = t - m + shift[m]
+            s2 = t2 if s == t else s - s % width + shift[s % width]
+            if M.trivial_mixed:
+                return s2, t2, coeffs
+            row = M.mixed[g][m]
+            return s2, t2, {b: c.rotate(row[b]) for b, c in coeffs.items()}
+        N = self.lad.N
+        shift, (n, m) = N.right[g], divmod(s, width)
+        s2 = shift[n] * width + m
+        t2 = s2 if t == s else shift[t // width] * width + t % width
+        if N.trivial_mixed:
+            return s2, t2, coeffs
+        mixed = N.mixed
+        return s2, t2, {b: c.rotate(mixed[b][n][g]) for b, c in coeffs.items()}
+
+    def _land(self, side: str, g: int, i: int, coeffs: dict) -> tuple[int, int, int, dict]:
+        """(j, c, rung, e): the idempotent with coeffs on the object of index i, acted on by g on side and re-anchored.
+
+        The action is _act's on an endomorphism: the object moves to index j
+        and each rung rotates, unless that side's mixed table is trivial,
+        which hands coeffs itself through.  c is the acted idempotent's
+        class and rung j's rung from the base of c, both read once as
+        _class_rung reads them, and e the coefficient dict of c's
+        representative, as simple gives it: a fixed object is its class's
+        base, and every free object's idempotent is the envelope's one
+        identity dict.  On a fixed object the character k is read from the
+        acted rung-1 monomial, whose exponent is k, or at p = 2 whose sign
+        is (-1)^k, and e is the stored I_k.  The acted dict is accepted when
+        it is e itself and otherwise when it equals e on every rung; if
+        neither holds, UnsupportedEndAlgebra names the object j.  The whole
+        landing is this one call, with no morphism built.
+        """
+        width = self._width
+        n, m = divmod(i, width)
+        if side == "left":
+            M = self.lad.M
+            if not M.trivial_mixed:
+                row = M.mixed[g][m]
+                coeffs = {b: c.rotate(row[b]) for b, c in coeffs.items()}
+            m = M.left[g][m]
+        else:
+            N = self.lad.N
+            if not N.trivial_mixed:
+                mixed = N.mixed
+                coeffs = {b: c.rotate(mixed[b][n][g]) for b, c in coeffs.items()}
+            n = N.right[g][n]
+        b = self.n.rung[n]
+        if b == FIXED:
+            first, rung = self._rows[n][m], self.m.rung[m]
+        elif b == 0:
+            first, rung = self._rows[n][m], 0
+        else:
+            back = self.m.back
+            first, rung = self._rows[self.n.base[n]][m if back is None else back[b][m]], b
+        k, e = 0, self._identity
+        if rung == FIXED:  # without a rung 1, k = 0 is read, and I_0 has one
+            x = coeffs.get(1, self._one)
+            k = x.k if x.p > 2 else int(x.num < 0)
+            e = self._projectors[k]
+        j = n * width + m
+        if coeffs is not e and coeffs != e:
+            raise UnsupportedEndAlgebra(f"idempotent on {self.lad.object_at(j)} is not a stored primitive")
+        return j, first + k, rung, e
 
     def _to_rep(self, i: int, c: int, rung: int, e: dict) -> tuple[int, dict]:
         """(target, coeffs): the connector from the object of index i, with class c's idempotent, to its representative.
 
-        rung and e are as _locate_at returns them for i, and target is the
+        rung and e are as _land returns them for i, and target is the
         representative's object index.  On a base it is the idempotent e
         itself; on the rung-b image of a base it is the basic rung -b ladder
         back to the base.

@@ -8,7 +8,7 @@ always into a new coefficient dict.  acted_witness_exponent is the witness
 associator acting through it on every connector, never reusing an acted
 idempotent, and its ratio read on the field oracle (scalar_oracle).
 act_on is the library's own action on a morphism: its index-level core
-RelativeTensorProduct._act, with the objects named at both ends.
+KarEnvelope._act, with the objects named at both ends.
 shifted_index is where an action moves an object index, read on objects.
 object_witness_path is one witness path on Kar objects, each its idempotent:
 it shifts objects through the entries' simple indices, locates each acted
@@ -79,7 +79,8 @@ def shifted_index(product, side: str, g: int, i: int) -> int:
 def act_on(product, side: str, g: int, f: LadderMorphism) -> LadderMorphism:
     """f acted on by g on side through the library's action core, sharing its coefficient dict when no rung rotates."""
     lad = product.lad
-    s, t, coeffs = product._act(side, g % product.p, object_index(lad, f.source), object_index(lad, f.target), f.coeffs)
+    s, t = object_index(lad, f.source), object_index(lad, f.target)
+    s, t, coeffs = product.env._act(side, g % product.p, s, t, f.coeffs)
     return LadderMorphism._nonzero(lad.object_at(s), lad.object_at(t), coeffs)
 
 

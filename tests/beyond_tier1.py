@@ -118,10 +118,11 @@ def witness_vs_composing_oracle():
     into one of three kinds: a first landing off its base (the acted
     connector composed), a second landing off its base after a base (the
     acted idempotent composed), and a base landing (the base's idempotent);
-    each kind must occur.  Each locate of the witness route is counted too,
-    as accepted because the acted dict is the stored one (an action by a
-    trivial mixed table hands it through) or compared rung by rung: both
-    must occur, and every locate of the gauge-twisted R x L and of F3 x F5,
+    each kind must occur.  Each landing of the witness route (one
+    KarEnvelope._land call) is counted too, as accepted because the acted
+    dict is the stored one (an action by a trivial mixed table hands it
+    through), when it compares no scalar, or compared rung by rung: both
+    must occur, and every landing of the gauge-twisted R x L and of F3 x F5,
     whose mixed tables rotate every rung, must compare.
     """
     from collections import Counter
@@ -129,19 +130,26 @@ def witness_vs_composing_oracle():
     from action_oracle import acted_witness_exponent, shifted_index
     from bimodule_transforms import character_twist, relabel
     from bpring.bimodules import catalogue_entry, label_parse
+    from bpring.cyclotomic import CyclotomicScalar
     from bpring.fusion import RelativeTensorProduct
     from bpring.karoubi import KarEnvelope
 
     p, rng, bad, checked, kinds = 13, random.Random(1313), [], 0, Counter()
-    locates, locate_at, routes = Counter(), KarEnvelope._locate_at, []  # routes: the product whose path runs
+    land, eq = KarEnvelope._land, CyclotomicScalar.__eq__
+    locates, compares, routes = Counter(), [0], []  # routes: the product whose path runs
 
-    def counted_locate_at(env, i, coeffs):
-        out = locate_at(env, i, coeffs)
+    def counted_land(env, *args):
+        before = compares[0]
+        out = land(env, *args)
         if routes:
-            locates[routes[-1], "stored dict" if coeffs is out[2] else "compared"] += 1
+            locates[routes[-1], "compared" if compares[0] > before else "stored dict"] += 1
         return out
 
-    KarEnvelope._locate_at = counted_locate_at
+    def counted_eq(x, y):
+        compares[0] += 1
+        return eq(x, y)
+
+    KarEnvelope._land, CyclotomicScalar.__eq__ = counted_land, counted_eq
     entry = lambda a: catalogue_entry(p, label_parse(a))
     twist = lambda e, side: character_twist(e, {m: rng.randrange(p) for m in e.simples}, side)
     names = (("R", "L"), ("R", "F0"), ("F3", "F5"), ("F2", "X3"), ("X4", "T"), ("X2", "X7"))
@@ -169,18 +177,18 @@ def witness_vs_composing_oracle():
                         kinds["first off base"] += 1
                     else:
                         kinds["base" if source == env._bases[c2] else "second off base"] += 1
-    KarEnvelope._locate_at = locate_at
+    KarEnvelope._land, CyclotomicScalar.__eq__ = land, eq
     by_kind = Counter()
     for (_, kind), count in locates.items():
         by_kind[kind] += count
-    print(f"{checked} exponents compared at p={p}; paths by kind: {dict(kinds)}; locates: {dict(by_kind)}")
+    print(f"{checked} exponents compared at p={p}; paths by kind: {dict(kinds)}; landings: {dict(by_kind)}")
     if len(kinds) != 3:
         return f"not every kind of witness path occurred: {dict(kinds)}"
     if len(by_kind) != 2:
-        return f"not every kind of locate occurred: {dict(by_kind)}"
+        return f"not every kind of landing occurred: {dict(by_kind)}"
     rotating = [name for name, *_ in pairs if name.startswith(("R x L, gauge-twisted", "F3 x F5"))]
     if len(rotating) != 4 or any(locates[name, "stored dict"] or not locates[name, "compared"] for name in rotating):
-        return f"a locate on a rotating product was not compared: {dict(locates)}"
+        return f"a landing on a rotating product was not compared: {dict(locates)}"
     return f"witness associator differs from the composing oracle: {bad}" if bad else None
 
 
@@ -301,10 +309,10 @@ def kernel_vs_field_oracle_p17():
 
 @check("fuse-detail")
 def fuse_detail():
-    """Six single products through fuse --detail beyond the tier-1 primes, in
-    one process.  Each runs through bpring.cli.main with its output captured
-    and printed, and must exit with 0 and print the expected whole line, or
-    the expected part of a line where one is named:
+    """Nine single products through fuse --detail beyond the tier-1 primes,
+    in one process.  Each runs through bpring.cli.main with its output
+    captured and printed, and must exit with 0 and print each expected whole
+    line, and the expected part of a line where one is named:
 
     - T x T at p=17, exit code only: decompose runs the witness associator on
       full-stabilizer orbits only; fuse --detail runs it on every orbit, here
@@ -316,6 +324,11 @@ def fuse_detail():
     - R x F0 at p=11, line 11*R: products-p11's other fixed-object item, 11
       simples on one fixed object per simple of R, every witness composite a
       product of full projectors.
+    - X3 x T, F10 x F2 and X5 x X2 at p=11, lines T, X9 and X10: the other
+      three products of products-p11 at seed 1, so that every output of that
+      workload is pinned.  F10 x F2 is the rotated witness route on one
+      fixed object, whose 11 simples form one orbit; its orbit line, with
+      associator exponent 0, is pinned whole.
     - F5 x X7 at p=23, part "associator exponent 12  -> F12": the rotated
       witness route.  The exponent is q*l = 35 = 12 mod 23 under the
       calibration in the fusion docstring.
@@ -334,23 +347,26 @@ def fuse_detail():
 
     from bpring.cli import main
 
-    runs = [  # (p, left, right, expected, whether it is a whole line)
-        ("17", "T", "T", "", False),
-        ("11", "R", "L", "11*T", True),
-        ("11", "R", "F0", "11*R", True),
-        ("23", "F5", "X7", "associator exponent 12  -> F12", False),
-        ("23", "R", "F0", "23*R", True),
-        ("23", "R", "L", "23*T", True),
+    runs = [  # (p, left, right, expected whole lines, expected part of a line)
+        ("17", "T", "T", (), ""),
+        ("11", "R", "L", ("11*T",), ""),
+        ("11", "R", "F0", ("11*R",), ""),
+        ("11", "X3", "T", ("T",), ""),
+        ("11", "F10", "F2", ("  rep (*)(*)#0  size 11  stabilizer <(1,6)>  associator exponent 0  -> X9", "X9"), ""),
+        ("11", "X5", "X2", ("X10",), ""),
+        ("23", "F5", "X7", (), "associator exponent 12  -> F12"),
+        ("23", "R", "F0", ("23*R",), ""),
+        ("23", "R", "L", ("23*T",), ""),
     ]
     bad = []
-    for p, left, right, want, whole in runs:
+    for p, left, right, lines, part in runs:
         argv = ["fuse", "--p", p, "--left", left, "--right", right, "--detail"]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
         text = out.getvalue()
         print(f"$ bpring {' '.join(argv)}\n{text}", end="")
-        if code != 0 or not (want in text.splitlines() if whole else want in text):
+        if code != 0 or not set(lines) <= set(text.splitlines()) or part not in text:
             bad.append(f"{left} x {right} at p={p} (exit {code})")
     return f"fuse --detail misses its expected output on {bad}" if bad else None
 

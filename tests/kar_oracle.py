@@ -23,9 +23,9 @@ searching.  The helpers here work on objects, from the bimodule actions:
 - position, object_index and locate, which the library does without: a
   simple's index in its bimodule, an object's index in its ladder category
   (the inverse of lad.object_at), and the class of a primitive idempotent
-  with the connector to its representative, read through the envelope's
-  index-level _locate_at and _to_rep, the anchoring path of the outer
-  actions and the witness route.
+  with the connector to its representative, located on the per-object
+  classes of walk_objects and the character projectors built here, where
+  the envelope acts and re-anchors in one step (KarEnvelope._land).
 
 Identities, basic ladders, primitive idempotents and connectors are single
 monomials per rung, so they hold library scalars and can be handed to the
@@ -39,6 +39,7 @@ that field for comparisons.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from bpring.bimodules import BimoduleData
 from bpring.cyclotomic import CyclotomicScalar
@@ -76,17 +77,34 @@ def object_index(lad: LadderCategory, obj: LadderObject) -> int:
 def locate(env: KarEnvelope, idem: LadderMorphism) -> tuple[int, LadderMorphism]:
     """(c, to_rep): the class of the primitive idempotent idem and the connector to its representative.
 
-    idem must be an endomorphism.  env._locate_at checks its dict against the
-    stored primitive, raising UnsupportedEndAlgebra if it is not one, and
-    env._to_rep gives the connector: on a base, the base's idempotent,
-    sharing the stored dict on a fixed one; on the rung-b image of a base,
-    the basic rung -b ladder back to it.
+    idem must be an endomorphism.  It is located on the oracle's own
+    per-object classes (walk_objects, one walk per ladder category): on a
+    fixed object it must equal the character projector I_k built here,
+    and its class is the object's first class plus k; on a free object it
+    must be the identity.  Any other idem raises UnsupportedEndAlgebra with
+    the envelope's message.  The connector: on a base, the class's
+    representative, env.representative(c), which shares the stored dict on
+    a fixed one; on the rung-b image of a base, the basic rung -b ladder
+    back to the walk's base.
     """
     assert idem.source == idem.target, idem
-    i = object_index(env.lad, idem.source)
-    c, rung, e = env._locate_at(i, idem.coeffs)
-    t, coeffs = env._to_rep(i, c, rung, e)
-    return c, LadderMorphism._nonzero(idem.source, env.lad.object_at(t), coeffs)
+    lad, obj, one = env.lad, idem.source, CyclotomicScalar(env.lad.p, 1)
+    cls_of, rung_of, bases = _walk(lad)
+    i = object_index(lad, obj)
+    primitives = _characters(lad.p) if rung_of[i] == FIXED else ({0: one},)
+    k = next((k for k, coeffs in enumerate(primitives) if idem.coeffs == coeffs), None)
+    if k is None:
+        raise UnsupportedEndAlgebra(f"idempotent on {obj} is not a stored primitive")
+    c, rung = cls_of[i] + k, rung_of[i]
+    if rung in (0, FIXED):
+        return c, env.representative(c)
+    return c, LadderMorphism(obj, lad.object_at(bases[c]), {lad.p - rung: one})
+
+
+@lru_cache(maxsize=16)
+def _walk(lad: LadderCategory) -> tuple[list[int], list[int], list[int]]:
+    """walk_objects(lad), kept for the last few ladder categories that locate read."""
+    return walk_objects(lad)
 
 
 def base_at(env: KarEnvelope, c: int) -> int:
@@ -206,6 +224,13 @@ def end_algebra(lad: LadderCategory, obj: LadderObject) -> EndAlgebra:
     return EndAlgebra(rungs, table)
 
 
+@lru_cache(maxsize=None)
+def _characters(p: int) -> tuple[dict, ...]:
+    """Rung coefficients of the p character projectors I_k = (1/p) sum_g zeta^(k g) . (rung g), built here."""
+    inv_p = Fraction(1, p)
+    return tuple({g: CyclotomicScalar(p, inv_p, k * g) for g in range(p)} for k in range(p))
+
+
 def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[LadderMorphism]:
     """Complete orthogonal set of primitive idempotents of End(obj).
 
@@ -213,11 +238,9 @@ def primitive_idempotents(lad: LadderCategory, obj: LadderObject) -> list[Ladder
     that the rung action is a Z_p action), so rung 1 decides which: the
     identity on a free object, the p character projectors I_k on a fixed one.
     """
-    p = lad.p
     if rung_target(lad, obj, 1) != obj:
         return [identity(lad, obj)]
-    inv_p = Fraction(1, p)
-    return [LadderMorphism(obj, obj, {g: CyclotomicScalar(p, inv_p, k * g) for g in range(p)}) for k in range(p)]
+    return [LadderMorphism(obj, obj, coeffs) for coeffs in _characters(lad.p)]
 
 
 def simples(left, right) -> list[KarSimple]:

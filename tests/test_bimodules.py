@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -346,6 +348,21 @@ def test_label_parse_errors(bad):
     with pytest.raises(LabelParseError) as caught:
         label_parse(bad)
     assert repr(bad) in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "kind, index",
+    [("X", 1.5), ("X", True), ("X", False), ("X", 2.0), ("X", "2"), ("F", 0.0), ("F", True), ("F", Fraction(1))],
+)
+def test_a_label_index_must_be_an_int(kind, index):
+    # X1.5 had basis_index 4.5 and broke closed_form_product with a TypeError
+    # from pow, XTrue printed as such and built a catalogue entry, and F0.0
+    # was accepted; label_parse only ever passes an int
+    message = f"{kind} labels need an integer index, got {index!r}"
+    with pytest.raises(LabelParseError, match=f"^{re.escape(message)}$"):
+        BimoduleLabel(kind, index)
+    with pytest.raises(LabelParseError, match=f"^{re.escape(message)}$"):
+        BimoduleLabel(kind, 1)._replace(index=index)
 
 
 def test_basis_order():

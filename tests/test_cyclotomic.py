@@ -107,6 +107,15 @@ def test_rational_factors_stay_exact():
     assert CyclotomicScalar(3, -2) == one.scale(-2)
 
 
+def test_an_exponent_must_be_an_int():
+    # k = 1.5 was stored as is, so repr raised TypeError and phase_exponent
+    # returned 1.5; k = True was read as 1
+    for k in (1.5, True, False, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            CyclotomicScalar(7, 1, k)
+    assert phase_exponent(CyclotomicScalar(7, 1, -6)) == 1 and CyclotomicScalar(7, 1, 8) == CyclotomicScalar(7, 1, 1)
+
+
 def test_a_factor_that_scale_rejects_is_no_operand_of_mul():
     # x * c scales by an int or a Fraction; every other factor, a bool
     # included, raises TypeError, while scale(True) raises ValueError above

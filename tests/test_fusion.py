@@ -22,7 +22,7 @@ from bpring import fusion
 from bpring.fusion import ClassificationError, RelativeTensorProduct, build_table
 from bpring.groups import enumerate_subgroups
 from bpring.cyclotomic import CyclotomicScalar
-from bpring.karoubi import KarEnvelope, _checked_idempotent, _projector_coeffs, leg
+from bpring.karoubi import KarEnvelope, KarSimple, _checked_idempotent, _projector_coeffs, leg
 from bpring.ladders import EngineError, LadderCategory, LadderMorphism, LadderObject
 from action_oracle import (
     act_on,
@@ -264,21 +264,26 @@ def test_decompose_matches_analyze_and_the_stabilizer_scan():
 
 
 def test_decompose_runs_the_witness_associator_once_per_full_orbit(monkeypatch):
+    # decompose hands each full-stabilizer orbit's base index and stored
+    # idempotent to the index-level associator, once per such orbit, at (1, 1)
     p, calls, total = 3, [], 0
-    inner = RelativeTensorProduct.mixed_associator
+    inner = RelativeTensorProduct._associator
 
-    def counted(self, g, h, simple):
-        calls.append((g, h, simple))
-        return inner(self, g, h, simple)
+    def counted(self, g, h, i, coeffs):
+        calls.append((g, h, i, coeffs))
+        return inner(self, g, h, i, coeffs)
 
     for M, N in itertools.product(catalogue(p), repeat=2):
         product = RelativeTensorProduct(M, N)
+        env = product.env
         full = [o.representative for o in product.analyze().orbits if o.stabilizer.kind == "full"]
         calls.clear()
         with monkeypatch.context() as m:
-            m.setattr(RelativeTensorProduct, "mixed_associator", counted)
+            m.setattr(RelativeTensorProduct, "_associator", counted)
             product.decompose()
-        assert calls == [(1, 1, s) for s in full], (str(M.label), str(N.label))
+        assert [call[:3] for call in calls] == [(1, 1, base_at(env, s.class_index)) for s in full], (
+            str(M.label), str(N.label))
+        assert all(call[3] is s.representative.coeffs for call, s in zip(calls, full)), (str(M.label), str(N.label))
         total += len(full)
     assert total > 0
 
@@ -290,35 +295,35 @@ def test_decompose_leaves_the_simples_unbuilt():
         assert "simples" not in vars(product.env), (str(M.label), str(N.label))
 
 
-def test_decompose_builds_simples_only_for_the_witness_associator(monkeypatch):
-    # Each full-stabilizer orbit is one simple, fixed by both actions: decompose
-    # builds it once to hand to mixed_associator, which locates the acted
-    # idempotents by class index and builds no simple itself.  No other simple
-    # is built.
-    p, calls, depth, total = 3, [], [0], 0
-    simple, mixed = KarEnvelope.simple, RelativeTensorProduct.mixed_associator
+def test_decompose_builds_no_simple(monkeypatch):
+    # decompose hands each full-stabilizer orbit's base index and stored
+    # idempotent to the index-level associator, which lands by object and
+    # class index: no KarSimple is built, on any pair at p=3, though the
+    # associator runs on every full orbit.
+    p, built, runs, total = 3, [], [], 0
+    new, associator = KarSimple.__new__, RelativeTensorProduct._associator
 
-    def counted_simple(env, c):
-        calls.append((c, depth[0] > 0))
-        return simple(env, c)
+    def counted_new(cls, *args):
+        built.append(args)
+        return new(cls, *args)
 
-    def counted_mixed(self, g, h, s):
-        depth[0] += 1
-        try:
-            return mixed(self, g, h, s)
-        finally:
-            depth[0] -= 1
+    def counted_associator(self, *args):
+        runs.append(args)
+        return associator(self, *args)
 
     for M, N in itertools.product(catalogue(p), repeat=2):
         product = RelativeTensorProduct(M, N)
-        calls.clear()
+        built.clear()
+        runs.clear()
         with monkeypatch.context() as m:
-            m.setattr(KarEnvelope, "simple", counted_simple)
-            m.setattr(RelativeTensorProduct, "mixed_associator", counted_mixed)
+            m.setattr(KarSimple, "__new__", staticmethod(counted_new))
+            m.setattr(RelativeTensorProduct, "_associator", counted_associator)
             product.decompose()
+            assert not built, (str(M.label), str(N.label), built)
+            product.env.simple(0)
+            assert len(built) == 1  # the counter sees a simple when one is built
         full = [first for first, size in product.orbits() if size == 1]
-        assert [c for c, inside in calls if not inside] == full, (str(M.label), str(N.label))
-        assert not any(inside for _, inside in calls), (str(M.label), str(N.label))
+        assert len(runs) == len(full), (str(M.label), str(N.label))
         total += len(full)
     assert total > 0
 
@@ -380,10 +385,11 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
     # The actions, compose and the connectors are built without the
     # constructor's zero filter; each must equal the morphism the filtering
     # constructor builds from its coefficients, so no zero coefficient is
-    # ever kept.  The action core (_act) and the connectors (_to_rep) give
-    # coefficient dicts with no morphism built, and each dict must equal its
-    # zero-filtered copy; they are recorded where the index-level route
-    # makes them, so the witness route's and outer_action's are checked too.
+    # ever kept.  The action core (_act), the landings (_land) and the
+    # connectors (_to_rep) give coefficient dicts with no morphism built, and
+    # each dict must equal its zero-filtered copy; they are recorded where
+    # the index-level route makes them, so the witness route's and
+    # outer_action's are checked too.
     # compose's morphisms are checked as morphisms.  Every ordered pair at p
     # in {2, 3, 5}: the witness route of analyze, every simple acted on by
     # every g on both sides, every connector, and on one fixed object every
@@ -398,9 +404,10 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(RelativeTensorProduct, "_act", recording(RelativeTensorProduct._act, dicts, lambda out: out[2]))
+    monkeypatch.setattr(KarEnvelope, "_act", recording(KarEnvelope._act, dicts, lambda out: ("_act", out[2])))
+    monkeypatch.setattr(KarEnvelope, "_land", recording(KarEnvelope._land, dicts, lambda out: ("_land", out[3])))
     monkeypatch.setattr(LadderCategory, "compose", recording(LadderCategory.compose))
-    monkeypatch.setattr(KarEnvelope, "_to_rep", recording(KarEnvelope._to_rep, dicts, lambda out: out[1]))
+    monkeypatch.setattr(KarEnvelope, "_to_rep", recording(KarEnvelope._to_rep, dicts, lambda out: ("_to_rep", out[1])))
     kinds = Counter()
     for p in (2, 3, 5):
         for M, N in itertools.product(catalogue(p), repeat=2):
@@ -424,13 +431,14 @@ def test_engine_morphisms_equal_their_filtered_construction(monkeypatch):
                     kinds["kept" if lad.compose(e, f).coeffs else "cancelled"] += 1
             for f in made:
                 assert f == LadderMorphism(f.source, f.target, f.coeffs), (str(M.label), str(N.label), f)
-            for coeffs in dicts:
+            for kind, coeffs in dicts:
                 assert coeffs == {b: c for b, c in coeffs.items() if not c.is_zero()}, (str(M.label), str(N.label))
+                kinds[kind] += 1
             kinds["morphisms"] += len(made)
-            kinds["dicts"] += len(dicts)
             made.clear()
             dicts.clear()
-    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["morphisms"] > 5000 and kinds["dicts"] > 50000, kinds
+    assert kinds["cancelled"] > 0 and kinds["kept"] > 0 and kinds["morphisms"] > 5000, kinds
+    assert all(kinds[kind] > 14000 for kind in ("_act", "_land", "_to_rep")), kinds
 
 
 def test_actions_match_the_rotating_oracle_and_share_the_dict_only_when_trivial():
@@ -1136,7 +1144,7 @@ def test_witness_paths_that_land_on_a_base_are_its_idempotent(monkeypatch):
 
 
 def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
-    # Inside mixed_associator, counted with LadderCategory.object_at and
+    # Inside the associator, counted with LadderCategory.object_at and
     # LadderMorphism._nonzero on the five products-p11 products of seed 1: a
     # path that lands on a base builds no ladder object and no morphism; a
     # composing path names the three objects of its two morphisms and builds
@@ -1145,7 +1153,7 @@ def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
     built = Counter()
     object_at, nonzero = LadderCategory.object_at, LadderMorphism._nonzero.__func__
     compose, witness_path = LadderCategory.compose, RelativeTensorProduct._witness_path
-    mixed_associator = RelativeTensorProduct.mixed_associator
+    associator = RelativeTensorProduct._associator
 
     def counted_at(lad, i):
         built["objects"] += 1
@@ -1169,9 +1177,9 @@ def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
 
     calls = []
 
-    def counted_associator(product, g, h, simple):
+    def counted_associator(product, *args):
         before, first = Counter(built), len(paths)
-        out = mixed_associator(product, g, h, simple)
+        out = associator(product, *args)
         calls.append((built - before, sum(paths[first:], Counter())))
         return out
 
@@ -1179,7 +1187,7 @@ def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
     monkeypatch.setattr(LadderMorphism, "_nonzero", classmethod(counted_nonzero))
     monkeypatch.setattr(LadderCategory, "compose", counted_compose)
     monkeypatch.setattr(RelativeTensorProduct, "_witness_path", counted_path)
-    monkeypatch.setattr(RelativeTensorProduct, "mixed_associator", counted_associator)
+    monkeypatch.setattr(RelativeTensorProduct, "_associator", counted_associator)
     for product in _products_p11(1):
         product.analyze()
     assert len(paths) == 2 * len(calls) == 50
@@ -1191,15 +1199,16 @@ def test_the_witness_route_builds_only_the_morphisms_it_composes(monkeypatch):
 
 def test_classifying_an_orbit_reads_each_class_once(monkeypatch):
     # On the five products-p11 products of seed 1: each simple reads its
-    # base's (class, rung) once; each action is one _act call, inside which
-    # no other method of the product or the envelope runs; and _locate_at
+    # base's (class, rung) once; each landing is one _land call, two per
+    # witness path, and each action on a connector one _act call, inside
+    # which no other method of the product or the envelope runs; and _land
     # compares no scalar on R x L and R x F0, whose trivial mixed tables hand
-    # the stored dict through, and p per locate on F_q x F_r, whose rotated
+    # the stored dict through, and p per landing on F_q x F_r, whose rotated
     # dicts are compared on every rung.
     reads, inside, nested, compares = Counter(), [], Counter(), Counter()
-    per_simple, per_locate = [], {}
+    per_simple, per_land = [], {}
     class_rung, simple = KarEnvelope._class_rung, KarEnvelope.simple
-    act, locate_at, eq = RelativeTensorProduct._act, KarEnvelope._locate_at, CyclotomicScalar.__eq__
+    act, land, eq = KarEnvelope._act, KarEnvelope._land, CyclotomicScalar.__eq__
 
     def counted_class_rung(env, i):
         reads["class rung"] += 1
@@ -1211,18 +1220,20 @@ def test_classifying_an_orbit_reads_each_class_once(monkeypatch):
         per_simple.append(reads["class rung"] - before)
         return out
 
-    def counted_act(product, *args):
-        reads["act"] += 1
-        inside.append(True)
-        try:
-            return act(product, *args)
-        finally:
-            inside.pop()
+    def alone(name, method):
+        def call(*args):
+            reads[name] += 1
+            inside.append(True)
+            try:
+                return method(*args)
+            finally:
+                inside.pop()
+        return call
 
-    def counted_locate_at(env, i, coeffs):
+    def counted_land(env, *args):
         before = compares["eq"]
-        out = locate_at(env, i, coeffs)
-        per_locate.setdefault(f"{env.lad.M.label} x {env.lad.N.label}", []).append(compares["eq"] - before)
+        out = land(env, *args)
+        per_land.setdefault(f"{env.lad.M.label} x {env.lad.N.label}", []).append(compares["eq"] - before)
         return out
 
     def counted_eq(x, y):
@@ -1243,18 +1254,17 @@ def test_classifying_an_orbit_reads_each_class_once(monkeypatch):
                 monkeypatch.setattr(cls, name, watched(name, value))
     monkeypatch.setattr(KarEnvelope, "_class_rung", watched("_class_rung", counted_class_rung))
     monkeypatch.setattr(KarEnvelope, "simple", watched("simple", counted_simple))
-    monkeypatch.setattr(KarEnvelope, "_locate_at", watched("_locate_at", counted_locate_at))
-    monkeypatch.setattr(RelativeTensorProduct, "_act", counted_act)
+    monkeypatch.setattr(KarEnvelope, "_act", alone("_act", act))
+    monkeypatch.setattr(KarEnvelope, "_land", alone("_land", counted_land))
     monkeypatch.setattr(CyclotomicScalar, "__eq__", counted_eq)
-    for product in products:
-        product.analyze()
+    paths = sum(2 * len(product.analyze().orbits) for product in products)
     assert per_simple and set(per_simple) == {1}, Counter(per_simple)
-    assert reads["act"] > 0 and not nested, nested
+    assert reads["_land"] == 2 * paths and 0 < reads["_act"] < paths and not nested, (reads, nested)
     names = [f"{product.M.label} x {product.N.label}" for product in products]
-    assert set(per_locate) == set(names), per_locate
+    assert set(per_land) == set(names), per_land
     for name in names[0], names[2]:
-        assert set(per_locate[name]) == {0}, (name, Counter(per_locate[name]))
-    assert set(per_locate[names[3]]) == {11}, Counter(per_locate[names[3]])
+        assert set(per_land[name]) == {0}, (name, Counter(per_land[name]))
+    assert set(per_land[names[3]]) == {11}, Counter(per_land[names[3]])
 
 
 def test_projectors_are_checked_idempotent():

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,12 @@ from bpring.bimodules import catalogue, catalogue_entry, label_parse, validate
 from bpring.cyclotomic import CyclotomicScalar
 from bpring.karoubi import KarEnvelope, UnsupportedEndAlgebra, _projector_coeffs, proportionality
 from bpring.ladders import LadderCategory, LadderMorphism, LadderObject
-from bimodule_transforms import two_simples
+from bpring.fusion import RelativeTensorProduct
+from action_oracle import act_on
+from bimodule_transforms import exponent_table, two_simples
 from scalar_oracle import from_rational, root_of_unity
 from kar_oracle import (
+    FIXED,
     as_oracle,
     basic,
     connectors,
@@ -429,8 +433,24 @@ def test_m_rows_that_are_not_an_action_off_the_bases_are_unsupported():
 
 
 def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
+    # A landing by g = 0 (KarEnvelope._land) moves no object and rotates no
+    # rung, so on either side it is a locate: it must accept the stored
+    # primitive of its object and reject every other dict, naming the object.
     env = KarEnvelope(make_lad(5, "R", "F0"))
     obj = LadderObject(1, "*")
+    i = object_index(env.lad, obj)
+    message = f"idempotent on {obj} is not a stored primitive"
+
+    def land(coeffs):
+        left, right = (env._land(side, 0, i, coeffs) for side in ("left", "right"))
+        assert left == right
+        return left
+
+    def rejected(coeffs):
+        for side in ("left", "right"):
+            with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+                env._land(side, 0, i, coeffs)
+
     idems = primitive_idempotents(env.lad, obj)
     i1 = idems[1]
     # the sum of the characters but I_0 has rational rungs 4/5, -1/5, ..., so
@@ -440,29 +460,85 @@ def test_locate_rejects_an_idempotent_that_is_not_a_stored_primitive():
     assert ladder_sum(*idems) == as_oracle(identity(env.lad, obj))
     for both in (rest, identity(env.lad, obj)):
         assert env.lad.compose(both, both) == both  # an idempotent, but not primitive
-        with pytest.raises(UnsupportedEndAlgebra):
-            locate(env, both)
-    # rung 1 over rung 0 reads zeta, yet this is not the stored I_1
-    with pytest.raises(UnsupportedEndAlgebra):
-        locate(env, i1.scale(2))
+        rejected(both.coeffs)
+    # rung 1 reads zeta, which names I_1, yet this is not the stored I_1
+    rejected(i1.scale(2).coeffs)
     # rungs 0 and 1 are those of a stored I_k, which names k, but a later rung
     # is not: every rung is still compared
-    first = env.class_at(object_index(env.lad, obj))
+    first = env.class_at(i)
     stored = [env.representative(first + k).coeffs for k in range(5)]
     for k, b in itertools.product(range(5), range(2, 5)):
         for other in (stored[(k + 1) % 5][b], stored[k][b].scale(2)):
-            idem = LadderMorphism(obj, obj, stored[k] | {b: other})
-            message = f"idempotent on {obj} is not a stored primitive"
-            with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
-                locate(env, idem)
-        assert locate(env, LadderMorphism(obj, obj, stored[k]))[0] == first + k
+            rejected(stored[k] | {b: other})
+        j, c, rung, e = land(stored[k])
+        assert (j, c, e) == (i, first + k, stored[k]) and e is stored[k]
+        # an equal dict that is not the stored one is compared and accepted
+        assert land(dict(stored[k]))[1:] == (first + k, rung, stored[k])
     # on a free object the only primitive is the identity
     env = KarEnvelope(make_lad(3, "T", "T"))
     obj = env.lad.object_at(0)
-    with pytest.raises(UnsupportedEndAlgebra):
-        locate(env, identity(env.lad, obj).scale(2))
+    message = f"idempotent on {obj} is not a stored primitive"
+    for side in ("left", "right"):
+        with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+            env._land(side, 0, 0, identity(env.lad, obj).scale(2).coeffs)
+        assert env._land(side, 0, 0, env._identity) == (0, 0, 0, env._identity)
     with pytest.raises(IndexError):
         env.representative(env.simple_count)
+
+
+def test_landing_equals_act_then_locate():
+    # KarEnvelope._land against the oracle: the general action core on the
+    # representative (act_on) followed by locate, on the oracle's own
+    # per-object classes, for every simple, side and g at p in {2, 3, 5} on
+    # every ordered pair: the same acted object, class and rung, the stored
+    # dict of the class, and the same connector through _to_rep
+    landings = Counter()
+    for p in (2, 3, 5):
+        for M, N in itertools.product(catalogue(p), repeat=2):
+            product = RelativeTensorProduct(M, N)
+            env, lad = product.env, product.lad
+            rung_of = walk_objects(lad)[1]
+            for s in env.simples:
+                i = object_index(lad, s.representative.source)
+                for g, side in itertools.product(range(p), ("left", "right")):
+                    acted = act_on(product, side, g, s.representative)
+                    c, to_rep = locate(env, acted)
+                    j, c2, rung, e = env._land(side, g, i, s.representative.coeffs)
+                    where = (p, str(M.label), str(N.label), s.class_index, g, side)
+                    assert (lad.object_at(j), c2, rung) == (acted.source, c, rung_of[j]), where
+                    assert e is env.representative(c).coeffs, where
+                    t, coeffs = env._to_rep(j, c2, rung, e)
+                    assert LadderMorphism(lad.object_at(j), lad.object_at(t), coeffs) == to_rep, where
+                    landings["fixed" if rung == FIXED else "base" if rung == 0 else "off base"] += 1
+    assert min(landings.values()) > 1000 and len(landings) == 3, landings
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_landing_rejects_an_acted_dict_that_is_not_a_stored_primitive(side):
+    # F0 with one row of its mixed table, that of g = 2 on the acting side,
+    # not a character of Z_p: generator 1 acts by characters, so the leg
+    # records accept the entry, but acting by 2 on a character projector of
+    # the one fixed object gives a dict that is no stored primitive.
+    # _land must raise the oracle's whole message (act_on, then locate).
+    for p in (3, 5):
+        F0 = catalogue_entry(p, label_parse("F0"))
+        if side == "left":
+            bad = F0._replace(mixed=exponent_table(p, 1, lambda g, i, h: h == 1 if g == 2 else 0))
+            product = RelativeTensorProduct(bad, F0)
+        else:
+            bad = F0._replace(mixed=exponent_table(p, 1, lambda g, i, h: g == 1 if h == 2 else 0))
+            product = RelativeTensorProduct(F0, bad)
+        env = product.env
+        for s in env.simples:
+            with pytest.raises(UnsupportedEndAlgebra) as oracle:
+                locate(env, act_on(product, side, 2, s.representative))
+            message = str(oracle.value)
+            assert message == f"idempotent on {s.representative.source} is not a stored primitive"
+            with pytest.raises(UnsupportedEndAlgebra, match=f"^{re.escape(message)}$"):
+                env._land(side, 2, 0, s.representative.coeffs)
+            for g in (0, 1):
+                assert env._land(side, g, 0, s.representative.coeffs)[1] == locate(
+                    env, act_on(product, side, g, s.representative))[0]
 
 
 def test_connectors_reject_a_character_index_outside_the_end_algebra():
